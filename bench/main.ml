@@ -96,9 +96,10 @@ type measurement = {
 }
 
 (* With --json every measurement of the selected experiment is collected
-   and dumped to BENCH_<experiment>.json. The mutex makes recording safe
-   from Harness.parallel_runs workers (sample order then follows
-   completion order; at one domain it matches print order). *)
+   and dumped to BENCH_<experiment>.json, in recording order. Sweeps on
+   the Harness.parallel_runs pool record after collection, in input
+   order, so the file does not depend on which worker finished first;
+   the mutex keeps recording itself safe from any domain. *)
 let json_mode = ref false
 let json_mutex = Mutex.create ()
 let json_samples : measurement list ref = ref []
@@ -110,7 +111,9 @@ let record_sample m =
     Mutex.unlock json_mutex
   end
 
-let measure ?(hi = 14.88) ?(prov = default_prov) ~gen make =
+(* One measurement, not yet recorded: [measure] for thunks on the
+   domain pool, which record their results after collection. *)
+let measure_unrecorded ?(hi = 14.88) ?(prov = default_prov) ~gen make =
   let mpps =
     Nfp_sim.Harness.max_lossless_mpps ~make ~gen ~packets:search_packets ~hi
       ~iterations:8 ()
@@ -124,15 +127,16 @@ let measure ?(hi = 14.88) ?(prov = default_prov) ~gen make =
     failwith
       (Printf.sprintf "measure: %d packets missed the classification table"
          r.unmatched);
-  let m =
-    {
-      mpps;
-      latency_us = Nfp_algo.Stats.mean r.latency /. 1000.0;
-      p99_us = Nfp_algo.Stats.percentile r.latency 99.0 /. 1000.0;
-      prov;
-      extra = [];
-    }
-  in
+  {
+    mpps;
+    latency_us = Nfp_algo.Stats.mean r.latency /. 1000.0;
+    p99_us = Nfp_algo.Stats.percentile r.latency 99.0 /. 1000.0;
+    prov;
+    extra = [];
+  }
+
+let measure ?hi ?prov ~gen make =
+  let m = measure_unrecorded ?hi ?prov ~gen make in
   record_sample m;
   m
 
@@ -228,7 +232,8 @@ let run_fig7 () =
   (* Size points are independent sweeps, so they run on the domain pool;
      each thunk builds its own generator (the memo cache is mutable) and
      every simulation inside is self-seeded, so results are identical at
-     any worker count. Rows print in order after collection. *)
+     any worker count. Rows print, and their samples record, in order
+     after collection. *)
   let rows =
     Nfp_sim.Harness.parallel_runs
       (List.map
@@ -246,7 +251,7 @@ let run_fig7 () =
                    classify = "none";
                  }
              in
-             (measure ~hi ~prov:p ~gen (make n)).mpps
+             measure_unrecorded ~hi ~prov:p ~gen (make n)
            in
            let nfp n =
              let kinds = forwarder_kinds n in
@@ -265,8 +270,9 @@ let run_fig7 () =
   in
   List.iter
     (fun (size, hi, nfp5, onvm1, onvm3, onvm5) ->
-      note "    %-8d %-10.2f %-12.2f %-12.2f %-12.2f %-10.2f" size hi nfp5 onvm1
-        onvm3 onvm5)
+      List.iter record_sample [ nfp5; onvm1; onvm3; onvm5 ];
+      note "    %-8d %-10.2f %-12.2f %-12.2f %-12.2f %-10.2f" size hi nfp5.mpps
+        onvm1.mpps onvm3.mpps onvm5.mpps)
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -1166,8 +1172,9 @@ let run_scale () =
     (fun replicas ->
       let replication = ref (fun () -> []) in
       let make engine ~output =
-        Nfp_infra.System.make ~replicas ~replication ~plan
-          ~nfs:(lookup_of kinds ()) engine ~output
+        Nfp_infra.System.make
+          ~config:{ Nfp_infra.System.default_config with replicas }
+          ~replication ~plan ~nfs:(lookup_of kinds ()) engine ~output
       in
       let m =
         measure ~hi:30.0
@@ -1443,8 +1450,9 @@ let run_batch () =
   List.iter
     (fun batch ->
       let make engine ~output =
-        Nfp_infra.System.make ~batch_size:batch ~plan ~nfs:(lookup_of kinds ())
-          engine ~output
+        Nfp_infra.System.make
+          ~config:{ Nfp_infra.System.default_config with batch_size = batch }
+          ~plan ~nfs:(lookup_of kinds ()) engine ~output
       in
       let t0 = Unix.gettimeofday () in
       let m =
@@ -1529,7 +1537,7 @@ let run_faults () =
                  Nfp_algo.Stats.percentile r.latency 99.0 /. 1000.0,
                  h.crashes,
                  h.detections,
-                 h.merge_timeouts,
+                 h.drops.merge_timed_out,
                  r.offered - r.completed ))
              mtbfs)
          policies)

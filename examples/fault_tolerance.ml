@@ -75,7 +75,8 @@ let run ?(checkpoint_interval_ns = 0.0) label recovery =
     label r.completed r.offered
     (100.0 *. float_of_int r.completed /. float_of_int r.offered)
     (Nfp_algo.Stats.percentile r.latency 99.0 /. 1000.0)
-    h.detections h.restarts h.bypasses h.degrades h.merge_timeouts h.flushed;
+    h.detections h.restarts h.bypasses h.degrades h.drops.merge_timed_out
+    h.drops.flush_lost;
   if checkpoint_interval_ns > 0.0 then
     Format.printf
       "          checkpoints %d, replayed %d, salvaged %d, deduped %d@."

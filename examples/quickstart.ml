@@ -67,8 +67,8 @@ let () =
   (* 3b. Replication analysis: what each NF's state-access profile
          allows, and how many instances an illustrative replicas=2
          deployment would give it ([replicas] on
-         {!Nfp_infra.System.config}, or [?replicas] on [System.make];
-         the default 1 keeps today's single-instance layout). *)
+         {!Nfp_infra.System.config}; the default 1 keeps today's
+         single-instance layout). *)
   let lookup = instances () in
   Format.printf "@.replication analysis (replicas=2 would deploy):@.";
   List.iter

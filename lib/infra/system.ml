@@ -11,11 +11,8 @@ type config = {
   mergers : int;
   jitter : float;
   seed : int64;
-  batch_size : int;  (* poll-loop breath size on every core; 1 = per-packet legacy *)
+  batch_size : int;
   replicas : int;
-      (* target replica count for NFs whose state-access profile makes
-         them safe to shard (Replication.eligible); ineligible NFs
-         always keep a single instance. 1 = bit-identical legacy *)
 }
 
 let default_config =
@@ -43,20 +40,10 @@ let default_config =
    above the watermark. *)
 type overload_config = {
   high_watermark : int;
-      (* ring occupancy at which a core raises pressure; must satisfy
-         0 <= low < high <= ring_capacity *)
-  low_watermark : int;  (* occupancy at which pressure releases (hysteresis) *)
+  low_watermark : int;
   shed_trickle : int;
-      (* anti-starvation: of every [shed_trickle] consecutive packets
-         of a class the controller is shedding, one is admitted anyway;
-         0 sheds the class outright *)
   degrade_enabled : bool;
-      (* let NFs with a declared degrade mode coarsen under pressure *)
   pressure_poll_ns : float;
-      (* minimum interval between shed-level re-evaluations at ingress;
-         the level moves one step per poll (escalate under pressure,
-         relax when it clears), so the ladder cannot flap faster than
-         this cadence *)
 }
 
 (* 3/4 and 3/8 of the default ring capacity; one shed-level step every
@@ -70,60 +57,21 @@ let default_overload_config =
     pressure_poll_ns = 2_000.0;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Elastic scale-out: runtime replica activation with crash-safe live  *)
-(* NF state migration.                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Opt-in, like overload: a deployment built without an elastic config
-   is bit-for-bit the pre-elastic system, and one built with a
-   never-triggering config (thresholds no run reaches) must produce the
-   same packet trace — standby replicas draw jitter from an independent
-   PRNG stream and the steering map starts as the identity sharding, so
-   the machinery is invisible until the controller acts. *)
-type elastic_config = {
-  min_replicas : int;  (* scale-in floor (also the initial active count) *)
+type elastic_config = Elastic.config = {
+  min_replicas : int;
   max_replicas : int;
-      (* scale-out ceiling; replicas beyond the static count are built
-         at deployment as standby cores and activated at runtime *)
   buckets : int;
-      (* steering-map granularity: flows hash into [buckets] RSS
-         buckets, each owned by one replica; migrations re-home whole
-         buckets. Must be >= max_replicas. *)
-  control_interval_ns : float;  (* controller tick period *)
+  control_interval_ns : float;
   scale_out_occupancy : float;
-      (* scale out when any active replica's queue occupancy (fraction
-         of ring capacity) reaches this *)
   scale_in_occupancy : float;
-      (* scale in when every active replica sits at or below this;
-         must be < scale_out_occupancy (hysteresis) *)
-  migration_batch : int;  (* max buckets re-homed per migration *)
+  migration_batch : int;
   transfer_ns : float;
-      (* modeled state-transfer window: the source stays frozen this
-         long between freeze and commit *)
   migration_deadline_ns : float;
-      (* a migration that cannot commit by freeze-time + this deadline
-         (destination full, party down) aborts and rolls back to the
-         old steering map *)
   commit_retry_ns : float;
-      (* retry period of a commit blocked on destination ring space *)
-  cooldown_ns : float;  (* minimum time between scale decisions per slot *)
+  cooldown_ns : float;
 }
 
-let default_elastic_config =
-  {
-    min_replicas = 1;
-    max_replicas = 4;
-    buckets = 64;
-    control_interval_ns = 20_000.0;
-    scale_out_occupancy = 0.5;
-    scale_in_occupancy = 0.05;
-    migration_batch = 16;
-    transfer_ns = 30_000.0;
-    migration_deadline_ns = 200_000.0;
-    commit_retry_ns = 2_000.0;
-    cooldown_ns = 50_000.0;
-  }
+let default_elastic_config = Elastic.default
 
 (* ------------------------------------------------------------------ *)
 (* Lossy fabric: link fault domain + opt-in reliable channels.         *)
@@ -131,9 +79,9 @@ let default_elastic_config =
 
 (* Opt-in, like fault/overload/elastic: a deployment built without a
    links config is bit-for-bit the pre-links system — no channel is
-   constructed, every send site keeps its direct [Server.offer] call
-   path. With one, every inter-core edge (classifier->NF, NF->NF,
-   branch->merger, merger->delivery, migration transfers) crosses a
+   constructed, every port is a direct [Server.offer]. With one, every
+   inter-core edge (classifier->NF, NF->NF, branch->merger,
+   merger->delivery, migration transfers) crosses a
    [Channel] named after its destination port ("link:mid1:NAT",
    "link:merger#0", "link:delivery", "link:migrate:mid1:NAT@2"), so a
    link plan can perturb any edge family by name or prefix pattern.
@@ -144,25 +92,16 @@ let default_elastic_config =
    same delivery multisets and state digests as the lossless run. *)
 type links_config = {
   link_plan : Nfp_sim.Fault.link_plan;
-  reliable : bool;  (* arm the seq/ack/retransmit channels *)
+  reliable : bool;
   link_window : int;
-      (* sender window per link: max unacked sends before the channel
-         refuses (backpressure, upstream cursor-retry) *)
   ack_interval_ns : float;
-      (* cumulative-ack cadence — the granularity at which acks ride
-         breath completions *)
-  rto_ns : float;  (* initial head-of-line retransmit timeout *)
-  rto_backoff : float;  (* RTO multiplier per consecutive firing without progress *)
-  rto_max_ns : float;  (* RTO ceiling *)
+  rto_ns : float;
+  rto_backoff : float;
+  rto_max_ns : float;
   retransmit_budget : int;
-      (* per-packet retransmissions before the link is declared Down *)
   reorder_window : int;
-      (* receiver reorder-buffer span; arrivals beyond it are refused
-         at the port and recovered by retransmission *)
   probe_interval_ns : float;
-      (* health-probe cadence while data is outstanding; 0 disables
-         probing (budget exhaustion still detects partitions) *)
-  probe_timeout_k : int;  (* consecutive probe timeouts declaring Down *)
+  probe_timeout_k : int;
 }
 
 let default_links_config =
@@ -180,122 +119,25 @@ let default_links_config =
     probe_timeout_k = 3;
   }
 
-(* One in-flight bucket migration: two-phase. Phase 1 (freeze) pauses
-   the source replica and schedules the commit [transfer_ns] later;
-   phase 2 (commit) either aborts — any party down, or no destination
-   ring space by the deadline — rolling back to the old map with the
-   source unfrozen and nothing observable changed, or atomically (one
-   simulation event): carves the moving flows' state out of the source
-   NF, folds it into the destination, re-homes the frozen in-flight
-   packets, flips the map buckets and bumps the epoch. *)
-type migration = {
-  mg_src : int;
-  mg_dst : int;
-  mg_buckets : int list;
-  mg_deadline : float;
-}
+type recovery = Watchdog.recovery = Restart | Bypass | Degrade
 
-(* Steering state of one scalable NF slot. [st_map.(b)] is the replica
-   index owning bucket [b]; the send sites read it per attempt, so a
-   single-event flip can never race an in-flight packet. *)
-type steer = {
-  mutable st_map : int array;
-  mutable st_epoch : int;  (* bumped at every committed flip *)
-  mutable st_active : int;  (* replicas 0 .. active-1 receive traffic *)
-  mutable st_draining : int;  (* replica being scaled in; -1 = none *)
-  mutable st_last_op : float;  (* cooldown clock *)
-  mutable st_backoff : float;
-  (* no migration may start before this time: set after an abort so the
-     just-unfrozen source drains its backlog before the controller can
-     freeze it again (otherwise a hopeless migration — e.g. a moved set
-     larger than the destination ring — restarts every tick and the
-     source starves forever) *)
-  mutable st_mig : migration option;  (* at most one in flight per slot *)
-}
-
-(* ------------------------------------------------------------------ *)
-(* Fault tolerance: injection plan, watchdog, recovery policies        *)
-(* ------------------------------------------------------------------ *)
-
-(* What the watchdog does with an NF core that stopped making progress:
-   - [Restart]: the core comes back [restart_ns] later; whatever sat in
-     its ring is dropped (and accounted in [health.flushed]).
-   - [Bypass]: the core is removed from the graph — packets headed to it
-     skip straight through its action program unprocessed, so mergers
-     are never again left waiting on its branch. For read-only or
-     optional NFs (monitors, taps) this loses nothing but telemetry.
-   - [Degrade]: the core's whole service graph falls back to the
-     sequential order of the same plan ([Tables.serial_order]) on a twin
-     chain of fresh cores until the failed core has restarted; parallel
-     wedging is impossible while degraded.
-   Infrastructure cores (classifier, mergers, merger agent, twin-chain
-   cores) always use Restart. *)
-type recovery = Restart | Bypass | Degrade
-
-type fault_config = {
+type fault_config = Watchdog.config = {
   plan : Nfp_sim.Fault.plan;
-  watchdog_interval_ns : float;  (* heartbeat sampling period *)
+  watchdog_interval_ns : float;
   watchdog_deadline_ns : float;
-      (* a core with queued work but no progress (neither a processed
-         packet nor a backpressure retry) for this long is declared
-         failed; backpressure alone never trips it *)
   merge_timeout_ns : float;
-      (* mergers force-complete an accumulation this old with the
-         versions that did arrive; 0.0 disables the timeout *)
-  restart_ns : float;  (* downtime of a Restart / Degrade recovery *)
-  recovery_of : string -> recovery;  (* policy per NF instance name *)
+  restart_ns : float;
+  recovery_of : string -> recovery;
   checkpoint_interval_ns : float;
-      (* period of the per-NF state snapshots that arm lossless
-         recovery; 0.0 disables checkpointing, reverting Restart to the
-         lossy flush-the-backlog semantics *)
   log_capacity : int;
-      (* bound of each core's input log (packets since its last
-         checkpoint); a full log forces a checkpoint early rather than
-         ever silently losing an entry *)
   breaker_threshold : int;
-      (* circuit breaker: after this many consecutive watchdog
-         detections of the same NF core without observed progress, stop
-         restarting it and fall to [breaker_fallback]; 0 disables the
-         breaker (and the restart backoff), keeping the pre-breaker
-         recover-forever behavior *)
   backoff_factor : float;
-      (* restart delay multiplier per consecutive detection: the n-th
-         consecutive restart waits restart_ns * factor^(n-1), capped at
-         [backoff_max_ns] — a restart-looping core backs off instead of
-         thrashing *)
-  backoff_max_ns : float;  (* ceiling of the backed-off restart delay *)
+  backoff_max_ns : float;
   breaker_fallback : recovery;
-      (* what a tripped breaker does with the core: [Bypass] removes it
-         from the graph; [Degrade] pins its whole graph to the
-         sequential twin and removes the core. [Restart] is treated as
-         [Bypass] (the breaker exists to stop restarting). Infrastructure
-         cores never trip — they have no bypass semantics — and only
-         back off. *)
   dedup_capacity : int;
-      (* bound of each (pid, version) dedup table (the delivery filter
-         and every merger's completed-merge memory). Tables prune
-         generationally: entries survive at least [dedup_capacity / 2]
-         further insertions, far longer than any replay or
-         retransmission can lag, so the exactly-once guarantee holds
-         while memory stays pinned however long a lossy run goes. *)
 }
 
-let default_fault_config =
-  {
-    plan = Nfp_sim.Fault.empty;
-    watchdog_interval_ns = 30_000.0;
-    watchdog_deadline_ns = 120_000.0;
-    merge_timeout_ns = 250_000.0;
-    restart_ns = Nfp_sim.Cost.default.restart_ns;
-    recovery_of = (fun _ -> Restart);
-    checkpoint_interval_ns = 100_000.0;
-    log_capacity = 4096;
-    breaker_threshold = 0;
-    backoff_factor = 2.0;
-    backoff_max_ns = 2_000_000.0;
-    breaker_fallback = Bypass;
-    dedup_capacity = 65_536;
-  }
+let default_fault_config = Watchdog.default
 
 (* Bounded (pid, version) memory with generational pruning: two
    hash tables, [g_cur] receiving inserts and [g_prev] holding the
@@ -332,36 +174,6 @@ module Dedup = struct
   let length t = Hashtbl.length t.g_cur + Hashtbl.length t.g_prev
 end
 
-(* The uniform control surface the watchdog holds over every core,
-   whatever its job type. *)
-type probe = {
-  pr_name : string;
-  pr_nf : (int * string) option;  (* mid, NF instance name; None = infrastructure *)
-  pr_processed : unit -> int;
-  pr_queue : unit -> int;
-  pr_stalled : unit -> float;
-  pr_busy : unit -> bool;
-  pr_down : unit -> bool;
-  pr_paused : unit -> bool;
-      (* quiesced as a live-migration source: healthy, deliberately
-         frozen — the watchdog must not declare it dead *)
-  pr_kill : unit -> unit;
-  pr_revive : flush:bool -> int;
-  pr_drain : unit -> int;  (* NF cores: reroute the backlog around the core *)
-  pr_crashes : unit -> int;
-  pr_fault_drops : unit -> int;
-  pr_flushed : unit -> int;
-  pr_rejected : unit -> int;  (* ring-full offer refusals at this core *)
-  pr_pressured : unit -> bool;  (* watermark latch currently raised *)
-  pr_pressure_episodes : unit -> int;  (* pressure onsets so far *)
-  pr_casualties : unit -> int;  (* reclaimed in-flight work awaiting recovery *)
-  pr_checkpoint : unit -> unit;  (* NF cores with snapshot support: take one now *)
-  pr_replay : unit -> float;
-      (* restore the last checkpoint and replay the input log; returns
-         the replay's contribution to the core's downtime (0.0 for
-         infrastructure cores and NFs without snapshot support) *)
-}
-
 let core_count config (plan : Tables.plan) =
   1
   + List.length plan.Tables.nf_entries
@@ -386,6 +198,14 @@ let stats_of_server (type a) (s : a Nfp_sim.Server.t) =
     rejected = Nfp_sim.Server.rejected s;
     queue = Nfp_sim.Server.queue_length s;
   }
+
+(* Per-core utilization in a stable order: classifier, NF cores by
+   name, mergers, agent. *)
+let sampler_of classifier nf_cores mergers agent () =
+  stats_of_server classifier
+  :: (List.map stats_of_server nf_cores |> List.sort (fun a b -> compare a.core b.core))
+  @ Array.to_list (Array.map stats_of_server mergers)
+  @ Option.to_list (Option.map stats_of_server agent)
 
 (* What the replication analysis decided for one NF of the deployment,
    plus per-replica observables: the differential suite checks the
@@ -506,56 +326,70 @@ let branch_index (spec : Tables.merge_spec) (deliverer : Tables.deliverer) =
 
 let empty_prog = { p_copies = [||]; p_sends = [||]; p_static = 0; p_full_srcs = [||] }
 
-let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_config)
-    ?batch_size ?replicas ?fault ?overload ?elastic ?links ?stats ?replication
-    ~graphs engine ~output =
-  if graphs = [] then invalid_arg "System.make_multi: no service graphs";
-  (match (fault, path) with
-  | Some _, `Interpretive ->
-      invalid_arg "System.make_multi: fault injection requires the `Compiled path"
-  | _ -> ());
-  (match (overload, path) with
-  | Some _, `Interpretive ->
-      invalid_arg "System.make_multi: overload control requires the `Compiled path"
-  | _ -> ());
+(* Every build-time check, run before anything is built: a bad
+   configuration is an [Invalid_argument] at deployment, never a failure
+   mid-run. [links] arrives normalized (see [make_multi]). *)
+let validate ~path ~config ?fault ?overload ?elastic ?links graphs =
+  let fail msg = invalid_arg ("System.make_multi: " ^ msg) in
+  let compiled_only msg = if path = `Interpretive then fail msg in
+  if graphs = [] then fail "no service graphs";
+  if not (0.0 <= config.jitter && config.jitter < 1.0) then
+    fail "jitter must satisfy 0 <= jitter < 1";
+  (match fault with
+  | Some (fc : fault_config) ->
+      compiled_only "fault injection requires the `Compiled path";
+      if not (fc.watchdog_interval_ns > 0.0 && fc.watchdog_deadline_ns > 0.0) then
+        fail "fault watchdog interval and deadline must be positive";
+      if not (fc.restart_ns >= 0.0 && fc.backoff_max_ns >= 0.0) then
+        fail "fault restart_ns and backoff_max_ns must be >= 0";
+      if not (fc.backoff_factor >= 1.0) then fail "fault backoff_factor must be >= 1.0"
+  | None -> ());
   (match overload with
   | Some (oc : overload_config) ->
+      compiled_only "overload control requires the `Compiled path";
       if
         not
           (0 <= oc.low_watermark
           && oc.low_watermark < oc.high_watermark
           && oc.high_watermark <= config.ring_capacity)
-      then
-        invalid_arg
-          "System.make_multi: overload watermarks must satisfy 0 <= low < high <= \
-           ring_capacity";
-      if oc.pressure_poll_ns <= 0.0 then
-        invalid_arg "System.make_multi: overload pressure_poll_ns must be positive"
+      then fail "overload watermarks must satisfy 0 <= low < high <= ring_capacity";
+      if oc.pressure_poll_ns <= 0.0 then fail "overload pressure_poll_ns must be positive"
   | None -> ());
   (match elastic with
   | Some (ec : elastic_config) ->
-      if path = `Interpretive then
-        invalid_arg "System.make_multi: elastic scale-out requires the `Compiled path";
+      compiled_only "elastic scale-out requires the `Compiled path";
       if ec.min_replicas < 1 || ec.max_replicas < ec.min_replicas then
-        invalid_arg
-          "System.make_multi: elastic replica bounds must satisfy 1 <= min <= max";
-      if ec.buckets < ec.max_replicas then
-        invalid_arg "System.make_multi: elastic buckets must be >= max_replicas";
+        fail "elastic replica bounds must satisfy 1 <= min <= max";
+      if ec.buckets < ec.max_replicas then fail "elastic buckets must be >= max_replicas";
       if
         ec.control_interval_ns <= 0.0 || ec.transfer_ns < 0.0
         || ec.migration_deadline_ns <= 0.0
         || ec.commit_retry_ns <= 0.0 || ec.cooldown_ns < 0.0
-      then invalid_arg "System.make_multi: elastic periods must be positive";
+      then fail "elastic periods must be positive";
       if not (ec.scale_in_occupancy < ec.scale_out_occupancy) then
-        invalid_arg
-          "System.make_multi: elastic occupancy thresholds must satisfy in < out";
-      if ec.migration_batch < 1 then
-        invalid_arg "System.make_multi: elastic migration_batch must be >= 1"
+        fail "elastic occupancy thresholds must satisfy in < out";
+      if ec.migration_batch < 1 then fail "elastic migration_batch must be >= 1"
   | None -> ());
-  let elastic_on = elastic <> None in
+  (match links with
+  | Some (lc : links_config) ->
+      compiled_only "link channels require the `Compiled path";
+      if lc.link_window < 1 then fail "links link_window must be >= 1";
+      if lc.reorder_window < 1 then fail "links reorder_window must be >= 1";
+      if lc.retransmit_budget < 1 then fail "links retransmit_budget must be >= 1";
+      if
+        lc.ack_interval_ns <= 0.0 || lc.rto_ns <= 0.0 || lc.rto_max_ns <= 0.0
+        || lc.probe_interval_ns < 0.0
+      then fail "links periods must be positive";
+      if lc.rto_backoff < 1.0 then fail "links rto_backoff must be >= 1.0";
+      if lc.probe_timeout_k < 1 then fail "links probe_timeout_k must be >= 1"
+  | None -> ());
+  if config.replicas > 1 then compiled_only "replicas require the `Compiled path"
+
+let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_config)
+    ?fault ?overload ?elastic ?links ?stats ?replication ~graphs engine ~output =
   (* A links config with an empty plan and no reliability layer is
-     normalized away entirely — nothing to perturb, nothing to arm, so
-     the send sites keep their direct call path (bit-identity). *)
+     normalized away entirely — nothing to perturb, nothing to arm
+     (bit-identity). *)
   let links =
     match links with
     | Some (lc : links_config)
@@ -563,26 +397,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
         None
     | other -> other
   in
-  (match links with
-  | Some (lc : links_config) ->
-      if path = `Interpretive then
-        invalid_arg "System.make_multi: link channels require the `Compiled path";
-      if lc.link_window < 1 then
-        invalid_arg "System.make_multi: links link_window must be >= 1";
-      if lc.reorder_window < 1 then
-        invalid_arg "System.make_multi: links reorder_window must be >= 1";
-      if lc.retransmit_budget < 1 then
-        invalid_arg "System.make_multi: links retransmit_budget must be >= 1";
-      if
-        lc.ack_interval_ns <= 0.0 || lc.rto_ns <= 0.0 || lc.rto_max_ns <= 0.0
-        || lc.probe_interval_ns < 0.0
-      then invalid_arg "System.make_multi: links periods must be positive";
-      if lc.rto_backoff < 1.0 then
-        invalid_arg "System.make_multi: links rto_backoff must be >= 1.0";
-      if lc.probe_timeout_k < 1 then
-        invalid_arg "System.make_multi: links probe_timeout_k must be >= 1"
-  | None -> ());
-  let links_on = links <> None in
+  validate ~path ~config ?fault ?overload ?elastic ?links graphs;
   (* Watermarks for every compiled-path ring; [None] (no overload
      config) leaves each ring's latch disarmed — the bit-identity
      guarantee. *)
@@ -596,17 +411,13 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
   in
   (* Replica target for strategy-eligible NFs; 1 (the default) keeps
      the deployment bit-identical to the pre-replication system. *)
-  let replicas_knob =
-    max 1 (match replicas with Some r -> r | None -> config.replicas)
-  in
-  if replicas_knob > 1 && path = `Interpretive then
-    invalid_arg "System.make_multi: replicas require the `Compiled path";
+  let replicas_knob = max 1 config.replicas in
   let cost = config.cost in
   (* Breath size for every core's poll loop; 1 restores per-packet
      (legacy) execution exactly. Both execution paths get the same
      value and the same per-breath amortization, so the
      interpretive/compiled differential is undisturbed at any size. *)
-  let batch = max 1 (match batch_size with Some b -> b | None -> config.batch_size) in
+  let batch = max 1 config.batch_size in
   let burst_saving_ns = Nfp_sim.Cost.ns_of_cycles cost cost.burst_saving in
   (* Faults are resolved per core by name; [None] everywhere when no
      fault config is given, and [Server.create ?fault:None] is exactly
@@ -639,15 +450,14 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
      timeout-completed merge, or a fabric duplicate on a raw channel,
      must be dropped at the merge/delivery filters just like a replayed
      emission. *)
-  let dedup_on = armed || elastic_on || links_on in
+  let dedup_on = armed || elastic <> None || links <> None in
   let log_capacity =
     match fault with Some fc -> max 1 fc.log_capacity | None -> 1
   in
   let checkpoints = ref 0
   and forced_checkpoints = ref 0
   and replayed = ref 0
-  and deduped = ref 0
-  and salvaged = ref 0 in
+  and deduped = ref 0 in
   (* MIDs are 1-based positions in the classification table. *)
   let table = Array.of_list graphs in
   let plan_of_mid mid : Tables.plan =
@@ -658,16 +468,9 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
      {!Replication.shardable} additionally vetoes any NF with an
      order-sensitive (Sequential-strategy) NF downstream, since
      sharding changes the cross-flow arrival order those cores see. *)
-  let replica_count mid name =
-    if
-      replicas_knob > 1
-      && Replication.shardable ~plan:(plan_of_mid mid)
-           ~nf_of:(fun n ->
-             let _, _, nfs = table.(mid - 1) in
-             nfs n)
-           name
-    then replicas_knob
-    else 1
+  let shardable mid name =
+    let _, plan, nfs = table.(mid - 1) in
+    Replication.shardable ~plan ~nf_of:nfs name
   in
   (* Resolve every plan's NF implementations up front. *)
   let nf_impls =
@@ -734,11 +537,16 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
       Nfp_sim.Engine.schedule engine ~delay:wire_delay (fun () -> output ~pid pkt)
     end
   in
+  (* Run a retryable emission to completion off-core: used where no
+     server owns the emission (bypass reroutes, timed-out merges), with
+     the same stall-poll cadence as a core's flush loop. *)
+  let rec drive thunk =
+    if not (thunk ()) then
+      Nfp_sim.Engine.schedule engine ~delay:150.0 (fun () -> drive thunk)
+  in
   (* Link channels: one per destination port, shared by every edge into
-     that core. [channel_for] returns [None] when links are off — the
-     caller keeps its direct offer path, compiled away from the trace.
-     All channels share one stats record (the run ledger's link
-     taxonomy) and draw fault state from the link plan by name. *)
+     that core. All channels share one stats record (the run ledger's
+     link taxonomy) and draw fault state from the link plan by name. *)
   let link_stats = Channel.fresh_stats () in
   let link_reliability =
     match links with
@@ -775,16 +583,19 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                  ?reliability:link_reliability ~deliver ~reroute ~stats:link_stats
                  ()))
   in
-  (* The egress edge (merger/NF -> delivery port). The reroute of a Down
-     delivery link is delivery itself — the detour models the alternate
-     path to the egress NIC, and the exactly-once filter upstream keeps
-     it safe. *)
-  let delivery_channel =
-    channel_for ~name:"delivery"
-      ~deliver:(fun (v, pid, pkt) ->
-        deliver_out ~version:v ~pid pkt;
-        true)
-      ~reroute:(fun (v, pid, pkt) -> deliver_out ~version:v ~pid pkt)
+  (* Build-time ports: every destination gets one offer closure, chosen
+     once — [Channel.send] when the link plan names the port, otherwise
+     [direct]. A core's own port detours a Down link straight into its
+     ring off-core: the fabric can be skipped, the core cannot. *)
+  let offer_via chan direct =
+    match chan with Some ch -> Channel.send ch | None -> direct
+  in
+  let server_port ?(prefix = "") srv =
+    let offer = Nfp_sim.Server.offer srv in
+    offer_via
+      (channel_for ~name:(prefix ^ Nfp_sim.Server.name srv) ~deliver:offer
+         ~reroute:(fun x -> drive (fun () -> offer x)))
+      offer
   in
   let slot_of_pid pid instances =
     Int64.to_int
@@ -794,44 +605,10 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
   in
   (* Every compiled-path core registers a probe; the watchdog and the
      [health] counters below work off this list. *)
-  let probes : probe list ref = ref [] in
-  let register_probe :
-      'a.
-      ?nf:int * string ->
-      ?drain:(unit -> int) ->
-      ?checkpoint:(unit -> unit) ->
-      ?replay:(unit -> float) ->
-      'a Nfp_sim.Server.t ->
-      unit =
-   fun ?nf ?(drain = fun () -> 0) ?(checkpoint = fun () -> ())
-       ?(replay = fun () -> 0.0) s ->
-    probes :=
-      {
-        pr_name = Nfp_sim.Server.name s;
-        pr_nf = nf;
-        pr_processed = (fun () -> Nfp_sim.Server.processed s);
-        pr_queue = (fun () -> Nfp_sim.Server.queue_length s);
-        pr_stalled = (fun () -> Nfp_sim.Server.stalled_ns s);
-        pr_busy = (fun () -> Nfp_sim.Server.is_busy s);
-        pr_down = (fun () -> Nfp_sim.Server.is_down s);
-        pr_paused = (fun () -> Nfp_sim.Server.is_paused s);
-        pr_kill = (fun () -> Nfp_sim.Server.kill s);
-        pr_revive = (fun ~flush -> Nfp_sim.Server.revive ~flush s);
-        pr_drain = drain;
-        pr_crashes = (fun () -> Nfp_sim.Server.crashes s);
-        pr_fault_drops = (fun () -> Nfp_sim.Server.fault_drops s);
-        pr_flushed = (fun () -> Nfp_sim.Server.flushed s);
-        pr_rejected = (fun () -> Nfp_sim.Server.rejected s);
-        pr_pressured = (fun () -> Nfp_sim.Server.pressured s);
-        pr_pressure_episodes = (fun () -> Nfp_sim.Server.pressure_episodes s);
-        pr_casualties =
-          (fun () ->
-            let jobs, emits = Nfp_sim.Server.casualty_counts s in
-            jobs + emits);
-        pr_checkpoint = checkpoint;
-        pr_replay = replay;
-      }
-      :: !probes
+  let probes : Watchdog.probe list ref = ref [] in
+  let register_probe ?nf ?(drain = fun () -> 0) ?(checkpoint = ignore)
+      ?(replay = fun () -> 0.0) server =
+    probes := Watchdog.Probe { server; nf; drain; checkpoint; replay } :: !probes
   in
   (* Per-NF replica layout, filled in by whichever execution path
      builds the cores: (mid, entry, replica NF instances, per-replica
@@ -841,29 +618,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
     ref []
   in
   let bypassed_packets = ref 0 and merge_timeouts = ref 0 in
-  (* Elastic counters and hooks, bridged out of the compiled arm the
-     same way the probes are: the controller (built with the cores)
-     writes them, [health] and [inject] read them. *)
-  let scale_outs = ref 0
-  and scale_ins = ref 0
-  and migrations = ref 0
-  and migration_aborts = ref 0
-  and migrated_packets = ref 0 in
-  let migrating_gauge = ref (fun () -> 0) in
-  let elastic_kick = ref (fun () -> ()) in
-  (* The controller is itself a crashable party: a fault plan may
-     target the pseudo-core "elastic" — while it is down, no scale
-     decision runs and any commit falling due aborts. *)
-  let controller_down = ref false in
-  let core_state_override : (string -> string option) ref = ref (fun _ -> None) in
-  (* Run a retryable emission to completion off-core: used where no
-     server owns the emission (bypass reroutes, timed-out merges), with
-     the same stall-poll cadence as a core's flush loop. *)
-  let rec drive thunk =
-    if not (thunk ()) then
-      Nfp_sim.Engine.schedule engine ~delay:150.0 (fun () -> drive thunk)
-  in
-  let classifier, sampler =
+  let classifier, sampler, controller =
     match path with
     | `Interpretive ->
         (* ---------------- interpretive construction ---------------- *)
@@ -1121,14 +876,12 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
             ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns ~jitter:(jitter_for ())
             ~service_ns ~execute ()
         in
-        let sampler () =
-          stats_of_server classifier
-          :: (Hashtbl.fold (fun _ core acc -> stats_of_server core :: acc) nf_cores []
-             |> List.sort (fun a b -> compare a.core b.core))
-          @ Array.to_list (Array.map stats_of_server !merger_cores)
-          @ (match !agent_core with Some a -> [ stats_of_server a ] | None -> [])
+        let sampler =
+          sampler_of classifier
+            (Hashtbl.fold (fun _ core acc -> core :: acc) nf_cores [])
+            !merger_cores !agent_core
         in
-        (classifier, sampler)
+        (classifier, sampler, Elastic.off)
     | `Compiled ->
         (* ----------------- compiled construction ------------------- *)
         (* One server array per NF slot: index 0 is the historical
@@ -1144,11 +897,10 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
         let nf_cprogs : cprog array ref = ref [||] in
         (* Elastic steering maps, one per slot; [None] = legacy mod-n
            sharding (the slot is not scalable, or no elastic config). *)
-        let steers : steer option array ref = ref [||] in
-        (* Link channels in front of each NF replica's port; [None] cells
-           (and the empty array, when links are off) keep the direct
-           offer path. Populated after the servers exist. *)
-        let nf_channels : Context.t Channel.t option array array ref = ref [||] in
+        let steers : Elastic.steer option array ref = ref [||] in
+        (* The port of each NF replica; populated after the servers
+           exist. *)
+        let nf_ports : (Context.t -> bool) array array ref = ref [||] in
         (* RSS shard steering: the packet version each slot's NF reads,
            so the send site can hash the 5-tuple that replica will
            observe. The hash runs on its own seeded stream
@@ -1175,31 +927,29 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
               in
               Nfp_algo.Hashing.rss2_int a b
         in
-        let shard_of ctx slot n = rss_hash ctx slot mod n in
         let merger_cores : cdelivery Nfp_sim.Server.t array ref = ref [||] in
         let agent_core : cdelivery Nfp_sim.Server.t option ref = ref None in
-        (* Channels into the merger ports ("merger#i", "merger-agent");
-           built with the merger cores below. A Down merger link detours
-           straight into the destination ring off-core — the merge
-           accumulation cannot be skipped, only the fabric can. *)
-        let merger_channels : cdelivery Channel.t option array ref = ref [||] in
-        let agent_channel : cdelivery Channel.t option ref = ref None in
-        let offer_merger i (d : cdelivery) =
-          let chans = !merger_channels in
-          match if Array.length chans = 0 then None else chans.(i) with
-          | Some ch -> Channel.send ch d
-          | None -> Nfp_sim.Server.offer !merger_cores.(i) d
-        in
-        let route_merge (d : cdelivery) =
-          match !agent_core with
-          | Some agent -> (
-              match !agent_channel with
-              | Some ch -> Channel.send ch d
-              | None -> Nfp_sim.Server.offer agent d)
+        (* Where merge deliveries enter: the merger agent's port, or the
+           PID-hashed merger instance's; set once the mergers exist. *)
+        let merge_port : (cdelivery -> bool) ref = ref (fun _ -> false) in
+        (* The egress edge (merger/NF -> delivery port). The reroute of a
+           Down delivery link is delivery itself — the detour models the
+           alternate path to the egress NIC, and the exactly-once filter
+           upstream keeps it safe. *)
+        let deliver_port =
+          let deliver (v, pid, pkt) = deliver_out ~version:v ~pid pkt in
+          match
+            channel_for ~name:"delivery"
+              ~deliver:(fun d ->
+                deliver d;
+                true)
+              ~reroute:deliver
+          with
+          | Some ch -> fun v pid pkt -> Channel.send ch (v, pid, pkt)
           | None ->
-              offer_merger
-                (slot_of_pid (Context.pid d.d_ctx) (Array.length !merger_cores))
-                d
+              fun v pid pkt ->
+                deliver_out ~version:v ~pid pkt;
+                true
         in
         (* NF slots: dense indices in nf_impls order. *)
         let slot_of : (int * string, int) Hashtbl.t = Hashtbl.create 16 in
@@ -1334,10 +1084,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           cmerge_table;
         (* Runtime: walk a compiled send array with a cursor; the cursor
            survives backpressure retries, so each target is offered in
-           order exactly once. Sends into a bypassed NF slot run the
-           NF's action program immediately instead (the failed core is
-           out of the graph); [drive] absorbs any backpressure of that
-           rerouted emission. *)
+           order exactly once. *)
         let rec exec_sends sends ctx =
           let n = Array.length sends in
           if n = 0 then const_true
@@ -1349,45 +1096,14 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                 else
                   let ok =
                     match sends.(i) with
-                    | S_nf slot ->
-                        let reps = !nf_servers.(slot) in
-                        (* Steered slots look the bucket up in the live
-                           map — per attempt, so a committed flip takes
-                           effect for every not-yet-offered packet, and
-                           an in-flight retry lands on the new owner. *)
-                        let r =
-                          if Array.length reps < 2 then 0
-                          else
-                            match !steers.(slot) with
-                            | Some st ->
-                                st.st_map.(rss_hash ctx slot
-                                           mod Array.length st.st_map)
-                            | None -> shard_of ctx slot (Array.length reps)
-                        in
-                        if Array.length !bypassed > 0 && !bypassed.(slot).(r) then begin
-                          incr bypassed_packets;
-                          drive (exec_prog !nf_cprogs.(slot) ctx);
-                          true
-                        end
-                        else begin
-                          let chans = !nf_channels in
-                          match
-                            if Array.length chans = 0 then None else chans.(slot).(r)
-                          with
-                          | Some ch -> Channel.send ch ctx
-                          | None -> Nfp_sim.Server.offer reps.(r) ctx
-                        end
+                    | S_nf slot -> route_nf !nf_ports slot ctx
                     | S_merge { merge; branch; nil } ->
-                        route_merge { d_ctx = ctx; d_merge = merge; d_branch = branch; d_nil = nil }
+                        !merge_port
+                          { d_ctx = ctx; d_merge = merge; d_branch = branch; d_nil = nil }
                     | S_deliver v -> (
                         match Context.get ctx v with
                         | None -> true
-                        | Some pkt -> (
-                            match delivery_channel with
-                            | Some ch -> Channel.send ch (v, Context.pid ctx, pkt)
-                            | None ->
-                                deliver_out ~version:v ~pid:(Context.pid ctx) pkt;
-                                true))
+                        | Some pkt -> deliver_port v (Context.pid ctx) pkt)
                   in
                   if ok then go (i + 1)
                   else begin
@@ -1404,6 +1120,34 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
             ignore (Context.copy ctx ~src:c.c_src ~dst:c.c_dst ~full:c.c_full)
           done;
           exec_sends prog.p_sends ctx
+        (* The one routing rule into NF slot [slot], over [ports]: the
+           send site uses the replicas' ports, a channel releasing a
+           buffered packet their rings — so a packet parked on a link
+           while a migration flips its bucket, or while the watchdog
+           bypasses the replica, lands where it would be routed now and
+           can never resurrect a retired owner's state. Steered slots
+           look the bucket up in the live map per attempt, so a
+           committed flip takes effect for every not-yet-offered packet.
+           A bypassed replica is out of the graph: its action program
+           runs immediately instead, and [drive] absorbs any
+           backpressure of that rerouted emission. *)
+        and route_nf ports slot ctx =
+          let reps = ports.(slot) in
+          let r =
+            if Array.length reps < 2 then 0
+            else
+              match !steers.(slot) with
+              | Some st -> Elastic.owner st (rss_hash ctx slot)
+              | None -> rss_hash ctx slot mod Array.length reps
+          in
+          if !bypassed.(slot).(r) then begin
+            bypass slot ctx;
+            true
+          end
+          else reps.(r) ctx
+        and bypass slot ctx =
+          incr bypassed_packets;
+          drive (exec_prog !nf_cprogs.(slot) ctx)
         in
         let dyn_cycles prog ctx =
           let srcs = prog.p_full_srcs in
@@ -1443,7 +1187,9 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                         };
                     |]
               in
-              let base_replicas = replica_count mid entry.nf in
+              let base_replicas =
+                if replicas_knob > 1 && shardable mid entry.nf then replicas_knob else 1
+              in
               (* Scalable = the elastic controller may add/remove
                  replicas at runtime: the plan clears the NF for
                  sharding AND its state supports live extraction
@@ -1453,13 +1199,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
               let scalable =
                 match elastic with
                 | Some (ec : elastic_config) ->
-                    ec.max_replicas > 1
-                    && Replication.migratable nf0
-                    && Replication.shardable ~plan:(plan_of_mid mid)
-                         ~nf_of:(fun n ->
-                           let _, _, nfs = table.(mid - 1) in
-                           nfs n)
-                         entry.nf
+                    ec.max_replicas > 1 && Replication.migratable nf0 && shardable mid entry.nf
                 | None -> false
               in
               let n_replicas =
@@ -1474,77 +1214,76 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                  copies appended since (each carries its MID/PID/version
                  metadata). A full log forces a checkpoint early — never
                  a silent loss. [charge] is wired to the server (created
-                 below) so checkpoint time lands on the NF core. *)
-              let recovery =
-                if not lossless then None
-                else
-                  match (nf.snapshot, nf.restore) with
-                  | Some snap, Some restore_state ->
-                      let snapref = ref (snap ()) in
-                      let log : Packet.t list ref = ref [] in
-                      let log_len = ref 0 in
-                      let charge = ref (fun (_ : float) -> ()) in
-                      let ckpt_ns = Nfp_sim.Cost.ns_of_cycles cost cost.checkpoint_cycles in
-                      let take_checkpoint ~forced () =
-                        (* An empty log means no packet touched the NF
-                           since the last snapshot — the state cannot
-                           have changed, so re-snapshotting would buy
-                           nothing and still charge the core. *)
-                        if !log_len > 0 then begin
-                          snapref := snap ();
-                          log := [];
-                          log_len := 0;
-                          incr checkpoints;
-                          if forced then incr forced_checkpoints;
-                          !charge ckpt_ns
-                        end
-                      in
-                      let log_packet pkt =
-                        if !log_len >= log_capacity then take_checkpoint ~forced:true ();
-                        log := Packet.full_copy pkt :: !log;
-                        incr log_len
-                      in
-                      (* Restore the checkpoint and re-process the log in
-                         arrival order on the logged copies: state effects
-                         replay exactly, nothing is emitted (the original
-                         emissions stand — output suppression), and the
-                         time is returned as added downtime. *)
-                      let replay () =
-                        restore_state !snapref;
-                        let extra = ref 0.0 in
-                        List.iter
-                          (fun pkt ->
-                            let cycles = cost.replay_cycles + nf.cost_cycles pkt in
-                            (try ignore (nf.process pkt) with _ -> ());
-                            incr replayed;
-                            extra := !extra +. Nfp_sim.Cost.ns_of_cycles cost cycles)
-                          (List.rev !log);
-                        (* The replayed state is the fresh checkpoint; the
-                           log restarts empty. Uncharged: the core is down
-                           and the replay is already in its downtime. *)
+                 below) so checkpoint time lands on the NF core. Without
+                 a cell every hook is a no-op. *)
+              let charge = ref (fun (_ : float) -> ()) in
+              let logging, take_checkpoint, log_packet, replay, refresh =
+                match (lossless, nf.snapshot, nf.restore) with
+                | true, Some snap, Some restore_state ->
+                    let snapref = ref (snap ()) in
+                    let log : Packet.t list ref = ref [] in
+                    let log_len = ref 0 in
+                    let ckpt_ns = Nfp_sim.Cost.ns_of_cycles cost cost.checkpoint_cycles in
+                    let take_checkpoint ~forced () =
+                      (* An empty log means no packet touched the NF
+                         since the last snapshot — the state cannot
+                         have changed, so re-snapshotting would buy
+                         nothing and still charge the core. *)
+                      if !log_len > 0 then begin
                         snapref := snap ();
                         log := [];
                         log_len := 0;
-                        !extra
-                      in
-                      (* Migration commit: the replica's state just
-                         changed out from under the checkpoint (entries
-                         carved out at the source, folded in at the
-                         destination), so the recovery cell must be
-                         re-seeded — otherwise a later crash-replay
-                         would resurrect migrated state at the source
-                         or lose absorbed state at the destination. *)
-                      let refresh () =
-                        snapref := snap ();
-                        log := [];
-                        log_len := 0
-                      in
-                      Some (take_checkpoint, log_packet, replay, charge, refresh)
-                  | _ -> None
+                        incr checkpoints;
+                        if forced then incr forced_checkpoints;
+                        !charge ckpt_ns
+                      end
+                    in
+                    let log_packet pkt =
+                      if !log_len >= log_capacity then take_checkpoint ~forced:true ();
+                      log := Packet.full_copy pkt :: !log;
+                      incr log_len
+                    in
+                    (* Restore the checkpoint and re-process the log in
+                       arrival order on the logged copies: state effects
+                       replay exactly, nothing is emitted (the original
+                       emissions stand — output suppression), and the
+                       time is returned as added downtime. *)
+                    let replay () =
+                      restore_state !snapref;
+                      let extra = ref 0.0 in
+                      List.iter
+                        (fun pkt ->
+                          let cycles = cost.replay_cycles + nf.cost_cycles pkt in
+                          (try ignore (nf.process pkt) with _ -> ());
+                          incr replayed;
+                          extra := !extra +. Nfp_sim.Cost.ns_of_cycles cost cycles)
+                        (List.rev !log);
+                      (* The replayed state is the fresh checkpoint; the
+                         log restarts empty. Uncharged: the core is down
+                         and the replay is already in its downtime. *)
+                      snapref := snap ();
+                      log := [];
+                      log_len := 0;
+                      !extra
+                    in
+                    (* Migration commit: the replica's state just
+                       changed out from under the checkpoint (entries
+                       carved out at the source, folded in at the
+                       destination), so the recovery cell must be
+                       re-seeded — otherwise a later crash-replay
+                       would resurrect migrated state at the source
+                       or lose absorbed state at the destination. *)
+                    let refresh () =
+                      snapref := snap ();
+                      log := [];
+                      log_len := 0
+                    in
+                    (true, take_checkpoint, log_packet, replay, refresh)
+                | _ -> (false, (fun ~forced:_ () -> ()), ignore, (fun () -> 0.0), ignore)
               in
               let static =
                 cost.ring_dequeue + cost.nf_runtime + prog.p_static
-                + match recovery with Some _ -> cost.log_append | None -> 0
+                + if logging then cost.log_append else 0
               in
               (* Pressure-degrade switch: while this replica's own ring
                  sits above the watermark, an NF that declares a degrade
@@ -1573,9 +1312,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                 match Context.get ctx entry.version with
                 | None -> const_true
                 | Some pkt -> (
-                    (match recovery with
-                    | Some (_, log_packet, _, _, _) -> log_packet pkt
-                    | None -> ());
+                    log_packet pkt;
                     let degrade_mode =
                       match deg with
                       | None -> None
@@ -1622,9 +1359,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                   ?fault:(fault_for name) ~service_ns ~execute ()
               in
               self_pressured := (fun () -> Nfp_sim.Server.pressured server);
-              (match recovery with
-              | Some (_, _, _, charge, _) -> charge := Nfp_sim.Server.charge server
-              | None -> ());
+              charge := Nfp_sim.Server.charge server;
               (* Bypass recovery: mark the replica, reroute this core's
                  casualties (the in-flight batch its kill reclaimed, and
                  any pending emissions) plus the queued backlog through
@@ -1634,38 +1369,17 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
               let drain () =
                 !bypassed.(slot).(r) <- true;
                 Nfp_sim.Server.set_casualty_sink server (fun jobs emits ->
-                    List.iter
-                      (fun ctx ->
-                        incr bypassed_packets;
-                        drive (exec_prog prog ctx))
-                      jobs;
+                    List.iter (bypass slot) jobs;
                     List.iter drive emits);
                 let backlog = Nfp_sim.Server.drain server in
-                List.iter
-                  (fun ctx ->
-                    incr bypassed_packets;
-                    drive (exec_prog prog ctx))
-                  backlog;
+                List.iter (bypass slot) backlog;
                 List.length backlog
               in
-              register_probe ~nf:(mid, entry.nf) ~drain
-                ?checkpoint:
-                  (match recovery with
-                  | Some (take_checkpoint, _, _, _, _) ->
-                      Some
-                        (fun () ->
-                          if not (Nfp_sim.Server.is_down server) then
-                            take_checkpoint ~forced:false ())
-                  | None -> None)
-                ?replay:
-                  (match recovery with
-                  | Some (_, _, replay, _, _) -> Some replay
-                  | None -> None)
+              register_probe ~nf:(mid, entry.nf) ~drain ~replay
+                ~checkpoint:(fun () ->
+                  if not (Nfp_sim.Server.is_down server) then take_checkpoint ~forced:false ())
                 server;
-              ( server,
-                match recovery with
-                | Some (_, _, _, _, refresh) -> refresh
-                | None -> fun () -> () )
+              (server, refresh)
               in
               let replica_nfs =
                 Array.init n_replicas (fun r ->
@@ -1673,24 +1387,21 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                     else
                       match nf0.Nfp_nf.Nf.fresh with
                       | Some fresh -> fresh ()
-                      | None -> assert false (* replica_count guarantees fresh *))
+                      | None -> assert false (* [shardable] guarantees fresh *))
               in
               (* Build replicas in index order: each creation splits the
                  jitter PRNG, and the replicas=1 trace must keep the
                  historical split sequence. Standby replicas (index >=
                  the static count) split the independent elastic stream
                  instead, leaving the main sequence untouched. *)
-              let reps = Array.make n_replicas None in
-              Array.iteri
-                (fun r nf ->
-                  let jitter =
-                    if r < base_replicas then jitter_for () else elastic_jitter_for ()
-                  in
-                  reps.(r) <- Some (make_replica r nf jitter))
-                replica_nfs;
-              let pairs = Array.map Option.get reps in
-              let reps = Array.map fst pairs in
-              let refreshers = Array.map snd pairs in
+              let pairs =
+                Array.init n_replicas (fun r ->
+                    let jitter =
+                      if r < base_replicas then jitter_for () else elastic_jitter_for ()
+                    in
+                    make_replica r replica_nfs.(r) jitter)
+              in
+              let reps = Array.map fst pairs and refreshers = Array.map snd pairs in
               replica_layout :=
                 ( mid,
                   entry,
@@ -1699,24 +1410,10 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                     (fun s () -> Nfp_sim.Server.processed s)
                     reps )
                 :: !replica_layout;
-              (* Steering state: flows hash into [buckets] RSS buckets,
-                 buckets map to replicas. The initial identity map
-                 ([b mod active]) reproduces static sharding over the
-                 initially-active replicas. *)
               let steer =
                 match elastic with
-                | Some (ec : elastic_config) when scalable ->
-                    let init = min n_replicas (max base_replicas ec.min_replicas) in
-                    Some
-                      {
-                        st_map = Array.init ec.buckets (fun b -> b mod init);
-                        st_epoch = 0;
-                        st_active = init;
-                        st_draining = -1;
-                        st_backoff = 0.0;
-                        st_last_op = neg_infinity;
-                        st_mig = None;
-                      }
+                | Some ec when scalable ->
+                    Some (Elastic.steer ec ~replicas:n_replicas ~base:base_replicas)
                 | _ -> None
               in
               ( reps,
@@ -1735,408 +1432,66 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
         bypassed :=
           Array.of_list
             (List.map (fun reps -> Array.make (Array.length reps) false) servers);
-        (* Channelize the NF ports. Delivery re-resolves steering and
-           bypass at release time: a packet buffered on the link while a
-           migration flips its bucket, or while the watchdog bypasses
-           the replica, lands where the packet would be routed *now* —
-           the same rule the send site applies — so channel residency
-           can never resurrect a retired owner's state. The reroute of a
-           Down link runs the slot's action program off-core,
-           bypass-style: downstream sees every expected branch. *)
-        if links_on then
-          nf_channels :=
-            Array.of_list
-              (List.mapi
-                 (fun slot reps ->
-                   Array.init (Array.length reps) (fun r ->
-                       let deliver ctx =
-                         let reps = !nf_servers.(slot) in
-                         let r' =
-                           if Array.length reps < 2 then 0
-                           else
-                             match !steers.(slot) with
-                             | Some st ->
-                                 st.st_map.(rss_hash ctx slot
-                                            mod Array.length st.st_map)
-                             | None -> r
-                         in
-                         if Array.length !bypassed > 0 && !bypassed.(slot).(r') then begin
-                           incr bypassed_packets;
-                           drive (exec_prog !nf_cprogs.(slot) ctx);
-                           true
-                         end
-                         else Nfp_sim.Server.offer reps.(r') ctx
-                       in
-                       let reroute ctx = drive (exec_prog !nf_cprogs.(slot) ctx) in
-                       channel_for
-                         ~name:(Nfp_sim.Server.name reps.(r))
-                         ~deliver ~reroute))
-                 servers);
-        (* ---------------------------------------------------------- *)
-        (* Elastic controller. Ticks every [control_interval_ns]      *)
-        (* while the system has work (kicked from inject, stops when  *)
-        (* idle, like the watchdog); per scalable slot it retires     *)
-        (* drained replicas, rebalances bucket ownership, and makes   *)
-        (* cooldown-gated scale decisions from ring occupancy. At     *)
-        (* most one migration is in flight per slot; its commit is an *)
-        (* independently scheduled event, so a down controller never  *)
-        (* wedges a frozen source — the commit fires and aborts.      *)
-        (* ---------------------------------------------------------- *)
-        (match elastic with
-        | None -> ()
-        | Some (ec : elastic_config) ->
-            let eslots =
-              Array.of_list
-                (List.concat
-                   (List.mapi
-                      (fun slot (reps, _, e) ->
-                        match e with
-                        | Some (st, nfs, refs) -> [ (slot, reps, nfs, refs, st) ]
-                        | None -> [])
-                      built))
-            in
-            if Array.length eslots > 0 then begin
-              let nb = ec.buckets in
-              (* Same bytes, same hash: [Flow.t] fields are the packet
-                 fields [rss_hash] reads ([sip_int] is the unsigned int
-                 of the 32-bit address), so the extract predicate's
-                 bucket agrees with the steering bucket of every packet
-                 of the flow. *)
-              let bucket_of_flow (f : Flow.t) =
-                let a =
-                  Nfp_algo.Hashing.pack_a_int
-                    (Int32.to_int f.Flow.sip land 0xffffffff)
-                    f.Flow.sport f.Flow.proto
-                in
-                let b =
-                  Nfp_algo.Hashing.pack_b_int
-                    (Int32.to_int f.Flow.dip land 0xffffffff)
-                    f.Flow.dport
-                in
-                Nfp_algo.Hashing.rss2_int a b mod nb
-              in
-              let owned st r =
-                Array.fold_left (fun acc o -> if o = r then acc + 1 else acc) 0 st.st_map
-              in
-              (* A replica behind a link the channels declared Down is
-                 unreachable, dead or not: the controller must not
-                 activate it, rebalance onto it, or migrate toward it
-                 until the partition heals. *)
-              let link_ok slot r =
-                let chans = !nf_channels in
-                if Array.length chans = 0 then true
-                else
-                  match chans.(slot).(r) with
-                  | Some ch -> not (Channel.is_down ch)
-                  | None -> true
-              in
-              let alive slot (reps : Context.t Nfp_sim.Server.t array) r =
-                (not (Nfp_sim.Server.is_down reps.(r))) && link_ok slot r
-              in
-              (* Migration transfers get their own link family
-                 ("migrate:<replica>"): moved in-flight packets cross the
-                 fabric like any other edge, so a plan can perturb the
-                 re-home path independently of the data path. *)
-              let mig_channels : (int, Context.t Channel.t option array) Hashtbl.t =
-                Hashtbl.create 8
-              in
-              Array.iter
-                (fun (slot, (reps : Context.t Nfp_sim.Server.t array), _, _, _) ->
-                  Hashtbl.replace mig_channels slot
-                    (Array.map
-                       (fun srv ->
-                         channel_for
-                           ~name:("migrate:" ^ Nfp_sim.Server.name srv)
-                           ~deliver:(fun ctx -> Nfp_sim.Server.offer srv ctx)
-                           ~reroute:(fun ctx ->
-                             drive (fun () -> Nfp_sim.Server.offer srv ctx)))
-                       reps))
-                eslots;
-              let mig_channel slot r =
-                match Hashtbl.find_opt mig_channels slot with
-                | Some arr -> arr.(r)
-                | None -> None
-              in
-              let occ reps r =
-                float_of_int (Nfp_sim.Server.queue_length reps.(r))
-                /. float_of_int (max 1 config.ring_capacity)
-              in
-              (* Highest-numbered owned buckets first: deterministic,
-                 and a draining replica hands its range back in the
-                 order scale-out granted it. *)
-              let pick_buckets st ~src ~count =
-                let picked = ref [] and n = ref 0 in
-                for b = nb - 1 downto 0 do
-                  if !n < count && st.st_map.(b) = src then begin
-                    picked := b :: !picked;
-                    incr n
-                  end
-                done;
-                !picked
-              in
-              (* Phase 2: commit or roll back. Abort leaves the old map
-                 in force with the source unfrozen — nothing observable
-                 changed since the freeze (the backlog only aged). The
-                 commit path is one simulation event: backlog partition,
-                 state carve/fold, recovery-cell refresh, map flip,
-                 re-home — no packet can interleave. *)
-              let rec commit ((slot, reps, nfs, refs, st) as es) () =
-                match st.st_mig with
-                | None -> ()
-                | Some mg ->
-                    let now = Nfp_sim.Engine.now engine in
-                    let src = reps.(mg.mg_src) and dst = reps.(mg.mg_dst) in
-                    let abort () =
-                      st.st_mig <- None;
-                      incr migration_aborts;
-                      st.st_last_op <- now;
-                      st.st_backoff <- now +. ec.cooldown_ns;
-                      Nfp_sim.Server.unpause src
-                    in
-                    if
-                      !controller_down
-                      || Nfp_sim.Server.is_down src
-                      || Nfp_sim.Server.is_down dst
-                      || not (link_ok slot mg.mg_dst)
-                    then abort ()
-                    else begin
-                      let backlog = Nfp_sim.Server.take_backlog src in
-                      let moved, kept =
-                        List.partition
-                          (fun ctx -> List.mem (rss_hash ctx slot mod nb) mg.mg_buckets)
-                          backlog
-                      in
-                      if Nfp_sim.Server.free_slots dst < List.length moved then begin
-                        (* No room at the destination: put the backlog
-                           back untouched and retry until the deadline,
-                           then roll back. *)
-                        Nfp_sim.Server.requeue src backlog;
-                        if
-                          (* More frozen packets than the destination
-                             ring can ever hold: no amount of retrying
-                             helps, and every retry keeps the source
-                             frozen and its backlog growing. *)
-                          List.length moved > config.ring_capacity
-                          || now +. ec.commit_retry_ns > mg.mg_deadline
-                        then abort ()
-                        else
-                          Nfp_sim.Engine.schedule engine ~delay:ec.commit_retry_ns
-                            (commit es)
-                      end
-                      else begin
-                        Nfp_sim.Server.requeue src kept;
-                        (* State transfer: carve the moving flows' per-
-                           flow entries out of the source instance and
-                           fold them into the destination ([None] =
-                           Replicated_readonly, where replicas are
-                           interchangeable and nothing moves). *)
-                        (match nfs.(mg.mg_src).Nfp_nf.Nf.extract with
-                        | Some extract ->
-                            let in_moved flow =
-                              List.mem (bucket_of_flow flow) mg.mg_buckets
-                            in
-                            Nfp_nf.Nf.absorb nfs.(mg.mg_dst) (extract in_moved)
-                        | None -> ());
-                        refs.(mg.mg_src) ();
-                        refs.(mg.mg_dst) ();
-                        List.iter (fun b -> st.st_map.(b) <- mg.mg_dst) mg.mg_buckets;
-                        st.st_epoch <- st.st_epoch + 1;
-                        st.st_mig <- None;
-                        incr migrations;
-                        migrated_packets := !migrated_packets + List.length moved;
-                        st.st_last_op <- now;
-                        (* Unpause first: orphaned emissions of already-
-                           executed source jobs pump now, so downstream
-                           sees them before anything the destination
-                           emits for the re-homed packets. *)
-                        Nfp_sim.Server.unpause src;
-                        (* Room was verified above and nothing ran since,
-                           so these offers cannot fail; [drive] is a
-                           belt-and-braces backstop, not a code path.
-                           Under links the re-home crosses the migrate
-                           channel — drops there retransmit like any
-                           other edge. *)
-                        List.iter
-                          (fun ctx ->
-                            match mig_channel slot mg.mg_dst with
-                            | Some ch -> drive (fun () -> Channel.send ch ctx)
-                            | None ->
-                                drive (fun () -> Nfp_sim.Server.offer dst ctx))
-                          moved
-                      end
-                    end
-              in
-              (* Phase 1: freeze the source and schedule the commit one
-                 transfer window later. *)
-              let start ((slot, reps, _, _, st) as es) ~src ~dst ~count =
-                if
-                  count > 0 && src <> dst && alive slot reps src
-                  && alive slot reps dst
-                  && not (Nfp_sim.Server.is_paused reps.(src))
-                  && Nfp_sim.Engine.now engine >= st.st_backoff
-                then begin
-                  let buckets = pick_buckets st ~src ~count in
-                  if buckets <> [] then begin
-                    st.st_mig <-
-                      Some
-                        {
-                          mg_src = src;
-                          mg_dst = dst;
-                          mg_buckets = buckets;
-                          mg_deadline =
-                            Nfp_sim.Engine.now engine +. ec.migration_deadline_ns;
-                        };
-                    Nfp_sim.Server.pause reps.(src);
-                    Nfp_sim.Engine.schedule engine ~delay:ec.transfer_ns (commit es)
-                  end
-                end
-              in
-              let step ((slot, reps, _, _, st) as es) =
-                if st.st_mig = None then begin
-                  let now = Nfp_sim.Engine.now engine in
-                  let floor_active = max 1 (min ec.min_replicas (Array.length reps)) in
-                  let limit = min ec.max_replicas (Array.length reps) in
-                  (* Retire a drained replica: it owns no buckets, so no
-                     packet can reach it — deactivation is pure
-                     bookkeeping. Its counters stay in the [health]
-                     sums (cluster totals must not dip when a core
-                     disappears from the active set). *)
-                  if st.st_draining >= 0 && owned st st.st_draining = 0 then begin
-                    st.st_active <- st.st_active - 1;
-                    st.st_draining <- -1;
-                    incr scale_ins;
-                    st.st_last_op <- now
-                  end;
-                  if st.st_draining >= 0 then begin
-                    (* Scale-in in progress: hand the draining replica's
-                       buckets to the least-owned other active replica,
-                       one batch per tick. *)
-                    let dst = ref (-1) in
-                    for r = 0 to st.st_active - 1 do
-                      if
-                        r <> st.st_draining && alive slot reps r
-                        && (!dst < 0 || owned st r < owned st !dst)
-                      then dst := r
-                    done;
-                    if !dst >= 0 then
-                      start es ~src:st.st_draining ~dst:!dst
-                        ~count:(min ec.migration_batch (owned st st.st_draining))
-                  end
-                  else begin
-                    (* Rebalance toward equal ownership (this is also
-                       how a just-activated replica, owning nothing,
-                       fills up). *)
-                    let mx = ref (-1) and mn = ref (-1) in
-                    for r = 0 to st.st_active - 1 do
-                      if alive slot reps r then begin
-                        if !mx < 0 || owned st r > owned st !mx then mx := r;
-                        if !mn < 0 || owned st r < owned st !mn then mn := r
-                      end
-                    done;
-                    if !mx >= 0 && !mn >= 0 && owned st !mx - owned st !mn >= 2 then
-                      start es ~src:!mx ~dst:!mn
-                        ~count:
-                          (min ec.migration_batch ((owned st !mx - owned st !mn) / 2))
-                    else if now -. st.st_last_op >= ec.cooldown_ns then begin
-                      let max_occ = ref 0.0 in
-                      for r = 0 to st.st_active - 1 do
-                        if alive slot reps r then
-                          max_occ := Float.max !max_occ (occ reps r)
-                      done;
-                      if
-                        !max_occ >= ec.scale_out_occupancy && st.st_active < limit
-                        && alive slot reps st.st_active
-                      then begin
-                        (* Activate the next standby; rebalance moves
-                           buckets onto it from the next tick on. *)
-                        st.st_active <- st.st_active + 1;
-                        incr scale_outs;
-                        st.st_last_op <- now
-                      end
-                      else if
-                        !max_occ <= ec.scale_in_occupancy && st.st_active > floor_active
-                      then begin
-                        st.st_draining <- st.st_active - 1;
-                        st.st_last_op <- now
-                      end
-                    end
-                  end
-                end
-              in
-              let active = ref false in
-              let rec tick () =
-                if not !controller_down then Array.iter step eslots;
-                let pending =
-                  Array.exists
-                    (fun (_, _, _, _, st) -> st.st_mig <> None || st.st_draining >= 0)
-                    eslots
-                  || List.exists
-                       (fun (p : probe) -> p.pr_queue () > 0 || p.pr_busy ())
-                       !probes
-                in
-                if pending then
-                  Nfp_sim.Engine.schedule engine ~delay:ec.control_interval_ns tick
-                else active := false
-              in
-              elastic_kick :=
-                (fun () ->
-                  if not !active then begin
-                    active := true;
-                    Nfp_sim.Engine.schedule engine ~delay:ec.control_interval_ns tick
-                  end);
-              migrating_gauge :=
-                (fun () ->
-                  Array.fold_left
-                    (fun acc (_, reps, _, _, st) ->
-                      match st.st_mig with
-                      | Some mg -> acc + Nfp_sim.Server.queue_length reps.(mg.mg_src)
-                      | None -> acc)
-                    0 eslots);
-              (* Health view: a paused source reports "migrating", an
-                 inactive replica "standby" — operators can tell a
-                 quiesced or not-yet-activated core from a dead one. *)
-              let by_name :
-                  (string, steer * int * Context.t Nfp_sim.Server.t) Hashtbl.t =
-                Hashtbl.create 32
-              in
-              Array.iter
-                (fun (_, reps, _, _, st) ->
-                  Array.iteri
-                    (fun r srv ->
-                      Hashtbl.replace by_name (Nfp_sim.Server.name srv) (st, r, srv))
-                    reps)
-                eslots;
-              core_state_override :=
-                (fun name ->
-                  match Hashtbl.find_opt by_name name with
-                  | None -> None
-                  | Some (st, r, srv) ->
-                      if Nfp_sim.Server.is_paused srv then Some "migrating"
-                      else if r >= st.st_active then Some "standby"
-                      else None);
-              (* Controller fault site: the pseudo-core "elastic". *)
-              match fault with
-              | None -> ()
-              | Some (fc : fault_config) -> (
-                  match Nfp_sim.Fault.for_core fc.plan "elastic" with
-                  | None -> ()
-                  | Some fcore ->
-                      List.iter
-                        (function
-                          | Nfp_sim.Fault.Crash { at_ns } ->
-                              Nfp_sim.Engine.schedule engine ~delay:at_ns (fun () ->
-                                  controller_down := true;
-                                  Nfp_sim.Engine.schedule engine ~delay:fc.restart_ns
-                                    (fun () -> controller_down := false))
-                          | Nfp_sim.Fault.Hang { at_ns; duration_ns } ->
-                              Nfp_sim.Engine.schedule engine ~delay:at_ns (fun () ->
-                                  controller_down := true);
-                              Nfp_sim.Engine.schedule engine
-                                ~delay:(at_ns +. duration_ns) (fun () ->
-                                  controller_down := false)
-                          | Nfp_sim.Fault.Slowdown _ | Nfp_sim.Fault.Drop _ -> ())
-                        fcore.Nfp_sim.Fault.events)
-            end);
+        (* NF ports. A channel releases through [route_nf] over the
+           replicas' rings, so steering and bypass are re-resolved at
+           release time. The reroute of a Down link runs the slot's
+           action program off-core, bypass-style: downstream sees every
+           expected branch. *)
+        let nf_offers = Array.map (Array.map Nfp_sim.Server.offer) !nf_servers in
+        let nf_links =
+          Array.mapi
+            (fun slot reps ->
+              Array.map
+                (fun srv ->
+                  channel_for ~name:(Nfp_sim.Server.name srv)
+                    ~deliver:(route_nf nf_offers slot)
+                    ~reroute:(fun ctx -> drive (exec_prog !nf_cprogs.(slot) ctx)))
+                reps)
+            !nf_servers
+        in
+        nf_ports := Array.map2 (Array.map2 offer_via) nf_links nf_offers;
+        (* Migration transfers get their own link family
+           ("migrate:<replica>"): moved in-flight packets cross the
+           fabric like any other edge, so a plan can perturb the re-home
+           path independently of the data path. *)
+        let elastic_slot slot (reps, _, e) =
+          match e with
+          | None -> []
+          | Some (steer, nfs, refresh) ->
+              [
+                {
+                  Elastic.servers = reps;
+                  nfs;
+                  refresh;
+                  steer;
+                  hash = (fun ctx -> rss_hash ctx slot);
+                  reachable =
+                    (fun r ->
+                      match nf_links.(slot).(r) with
+                      | Some ch -> not (Channel.is_down ch)
+                      | None -> true);
+                  rehome =
+                    Array.map
+                      (fun srv ->
+                        let port = server_port ~prefix:"migrate:" srv in
+                        fun ctx -> drive (fun () -> port ctx))
+                      reps;
+                };
+              ]
+        in
+        let controller =
+          match elastic with
+          | None -> Elastic.off
+          | Some ec ->
+              Elastic.create ~engine ?fault ec ~ring_capacity:config.ring_capacity
+                ~busy:(fun () ->
+                  List.exists
+                    (fun (Watchdog.Probe p) ->
+                      Nfp_sim.Server.queue_length p.server > 0
+                      || Nfp_sim.Server.is_busy p.server)
+                    !probes)
+                (List.concat (List.mapi elastic_slot built))
+        in
         (* Merge completion, shared by the full-arrival path and the
            timeout path. [nil_mask] decides the drop policy; [skip_mask]
            marks branches whose versions must not feed the merge ops —
@@ -2252,24 +1607,20 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           server
         in
         merger_cores := Array.init (max 1 config.mergers) make_merger;
-        if links_on then
-          merger_channels :=
-            Array.map
-              (fun srv ->
-                channel_for
-                  ~name:(Nfp_sim.Server.name srv)
-                  ~deliver:(fun (d : cdelivery) -> Nfp_sim.Server.offer srv d)
-                  ~reroute:(fun d -> drive (fun () -> Nfp_sim.Server.offer srv d)))
-              !merger_cores;
+        let merger_ports = Array.map server_port !merger_cores in
+        merge_port :=
+          (fun (d : cdelivery) ->
+            merger_ports.(slot_of_pid (Context.pid d.d_ctx) (Array.length merger_ports)) d);
         if config.mergers > 1 then begin
-          let instances = !merger_cores in
           let service_ns _ =
             Nfp_sim.Cost.ns_of_cycles cost
               (cost.ring_dequeue + cost.merger_agent + cost.ring_enqueue)
           in
           let execute (d : cdelivery) =
-            let i = slot_of_pid (Context.pid d.d_ctx) (Array.length instances) in
-            emitter [ (fun () -> offer_merger i d) ]
+            let port =
+              merger_ports.(slot_of_pid (Context.pid d.d_ctx) (Array.length merger_ports))
+            in
+            emitter [ (fun () -> port d) ]
           in
           let agent =
             Nfp_sim.Server.create ~engine ~name:"merger-agent"
@@ -2278,11 +1629,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
               ~service_ns ~execute ()
           in
           register_probe agent;
-          if links_on then
-            agent_channel :=
-              channel_for ~name:"merger-agent"
-                ~deliver:(fun (d : cdelivery) -> Nfp_sim.Server.offer agent d)
-                ~reroute:(fun d -> drive (fun () -> Nfp_sim.Server.offer agent d));
+          merge_port := server_port agent;
           agent_core := Some agent
         end;
         let classifier_progs =
@@ -2306,16 +1653,12 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           register_probe clf;
           clf
         in
-        let sampler () =
-          stats_of_server classifier
-          :: (List.concat_map
-                (fun reps -> Array.to_list (Array.map stats_of_server reps))
-                servers
-             |> List.sort (fun a b -> compare a.core b.core))
-          @ Array.to_list (Array.map stats_of_server !merger_cores)
-          @ (match !agent_core with Some a -> [ stats_of_server a ] | None -> [])
+        let sampler =
+          sampler_of classifier
+            (List.concat_map Array.to_list servers)
+            !merger_cores !agent_core
         in
-        (classifier, sampler)
+        (classifier, sampler, controller)
   in
   (* Classifier front end: CT match, metadata tagging, first-hop actions.
      Unmatched packets are discarded (no service graph owns them) and
@@ -2458,178 +1801,17 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
             in
             build chain)
   in
-  (* ---------------------------------------------------------------- *)
-  (* Watchdog: per-core progress heartbeats. A core is healthy while  *)
-  (* it processes packets or at least retries a stalled emission      *)
-  (* (backpressure is not failure); a core with queued work and a     *)
-  (* frozen heartbeat past the deadline is declared failed and its    *)
-  (* recovery policy runs. The watchdog wakes on injection and stops  *)
-  (* rescheduling itself when every core is idle, so a finished       *)
-  (* simulation drains.                                               *)
-  (* ---------------------------------------------------------------- *)
+  (* Watchdog: per-core progress heartbeats. A core is healthy while it
+     processes packets or at least retries a stalled emission
+     (backpressure is not failure); a core with queued work and a frozen
+     heartbeat past the deadline is declared failed and its recovery
+     policy runs. *)
   let probe_arr = Array.of_list (List.rev !probes) in
-  let detections = ref 0 and restarts = ref 0 and bypasses = ref 0 in
-  let degrades = ref 0 and recoveries = ref 0 in
-  let breaker_trips = ref 0 and backoffs = ref 0 in
   let degraded = Array.make (Array.length table) false in
-  let wstate = Array.make (Array.length probe_arr) `Up in
-  let wd_kick =
+  let watchdog =
     match fault with
-    | None -> fun () -> ()
-    | Some (fc : fault_config) ->
-        let n = Array.length probe_arr in
-        let prev_processed = Array.make n 0 in
-        let prev_stalled = Array.make n 0.0 in
-        let last_progress = Array.make n 0.0 in
-        let active = ref false in
-        let next_ckpt = ref infinity in
-        let mark_progress i (p : probe) now =
-          prev_processed.(i) <- p.pr_processed ();
-          prev_stalled.(i) <- p.pr_stalled ();
-          last_progress.(i) <- now
-        in
-        (* Circuit breaker: consecutive watchdog detections of each
-           core since its last observed processed-packet progress. The
-           n-th consecutive restart backs off exponentially; past
-           [breaker_threshold] the breaker trips — an NF core falls to
-           the [breaker_fallback] policy instead of restart-looping
-           forever. A threshold of 0 disables both (the pre-breaker
-           behavior, bit for bit). *)
-        let consec = Array.make n 0 in
-        let breaker_on = fc.breaker_threshold > 0 in
-        let recover i (p : probe) =
-          incr detections;
-          consec.(i) <- consec.(i) + 1;
-          let restart_delay () =
-            if breaker_on && consec.(i) > 1 then begin
-              incr backoffs;
-              Float.min fc.backoff_max_ns
-                (fc.restart_ns *. (fc.backoff_factor ** float_of_int (consec.(i) - 1)))
-            end
-            else fc.restart_ns
-          in
-          let restart_core ~on_up () =
-            wstate.(i) <- `Restarting;
-            p.pr_kill ();
-            (* Lossless restart: restore the last checkpoint and replay
-               the input log before the core comes back — the replay
-               time extends the outage — then re-admit the reclaimed
-               casualties instead of flushing them. *)
-            let replay_ns = if lossless then p.pr_replay () else 0.0 in
-            Nfp_sim.Engine.schedule engine ~delay:(restart_delay () +. replay_ns)
-              (fun () ->
-                if lossless then salvaged := !salvaged + p.pr_casualties ();
-                ignore (p.pr_revive ~flush:(not lossless));
-                incr restarts;
-                wstate.(i) <- `Up;
-                mark_progress i p (Nfp_sim.Engine.now engine);
-                on_up ())
-          in
-          let bypass_core () =
-            wstate.(i) <- `Bypassed;
-            incr bypasses;
-            p.pr_kill ();
-            ignore (p.pr_drain ())
-          in
-          match p.pr_nf with
-          | None -> restart_core ~on_up:ignore ()
-          | Some (mid, nfname) ->
-              if breaker_on && consec.(i) > fc.breaker_threshold then begin
-                incr breaker_trips;
-                match fc.breaker_fallback with
-                | Restart | Bypass -> bypass_core ()
-                | Degrade ->
-                    (* Pin the graph to its sequential twin and remove
-                       the hopeless core; no [on_up] ever clears the
-                       degraded flag. *)
-                    degraded.(mid - 1) <- true;
-                    incr degrades;
-                    bypass_core ()
-              end
-              else (
-                match fc.recovery_of nfname with
-                | Restart -> restart_core ~on_up:ignore ()
-                | Bypass -> bypass_core ()
-                | Degrade ->
-                    degraded.(mid - 1) <- true;
-                    incr degrades;
-                    restart_core
-                      ~on_up:(fun () ->
-                        degraded.(mid - 1) <- false;
-                        incr recoveries)
-                      ())
-        in
-        let rec check () =
-          let now = Nfp_sim.Engine.now engine in
-          (* Periodic checkpoint tick: snapshot every live core's NF
-             state and truncate its input log. Rides the watchdog's
-             wake/sleep cycle, so an idle system takes no checkpoints. *)
-          if lossless && now >= !next_ckpt then begin
-            Array.iteri
-              (fun i p -> if wstate.(i) = `Up then p.pr_checkpoint ())
-              probe_arr;
-            next_ckpt := now +. fc.checkpoint_interval_ns
-          end;
-          let pending = ref false in
-          Array.iteri
-            (fun i p ->
-              let pc = p.pr_processed () and st = p.pr_stalled () in
-              if pc > prev_processed.(i) || st > prev_stalled.(i) then begin
-                (* Real processed progress (not just stall retries)
-                   closes the breaker window: the core is alive again. *)
-                if pc > prev_processed.(i) then consec.(i) <- 0;
-                mark_progress i p now
-              end
-              else if p.pr_queue () = 0 then
-                (* An idle core is healthy. Keeping its baseline fresh
-                   makes the deadline clock start when work is queued,
-                   not when it last processed — otherwise a burst
-                   landing on a long-idle core (e.g. merge timeouts
-                   releasing a wedge) trips an instant false kill. *)
-                last_progress.(i) <- now
-              else if p.pr_paused () && not (p.pr_down ()) then
-                (* A quiesced migration source is healthy: the elastic
-                   controller froze it deliberately and owns unfreezing
-                   it (commit or abort) — declaring it dead would
-                   restart a core mid-handover. The breaker window
-                   stays open too: a pause is not progress. *)
-                last_progress.(i) <- now
-              else if p.pr_busy () && not (p.pr_down ()) then
-                (* A core mid-breath is healthy: its completion event is
-                   already on the calendar. With large batches a single
-                   breath can legally outlast the deadline while the
-                   processed counter stands still — only a *down* core
-                   (crashed or hung, which [interrupt] marks) may have a
-                   frozen heartbeat counted against it. *)
-                last_progress.(i) <- now
-              else if
-                wstate.(i) = `Up
-                && now -. last_progress.(i) > fc.watchdog_deadline_ns
-              then recover i p;
-              (match wstate.(i) with
-              | `Bypassed -> ()
-              | `Restarting -> pending := true
-              | `Up ->
-                  if
-                    (if p.pr_down () then p.pr_queue () > 0
-                     else p.pr_queue () > 0 || p.pr_busy ())
-                  then pending := true))
-            probe_arr;
-          if !pending then
-            Nfp_sim.Engine.schedule engine ~delay:fc.watchdog_interval_ns check
-          else active := false
-        in
-        fun () ->
-          if not !active then begin
-            active := true;
-            (* Reset the heartbeats on wake-up: idle time must not
-               count against the deadline. The checkpoint clock restarts
-               with the watchdog for the same reason. *)
-            let now = Nfp_sim.Engine.now engine in
-            if lossless then next_ckpt := now +. fc.checkpoint_interval_ns;
-            Array.iteri (fun i p -> mark_progress i p now) probe_arr;
-            Nfp_sim.Engine.schedule engine ~delay:fc.watchdog_interval_ns check
-          end
+    | Some fc -> Watchdog.create ~engine fc ~lossless ~degraded probe_arr
+    | None -> Watchdog.off
   in
   (* ---------------------------------------------------------------- *)
   (* Admission controller (overload config only). An escalating shed   *)
@@ -2653,7 +1835,9 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           if now -. !last_poll >= oc.pressure_poll_ns then begin
             last_poll := now;
             let pressured =
-              Array.exists (fun (p : probe) -> p.pr_pressured ()) probe_arr
+              Array.exists
+                (fun (Watchdog.Probe p) -> Nfp_sim.Server.pressured p.server)
+                probe_arr
             in
             if pressured then begin
               if !shed_level < max_class then incr shed_level
@@ -2677,43 +1861,36 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
     let cores =
       Array.to_list
         (Array.mapi
-           (fun i (p : probe) ->
+           (fun i (Watchdog.Probe { server = s; _ }) ->
+             let name = Nfp_sim.Server.name s in
              {
-               Nfp_sim.Harness.core = p.pr_name;
+               Nfp_sim.Harness.core = name;
                state =
-                 (match wstate.(i) with
-                 | `Bypassed -> "bypassed"
-                 | `Restarting -> "restarting"
-                 | `Up ->
-                     if p.pr_down () then "down"
-                     else (
-                       match !core_state_override p.pr_name with
-                       | Some s -> s
-                       | None -> "up"));
-               processed = p.pr_processed ();
-               queue = p.pr_queue ();
+                 (match watchdog.state i with
+                 | Some s -> s
+                 | None when Nfp_sim.Server.is_down s -> "down"
+                 | None -> Option.value (controller.core_state name) ~default:"up");
+               processed = Nfp_sim.Server.processed s;
+               queue = Nfp_sim.Server.queue_length s;
              })
            probe_arr)
     in
     let sum f = Array.fold_left (fun acc p -> acc + f p) 0 probe_arr in
-    let rejected_total = sum (fun (p : probe) -> p.pr_rejected ()) in
+    let rejected_total = sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.rejected p.server) in
     {
       Nfp_sim.Harness.cores;
-      detections = !detections;
-      crashes = sum (fun (p : probe) -> p.pr_crashes ());
-      restarts = !restarts;
-      bypasses = !bypasses;
-      degrades = !degrades;
-      recoveries = !recoveries;
-      merge_timeouts = !merge_timeouts;
+      detections = watchdog.detections;
+      crashes = sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.crashes p.server);
+      restarts = watchdog.restarts;
+      bypasses = watchdog.bypasses;
+      degrades = watchdog.degrades;
+      recoveries = watchdog.recoveries;
       bypassed_packets = !bypassed_packets;
-      fault_drops = sum (fun (p : probe) -> p.pr_fault_drops ());
-      flushed = sum (fun (p : probe) -> p.pr_flushed ());
       checkpoints = !checkpoints;
       forced_checkpoints = !forced_checkpoints;
       replayed = !replayed;
       deduped = !deduped;
-      salvaged = !salvaged;
+      salvaged = watchdog.salvaged;
       drops =
         {
           Nfp_sim.Harness.ingress_rejected = !ring_drops;
@@ -2724,8 +1901,8 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           internal_rejected = max 0 (rejected_total - !ring_drops);
           nf_dropped = !nf_drops;
           no_match = !unmatched;
-          fault_dropped = sum (fun (p : probe) -> p.pr_fault_drops ());
-          flush_lost = sum (fun (p : probe) -> p.pr_flushed ());
+          fault_dropped = sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.fault_drops p.server);
+          flush_lost = sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.flushed p.server);
           merge_timed_out = !merge_timeouts;
           shed = !shed_total;
           shed_by_class =
@@ -2734,16 +1911,17 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
             | Some _ -> Array.to_list (Array.mapi (fun c n -> (c, n)) shed_class));
           degraded = !degraded_packets;
         };
-      pressure_episodes = sum (fun (p : probe) -> p.pr_pressure_episodes ());
-      breaker_trips = !breaker_trips;
-      backoffs = !backoffs;
+      pressure_episodes =
+        sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.pressure_episodes p.server);
+      breaker_trips = watchdog.breaker_trips;
+      backoffs = watchdog.backoffs;
       degrade_switches = !degrade_switches;
-      scale_outs = !scale_outs;
-      scale_ins = !scale_ins;
-      migrations = !migrations;
-      migration_aborts = !migration_aborts;
-      migrated_packets = !migrated_packets;
-      migrating = !migrating_gauge ();
+      scale_outs = controller.scale_outs;
+      scale_ins = controller.scale_ins;
+      migrations = controller.migrations;
+      migration_aborts = controller.migration_aborts;
+      migrated_packets = controller.migrated_packets;
+      migrating = controller.migrating ();
       links =
         {
           Nfp_sim.Harness.link_drops = link_stats.Channel.link_drops;
@@ -2759,8 +1937,8 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
   {
     Nfp_sim.Harness.inject =
       (fun ~pid pkt ->
-        wd_kick ();
-        !elastic_kick ();
+        watchdog.kick ();
+        controller.kick ();
         let mid = classify_pkt pkt in
         Nfp_sim.Engine.schedule engine
           ~delay:(wire_delay +. Nfp_sim.Cost.ns_of_cycles cost !classify_cycles)
@@ -2797,9 +1975,8 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
     health;
   }
 
-let make ?path ?classify ?config ?batch_size ?replicas ?fault ?overload ?elastic
-    ?links ?stats ?replication ~plan ~nfs engine ~output =
-  make_multi ?path ?classify ?config ?batch_size ?replicas ?fault ?overload ?elastic
-    ?links ?stats ?replication
+let make ?path ?classify ?config ?fault ?overload ?elastic ?links ?stats ?replication
+    ~plan ~nfs engine ~output =
+  make_multi ?path ?classify ?config ?fault ?overload ?elastic ?links ?stats ?replication
     ~graphs:[ (Flow_match.any, plan, nfs) ]
     engine ~output

@@ -13,7 +13,7 @@ type config = {
   cost : Nfp_sim.Cost.t;
   ring_capacity : int;
   mergers : int;  (** merger instances; > 1 adds the agent core *)
-  jitter : float;  (** ± fractional service jitter per core *)
+  jitter : float;  (** ± fractional service jitter per core; in [\[0, 1)] *)
   seed : int64;
   batch_size : int;
       (** breath size of every core's poll loop (jobs inhaled per
@@ -36,10 +36,10 @@ val core_count : config -> Nfp_core.Tables.plan -> int
 
 (** {2 Fault tolerance} *)
 
-type recovery =
+type recovery = Watchdog.recovery =
   | Restart
       (** bring the core back after [restart_ns]; its backlog is
-          dropped (accounted in [health.flushed]) *)
+          dropped (accounted in [health.drops.flush_lost]) *)
   | Bypass
       (** remove the core from the graph: packets skip its processing
           but still execute its action program, so mergers never wait
@@ -48,17 +48,17 @@ type recovery =
       (** run the whole service graph in the sequential order of the
           same plan on a twin chain until the core has restarted *)
 
-type fault_config = {
+type fault_config = Watchdog.config = {
   plan : Nfp_sim.Fault.plan;  (** which cores fail, how, and when *)
-  watchdog_interval_ns : float;  (** heartbeat sampling period *)
+  watchdog_interval_ns : float;  (** heartbeat sampling period; positive *)
   watchdog_deadline_ns : float;
       (** a core with queued work but no progress — neither a processed
           packet nor a backpressure retry — for this long is declared
-          failed; backpressure alone never trips the watchdog *)
+          failed; backpressure alone never trips the watchdog. Positive. *)
   merge_timeout_ns : float;
       (** mergers force-complete an accumulation this old with the
           versions that did arrive; 0.0 disables the timeout *)
-  restart_ns : float;  (** downtime of a Restart / Degrade recovery *)
+  restart_ns : float;  (** downtime of a Restart / Degrade recovery; [>= 0] *)
   recovery_of : string -> recovery;  (** policy per NF instance name *)
   checkpoint_interval_ns : float;
       (** period of the per-core NF state checkpoints that arm lossless
@@ -87,8 +87,8 @@ type fault_config = {
           n-th consecutive restart of a core waits
           [restart_ns * backoff_factor^(n-1)], capped at
           [backoff_max_ns]; each delayed restart is counted in
-          [health.backoffs] *)
-  backoff_max_ns : float;  (** ceiling on the backed-off restart delay *)
+          [health.backoffs]. Must be [>= 1.0]. *)
+  backoff_max_ns : float;  (** ceiling on the backed-off restart delay; [>= 0] *)
   breaker_fallback : recovery;
       (** policy for a tripped core: [Bypass] removes it from the
           graph; [Degrade] pins its graph to the sequential twin and
@@ -148,7 +148,7 @@ val default_overload_config : overload_config
 
 (** {2 Elastic scale-out} *)
 
-type elastic_config = {
+type elastic_config = Elastic.config = {
   min_replicas : int;
       (** scale-in floor; also the initially-active replica count *)
   max_replicas : int;
@@ -301,8 +301,6 @@ val make :
   ?path:[ `Compiled | `Interpretive ] ->
   ?classify:[ `Cached | `Scan ] ->
   ?config:config ->
-  ?batch_size:int ->
-  ?replicas:int ->
   ?fault:fault_config ->
   ?overload:overload_config ->
   ?elastic:elastic_config ->
@@ -322,8 +320,6 @@ val make_multi :
   ?path:[ `Compiled | `Interpretive ] ->
   ?classify:[ `Cached | `Scan ] ->
   ?config:config ->
-  ?batch_size:int ->
-  ?replicas:int ->
   ?fault:fault_config ->
   ?overload:overload_config ->
   ?elastic:elastic_config ->
@@ -357,11 +353,8 @@ val make_multi :
     classifier core, so measured latency reflects the lookup structure
     when those terms are enabled.
 
-    [batch_size] overrides [config.batch_size] for this deployment —
-    the knob the batch bench sweeps without rebuilding configs.
-
-    [replicas] overrides [config.replicas] (compiled path only): NFs
-    the replication analysis clears ({!Nfp_core.Replication.shardable}
+    [config.replicas] (compiled path only): NFs the replication
+    analysis clears ({!Nfp_core.Replication.shardable}
     — a safe state-access profile, the [fresh]/[merge] machinery, and
     no Sequential-strategy NF downstream in the graph) are deployed as
     that many RSS-sharded instances. A shard stage at
@@ -416,6 +409,8 @@ val make_multi :
     [links] (compiled path only) arms the lossy-interconnect fault
     domain and, when its [reliable] flag is set, the per-link ARQ
     channels — see {!links_config}.
-    @raise Invalid_argument on an empty table, a missing NF, invalid
-    overload watermarks, or [fault], [overload], [links] or
-    [replicas > 1] combined with the [`Interpretive] path. *)
+    @raise Invalid_argument on an empty table, a missing NF, a
+    [config.jitter] outside [\[0, 1)], an out-of-range [fault],
+    [overload], [elastic] or [links] setting, or [fault], [overload],
+    [elastic], [links] or [config.replicas > 1] combined with the
+    [`Interpretive] path. Every check runs before anything is built. *)

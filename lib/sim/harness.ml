@@ -116,10 +116,7 @@ type health = {
   bypasses : int;  (* cores removed from the graph by the Bypass policy *)
   degrades : int;  (* graphs switched to their sequential fallback *)
   recoveries : int;  (* degraded graphs switched back to parallel *)
-  merge_timeouts : int;  (* merges force-completed without a failed branch *)
   bypassed_packets : int;  (* packets that skipped a bypassed NF *)
-  fault_drops : int;  (* jobs vanished by injected Drop faults *)
-  flushed : int;  (* in-flight jobs lost to crashes and restart flushes *)
   checkpoints : int;  (* NF state snapshots taken (periodic + forced) *)
   forced_checkpoints : int;  (* checkpoints forced by input-log overflow *)
   replayed : int;  (* packets re-processed from an input log, output-suppressed *)
@@ -155,10 +152,7 @@ let no_health =
     bypasses = 0;
     degrades = 0;
     recoveries = 0;
-    merge_timeouts = 0;
     bypassed_packets = 0;
-    fault_drops = 0;
-    flushed = 0;
     checkpoints = 0;
     forced_checkpoints = 0;
     replayed = 0;
@@ -190,10 +184,7 @@ let add_health a b =
     bypasses = a.bypasses + b.bypasses;
     degrades = a.degrades + b.degrades;
     recoveries = a.recoveries + b.recoveries;
-    merge_timeouts = a.merge_timeouts + b.merge_timeouts;
     bypassed_packets = a.bypassed_packets + b.bypassed_packets;
-    fault_drops = a.fault_drops + b.fault_drops;
-    flushed = a.flushed + b.flushed;
     checkpoints = a.checkpoints + b.checkpoints;
     forced_checkpoints = a.forced_checkpoints + b.forced_checkpoints;
     replayed = a.replayed + b.replayed;

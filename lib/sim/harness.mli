@@ -89,10 +89,7 @@ type health = {
   bypasses : int;  (** cores removed from the graph by the Bypass policy *)
   degrades : int;  (** graphs switched to their sequential fallback *)
   recoveries : int;  (** degraded graphs switched back to parallel *)
-  merge_timeouts : int;  (** merges force-completed without a failed branch *)
   bypassed_packets : int;  (** packets that skipped a bypassed NF *)
-  fault_drops : int;  (** jobs vanished by injected Drop faults *)
-  flushed : int;  (** in-flight jobs lost to crashes and restart flushes *)
   checkpoints : int;  (** NF state snapshots taken (periodic + forced) *)
   forced_checkpoints : int;
       (** checkpoints forced early by input-log overflow — a full log is
@@ -108,9 +105,9 @@ type health = {
       (** in-flight jobs of a crashed core re-admitted by a lossless
           restart instead of being flushed *)
   drops : drops;
-      (** the unified drop taxonomy (see {!drops}); subsumes
-          [fault_drops], [flushed] and [merge_timeouts] above, which
-          remain for compatibility *)
+      (** the unified drop taxonomy (see {!drops}): injected Drop
+          faults, crash and restart flushes and force-completed merges
+          are counted there *)
   pressure_episodes : int;
       (** ring watermark pressure onsets summed across all cores *)
   breaker_trips : int;

@@ -76,7 +76,7 @@ let observe ?(path = `Compiled) ?fault ~batch_size ~plan ~bindings ~arrivals ~pa
   let lookup, nfs = instances bindings in
   let outs = ref [] in
   let make engine ~output =
-    Nfp_infra.System.make ~path ?fault ~config:roomy ~batch_size ~plan ~nfs:lookup
+    Nfp_infra.System.make ~path ?fault ~config:{ roomy with batch_size } ~plan ~nfs:lookup
       engine
       ~output:(fun ~pid pkt ->
         outs := (pid, Bytes.to_string (Packet.to_bytes pkt)) :: !outs;
@@ -281,7 +281,7 @@ let words_per_packet ~text ~bindings ~batch_size ~packets =
   let lookup, _ = instances bindings in
   let gen = traffic () in
   let make engine ~output =
-    Nfp_infra.System.make ~config:roomy ~batch_size ~plan ~nfs:lookup engine ~output
+    Nfp_infra.System.make ~config:{ roomy with batch_size } ~plan ~nfs:lookup engine ~output
   in
   let run () =
     ignore

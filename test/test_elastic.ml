@@ -217,7 +217,7 @@ let equivalence ?fault ?(elastic = eager) ?(text = tag_text)
   check Alcotest.int "baseline admits everything" 0 rb.ring_drops;
   check Alcotest.int "elastic admits everything" 0 rr.ring_drops;
   check Alcotest.int "nothing left in flight" 0 rr.in_flight;
-  check Alcotest.int "nothing flushed" 0 rr.health.flushed;
+  check Alcotest.int "nothing flushed" 0 rr.health.drops.flush_lost;
   check_equivalent baseline scaled;
   rr
 
@@ -604,7 +604,7 @@ let property_tests =
                ~bindings:tag_bindings ~arrivals ~packets:2500 ()
            in
            rb.ring_drops = 0 && rr.ring_drops = 0
-           && rr.health.flushed = 0
+           && rr.health.drops.flush_lost = 0
            && rr.in_flight = 0
            && baseline = scaled));
   ]

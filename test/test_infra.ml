@@ -860,7 +860,7 @@ let fault_tests =
            lossless: the core restores its last snapshot, replays its
            input log and re-admits the reclaimed work — nothing is
            flushed and every offered packet completes. *)
-        check Alcotest.int "lossless restart flushed nothing" 0 h.flushed;
+        check Alcotest.int "lossless restart flushed nothing" 0 h.drops.flush_lost;
         check Alcotest.bool "checkpoints were taken" true (h.checkpoints > 0);
         check Alcotest.bool "the restore replayed logged packets" true (h.replayed > 0);
         (* The crash hits at packet ~250 of 2000; deliveries of the last
@@ -883,7 +883,7 @@ let fault_tests =
         let h = r.health in
         check Alcotest.int "no checkpoints" 0 h.checkpoints;
         check Alcotest.int "no replay" 0 h.replayed;
-        check Alcotest.bool "outage lost packets" true (h.flushed > 0);
+        check Alcotest.bool "outage lost packets" true (h.drops.flush_lost > 0);
         check Alcotest.bool "late packets delivered after restart" true
           (List.exists (fun pid -> pid > 1500L) pids);
         check Alcotest.bool "most traffic survived the outage" true
@@ -965,7 +965,7 @@ let fault_tests =
         in
         let r, _ = fault_run ~text:par_text ~bindings:par_bindings ~fault () in
         let h = r.health in
-        check Alcotest.bool "timeouts fired" true (h.merge_timeouts > 0);
+        check Alcotest.bool "timeouts fired" true (h.drops.merge_timed_out > 0);
         check Alcotest.bool "rescued merges bound the tail" true
           (Nfp_algo.Stats.max_value r.latency < 2_000_000.0);
         check Alcotest.bool "most traffic survived" true
@@ -1026,10 +1026,10 @@ let fault_tests =
         in
         let r, _ = fault_run ~fault () in
         let h = r.health in
-        check Alcotest.bool "drops happened" true (h.fault_drops > 0);
+        check Alcotest.bool "drops happened" true (h.drops.fault_dropped > 0);
         (* Every missing packet is a counted fault drop (the chain tail
            NF loses them after processing, nothing else drops). *)
-        check Alcotest.int "losses are exactly the injected drops" h.fault_drops
+        check Alcotest.int "losses are exactly the injected drops" h.drops.fault_dropped
           (r.offered - r.completed);
         accounting_closes r);
     Alcotest.test_case "health is observable without any faults armed" `Quick (fun () ->
@@ -1049,20 +1049,33 @@ let fault_tests =
              (fun (c : Nfp_sim.Harness.core_health) -> c.state = "up")
              h.cores);
         check Alcotest.int "no events" 0
-          (h.detections + h.crashes + h.restarts + h.bypasses + h.flushed));
+          (h.detections + h.crashes + h.restarts + h.bypasses + h.drops.flush_lost));
     Alcotest.test_case "fault config on the interpretive path is rejected" `Quick
       (fun () ->
         let o = compile_ok ns_text in
         let plan = plan_of_output o in
-        let engine = Nfp_sim.Engine.create () in
-        Alcotest.check_raises "invalid"
-          (Invalid_argument
-             "System.make_multi: fault injection requires the `Compiled path")
-          (fun () ->
-            ignore
-              (Nfp_infra.System.make ~path:`Interpretive
-                 ~fault:Nfp_infra.System.default_fault_config ~plan
-                 ~nfs:(instances ns_bindings) engine ~output:(fun ~pid:_ _ -> ()))));
+        let rejects ?(path = `Compiled) ?config msg fault =
+          Alcotest.check_raises msg (Invalid_argument ("System.make_multi: " ^ msg))
+            (fun () ->
+              let engine = Nfp_sim.Engine.create () in
+              ignore
+                (Nfp_infra.System.make ~path ?config ~fault ~plan
+                   ~nfs:(instances ns_bindings) engine ~output:(fun ~pid:_ _ -> ())))
+        in
+        let fc = Nfp_infra.System.default_fault_config in
+        rejects ~path:`Interpretive "fault injection requires the `Compiled path" fc;
+        rejects "fault watchdog interval and deadline must be positive"
+          { fc with watchdog_interval_ns = 0.0 };
+        rejects "fault watchdog interval and deadline must be positive"
+          { fc with watchdog_deadline_ns = 0.0 };
+        rejects "fault restart_ns and backoff_max_ns must be >= 0"
+          { fc with restart_ns = -1.0 };
+        rejects "fault restart_ns and backoff_max_ns must be >= 0"
+          { fc with backoff_max_ns = -1.0 };
+        rejects "fault backoff_factor must be >= 1.0" { fc with backoff_factor = 0.5 };
+        rejects
+          ~config:{ Nfp_infra.System.default_config with jitter = 1.5 }
+          "jitter must satisfy 0 <= jitter < 1" fc);
   ]
 
 let () =

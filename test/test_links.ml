@@ -143,7 +143,9 @@ let observe ?fault ?overload ?elastic ?links ?replicas ?(config = roomy)
   let outs = ref [] in
   let replication = ref (fun () -> []) in
   let make engine ~output =
-    Sys.make ?fault ?overload ?elastic ?links ?replicas ~replication ~config ~plan
+    Sys.make ?fault ?overload ?elastic ?links ~replication
+      ~config:(Option.fold ~none:config ~some:(fun replicas -> { config with replicas }) replicas)
+      ~plan
       ~nfs:lookup engine
       ~output:(fun ~pid pkt ->
         outs := (pid, Bytes.to_string (Packet.to_bytes pkt)) :: !outs;
@@ -483,7 +485,7 @@ let differential_tests =
         in
         check Alcotest.int "zero delivered-packet loss" rr.offered rr.completed;
         check Alcotest.int "nothing left in flight" 0 rr.in_flight;
-        check Alcotest.int "nothing flushed" 0 rr.health.flushed);
+        check Alcotest.int "nothing flushed" 0 rr.health.drops.flush_lost);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -596,7 +598,7 @@ let regression_tests =
           observe ~links:lc ~fault ~plan ~bindings:par_bindings ~arrivals:steady
             ~packets:1500 ()
         in
-        check Alcotest.bool "merges timed out" true (rr.health.merge_timeouts >= 1);
+        check Alcotest.bool "merges timed out" true (rr.health.drops.merge_timed_out >= 1);
         check Alcotest.bool "late retransmissions were deduped" true
           (rr.health.deduped >= 1);
         check Alcotest.int "every packet completed exactly once" rr.offered
@@ -666,7 +668,7 @@ let property_tests =
                ~plan ~bindings:tag_bindings ~arrivals:steady ~packets:2000 ()
            in
            rb.ring_drops = 0 && rr.ring_drops = 0
-           && rr.health.flushed = 0
+           && rr.health.drops.flush_lost = 0
            && rr.in_flight = 0
            && baseline = lossy));
   ]

@@ -58,7 +58,9 @@ let observe ?fault ?replicas ?(make_nf = default_nf) ~plan ~bindings ~rate ~pack
   let outs = ref [] in
   let replication = ref (fun () -> []) in
   let make engine ~output =
-    Sys.make ?fault ?replicas ~replication ~config:roomy ~plan ~nfs:lookup engine
+    Sys.make ?fault ~replication
+      ~config:(Option.fold ~none:roomy ~some:(fun replicas -> { roomy with replicas }) replicas)
+      ~plan ~nfs:lookup engine
       ~output:(fun ~pid pkt ->
         outs := (pid, Bytes.to_string (Packet.to_bytes pkt)) :: !outs;
         output ~pid pkt)
@@ -309,7 +311,9 @@ let differential_tests =
             ignore
               (Nfp_sim.Harness.run
                  ~make:(fun engine ~output ->
-                   Sys.make ~path:`Interpretive ~replicas:4 ~plan ~nfs:lookup engine
+                   Sys.make ~path:`Interpretive
+                     ~config:{ Sys.default_config with replicas = 4 }
+                     ~plan ~nfs:lookup engine
                      ~output)
                  ~gen:(traffic ())
                  ~arrivals:(Nfp_sim.Harness.Uniform 0.5) ~packets:10 ())));
@@ -334,7 +338,7 @@ let fault_tests =
         in
         check Alcotest.int "crash took effect" 1 rr.health.crashes;
         check Alcotest.bool "replay happened" true (rr.health.replayed > 0);
-        check Alcotest.int "nothing flushed" 0 rr.health.flushed);
+        check Alcotest.int "nothing flushed" 0 rr.health.drops.flush_lost);
     Alcotest.test_case "replica 0 and a shard crash together" `Quick (fun () ->
         let fault =
           lossless_fault
@@ -369,7 +373,7 @@ let fault_tests =
         in
         check Alcotest.bool "storm produced crashes" true (r.health.crashes > 0);
         check Alcotest.int "no packet wedged in flight" 0 r.in_flight;
-        check Alcotest.int "nothing flushed" 0 r.health.flushed;
+        check Alcotest.int "nothing flushed" 0 r.health.drops.flush_lost;
         check Alcotest.int "every packet in exactly one bucket" r.offered
           (r.completed + r.ring_drops + r.nf_drops + r.unmatched);
         let mon = find_rr report "mon" in
@@ -466,7 +470,7 @@ let property_tests =
                        ~replicas ~plan ~bindings ~rate:1.0 ~packets:1200 ()
                    in
                    rb.ring_drops = 0 && rr.ring_drops = 0
-                   && rr.health.flushed = 0
+                   && rr.health.drops.flush_lost = 0
                    && rr.in_flight = 0
                    && baseline = sharded)));
   ]

@@ -114,7 +114,7 @@ let equivalence ?checkpoint_interval_ns ?log_capacity ~text ~bindings ~crash_pla
   let recovered, rr = observe ~fault ~plan ~bindings ~rate ~packets () in
   check Alcotest.int "baseline admits everything" 0 rb.ring_drops;
   check Alcotest.int "recovered admits everything" 0 rr.ring_drops;
-  check Alcotest.int "nothing flushed" 0 rr.health.flushed;
+  check Alcotest.int "nothing flushed" 0 rr.health.drops.flush_lost;
   check Alcotest.int "nothing left in flight" 0 rr.in_flight;
   check_equivalent baseline recovered;
   rr
@@ -220,7 +220,7 @@ let log_tests =
         check Alcotest.bool "forced checkpoints happened" true
           (r.health.forced_checkpoints > 0);
         check Alcotest.int "no ring drops" 0 r.ring_drops;
-        check Alcotest.int "nothing flushed" 0 r.health.flushed;
+        check Alcotest.int "nothing flushed" 0 r.health.drops.flush_lost;
         check Alcotest.int "no packet lost" 0 r.in_flight;
         check Alcotest.int "everything completed" r.offered r.completed);
     Alcotest.test_case "equivalence holds across forced checkpoints" `Quick (fun () ->
@@ -279,7 +279,7 @@ let switchover_tests =
         check Alcotest.int "bypassed once" 1 r.health.bypasses;
         check Alcotest.bool "packets rerouted around the core" true
           (r.health.bypassed_packets > 0);
-        check Alcotest.int "no merge was force-completed" 0 r.health.merge_timeouts;
+        check Alcotest.int "no merge was force-completed" 0 r.health.drops.merge_timed_out;
         check Alcotest.int "no packet wedged in flight" 0 r.in_flight;
         check Alcotest.int "every packet in exactly one bucket" r.offered
           (r.completed + r.ring_drops + r.nf_drops + r.unmatched));
@@ -380,7 +380,7 @@ let property_tests =
                        ~plan ~bindings ~rate:1.0 ~packets:1200 ()
                    in
                    rb.ring_drops = 0 && rr.ring_drops = 0
-                   && rr.health.flushed = 0
+                   && rr.health.drops.flush_lost = 0
                    && rr.in_flight = 0
                    && baseline = recovered)));
   ]
