@@ -1,6 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (§6) on the simulated dataplane, plus bechamel
-   microbenchmarks of the per-packet primitives.
+   microbenchmarks of the per-packet primitives and simulator kernels
+   (event heap, server breath).
 
      dune exec bench/main.exe            # run everything
      dune exec bench/main.exe -- fig7    # one experiment
@@ -711,11 +712,11 @@ let run_ablation () =
   show "Chain(Proxy, Gateway)"
 
 (* ------------------------------------------------------------------ *)
-(* micro: bechamel microbenchmarks of the per-packet primitives        *)
+(* micro: bechamel microbenchmarks of the per-packet kernels           *)
 (* ------------------------------------------------------------------ *)
 
 let run_micro () =
-  section "Microbenchmarks  Per-packet primitives (bechamel, ns/op)";
+  section "Microbenchmarks  Per-packet kernels (bechamel, ns/op)";
   let open Bechamel in
   let open Toolkit in
   let flow =
@@ -741,6 +742,34 @@ let run_micro () =
   let v2 = Nfp_packet.Packet.full_copy pkt1500 in
   Nfp_packet.Packet.set_sip v2 42l;
   let get = function 1 -> Some pkt1500 | 2 -> Some v2 | _ -> None in
+  (* Event heap held at 1k pending events: each op schedules one and
+     fires the earliest. *)
+  let heap_engine = Nfp_sim.Engine.create () in
+  let nop () = () in
+  for i = 0 to 999 do
+    Nfp_sim.Engine.schedule heap_engine ~delay:(float_of_int ((i * 7919) land 1023)) nop
+  done;
+  let heap_tick = ref 0 in
+  let schedule_pop () =
+    heap_tick := (!heap_tick + 7919) land 1023;
+    Nfp_sim.Engine.schedule heap_engine ~delay:(float_of_int !heap_tick) nop;
+    Nfp_sim.Engine.run ~max_events:1 heap_engine
+  in
+  (* One core, one job per breath: offer, breath start, completion
+     event, execute, emit. *)
+  let breath_engine = Nfp_sim.Engine.create () in
+  let hop = [| () |] in
+  let core =
+    Nfp_sim.Server.create ~engine:breath_engine ~name:"micro" ~ring_capacity:64 ~batch:32
+      ~service_ns:(fun _ (cell : Nfp_sim.Server.cell) -> cell.ns <- 40.0)
+      ~execute:(fun _ -> hop)
+      ~emit:(fun _ () -> true)
+      ()
+  in
+  let breath () =
+    ignore (Nfp_sim.Server.offer core 0);
+    Nfp_sim.Engine.run breath_engine
+  in
   let tests =
     Test.make_grouped ~name:"nfp" ~fmt:"%s %s"
       [
@@ -751,6 +780,10 @@ let run_micro () =
         Test.make ~name:"5-tuple hash" (Staged.stage (fun () -> Nfp_packet.Flow.hash flow));
         Test.make ~name:"LPM lookup (1000 routes)"
           (Staged.stage (fun () -> Nfp_algo.Lpm.lookup lpm 0x0a1702a9l));
+        Test.make ~name:"LPM lookup, int address"
+          (Staged.stage (fun () -> Nfp_algo.Lpm.lookup_int lpm 0x0a1702a9));
+        Test.make ~name:"engine schedule+pop (1k heap)" (Staged.stage schedule_pop);
+        Test.make ~name:"server breath (1 job)" (Staged.stage breath);
         Test.make ~name:"AES-128 block"
           (Staged.stage (fun () -> Nfp_algo.Aes.encrypt_block aes block ~pos:0));
         Test.make ~name:"DPI scan 1446B (100 sigs)"

@@ -67,120 +67,3 @@ let pop h =
 let clear h =
   h.data <- [||];
   h.size <- 0
-
-(* Specialized (time, seq)-keyed min-heap for the event queue: keys live
-   in parallel unboxed arrays so ordering never goes through a closure
-   or a boxed comparison, and the hole-bubbling sifts move one element
-   per level instead of swapping. *)
-module Timed = struct
-  type 'a t = {
-    mutable times : float array;
-    mutable seqs : int array;
-    mutable data : 'a array;
-    mutable size : int;
-  }
-
-  let create () = { times = [||]; seqs = [||]; data = [||]; size = 0 }
-
-  let length h = h.size
-
-  let is_empty h = h.size = 0
-
-  let grow h x =
-    let capacity = Array.length h.data in
-    if h.size = capacity then begin
-      let capacity' = if capacity = 0 then 16 else capacity * 2 in
-      let times' = Array.make capacity' 0.0 in
-      let seqs' = Array.make capacity' 0 in
-      let data' = Array.make capacity' x in
-      Array.blit h.times 0 times' 0 h.size;
-      Array.blit h.seqs 0 seqs' 0 h.size;
-      Array.blit h.data 0 data' 0 h.size;
-      h.times <- times';
-      h.seqs <- seqs';
-      h.data <- data'
-    end
-
-  let rec sift_up h i ~time ~seq x =
-    if i = 0 then begin
-      h.times.(i) <- time;
-      h.seqs.(i) <- seq;
-      h.data.(i) <- x
-    end
-    else begin
-      let parent = (i - 1) / 2 in
-      let tp = h.times.(parent) in
-      if time < tp || (time = tp && seq < h.seqs.(parent)) then begin
-        h.times.(i) <- tp;
-        h.seqs.(i) <- h.seqs.(parent);
-        h.data.(i) <- h.data.(parent);
-        sift_up h parent ~time ~seq x
-      end
-      else begin
-        h.times.(i) <- time;
-        h.seqs.(i) <- seq;
-        h.data.(i) <- x
-      end
-    end
-
-  let push h ~time ~seq x =
-    grow h x;
-    let i = h.size in
-    h.size <- i + 1;
-    sift_up h i ~time ~seq x
-
-  let min_time h = if h.size = 0 then infinity else h.times.(0)
-
-  let rec sift_down h i ~time ~seq x =
-    let left = (2 * i) + 1 in
-    if left >= h.size then begin
-      h.times.(i) <- time;
-      h.seqs.(i) <- seq;
-      h.data.(i) <- x
-    end
-    else begin
-      let right = left + 1 in
-      let child =
-        if right < h.size then begin
-          let tl = h.times.(left) and tr = h.times.(right) in
-          if tr < tl || (tr = tl && h.seqs.(right) < h.seqs.(left)) then right
-          else left
-        end
-        else left
-      in
-      let tc = h.times.(child) in
-      if tc < time || (tc = time && h.seqs.(child) < seq) then begin
-        h.times.(i) <- tc;
-        h.seqs.(i) <- h.seqs.(child);
-        h.data.(i) <- h.data.(child);
-        sift_down h child ~time ~seq x
-      end
-      else begin
-        h.times.(i) <- time;
-        h.seqs.(i) <- seq;
-        h.data.(i) <- x
-      end
-    end
-
-  (* Combined peek-and-pop; the caller checks [is_empty]/[min_time]
-     first, so no option is allocated on the hot path. *)
-  let pop_exn h =
-    if h.size = 0 then invalid_arg "Heap.Timed.pop_exn: empty heap";
-    let top = h.data.(0) in
-    let last = h.size - 1 in
-    h.size <- last;
-    if last > 0 then begin
-      let time = h.times.(last) and seq = h.seqs.(last) in
-      let x = h.data.(last) in
-      (* The vacated tail slot keeps referencing [x], which stays live
-         in the heap, so the popped payload itself is not retained. *)
-      sift_down h 0 ~time ~seq x
-    end;
-    top
-
-  let clear h =
-    h.times <- [||];
-    h.seqs <- [||];
-    h.data <- [||];
-    h.size <- 0
-end

@@ -1,7 +1,8 @@
 (** Imperative binary min-heap keyed by a user-supplied comparison.
 
-    Used as the event queue of the discrete-event simulator; [pop] returns
-    the smallest element according to the ordering given at creation. *)
+    [pop] returns the smallest element according to the ordering given
+    at creation. The simulator's event queue is a specialized heap of its
+    own, in [Nfp_sim.Engine]. *)
 
 type 'a t
 
@@ -21,29 +22,3 @@ val pop : 'a t -> 'a option
 (** Remove and return the smallest element. *)
 
 val clear : 'a t -> unit
-
-(** Min-heap specialized to [(time, seq)] keys held in parallel unboxed
-    arrays — the discrete-event simulator's queue. Ordering is by time,
-    ties broken by the (monotonic) sequence number, with the comparison
-    inlined rather than routed through a closure. *)
-module Timed : sig
-  type 'a t
-
-  val create : unit -> 'a t
-
-  val length : 'a t -> int
-
-  val is_empty : 'a t -> bool
-
-  val push : 'a t -> time:float -> seq:int -> 'a -> unit
-
-  val min_time : 'a t -> float
-  (** Key of the minimum element; [infinity] when empty. *)
-
-  val pop_exn : 'a t -> 'a
-  (** Remove and return the payload of the minimum element — a combined
-      peek-and-pop that allocates nothing.
-      @raise Invalid_argument when empty. *)
-
-  val clear : 'a t -> unit
-end

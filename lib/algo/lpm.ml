@@ -42,15 +42,19 @@ let add t ~prefix ~len v =
   in
   go t.root 0
 
-let lookup t addr =
-  let rec go node i best =
-    let best = match node.value with Some _ as v -> v | None -> best in
-    if i = 32 then best
-    else
-      let child = if bit addr i then node.one else node.zero in
-      match child with None -> best | Some c -> go c (i + 1) best
-  in
-  go t.root 0 None
+(* The walk runs on an immediate int — an [int32] address would be
+   boxed at every call — and is a top-level function, so no closure over
+   the address is allocated per lookup. *)
+let rec walk addr node i best =
+  let best = match node.value with Some _ as v -> v | None -> best in
+  if i = 32 then best
+  else
+    let child = if (addr lsr (31 - i)) land 1 = 1 then node.one else node.zero in
+    match child with None -> best | Some c -> walk addr c (i + 1) best
+
+let lookup_int t addr = walk addr t.root 0 None
+
+let lookup t addr = lookup_int t (Int32.to_int addr land 0xffff_ffff)
 
 let remove t ~prefix ~len =
   check_len len;

@@ -17,6 +17,10 @@ val add : 'a t -> prefix:int32 -> len:int -> 'a -> unit
 val lookup : 'a t -> int32 -> 'a option
 (** [lookup t addr] is the value of the longest prefix matching [addr]. *)
 
+val lookup_int : 'a t -> int -> 'a option
+(** {!lookup} on an address held in the low 32 bits of an [int] (as
+    [Packet.dip_int] returns it); allocates nothing. *)
+
 val remove : 'a t -> prefix:int32 -> len:int -> unit
 (** Remove the binding for exactly that prefix, if present. *)
 

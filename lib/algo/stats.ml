@@ -1,12 +1,17 @@
+(* The running sums live in their own all-float record, which OCaml
+   stores flat: as mutable float fields of [t] every [add] would box two
+   fresh floats. *)
+type sums = { mutable sum : float; mutable sumsq : float }
+
 type t = {
   mutable samples : float array;
   mutable size : int;
-  mutable sum : float;
-  mutable sumsq : float;
+  sums : sums;
   mutable sorted : bool;
 }
 
-let create () = { samples = [||]; size = 0; sum = 0.0; sumsq = 0.0; sorted = true }
+let create () =
+  { samples = [||]; size = 0; sums = { sum = 0.0; sumsq = 0.0 }; sorted = true }
 
 let add t x =
   if t.size = Array.length t.samples then begin
@@ -17,13 +22,13 @@ let add t x =
   end;
   t.samples.(t.size) <- x;
   t.size <- t.size + 1;
-  t.sum <- t.sum +. x;
-  t.sumsq <- t.sumsq +. (x *. x);
+  t.sums.sum <- t.sums.sum +. x;
+  t.sums.sumsq <- t.sums.sumsq +. (x *. x);
   t.sorted <- false
 
 let count t = t.size
 
-let mean t = if t.size = 0 then 0.0 else t.sum /. float_of_int t.size
+let mean t = if t.size = 0 then 0.0 else t.sums.sum /. float_of_int t.size
 
 let require_nonempty t name = if t.size = 0 then invalid_arg ("Stats." ^ name ^ ": empty")
 
@@ -49,8 +54,8 @@ let stddev t =
   if t.size < 2 then 0.0
   else
     let n = float_of_int t.size in
-    let m = t.sum /. n in
-    let v = (t.sumsq /. n) -. (m *. m) in
+    let m = t.sums.sum /. n in
+    let v = (t.sums.sumsq /. n) -. (m *. m) in
     if v <= 0.0 then 0.0 else sqrt v
 
 let percentile t p =

@@ -21,13 +21,13 @@ let make ?(config = default_config) ~cores ~chain engine ~output =
   let make_core i =
     ignore i;
     let nfs = chain () in
-    let service_ns (job : job) =
+    let service_ns (job : job) (cell : Nfp_sim.Server.cell) =
       let cycles =
         List.fold_left
           (fun acc (nf : Nfp_nf.Nf.t) -> acc + cost.rtc_call + nf.cost_cycles job.pkt)
           cost.ring_dequeue nfs
       in
-      Nfp_sim.Cost.ns_of_cycles cost cycles
+      cell.ns <- Nfp_sim.Cost.ns_of_cycles cost cycles
     in
     let execute (job : job) =
       let rec go = function
@@ -40,13 +40,13 @@ let make ?(config = default_config) ~cores ~chain engine ~output =
             | Nfp_nf.Nf.Dropped -> incr nf_drops)
       in
       go nfs;
-      fun () -> true
+      [||]
     in
     Nfp_sim.Server.create ~engine
       ~name:(Printf.sprintf "rtc#%d" i)
       ~ring_capacity:config.ring_capacity ~batch:cost.batch
       ~jitter:(config.jitter, Nfp_algo.Prng.split prng)
-      ~service_ns ~execute ()
+      ~service_ns ~execute ~emit:Nfp_sim.Server.call ()
   in
   let replicas = Array.init cores make_core in
   {

@@ -17,7 +17,7 @@ type job = { pid : int64; pkt : Packet.t; next_stage : int }
 (* Retry-until-delivered emission to one ring. The server retries a
    thunk only until it first returns [true], so no delivered-flag is
    needed. *)
-let emit_to core job () = Nfp_sim.Server.offer core job
+let emit_to core job = [| (fun () -> Nfp_sim.Server.offer core job) |]
 
 let make ?(config = default_config) ~nfs engine ~output =
   let cost = config.cost in
@@ -26,7 +26,7 @@ let make ?(config = default_config) ~nfs engine ~output =
   let ring_drops = ref 0 and nf_drops = ref 0 in
   let prng = Nfp_algo.Prng.create ~seed:config.seed in
   let jitter_for () = (config.jitter, Nfp_algo.Prng.split prng) in
-  let nf_cores : job Nfp_sim.Server.t option array = Array.make n None in
+  let nf_cores : (job, unit -> bool) Nfp_sim.Server.t option array = Array.make n None in
   let wire_delay = cost.wire_ns /. 2.0 in
   (* The ONVM manager runs an RX thread (NIC ingress: descriptor
      handling, flow-table lookup) and a TX thread (relaying references
@@ -34,15 +34,16 @@ let make ?(config = default_config) ~nfs engine ~output =
      relays are cheap pointer moves, but every hop is an extra queueing
      stop that NFP's distributed runtime avoids. *)
   let tx =
-    let service_ns (_ : job) =
-      Nfp_sim.Cost.ns_of_cycles cost
-        (cost.ring_dequeue + cost.switch_per_hop + cost.ring_enqueue)
+    let service_ns (_ : job) (cell : Nfp_sim.Server.cell) =
+      cell.ns <-
+        Nfp_sim.Cost.ns_of_cycles cost
+          (cost.ring_dequeue + cost.switch_per_hop + cost.ring_enqueue)
     in
     let execute (job : job) =
       if job.next_stage >= n then begin
         Nfp_sim.Engine.schedule engine ~delay:wire_delay (fun () ->
             output ~pid:job.pid job.pkt);
-        fun () -> true
+        [||]
       end
       else
         match nf_cores.(job.next_stage) with
@@ -50,11 +51,12 @@ let make ?(config = default_config) ~nfs engine ~output =
         | None -> assert false
     in
     Nfp_sim.Server.create ~engine ~name:"switch-tx" ~ring_capacity:config.ring_capacity
-      ~batch:cost.batch ~jitter:(jitter_for ()) ~service_ns ~execute ()
+      ~batch:cost.batch ~jitter:(jitter_for ()) ~service_ns ~execute
+      ~emit:Nfp_sim.Server.call ()
   in
   let rx =
-    let service_ns (_ : job) =
-      Nfp_sim.Cost.ns_of_cycles cost (cost.switch_forward + cost.ring_enqueue)
+    let service_ns (_ : job) (cell : Nfp_sim.Server.cell) =
+      cell.ns <- Nfp_sim.Cost.ns_of_cycles cost (cost.switch_forward + cost.ring_enqueue)
     in
     let execute (job : job) =
       match nf_cores.(0) with
@@ -62,25 +64,28 @@ let make ?(config = default_config) ~nfs engine ~output =
       | None -> emit_to tx job (* zero-length chain: straight to egress *)
     in
     Nfp_sim.Server.create ~engine ~name:"switch-rx" ~ring_capacity:config.ring_capacity
-      ~batch:cost.batch ~jitter:(jitter_for ()) ~service_ns ~execute ()
+      ~batch:cost.batch ~jitter:(jitter_for ()) ~service_ns ~execute
+      ~emit:Nfp_sim.Server.call ()
   in
   Array.iteri
     (fun i (nf : Nfp_nf.Nf.t) ->
-      let service_ns (job : job) =
-        Nfp_sim.Cost.ns_of_cycles cost
-          (cost.ring_dequeue + nf.cost_cycles job.pkt + cost.ring_enqueue)
+      let service_ns (job : job) (cell : Nfp_sim.Server.cell) =
+        cell.ns <-
+          Nfp_sim.Cost.ns_of_cycles cost
+            (cost.ring_dequeue + nf.cost_cycles job.pkt + cost.ring_enqueue)
       in
       let execute (job : job) =
         match nf.process job.pkt with
         | Nfp_nf.Nf.Forward -> emit_to tx { job with next_stage = i + 1 }
         | Nfp_nf.Nf.Dropped ->
             incr nf_drops;
-            fun () -> true
+            [||]
       in
       nf_cores.(i) <-
         Some
           (Nfp_sim.Server.create ~engine ~name:nf.name ~ring_capacity:config.ring_capacity
-             ~batch:cost.batch ~jitter:(jitter_for ()) ~service_ns ~execute ()))
+             ~batch:cost.batch ~jitter:(jitter_for ()) ~service_ns ~execute
+      ~emit:Nfp_sim.Server.call ()))
     nf_arr;
   {
     Nfp_sim.Harness.inject =

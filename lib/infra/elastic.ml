@@ -78,8 +78,8 @@ let steer ec ~replicas ~base =
 
 let owner st hash = st.st_map.(hash mod Array.length st.st_map)
 
-type slot = {
-  servers : Context.t Nfp_sim.Server.t array;
+type 'send slot = {
+  servers : (Context.t, 'send) Nfp_sim.Server.t array;
   nfs : Nfp_nf.Nf.t array;
   refresh : (unit -> unit) array;
   hash : Context.t -> int;
@@ -359,9 +359,16 @@ let create ~engine ?fault (ec : config) ~ring_capacity ~busy slots =
       end
     and tick () =
       if not !controller_down then Array.iter step slots;
+      (* A drain only counts as pending while its replica is alive: a
+         crashed draining replica cannot be a migration source, and
+         with nothing queued the watchdog has no reason to restart it,
+         so ticking for it would never end. The next [inject] kick
+         resumes the drain. *)
       let pending =
         Array.exists
-          (fun s -> s.steer.st_mig <> None || s.steer.st_draining >= 0)
+          (fun s ->
+            s.steer.st_mig <> None
+            || (s.steer.st_draining >= 0 && alive s s.steer.st_draining))
           slots
         || busy ()
       in

@@ -32,8 +32,8 @@ val owner : steer -> int -> int
 (** The replica that currently owns the bucket of a steering hash. *)
 
 (** One scalable NF slot, as the core built it. *)
-type slot = {
-  servers : Context.t Nfp_sim.Server.t array;
+type 'send slot = {
+  servers : (Context.t, 'send) Nfp_sim.Server.t array;
   nfs : Nfp_nf.Nf.t array;  (** per replica, for state extract/absorb *)
   refresh : (unit -> unit) array;
       (** per replica: re-seed its recovery cell after its state moved *)
@@ -69,7 +69,7 @@ val create :
   config ->
   ring_capacity:int ->
   busy:(unit -> bool) ->
-  slot list ->
+  'send slot list ->
   t
 (** A controller over [slots] ({!off} when there are none), idle until
     kicked. [busy ()] reports queued work anywhere in the system.

@@ -189,7 +189,7 @@ type core_stats = {
   queue : int;
 }
 
-let stats_of_server (type a) (s : a Nfp_sim.Server.t) =
+let stats_of_server (s : _ Nfp_sim.Server.t) =
   {
     core = Nfp_sim.Server.name s;
     busy_ns = Nfp_sim.Server.busy_ns s;
@@ -226,10 +226,6 @@ type replica_report = {
          replicas are identical by construction). *)
 }
 
-(* Shared no-op completion thunk: the common "nothing left to emit"
-   result costs no allocation. *)
-let const_true () = true
-
 (* ------------------------------------------------------------------ *)
 (* Interpretive path: walks the plan's tables per packet. Kept as the  *)
 (* executable reference semantics for the compiled fast path; the      *)
@@ -246,23 +242,6 @@ type delivery = {
 }
 
 type at_entry = { mutable received : int; mutable nil_from : Tables.deliverer list }
-
-(* A retryable emission: a mutable worklist of sends; each call pushes
-   as many as fit downstream and reports whether everything left. *)
-let emitter sends =
-  let remaining = ref sends in
-  fun () ->
-    let rec go () =
-      match !remaining with
-      | [] -> true
-      | send :: rest ->
-          if send () then begin
-            remaining := rest;
-            go ()
-          end
-          else false
-    in
-    go ()
 
 (* ------------------------------------------------------------------ *)
 (* Compiled path: the plan is translated once, at deployment time,     *)
@@ -618,15 +597,15 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
     ref []
   in
   let bypassed_packets = ref 0 and merge_timeouts = ref 0 in
-  let classifier, sampler, controller =
+  let classify_port, sampler, controller =
     match path with
     | `Interpretive ->
         (* ---------------- interpretive construction ---------------- *)
-        let nf_cores : (int * string, Context.t Nfp_sim.Server.t) Hashtbl.t =
+        let nf_cores : (int * string, (Context.t, unit -> bool) Nfp_sim.Server.t) Hashtbl.t =
           Hashtbl.create 16
         in
-        let merger_cores : delivery Nfp_sim.Server.t array ref = ref [||] in
-        let agent_core : delivery Nfp_sim.Server.t option ref = ref None in
+        let merger_cores : (delivery, unit -> bool) Nfp_sim.Server.t array ref = ref [||] in
+        let agent_core : (delivery, unit -> bool) Nfp_sim.Server.t option ref = ref None in
         let action_cost ctx actions =
           List.fold_left
             (fun acc -> function
@@ -681,25 +660,26 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                       targets)
               actions
           in
-          emitter sends
+          Array.of_list sends
         in
         (* One core per NF: the NF plus its runtime (paper §6: the runtime
            shares the CPU core with the NF). *)
         List.iter
           (fun (mid, (entry : Tables.nf_entry), (nf : Nfp_nf.Nf.t)) ->
-            let service_ns ctx =
+            let service_ns ctx (cell : Nfp_sim.Server.cell) =
               let nf_cycles =
                 match Context.get ctx entry.version with
                 | Some pkt -> nf.cost_cycles pkt
                 | None -> 0
               in
-              Nfp_sim.Cost.ns_of_cycles cost
-                (cost.ring_dequeue + cost.nf_runtime + nf_cycles
-               + action_cost ctx entry.actions)
+              cell.ns <-
+                Nfp_sim.Cost.ns_of_cycles cost
+                  (cost.ring_dequeue + cost.nf_runtime + nf_cycles
+                 + action_cost ctx entry.actions)
             in
             let execute ctx =
               match Context.get ctx entry.version with
-              | None -> const_true
+              | None -> [||]
               | Some pkt -> (
                   (* A crashing NF must not take the dataplane down: the
                      packet is treated as dropped (with a nil where a merger
@@ -718,8 +698,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                   | Nfp_nf.Nf.Dropped -> (
                       match entry.nil_target with
                       | Some id ->
-                          emitter
-                            [
+                          [|
                               send_to_merge
                                 {
                                   ctx;
@@ -728,16 +707,16 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                                   version = entry.version;
                                   nil = true;
                                 };
-                            ]
+                          |]
                       | None ->
                           incr nf_drops;
-                          const_true))
+                          [||]))
             in
             let core =
               Nfp_sim.Server.create ~engine
                 ~name:(Printf.sprintf "mid%d:%s" mid entry.nf)
                 ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns
-                ~jitter:(jitter_for ()) ~service_ns ~execute ()
+                ~jitter:(jitter_for ()) ~service_ns ~execute ~emit:Nfp_sim.Server.call ()
             in
             replica_layout :=
               (mid, entry, [| nf |], [| (fun () -> Nfp_sim.Server.processed core) |])
@@ -761,14 +740,15 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                 || match deliverer with Tables.D_nf n -> List.mem n e.members | _ -> false)
               spec.Tables.expected
           in
-          let service_ns (d : delivery) =
+          let service_ns (d : delivery) (cell : Nfp_sim.Server.cell) =
             let spec = spec_of (Context.mid d.ctx) d.merge_id in
             let branches = List.length spec.expected in
             let completion =
               (List.length spec.ops * cost.merge_op) + action_cost d.ctx spec.next
             in
-            Nfp_sim.Cost.ns_of_cycles cost
-              (cost.ring_dequeue + cost.merge_delivery + (completion / max 1 branches))
+            cell.ns <-
+              Nfp_sim.Cost.ns_of_cycles cost
+                (cost.ring_dequeue + cost.merge_delivery + (completion / max 1 branches))
           in
           let execute (d : delivery) =
             let mid = Context.mid d.ctx in
@@ -784,7 +764,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
             in
             entry.received <- entry.received + 1;
             if d.nil then entry.nil_from <- d.deliverer :: entry.nil_from;
-            if entry.received < List.length spec.expected then const_true
+            if entry.received < List.length spec.expected then [||]
             else begin
               Hashtbl.remove at key;
               let nil_branches =
@@ -823,7 +803,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                     spec.next
                 in
                 if nil_sends = [] then incr nf_drops;
-                emitter nil_sends
+                Array.of_list nil_sends
               end
               else begin
                 (* Versions from branches that dropped under a priority policy
@@ -843,30 +823,32 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           Nfp_sim.Server.create ~engine
             ~name:(Printf.sprintf "merger#%d" index)
             ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns ~jitter:(jitter_for ())
-            ~service_ns ~execute ()
+            ~service_ns ~execute ~emit:Nfp_sim.Server.call ()
         in
         merger_cores := Array.init (max 1 config.mergers) make_merger;
         (* The merger agent: hash the immutable PID, steer to an instance. *)
         if config.mergers > 1 then begin
           let instances = !merger_cores in
-          let service_ns _ =
-            Nfp_sim.Cost.ns_of_cycles cost
-              (cost.ring_dequeue + cost.merger_agent + cost.ring_enqueue)
+          let service_ns _ (cell : Nfp_sim.Server.cell) =
+            cell.ns <-
+              Nfp_sim.Cost.ns_of_cycles cost
+                (cost.ring_dequeue + cost.merger_agent + cost.ring_enqueue)
           in
           let execute (d : delivery) =
             let i = slot_of_pid (Context.pid d.ctx) (Array.length instances) in
-            emitter [ (fun () -> Nfp_sim.Server.offer instances.(i) d) ]
+            [| (fun () -> Nfp_sim.Server.offer instances.(i) d) |]
           in
           agent_core :=
             Some
               (Nfp_sim.Server.create ~engine ~name:"merger-agent"
                  ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns
-                 ~jitter:(jitter_for ()) ~service_ns ~execute ())
+                 ~jitter:(jitter_for ()) ~service_ns ~execute ~emit:Nfp_sim.Server.call ())
         end;
         let classifier =
-          let service_ns (ctx : Context.t) =
+          let service_ns (ctx : Context.t) (cell : Nfp_sim.Server.cell) =
             let actions = (plan_of_mid (Context.mid ctx)).classifier_actions in
-            Nfp_sim.Cost.ns_of_cycles cost (cost.classifier + action_cost ctx actions)
+            cell.ns <-
+              Nfp_sim.Cost.ns_of_cycles cost (cost.classifier + action_cost ctx actions)
           in
           let execute ctx =
             emission_of_actions ~self:(Tables.D_nf "classifier") ctx
@@ -874,20 +856,20 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           in
           Nfp_sim.Server.create ~engine ~name:"classifier"
             ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns ~jitter:(jitter_for ())
-            ~service_ns ~execute ()
+            ~service_ns ~execute ~emit:Nfp_sim.Server.call ()
         in
         let sampler =
           sampler_of classifier
             (Hashtbl.fold (fun _ core acc -> core :: acc) nf_cores [])
             !merger_cores !agent_core
         in
-        (classifier, sampler, Elastic.off)
+        (Nfp_sim.Server.offer classifier, sampler, Elastic.off)
     | `Compiled ->
         (* ----------------- compiled construction ------------------- *)
         (* One server array per NF slot: index 0 is the historical
            single instance, further indices are RSS shards added by the
            replicas knob for strategy-eligible NFs. *)
-        let nf_servers : Context.t Nfp_sim.Server.t array array ref = ref [||] in
+        let nf_servers : (Context.t, csend) Nfp_sim.Server.t array array ref = ref [||] in
         (* Bypass state, per slot and replica: a [true] cell routes
            around that replica — its packets skip processing but still
            execute the slot's compiled action program (kept in
@@ -927,8 +909,8 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
               in
               Nfp_algo.Hashing.rss2_int a b
         in
-        let merger_cores : cdelivery Nfp_sim.Server.t array ref = ref [||] in
-        let agent_core : cdelivery Nfp_sim.Server.t option ref = ref None in
+        let merger_cores : (cdelivery, csend) Nfp_sim.Server.t array ref = ref [||] in
+        let agent_core : (cdelivery, unit) Nfp_sim.Server.t option ref = ref None in
         (* Where merge deliveries enter: the merger agent's port, or the
            PID-hashed merger instance's; set once the mergers exist. *)
         let merge_port : (cdelivery -> bool) ref = ref (fun _ -> false) in
@@ -1082,44 +1064,29 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                            spec.next))
               arr)
           cmerge_table;
-        (* Runtime: walk a compiled send array with a cursor; the cursor
-           survives backpressure retries, so each target is offered in
-           order exactly once. *)
-        let rec exec_sends sends ctx =
-          let n = Array.length sends in
-          if n = 0 then const_true
-          else begin
-            let cursor = ref 0 in
-            fun () ->
-              let rec go i =
-                if i >= n then true
-                else
-                  let ok =
-                    match sends.(i) with
-                    | S_nf slot -> route_nf !nf_ports slot ctx
-                    | S_merge { merge; branch; nil } ->
-                        !merge_port
-                          { d_ctx = ctx; d_merge = merge; d_branch = branch; d_nil = nil }
-                    | S_deliver v -> (
-                        match Context.get ctx v with
-                        | None -> true
-                        | Some pkt -> deliver_port v (Context.pid ctx) pkt)
-                  in
-                  if ok then go (i + 1)
-                  else begin
-                    cursor := i;
-                    false
-                  end
-              in
-              go !cursor
-          end
+        (* Runtime: one attempt at one compiled send. A core walks a
+           program's send array with its own cursor, which survives
+           backpressure retries, so each target is offered in order
+           exactly once. *)
+        let rec emit_send ctx send =
+          match send with
+          | S_nf slot -> route_nf !nf_ports slot ctx
+          | S_merge { merge; branch; nil } ->
+              !merge_port { d_ctx = ctx; d_merge = merge; d_branch = branch; d_nil = nil }
+          | S_deliver v -> (
+              match Context.get ctx v with
+              | None -> true
+              | Some pkt -> deliver_port v (Context.pid ctx) pkt)
+        (* Run a program's copies; its sends are left to the caller. *)
         and exec_prog prog ctx =
           let copies = prog.p_copies in
           for i = 0 to Array.length copies - 1 do
             let c = copies.(i) in
             ignore (Context.copy ctx ~src:c.c_src ~dst:c.c_dst ~full:c.c_full)
           done;
-          exec_sends prog.p_sends ctx
+          prog.p_sends
+        (* A send array as a retryable thunk, for emissions no core owns. *)
+        and emission ctx sends = Nfp_sim.Server.emission emit_send ctx sends
         (* The one routing rule into NF slot [slot], over [ports]: the
            send site uses the replicas' ports, a channel releasing a
            buffered packet their rings — so a packet parked on a link
@@ -1147,7 +1114,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           else reps.(r) ctx
         and bypass slot ctx =
           incr bypassed_packets;
-          drive (exec_prog !nf_cprogs.(slot) ctx)
+          drive (emission ctx (exec_prog !nf_cprogs.(slot) ctx))
         in
         let dyn_cycles prog ctx =
           let srcs = prog.p_full_srcs in
@@ -1297,7 +1264,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
               let deg = if degrade_on then nf.Nfp_nf.Nf.degrade else None in
               let self_pressured = ref (fun () -> false) in
               let deg_active = ref false in
-              let service_ns ctx =
+              let service_ns ctx (cell : Nfp_sim.Server.cell) =
                 let nf_cycles =
                   match Context.get ctx entry.version with
                   | Some pkt -> (
@@ -1306,11 +1273,12 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                       | _ -> nf.cost_cycles pkt)
                   | None -> 0
                 in
-                Nfp_sim.Cost.ns_of_cycles cost (static + nf_cycles + dyn_cycles prog ctx)
+                cell.ns <-
+                  Nfp_sim.Cost.ns_of_cycles cost (static + nf_cycles + dyn_cycles prog ctx)
               in
               let execute ctx =
                 match Context.get ctx entry.version with
-                | None -> const_true
+                | None -> [||]
                 | Some pkt -> (
                     log_packet pkt;
                     let degrade_mode =
@@ -1340,11 +1308,8 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                     match verdict with
                     | Nfp_nf.Nf.Forward -> exec_prog prog ctx
                     | Nfp_nf.Nf.Dropped ->
-                        if Array.length nil_sends > 0 then exec_sends nil_sends ctx
-                        else begin
-                          incr nf_drops;
-                          const_true
-                        end)
+                        if Array.length nil_sends = 0 then incr nf_drops;
+                        nil_sends)
               in
               (* Replica 0 keeps the historical core name; shards get an
                  @r suffix, so fault plans can target (and crash) each
@@ -1356,7 +1321,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
               let server =
                 Nfp_sim.Server.create ~engine ~name ~ring_capacity:config.ring_capacity
                   ~batch ~burst_saving_ns ~jitter ?watermarks:wm
-                  ?fault:(fault_for name) ~service_ns ~execute ()
+                  ?fault:(fault_for name) ~service_ns ~execute ~emit:emit_send ()
               in
               self_pressured := (fun () -> Nfp_sim.Server.pressured server);
               charge := Nfp_sim.Server.charge server;
@@ -1445,7 +1410,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                 (fun srv ->
                   channel_for ~name:(Nfp_sim.Server.name srv)
                     ~deliver:(route_nf nf_offers slot)
-                    ~reroute:(fun ctx -> drive (exec_prog !nf_cprogs.(slot) ctx)))
+                    ~reroute:(fun ctx -> drive (emission ctx (exec_prog !nf_cprogs.(slot) ctx))))
                 reps)
             !nf_servers
         in
@@ -1502,12 +1467,10 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           let dropped =
             if m.m_drop_any then nil_mask <> 0 else nil_mask land (1 lsl m.m_winner) <> 0
           in
-          if dropped then
-            if Array.length m.m_nil_sends = 0 then begin
-              incr nf_drops;
-              const_true
-            end
-            else exec_sends m.m_nil_sends ctx
+          if dropped then begin
+            if Array.length m.m_nil_sends = 0 then incr nf_drops;
+            m.m_nil_sends
+          end
           else begin
             (if skip_mask = 0 then
                let get v = Context.get ctx v in
@@ -1543,19 +1506,20 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
              complete twice within the bounded dedup window. *)
           let done_tbl : (int * int * int64) Dedup.t = Dedup.create dedup_capacity in
           merger_dedups := done_tbl :: !merger_dedups;
-          let service_ns (d : cdelivery) =
+          let service_ns (d : cdelivery) (cell : Nfp_sim.Server.cell) =
             let m = d.d_merge in
-            Nfp_sim.Cost.ns_of_cycles cost
-              (cost.ring_dequeue + cost.merge_delivery
-              + ((m.m_completion_static + dyn_cycles m.m_next d.d_ctx) / max 1 m.m_expected)
-              )
+            cell.ns <-
+              Nfp_sim.Cost.ns_of_cycles cost
+                (cost.ring_dequeue + cost.merge_delivery
+                + ((m.m_completion_static + dyn_cycles m.m_next d.d_ctx) / max 1 m.m_expected)
+                )
           in
           let execute (d : cdelivery) =
             let m = d.d_merge in
             let key = (m.m_mid, m.m_id, Context.pid d.d_ctx) in
             if dedup_on && Dedup.mem done_tbl key then begin
               incr deduped;
-              const_true
+              [||]
             end
             else begin
               let entry =
@@ -1579,8 +1543,9 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                                 ((1 lsl m.m_expected) - 1) land lnot e.c_arrived_mask
                               in
                               drive
-                                (complete m d.d_ctx ~nil_mask:e.c_nil_mask
-                                   ~skip_mask:(e.c_nil_mask lor missing))
+                                (emission d.d_ctx
+                                   (complete m d.d_ctx ~nil_mask:e.c_nil_mask
+                                      ~skip_mask:(e.c_nil_mask lor missing)))
                           | _ -> ());
                     e
               in
@@ -1589,7 +1554,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                 entry.c_arrived_mask <- entry.c_arrived_mask lor (1 lsl d.d_branch);
               if d.d_nil && d.d_branch >= 0 then
                 entry.c_nil_mask <- entry.c_nil_mask lor (1 lsl d.d_branch);
-              if entry.c_received < m.m_expected then const_true
+              if entry.c_received < m.m_expected then [||]
               else begin
                 Hashtbl.remove at key;
                 if dedup_on then Dedup.add done_tbl key;
@@ -1601,7 +1566,9 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           let server =
             Nfp_sim.Server.create ~engine ~name ~ring_capacity:config.ring_capacity
               ~batch ~burst_saving_ns ~jitter:(jitter_for ()) ?watermarks:wm
-              ?fault:(fault_for name) ~service_ns ~execute ()
+              ?fault:(fault_for name) ~service_ns ~execute
+              ~emit:(fun (d : cdelivery) send -> emit_send d.d_ctx send)
+              ()
           in
           register_probe server;
           server
@@ -1612,21 +1579,23 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           (fun (d : cdelivery) ->
             merger_ports.(slot_of_pid (Context.pid d.d_ctx) (Array.length merger_ports)) d);
         if config.mergers > 1 then begin
-          let service_ns _ =
+          let agent_ns =
             Nfp_sim.Cost.ns_of_cycles cost
               (cost.ring_dequeue + cost.merger_agent + cost.ring_enqueue)
           in
-          let execute (d : cdelivery) =
-            let port =
-              merger_ports.(slot_of_pid (Context.pid d.d_ctx) (Array.length merger_ports))
-            in
-            emitter [ (fun () -> port d) ]
-          in
+          let service_ns _ (cell : Nfp_sim.Server.cell) = cell.ns <- agent_ns in
+          (* The agent's one send per job is the hop to the PID's merger
+             instance; there is nothing to say about it but "go". *)
+          let hop = [| () |] in
           let agent =
             Nfp_sim.Server.create ~engine ~name:"merger-agent"
               ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns
               ~jitter:(jitter_for ()) ?watermarks:wm ?fault:(fault_for "merger-agent")
-              ~service_ns ~execute ()
+              ~service_ns
+              ~execute:(fun _ -> hop)
+              ~emit:(fun (d : cdelivery) () ->
+                merger_ports.(slot_of_pid (Context.pid d.d_ctx) (Array.length merger_ports)) d)
+              ()
           in
           register_probe agent;
           merge_port := server_port agent;
@@ -1638,17 +1607,18 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                 (plan_of_mid (i + 1)).classifier_actions)
         in
         let classifier =
-          let service_ns (ctx : Context.t) =
+          let service_ns (ctx : Context.t) (cell : Nfp_sim.Server.cell) =
             let prog = classifier_progs.(Context.mid ctx - 1) in
-            Nfp_sim.Cost.ns_of_cycles cost
-              (cost.classifier + prog.p_static + dyn_cycles prog ctx)
+            cell.ns <-
+              Nfp_sim.Cost.ns_of_cycles cost
+                (cost.classifier + prog.p_static + dyn_cycles prog ctx)
           in
           let execute ctx = exec_prog classifier_progs.(Context.mid ctx - 1) ctx in
           let clf =
             Nfp_sim.Server.create ~engine ~name:"classifier"
               ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns
               ~jitter:(jitter_for ()) ?watermarks:wm ?fault:(fault_for "classifier")
-              ~service_ns ~execute ()
+              ~service_ns ~execute ~emit:emit_send ()
           in
           register_probe clf;
           clf
@@ -1658,7 +1628,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
             (List.concat_map Array.to_list servers)
             !merger_cores !agent_core
         in
-        (classifier, sampler, controller)
+        (Nfp_sim.Server.offer classifier, sampler, controller)
   in
   (* Classifier front end: CT match, metadata tagging, first-hop actions.
      Unmatched packets are discarded (no service graph owns them) and
@@ -1764,12 +1734,19 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
               | [] -> None
               | (name, (nf : Nfp_nf.Nf.t)) :: rest ->
                   let next = build rest in
-                  let service_ns ((_, pkt) : int64 * Packet.t) =
-                    Nfp_sim.Cost.ns_of_cycles cost
-                      (cost.ring_dequeue + cost.nf_runtime + nf.cost_cycles pkt
-                     + cost.ring_enqueue)
+                  let service_ns ((_, pkt) : int64 * Packet.t) (cell : Nfp_sim.Server.cell) =
+                    cell.ns <-
+                      Nfp_sim.Cost.ns_of_cycles cost
+                        (cost.ring_dequeue + cost.nf_runtime + nf.cost_cycles pkt
+                       + cost.ring_enqueue)
                   in
-                  let execute ((pid, pkt) as job) =
+                  (* A twin's one send per forwarded job is the hop to
+                     the next twin core. *)
+                  let hop = [| () |] in
+                  let emit job () =
+                    match next with Some core -> Nfp_sim.Server.offer core job | None -> true
+                  in
+                  let execute (pid, pkt) =
                     let verdict =
                       try nf.process pkt
                       with exn ->
@@ -1781,20 +1758,20 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                     match verdict with
                     | Nfp_nf.Nf.Forward -> (
                         match next with
-                        | Some core -> fun () -> Nfp_sim.Server.offer core job
+                        | Some _ -> hop
                         | None ->
                             deliver_out ~version:1 ~pid pkt;
-                            const_true)
+                            [||])
                     | Nfp_nf.Nf.Dropped ->
                         incr nf_drops;
-                        const_true
+                        [||]
                   in
                   let cname = Printf.sprintf "seq:mid%d:%s" mid name in
                   let core =
                     Nfp_sim.Server.create ~engine ~name:cname
                       ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns
                       ~jitter:(config.jitter, Nfp_algo.Prng.split twin_prng)
-                      ?watermarks:wm ?fault:(fault_for cname) ~service_ns ~execute ()
+                      ?watermarks:wm ?fault:(fault_for cname) ~service_ns ~execute ~emit ()
                   in
                   register_probe core;
                   Some core
@@ -1960,7 +1937,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
               | None -> deliver_out ~version:1 ~pid pkt)
             else
               let ctx = Context.create ~pid ~mid pkt in
-              if not (Nfp_sim.Server.offer classifier ctx) then incr ring_drops));
+              if not (classify_port ctx) then incr ring_drops));
     ring_drops = (fun () -> !ring_drops);
     nf_drops = (fun () -> !nf_drops);
     unmatched = (fun () -> !unmatched);

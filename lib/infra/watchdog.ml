@@ -35,7 +35,7 @@ let default =
 
 type probe =
   | Probe : {
-      server : 'job Nfp_sim.Server.t;
+      server : ('job, 'send) Nfp_sim.Server.t;
       nf : (int * string) option;
       drain : unit -> int;
       checkpoint : unit -> unit;

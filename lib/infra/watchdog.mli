@@ -29,7 +29,7 @@ val default : config
     what only the core's builder knows. *)
 type probe =
   | Probe : {
-      server : 'job Nfp_sim.Server.t;
+      server : ('job, 'send) Nfp_sim.Server.t;
       nf : (int * string) option;  (** mid, NF instance name; [None] = infrastructure *)
       drain : unit -> int;
           (** Bypass: reroute the core's backlog and casualties around it;

@@ -38,22 +38,25 @@ let state_access =
 let create ?(name = "fwd") ?(routes = 1000) () =
   let table = build_table routes in
   let forwarded = ref 0 and no_route = ref 0 in
-  let last : int option ref = ref None in
+  (* The last next hop, -1 before the first packet: an immediate int,
+     so recording it allocates nothing. *)
+  let last = ref (-1) in
+  let last_opt () = if !last < 0 then None else Some !last in
   let process pkt =
-    (match Nfp_algo.Lpm.lookup table (Packet.dip pkt) with
-    | Some hop -> last := Some hop
+    (match Nfp_algo.Lpm.lookup_int table (Packet.dip_int pkt) with
+    | Some hop -> last := hop
     | None ->
         incr no_route;
-        last := Some 0);
+        last := 0);
     incr forwarded;
     Nf.Forward
   in
-  let snapshot () = State (!forwarded, !no_route, !last) in
+  let snapshot () = State (!forwarded, !no_route, last_opt ()) in
   let restore = function
     | State (f, n, l) ->
         forwarded := f;
         no_route := n;
-        last := l
+        last := Option.value l ~default:(-1)
     | _ -> invalid_arg "L3_forwarder.restore: foreign state"
   in
   ( Nf.make ~name ~kind:"Forwarder"
@@ -61,10 +64,10 @@ let create ?(name = "fwd") ?(routes = 1000) () =
       ~cost_cycles:(fun _ -> 110)
       ~state_digest:(fun () ->
         Nfp_algo.Hashing.combine !forwarded
-          (Nfp_algo.Hashing.combine !no_route (match !last with Some h -> h + 1 | None -> 0)))
+          (Nfp_algo.Hashing.combine !no_route (!last + 1)))
       ~snapshot ~restore ~state_access process,
     {
       forwarded = (fun () -> !forwarded);
       no_route = (fun () -> !no_route);
-      last_next_hop = (fun () -> !last);
+      last_next_hop = last_opt;
     } )

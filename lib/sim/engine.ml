@@ -1,44 +1,149 @@
-(* The clock lives in a single-field all-float record: OCaml stores
-   such records flat, so advancing time is a plain store. As a mutable
-   float field of the mixed record below it would box a fresh float on
-   every event — the simulator's single hottest write. *)
-type clock = { mutable ns : float }
+(* The clock lives in an all-float record: OCaml stores such records
+   flat, so advancing time is a plain store. As a mutable float field of
+   the mixed record below it would box a fresh float on every event —
+   the simulator's single hottest write. [key] carries the time of the
+   element a heap sift is placing, for the same reason: a float argument
+   of a recursive function is boxed on every call. *)
+type clock = { mutable ns : float; mutable key : float }
 
+(* The event queue: a binary min-heap on (time, seq) with the keys in
+   parallel unboxed arrays, so ordering never goes through a closure or
+   a boxed comparison, and hole-bubbling sifts that move one element per
+   level instead of swapping. *)
 type t = {
-  queue : (unit -> unit) Nfp_algo.Heap.Timed.t;
   clock : clock;
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable actions : (unit -> unit) array;
+  mutable size : int;
   mutable next_seq : int;
+  mutable firing : int;
 }
 
-let create () = { queue = Nfp_algo.Heap.Timed.create (); clock = { ns = 0.0 }; next_seq = 0 }
+let nop () = ()
+
+let create () =
+  {
+    clock = { ns = 0.0; key = 0.0 };
+    times = [||];
+    seqs = [||];
+    actions = [||];
+    size = 0;
+    next_seq = 0;
+    firing = -1;
+  }
 
 let now t = t.clock.ns
 
-let schedule_at t time action =
-  if time < t.clock.ns then invalid_arg "Engine.schedule_at: time is in the past";
-  Nfp_algo.Heap.Timed.push t.queue ~time ~seq:t.next_seq action;
-  t.next_seq <- t.next_seq + 1
+let firing t = t.firing
 
-let schedule t ~delay action =
+let pending t = t.size
+
+let grow t =
+  let capacity = Array.length t.actions in
+  let capacity' = if capacity = 0 then 64 else capacity * 2 in
+  let times' = Array.make capacity' 0.0 in
+  let seqs' = Array.make capacity' 0 in
+  let actions' = Array.make capacity' nop in
+  Array.blit t.times 0 times' 0 t.size;
+  Array.blit t.seqs 0 seqs' 0 t.size;
+  Array.blit t.actions 0 actions' 0 t.size;
+  t.times <- times';
+  t.seqs <- seqs';
+  t.actions <- actions'
+
+let place t i seq action =
+  t.times.(i) <- t.clock.key;
+  t.seqs.(i) <- seq;
+  t.actions.(i) <- action
+
+(* Bubble the hole at [i] up to where (clock.key, seq) belongs. *)
+let rec sift_up t i seq action =
+  if i = 0 then place t i seq action
+  else begin
+    let parent = (i - 1) / 2 in
+    let tp = t.times.(parent) and time = t.clock.key in
+    if time < tp || (time = tp && seq < t.seqs.(parent)) then begin
+      t.times.(i) <- tp;
+      t.seqs.(i) <- t.seqs.(parent);
+      t.actions.(i) <- t.actions.(parent);
+      sift_up t parent seq action
+    end
+    else place t i seq action
+  end
+
+(* Bubble the hole at [i] down to where (clock.key, seq) belongs. *)
+let rec sift_down t i seq action =
+  let left = (2 * i) + 1 in
+  if left >= t.size then place t i seq action
+  else begin
+    let right = left + 1 in
+    let child =
+      if right < t.size then begin
+        let tl = t.times.(left) and tr = t.times.(right) in
+        if tr < tl || (tr = tl && t.seqs.(right) < t.seqs.(left)) then right else left
+      end
+      else left
+    in
+    let tc = t.times.(child) and time = t.clock.key in
+    if tc < time || (tc = time && t.seqs.(child) < seq) then begin
+      t.times.(i) <- tc;
+      t.seqs.(i) <- t.seqs.(child);
+      t.actions.(i) <- t.actions.(child);
+      sift_down t child seq action
+    end
+    else place t i seq action
+  end
+
+let arm_at t time action =
+  if time < t.clock.ns then invalid_arg "Engine.schedule_at: time is in the past";
+  if t.size = Array.length t.actions then grow t;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  let i = t.size in
+  t.size <- i + 1;
+  t.clock.key <- time;
+  sift_up t i seq action;
+  seq
+
+let schedule_at t time action = ignore (arm_at t time action)
+
+let arm t ~delay action =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  schedule_at t (t.clock.ns +. delay) action
+  arm_at t (t.clock.ns +. delay) action
+
+let schedule t ~delay action = ignore (arm t ~delay action)
+
+(* Remove the minimum and return its action; its time and seq are read
+   by the caller beforehand. The vacated tail slot keeps referencing the
+   element that moved, which stays live in the heap, so the popped
+   action itself is not retained. *)
+let pop t =
+  let top = t.actions.(0) in
+  let last = t.size - 1 in
+  t.size <- last;
+  if last > 0 then begin
+    t.clock.key <- t.times.(last);
+    sift_down t 0 t.seqs.(last) t.actions.(last)
+  end;
+  top
 
 let run ?until ?(max_events = max_int) t =
   let deadline = match until with Some u -> u | None -> infinity in
-  let queue = t.queue in
   let clock = t.clock in
   let rec go remaining =
-    if remaining > 0 && not (Nfp_algo.Heap.Timed.is_empty queue) then begin
-      let time = Nfp_algo.Heap.Timed.min_time queue in
+    if remaining > 0 && t.size > 0 then begin
+      let time = t.times.(0) in
       if time > deadline then clock.ns <- deadline
       else begin
-        let action = Nfp_algo.Heap.Timed.pop_exn queue in
+        let seq = t.seqs.(0) in
+        let action = pop t in
         clock.ns <- time;
+        t.firing <- seq;
         action ();
+        t.firing <- -1;
         go (remaining - 1)
       end
     end
   in
   go max_events
-
-let pending t = Nfp_algo.Heap.Timed.length t.queue

@@ -257,31 +257,33 @@ let run ~make ~gen ~arrivals ~packets ?warmup ?(seed = 42L) ?stop () =
   in
   let system = make engine ~output in
   let prng = Nfp_algo.Prng.create ~seed in
-  let interval_ns i =
-    match arrivals with
-    | Uniform mpps ->
-        ignore i;
-        1000.0 /. mpps
-    | Poisson mpps -> Nfp_algo.Prng.exponential prng ~mean:(1000.0 /. mpps)
-    | Burst (mpps, k) ->
-        (* k packets back to back, then a gap keeping the mean rate. *)
-        if (i + 1) mod k = 0 then float_of_int k *. 1000.0 /. mpps else 0.0
-    | Surge s ->
-        ignore i;
-        (* The plan's rate is re-sampled at every arrival, so steps,
-           spikes and ramps reshape the interarrival gaps as simulated
-           time advances. *)
-        1000.0 /. Fault.surge_rate s ~now_ns:(Engine.now engine)
-  in
-  let rec arrive i =
+  (* One arrival event, allocated once and rescheduled per packet; the
+     interarrival gap is computed in place, so it reaches the engine
+     unboxed. *)
+  let next = ref 0 in
+  let rec arrive () =
+    let i = !next in
     if i < packets then begin
-      let pid = Int64.of_int i in
+      next := i + 1;
       ingress.(i) <- Engine.now engine;
-      system.inject ~pid (gen i);
-      Engine.schedule engine ~delay:(interval_ns i) (fun () -> arrive (i + 1))
+      system.inject ~pid:(Int64.of_int i) (gen i);
+      let delay =
+        match arrivals with
+        | Uniform mpps -> 1000.0 /. mpps
+        | Poisson mpps -> Nfp_algo.Prng.exponential prng ~mean:(1000.0 /. mpps)
+        | Burst (mpps, k) ->
+            (* k packets back to back, then a gap keeping the mean rate. *)
+            if (i + 1) mod k = 0 then float_of_int k *. 1000.0 /. mpps else 0.0
+        | Surge s ->
+            (* The plan's rate is re-sampled at every arrival, so steps,
+               spikes and ramps reshape the interarrival gaps as
+               simulated time advances. *)
+            1000.0 /. Fault.surge_rate s ~now_ns:(Engine.now engine)
+      in
+      Engine.schedule engine ~delay arrive
     end
   in
-  Engine.schedule engine ~delay:0.0 (fun () -> arrive 0);
+  Engine.schedule engine ~delay:0.0 arrive;
   (match stop with
   | None -> Engine.run engine
   | Some f ->

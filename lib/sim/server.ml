@@ -14,9 +14,13 @@ type fstate = {
      behaves bit-for-bit as before the fault subsystem existed. *)
   mutable slow : float;
   mutable drop_p : float;
+  (* The breath being charged: running sum of its jobs' service. *)
+  mutable finish : float;
 }
 
-type 'job t = {
+type cell = { mutable ns : float }
+
+type ('job, 'send) t = {
   engine : Engine.t;
   name : string;
   ring : 'job Nfp_algo.Ring.t;
@@ -31,8 +35,10 @@ type 'job t = {
   burst_saving_ns : float;
   jitter : (float * Nfp_algo.Prng.t) option;
   retry_ns : float;
-  service_ns : 'job -> float;
-  execute : 'job -> unit -> bool;
+  service_ns : 'job -> cell -> unit;
+  service : cell;
+  execute : 'job -> 'send array;
+  emit : 'job -> 'send -> bool;
   f : fstate;
   mutable busy : bool;
   mutable processed : int;
@@ -45,27 +51,33 @@ type 'job t = {
      quiesced core from a dead one. *)
   mutable paused : bool;
   mutable fault_prng : Nfp_algo.Prng.t option;
-  (* [epoch] invalidates in-flight breaths: a crash or hang bumps it,
-     and a breath-completion or flush-retry event whose captured epoch
-     no longer matches becomes a no-op — [interrupt] has already
-     reclaimed the casualties synchronously (see below). *)
-  mutable epoch : int;
+  (* The core's two wake-ups — breath completion and flush retry — are
+     callbacks allocated once, at [create]. [armed] is the engine
+     sequence number of the one this core is waiting for (-1: none); a
+     firing with any other number is stale — an interrupt or pause
+     gave it up and reclaimed its work synchronously (see below) — and
+     does nothing. *)
+  mutable armed : int;
+  mutable complete : unit -> unit;
+  mutable retry : unit -> unit;
   mutable crashes : int;
   mutable fault_drops : int;
   mutable flushed : int;
   (* Breath scratch, reused across breaths so the steady state
      allocates nothing per packet. [jobs.(0 .. n_inflight-1)] mirrors
      the burst the core is currently serving (allocated lazily at the
-     first breath, Ring-style, because ['job] has no default value);
-     [emits.(emit_cursor .. n_emits-1)] mirrors the emission thunks a
-     flush still owes downstream. Consumed slots keep a stale reference
-     until the next breath overwrites them — bounded by [batch], same
-     retention policy as the flat [Ring]. *)
+     first breath, Ring-style, because ['job] has no default value).
+     After execution, job [i]'s sends are [sends.(i)]; the flush owes
+     downstream sends [send_cursor ..] of job [emit_cursor], then all
+     of jobs [emit_cursor + 1 .. n_emits - 1]. Consumed slots keep a
+     stale reference until the next breath overwrites them — bounded by
+     [batch], same retention policy as the flat [Ring]. *)
   mutable jobs : 'job array;
   mutable n_inflight : int;
-  emits : (unit -> bool) array;
+  sends : 'send array array;
   mutable n_emits : int;
   mutable emit_cursor : int;
+  mutable send_cursor : int;
   (* Casualty bookkeeping (cold path, plain lists). [interrupt] moves
      the in-flight breath into [limbo] (jobs dequeued but never
      executed) and the pending emissions into [orphans] (jobs executed
@@ -82,19 +94,25 @@ type 'job t = {
   mutable pump_armed : bool;
 }
 
-let jittered t base =
+let call _ send = send ()
+
+(* Charge one job to the breath in [f.finish]: its service time, less
+   the burst saving for a follower (floored at zero), jittered, scaled
+   by any slowdown. *)
+let charge_job t job ~follower =
+  t.service_ns job t.service;
+  let base =
+    if follower then Float.max 0.0 (t.service.ns -. t.burst_saving_ns) else t.service.ns
+  in
   let base =
     match t.jitter with
     | None -> base
     | Some (frac, prng) ->
-        let f = 1.0 +. (frac *. ((2.0 *. Nfp_algo.Prng.float prng) -. 1.0)) in
-        base *. f
+        base *. (1.0 +. (frac *. ((2.0 *. Nfp_algo.Prng.float prng) -. 1.0)))
   in
   (* *. 1.0 is bitwise identity, so the multiply is free of behavioral
      change when no slowdown fault is installed. *)
-  base *. t.f.slow
-
-let always () = true
+  t.f.finish <- t.f.finish +. (base *. t.f.slow)
 
 (* A drop fault makes the job vanish between dequeue and execution (a
    corrupted ring slot); the server still "processes" it — progress
@@ -103,7 +121,7 @@ let run_job t job =
   match t.fault_prng with
   | Some prng when t.f.drop_p > 0.0 && Nfp_algo.Prng.float prng < t.f.drop_p ->
       t.fault_drops <- t.fault_drops + 1;
-      always
+      [||]
   | _ -> t.execute job
 
 let stash t jobs emits =
@@ -119,29 +137,44 @@ let stash t jobs emits =
 
 let has_work t = t.limbo <> [] || not (Nfp_algo.Ring.is_empty t.ring)
 
-(* Emit the breath's thunks in order; stall and retry on backpressure.
-   [emits.(emit_cursor ..)] shadows the worklist so an interrupt can
-   reclaim it. *)
+(* Fill [jobs.(n ..)] from limbo, up to [batch]; the new count. *)
+let rec take_limbo t n =
+  if n < t.batch then
+    match t.limbo with
+    | j :: rest ->
+        t.limbo <- rest;
+        t.jobs.(n) <- j;
+        take_limbo t (n + 1)
+    | [] -> n
+  else n
+
+(* Emit the breath's sends in order; stall and retry on backpressure.
+   The cursors shadow the worklist so an interrupt can reclaim it. *)
 let rec flush t =
-  if t.emit_cursor >= t.n_emits then begin
+  let e = t.emit_cursor in
+  if e >= t.n_emits then begin
     t.n_emits <- 0;
     t.emit_cursor <- 0;
     t.busy <- false;
     run_batch t
   end
-  else if t.emits.(t.emit_cursor) () then begin
-    (* Scrub the consumed slot so the closure (and whatever packet
-       context it captured) is not retained until the next breath. *)
-    t.emits.(t.emit_cursor) <- always;
-    t.emit_cursor <- t.emit_cursor + 1;
-    t.processed <- t.processed + 1;
-    flush t
-  end
   else begin
-    t.f.stalled_ns <- t.f.stalled_ns +. t.retry_ns;
-    let epoch = t.epoch in
-    Engine.schedule t.engine ~delay:t.retry_ns (fun () ->
-        if t.epoch = epoch then flush t)
+    let sends = t.sends.(e) in
+    let i = t.send_cursor in
+    if i >= Array.length sends then begin
+      t.send_cursor <- 0;
+      t.emit_cursor <- e + 1;
+      t.processed <- t.processed + 1;
+      flush t
+    end
+    else if t.emit t.jobs.(e) sends.(i) then begin
+      t.send_cursor <- i + 1;
+      flush t
+    end
+    else begin
+      t.f.stalled_ns <- t.f.stalled_ns +. t.retry_ns;
+      t.armed <- Engine.arm t.engine ~delay:t.retry_ns t.retry
+    end
   end
 
 (* Work reclaimed as orphans is emitted before any new breath runs, so
@@ -176,9 +209,6 @@ and run_batch t =
   if (not t.busy) && (not t.down) && (not t.paused) && t.orphans = [] && has_work t
   then begin
     t.busy <- true;
-    let epoch = t.epoch in
-    let extra = t.f.extra_ns in
-    t.f.extra_ns <- 0.0;
     let j0 =
       match t.limbo with
       | j :: rest ->
@@ -188,45 +218,46 @@ and run_batch t =
     in
     if Array.length t.jobs = 0 then t.jobs <- Array.make t.batch j0
     else t.jobs.(0) <- j0;
-    let n = ref 1 in
-    let rec take_limbo () =
-      if !n < t.batch then
-        match t.limbo with
-        | j :: rest ->
-            t.limbo <- rest;
-            t.jobs.(!n) <- j;
-            incr n;
-            take_limbo ()
-        | [] -> ()
+    let n = take_limbo t 1 in
+    let n =
+      if n < t.batch then n + Nfp_algo.Ring.dequeue_into t.ring t.jobs n (t.batch - n)
+      else n
     in
-    take_limbo ();
-    if !n < t.batch then
-      n := !n + Nfp_algo.Ring.dequeue_into t.ring t.jobs !n (t.batch - !n);
-    let n = !n in
     t.n_inflight <- n;
-    let finish = ref (extra +. jittered t (t.service_ns t.jobs.(0))) in
+    let f = t.f in
+    f.finish <- f.extra_ns;
+    f.extra_ns <- 0.0;
+    charge_job t j0 ~follower:false;
     for i = 1 to n - 1 do
-      finish :=
-        !finish
-        +. jittered t (Float.max 0.0 (t.service_ns t.jobs.(i) -. t.burst_saving_ns))
+      charge_job t t.jobs.(i) ~follower:true
     done;
-    let finish = !finish in
-    t.f.busy_ns <- t.f.busy_ns +. finish;
-    Engine.schedule t.engine ~delay:finish (fun () ->
-        if t.epoch = epoch then begin
-          let n = t.n_inflight in
-          t.n_inflight <- 0;
-          for i = 0 to n - 1 do
-            t.emits.(i) <- run_job t t.jobs.(i)
-          done;
-          t.n_emits <- n;
-          t.emit_cursor <- 0;
-          flush t
-        end)
+    f.busy_ns <- f.busy_ns +. f.finish;
+    t.armed <- Engine.arm t.engine ~delay:f.finish t.complete
+  end
+
+let complete t () =
+  if Engine.firing t.engine = t.armed then begin
+    t.armed <- -1;
+    let n = t.n_inflight in
+    t.n_inflight <- 0;
+    for i = 0 to n - 1 do
+      t.sends.(i) <- run_job t t.jobs.(i)
+    done;
+    t.n_emits <- n;
+    t.emit_cursor <- 0;
+    t.send_cursor <- 0;
+    flush t
+  end
+
+let retry t () =
+  if Engine.firing t.engine = t.armed then begin
+    t.armed <- -1;
+    flush t
   end
 
 (* The casualties of an interrupt, as lists (cold path): the in-flight
-   breath's unexecuted jobs and the pending emission thunks. *)
+   breath's unexecuted jobs and the pending emissions, each job's
+   remaining sends wrapped in a retryable thunk. *)
 let reclaim_inflight t =
   let jobs = ref [] in
   for i = t.n_inflight - 1 downto 0 do
@@ -235,24 +266,39 @@ let reclaim_inflight t =
   t.n_inflight <- 0;
   !jobs
 
+let pending_emission emit job sends from =
+  let next = ref from in
+  let rec go () =
+    if !next >= Array.length sends then true
+    else if emit job sends.(!next) then begin
+      incr next;
+      go ()
+    end
+    else false
+  in
+  go
+
+let emission emit job sends = pending_emission emit job sends 0
+
 let reclaim_emits t =
   let emits = ref [] in
-  for i = t.n_emits - 1 downto t.emit_cursor do
-    emits := t.emits.(i) :: !emits;
-    t.emits.(i) <- always
+  for e = t.n_emits - 1 downto t.emit_cursor do
+    let from = if e = t.emit_cursor then t.send_cursor else 0 in
+    emits := pending_emission t.emit t.jobs.(e) t.sends.(e) from :: !emits
   done;
   t.n_emits <- 0;
   t.emit_cursor <- 0;
+  t.send_cursor <- 0;
   !emits
 
 (* The core stops. The in-flight breath and any pending emissions are
-   reclaimed synchronously — their completion events, fired against a
-   stale epoch, become no-ops — so no work is silently dropped between
-   the crash and whatever recovery policy runs later. *)
+   reclaimed synchronously — the wake-up they were waiting for becomes
+   stale — so no work is silently dropped between the crash and
+   whatever recovery policy runs later. *)
 let interrupt t =
   if not t.down then begin
     t.down <- true;
-    t.epoch <- t.epoch + 1;
+    t.armed <- -1;
     let jobs = reclaim_inflight t and emits = reclaim_emits t in
     stash t jobs emits
   end
@@ -265,7 +311,7 @@ let resume t =
   end
 
 let create ~engine ~name ~ring_capacity ~batch ?(burst_saving_ns = 0.0) ?jitter
-    ?(retry_ns = 150.0) ?watermarks ?fault ~service_ns ~execute () =
+    ?(retry_ns = 150.0) ?watermarks ?fault ~service_ns ~execute ~emit () =
   let batch = max 1 batch in
   let ring = Nfp_algo.Ring.create ~capacity:ring_capacity in
   (match watermarks with
@@ -281,28 +327,43 @@ let create ~engine ~name ~ring_capacity ~batch ?(burst_saving_ns = 0.0) ?jitter
       jitter;
       retry_ns;
       service_ns;
+      service = { ns = 0.0 };
       execute;
-      f = { busy_ns = 0.0; stalled_ns = 0.0; extra_ns = 0.0; slow = 1.0; drop_p = 0.0 };
+      emit;
+      f =
+        {
+          busy_ns = 0.0;
+          stalled_ns = 0.0;
+          extra_ns = 0.0;
+          slow = 1.0;
+          drop_p = 0.0;
+          finish = 0.0;
+        };
       busy = false;
       processed = 0;
       down = false;
       paused = false;
       fault_prng = None;
-      epoch = 0;
+      armed = -1;
+      complete = ignore;
+      retry = ignore;
       crashes = 0;
       fault_drops = 0;
       flushed = 0;
       jobs = [||];
       n_inflight = 0;
-      emits = Array.make batch always;
+      sends = Array.make batch [||];
       n_emits = 0;
       emit_cursor = 0;
+      send_cursor = 0;
       limbo = [];
       orphans = [];
       casualty_sink = None;
       pump_armed = false;
     }
   in
+  t.complete <- complete t;
+  t.retry <- retry t;
   (match fault with
   | None -> ()
   | Some (f : Fault.core) ->
@@ -399,7 +460,7 @@ let pause t =
   if not t.paused then begin
     t.paused <- true;
     if t.busy then begin
-      t.epoch <- t.epoch + 1;
+      t.armed <- -1;
       t.busy <- false;
       let jobs = reclaim_inflight t and emits = reclaim_emits t in
       stash t jobs emits

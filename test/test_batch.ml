@@ -260,28 +260,35 @@ let property_tests =
    variation — never for new per-packet allocations:
 
    - the pure forwarder chain isolates the engine itself (pktgen
-     buffer, context, breath dispatch, classifier hit, emission
-     closures, merger presentation, delivery, harness accounting);
-     measured ~630 words/packet at batch 32, pinned at 800.
+     buffer, context, breath dispatch, classifier hit, merger
+     presentation, delivery, harness accounting); measured ~177
+     words/packet at batch 32, pinned at 222.
    - the stateful NS chain adds the NF internals (VPN encapsulation
-     copies, Monitor flow state); measured ~1730, pinned at 2200.
+     copies, Monitor flow state); measured ~1142, pinned at 1430.
 
-   A regression that reintroduces boxing to the hot path — a float
-   field in a mixed record, an option on a dequeue, an Int64 hash —
-   costs several words on every packet-hop and blows the pinned
-   budget. *)
+   A third test pins the cost of one hop: the slope of words/packet
+   over the length of a sequential chain of no-op NFs, which prices
+   ring enqueue, breath, completion event and emission, and nothing
+   per packet.
+
+   The figures hold for the release build the repository selects in
+   dune-workspace. A regression that reintroduces boxing to the hot
+   path — a float field in a mixed record, an option on a dequeue, an
+   Int64 hash, a closure per emission — costs several words on every
+   packet-hop and blows the pinned budgets. *)
 let fwd_text =
   "NF(f0, Forwarder)\nNF(f1, Forwarder)\nNF(f2, Forwarder)\nNF(f3, Forwarder)\n\
    NF(f4, Forwarder)\nChain(f0, f1, f2, f3, f4)"
 
 let fwd_bindings = List.init 5 (fun i -> (Printf.sprintf "f%d" i, "Forwarder"))
 
-let words_per_packet ~text ~bindings ~batch_size ~packets =
-  let plan = plan_of text in
-  let lookup, _ = instances bindings in
+(* Minor words per packet of the second of two identical runs of a
+   deployment; the first warms module state, memo tables and
+   first-breath scratch. *)
+let words_of_plan ~plan ~nfs ~batch_size ~packets =
   let gen = traffic () in
   let make engine ~output =
-    Nfp_infra.System.make ~config:{ roomy with batch_size } ~plan ~nfs:lookup engine ~output
+    Nfp_infra.System.make ~config:{ roomy with batch_size } ~plan ~nfs engine ~output
   in
   let run () =
     ignore
@@ -289,10 +296,29 @@ let words_per_packet ~text ~bindings ~batch_size ~packets =
          ~packets ())
   in
   run ();
-  (* warm: module state, memo tables, first-breath scratch *)
   let before = Gc.minor_words () in
   run ();
   (Gc.minor_words () -. before) /. float_of_int packets
+
+let words_per_packet ~text ~bindings ~batch_size ~packets =
+  words_of_plan ~plan:(plan_of text) ~nfs:(fst (instances bindings)) ~batch_size ~packets
+
+(* Words/packet through a sequential chain of [n] no-op NFs (a
+   [Graph.seq], so no copies and no merger). *)
+let chain_words n ~packets =
+  let names = List.init n (Printf.sprintf "nop%d") in
+  let profile = [ Nfp_nf.Action.Read Field.Dip ] in
+  let plan =
+    match Tables.plan ~profile_of:(fun _ -> profile) (Graph.seq (List.map Graph.nf names)) with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "plan: %s" e
+  in
+  let nop name =
+    Nfp_nf.Nf.make ~name ~kind:"Nop" ~profile ~cost_cycles:(fun _ -> 100) (fun _ ->
+        Nfp_nf.Nf.Forward)
+  in
+  let nfs = List.map (fun name -> (name, nop name)) names in
+  words_of_plan ~plan ~nfs:(fun n -> List.assoc n nfs) ~batch_size:roomy.batch_size ~packets
 
 let allocation_tests =
   [
@@ -302,17 +328,17 @@ let allocation_tests =
           words_per_packet ~text:fwd_text ~bindings:fwd_bindings ~batch_size:32
             ~packets:4000
         in
-        if w > 800.0 then
+        if w > 222.0 then
           Alcotest.failf
-            "allocation regression: %.1f minor words/packet (budget 800)" w);
+            "allocation regression: %.1f minor words/packet (budget 222)" w);
     Alcotest.test_case "stateful chain stays under budget" `Quick (fun () ->
         let w =
           words_per_packet ~text:ns_text ~bindings:ns_bindings ~batch_size:32
             ~packets:4000
         in
-        if w > 2200.0 then
+        if w > 1430.0 then
           Alcotest.failf
-            "allocation regression: %.1f minor words/packet (budget 2200)" w);
+            "allocation regression: %.1f minor words/packet (budget 1430)" w);
     Alcotest.test_case "batching does not allocate more than per-packet" `Quick
       (fun () ->
         let batched =
@@ -326,6 +352,12 @@ let allocation_tests =
         if batched > legacy +. 16.0 then
           Alcotest.failf "batched path allocates more: %.1f vs %.1f words/packet"
             batched legacy);
+    Alcotest.test_case "a chain hop allocates at most 4 words" `Quick (fun () ->
+        let one = chain_words 1 ~packets:4000 and five = chain_words 5 ~packets:4000 in
+        let per_hop = (five -. one) /. 4.0 in
+        if per_hop > 4.0 then
+          Alcotest.failf "allocation regression: %.2f minor words per hop (budget 4)"
+            per_hop);
   ]
 
 let () =

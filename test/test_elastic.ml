@@ -553,60 +553,77 @@ let random_case_arbitrary =
               faults)))
     random_case_gen
 
+(* One generated case: the elastic run under its crash plan must deliver
+   exactly what the static fault-free run delivers, and drain. *)
+let converges (max_replicas, buckets, batch, transfer, out_occ, spike, faults) =
+  let elastic =
+    {
+      eager with
+      max_replicas;
+      buckets;
+      migration_batch = batch;
+      transfer_ns = transfer;
+      scale_out_occupancy = out_occ;
+      scale_in_occupancy = out_occ /. 10.0;
+    }
+  in
+  let site = function
+    | 0 -> "mid1:tag"
+    | 1 -> "mid1:tag@1"
+    | 2 -> Printf.sprintf "mid1:tag@%d" (max_replicas - 1)
+    | _ -> "elastic"
+  in
+  let plan_events =
+    List.map
+      (fun (s, hang, at_ns) ->
+        if hang then Nfp_sim.Fault.hang ~at_ns ~duration_ns:150_000.0 (site s)
+        else Nfp_sim.Fault.crash ~at_ns (site s))
+      faults
+  in
+  let fault = lossless_fault (Nfp_sim.Fault.plan plan_events) in
+  let arrivals =
+    Nfp_sim.Harness.Surge
+      (Nfp_sim.Fault.surge ~base_mpps:0.4
+         [ Nfp_sim.Fault.Spike { at_ns = 0.0; duration_ns = 120_000.0; factor = spike } ])
+  in
+  let plan = plan_of tag_text in
+  let baseline, rb =
+    observe ~make_nf:tag_make_nf ~plan ~bindings:tag_bindings ~arrivals ~packets:2500 ()
+  in
+  let scaled, rr =
+    observe ~fault ~elastic ~make_nf:tag_make_nf ~plan ~bindings:tag_bindings ~arrivals
+      ~packets:2500 ()
+  in
+  rb.ring_drops = 0 && rr.ring_drops = 0
+  && rr.health.drops.flush_lost = 0
+  && rr.in_flight = 0
+  && baseline = scaled
+
 let property_tests =
   [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:8
          ~name:"elastic + crashed runs converge with the static fault-free run"
-         random_case_arbitrary
-         (fun (max_replicas, buckets, batch, transfer, out_occ, spike, faults) ->
-           let elastic =
-             {
-               eager with
-               max_replicas;
-               buckets;
-               migration_batch = batch;
-               transfer_ns = transfer;
-               scale_out_occupancy = out_occ;
-               scale_in_occupancy = out_occ /. 10.0;
-             }
-           in
-           let site = function
-             | 0 -> "mid1:tag"
-             | 1 -> "mid1:tag@1"
-             | 2 -> Printf.sprintf "mid1:tag@%d" (max_replicas - 1)
-             | _ -> "elastic"
-           in
-           let plan_events =
-             List.map
-               (fun (s, hang, at_ns) ->
-                 if hang then
-                   Nfp_sim.Fault.hang ~at_ns ~duration_ns:150_000.0 (site s)
-                 else Nfp_sim.Fault.crash ~at_ns (site s))
-               faults
-           in
-           let fault = lossless_fault (Nfp_sim.Fault.plan plan_events) in
-           let arrivals =
-             Nfp_sim.Harness.Surge
-               (Nfp_sim.Fault.surge ~base_mpps:0.4
-                  [
-                    Nfp_sim.Fault.Spike
-                      { at_ns = 0.0; duration_ns = 120_000.0; factor = spike };
-                  ])
-           in
-           let plan = plan_of tag_text in
-           let baseline, rb =
-             observe ~make_nf:tag_make_nf ~plan ~bindings:tag_bindings ~arrivals
-               ~packets:2500 ()
-           in
-           let scaled, rr =
-             observe ~fault ~elastic ~make_nf:tag_make_nf ~plan
-               ~bindings:tag_bindings ~arrivals ~packets:2500 ()
-           in
-           rb.ring_drops = 0 && rr.ring_drops = 0
-           && rr.health.drops.flush_lost = 0
-           && rr.in_flight = 0
-           && baseline = scaled));
+         random_case_arbitrary converges);
+  ]
+
+let regression_tests =
+  [
+    (* The first case QCHECK_SEED=7 generates. Replica mid1:tag@2
+       crashes while it is the draining replica; the controller may not
+       move a drain off a dead source, the watchdog never restarts a core
+       with an empty queue, and a controller that kept counting the
+       stalled drain as pending ticked forever after the last packet. *)
+    Alcotest.test_case "a crashed draining replica lets the run end" `Quick (fun () ->
+        check Alcotest.bool "converges and drains" true
+          (converges
+             ( 3,
+               18,
+               5,
+               39847.041807889538,
+               0.001032024507556426,
+               53.91063208504103,
+               [ (2, false, 286845.19587366818); (1, true, 498324.51393255126) ] )));
   ]
 
 let () =
@@ -616,4 +633,5 @@ let () =
       ("differential", differential_tests);
       ("faults", fault_tests);
       ("property", property_tests);
+      ("regression", regression_tests);
     ]

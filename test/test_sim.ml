@@ -72,8 +72,16 @@ let engine_tests =
 (* Server                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* A server in the shape these tests were written for: a float service
+   time and one emission thunk per executed job. *)
+let thunk_server ~engine ~name ~ring_capacity ~batch ?jitter ?fault ~service_ns ~execute () =
+  Server.create ~engine ~name ~ring_capacity ~batch ?jitter ?fault
+    ~service_ns:(fun job (cell : Server.cell) -> cell.ns <- service_ns job)
+    ~execute:(fun job -> [| execute job |])
+    ~emit:Server.call ()
+
 let simple_server engine ~service ?(ring = 8) ?(batch = 4) sink =
-  Server.create ~engine ~name:"s" ~ring_capacity:ring ~batch
+  thunk_server ~engine ~name:"s" ~ring_capacity:ring ~batch
     ~service_ns:(fun _ -> service)
     ~execute:(fun job ->
       fun () ->
@@ -95,7 +103,7 @@ let server_tests =
         let e = Engine.create () in
         let times = ref [] in
         let s =
-          Server.create ~engine:e ~name:"s" ~ring_capacity:8 ~batch:4
+          thunk_server ~engine:e ~name:"s" ~ring_capacity:8 ~batch:4
             ~service_ns:(fun _ -> 10.0)
             ~execute:(fun _ ->
               fun () ->
@@ -125,7 +133,7 @@ let server_tests =
         let down = simple_server e ~ring:1 ~batch:1 ~service:100.0 (fun _ -> incr received) in
         (* Upstream emits into downstream with retries. *)
         let up =
-          Server.create ~engine:e ~name:"up" ~ring_capacity:16 ~batch:4
+          thunk_server ~engine:e ~name:"up" ~ring_capacity:16 ~batch:4
             ~service_ns:(fun _ -> 1.0)
             ~execute:(fun job -> fun () -> Server.offer down job)
             ()
@@ -148,7 +156,7 @@ let server_tests =
           let e = Engine.create () in
           let total = ref 0.0 in
           let s =
-            Server.create ~engine:e ~name:"s" ~ring_capacity:8 ~batch:2
+            thunk_server ~engine:e ~name:"s" ~ring_capacity:8 ~batch:2
               ~jitter:(0.2, Nfp_algo.Prng.create ~seed:5L)
               ~service_ns:(fun _ -> 10.0)
               ~execute:(fun _ ->
@@ -177,7 +185,7 @@ let fault_tests =
         let delivered = ref 0 in
         let fault = core_of (Fault.plan [ Fault.crash ~at_ns:150.0 "s" ]) "s" in
         let s =
-          Server.create ~engine:e ~name:"s" ~ring_capacity:8 ~batch:4 ~fault
+          thunk_server ~engine:e ~name:"s" ~ring_capacity:8 ~batch:4 ~fault
             ~service_ns:(fun _ -> 100.0)
             ~execute:(fun _ ->
               fun () ->
@@ -208,7 +216,7 @@ let fault_tests =
         let order = ref [] in
         let fault = core_of (Fault.plan [ Fault.crash ~at_ns:150.0 "s" ]) "s" in
         let s =
-          Server.create ~engine:e ~name:"s" ~ring_capacity:8 ~batch:4 ~fault
+          thunk_server ~engine:e ~name:"s" ~ring_capacity:8 ~batch:4 ~fault
             ~service_ns:(fun _ -> 100.0)
             ~execute:(fun j ->
               fun () ->
@@ -232,7 +240,7 @@ let fault_tests =
           let delivered = ref 0 in
           let fault = core_of (Fault.plan [ Fault.drop ~probability:0.5 "s" ]) "s" in
           let s =
-            Server.create ~engine:e ~name:"s" ~ring_capacity:2048 ~batch:32 ~fault
+            thunk_server ~engine:e ~name:"s" ~ring_capacity:2048 ~batch:32 ~fault
               ~service_ns:(fun _ -> 1.0)
               ~execute:(fun _ ->
                 fun () ->
@@ -258,7 +266,7 @@ let fault_tests =
         let e = Engine.create () in
         let fault = core_of (Fault.plan [ Fault.slowdown ~at_ns:0.0 ~factor:3.0 "s" ]) "s" in
         let s =
-          Server.create ~engine:e ~name:"s" ~ring_capacity:8 ~batch:1 ~fault
+          thunk_server ~engine:e ~name:"s" ~ring_capacity:8 ~batch:1 ~fault
             ~service_ns:(fun _ -> 10.0)
             ~execute:(fun _ -> fun () -> true)
             ()
@@ -275,7 +283,7 @@ let fault_tests =
           core_of (Fault.plan [ Fault.hang ~at_ns:0.0 ~duration_ns:500.0 "s" ]) "s"
         in
         let s =
-          Server.create ~engine:e ~name:"s" ~ring_capacity:8 ~batch:4 ~fault
+          thunk_server ~engine:e ~name:"s" ~ring_capacity:8 ~batch:4 ~fault
             ~service_ns:(fun _ -> 10.0)
             ~execute:(fun _ ->
               fun () ->
@@ -292,7 +300,7 @@ let fault_tests =
         let e = Engine.create () in
         let delivered = ref 0 in
         let s =
-          Server.create ~engine:e ~name:"s" ~ring_capacity:8 ~batch:4
+          thunk_server ~engine:e ~name:"s" ~ring_capacity:8 ~batch:4
             ~service_ns:(fun _ -> 10.0)
             ~execute:(fun _ ->
               fun () ->
@@ -310,6 +318,54 @@ let fault_tests =
         List.iter (fun j -> ignore (Server.offer s j)) [ 4; 5 ];
         Engine.run e;
         check Alcotest.int "fresh work flows again" 2 !delivered);
+    Alcotest.test_case "a crashed breath's completion is stale after a revive" `Quick
+      (fun () ->
+        (* Job 1's breath is due at 100 ns. The core dies at 50 ns and
+           comes back at 60 ns, starting a new breath on the reclaimed
+           job, due at 160 ns. The old completion still fires at 100 ns
+           and must do nothing. *)
+        let e = Engine.create () in
+        let emitted = ref [] in
+        let s =
+          thunk_server ~engine:e ~name:"s" ~ring_capacity:8 ~batch:4
+            ~service_ns:(fun _ -> 100.0)
+            ~execute:(fun j () ->
+              emitted := (j, Engine.now e) :: !emitted;
+              true)
+            ()
+        in
+        ignore (Server.offer s 1);
+        Engine.schedule e ~delay:50.0 (fun () -> Server.kill s);
+        Engine.schedule e ~delay:60.0 (fun () ->
+            ignore (Server.revive ~flush:false s);
+            check Alcotest.bool "new breath in flight" true (Server.is_busy s));
+        Engine.run e;
+        check
+          Alcotest.(list (pair int (float 1e-9)))
+          "emitted once, at the new breath's time" [ (1, 160.0) ] !emitted;
+        check Alcotest.int "processed once" 1 (Server.processed s));
+    Alcotest.test_case "a paused breath's completion is stale after unpause" `Quick
+      (fun () ->
+        let e = Engine.create () in
+        let emitted = ref [] in
+        let s =
+          thunk_server ~engine:e ~name:"s" ~ring_capacity:8 ~batch:4
+            ~service_ns:(fun _ -> 100.0)
+            ~execute:(fun j () ->
+              emitted := (j, Engine.now e) :: !emitted;
+              true)
+            ()
+        in
+        ignore (Server.offer s 1);
+        Engine.schedule e ~delay:50.0 (fun () -> Server.pause s);
+        Engine.schedule e ~delay:60.0 (fun () ->
+            Server.unpause s;
+            check Alcotest.bool "new breath in flight" true (Server.is_busy s));
+        Engine.run e;
+        check
+          Alcotest.(list (pair int (float 1e-9)))
+          "emitted once, at the new breath's time" [ (1, 160.0) ] !emitted;
+        check Alcotest.int "processed once" 1 (Server.processed s));
     Alcotest.test_case "plans match cores by name or prefix" `Quick (fun () ->
         let p = Fault.plan [ Fault.crash ~at_ns:1.0 "mid1:*" ] in
         check Alcotest.bool "mid1:vpn matches" true (Fault.for_core p "mid1:vpn" <> None);
@@ -365,7 +421,7 @@ let cost_tests =
 let fixed_system ~service_ns ~ring engine ~output =
   let drops = ref 0 in
   let core =
-    Server.create ~engine ~name:"core" ~ring_capacity:ring ~batch:32
+    thunk_server ~engine ~name:"core" ~ring_capacity:ring ~batch:32
       ~service_ns:(fun _ -> service_ns)
       ~execute:(fun (pid, pkt) ->
         fun () ->
