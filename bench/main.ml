@@ -152,13 +152,26 @@ let lookup_of kinds () =
     kinds;
   Hashtbl.find table
 
+(* Every graph and chain the bench deploys is valid by construction, so
+   a planning or compile error aborts the run. *)
+let plan_of ?copy_mode ?priority ~profile_of graph =
+  match Tables.plan ?copy_mode ?priority ~profile_of graph with
+  | Ok p -> p
+  | Error e -> failwith e
+
+(* The plan the policy compiler derives for the chain [order] over the
+   [(name, kind)] bindings [kinds]. *)
+let chain_plan kinds order =
+  let policy =
+    { Nfp_policy.Rule.bindings = kinds; rules = Nfp_policy.Rule.of_chain order }
+  in
+  match Compiler.compile policy with
+  | Error es -> failwith (String.concat ";" es)
+  | Ok out -> ( match Tables.of_output out with Ok p -> p | Error e -> failwith e)
+
 let nfp_make ?(copy_mode = `Auto) ?(mergers = 1) ~kinds graph =
   let profile_of n = Nfp_nf.Registry.profile_of (List.assoc n kinds) in
-  let plan =
-    match Tables.plan ~copy_mode ~profile_of graph with
-    | Ok p -> p
-    | Error e -> failwith e
-  in
+  let plan = plan_of ~copy_mode ~profile_of graph in
   fun engine ~output ->
     Nfp_infra.System.make
       ~config:{ Nfp_infra.System.default_config with mergers }
@@ -321,11 +334,7 @@ let run_fig8 () =
 let fw_deploy ?(copy_mode = `Auto) ?(mergers = 1) ?ring_capacity ?fault ~extra
     ~graph names =
   let profile_of _ = Nfp_nf.Registry.profile_of "Firewall" in
-  let plan =
-    match Tables.plan ~copy_mode ~profile_of graph with
-    | Ok p -> p
-    | Error e -> failwith e
-  in
+  let plan = plan_of ~copy_mode ~profile_of graph in
   let ring_capacity =
     match ring_capacity with
     | Some c -> c
@@ -443,23 +452,13 @@ let run_fig13 () =
   in
   List.iter
     (fun (label, kinds, order, paper) ->
-      let policy =
-        { Nfp_policy.Rule.bindings = kinds; rules = Nfp_policy.Rule.of_chain order }
-      in
-      let out =
-        match Compiler.compile policy with
-        | Ok o -> o
-        | Error es -> failwith (String.concat ";" es)
-      in
-      let plan =
-        match Tables.of_output out with Ok p -> p | Error e -> failwith e
-      in
+      let plan = chain_plan kinds order in
       note "";
       note "%s   [%s]" label paper;
       note "  chain : %s" (String.concat " -> " order);
-      note "  graph : %s   (equivalent length %d of %d)" (Graph.to_string out.graph)
-        (Graph.equivalent_length out.graph)
-        (Graph.nf_count out.graph);
+      note "  graph : %s   (equivalent length %d of %d)" (Graph.to_string plan.graph)
+        (Graph.equivalent_length plan.graph)
+        (Graph.nf_count plan.graph);
       let mean_size =
         int_of_float (Nfp_traffic.Size_dist.mean Nfp_traffic.Size_dist.datacenter)
       in
@@ -584,13 +583,7 @@ let run_overhead () =
 let run_replay () =
   section "§6.4  Result correctness: replay against sequential execution";
   let run_chain label kinds order =
-    let policy =
-      { Nfp_policy.Rule.bindings = kinds; rules = Nfp_policy.Rule.of_chain order }
-    in
-    let out =
-      match Compiler.compile policy with Ok o -> o | Error es -> failwith (String.concat ";" es)
-    in
-    let plan = match Tables.of_output out with Ok p -> p | Error e -> failwith e in
+    let plan = chain_plan kinds order in
     let gen =
       Nfp_traffic.Pktgen.create
         {
@@ -646,11 +639,7 @@ let run_fig15 () =
   let hi = Nfp_sim.Nic.max_mpps ~frame_bytes:256 in
   let deploy block_stages =
     let graph, nfs = Nfp_openbox.Pipeline.to_deployment block_stages in
-    let plan =
-      match Tables.plan ~profile_of:(fun n -> (nfs n).Nfp_nf.Nf.profile) graph with
-      | Ok p -> p
-      | Error e -> failwith e
-    in
+    let plan = plan_of ~profile_of:(fun n -> (nfs n).Nfp_nf.Nf.profile) graph in
     fun engine ~output -> Nfp_infra.System.make ~plan ~nfs engine ~output
   in
   (* All three variants are DPI-bound; compare latency at a common
@@ -836,7 +825,9 @@ let run_partition () =
     Hashtbl.find t
   in
   let gen = gen_of_size 64 in
-  let single engine ~output = Nfp_infra.System.make ~plan:(Result.get_ok (Tables.plan ~profile_of graph)) ~nfs:(nfs ()) engine ~output in
+  let single engine ~output =
+    Nfp_infra.System.make ~plan:(plan_of ~profile_of graph) ~nfs:(nfs ()) engine ~output
+  in
   let m1 = measure ~gen single in
   note "  single server (%d cores): %.1f us, %.2f Mpps" (Partition.cores_needed graph)
     m1.latency_us m1.mpps;
@@ -875,11 +866,7 @@ let overload_graphs ~extra () =
       let names = [ label ^ "-fw0"; label ^ "-fw1" ] in
       let graph = Graph.seq (List.map Graph.nf names) in
       let profile_of _ = Nfp_nf.Registry.profile_of "Firewall" in
-      let plan =
-        match Tables.plan ~profile_of ~priority:cls graph with
-        | Ok p -> p
-        | Error e -> failwith e
-      in
+      let plan = plan_of ~profile_of ~priority:cls graph in
       let table = Hashtbl.create 4 in
       List.iter
         (fun n ->
@@ -959,12 +946,7 @@ let elastic_kinds = forwarder_kinds 2 @ [ ("ids", "IDS") ]
 
 let elastic_plan () =
   let profile_of n = Nfp_nf.Registry.profile_of (List.assoc n elastic_kinds) in
-  match
-    Tables.plan ~profile_of
-      (Graph.seq (List.map (fun (n, _) -> Graph.nf n) elastic_kinds))
-  with
-  | Ok p -> p
-  | Error e -> failwith e
+  plan_of ~profile_of (Graph.seq (List.map (fun (n, _) -> Graph.nf n) elastic_kinds))
 
 let elastic_point ?elastic ~rate ~packets () =
   let plan = elastic_plan () in
@@ -994,13 +976,7 @@ let run_loadsweep () =
   let kinds =
     [ ("vpn", "VPN"); ("mon", "Monitor"); ("fw", "Firewall"); ("lb", "LoadBalancer") ]
   in
-  let policy =
-    { Nfp_policy.Rule.bindings = kinds; rules = Nfp_policy.Rule.of_chain (List.map fst kinds) }
-  in
-  let out =
-    match Compiler.compile policy with Ok o -> o | Error es -> failwith (String.concat ";" es)
-  in
-  let plan = match Tables.of_output out with Ok p -> p | Error e -> failwith e in
+  let plan = chain_plan kinds (List.map fst kinds) in
   let make engine ~output =
     Nfp_infra.System.make ~plan ~nfs:(lookup_of kinds ()) engine ~output
   in
@@ -1192,13 +1168,7 @@ let run_scale () =
      actually sharded. *)
   let kinds = forwarder_kinds 4 @ [ ("ids", "IDS") ] in
   let profile_of n = Nfp_nf.Registry.profile_of (List.assoc n kinds) in
-  let plan =
-    match
-      Tables.plan ~profile_of (Graph.seq (List.map (fun (n, _) -> Graph.nf n) kinds))
-    with
-    | Ok p -> p
-    | Error e -> failwith e
-  in
+  let plan = plan_of ~profile_of (Graph.seq (List.map (fun (n, _) -> Graph.nf n) kinds)) in
   let shown = ref false in
   let baseline = ref 0.0 in
   List.iter
@@ -1319,13 +1289,7 @@ let run_vm () =
   let kinds =
     [ ("vpn", "VPN"); ("mon", "Monitor"); ("fw", "Firewall"); ("lb", "LoadBalancer") ]
   in
-  let policy =
-    { Nfp_policy.Rule.bindings = kinds; rules = Nfp_policy.Rule.of_chain (List.map fst kinds) }
-  in
-  let out =
-    match Compiler.compile policy with Ok o -> o | Error es -> failwith (String.concat ";" es)
-  in
-  let plan = match Tables.of_output out with Ok p -> p | Error e -> failwith e in
+  let plan = chain_plan kinds (List.map fst kinds) in
   let gen = gen_of_size 64 in
   let run label cost =
     let make engine ~output =
@@ -1380,11 +1344,7 @@ let run_classify () =
         List.init tenants (fun t ->
             let name = Printf.sprintf "fwd%d" t in
             let profile_of _ = Nfp_nf.Registry.profile_of "Forwarder" in
-            let plan =
-              match Tables.plan ~profile_of (Graph.nf name) with
-              | Ok p -> p
-              | Error e -> failwith e
-            in
+            let plan = plan_of ~profile_of (Graph.nf name) in
             ( rule t,
               plan,
               fun n ->
@@ -1472,11 +1432,7 @@ let run_batch () =
   let kinds = forwarder_kinds 5 in
   let names = List.map fst kinds in
   let profile_of n = Nfp_nf.Registry.profile_of (List.assoc n kinds) in
-  let plan =
-    match Tables.plan ~profile_of (Graph.seq (List.map Graph.nf names)) with
-    | Ok p -> p
-    | Error e -> failwith e
-  in
+  let plan = plan_of ~profile_of (Graph.seq (List.map Graph.nf names)) in
   let gen = gen_of_size 64 in
   note "";
   note "  %-7s %-9s %-10s %-10s %s" "batch" "Mpps" "mean(us)" "p99(us)" "wall(s)";
@@ -1484,7 +1440,9 @@ let run_batch () =
     (fun batch ->
       let make engine ~output =
         Nfp_infra.System.make
-          ~config:{ Nfp_infra.System.default_config with batch_size = batch }
+          ~config:
+            (let c = Nfp_infra.System.default_config in
+             { c with cost = { c.cost with batch } })
           ~plan ~nfs:(lookup_of kinds ()) engine ~output
       in
       let t0 = Unix.gettimeofday () in
@@ -1779,10 +1737,7 @@ let run_links () =
   let kinds = [ ("gw", "Gateway"); ("fw", "Firewall"); ("mon", "Monitor") ] in
   let graph = Graph.seq (List.map (fun (n, _) -> Graph.nf n) kinds) in
   let plan =
-    let profile_of n = Nfp_nf.Registry.profile_of (List.assoc n kinds) in
-    match Tables.plan ~profile_of graph with
-    | Ok p -> p
-    | Error e -> failwith e
+    plan_of ~profile_of:(fun n -> Nfp_nf.Registry.profile_of (List.assoc n kinds)) graph
   in
   let rate = 2.0 in
   let packets = 20000 in

@@ -101,4 +101,4 @@ let () =
   Format.printf "classifier     : %d cache hits, %d misses, %d evictions@."
     c.Nfp_sim.Harness.hits c.misses c.evictions;
   Format.printf "unmatched      : %d packets@."
-    (system.Nfp_sim.Harness.unmatched ())
+    (system.Nfp_sim.Harness.health ()).drops.no_match

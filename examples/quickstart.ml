@@ -83,10 +83,10 @@ let () =
   (* 4. Measure: NFP graph vs the same NFs chained sequentially. The
         NFP deployment below runs the default execution configuration —
         compiled fast path, cached microflow classifier, and the batch
-        "breath" engine at the cost model's burst size ([batch_size] on
-        {!Nfp_infra.System.config} overrides it; 1 is per-packet). *)
+        "breath" engine at the cost model's burst size ([cost.batch] on
+        {!Nfp_infra.System.config}; 1 is per-packet). *)
   Format.printf "execution config : path=compiled  classify=cached  batch=%d@."
-    Nfp_infra.System.default_config.batch_size;
+    Nfp_infra.System.default_config.cost.batch;
   (* Overload control is opt-in ([?overload] on [System.make]); the
      defaults below are what [default_overload_config] would arm —
      ring watermarks, priority-aware admission with a per-class

@@ -61,10 +61,6 @@ let make ?(config = default_config) ~cores ~chain engine ~output =
                    (Int64.of_int cores))
             in
             if not (Nfp_sim.Server.offer replicas.(i) { pid; pkt }) then incr ring_drops));
-    ring_drops = (fun () -> !ring_drops);
-    nf_drops = (fun () -> !nf_drops);
-    unmatched = (fun () -> 0);
-    shed = (fun () -> 0);
     classifier = (fun () -> Nfp_sim.Harness.no_classifier_counters);
     health =
       (fun () ->

@@ -93,10 +93,6 @@ let make ?(config = default_config) ~nfs engine ~output =
         Nfp_sim.Engine.schedule engine ~delay:wire_delay (fun () ->
             if not (Nfp_sim.Server.offer rx { pid; pkt; next_stage = 0 }) then
               incr ring_drops));
-    ring_drops = (fun () -> !ring_drops);
-    nf_drops = (fun () -> !nf_drops);
-    unmatched = (fun () -> 0);
-    shed = (fun () -> 0);
     classifier = (fun () -> Nfp_sim.Harness.no_classifier_counters);
     health =
       (fun () ->

@@ -2,13 +2,8 @@ let make ?config ?fault ?overload ?elastic ?links ?(link_latency_ns = 2000.0)
     ~segments
     engine ~output =
   if segments = [] then invalid_arg "Cluster.make: no segments";
-  let ring_drop_fns = ref [] and nf_drop_fns = ref [] and unmatched_fns = ref [] in
-  let shed_fns = ref [] and classifier_fns = ref [] and health_fns = ref [] in
+  let classifier_fns = ref [] and health_fns = ref [] in
   let record (system : Nfp_sim.Harness.system) =
-    ring_drop_fns := system.ring_drops :: !ring_drop_fns;
-    nf_drop_fns := system.nf_drops :: !nf_drop_fns;
-    unmatched_fns := system.unmatched :: !unmatched_fns;
-    shed_fns := system.shed :: !shed_fns;
     classifier_fns := system.classifier :: !classifier_fns;
     health_fns := system.health :: !health_fns
   in
@@ -40,13 +35,8 @@ let make ?config ?fault ?overload ?elastic ?links ?(link_latency_ns = 2000.0)
         system
   in
   let first = build segments in
-  let sum fns () = List.fold_left (fun acc f -> acc + f ()) 0 !fns in
   {
     Nfp_sim.Harness.inject = first.Nfp_sim.Harness.inject;
-    ring_drops = sum ring_drop_fns;
-    nf_drops = sum nf_drop_fns;
-    unmatched = sum unmatched_fns;
-    shed = sum shed_fns;
     classifier =
       (fun () ->
         List.fold_left

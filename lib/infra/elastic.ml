@@ -81,7 +81,7 @@ let owner st hash = st.st_map.(hash mod Array.length st.st_map)
 type 'send slot = {
   servers : (Context.t, 'send) Nfp_sim.Server.t array;
   nfs : Nfp_nf.Nf.t array;
-  refresh : (unit -> unit) array;
+  cells : Watchdog.cell array;
   hash : Context.t -> int;
   reachable : int -> bool;
   rehome : (Context.t -> unit) array;
@@ -246,8 +246,8 @@ let create ~engine ?fault (ec : config) ~ring_capacity ~busy slots =
                   let in_moved flow = List.mem (bucket_of_flow nb flow) mg.mg_buckets in
                   Nfp_nf.Nf.absorb s.nfs.(mg.mg_dst) (extract in_moved)
               | None -> ());
-              s.refresh.(mg.mg_src) ();
-              s.refresh.(mg.mg_dst) ();
+              Watchdog.refresh s.cells.(mg.mg_src);
+              Watchdog.refresh s.cells.(mg.mg_dst);
               List.iter (fun b -> st.st_map.(b) <- mg.mg_dst) mg.mg_buckets;
               st.st_epoch <- st.st_epoch + 1;
               st.st_mig <- None;

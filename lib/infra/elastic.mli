@@ -35,8 +35,8 @@ val owner : steer -> int -> int
 type 'send slot = {
   servers : (Context.t, 'send) Nfp_sim.Server.t array;
   nfs : Nfp_nf.Nf.t array;  (** per replica, for state extract/absorb *)
-  refresh : (unit -> unit) array;
-      (** per replica: re-seed its recovery cell after its state moved *)
+  cells : Watchdog.cell array;
+      (** per replica: its recovery cell, re-seeded after its state moved *)
   hash : Context.t -> int;  (** the steering hash the send sites use *)
   reachable : int -> bool;  (** replica [r]'s inbound link is not Down *)
   rehome : (Context.t -> unit) array;

@@ -11,7 +11,6 @@ type config = {
   mergers : int;
   jitter : float;
   seed : int64;
-  batch_size : int;
   replicas : int;
 }
 
@@ -22,7 +21,6 @@ let default_config =
     mergers = 1;
     jitter = 0.05;
     seed = 7L;
-    batch_size = Nfp_sim.Cost.default.batch;
     replicas = 1;
   }
 
@@ -226,6 +224,41 @@ type replica_report = {
          replicas are identical by construction). *)
 }
 
+let replica_report ~mid (entry : Tables.nf_entry) (nfs : Nfp_nf.Nf.t array) processed =
+  let nf0 = nfs.(0) in
+  let merged_digest =
+    if Array.length nfs = 1 then nf0.state_digest ()
+    else
+      match (nf0.merge, nf0.fresh) with
+      | Some merge, Some fresh ->
+          let snaps =
+            Array.to_list
+              (Array.map
+                 (fun (nf : Nfp_nf.Nf.t) ->
+                   match nf.snapshot with
+                   | Some snap -> snap ()
+                   | None -> assert false (* eligibility requires it *))
+                 nfs)
+          in
+          let scratch = fresh () in
+          (match scratch.restore with
+          | Some restore -> restore (merge snaps)
+          | None -> assert false);
+          scratch.state_digest ()
+      | _ ->
+          (* Replicated_readonly: replicas never diverge. *)
+          nf0.state_digest ()
+  in
+  {
+    rr_mid = mid;
+    rr_nf = entry.nf;
+    rr_kind = nf0.kind;
+    rr_strategy = Replication.derive nf0;
+    rr_replicas = Array.length nfs;
+    rr_processed = processed;
+    rr_merged_digest = merged_digest;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Interpretive path: walks the plan's tables per packet. Kept as the  *)
 (* executable reference semantics for the compiled fast path; the      *)
@@ -287,6 +320,30 @@ type cat_entry = {
   mutable c_received : int;
   mutable c_nil_mask : int;
   mutable c_arrived_mask : int;  (* branches seen, for merger-timeout completion *)
+}
+
+(* One NF of the compiled deployment, built in one pass: its replicas
+   (index 0 is the historical single instance, further indices are RSS
+   shards added by the replicas knob or elastic standbys), their rings
+   and inbound links, the action program, and the routing state the
+   send sites consult per packet. *)
+type slot = {
+  s_mid : int;
+  s_entry : Tables.nf_entry;  (* [version]: the packet version the NF reads *)
+  s_prog : cprog;
+  s_servers : (Context.t, csend) Nfp_sim.Server.t array;
+  s_nfs : Nfp_nf.Nf.t array;
+  s_cells : Watchdog.cell array;
+  s_offers : (Context.t -> bool) array;  (* straight into each replica's ring *)
+  s_links : Context.t Channel.t option array;
+  s_ports : (Context.t -> bool) array;  (* the send sites' port: the link, if any *)
+  s_bypassed : bool array;
+      (* a [true] cell routes around that replica: its packets skip
+         processing but still run [s_prog], so downstream cores and
+         mergers see every expected branch *)
+  s_steer : Elastic.steer option;
+      (* elastic steering map; [None] = mod-n sharding (the slot is not
+         scalable, or no elastic config) *)
 }
 
 (* First branch of [spec] the deliverer satisfies, mirroring the
@@ -396,7 +453,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
      (legacy) execution exactly. Both execution paths get the same
      value and the same per-breath amortization, so the
      interpretive/compiled differential is undisturbed at any size. *)
-  let batch = max 1 config.batch_size in
+  let batch = max 1 cost.batch in
   let burst_saving_ns = Nfp_sim.Cost.ns_of_cycles cost cost.burst_saving in
   (* Faults are resolved per core by name; [None] everywhere when no
      fault config is given, and [Server.create ?fault:None] is exactly
@@ -407,36 +464,23 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
     | Some (fc : fault_config) -> Nfp_sim.Fault.for_core fc.plan name
   in
   let merge_timeout_ns = match fault with Some fc -> fc.merge_timeout_ns | None -> 0.0 in
-  (* Everything the recovery subsystem adds — input logging, snapshot
-     charges, dedup filters — is gated on [armed]: a fault config with
-     an empty plan must leave the packet trace byte-identical to a
-     system built without one (the differential test enforces this). *)
-  let armed =
-    match fault with
-    | Some (fc : fault_config) -> not (Nfp_sim.Fault.is_empty fc.plan)
-    | None -> false
-  in
-  let lossless =
-    armed
-    && match fault with Some fc -> fc.checkpoint_interval_ns > 0.0 | None -> false
-  in
-  (* The (pid, version) dedup filters also arm under elastic: a crash
+  (* The (pid, version) dedup filters arm with a non-empty fault plan (a
+     replayed or timeout-completed branch), under elastic (a crash
      landing mid-migration can re-home a packet whose original emission
-     is still in flight, and exactly-once delivery must hold. Pure
-     bookkeeping — on a duplicate-free run the filters never fire, so
-     the trace is untouched. *)
-  (* ... and under links: a retransmitted branch racing its own
-     timeout-completed merge, or a fabric duplicate on a raw channel,
-     must be dropped at the merge/delivery filters just like a replayed
-     emission. *)
-  let dedup_on = armed || elastic <> None || links <> None in
-  let log_capacity =
-    match fault with Some fc -> max 1 fc.log_capacity | None -> 1
+     is still in flight) and under links (a retransmitted branch racing
+     its own timeout-completed merge, or a fabric duplicate on a raw
+     channel). Pure bookkeeping — on a duplicate-free run the filters
+     never fire, so the trace is untouched. A fault config with an empty
+     plan arms nothing here, and no input logging or checkpoint in
+     [Watchdog] either: the packet trace stays byte-identical to a system
+     built without one (the differential test enforces this). *)
+  let dedup_on =
+    (match fault with
+    | Some (fc : fault_config) -> not (Nfp_sim.Fault.is_empty fc.plan)
+    | None -> false)
+    || elastic <> None || links <> None
   in
-  let checkpoints = ref 0
-  and forced_checkpoints = ref 0
-  and replayed = ref 0
-  and deduped = ref 0 in
+  let deduped = ref 0 in
   (* MIDs are 1-based positions in the classification table. *)
   let table = Array.of_list graphs in
   let plan_of_mid mid : Tables.plan =
@@ -585,19 +629,15 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
   (* Every compiled-path core registers a probe; the watchdog and the
      [health] counters below work off this list. *)
   let probes : Watchdog.probe list ref = ref [] in
-  let register_probe ?nf ?(drain = fun () -> 0) ?(checkpoint = ignore)
-      ?(replay = fun () -> 0.0) server =
-    probes := Watchdog.Probe { server; nf; drain; checkpoint; replay } :: !probes
+  let register_probe ?nf ?(drain = fun () -> 0) ?(cell = Watchdog.no_cell) server =
+    probes := Watchdog.Probe { server; nf; drain; cell } :: !probes
   in
-  (* Per-NF replica layout, filled in by whichever execution path
-     builds the cores: (mid, entry, replica NF instances, per-replica
-     processed counters). The [?replication] report reads it. *)
-  let replica_layout :
-      (int * Tables.nf_entry * Nfp_nf.Nf.t array * (unit -> int) array) list ref =
-    ref []
-  in
+  (* The watchdog exists before the cores: each NF replica takes its
+     lossless-recovery cell from it. It starts watching once every core
+     has registered its probe (below). *)
+  let watchdog = Watchdog.create ~engine ~cost ?fault () in
   let bypassed_packets = ref 0 and merge_timeouts = ref 0 in
-  let classify_port, sampler, controller =
+  let classify_port, sampler, controller, replication_report =
     match path with
     | `Interpretive ->
         (* ---------------- interpretive construction ---------------- *)
@@ -718,9 +758,6 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                 ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns
                 ~jitter:(jitter_for ()) ~service_ns ~execute ~emit:Nfp_sim.Server.call ()
             in
-            replica_layout :=
-              (mid, entry, [| nf |], [| (fun () -> Nfp_sim.Server.processed core) |])
-              :: !replica_layout;
             Hashtbl.replace nf_cores (mid, entry.nf) core)
           nf_impls;
         (* Merger instances: shared across service graphs (paper §5.3: "a
@@ -863,41 +900,29 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
             (Hashtbl.fold (fun _ core acc -> core :: acc) nf_cores [])
             !merger_cores !agent_core
         in
-        (Nfp_sim.Server.offer classifier, sampler, Elastic.off)
+        ( Nfp_sim.Server.offer classifier,
+          sampler,
+          Elastic.off,
+          fun () ->
+            List.map
+              (fun (mid, (entry : Tables.nf_entry), nf) ->
+                let core = Hashtbl.find nf_cores (mid, entry.nf) in
+                replica_report ~mid entry [| nf |] [ Nfp_sim.Server.processed core ])
+              nf_impls )
     | `Compiled ->
         (* ----------------- compiled construction ------------------- *)
-        (* One server array per NF slot: index 0 is the historical
-           single instance, further indices are RSS shards added by the
-           replicas knob for strategy-eligible NFs. *)
-        let nf_servers : (Context.t, csend) Nfp_sim.Server.t array array ref = ref [||] in
-        (* Bypass state, per slot and replica: a [true] cell routes
-           around that replica — its packets skip processing but still
-           execute the slot's compiled action program (kept in
-           [nf_cprogs]) so downstream cores and mergers see every
-           expected branch. *)
-        let bypassed : bool array array ref = ref [||] in
-        let nf_cprogs : cprog array ref = ref [||] in
-        (* Elastic steering maps, one per slot; [None] = legacy mod-n
-           sharding (the slot is not scalable, or no elastic config). *)
-        let steers : Elastic.steer option array ref = ref [||] in
-        (* The port of each NF replica; populated after the servers
-           exist. *)
-        let nf_ports : (Context.t -> bool) array array ref = ref [||] in
-        (* RSS shard steering: the packet version each slot's NF reads,
-           so the send site can hash the 5-tuple that replica will
-           observe. The hash runs on its own seeded stream
-           ([Hashing.rss2_int]) — never correlated with the microflow
-           cache's bucket hash — and is skipped entirely for
-           single-replica slots, keeping the replicas=1 hot path (and
-           trace) bit-identical to the pre-replication system. Upstream
-           5-tuple rewrites (NAT, LB) are flow-deterministic, so every
-           packet of a flow hashes alike and lands on the same replica. *)
-        let nf_version_of =
-          Array.of_list
-            (List.map (fun (_, (e : Tables.nf_entry), _) -> e.Tables.version) nf_impls)
-        in
-        let rss_hash ctx slot =
-          match Context.get ctx nf_version_of.(slot) with
+        let slots : slot array ref = ref [||] in
+        (* RSS shard steering: hash the 5-tuple of the packet version
+           the slot's NF reads, i.e. the one that replica will observe.
+           The hash runs on its own seeded stream ([Hashing.rss2_int]) —
+           never correlated with the microflow cache's bucket hash — and
+           is skipped entirely for single-replica slots, keeping the
+           replicas=1 hot path (and trace) bit-identical to the
+           pre-replication system. Upstream 5-tuple rewrites (NAT, LB)
+           are flow-deterministic, so every packet of a flow hashes
+           alike and lands on the same replica. *)
+        let rss_hash ctx s =
+          match Context.get ctx s.s_entry.Tables.version with
           | None -> 0
           | Some pkt ->
               let a =
@@ -1070,7 +1095,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
            exactly once. *)
         let rec emit_send ctx send =
           match send with
-          | S_nf slot -> route_nf !nf_ports slot ctx
+          | S_nf slot -> route_nf ~release:false slot ctx
           | S_merge { merge; branch; nil } ->
               !merge_port { d_ctx = ctx; d_merge = merge; d_branch = branch; d_nil = nil }
           | S_deliver v -> (
@@ -1087,35 +1112,38 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           prog.p_sends
         (* A send array as a retryable thunk, for emissions no core owns. *)
         and emission ctx sends = Nfp_sim.Server.emission emit_send ctx sends
-        (* The one routing rule into NF slot [slot], over [ports]: the
-           send site uses the replicas' ports, a channel releasing a
-           buffered packet their rings — so a packet parked on a link
-           while a migration flips its bucket, or while the watchdog
-           bypasses the replica, lands where it would be routed now and
-           can never resurrect a retired owner's state. Steered slots
-           look the bucket up in the live map per attempt, so a
-           committed flip takes effect for every not-yet-offered packet.
-           A bypassed replica is out of the graph: its action program
-           runs immediately instead, and [drive] absorbs any
-           backpressure of that rerouted emission. *)
-        and route_nf ports slot ctx =
-          let reps = ports.(slot) in
+        (* The one routing rule into NF slot [slot]: the send site
+           offers to the replicas' ports, a channel releasing a
+           buffered packet ([release]) to their rings — so a packet
+           parked on a link while a migration flips its bucket, or while
+           the watchdog bypasses the replica, lands where it would be
+           routed now and can never resurrect a retired owner's state.
+           Steered slots look the bucket up in the live map per attempt,
+           so a committed flip takes effect for every not-yet-offered
+           packet. A bypassed replica is out of the graph: its action
+           program runs immediately instead. *)
+        and route_nf ~release slot ctx =
+          let s = !slots.(slot) in
+          let n = Array.length s.s_servers in
           let r =
-            if Array.length reps < 2 then 0
+            if n < 2 then 0
             else
-              match !steers.(slot) with
-              | Some st -> Elastic.owner st (rss_hash ctx slot)
-              | None -> rss_hash ctx slot mod Array.length reps
+              match s.s_steer with
+              | Some st -> Elastic.owner st (rss_hash ctx s)
+              | None -> rss_hash ctx s mod n
           in
-          if !bypassed.(slot).(r) then begin
-            bypass slot ctx;
+          if s.s_bypassed.(r) then begin
+            bypass s.s_prog ctx;
             true
           end
-          else reps.(r) ctx
-        and bypass slot ctx =
+          else if release then s.s_offers.(r) ctx
+          else s.s_ports.(r) ctx
+        and bypass prog ctx =
           incr bypassed_packets;
-          drive (emission ctx (exec_prog !nf_cprogs.(slot) ctx))
-        in
+          off_core prog ctx
+        (* Run an action program off-core; [drive] absorbs any
+           backpressure of that rerouted emission. *)
+        and off_core prog ctx = drive (emission ctx (exec_prog prog ctx)) in
         let dyn_cycles prog ctx =
           let srcs = prog.p_full_srcs in
           let n = Array.length srcs in
@@ -1131,308 +1159,202 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
             !acc
           end
         in
-        (* NF cores, one array per entry, in nf_impls order (replica 0
-           first — at replicas=1 the same PRNG split order as the
-           interpretive path). Replica 0 is the caller's NF instance;
-           further replicas are fresh instances from [Nf.fresh], each
-           with its own state, recovery cell, fault stream and probe. *)
-        let servers =
-          List.mapi
-            (fun slot (mid, (entry : Tables.nf_entry), (nf0 : Nfp_nf.Nf.t)) ->
-              let prog = compile_actions ~mid ~self:(Tables.D_nf entry.nf) entry.actions in
-              let nil_sends =
-                match entry.nil_target with
-                | None -> [||]
-                | Some id ->
-                    let m = lookup_merge mid id in
-                    [|
-                      S_merge
-                        {
-                          merge = m;
-                          branch = branch_index m.m_spec (Tables.D_nf entry.nf);
-                          nil = true;
-                        };
-                    |]
-              in
-              let base_replicas =
-                if replicas_knob > 1 && shardable mid entry.nf then replicas_knob else 1
-              in
-              (* Scalable = the elastic controller may add/remove
-                 replicas at runtime: the plan clears the NF for
-                 sharding AND its state supports live extraction
-                 ([Replication.migratable]). Standby replicas up to the
-                 ceiling are built now — activation is then a pure
-                 steering-map change. *)
-              let scalable =
-                match elastic with
-                | Some (ec : elastic_config) ->
-                    ec.max_replicas > 1 && Replication.migratable nf0 && shardable mid entry.nf
-                | None -> false
-              in
-              let n_replicas =
-                match elastic with
-                | Some ec when scalable -> max base_replicas ec.max_replicas
-                | _ -> base_replicas
-              in
-              let make_replica r (nf : Nfp_nf.Nf.t) jitter =
-              (* Lossless-recovery cell, armed when checkpointing is on
-                 and the NF can snapshot/restore its state: the last
-                 checkpoint, plus a bounded log of pre-processing packet
-                 copies appended since (each carries its MID/PID/version
-                 metadata). A full log forces a checkpoint early — never
-                 a silent loss. [charge] is wired to the server (created
-                 below) so checkpoint time lands on the NF core. Without
-                 a cell every hook is a no-op. *)
-              let charge = ref (fun (_ : float) -> ()) in
-              let logging, take_checkpoint, log_packet, replay, refresh =
-                match (lossless, nf.snapshot, nf.restore) with
-                | true, Some snap, Some restore_state ->
-                    let snapref = ref (snap ()) in
-                    let log : Packet.t list ref = ref [] in
-                    let log_len = ref 0 in
-                    let ckpt_ns = Nfp_sim.Cost.ns_of_cycles cost cost.checkpoint_cycles in
-                    let take_checkpoint ~forced () =
-                      (* An empty log means no packet touched the NF
-                         since the last snapshot — the state cannot
-                         have changed, so re-snapshotting would buy
-                         nothing and still charge the core. *)
-                      if !log_len > 0 then begin
-                        snapref := snap ();
-                        log := [];
-                        log_len := 0;
-                        incr checkpoints;
-                        if forced then incr forced_checkpoints;
-                        !charge ckpt_ns
-                      end
-                    in
-                    let log_packet pkt =
-                      if !log_len >= log_capacity then take_checkpoint ~forced:true ();
-                      log := Packet.full_copy pkt :: !log;
-                      incr log_len
-                    in
-                    (* Restore the checkpoint and re-process the log in
-                       arrival order on the logged copies: state effects
-                       replay exactly, nothing is emitted (the original
-                       emissions stand — output suppression), and the
-                       time is returned as added downtime. *)
-                    let replay () =
-                      restore_state !snapref;
-                      let extra = ref 0.0 in
-                      List.iter
-                        (fun pkt ->
-                          let cycles = cost.replay_cycles + nf.cost_cycles pkt in
-                          (try ignore (nf.process pkt) with _ -> ());
-                          incr replayed;
-                          extra := !extra +. Nfp_sim.Cost.ns_of_cycles cost cycles)
-                        (List.rev !log);
-                      (* The replayed state is the fresh checkpoint; the
-                         log restarts empty. Uncharged: the core is down
-                         and the replay is already in its downtime. *)
-                      snapref := snap ();
-                      log := [];
-                      log_len := 0;
-                      !extra
-                    in
-                    (* Migration commit: the replica's state just
-                       changed out from under the checkpoint (entries
-                       carved out at the source, folded in at the
-                       destination), so the recovery cell must be
-                       re-seeded — otherwise a later crash-replay
-                       would resurrect migrated state at the source
-                       or lose absorbed state at the destination. *)
-                    let refresh () =
-                      snapref := snap ();
-                      log := [];
-                      log_len := 0
-                    in
-                    (true, take_checkpoint, log_packet, replay, refresh)
-                | _ -> (false, (fun ~forced:_ () -> ()), ignore, (fun () -> 0.0), ignore)
-              in
-              let static =
-                cost.ring_dequeue + cost.nf_runtime + prog.p_static
-                + if logging then cost.log_append else 0
-              in
-              (* Pressure-degrade switch: while this replica's own ring
-                 sits above the watermark, an NF that declares a degrade
-                 mode runs its coarsened semantics at its coarsened
-                 cost. The predicate reads the server created below
-                 (through a cell, to break the creation cycle); within
-                 one breath the ring occupancy is constant, so pricing
-                 and execution always agree per breath. Without an
-                 overload config (or without a declared mode) [deg] is
-                 [None] and this entire path is dead code. *)
-              let deg = if degrade_on then nf.Nfp_nf.Nf.degrade else None in
-              let self_pressured = ref (fun () -> false) in
-              let deg_active = ref false in
-              let service_ns ctx (cell : Nfp_sim.Server.cell) =
-                let nf_cycles =
-                  match Context.get ctx entry.version with
-                  | Some pkt -> (
-                      match deg with
-                      | Some d when !self_pressured () -> d.Nfp_nf.Nf.d_cost_cycles pkt
-                      | _ -> nf.cost_cycles pkt)
-                  | None -> 0
-                in
-                cell.ns <-
-                  Nfp_sim.Cost.ns_of_cycles cost (static + nf_cycles + dyn_cycles prog ctx)
-              in
-              let execute ctx =
+        (* NF slots, in nf_impls order (replica 0 first — at replicas=1
+           the same PRNG split order as the interpretive path). Replica
+           0 is the caller's NF instance; further replicas are fresh
+           instances from [Nf.fresh], each with its own state, recovery
+           cell, fault stream and probe. *)
+        let build_slot slot (mid, (entry : Tables.nf_entry), (nf0 : Nfp_nf.Nf.t)) =
+          let prog = compile_actions ~mid ~self:(Tables.D_nf entry.nf) entry.actions in
+          let nil_sends =
+            match entry.nil_target with
+            | None -> [||]
+            | Some id ->
+                let m = lookup_merge mid id in
+                let branch = branch_index m.m_spec (Tables.D_nf entry.nf) in
+                [| S_merge { merge = m; branch; nil = true } |]
+          in
+          let base_replicas =
+            if replicas_knob > 1 && shardable mid entry.nf then replicas_knob else 1
+          in
+          (* Scalable = the elastic controller may add/remove replicas
+             at runtime: the plan clears the NF for sharding AND its
+             state supports live extraction ([Replication.migratable]).
+             Standby replicas up to the ceiling are built now —
+             activation is then a pure steering-map change. *)
+          let steer =
+            match elastic with
+            | Some (ec : elastic_config)
+              when ec.max_replicas > 1 && Replication.migratable nf0
+                   && shardable mid entry.nf ->
+                let n = max base_replicas ec.max_replicas in
+                Some (n, Elastic.steer ec ~replicas:n ~base:base_replicas)
+            | _ -> None
+          in
+          let n_replicas = match steer with Some (n, _) -> n | None -> base_replicas in
+          let nfs =
+            Array.init n_replicas (fun r ->
+                if r = 0 then nf0
+                else
+                  match nf0.Nfp_nf.Nf.fresh with
+                  | Some fresh -> fresh ()
+                  | None -> assert false (* [shardable] guarantees fresh *))
+          in
+          let bypassed = Array.make n_replicas false in
+          let make_replica r jitter =
+            let nf = nfs.(r) in
+            let cell = Watchdog.cell watchdog nf in
+            let static =
+              cost.ring_dequeue + cost.nf_runtime + prog.p_static
+              + if Watchdog.logging cell then cost.log_append else 0
+            in
+            (* Pressure-degrade switch: while this replica's own ring
+               sits above the watermark, an NF that declares a degrade
+               mode runs its coarsened semantics at its coarsened cost.
+               The predicate reads the server created below (through a
+               cell, to break the creation cycle); within one breath the
+               ring occupancy is constant, so pricing and execution
+               always agree per breath. Without an overload config (or
+               without a declared mode) [deg] is [None] and this entire
+               path is dead code. *)
+            let deg = if degrade_on then nf.Nfp_nf.Nf.degrade else None in
+            let self_pressured = ref (fun () -> false) in
+            let deg_active = ref false in
+            let service_ns ctx (c : Nfp_sim.Server.cell) =
+              let nf_cycles =
                 match Context.get ctx entry.version with
-                | None -> [||]
                 | Some pkt -> (
-                    log_packet pkt;
-                    let degrade_mode =
-                      match deg with
-                      | None -> None
+                    match deg with
+                    | Some d when !self_pressured () -> d.Nfp_nf.Nf.d_cost_cycles pkt
+                    | _ -> nf.cost_cycles pkt)
+                | None -> 0
+              in
+              c.ns <-
+                Nfp_sim.Cost.ns_of_cycles cost (static + nf_cycles + dyn_cycles prog ctx)
+            in
+            let execute ctx =
+              match Context.get ctx entry.version with
+              | None -> [||]
+              | Some pkt -> (
+                  Watchdog.log cell pkt;
+                  let degrade_mode =
+                    match deg with
+                    | None -> None
+                    | Some d ->
+                        let p = !self_pressured () in
+                        if p <> !deg_active then begin
+                          deg_active := p;
+                          if p then incr degrade_switches
+                        end;
+                        if p then Some d else None
+                  in
+                  let verdict =
+                    try
+                      match degrade_mode with
                       | Some d ->
-                          let p = !self_pressured () in
-                          if p <> !deg_active then begin
-                            deg_active := p;
-                            if p then incr degrade_switches
-                          end;
-                          if p then Some d else None
-                    in
-                    let verdict =
-                      try
-                        match degrade_mode with
-                        | Some d ->
-                            incr degraded_packets;
-                            d.Nfp_nf.Nf.d_process pkt
-                        | None -> nf.process pkt
-                      with exn ->
-                        Log.warn (fun m ->
-                            m "NF %s crashed on packet %Ld: %s" entry.nf (Context.pid ctx)
-                              (Printexc.to_string exn));
-                        Nfp_nf.Nf.Dropped
-                    in
-                    match verdict with
-                    | Nfp_nf.Nf.Forward -> exec_prog prog ctx
-                    | Nfp_nf.Nf.Dropped ->
-                        if Array.length nil_sends = 0 then incr nf_drops;
-                        nil_sends)
-              in
-              (* Replica 0 keeps the historical core name; shards get an
-                 @r suffix, so fault plans can target (and crash) each
-                 replica independently. *)
-              let name =
-                if r = 0 then Printf.sprintf "mid%d:%s" mid entry.nf
-                else Printf.sprintf "mid%d:%s@%d" mid entry.nf r
-              in
-              let server =
-                Nfp_sim.Server.create ~engine ~name ~ring_capacity:config.ring_capacity
-                  ~batch ~burst_saving_ns ~jitter ?watermarks:wm
-                  ?fault:(fault_for name) ~service_ns ~execute ~emit:emit_send ()
-              in
-              self_pressured := (fun () -> Nfp_sim.Server.pressured server);
-              charge := Nfp_sim.Server.charge server;
-              (* Bypass recovery: mark the replica, reroute this core's
-                 casualties (the in-flight batch its kill reclaimed, and
-                 any pending emissions) plus the queued backlog through
-                 its action program, so every packet lands in exactly
-                 one ledger bucket and no merger waits on this branch.
-                 Other replicas of the slot keep processing. *)
-              let drain () =
-                !bypassed.(slot).(r) <- true;
-                Nfp_sim.Server.set_casualty_sink server (fun jobs emits ->
-                    List.iter (bypass slot) jobs;
-                    List.iter drive emits);
-                let backlog = Nfp_sim.Server.drain server in
-                List.iter (bypass slot) backlog;
-                List.length backlog
-              in
-              register_probe ~nf:(mid, entry.nf) ~drain ~replay
-                ~checkpoint:(fun () ->
-                  if not (Nfp_sim.Server.is_down server) then take_checkpoint ~forced:false ())
-                server;
-              (server, refresh)
-              in
-              let replica_nfs =
-                Array.init n_replicas (fun r ->
-                    if r = 0 then nf0
-                    else
-                      match nf0.Nfp_nf.Nf.fresh with
-                      | Some fresh -> fresh ()
-                      | None -> assert false (* [shardable] guarantees fresh *))
-              in
-              (* Build replicas in index order: each creation splits the
-                 jitter PRNG, and the replicas=1 trace must keep the
-                 historical split sequence. Standby replicas (index >=
-                 the static count) split the independent elastic stream
-                 instead, leaving the main sequence untouched. *)
-              let pairs =
-                Array.init n_replicas (fun r ->
-                    let jitter =
-                      if r < base_replicas then jitter_for () else elastic_jitter_for ()
-                    in
-                    make_replica r replica_nfs.(r) jitter)
-              in
-              let reps = Array.map fst pairs and refreshers = Array.map snd pairs in
-              replica_layout :=
-                ( mid,
-                  entry,
-                  replica_nfs,
-                  Array.map
-                    (fun s () -> Nfp_sim.Server.processed s)
-                    reps )
-                :: !replica_layout;
-              let steer =
-                match elastic with
-                | Some ec when scalable ->
-                    Some (Elastic.steer ec ~replicas:n_replicas ~base:base_replicas)
-                | _ -> None
-              in
-              ( reps,
-                prog,
-                Option.map (fun st -> (st, replica_nfs, refreshers)) steer ))
-            nf_impls
+                          incr degraded_packets;
+                          d.Nfp_nf.Nf.d_process pkt
+                      | None -> nf.process pkt
+                    with exn ->
+                      Log.warn (fun m ->
+                          m "NF %s crashed on packet %Ld: %s" entry.nf (Context.pid ctx)
+                            (Printexc.to_string exn));
+                      Nfp_nf.Nf.Dropped
+                  in
+                  match verdict with
+                  | Nfp_nf.Nf.Forward -> exec_prog prog ctx
+                  | Nfp_nf.Nf.Dropped ->
+                      if Array.length nil_sends = 0 then incr nf_drops;
+                      nil_sends)
+            in
+            (* Replica 0 keeps the historical core name; shards get an
+               @r suffix, so fault plans can target (and crash) each
+               replica independently. *)
+            let name =
+              if r = 0 then Printf.sprintf "mid%d:%s" mid entry.nf
+              else Printf.sprintf "mid%d:%s@%d" mid entry.nf r
+            in
+            let server =
+              Nfp_sim.Server.create ~engine ~name ~ring_capacity:config.ring_capacity ~batch
+                ~burst_saving_ns ~jitter ?watermarks:wm ?fault:(fault_for name) ~service_ns
+                ~execute ~emit:emit_send ()
+            in
+            self_pressured := (fun () -> Nfp_sim.Server.pressured server);
+            (* Bypass recovery: mark the replica, reroute this core's
+               casualties (the in-flight batch its kill reclaimed, and
+               any pending emissions) plus the queued backlog through
+               its action program, so every packet lands in exactly one
+               ledger bucket and no merger waits on this branch. Other
+               replicas of the slot keep processing. *)
+            let drain () =
+              bypassed.(r) <- true;
+              Nfp_sim.Server.set_casualty_sink server (fun jobs emits ->
+                  List.iter (bypass prog) jobs;
+                  List.iter drive emits);
+              let backlog = Nfp_sim.Server.drain server in
+              List.iter (bypass prog) backlog;
+              List.length backlog
+            in
+            register_probe ~nf:(mid, entry.nf) ~drain ~cell server;
+            (server, cell)
+          in
+          (* Build replicas in index order: each creation splits the
+             jitter PRNG, and the replicas=1 trace must keep the
+             historical split sequence. Standby replicas (index >= the
+             static count) split the independent elastic stream instead,
+             leaving the main sequence untouched. *)
+          let replicas =
+            Array.init n_replicas (fun r ->
+                make_replica r
+                  (if r < base_replicas then jitter_for () else elastic_jitter_for ()))
+          in
+          let servers = Array.map fst replicas in
+          let offers = Array.map Nfp_sim.Server.offer servers in
+          (* A channel releases through [route_nf] over the replicas'
+             rings, so steering and bypass are re-resolved at release
+             time. The reroute of a Down link runs the slot's action
+             program off-core, bypass-style: downstream sees every
+             expected branch. *)
+          let links =
+            Array.map
+              (fun srv ->
+                channel_for ~name:(Nfp_sim.Server.name srv)
+                  ~deliver:(route_nf ~release:true slot) ~reroute:(off_core prog))
+              servers
+          in
+          {
+            s_mid = mid;
+            s_entry = entry;
+            s_prog = prog;
+            s_servers = servers;
+            s_nfs = nfs;
+            s_cells = Array.map snd replicas;
+            s_offers = offers;
+            s_links = links;
+            s_ports = Array.map2 offer_via links offers;
+            s_bypassed = bypassed;
+            s_steer = Option.map snd steer;
+          }
         in
-        let built = servers in
-        let servers = List.map (fun (r, _, _) -> r) built in
-        let progs = List.map (fun (_, p, _) -> p) built in
-        steers :=
-          Array.of_list
-            (List.map (fun (_, _, e) -> Option.map (fun (st, _, _) -> st) e) built);
-        nf_servers := Array.of_list servers;
-        nf_cprogs := Array.of_list progs;
-        bypassed :=
-          Array.of_list
-            (List.map (fun reps -> Array.make (Array.length reps) false) servers);
-        (* NF ports. A channel releases through [route_nf] over the
-           replicas' rings, so steering and bypass are re-resolved at
-           release time. The reroute of a Down link runs the slot's
-           action program off-core, bypass-style: downstream sees every
-           expected branch. *)
-        let nf_offers = Array.map (Array.map Nfp_sim.Server.offer) !nf_servers in
-        let nf_links =
-          Array.mapi
-            (fun slot reps ->
-              Array.map
-                (fun srv ->
-                  channel_for ~name:(Nfp_sim.Server.name srv)
-                    ~deliver:(route_nf nf_offers slot)
-                    ~reroute:(fun ctx -> drive (emission ctx (exec_prog !nf_cprogs.(slot) ctx))))
-                reps)
-            !nf_servers
-        in
-        nf_ports := Array.map2 (Array.map2 offer_via) nf_links nf_offers;
+        slots := Array.of_list (List.mapi build_slot nf_impls);
         (* Migration transfers get their own link family
            ("migrate:<replica>"): moved in-flight packets cross the
            fabric like any other edge, so a plan can perturb the re-home
            path independently of the data path. *)
-        let elastic_slot slot (reps, _, e) =
-          match e with
+        let elastic_slot s =
+          match s.s_steer with
           | None -> []
-          | Some (steer, nfs, refresh) ->
+          | Some steer ->
               [
                 {
-                  Elastic.servers = reps;
-                  nfs;
-                  refresh;
+                  Elastic.servers = s.s_servers;
+                  nfs = s.s_nfs;
+                  cells = s.s_cells;
                   steer;
-                  hash = (fun ctx -> rss_hash ctx slot);
+                  hash = (fun ctx -> rss_hash ctx s);
                   reachable =
                     (fun r ->
-                      match nf_links.(slot).(r) with
+                      match s.s_links.(r) with
                       | Some ch -> not (Channel.is_down ch)
                       | None -> true);
                   rehome =
@@ -1440,7 +1362,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                       (fun srv ->
                         let port = server_port ~prefix:"migrate:" srv in
                         fun ctx -> drive (fun () -> port ctx))
-                      reps;
+                      s.s_servers;
                 };
               ]
         in
@@ -1455,7 +1377,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                       Nfp_sim.Server.queue_length p.server > 0
                       || Nfp_sim.Server.is_busy p.server)
                     !probes)
-                (List.concat (List.mapi elastic_slot built))
+                (List.concat_map elastic_slot (Array.to_list !slots))
         in
         (* Merge completion, shared by the full-arrival path and the
            timeout path. [nil_mask] decides the drop policy; [skip_mask]
@@ -1625,10 +1547,19 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
         in
         let sampler =
           sampler_of classifier
-            (List.concat_map Array.to_list servers)
+            (List.concat_map (fun s -> Array.to_list s.s_servers) (Array.to_list !slots))
             !merger_cores !agent_core
         in
-        (Nfp_sim.Server.offer classifier, sampler, controller)
+        ( Nfp_sim.Server.offer classifier,
+          sampler,
+          controller,
+          fun () ->
+            Array.to_list
+              (Array.map
+                 (fun s ->
+                   replica_report ~mid:s.s_mid s.s_entry s.s_nfs
+                     (Array.to_list (Array.map Nfp_sim.Server.processed s.s_servers)))
+                 !slots) )
   in
   (* Classifier front end: CT match, metadata tagging, first-hop actions.
      Unmatched packets are discarded (no service graph owns them) and
@@ -1663,44 +1594,6 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
   (* Replication report: strategy, replica fan-out and per-replica
      processed counts for every NF, plus the merged state digest. Call
      it after a run drains — the digest reads live NF state. *)
-  let replication_report () =
-    List.rev_map
-      (fun (mid, (entry : Tables.nf_entry), nfs_arr, processed_arr) ->
-        let nf0 : Nfp_nf.Nf.t = nfs_arr.(0) in
-        let merged_digest =
-          if Array.length nfs_arr = 1 then nf0.state_digest ()
-          else
-            match (nf0.merge, nf0.fresh) with
-            | Some merge, Some fresh ->
-                let snaps =
-                  Array.to_list
-                    (Array.map
-                       (fun (nf : Nfp_nf.Nf.t) ->
-                         match nf.snapshot with
-                         | Some snap -> snap ()
-                         | None -> assert false (* eligibility requires it *))
-                       nfs_arr)
-                in
-                let scratch = fresh () in
-                (match scratch.restore with
-                | Some restore -> restore (merge snaps)
-                | None -> assert false);
-                scratch.state_digest ()
-            | _ ->
-                (* Replicated_readonly: replicas never diverge. *)
-                nf0.state_digest ()
-        in
-        {
-          rr_mid = mid;
-          rr_nf = entry.nf;
-          rr_kind = nf0.kind;
-          rr_strategy = Replication.derive nf0;
-          rr_replicas = Array.length nfs_arr;
-          rr_processed = Array.to_list (Array.map (fun f -> f ()) processed_arr);
-          rr_merged_digest = merged_digest;
-        })
-      !replica_layout
-  in
   (match replication with None -> () | Some cell -> cell := replication_report);
   (* ---------------------------------------------------------------- *)
   (* Degrade fallback: one sequential twin chain per service graph,   *)
@@ -1785,11 +1678,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
      policy runs. *)
   let probe_arr = Array.of_list (List.rev !probes) in
   let degraded = Array.make (Array.length table) false in
-  let watchdog =
-    match fault with
-    | Some fc -> Watchdog.create ~engine fc ~lossless ~degraded probe_arr
-    | None -> Watchdog.off
-  in
+  Watchdog.watch watchdog ~degraded probe_arr;
   (* ---------------------------------------------------------------- *)
   (* Admission controller (overload config only). An escalating shed   *)
   (* level L with per-poll hysteresis: while any core's watermark      *)
@@ -1843,7 +1732,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
              {
                Nfp_sim.Harness.core = name;
                state =
-                 (match watchdog.state i with
+                 (match Watchdog.state watchdog i with
                  | Some s -> s
                  | None when Nfp_sim.Server.is_down s -> "down"
                  | None -> Option.value (controller.core_state name) ~default:"up");
@@ -1854,20 +1743,21 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
     in
     let sum f = Array.fold_left (fun acc p -> acc + f p) 0 probe_arr in
     let rejected_total = sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.rejected p.server) in
+    let w = Watchdog.counters watchdog in
     {
       Nfp_sim.Harness.cores;
-      detections = watchdog.detections;
+      detections = w.detections;
       crashes = sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.crashes p.server);
-      restarts = watchdog.restarts;
-      bypasses = watchdog.bypasses;
-      degrades = watchdog.degrades;
-      recoveries = watchdog.recoveries;
+      restarts = w.restarts;
+      bypasses = w.bypasses;
+      degrades = w.degrades;
+      recoveries = w.recoveries;
       bypassed_packets = !bypassed_packets;
-      checkpoints = !checkpoints;
-      forced_checkpoints = !forced_checkpoints;
-      replayed = !replayed;
+      checkpoints = w.checkpoints;
+      forced_checkpoints = w.forced_checkpoints;
+      replayed = w.replayed;
       deduped = !deduped;
-      salvaged = watchdog.salvaged;
+      salvaged = w.salvaged;
       drops =
         {
           Nfp_sim.Harness.ingress_rejected = !ring_drops;
@@ -1890,8 +1780,8 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
         };
       pressure_episodes =
         sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.pressure_episodes p.server);
-      breaker_trips = watchdog.breaker_trips;
-      backoffs = watchdog.backoffs;
+      breaker_trips = w.breaker_trips;
+      backoffs = w.backoffs;
       degrade_switches = !degrade_switches;
       scale_outs = controller.scale_outs;
       scale_ins = controller.scale_ins;
@@ -1914,7 +1804,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
   {
     Nfp_sim.Harness.inject =
       (fun ~pid pkt ->
-        watchdog.kick ();
+        Watchdog.kick watchdog;
         controller.kick ();
         let mid = classify_pkt pkt in
         Nfp_sim.Engine.schedule engine
@@ -1938,10 +1828,6 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
             else
               let ctx = Context.create ~pid ~mid pkt in
               if not (classify_port ctx) then incr ring_drops));
-    ring_drops = (fun () -> !ring_drops);
-    nf_drops = (fun () -> !nf_drops);
-    unmatched = (fun () -> !unmatched);
-    shed = (fun () -> !shed_total);
     classifier =
       (fun () ->
         {

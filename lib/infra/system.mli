@@ -11,16 +11,14 @@ open Nfp_packet
 
 type config = {
   cost : Nfp_sim.Cost.t;
+      (** its [batch] is the breath size of every core's poll loop
+          (jobs inhaled per burst); 1 restores per-packet (legacy)
+          execution bit-for-bit. Output is batch-size invariant — only
+          timing moves (test_batch proves it differentially). *)
   ring_capacity : int;
   mergers : int;  (** merger instances; > 1 adds the agent core *)
   jitter : float;  (** ± fractional service jitter per core; in [\[0, 1)] *)
   seed : int64;
-  batch_size : int;
-      (** breath size of every core's poll loop (jobs inhaled per
-          burst); default {!Nfp_sim.Cost.default}'s [batch]. 1 restores
-          per-packet (legacy) execution bit-for-bit. Output is
-          batch-size invariant — only timing moves (test_batch proves
-          it differentially). *)
   replicas : int;
       (** target replica count for NFs the replication analysis clears
           ({!Nfp_core.Replication.shardable}: a safe state-access
@@ -335,8 +333,8 @@ val make_multi :
     steers packets into its graph (MID = 1-based table position, first
     match wins). NF cores are per graph; merger instances are shared
     ("a merger instance can merge any packet from any service graph",
-    §5.3). Unmatched packets are discarded and counted via the system's
-    [unmatched] counter, separate from NF drops. When a [stats] ref is
+    §5.3). Unmatched packets are discarded and counted in
+    [health.drops.no_match], separate from NF drops. When a [stats] ref is
     supplied it is filled with a sampler of per-core utilization
     counters.
 
@@ -401,7 +399,7 @@ val make_multi :
     [overload] (compiled path only) arms the overload control plane:
     watermark backpressure latches on every ring, the priority-aware
     admission controller at the classifier (shed counts exposed
-    through the system's [shed] counter and [health.drops]), and
+    through [health.drops]), and
     per-NF pressure-degrade modes. Without it — or with watermarks the
     workload never reaches — the deployment's output is bit-identical
     to the pre-overload system (test/test_overload.ml enforces this).

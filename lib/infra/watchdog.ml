@@ -33,19 +33,9 @@ let default =
     dedup_capacity = 65_536;
   }
 
-type probe =
-  | Probe : {
-      server : ('job, 'send) Nfp_sim.Server.t;
-      nf : (int * string) option;
-      drain : unit -> int;
-      checkpoint : unit -> unit;
-      replay : unit -> float;
-    }
-      -> probe
-
-type t = {
-  kick : unit -> unit;
-  state : int -> string option;
+(* The counters a watchdog keeps: its own recovery actions plus the
+   lossless-recovery cells' checkpoints and replays. *)
+type counters = {
   mutable detections : int;
   mutable restarts : int;
   mutable bypasses : int;
@@ -54,23 +44,165 @@ type t = {
   mutable breaker_trips : int;
   mutable backoffs : int;
   mutable salvaged : int;
+  mutable checkpoints : int;
+  mutable forced_checkpoints : int;
+  mutable replayed : int;
 }
 
-let off =
+type t = {
+  engine : Nfp_sim.Engine.t;
+  fault : config option;
+  cost : Nfp_sim.Cost.t;
+  (* Checkpointing armed: a non-empty fault plan and a positive
+     checkpoint interval. *)
+  lossless : bool;
+  counters : counters;
+  mutable kick : unit -> unit;
+  mutable state : int -> string option;
+}
+
+let create ~engine ~cost ?fault () =
+  let lossless =
+    match fault with
+    | Some fc -> (not (Nfp_sim.Fault.is_empty fc.plan)) && fc.checkpoint_interval_ns > 0.0
+    | None -> false
+  in
   {
+    engine;
+    fault;
+    cost;
+    lossless;
+    counters =
+      {
+        detections = 0;
+        restarts = 0;
+        bypasses = 0;
+        degrades = 0;
+        recoveries = 0;
+        breaker_trips = 0;
+        backoffs = 0;
+        salvaged = 0;
+        checkpoints = 0;
+        forced_checkpoints = 0;
+        replayed = 0;
+      };
     kick = ignore;
     state = (fun _ -> None);
-    detections = 0;
-    restarts = 0;
-    bypasses = 0;
-    degrades = 0;
-    recoveries = 0;
-    breaker_trips = 0;
-    backoffs = 0;
-    salvaged = 0;
   }
 
-let create ~engine (fc : config) ~lossless ~degraded probes =
+let counters t = t.counters
+let kick t = t.kick ()
+let state t i = t.state i
+
+(* Lossless-recovery cell of one NF replica: the last checkpoint, plus
+   a bounded log of pre-processing packet copies appended since (each
+   carries its MID/PID/version metadata). A full log forces a
+   checkpoint early — never a silent loss. [charge] bills checkpoint
+   time to the replica's core; {!watch} wires it to the probe's
+   server. *)
+type cell =
+  | No_cell
+  | Cell of {
+      wd : t;
+      nf : Nfp_nf.Nf.t;
+      snap : unit -> Nfp_nf.Nf.state;
+      restore : Nfp_nf.Nf.state -> unit;
+      capacity : int;
+      mutable last : Nfp_nf.Nf.state;
+      mutable log : Nfp_packet.Packet.t list;
+      mutable log_len : int;
+      mutable charge : float -> unit;
+    }
+
+let no_cell = No_cell
+
+let cell t (nf : Nfp_nf.Nf.t) =
+  match (t.lossless, t.fault, nf.snapshot, nf.restore) with
+  | true, Some fc, Some snap, Some restore ->
+      Cell
+        {
+          wd = t;
+          nf;
+          snap;
+          restore;
+          capacity = max 1 fc.log_capacity;
+          last = snap ();
+          log = [];
+          log_len = 0;
+          charge = ignore;
+        }
+  | _ -> No_cell
+
+let logging = function No_cell -> false | Cell _ -> true
+
+(* Re-seed the cell from the NF's current state. Also the migration
+   commit: the replica's state just changed out from under the
+   checkpoint (entries carved out at the source, folded in at the
+   destination), so a later crash-replay would otherwise resurrect
+   migrated state at the source or lose absorbed state at the
+   destination. *)
+let refresh = function
+  | No_cell -> ()
+  | Cell c ->
+      c.last <- c.snap ();
+      c.log <- [];
+      c.log_len <- 0
+
+let checkpoint ~forced = function
+  | No_cell -> ()
+  | Cell c as cell ->
+      (* An empty log means no packet touched the NF since the last
+         snapshot — the state cannot have changed, so re-snapshotting
+         would buy nothing and still charge the core. *)
+      if c.log_len > 0 then begin
+        refresh cell;
+        let w = c.wd.counters in
+        w.checkpoints <- w.checkpoints + 1;
+        if forced then w.forced_checkpoints <- w.forced_checkpoints + 1;
+        c.charge (Nfp_sim.Cost.ns_of_cycles c.wd.cost c.wd.cost.checkpoint_cycles)
+      end
+
+let log cell pkt =
+  match cell with
+  | No_cell -> ()
+  | Cell c ->
+      if c.log_len >= c.capacity then checkpoint ~forced:true cell;
+      c.log <- Nfp_packet.Packet.full_copy pkt :: c.log;
+      c.log_len <- c.log_len + 1
+
+(* Restore the checkpoint and re-process the log in arrival order on
+   the logged copies: state effects replay exactly, nothing is emitted
+   (the original emissions stand — output suppression), and the time is
+   returned as added downtime. The replayed state is the fresh
+   checkpoint; the log restarts empty. Uncharged: the core is down and
+   the replay is already in its downtime. *)
+let replay = function
+  | No_cell -> 0.0
+  | Cell c as cell ->
+      c.restore c.last;
+      let cost = c.wd.cost and w = c.wd.counters in
+      let extra = ref 0.0 in
+      List.iter
+        (fun pkt ->
+          let cycles = cost.replay_cycles + c.nf.cost_cycles pkt in
+          (try ignore (c.nf.process pkt) with _ -> ());
+          w.replayed <- w.replayed + 1;
+          extra := !extra +. Nfp_sim.Cost.ns_of_cycles cost cycles)
+        (List.rev c.log);
+      refresh cell;
+      !extra
+
+type probe =
+  | Probe : {
+      server : ('job, 'send) Nfp_sim.Server.t;
+      nf : (int * string) option;
+      drain : unit -> int;
+      cell : cell;
+    }
+      -> probe
+
+let watch_with t (fc : config) ~degraded probes =
+  let engine = t.engine and lossless = t.lossless and w = t.counters in
   let n = Array.length probes in
   let wstate = Array.make n `Up in
   let prev_processed = Array.make n 0 in
@@ -91,31 +223,13 @@ let create ~engine (fc : config) ~lossless ~degraded probes =
      (the pre-breaker behavior, bit for bit). *)
   let consec = Array.make n 0 in
   let breaker_on = fc.breaker_threshold > 0 in
-  let rec t =
-    {
-      kick;
-      state =
-        (fun i ->
-          match wstate.(i) with
-          | `Bypassed -> Some "bypassed"
-          | `Restarting -> Some "restarting"
-          | `Up -> None);
-      detections = 0;
-      restarts = 0;
-      bypasses = 0;
-      degrades = 0;
-      recoveries = 0;
-      breaker_trips = 0;
-      backoffs = 0;
-      salvaged = 0;
-    }
-  and recover i (Probe p) =
+  let recover i (Probe p) =
     let s = p.server in
-    t.detections <- t.detections + 1;
+    w.detections <- w.detections + 1;
     consec.(i) <- consec.(i) + 1;
     let restart_delay () =
       if breaker_on && consec.(i) > 1 then begin
-        t.backoffs <- t.backoffs + 1;
+        w.backoffs <- w.backoffs + 1;
         Float.min fc.backoff_max_ns
           (fc.restart_ns *. (fc.backoff_factor ** float_of_int (consec.(i) - 1)))
       end
@@ -128,33 +242,33 @@ let create ~engine (fc : config) ~lossless ~degraded probes =
          input log before the core comes back — the replay time extends
          the outage — then re-admit the reclaimed casualties instead of
          flushing them. *)
-      let replay_ns = if lossless then p.replay () else 0.0 in
+      let replay_ns = replay p.cell in
       Nfp_sim.Engine.schedule engine ~delay:(restart_delay () +. replay_ns) (fun () ->
           if lossless then begin
             let jobs, emits = Nfp_sim.Server.casualty_counts s in
-            t.salvaged <- t.salvaged + jobs + emits
+            w.salvaged <- w.salvaged + jobs + emits
           end;
           ignore (Nfp_sim.Server.revive ~flush:(not lossless) s);
-          t.restarts <- t.restarts + 1;
+          w.restarts <- w.restarts + 1;
           wstate.(i) <- `Up;
           mark_progress i s (Nfp_sim.Engine.now engine);
           on_up ())
     in
     let bypass_core () =
       wstate.(i) <- `Bypassed;
-      t.bypasses <- t.bypasses + 1;
+      w.bypasses <- w.bypasses + 1;
       Nfp_sim.Server.kill s;
       ignore (p.drain ())
     in
     let degrade mid =
       degraded.(mid - 1) <- true;
-      t.degrades <- t.degrades + 1
+      w.degrades <- w.degrades + 1
     in
     match p.nf with
     | None -> restart_core ~on_up:ignore ()
     | Some (mid, nfname) ->
         if breaker_on && consec.(i) > fc.breaker_threshold then begin
-          t.breaker_trips <- t.breaker_trips + 1;
+          w.breaker_trips <- w.breaker_trips + 1;
           match fc.breaker_fallback with
           | Restart | Bypass -> bypass_core ()
           | Degrade ->
@@ -173,15 +287,20 @@ let create ~engine (fc : config) ~lossless ~degraded probes =
               restart_core
                 ~on_up:(fun () ->
                   degraded.(mid - 1) <- false;
-                  t.recoveries <- t.recoveries + 1)
+                  w.recoveries <- w.recoveries + 1)
                 ())
-  and check () =
+  in
+  let rec check () =
     let now = Nfp_sim.Engine.now engine in
     (* Periodic checkpoint tick: snapshot every live core's NF state and
        truncate its input log. Rides the watchdog's wake/sleep cycle, so
        an idle system takes no checkpoints. *)
     if lossless && now >= !next_ckpt then begin
-      Array.iteri (fun i (Probe p) -> if wstate.(i) = `Up then p.checkpoint ()) probes;
+      Array.iteri
+        (fun i (Probe p) ->
+          if wstate.(i) = `Up && not (Nfp_sim.Server.is_down p.server) then
+            checkpoint ~forced:false p.cell)
+        probes;
       next_ckpt := now +. fc.checkpoint_interval_ns
     end;
     let pending = ref false in
@@ -230,16 +349,34 @@ let create ~engine (fc : config) ~lossless ~degraded probes =
       probes;
     if !pending then Nfp_sim.Engine.schedule engine ~delay:fc.watchdog_interval_ns check
     else active := false
-  and kick () =
-    if not !active then begin
-      active := true;
-      (* Reset the heartbeats on wake-up: idle time must not count
-         against the deadline. The checkpoint clock restarts with the
-         watchdog for the same reason. *)
-      let now = Nfp_sim.Engine.now engine in
-      if lossless then next_ckpt := now +. fc.checkpoint_interval_ns;
-      Array.iteri (fun i (Probe p) -> mark_progress i p.server now) probes;
-      Nfp_sim.Engine.schedule engine ~delay:fc.watchdog_interval_ns check
-    end
   in
-  t
+  t.kick <-
+    (fun () ->
+      if not !active then begin
+        active := true;
+        (* Reset the heartbeats on wake-up: idle time must not count
+           against the deadline. The checkpoint clock restarts with the
+           watchdog for the same reason. *)
+        let now = Nfp_sim.Engine.now engine in
+        if lossless then next_ckpt := now +. fc.checkpoint_interval_ns;
+        Array.iteri (fun i (Probe p) -> mark_progress i p.server now) probes;
+        Nfp_sim.Engine.schedule engine ~delay:fc.watchdog_interval_ns check
+      end);
+  t.state <-
+    (fun i ->
+      match wstate.(i) with
+      | `Bypassed -> Some "bypassed"
+      | `Restarting -> Some "restarting"
+      | `Up -> None)
+
+(* Every core's checkpoint time lands on its own server, so each cell's
+   charge is wired once the probes exist. Without a fault config the
+   watchdog stays inert: [kick] does nothing and no core is watched. *)
+let watch t ~degraded probes =
+  Array.iter
+    (fun (Probe p) ->
+      match p.cell with
+      | Cell c -> c.charge <- Nfp_sim.Server.charge p.server
+      | No_cell -> ())
+    probes;
+  match t.fault with None -> () | Some fc -> watch_with t fc ~degraded probes

@@ -1,7 +1,8 @@
 (** Fault detection and recovery for a {!System} deployment: per-core
     progress heartbeats, the Restart / Bypass / Degrade recovery
-    policies, lossless-restart checkpoint ticks, and the circuit breaker
-    with its exponential restart backoff. The fields of {!recovery} and
+    policies, the lossless-recovery cells (checkpoint, bounded input log,
+    replay) with their checkpoint tick, and the circuit breaker with its
+    exponential restart backoff. The fields of {!recovery} and
     {!config} are documented where {!System} re-exports them, as
     [System.recovery] and [System.fault_config]. *)
 
@@ -25,31 +26,11 @@ type config = {
 
 val default : config
 
-(** One core under watch, whatever its job type: the server itself, plus
-    what only the core's builder knows. *)
-type probe =
-  | Probe : {
-      server : ('job, 'send) Nfp_sim.Server.t;
-      nf : (int * string) option;  (** mid, NF instance name; [None] = infrastructure *)
-      drain : unit -> int;
-          (** Bypass: reroute the core's backlog and casualties around it;
-              returns the backlog length *)
-      checkpoint : unit -> unit;  (** snapshot the NF's state now (if it can) *)
-      replay : unit -> float;
-          (** restore the last checkpoint and replay the input log;
-              returns the replay's contribution to the core's downtime
-              (0.0 for infrastructure cores and NFs without snapshot
-              support) *)
-    }
-      -> probe
+type t
+(** One deployment's watchdog and its lossless-recovery cells. *)
 
-type t = private {
-  kick : unit -> unit;
-      (** wake the watchdog on injection; it stops rescheduling itself
-          once every core is idle, so a finished simulation drains *)
-  state : int -> string option;
-      (** ["bypassed"] or ["restarting"] while probe [i] is held out of
-          service; [None] when it is up *)
+(** What a watchdog has done so far. *)
+type counters = private {
   mutable detections : int;
   mutable restarts : int;
   mutable bypasses : int;
@@ -60,20 +41,70 @@ type t = private {
   mutable salvaged : int;
       (** in-flight jobs re-admitted by lossless restarts instead of
           flushed *)
+  mutable checkpoints : int;  (** NF state snapshots, periodic + forced *)
+  mutable forced_checkpoints : int;  (** checkpoints forced by a full input log *)
+  mutable replayed : int;  (** logged packets re-processed after a restore *)
 }
 
-val off : t
-(** No watchdog: [kick] does nothing and every counter stays 0. *)
+val create : engine:Nfp_sim.Engine.t -> cost:Nfp_sim.Cost.t -> ?fault:config -> unit -> t
+(** A watchdog for one deployment, idle until {!watch}ed. Lossless
+    recovery (checkpoint tick, input logging, replay, re-admission of
+    reclaimed work instead of a flush) is armed when [fault] has a
+    non-empty plan and a positive [checkpoint_interval_ns]. Without
+    [fault] the watchdog is inert. *)
 
-val create :
-  engine:Nfp_sim.Engine.t ->
-  config ->
-  lossless:bool ->
-  degraded:bool array ->
-  probe array ->
-  t
-(** A watchdog over [probes], idle until kicked. [lossless] arms the
-    checkpoint tick and lossless restart (replay, then re-admission of
-    the reclaimed work instead of a flush). Degrade recovery sets
-    [degraded.(mid - 1)] while graph [mid] must run its sequential
-    twin. *)
+val counters : t -> counters
+
+(** {2 Lossless-recovery cells} *)
+
+type cell
+(** One NF replica's recovery state: the last checkpoint of its NF and
+    a bounded log of the packets it processed since. *)
+
+val no_cell : cell
+(** The cell of a core with nothing to recover: every operation is a
+    no-op. *)
+
+val cell : t -> Nfp_nf.Nf.t -> cell
+(** The cell for a replica running [nf]. It is a no-op cell unless
+    lossless recovery is armed and [nf] provides both [snapshot] and
+    [restore]. An armed cell snapshots [nf] now. *)
+
+val logging : cell -> bool
+(** [false] for a no-op cell: its core pays no log-append cost. *)
+
+val log : cell -> Nfp_packet.Packet.t -> unit
+(** Append a copy of a packet about to be processed; a full log first
+    forces a checkpoint (counted in [forced_checkpoints]). *)
+
+val refresh : cell -> unit
+(** Re-seed the cell from the NF's current state, for when the state
+    changed outside packet processing (a migration carved or folded
+    flows). *)
+
+(** {2 Watching cores} *)
+
+(** One core under watch, whatever its job type: the server itself, plus
+    what only the core's builder knows. *)
+type probe =
+  | Probe : {
+      server : ('job, 'send) Nfp_sim.Server.t;
+      nf : (int * string) option;  (** mid, NF instance name; [None] = infrastructure *)
+      drain : unit -> int;
+          (** Bypass: reroute the core's backlog and casualties around it;
+              returns the backlog length *)
+      cell : cell;  (** the core's recovery cell; checkpoint time is billed to [server] *)
+    }
+      -> probe
+
+val watch : t -> degraded:bool array -> probe array -> unit
+(** Start watching [probes]. Degrade recovery sets [degraded.(mid - 1)]
+    while graph [mid] must run its sequential twin. *)
+
+val kick : t -> unit
+(** Wake the watchdog on injection; it stops rescheduling itself once
+    every core is idle, so a finished simulation drains. *)
+
+val state : t -> int -> string option
+(** ["bypassed"] or ["restarting"] while probe [i] is held out of
+    service; [None] when it is up. *)

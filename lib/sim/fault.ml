@@ -294,28 +294,3 @@ let transit st ~now_ns =
 
 let link_fault_count p =
   List.fold_left (fun acc (s : link_spec) -> acc + List.length s.faults) 0 p.link_specs
-
-(* Seeded random spike train: [spikes] spikes with exponentially
-   distributed start gaps across [horizon_ns], each lasting a uniform
-   fraction of the mean gap, each multiplying the load by a uniform
-   draw in [1, peak_factor]. The same seed always yields the same
-   offered-load curve — surge plans are as replayable as crash plans. *)
-let surge_storm ?(seed = 1L) ~base_mpps ~peak_factor ~horizon_ns ?(spikes = 4) () =
-  if peak_factor < 1.0 then
-    invalid_arg "Fault.surge_storm: peak_factor must be >= 1";
-  if horizon_ns <= 0.0 then
-    invalid_arg "Fault.surge_storm: horizon_ns must be positive";
-  let prng =
-    Nfp_algo.Prng.create ~seed:(seed_for { seed; specs = [] } "surge-storm")
-  in
-  let mean_gap = horizon_ns /. float_of_int (max 1 spikes) in
-  let rec go t n acc =
-    if n = 0 then List.rev acc
-    else
-      let t = t +. Nfp_algo.Prng.exponential prng ~mean:mean_gap in
-      let duration_ns = (0.2 +. (0.6 *. Nfp_algo.Prng.float prng)) *. mean_gap in
-      let factor = 1.0 +. ((peak_factor -. 1.0) *. Nfp_algo.Prng.float prng) in
-      if t >= horizon_ns then List.rev acc
-      else go t (n - 1) (Spike { at_ns = t; duration_ns; factor } :: acc)
-  in
-  surge ~base_mpps (go 0.0 (max 1 spikes) [])

@@ -168,18 +168,3 @@ val surge : base_mpps:float -> surge_shape list -> surge
 
 val surge_rate : surge -> now_ns:float -> float
 (** The offered load (Mpps) the plan prescribes at [now_ns]. *)
-
-val surge_storm :
-  ?seed:int64 ->
-  base_mpps:float ->
-  peak_factor:float ->
-  horizon_ns:float ->
-  ?spikes:int ->
-  unit ->
-  surge
-(** A seeded random spike train: up to [spikes] spikes across
-    [horizon_ns], each multiplying the load by a draw in
-    [1, peak_factor]. Deterministic in [seed] — surge plans are as
-    replayable as crash plans.
-    @raise Invalid_argument when [peak_factor < 1] or
-    [horizon_ns <= 0]. *)

@@ -207,10 +207,6 @@ let add_health a b =
 
 type system = {
   inject : pid:int64 -> Nfp_packet.Packet.t -> unit;
-  ring_drops : unit -> int;
-  nf_drops : unit -> int;
-  unmatched : unit -> int;
-  shed : unit -> int;
   classifier : unit -> classifier_counters;
   health : unit -> health;
 }
@@ -297,10 +293,11 @@ let run ~make ~gen ~arrivals ~packets ?warmup ?(seed = 42L) ?stop () =
       in
       slices ());
   let duration = Engine.now engine in
-  let ring_drops = system.ring_drops () in
-  let nf_drops = system.nf_drops () in
-  let unmatched = system.unmatched () in
-  let shed = system.shed () in
+  let health = system.health () in
+  let ring_drops = health.drops.ingress_rejected in
+  let nf_drops = health.drops.nf_dropped in
+  let unmatched = health.drops.no_match in
+  let shed = health.drops.shed in
   (* Accounting must close: every offered packet is either completed
      (first delivery), counted by exactly one drop counter, shed by the
      admission controller, or still in the system / lost to faults
@@ -323,7 +320,7 @@ let run ~make ~gen ~arrivals ~packets ?warmup ?(seed = 42L) ?stop () =
     unmatched;
     shed;
     in_flight;
-    health = system.health ();
+    health;
     duration_ns = duration;
     achieved_mpps =
       (if duration > 0.0 then float_of_int !delivered /. duration *. 1000.0 else 0.0);
@@ -382,7 +379,7 @@ let max_lossless_mpps ~make ~gen ~packets ?(lo = 0.01) ~hi ?(iterations = 12) ?d
        first one instead of simulating the remaining packets. *)
     let r =
       run ~make ~gen ~arrivals:(Uniform rate) ~packets ~warmup:0
-        ~stop:(fun s -> s.ring_drops () > 0)
+        ~stop:(fun s -> (s.health ()).drops.ingress_rejected > 0)
         ()
     in
     r.ring_drops = 0

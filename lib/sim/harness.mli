@@ -152,22 +152,13 @@ val add_health : health -> health -> health
 type system = {
   inject : pid:int64 -> Nfp_packet.Packet.t -> unit;
       (** deliver one packet to the system's NIC at the current time *)
-  ring_drops : unit -> int;  (** packets lost to full rings *)
-  nf_drops : unit -> int;  (** packets intentionally dropped by NFs *)
-  unmatched : unit -> int;
-      (** packets no classification-table entry claimed — distinct from
-          NF drops: an unmatched packet never entered a service graph *)
-  shed : unit -> int;
-      (** packets refused by the admission controller under pressure —
-          deliberate, priority-ordered refusals, distinct from
-          [ring_drops] (the NIC ran out of buffer) *)
   classifier : unit -> classifier_counters;
       (** current classifier cache counters (see
           {!classifier_counters}) *)
   health : unit -> health;
-      (** current watchdog view and fault/recovery counters (see
-          {!health}); {!no_health} when the system has no fault
-          machinery *)
+      (** current drop taxonomy, watchdog view and fault/recovery
+          counters (see {!health}); systems without fault machinery
+          report {!no_health} apart from their [drops] *)
 }
 
 type arrivals =
@@ -190,10 +181,10 @@ type result = {
       (** distinct offered packets that reached the output at least
           once — the numerator of availability *)
   offered : int;
-  ring_drops : int;
-  nf_drops : int;
-  unmatched : int;
-  shed : int;  (** refused by the admission controller *)
+  ring_drops : int;  (** [health.drops.ingress_rejected] *)
+  nf_drops : int;  (** [health.drops.nf_dropped] *)
+  unmatched : int;  (** [health.drops.no_match] *)
+  shed : int;  (** [health.drops.shed]: refused by the admission controller *)
   in_flight : int;
       (** offered but unaccounted at end of run: still queued, wedged
           at a merger, or lost to injected faults. [run] enforces

@@ -392,8 +392,6 @@ let offer t job =
   end
   else false
 
-let has_room t = not (Nfp_algo.Ring.is_full t.ring)
-
 (* ------------------------------------------------------------------ *)
 (* Fault control surface (used by the System watchdog)                 *)
 (* ------------------------------------------------------------------ *)

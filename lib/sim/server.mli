@@ -80,8 +80,6 @@ val offer : ('job, 'send) t -> 'job -> bool
 (** [false] when the input ring is full (caller decides: entry points
     drop, upstream cores stall). *)
 
-val has_room : ('job, 'send) t -> bool
-
 val name : ('job, 'send) t -> string
 
 val processed : ('job, 'send) t -> int

@@ -49,6 +49,9 @@ let traffic () =
    perturbed by admission refusals that depend on queue timing. *)
 let roomy = { Nfp_infra.System.default_config with ring_capacity = 8192 }
 
+(* [roomy] at breath size [batch]. *)
+let roomy_at batch = { roomy with cost = { roomy.cost with batch } }
+
 let lossless_fault plan =
   {
     Nfp_infra.System.default_fault_config with
@@ -76,7 +79,7 @@ let observe ?(path = `Compiled) ?fault ~batch_size ~plan ~bindings ~arrivals ~pa
   let lookup, nfs = instances bindings in
   let outs = ref [] in
   let make engine ~output =
-    Nfp_infra.System.make ~path ?fault ~config:{ roomy with batch_size } ~plan ~nfs:lookup
+    Nfp_infra.System.make ~path ?fault ~config:(roomy_at batch_size) ~plan ~nfs:lookup
       engine
       ~output:(fun ~pid pkt ->
         outs := (pid, Bytes.to_string (Packet.to_bytes pkt)) :: !outs;
@@ -288,7 +291,7 @@ let fwd_bindings = List.init 5 (fun i -> (Printf.sprintf "f%d" i, "Forwarder"))
 let words_of_plan ~plan ~nfs ~batch_size ~packets =
   let gen = traffic () in
   let make engine ~output =
-    Nfp_infra.System.make ~config:{ roomy with batch_size } ~plan ~nfs engine ~output
+    Nfp_infra.System.make ~config:(roomy_at batch_size) ~plan ~nfs engine ~output
   in
   let run () =
     ignore
@@ -318,7 +321,7 @@ let chain_words n ~packets =
         Nfp_nf.Nf.Forward)
   in
   let nfs = List.map (fun name -> (name, nop name)) names in
-  words_of_plan ~plan ~nfs:(fun n -> List.assoc n nfs) ~batch_size:roomy.batch_size ~packets
+  words_of_plan ~plan ~nfs:(fun n -> List.assoc n nfs) ~batch_size:roomy.cost.batch ~packets
 
 let allocation_tests =
   [

@@ -383,7 +383,7 @@ let system_tests =
         Nfp_sim.Engine.run engine;
         check Alcotest.int "nothing delivered" 0 !delivered;
         check Alcotest.int "monitor still processed it" 1 (mon_stats.total_packets ());
-        check Alcotest.int "counted as an NF drop" 1 (system.nf_drops ()));
+        check Alcotest.int "counted as an NF drop" 1 (system.health ()).drops.nf_dropped);
     Alcotest.test_case "a crashing solo NF is contained too" `Quick (fun () ->
         let profile_of _ = Nfp_nf.Registry.profile_of "Monitor" in
         let plan =
@@ -404,7 +404,7 @@ let system_tests =
         in
         system.Nfp_sim.Harness.inject ~pid:1L (pkt ());
         Nfp_sim.Engine.run engine;
-        check Alcotest.int "dropped" 1 (system.nf_drops ()));
+        check Alcotest.int "dropped" 1 (system.health ()).drops.nf_dropped);
     Alcotest.test_case "core stats sampler reports every core" `Quick (fun () ->
         let o = compile_ok ns_text in
         let plan = plan_of_output o in
@@ -619,7 +619,7 @@ let multi_tests =
         check Alcotest.int "web packets delivered" 10 !delivered;
         check Alcotest.int "monitor saw only web traffic" 10 (mon_stats.total_packets ());
         check Alcotest.int "firewall dropped the rest" 5 (fw_stats.dropped ());
-        check Alcotest.int "counted as nf drops" 5 (system.nf_drops ()));
+        check Alcotest.int "counted as nf drops" 5 (system.health ()).drops.nf_dropped);
     Alcotest.test_case "first matching CT entry wins" `Quick (fun () ->
         let plan_of text =
           match Compiler.compile_text text with
@@ -658,8 +658,8 @@ let multi_tests =
         in
         system.Nfp_sim.Harness.inject ~pid:1L (pkt ()) (* TCP: no match *);
         Nfp_sim.Engine.run engine;
-        check Alcotest.int "discarded" 1 (system.unmatched ());
-        check Alcotest.int "not an NF drop" 0 (system.nf_drops ()));
+        check Alcotest.int "discarded" 1 (system.health ()).drops.no_match;
+        check Alcotest.int "not an NF drop" 0 (system.health ()).drops.nf_dropped);
     Alcotest.test_case "empty classification table rejected" `Quick (fun () ->
         let engine = Nfp_sim.Engine.create () in
         Alcotest.check_raises "empty" (Invalid_argument "System.make_multi: no service graphs")
@@ -794,7 +794,8 @@ let cluster_tests =
         in
         system.Nfp_sim.Harness.inject ~pid:1L (pkt ());
         Nfp_sim.Engine.run engine;
-        check Alcotest.int "second server's drop counted" 1 (system.nf_drops ()));
+        check Alcotest.int "second server's drop counted" 1
+          (system.health ()).drops.nf_dropped);
     Alcotest.test_case "empty cluster rejected" `Quick (fun () ->
         let engine = Nfp_sim.Engine.create () in
         Alcotest.check_raises "empty" (Invalid_argument "Cluster.make: no segments")

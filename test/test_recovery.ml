@@ -88,16 +88,19 @@ let observe ?fault ~plan ~bindings ~rate ~packets () =
   in
   (obs, r)
 
-let check_equivalent baseline recovered =
-  check Alcotest.int "completed" baseline.completed recovered.completed;
-  check Alcotest.int "nf drops" baseline.nf_drops recovered.nf_drops;
+let check_outs baseline recovered =
   check Alcotest.int "delivery count" (List.length baseline.outs)
     (List.length recovered.outs);
   List.iter2
     (fun (pid_a, bytes_a) (pid_b, bytes_b) ->
       check Alcotest.int64 "delivered pid" pid_a pid_b;
       check Alcotest.string "delivered bytes" bytes_a bytes_b)
-    baseline.outs recovered.outs;
+    baseline.outs recovered.outs
+
+let check_equivalent baseline recovered =
+  check Alcotest.int "completed" baseline.completed recovered.completed;
+  check Alcotest.int "nf drops" baseline.nf_drops recovered.nf_drops;
+  check_outs baseline recovered;
   List.iter2
     (fun (name_a, d_a) (name_b, d_b) ->
       check Alcotest.string "digest NF" name_a name_b;
@@ -265,24 +268,34 @@ let switchover_tests =
         (* A busy core crashes under Bypass with merge timeouts off: the
            in-flight batch its kill reclaims, and its pending emissions,
            must be rerouted through the action program — otherwise their
-           merges wedge forever and the ledger shows them in_flight. *)
-        let plan = plan_of par_text in
-        let fault =
-          {
-            (lossless_fault
-               (Nfp_sim.Fault.plan [ Nfp_sim.Fault.crash ~at_ns:500_000.0 "mid1:mon" ]))
-            with
-            recovery_of = (fun nf -> if nf = "mon" then Bypass else Restart);
-          }
-        in
-        let _, r = observe ~fault ~plan ~bindings:par_bindings ~rate:1.0 ~packets:2000 () in
-        check Alcotest.int "bypassed once" 1 r.health.bypasses;
-        check Alcotest.bool "packets rerouted around the core" true
-          (r.health.bypassed_packets > 0);
-        check Alcotest.int "no merge was force-completed" 0 r.health.drops.merge_timed_out;
-        check Alcotest.int "no packet wedged in flight" 0 r.in_flight;
-        check Alcotest.int "every packet in exactly one bucket" r.offered
-          (r.completed + r.ring_drops + r.nf_drops + r.unmatched));
+           merges wedge forever and the ledger shows them in_flight. The
+           rerouted packets must run the bypassed NF's own program:
+           Monitor never rewrites a packet, so the delivered (pid, bytes)
+           multiset equals the fault-free run's. In [ns_text] and
+           [we_text] the monitor is not the first NF slot. *)
+        List.iter
+          (fun (text, bindings) ->
+            let plan = plan_of text in
+            let baseline, _ = observe ~plan ~bindings ~rate:1.0 ~packets:2000 () in
+            let fault =
+              {
+                (lossless_fault
+                   (Nfp_sim.Fault.plan [ Nfp_sim.Fault.crash ~at_ns:500_000.0 "mid1:mon" ]))
+                with
+                recovery_of = (fun nf -> if nf = "mon" then Bypass else Restart);
+              }
+            in
+            let bypassed, r = observe ~fault ~plan ~bindings ~rate:1.0 ~packets:2000 () in
+            check Alcotest.int "bypassed once" 1 r.health.bypasses;
+            check Alcotest.bool "packets rerouted around the core" true
+              (r.health.bypassed_packets > 0);
+            check Alcotest.int "no merge was force-completed" 0
+              r.health.drops.merge_timed_out;
+            check Alcotest.int "no packet wedged in flight" 0 r.in_flight;
+            check Alcotest.int "every packet in exactly one bucket" r.offered
+              (r.completed + r.ring_drops + r.nf_drops + r.unmatched);
+            check_outs baseline bypassed)
+          [ (par_text, par_bindings); (ns_text, ns_bindings); (we_text, we_bindings) ]);
     Alcotest.test_case "Degrade switchover loses no in-flight packet" `Quick (fun () ->
         let plan = plan_of par_text in
         let fault =

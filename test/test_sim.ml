@@ -432,12 +432,13 @@ let fixed_system ~service_ns ~ring engine ~output =
   {
     Harness.inject =
       (fun ~pid pkt -> if not (Server.offer core (pid, pkt)) then incr drops);
-    ring_drops = (fun () -> !drops);
-    nf_drops = (fun () -> 0);
-    unmatched = (fun () -> 0);
-    shed = (fun () -> 0);
     classifier = (fun () -> Harness.no_classifier_counters);
-    health = (fun () -> Harness.no_health);
+    health =
+      (fun () ->
+        {
+          Harness.no_health with
+          drops = { Harness.no_drops with ingress_rejected = !drops };
+        });
   }
 
 let gen _ =
