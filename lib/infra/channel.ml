@@ -71,7 +71,6 @@ type reliability = {
 type 'a entry = { payload : 'a; mutable attempts : int; mutable last_tx : float }
 
 type 'a t = {
-  name : string;
   engine : Nfp_sim.Engine.t;
   state : Nfp_sim.Fault.link_state option;
   rel : reliability option;
@@ -82,63 +81,40 @@ type 'a t = {
   mutable next_seq : int;
   unacked : (int, 'a entry) Hashtbl.t;
   mutable unacked_lo : int;  (* lowest possibly-unacked seq, for O(1) head scans *)
-  mutable rto_armed : bool;
+  rto : Nfp_sim.Engine.timer Lazy.t;
   mutable rto_streak : int;  (* consecutive RTO firings without ack progress *)
-  mutable ack_armed : bool;
-  mutable probe_armed : bool;
+  ack : Nfp_sim.Engine.timer Lazy.t;
+  probe : Nfp_sim.Engine.timer Lazy.t;
   mutable probe_fails : int;
   mutable down : bool;
   (* --- receiver --- *)
   mutable expected : int;
   reorder : (int, 'a) Hashtbl.t;
-  mutable release_pending : bool;  (* in-order release stalled on a full ring *)
+  retry_release : Nfp_sim.Engine.timer Lazy.t;  (* in-order release stalled on a full ring *)
 }
-
-let create ~engine ~name ?state ?reliability ~deliver ~reroute ~stats () =
-  {
-    name;
-    engine;
-    state;
-    rel = reliability;
-    deliver;
-    reroute;
-    stats;
-    next_seq = 0;
-    unacked = Hashtbl.create 16;
-    unacked_lo = 0;
-    rto_armed = false;
-    rto_streak = 0;
-    ack_armed = false;
-    probe_armed = false;
-    probe_fails = 0;
-    down = false;
-    expected = 0;
-    reorder = Hashtbl.create 16;
-    release_pending = false;
-  }
-
-let name ch = ch.name
 
 let is_down ch = ch.down
 
-let in_flight ch = Hashtbl.length ch.unacked
-
 let now ch = Nfp_sim.Engine.now ch.engine
+
+let partitioned ch =
+  match ch.state with
+  | Some st -> Nfp_sim.Fault.link_partitioned st ~now_ns:(now ch)
+  | None -> false
 
 (* Run a refused delivery to completion off-core, at the same
    stall-poll cadence as a server's flush loop: used where the channel
    has already accepted the packet (delayed raw transits, Down-flush)
    and the only consumer left is the destination ring. *)
-let rec drive_deliver ch x =
-  if not (ch.deliver x) then
-    Nfp_sim.Engine.schedule ch.engine ~delay:150.0 (fun () -> drive_deliver ch x)
+let drive_deliver ch x = Nfp_sim.Server.drive ch.engine (fun () -> ch.deliver x)
 
 (* ------------------------------------------------------------------ *)
 (* Receiver: dedup, bounded reorder buffer, in-order release           *)
 (* ------------------------------------------------------------------ *)
 
 let rec release ch =
-  if not ch.release_pending then
+  let retry = Lazy.force ch.retry_release in
+  if not (Nfp_sim.Engine.timer_armed retry) then
     match Hashtbl.find_opt ch.reorder ch.expected with
     | None -> ()
     | Some payload ->
@@ -148,14 +124,10 @@ let rec release ch =
           arm_ack ch;
           release ch
         end
-        else begin
+        else
           (* Destination ring full: the head (and everything behind it)
              stays buffered; retry at the stall-poll cadence. *)
-          ch.release_pending <- true;
-          Nfp_sim.Engine.schedule ch.engine ~delay:150.0 (fun () ->
-              ch.release_pending <- false;
-              release ch)
-        end
+          Nfp_sim.Engine.arm_timer retry ~delay:150.0
 
 (* Cumulative ack: prune every send below the receiver's [expected].
    One event per cadence interval, armed by release progress and
@@ -163,27 +135,23 @@ let rec release ch =
    nothing. *)
 and arm_ack ch =
   match ch.rel with
-  | None -> ()
-  | Some rel ->
-      if (not ch.ack_armed) && Hashtbl.length ch.unacked > 0 then begin
-        ch.ack_armed <- true;
-        Nfp_sim.Engine.schedule ch.engine ~delay:(rel.ack_interval_ns +. rel.ack_ns)
-          (fun () ->
-            ch.ack_armed <- false;
-            let pruned = ref false in
-            while ch.unacked_lo < ch.expected do
-              if Hashtbl.mem ch.unacked ch.unacked_lo then begin
-                Hashtbl.remove ch.unacked ch.unacked_lo;
-                pruned := true
-              end;
-              ch.unacked_lo <- ch.unacked_lo + 1
-            done;
-            if !pruned then ch.rto_streak <- 0;
-            (* Releases since this ack was armed may already warrant the
-               next one. *)
-            if Hashtbl.length ch.unacked > 0 && ch.unacked_lo < ch.expected then
-              arm_ack ch)
-      end
+  | Some rel when Hashtbl.length ch.unacked > 0 ->
+      Nfp_sim.Engine.arm_timer (Lazy.force ch.ack) ~delay:(rel.ack_interval_ns +. rel.ack_ns)
+  | _ -> ()
+
+let ack ch =
+  let pruned = ref false in
+  while ch.unacked_lo < ch.expected do
+    if Hashtbl.mem ch.unacked ch.unacked_lo then begin
+      Hashtbl.remove ch.unacked ch.unacked_lo;
+      pruned := true
+    end;
+    ch.unacked_lo <- ch.unacked_lo + 1
+  done;
+  if !pruned then ch.rto_streak <- 0;
+  (* Releases since this ack was armed may already warrant the next
+     one. *)
+  if Hashtbl.length ch.unacked > 0 && ch.unacked_lo < ch.expected then arm_ack ch
 
 (* ------------------------------------------------------------------ *)
 (* Sender: transit draws, RTO + NACK retransmission, health probes     *)
@@ -273,48 +241,43 @@ and nack ch ~upto =
    exhaustion escalates to Down — the retransmit path is itself a
    partition detector for fabrics that eat every copy. *)
 and arm_rto ch =
+  let rto = Lazy.force ch.rto in
   match ch.rel with
-  | None -> ()
-  | Some rel ->
-      if (not ch.rto_armed) && (not ch.down) && Hashtbl.length ch.unacked > 0
-      then begin
-        ch.rto_armed <- true;
-        let delay =
-          Float.min rel.rto_max_ns
-            (rel.rto_ns *. (rel.rto_backoff ** float_of_int ch.rto_streak))
-        in
-        Nfp_sim.Engine.schedule ch.engine ~delay (fun () ->
-            ch.rto_armed <- false;
-            if not ch.down then begin
-              (* Skip seqs the acks already pruned. *)
-              while
-                ch.unacked_lo < ch.next_seq
-                && not (Hashtbl.mem ch.unacked ch.unacked_lo)
-              do
-                ch.unacked_lo <- ch.unacked_lo + 1
-              done;
-              match Hashtbl.find_opt ch.unacked ch.unacked_lo with
-              | None -> ()  (* everything acked: quench *)
-              | Some e ->
-                  if
-                    ch.unacked_lo < ch.expected
-                    || Hashtbl.mem ch.reorder ch.unacked_lo
-                  then
-                    (* Received (released or buffered) but not yet
-                       cumulatively acked: no data to recover, just wait
-                       for the ack cadence. *)
-                    arm_rto ch
-                  else begin
-                    e.attempts <- e.attempts + 1;
-                    if e.attempts > rel.retransmit_budget then go_down ch
-                    else begin
-                      ch.rto_streak <- ch.rto_streak + 1;
-                      retransmit ch ch.unacked_lo e rel;
-                      arm_rto ch
-                    end
-                  end
-            end)
-      end
+  | Some rel
+    when (not (Nfp_sim.Engine.timer_armed rto))
+         && (not ch.down)
+         && Hashtbl.length ch.unacked > 0 ->
+      Nfp_sim.Engine.arm_timer rto
+        ~delay:
+          (Float.min rel.rto_max_ns
+             (rel.rto_ns *. (rel.rto_backoff ** float_of_int ch.rto_streak)))
+  | _ -> ()
+
+and rto ch =
+  match ch.rel with
+  | Some rel when not ch.down -> (
+      (* Skip seqs the acks already pruned. *)
+      while ch.unacked_lo < ch.next_seq && not (Hashtbl.mem ch.unacked ch.unacked_lo) do
+        ch.unacked_lo <- ch.unacked_lo + 1
+      done;
+      match Hashtbl.find_opt ch.unacked ch.unacked_lo with
+      | None -> ()  (* everything acked: quench *)
+      | Some e ->
+          if ch.unacked_lo < ch.expected || Hashtbl.mem ch.reorder ch.unacked_lo then
+            (* Received (released or buffered) but not yet cumulatively
+               acked: no data to recover, just wait for the ack
+               cadence. *)
+            arm_rto ch
+          else begin
+            e.attempts <- e.attempts + 1;
+            if e.attempts > rel.retransmit_budget then go_down ch
+            else begin
+              ch.rto_streak <- ch.rto_streak + 1;
+              retransmit ch ch.unacked_lo e rel;
+              arm_rto ch
+            end
+          end)
+  | _ -> ()
 
 (* Down transition: flush the port in sequence order — buffered
    arrivals deliver (they made it across), unacked sends detour through
@@ -351,34 +314,54 @@ and go_down ch =
    they never consume the fabric's loss draws); [probe_timeout_k]
    consecutive failures declare Down. Retransmit-budget exhaustion is
    the slower, loss-driven path to the same verdict. *)
-let rec arm_probe ch =
+let arm_probe ch =
   match ch.rel with
-  | None -> ()
-  | Some rel ->
-      if
-        rel.probe_interval_ns > 0.0 && (not ch.probe_armed) && (not ch.down)
-        && Hashtbl.length ch.unacked > 0
-      then begin
-        ch.probe_armed <- true;
-        Nfp_sim.Engine.schedule ch.engine ~delay:rel.probe_interval_ns (fun () ->
-            ch.probe_armed <- false;
-            if (not ch.down) && Hashtbl.length ch.unacked > 0 then begin
-              let partitioned =
-                match ch.state with
-                | Some st -> Nfp_sim.Fault.link_partitioned st ~now_ns:(now ch)
-                | None -> false
-              in
-              if partitioned then begin
-                ch.probe_fails <- ch.probe_fails + 1;
-                if ch.probe_fails >= rel.probe_timeout_k then go_down ch
-                else arm_probe ch
-              end
-              else begin
-                ch.probe_fails <- 0;
-                arm_probe ch
-              end
-            end)
+  | Some rel
+    when rel.probe_interval_ns > 0.0 && (not ch.down) && Hashtbl.length ch.unacked > 0
+    ->
+      Nfp_sim.Engine.arm_timer (Lazy.force ch.probe) ~delay:rel.probe_interval_ns
+  | _ -> ()
+
+let probe ch =
+  match ch.rel with
+  | Some rel when (not ch.down) && Hashtbl.length ch.unacked > 0 ->
+      if partitioned ch then begin
+        ch.probe_fails <- ch.probe_fails + 1;
+        if ch.probe_fails >= rel.probe_timeout_k then go_down ch else arm_probe ch
       end
+      else begin
+        ch.probe_fails <- 0;
+        arm_probe ch
+      end
+  | _ -> ()
+
+(* The four timers are built on first arming: a raw channel never
+   needs them. *)
+let create ~engine ~name ?state ?reliability ~deliver ~reroute ~stats () =
+  let timer what f = Nfp_sim.Engine.timer engine ~name:(name ^ ":" ^ what) f in
+  let rec ch =
+    {
+      engine;
+      state;
+      rel = reliability;
+      deliver;
+      reroute;
+      stats;
+      next_seq = 0;
+      unacked = Hashtbl.create 16;
+      unacked_lo = 0;
+      rto = lazy (timer "rto" (fun () -> rto ch));
+      rto_streak = 0;
+      ack = lazy (timer "ack" (fun () -> ack ch));
+      probe = lazy (timer "probe" (fun () -> probe ch));
+      probe_fails = 0;
+      down = false;
+      expected = 0;
+      reorder = Hashtbl.create 16;
+      retry_release = lazy (timer "release" (fun () -> release ch));
+    }
+  in
+  ch
 
 (* ------------------------------------------------------------------ *)
 (* Send                                                                *)
@@ -411,11 +394,7 @@ let rec send ch x =
   | None -> send_raw ch x
   | Some rel ->
       if ch.down then
-        if
-          match ch.state with
-          | Some st -> not (Nfp_sim.Fault.link_partitioned st ~now_ns:(now ch))
-          | None -> true
-        then begin
+        if not (partitioned ch) then begin
           (* The partition window has passed: the next probe cycle would
              see health, so the link comes back up (flap support) and
              this send takes the normal path. *)

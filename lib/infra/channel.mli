@@ -80,8 +80,3 @@ val is_down : 'a t -> bool
 (** Whether the link is currently declared Down — the elastic
     controller consults this to stop migrating toward partitioned
     replicas. *)
-
-val in_flight : 'a t -> int
-(** Unacked sends currently held in the retransmit buffer. *)
-
-val name : 'a t -> string

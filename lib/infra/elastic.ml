@@ -89,7 +89,8 @@ type 'send slot = {
 }
 
 type t = {
-  kick : unit -> unit;
+  mutable tick : Nfp_sim.Engine.timer option;
+  interval : float;
   migrating : unit -> int;
   core_state : string -> string option;
   mutable scale_outs : int;
@@ -101,7 +102,8 @@ type t = {
 
 let off =
   {
-    kick = ignore;
+    tick = None;
+    interval = 0.0;
     migrating = (fun () -> 0);
     core_state = (fun _ -> None);
     scale_outs = 0;
@@ -128,6 +130,11 @@ let bucket_of_flow nb (f : Flow.t) =
 
 let owned st r = Array.fold_left (fun acc o -> if o = r then acc + 1 else acc) 0 st.st_map
 
+let kick t =
+  match t.tick with
+  | Some tm -> Nfp_sim.Engine.arm_timer tm ~delay:t.interval
+  | None -> ()
+
 (* Ticks every [control_interval_ns] while the system has work (kicked
    from inject, stops when idle, like the watchdog); per slot it retires
    drained replicas, rebalances bucket ownership, and makes
@@ -149,6 +156,25 @@ let create ~engine ?fault (ec : config) ~ring_capacity ~busy slots =
        rebalance onto it, or migrate toward it until the partition
        heals. *)
     let alive s r = (not (Nfp_sim.Server.is_down s.servers.(r))) && s.reachable r in
+    (* Where a drain sends its next batch: the least-owned live active
+       replica other than the draining one; -1 when none is alive. *)
+    let drain_target s =
+      let st = s.steer and dst = ref (-1) in
+      for r = 0 to st.st_active - 1 do
+        if r <> st.st_draining && alive s r && (!dst < 0 || owned st r < owned st !dst)
+        then dst := r
+      done;
+      !dst
+    in
+    (* A drain only counts as pending while it can move: its replica is
+       alive to be a migration source, and another active replica is
+       alive to receive its buckets. With nothing queued the watchdog
+       has no reason to restart a crashed core, so ticking for a
+       stalled drain would never end. The next [inject] kick resumes
+       it. *)
+    let can_drain s =
+      s.steer.st_draining >= 0 && alive s s.steer.st_draining && drain_target s >= 0
+    in
     let occ s r =
       float_of_int (Nfp_sim.Server.queue_length s.servers.(r))
       /. float_of_int (max 1 ring_capacity)
@@ -166,7 +192,6 @@ let create ~engine ?fault (ec : config) ~ring_capacity ~busy slots =
       done;
       !picked
     in
-    let active = ref false in
     let by_name = Hashtbl.create 32 in
     Array.iter
       (fun s ->
@@ -176,7 +201,8 @@ let create ~engine ?fault (ec : config) ~ring_capacity ~busy slots =
       slots;
     let rec t =
       {
-        kick;
+        tick = None;
+        interval = ec.control_interval_ns;
         migrating =
           (fun () ->
             Array.fold_left
@@ -310,15 +336,9 @@ let create ~engine ?fault (ec : config) ~ring_capacity ~busy slots =
         if st.st_draining >= 0 then begin
           (* Scale-in in progress: hand the draining replica's buckets to
              the least-owned other active replica, one batch per tick. *)
-          let dst = ref (-1) in
-          for r = 0 to st.st_active - 1 do
-            if
-              r <> st.st_draining && alive s r
-              && (!dst < 0 || owned st r < owned st !dst)
-            then dst := r
-          done;
-          if !dst >= 0 then
-            start s ~src:st.st_draining ~dst:!dst
+          let dst = drain_target s in
+          if dst >= 0 then
+            start s ~src:st.st_draining ~dst
               ~count:(min ec.migration_batch (owned st st.st_draining))
         end
         else begin
@@ -359,26 +379,8 @@ let create ~engine ?fault (ec : config) ~ring_capacity ~busy slots =
       end
     and tick () =
       if not !controller_down then Array.iter step slots;
-      (* A drain only counts as pending while its replica is alive: a
-         crashed draining replica cannot be a migration source, and
-         with nothing queued the watchdog has no reason to restart it,
-         so ticking for it would never end. The next [inject] kick
-         resumes the drain. *)
-      let pending =
-        Array.exists
-          (fun s ->
-            s.steer.st_mig <> None
-            || (s.steer.st_draining >= 0 && alive s s.steer.st_draining))
-          slots
-        || busy ()
-      in
-      if pending then Nfp_sim.Engine.schedule engine ~delay:ec.control_interval_ns tick
-      else active := false
-    and kick () =
-      if not !active then begin
-        active := true;
-        Nfp_sim.Engine.schedule engine ~delay:ec.control_interval_ns tick
-      end
+      if Array.exists (fun s -> s.steer.st_mig <> None || can_drain s) slots || busy ()
+      then kick t
     (* Health view: a paused source reports "migrating", an inactive
        replica "standby" — operators can tell a quiesced or
        not-yet-activated core from a dead one. *)
@@ -390,6 +392,7 @@ let create ~engine ?fault (ec : config) ~ring_capacity ~busy slots =
           else if r >= st.st_active then Some "standby"
           else None
     in
+    t.tick <- Some (Nfp_sim.Engine.timer engine ~name:"elastic" tick);
     (* Controller fault site: the pseudo-core "elastic". *)
     (match fault with
     | None -> ()

@@ -46,9 +46,9 @@ type 'send slot = {
 }
 
 type t = private {
-  kick : unit -> unit;
-      (** start ticking if idle; the controller ticks while a migration
-          or drain is open or the system reports queued work *)
+  mutable tick : Nfp_sim.Engine.timer option;
+      (** the control loop, named ["elastic"]; [None] for {!off} *)
+  interval : float;  (** control tick period *)
   migrating : unit -> int;  (** gauge: packets frozen at migration sources *)
   core_state : string -> string option;
       (** ["migrating"] for a frozen source replica, ["standby"] for an
@@ -61,7 +61,7 @@ type t = private {
 }
 
 val off : t
-(** No controller: [kick] does nothing and every counter stays 0. *)
+(** No controller: {!kick} does nothing and every counter stays 0. *)
 
 val create :
   engine:Nfp_sim.Engine.t ->
@@ -75,3 +75,8 @@ val create :
     kicked. [busy ()] reports queued work anywhere in the system.
     [fault] may crash or hang the pseudo-core ["elastic"]: while it is
     down no decision runs and due commits abort. *)
+
+val kick : t -> unit
+(** Start ticking if idle. The controller ticks while a migration or a
+    drain that can move is open, or while the system reports queued
+    work. *)

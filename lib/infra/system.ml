@@ -560,13 +560,8 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
       Nfp_sim.Engine.schedule engine ~delay:wire_delay (fun () -> output ~pid pkt)
     end
   in
-  (* Run a retryable emission to completion off-core: used where no
-     server owns the emission (bypass reroutes, timed-out merges), with
-     the same stall-poll cadence as a core's flush loop. *)
-  let rec drive thunk =
-    if not (thunk ()) then
-      Nfp_sim.Engine.schedule engine ~delay:150.0 (fun () -> drive thunk)
-  in
+  (* Bypass reroutes and timed-out merges emit off-core. *)
+  let drive = Nfp_sim.Server.drive engine in
   (* Link channels: one per destination port, shared by every edge into
      that core. All channels share one stats record (the run ledger's
      link taxonomy) and draw fault state from the link plan by name. *)
@@ -1805,7 +1800,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
     Nfp_sim.Harness.inject =
       (fun ~pid pkt ->
         Watchdog.kick watchdog;
-        controller.kick ();
+        Elastic.kick controller;
         let mid = classify_pkt pkt in
         Nfp_sim.Engine.schedule engine
           ~delay:(wire_delay +. Nfp_sim.Cost.ns_of_cycles cost !classify_cycles)

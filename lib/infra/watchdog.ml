@@ -57,8 +57,54 @@ type t = {
      checkpoint interval. *)
   lossless : bool;
   counters : counters;
-  mutable kick : unit -> unit;
-  mutable state : int -> string option;
+  mutable watching : watching option;  (* set by {!watch} under a fault config *)
+}
+
+(* Lossless-recovery cell of one NF replica: the last checkpoint, plus
+   a bounded log of pre-processing packet copies appended since (each
+   carries its MID/PID/version metadata). A full log forces a
+   checkpoint early — never a silent loss. [charge] bills checkpoint
+   time to the replica's core; {!watch} wires it to the probe's
+   server. *)
+and cell =
+  | No_cell
+  | Cell of {
+      wd : t;
+      nf : Nfp_nf.Nf.t;
+      snap : unit -> Nfp_nf.Nf.state;
+      restore : Nfp_nf.Nf.state -> unit;
+      capacity : int;
+      mutable last : Nfp_nf.Nf.state;
+      mutable log : Nfp_packet.Packet.t list;
+      mutable log_len : int;
+      mutable charge : float -> unit;
+    }
+
+and probe =
+  | Probe : {
+      server : ('job, 'send) Nfp_sim.Server.t;
+      nf : (int * string) option;
+      drain : unit -> int;
+      cell : cell;
+    }
+      -> probe
+
+(* What a watchdog keeps per watched core: its recovery state, its
+   heartbeat baseline and its circuit-breaker count; plus the
+   checkpoint clock and the check timer. *)
+and watching = {
+  fc : config;
+  degraded : bool array;
+  probes : probe array;
+  wstate : [ `Up | `Restarting | `Bypassed ] array;
+  prev_processed : int array;
+  prev_stalled : float array;
+  last_progress : float array;
+  (* Consecutive watchdog detections of each core since its last
+     observed processed-packet progress. *)
+  consec : int array;
+  mutable next_ckpt : float;
+  timer : Nfp_sim.Engine.timer;
 }
 
 let create ~engine ~cost ?fault () =
@@ -86,33 +132,10 @@ let create ~engine ~cost ?fault () =
         forced_checkpoints = 0;
         replayed = 0;
       };
-    kick = ignore;
-    state = (fun _ -> None);
+    watching = None;
   }
 
 let counters t = t.counters
-let kick t = t.kick ()
-let state t i = t.state i
-
-(* Lossless-recovery cell of one NF replica: the last checkpoint, plus
-   a bounded log of pre-processing packet copies appended since (each
-   carries its MID/PID/version metadata). A full log forces a
-   checkpoint early — never a silent loss. [charge] bills checkpoint
-   time to the replica's core; {!watch} wires it to the probe's
-   server. *)
-type cell =
-  | No_cell
-  | Cell of {
-      wd : t;
-      nf : Nfp_nf.Nf.t;
-      snap : unit -> Nfp_nf.Nf.state;
-      restore : Nfp_nf.Nf.state -> unit;
-      capacity : int;
-      mutable last : Nfp_nf.Nf.state;
-      mutable log : Nfp_packet.Packet.t list;
-      mutable log_len : int;
-      mutable charge : float -> unit;
-    }
 
 let no_cell = No_cell
 
@@ -192,182 +215,161 @@ let replay = function
       refresh cell;
       !extra
 
-type probe =
-  | Probe : {
-      server : ('job, 'send) Nfp_sim.Server.t;
-      nf : (int * string) option;
-      drain : unit -> int;
-      cell : cell;
-    }
-      -> probe
+let mark_progress ws i s now =
+  ws.prev_processed.(i) <- Nfp_sim.Server.processed s;
+  ws.prev_stalled.(i) <- Nfp_sim.Server.stalled_ns s;
+  ws.last_progress.(i) <- now
 
-let watch_with t (fc : config) ~degraded probes =
-  let engine = t.engine and lossless = t.lossless and w = t.counters in
-  let n = Array.length probes in
-  let wstate = Array.make n `Up in
-  let prev_processed = Array.make n 0 in
-  let prev_stalled = Array.make n 0.0 in
-  let last_progress = Array.make n 0.0 in
-  let active = ref false in
-  let next_ckpt = ref infinity in
-  let mark_progress i s now =
-    prev_processed.(i) <- Nfp_sim.Server.processed s;
-    prev_stalled.(i) <- Nfp_sim.Server.stalled_ns s;
-    last_progress.(i) <- now
+(* The n-th consecutive restart of a core backs off exponentially; past
+   [breaker_threshold] the circuit breaker trips — an NF core falls to
+   the [breaker_fallback] policy instead of restart-looping forever. A
+   threshold of 0 disables both (the pre-breaker behavior, bit for
+   bit). *)
+let recover t ws i (Probe p) =
+  let engine = t.engine and fc = ws.fc and w = t.counters and consec = ws.consec in
+  let s = p.server and breaker_on = fc.breaker_threshold > 0 in
+  w.detections <- w.detections + 1;
+  consec.(i) <- consec.(i) + 1;
+  let restart_delay () =
+    if breaker_on && consec.(i) > 1 then begin
+      w.backoffs <- w.backoffs + 1;
+      Float.min fc.backoff_max_ns
+        (fc.restart_ns *. (fc.backoff_factor ** float_of_int (consec.(i) - 1)))
+    end
+    else fc.restart_ns
   in
-  (* Circuit breaker: consecutive watchdog detections of each core since
-     its last observed processed-packet progress. The n-th consecutive
-     restart backs off exponentially; past [breaker_threshold] the
-     breaker trips — an NF core falls to the [breaker_fallback] policy
-     instead of restart-looping forever. A threshold of 0 disables both
-     (the pre-breaker behavior, bit for bit). *)
-  let consec = Array.make n 0 in
-  let breaker_on = fc.breaker_threshold > 0 in
-  let recover i (Probe p) =
-    let s = p.server in
-    w.detections <- w.detections + 1;
-    consec.(i) <- consec.(i) + 1;
-    let restart_delay () =
-      if breaker_on && consec.(i) > 1 then begin
-        w.backoffs <- w.backoffs + 1;
-        Float.min fc.backoff_max_ns
-          (fc.restart_ns *. (fc.backoff_factor ** float_of_int (consec.(i) - 1)))
+  let restart_core ~on_up () =
+    ws.wstate.(i) <- `Restarting;
+    Nfp_sim.Server.kill s;
+    (* Lossless restart: restore the last checkpoint and replay the
+       input log before the core comes back — the replay time extends
+       the outage — then re-admit the reclaimed casualties instead of
+       flushing them. *)
+    let replay_ns = replay p.cell in
+    Nfp_sim.Engine.schedule engine ~delay:(restart_delay () +. replay_ns) (fun () ->
+        if t.lossless then begin
+          let jobs, emits = Nfp_sim.Server.casualty_counts s in
+          w.salvaged <- w.salvaged + jobs + emits
+        end;
+        ignore (Nfp_sim.Server.revive ~flush:(not t.lossless) s);
+        w.restarts <- w.restarts + 1;
+        ws.wstate.(i) <- `Up;
+        mark_progress ws i s (Nfp_sim.Engine.now engine);
+        on_up ())
+  in
+  let bypass_core () =
+    ws.wstate.(i) <- `Bypassed;
+    w.bypasses <- w.bypasses + 1;
+    Nfp_sim.Server.kill s;
+    ignore (p.drain ())
+  in
+  let degrade mid =
+    ws.degraded.(mid - 1) <- true;
+    w.degrades <- w.degrades + 1
+  in
+  match p.nf with
+  | None -> restart_core ~on_up:ignore ()
+  | Some (mid, nfname) ->
+      if breaker_on && consec.(i) > fc.breaker_threshold then begin
+        w.breaker_trips <- w.breaker_trips + 1;
+        match fc.breaker_fallback with
+        | Restart | Bypass -> bypass_core ()
+        | Degrade ->
+            (* Pin the graph to its sequential twin and remove the
+               hopeless core; no [on_up] ever clears the degraded
+               flag. *)
+            degrade mid;
+            bypass_core ()
       end
-      else fc.restart_ns
-    in
-    let restart_core ~on_up () =
-      wstate.(i) <- `Restarting;
-      Nfp_sim.Server.kill s;
-      (* Lossless restart: restore the last checkpoint and replay the
-         input log before the core comes back — the replay time extends
-         the outage — then re-admit the reclaimed casualties instead of
-         flushing them. *)
-      let replay_ns = replay p.cell in
-      Nfp_sim.Engine.schedule engine ~delay:(restart_delay () +. replay_ns) (fun () ->
-          if lossless then begin
-            let jobs, emits = Nfp_sim.Server.casualty_counts s in
-            w.salvaged <- w.salvaged + jobs + emits
-          end;
-          ignore (Nfp_sim.Server.revive ~flush:(not lossless) s);
-          w.restarts <- w.restarts + 1;
-          wstate.(i) <- `Up;
-          mark_progress i s (Nfp_sim.Engine.now engine);
-          on_up ())
-    in
-    let bypass_core () =
-      wstate.(i) <- `Bypassed;
-      w.bypasses <- w.bypasses + 1;
-      Nfp_sim.Server.kill s;
-      ignore (p.drain ())
-    in
-    let degrade mid =
-      degraded.(mid - 1) <- true;
-      w.degrades <- w.degrades + 1
-    in
-    match p.nf with
-    | None -> restart_core ~on_up:ignore ()
-    | Some (mid, nfname) ->
-        if breaker_on && consec.(i) > fc.breaker_threshold then begin
-          w.breaker_trips <- w.breaker_trips + 1;
-          match fc.breaker_fallback with
-          | Restart | Bypass -> bypass_core ()
-          | Degrade ->
-              (* Pin the graph to its sequential twin and remove the
-                 hopeless core; no [on_up] ever clears the degraded
-                 flag. *)
-              degrade mid;
-              bypass_core ()
-        end
-        else (
-          match fc.recovery_of nfname with
-          | Restart -> restart_core ~on_up:ignore ()
-          | Bypass -> bypass_core ()
-          | Degrade ->
-              degrade mid;
-              restart_core
-                ~on_up:(fun () ->
-                  degraded.(mid - 1) <- false;
-                  w.recoveries <- w.recoveries + 1)
-                ())
-  in
-  let rec check () =
-    let now = Nfp_sim.Engine.now engine in
-    (* Periodic checkpoint tick: snapshot every live core's NF state and
-       truncate its input log. Rides the watchdog's wake/sleep cycle, so
-       an idle system takes no checkpoints. *)
-    if lossless && now >= !next_ckpt then begin
-      Array.iteri
-        (fun i (Probe p) ->
-          if wstate.(i) = `Up && not (Nfp_sim.Server.is_down p.server) then
-            checkpoint ~forced:false p.cell)
-        probes;
-      next_ckpt := now +. fc.checkpoint_interval_ns
-    end;
-    let pending = ref false in
+      else (
+        match fc.recovery_of nfname with
+        | Restart -> restart_core ~on_up:ignore ()
+        | Bypass -> bypass_core ()
+        | Degrade ->
+            degrade mid;
+            restart_core
+              ~on_up:(fun () ->
+                ws.degraded.(mid - 1) <- false;
+                w.recoveries <- w.recoveries + 1)
+              ())
+
+let check t ws =
+  let fc = ws.fc in
+  let now = Nfp_sim.Engine.now t.engine in
+  (* Periodic checkpoint tick: snapshot every live core's NF state and
+     truncate its input log. Rides the watchdog's wake/sleep cycle, so
+     an idle system takes no checkpoints. *)
+  if t.lossless && now >= ws.next_ckpt then begin
     Array.iteri
-      (fun i probe ->
-        let (Probe { server = s; _ }) = probe in
-        let pc = Nfp_sim.Server.processed s and st = Nfp_sim.Server.stalled_ns s in
-        if pc > prev_processed.(i) || st > prev_stalled.(i) then begin
-          (* Real processed progress (not just stall retries) closes the
-             breaker window: the core is alive again. *)
-          if pc > prev_processed.(i) then consec.(i) <- 0;
-          mark_progress i s now
-        end
-        else if Nfp_sim.Server.queue_length s = 0 then
-          (* An idle core is healthy. Keeping its baseline fresh makes
-             the deadline clock start when work is queued, not when it
-             last processed — otherwise a burst landing on a long-idle
-             core (e.g. merge timeouts releasing a wedge) trips an
-             instant false kill. *)
-          last_progress.(i) <- now
-        else if Nfp_sim.Server.is_paused s && not (Nfp_sim.Server.is_down s) then
-          (* A quiesced migration source is healthy: the elastic
-             controller froze it deliberately and owns unfreezing it
-             (commit or abort) — declaring it dead would restart a core
-             mid-handover. The breaker window stays open too: a pause is
-             not progress. *)
-          last_progress.(i) <- now
-        else if Nfp_sim.Server.is_busy s && not (Nfp_sim.Server.is_down s) then
-          (* A core mid-breath is healthy: its completion event is
-             already on the calendar. With large batches a single breath
-             can legally outlast the deadline while the processed
-             counter stands still — only a *down* core (crashed or hung,
-             which [interrupt] marks) may have a frozen heartbeat counted
-             against it. *)
-          last_progress.(i) <- now
-        else if wstate.(i) = `Up && now -. last_progress.(i) > fc.watchdog_deadline_ns then
-          recover i probe;
-        match wstate.(i) with
-        | `Bypassed -> ()
-        | `Restarting -> pending := true
-        | `Up ->
-            if
-              if Nfp_sim.Server.is_down s then Nfp_sim.Server.queue_length s > 0
-              else Nfp_sim.Server.queue_length s > 0 || Nfp_sim.Server.is_busy s
-            then pending := true)
-      probes;
-    if !pending then Nfp_sim.Engine.schedule engine ~delay:fc.watchdog_interval_ns check
-    else active := false
-  in
-  t.kick <-
-    (fun () ->
-      if not !active then begin
-        active := true;
-        (* Reset the heartbeats on wake-up: idle time must not count
-           against the deadline. The checkpoint clock restarts with the
-           watchdog for the same reason. *)
-        let now = Nfp_sim.Engine.now engine in
-        if lossless then next_ckpt := now +. fc.checkpoint_interval_ns;
-        Array.iteri (fun i (Probe p) -> mark_progress i p.server now) probes;
-        Nfp_sim.Engine.schedule engine ~delay:fc.watchdog_interval_ns check
-      end);
-  t.state <-
-    (fun i ->
-      match wstate.(i) with
-      | `Bypassed -> Some "bypassed"
-      | `Restarting -> Some "restarting"
-      | `Up -> None)
+      (fun i (Probe p) ->
+        if ws.wstate.(i) = `Up && not (Nfp_sim.Server.is_down p.server) then
+          checkpoint ~forced:false p.cell)
+      ws.probes;
+    ws.next_ckpt <- now +. fc.checkpoint_interval_ns
+  end;
+  let pending = ref false in
+  Array.iteri
+    (fun i probe ->
+      let (Probe { server = s; _ }) = probe in
+      let pc = Nfp_sim.Server.processed s and st = Nfp_sim.Server.stalled_ns s in
+      if pc > ws.prev_processed.(i) || st > ws.prev_stalled.(i) then begin
+        (* Real processed progress (not just stall retries) closes the
+           breaker window: the core is alive again. *)
+        if pc > ws.prev_processed.(i) then ws.consec.(i) <- 0;
+        mark_progress ws i s now
+      end
+      else if Nfp_sim.Server.queue_length s = 0 then
+        (* An idle core is healthy. Keeping its baseline fresh makes
+           the deadline clock start when work is queued, not when it
+           last processed — otherwise a burst landing on a long-idle
+           core (e.g. merge timeouts releasing a wedge) trips an
+           instant false kill. *)
+        ws.last_progress.(i) <- now
+      else if Nfp_sim.Server.is_paused s && not (Nfp_sim.Server.is_down s) then
+        (* A quiesced migration source is healthy: the elastic
+           controller froze it deliberately and owns unfreezing it
+           (commit or abort) — declaring it dead would restart a core
+           mid-handover. The breaker window stays open too: a pause is
+           not progress. *)
+        ws.last_progress.(i) <- now
+      else if Nfp_sim.Server.is_busy s && not (Nfp_sim.Server.is_down s) then
+        (* A core mid-breath is healthy: its completion event is
+           already on the calendar. With large batches a single breath
+           can legally outlast the deadline while the processed
+           counter stands still — only a *down* core (crashed or hung,
+           which [interrupt] marks) may have a frozen heartbeat counted
+           against it. *)
+        ws.last_progress.(i) <- now
+      else if ws.wstate.(i) = `Up && now -. ws.last_progress.(i) > fc.watchdog_deadline_ns
+      then recover t ws i probe;
+      match ws.wstate.(i) with
+      | `Bypassed -> ()
+      | `Restarting -> pending := true
+      | `Up ->
+          if
+            if Nfp_sim.Server.is_down s then Nfp_sim.Server.queue_length s > 0
+            else Nfp_sim.Server.queue_length s > 0 || Nfp_sim.Server.is_busy s
+          then pending := true)
+    ws.probes;
+  if !pending then Nfp_sim.Engine.arm_timer ws.timer ~delay:fc.watchdog_interval_ns
+
+let kick t =
+  match t.watching with
+  | Some ws when not (Nfp_sim.Engine.timer_armed ws.timer) ->
+      (* Reset the heartbeats on wake-up: idle time must not count
+         against the deadline. The checkpoint clock restarts with the
+         watchdog for the same reason. *)
+      let now = Nfp_sim.Engine.now t.engine in
+      if t.lossless then ws.next_ckpt <- now +. ws.fc.checkpoint_interval_ns;
+      Array.iteri (fun i (Probe p) -> mark_progress ws i p.server now) ws.probes;
+      Nfp_sim.Engine.arm_timer ws.timer ~delay:ws.fc.watchdog_interval_ns
+  | _ -> ()
+
+let state t i =
+  match t.watching with
+  | Some ws when ws.wstate.(i) = `Bypassed -> Some "bypassed"
+  | Some ws when ws.wstate.(i) = `Restarting -> Some "restarting"
+  | _ -> None
 
 (* Every core's checkpoint time lands on its own server, so each cell's
    charge is wired once the probes exist. Without a fault config the
@@ -379,4 +381,25 @@ let watch t ~degraded probes =
       | Cell c -> c.charge <- Nfp_sim.Server.charge p.server
       | No_cell -> ())
     probes;
-  match t.fault with None -> () | Some fc -> watch_with t fc ~degraded probes
+  match t.fault with
+  | None -> ()
+  | Some fc ->
+      let n = Array.length probes in
+      let timer =
+        Nfp_sim.Engine.timer t.engine ~name:"watchdog" (fun () ->
+            match t.watching with Some ws -> check t ws | None -> ())
+      in
+      t.watching <-
+        Some
+          {
+            fc;
+            degraded;
+            probes;
+            wstate = Array.make n `Up;
+            prev_processed = Array.make n 0;
+            prev_stalled = Array.make n 0.0;
+            last_progress = Array.make n 0.0;
+            consec = Array.make n 0;
+            next_ckpt = infinity;
+            timer;
+          }

@@ -18,6 +18,11 @@ type t = {
   mutable size : int;
   mutable next_seq : int;
   mutable firing : int;
+  (* Timer firings among the [size] queued events, and how many timers
+     in a row have fired with nothing else queued (the livelock
+     guard). *)
+  mutable timers : int;
+  mutable streak : int;
 }
 
 let nop () = ()
@@ -31,6 +36,8 @@ let create () =
     size = 0;
     next_seq = 0;
     firing = -1;
+    timers = 0;
+    streak = 0;
   }
 
 let now t = t.clock.ns
@@ -113,6 +120,42 @@ let arm t ~delay action =
   arm_at t (t.clock.ns +. delay) action
 
 let schedule t ~delay action = ignore (arm t ~delay action)
+
+exception Livelock of string
+
+type timer = { engine : t; mutable armed : bool; fire : unit -> unit }
+
+(* Far above the longest timer-only streak any test, bench experiment
+   or perfbench workload reaches; DESIGN.md explains the bound. *)
+let livelock_streak = 100_000
+
+(* A timer firing is the only event that pays for the guard: a timer
+   that fires with no ordinary event left to run cannot be waiting for
+   anything but another timer. *)
+let timer t ~name callback =
+  let rec tm =
+    {
+      engine = t;
+      armed = false;
+      fire =
+        (fun () ->
+          tm.armed <- false;
+          t.timers <- t.timers - 1;
+          t.streak <- (if t.size > t.timers then 0 else t.streak + 1);
+          if t.streak > livelock_streak then raise (Livelock name);
+          callback ());
+    }
+  in
+  tm
+
+let arm_timer tm ~delay =
+  if not tm.armed then begin
+    schedule tm.engine ~delay tm.fire;
+    tm.armed <- true;
+    tm.engine.timers <- tm.engine.timers + 1
+  end
+
+let timer_armed tm = tm.armed
 
 (* Remove the minimum and return its action; its time and seq are read
    by the caller beforehand. The vacated tail slot keeps referencing the

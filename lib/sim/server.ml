@@ -58,8 +58,8 @@ type ('job, 'send) t = {
      gave it up and reclaimed its work synchronously (see below) — and
      does nothing. *)
   mutable armed : int;
-  mutable complete : unit -> unit;
-  mutable retry : unit -> unit;
+  complete : unit -> unit;
+  retry : unit -> unit;
   mutable crashes : int;
   mutable fault_drops : int;
   mutable flushed : int;
@@ -91,7 +91,8 @@ type ('job, 'send) t = {
   mutable limbo : 'job list;
   mutable orphans : (unit -> bool) list;
   mutable casualty_sink : ('job list -> (unit -> bool) list -> unit) option;
-  mutable pump_armed : bool;
+  (* Retries a stalled orphan emission; built on first use. *)
+  pump : Engine.timer Lazy.t;
 }
 
 let call _ send = send ()
@@ -191,12 +192,7 @@ and pump_orphans t =
         end
         else begin
           t.f.stalled_ns <- t.f.stalled_ns +. t.retry_ns;
-          if not t.pump_armed then begin
-            t.pump_armed <- true;
-            Engine.schedule t.engine ~delay:t.retry_ns (fun () ->
-                t.pump_armed <- false;
-                pump_orphans t)
-          end
+          Engine.arm_timer (Lazy.force t.pump) ~delay:t.retry_ns
         end
   end
 
@@ -310,14 +306,22 @@ let resume t =
     pump_orphans t
   end
 
+let default_retry_ns = 150.0
+
+(* Run a retryable emission that no core owns to completion, polling at
+   a core's default stall cadence. *)
+let rec drive engine emission =
+  if not (emission ()) then
+    Engine.schedule engine ~delay:default_retry_ns (fun () -> drive engine emission)
+
 let create ~engine ~name ~ring_capacity ~batch ?(burst_saving_ns = 0.0) ?jitter
-    ?(retry_ns = 150.0) ?watermarks ?fault ~service_ns ~execute ~emit () =
+    ?(retry_ns = default_retry_ns) ?watermarks ?fault ~service_ns ~execute ~emit () =
   let batch = max 1 batch in
   let ring = Nfp_algo.Ring.create ~capacity:ring_capacity in
   (match watermarks with
   | None -> ()
   | Some (high, low) -> Nfp_algo.Ring.set_watermarks ring ~high ~low);
-  let t =
+  let rec t =
     {
       engine;
       name;
@@ -345,8 +349,8 @@ let create ~engine ~name ~ring_capacity ~batch ?(burst_saving_ns = 0.0) ?jitter
       paused = false;
       fault_prng = None;
       armed = -1;
-      complete = ignore;
-      retry = ignore;
+      complete = (fun () -> complete t ());
+      retry = (fun () -> retry t ());
       crashes = 0;
       fault_drops = 0;
       flushed = 0;
@@ -359,11 +363,9 @@ let create ~engine ~name ~ring_capacity ~batch ?(burst_saving_ns = 0.0) ?jitter
       limbo = [];
       orphans = [];
       casualty_sink = None;
-      pump_armed = false;
+      pump = lazy (Engine.timer engine ~name:(name ^ ":pump") (fun () -> pump_orphans t));
     }
   in
-  t.complete <- complete t;
-  t.retry <- retry t;
   (match fault with
   | None -> ()
   | Some (f : Fault.core) ->

@@ -76,6 +76,11 @@ val emission : ('job -> 'send -> bool) -> 'job -> 'send array -> unit -> bool
     timed-out merges): each call emits as many sends as fit, in order,
     and reports whether all of them left. *)
 
+val drive : Engine.t -> (unit -> bool) -> unit
+(** [drive engine emission] calls [emission] now and again every
+    150 ns, a core's default stall-poll interval, until it returns
+    [true]: the flush loop of an emission no core owns. *)
+
 val offer : ('job, 'send) t -> 'job -> bool
 (** [false] when the input ring is full (caller decides: entry points
     drop, upstream cores stall). *)

@@ -624,6 +624,35 @@ let regression_tests =
                0.001032024507556426,
                53.91063208504103,
                [ (2, false, 286845.19587366818); (1, true, 498324.51393255126) ] )));
+    (* The fourth case QCHECK_SEED=79 generates. Replica mid1:tag (0)
+       crashes with an empty queue after the surge, while replica 1
+       drains toward it: the drain's only possible destination is dead,
+       and a controller that counted the drain as pending anyway ticked
+       forever. *)
+    Alcotest.test_case "a drain whose only destination is dead lets the run end" `Quick
+      (fun () ->
+        check Alcotest.bool "converges and drains" true
+          (converges
+             ( 3,
+               19,
+               2,
+               41733.540332376717,
+               0.0075622762603990284,
+               55.642156446066224,
+               [ (0, false, 596794.38000890496) ] )));
+    (* The seventh case QCHECK_SEED=64 generates: two replicas, the
+       receiving one crashed, the same stalled drain. *)
+    Alcotest.test_case "a two-replica drain onto a crashed replica lets the run end"
+      `Quick (fun () ->
+        check Alcotest.bool "converges and drains" true
+          (converges
+             ( 2,
+               8,
+               1,
+               22547.849378158622,
+               0.0099261107393808327,
+               57.656274505049623,
+               [ (0, false, 241612.19803434663); (3, false, 461802.89177056536) ] )));
   ]
 
 let () =

@@ -68,6 +68,129 @@ let engine_tests =
         check Alcotest.int "bounded" 10 !count);
   ]
 
+(* The firing log of one script of events, each either scheduled or
+   armed as a timer: a callback re-arming its own timer ("r", three
+   times) and events queued from inside a callback included. *)
+let interleaving ~timers =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note name () = log := (name, Engine.now e) :: !log in
+  let arm name ~delay f =
+    if timers then Engine.arm_timer (Engine.timer e ~name f) ~delay
+    else Engine.schedule e ~delay f
+  in
+  let ticks = ref 0 in
+  let rec r =
+    lazy
+      (Engine.timer e ~name:"r" (fun () ->
+           note "r" ();
+           incr ticks;
+           if !ticks < 3 then Engine.arm_timer (Lazy.force r) ~delay:2.0))
+  in
+  let rec r_scheduled () =
+    note "r" ();
+    incr ticks;
+    if !ticks < 3 then Engine.schedule e ~delay:2.0 r_scheduled
+  in
+  Engine.schedule e ~delay:5.0 (note "a");
+  arm "A" ~delay:5.0 (note "A");
+  if timers then Engine.arm_timer (Lazy.force r) ~delay:1.0
+  else Engine.schedule e ~delay:1.0 r_scheduled;
+  Engine.schedule e ~delay:5.0 (note "b");
+  arm "B" ~delay:3.0 (note "B");
+  Engine.schedule e ~delay:3.0 (fun () ->
+      note "c" ();
+      arm "C" ~delay:2.0 (note "C");
+      Engine.schedule e ~delay:2.0 (note "d"));
+  Engine.run e;
+  List.rev !log
+
+(* A timer that re-arms itself forever; [other] also queues one ordinary
+   event far in the future. *)
+let spinner ?other e =
+  Option.iter (fun at -> Engine.schedule_at e at ignore) other;
+  let rec spin =
+    lazy (Engine.timer e ~name:"spinner" (fun () -> Engine.arm_timer (Lazy.force spin) ~delay:1.0))
+  in
+  Engine.arm_timer (Lazy.force spin) ~delay:1.0
+
+(* Minor words allocated by [n] firings of a self-re-arming timer, after
+   a first round that grows the event heap. *)
+let timer_words n =
+  let e = Engine.create () in
+  let fired = ref 0 in
+  let rec tm =
+    lazy
+      (Engine.timer e ~name:"tick" (fun () ->
+           incr fired;
+           if !fired < n then Engine.arm_timer (Lazy.force tm) ~delay:1.0))
+  in
+  let tm = Lazy.force tm in
+  Engine.arm_timer tm ~delay:1.0;
+  Engine.run e;
+  fired := 0;
+  let before = Gc.minor_words () in
+  Engine.arm_timer tm ~delay:1.0;
+  Engine.run e;
+  Gc.minor_words () -. before
+
+let timer_tests =
+  [
+    Alcotest.test_case "arming an armed timer queues nothing more" `Quick (fun () ->
+        let e = Engine.create () in
+        let fired = ref 0 in
+        let tm = Engine.timer e ~name:"t" (fun () -> incr fired) in
+        Engine.arm_timer tm ~delay:10.0;
+        Engine.arm_timer tm ~delay:5.0;
+        check Alcotest.bool "armed" true (Engine.timer_armed tm);
+        check Alcotest.int "one event queued" 1 (Engine.pending e);
+        Engine.run e;
+        check Alcotest.int "fired once" 1 !fired;
+        check (Alcotest.float 1e-9) "at the first arming's time" 10.0 (Engine.now e);
+        check Alcotest.bool "disarmed" false (Engine.timer_armed tm));
+    Alcotest.test_case "timers and schedule share one (time, seq) order" `Quick
+      (fun () ->
+        let expected =
+          [
+            ("r", 1.0);
+            ("B", 3.0);
+            ("c", 3.0);
+            ("r", 3.0);
+            ("a", 5.0);
+            ("A", 5.0);
+            ("b", 5.0);
+            ("C", 5.0);
+            ("d", 5.0);
+            ("r", 5.0);
+          ]
+        in
+        let log = Alcotest.(list (pair string (float 1e-9))) in
+        check log "scheduled" expected (interleaving ~timers:false);
+        check log "timers" expected (interleaving ~timers:true));
+    Alcotest.test_case "a lone re-arming timer raises Livelock with its name" `Quick
+      (fun () ->
+        let e = Engine.create () in
+        spinner e;
+        Alcotest.check_raises "livelock" (Engine.Livelock "spinner") (fun () ->
+            Engine.run e);
+        check (Alcotest.float 1e-9) "after the tolerated streak"
+          (float_of_int (Engine.livelock_streak + 1))
+          (Engine.now e));
+    Alcotest.test_case "a queued ordinary event keeps the guard quiet" `Quick (fun () ->
+        let e = Engine.create () in
+        let horizon = float_of_int (3 * Engine.livelock_streak) in
+        spinner ~other:(2.0 *. horizon) e;
+        Engine.run ~until:horizon e;
+        check Alcotest.int "both still queued" 2 (Engine.pending e));
+    (* Holds for the release build the repository selects in
+       dune-workspace, like test_batch's budgets. *)
+    Alcotest.test_case "arming and firing a timer allocates nothing" `Quick (fun () ->
+        let per_firing = (timer_words 20_000 -. timer_words 10_000) /. 10_000.0 in
+        if per_firing > 0.0 then
+          Alcotest.failf "allocation regression: %.3f minor words per timer firing (budget 0)"
+            per_firing);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Server                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -581,6 +704,7 @@ let () =
   Alcotest.run "nfp_sim"
     [
       ("engine", engine_tests);
+      ("timer", timer_tests);
       ("server", server_tests);
       ("fault", fault_tests);
       ("nic", nic_tests);
