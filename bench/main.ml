@@ -759,9 +759,59 @@ let run_micro () =
     ignore (Nfp_sim.Server.offer core 0);
     Nfp_sim.Engine.run breath_engine
   in
+  (* A reliable channel over a perfect fabric: each op sends one
+     payload and drains the engine, so the cumulative ack prunes it and
+     the retransmit and probe timers quench. A no-op event queued
+     behind the timers stands in for the traffic a real run keeps on
+     the calendar (timers alone would trip the engine's livelock
+     guard). *)
+  let channel_engine = Nfp_sim.Engine.create () in
+  let channel =
+    Nfp_infra.Channel.create ~engine:channel_engine ~name:"micro"
+      ~reliability:
+        {
+          Nfp_infra.Channel.window = 256;
+          ack_interval_ns = 1_000.0;
+          rto_ns = 25_000.0;
+          rto_backoff = 2.0;
+          rto_max_ns = 400_000.0;
+          retransmit_budget = 16;
+          reorder_window = 256;
+          probe_interval_ns = 5_000.0;
+          probe_timeout_k = 3;
+          ack_ns = 10.0;
+          retransmit_ns = 50.0;
+        }
+      ~deliver:(fun _ -> true) ~reroute:ignore ~stats:(Nfp_infra.Channel.fresh_stats ())
+      ()
+  in
+  let send_ack () =
+    ignore (Nfp_infra.Channel.send channel 0);
+    Nfp_sim.Engine.schedule channel_engine ~delay:30_000.0 nop;
+    Nfp_sim.Engine.run channel_engine
+  in
+  let lossy =
+    Option.get
+      (Nfp_sim.Fault.link_for
+         (Nfp_sim.Fault.link_plan [ Nfp_sim.Fault.loss ~probability:0.01 "l" ])
+         "l")
+  in
+  (* A delivery-sized memory fed fresh PIDs: every op inserts one key
+     and looks it up, rotating generations every 32768 ops. *)
+  let dedup = Nfp_infra.System.Dedup.create 65_536 in
+  let dedup_pid = ref 0 in
+  let dedup_op () =
+    incr dedup_pid;
+    Nfp_infra.System.Dedup.add dedup ~a:!dedup_pid ~b:1;
+    Nfp_infra.System.Dedup.mem dedup ~a:!dedup_pid ~b:1
+  in
   let tests =
     Test.make_grouped ~name:"nfp" ~fmt:"%s %s"
       [
+        Test.make ~name:"reliable channel send+ack (lossless)" (Staged.stage send_ack);
+        Test.make ~name:"Fault.transit (1% loss)"
+          (Staged.stage (fun () -> Nfp_sim.Fault.transit lossy ~now_ns:0.0));
+        Test.make ~name:"dedup add+mem" (Staged.stage dedup_op);
         Test.make ~name:"header-only copy"
           (Staged.stage (fun () -> Nfp_packet.Packet.header_only_copy pkt1500 ~version:2));
         Test.make ~name:"full copy 1500B"

@@ -68,8 +68,17 @@ type reliability = {
   retransmit_ns : float;  (* added transit delay of a retransmission *)
 }
 
-type 'a entry = { payload : 'a; mutable attempts : int; mutable last_tx : float }
-
+(* Both buffers are seq-indexed rings, so the per-packet path allocates
+   nothing. The unacked sends are always the contiguous range
+   [unacked_lo, next_seq): sends append at [next_seq], acks prune a
+   prefix, and a Down flush empties it. It never exceeds [window], so
+   slot [seq mod window] is unique for each unacked seq. The reorder
+   buffer holds seqs inside [expected, expected + reorder_window), one
+   per slot of [seq mod reorder_window]; [rx_seq] names the seq a slot
+   holds ([-1] = free), since a Down flush scans the wider range
+   [expected, next_seq), where slots alias. The payload rings are built
+   on first use, filled with that payload: there is no ['a] to fill them
+   with before. *)
 type 'a t = {
   engine : Nfp_sim.Engine.t;
   state : Nfp_sim.Fault.link_state option;
@@ -79,8 +88,10 @@ type 'a t = {
   stats : stats;
   (* --- sender --- *)
   mutable next_seq : int;
-  unacked : (int, 'a entry) Hashtbl.t;
-  mutable unacked_lo : int;  (* lowest possibly-unacked seq, for O(1) head scans *)
+  mutable unacked_lo : int;  (* lowest unacked seq *)
+  mutable tx_payload : 'a array;
+  tx_attempts : int array;
+  tx_last : float array;  (* time of the last (re)transmission *)
   rto : Nfp_sim.Engine.timer Lazy.t;
   mutable rto_streak : int;  (* consecutive RTO firings without ack progress *)
   ack : Nfp_sim.Engine.timer Lazy.t;
@@ -89,7 +100,8 @@ type 'a t = {
   mutable down : bool;
   (* --- receiver --- *)
   mutable expected : int;
-  reorder : (int, 'a) Hashtbl.t;
+  mutable rx_payload : 'a array;
+  rx_seq : int array;
   retry_release : Nfp_sim.Engine.timer Lazy.t;  (* in-order release stalled on a full ring *)
 }
 
@@ -108,6 +120,14 @@ let partitioned ch =
    and the only consumer left is the destination ring. *)
 let drive_deliver ch x = Nfp_sim.Server.drive ch.engine (fun () -> ch.deliver x)
 
+let unacked ch = ch.next_seq - ch.unacked_lo
+
+let tx_slot ch seq = seq mod Array.length ch.tx_last
+
+let rx_slot ch seq = seq mod Array.length ch.rx_seq
+
+let buffered ch seq = ch.rx_seq.(rx_slot ch seq) = seq
+
 (* ------------------------------------------------------------------ *)
 (* Receiver: dedup, bounded reorder buffer, in-order release           *)
 (* ------------------------------------------------------------------ *)
@@ -115,19 +135,18 @@ let drive_deliver ch x = Nfp_sim.Server.drive ch.engine (fun () -> ch.deliver x)
 let rec release ch =
   let retry = Lazy.force ch.retry_release in
   if not (Nfp_sim.Engine.timer_armed retry) then
-    match Hashtbl.find_opt ch.reorder ch.expected with
-    | None -> ()
-    | Some payload ->
-        if ch.deliver payload then begin
-          Hashtbl.remove ch.reorder ch.expected;
-          ch.expected <- ch.expected + 1;
-          arm_ack ch;
-          release ch
-        end
-        else
-          (* Destination ring full: the head (and everything behind it)
-             stays buffered; retry at the stall-poll cadence. *)
-          Nfp_sim.Engine.arm_timer retry ~delay:150.0
+    let i = rx_slot ch ch.expected in
+    if ch.rx_seq.(i) = ch.expected then
+      if ch.deliver ch.rx_payload.(i) then begin
+        ch.rx_seq.(i) <- -1;
+        ch.expected <- ch.expected + 1;
+        arm_ack ch;
+        release ch
+      end
+      else
+        (* Destination ring full: the head (and everything behind it)
+           stays buffered; retry at the stall-poll cadence. *)
+        Nfp_sim.Engine.arm_timer retry ~delay:150.0
 
 (* Cumulative ack: prune every send below the receiver's [expected].
    One event per cadence interval, armed by release progress and
@@ -135,23 +154,18 @@ let rec release ch =
    nothing. *)
 and arm_ack ch =
   match ch.rel with
-  | Some rel when Hashtbl.length ch.unacked > 0 ->
+  | Some rel when unacked ch > 0 ->
       Nfp_sim.Engine.arm_timer (Lazy.force ch.ack) ~delay:(rel.ack_interval_ns +. rel.ack_ns)
   | _ -> ()
 
+(* Releases since this ack was armed need no re-arm here: the ack
+   prunes up to [expected] itself, and each later release arms the next
+   one. *)
 let ack ch =
-  let pruned = ref false in
-  while ch.unacked_lo < ch.expected do
-    if Hashtbl.mem ch.unacked ch.unacked_lo then begin
-      Hashtbl.remove ch.unacked ch.unacked_lo;
-      pruned := true
-    end;
-    ch.unacked_lo <- ch.unacked_lo + 1
-  done;
-  if !pruned then ch.rto_streak <- 0;
-  (* Releases since this ack was armed may already warrant the next
-     one. *)
-  if Hashtbl.length ch.unacked > 0 && ch.unacked_lo < ch.expected then arm_ack ch
+  if ch.unacked_lo < ch.expected then begin
+    ch.unacked_lo <- ch.expected;
+    ch.rto_streak <- 0
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Sender: transit draws, RTO + NACK retransmission, health probes     *)
@@ -161,7 +175,7 @@ let rec arrive ch seq payload =
   match ch.rel with
   | None -> assert false (* raw channels never sequence *)
   | Some rel ->
-      if seq < ch.expected || Hashtbl.mem ch.reorder seq then
+      if seq < ch.expected || buffered ch seq then
         (* A fabric duplicate, or a retransmission of something already
            received: consumed by the sequence filter. *)
         ch.stats.duplicates_suppressed <- ch.stats.duplicates_suppressed + 1
@@ -170,7 +184,11 @@ let rec arrive ch seq payload =
            retransmit machinery re-delivers once the window advances. *)
         ch.stats.link_drops <- ch.stats.link_drops + 1
       else begin
-        Hashtbl.replace ch.reorder seq payload;
+        let i = rx_slot ch seq in
+        if Array.length ch.rx_payload = 0 then
+          ch.rx_payload <- Array.make (Array.length ch.rx_seq) payload
+        else ch.rx_payload.(i) <- payload;
+        ch.rx_seq.(i) <- seq;
         if seq > ch.expected then nack ch ~upto:seq;
         release ch
       end
@@ -195,13 +213,16 @@ and transmit ch seq payload =
               arrive ch seq payload))
 
 (* A retransmission pays [retransmit_ns] on top of whatever the fabric
-   does to it — and the fabric may well lose it again. *)
-and retransmit ch seq (e : 'a entry) rel =
+   does to it — and the fabric may well lose it again. The payload is
+   read now: its slot may carry a later seq by the time the copy lands. *)
+and retransmit ch seq rel =
   ch.stats.retransmits <- ch.stats.retransmits + 1;
-  e.last_tx <- now ch;
+  let i = tx_slot ch seq in
+  ch.tx_last.(i) <- now ch;
+  let payload = ch.tx_payload.(i) in
   let deliver_later extra =
     Nfp_sim.Engine.schedule ch.engine ~delay:(rel.retransmit_ns +. extra) (fun () ->
-        arrive ch seq e.payload)
+        arrive ch seq payload)
   in
   match ch.state with
   | None -> deliver_later 0.0
@@ -227,13 +248,16 @@ and nack ch ~upto =
   | Some rel ->
       let t = now ch in
       for seq = ch.expected to upto - 1 do
-        if not (Hashtbl.mem ch.reorder seq) then
-          match Hashtbl.find_opt ch.unacked seq with
-          | Some e when t -. e.last_tx >= rel.ack_interval_ns ->
-              e.attempts <- e.attempts + 1;
-              if e.attempts > rel.retransmit_budget then go_down ch
-              else retransmit ch seq e rel
-          | _ -> ()
+        let i = tx_slot ch seq in
+        if
+          seq >= ch.unacked_lo
+          && (not (buffered ch seq))
+          && t -. ch.tx_last.(i) >= rel.ack_interval_ns
+        then begin
+          ch.tx_attempts.(i) <- ch.tx_attempts.(i) + 1;
+          if ch.tx_attempts.(i) > rel.retransmit_budget then go_down ch
+          else retransmit ch seq rel
+        end
       done
 
 (* Head-of-line retransmit timer: armed while anything is unacked,
@@ -246,7 +270,7 @@ and arm_rto ch =
   | Some rel
     when (not (Nfp_sim.Engine.timer_armed rto))
          && (not ch.down)
-         && Hashtbl.length ch.unacked > 0 ->
+         && unacked ch > 0 ->
       Nfp_sim.Engine.arm_timer rto
         ~delay:
           (Float.min rel.rto_max_ns
@@ -255,29 +279,23 @@ and arm_rto ch =
 
 and rto ch =
   match ch.rel with
-  | Some rel when not ch.down -> (
-      (* Skip seqs the acks already pruned. *)
-      while ch.unacked_lo < ch.next_seq && not (Hashtbl.mem ch.unacked ch.unacked_lo) do
-        ch.unacked_lo <- ch.unacked_lo + 1
-      done;
-      match Hashtbl.find_opt ch.unacked ch.unacked_lo with
-      | None -> ()  (* everything acked: quench *)
-      | Some e ->
-          if ch.unacked_lo < ch.expected || Hashtbl.mem ch.reorder ch.unacked_lo then
-            (* Received (released or buffered) but not yet cumulatively
-               acked: no data to recover, just wait for the ack
-               cadence. *)
-            arm_rto ch
-          else begin
-            e.attempts <- e.attempts + 1;
-            if e.attempts > rel.retransmit_budget then go_down ch
-            else begin
-              ch.rto_streak <- ch.rto_streak + 1;
-              retransmit ch ch.unacked_lo e rel;
-              arm_rto ch
-            end
-          end)
-  | _ -> ()
+  | Some rel when (not ch.down) && unacked ch > 0 ->
+      let seq = ch.unacked_lo in
+      if seq < ch.expected || buffered ch seq then
+        (* Received (released or buffered) but not yet cumulatively
+           acked: no data to recover, just wait for the ack cadence. *)
+        arm_rto ch
+      else begin
+        let i = tx_slot ch seq in
+        ch.tx_attempts.(i) <- ch.tx_attempts.(i) + 1;
+        if ch.tx_attempts.(i) > rel.retransmit_budget then go_down ch
+        else begin
+          ch.rto_streak <- ch.rto_streak + 1;
+          retransmit ch seq rel;
+          arm_rto ch
+        end
+      end
+  | _ -> ()  (* everything acked: quench *)
 
 (* Down transition: flush the port in sequence order — buffered
    arrivals deliver (they made it across), unacked sends detour through
@@ -290,19 +308,16 @@ and go_down ch =
     ch.down <- true;
     ch.stats.partitions <- ch.stats.partitions + 1;
     for seq = ch.expected to ch.next_seq - 1 do
-      match Hashtbl.find_opt ch.reorder seq with
-      | Some payload ->
-          Hashtbl.remove ch.reorder seq;
-          drive_deliver ch payload
-      | None -> (
-          match Hashtbl.find_opt ch.unacked seq with
-          | Some e ->
-              ch.stats.reroutes <- ch.stats.reroutes + 1;
-              ch.reroute e.payload
-          | None -> ())
+      if buffered ch seq then begin
+        let i = rx_slot ch seq in
+        ch.rx_seq.(i) <- -1;
+        drive_deliver ch ch.rx_payload.(i)
+      end
+      else if seq >= ch.unacked_lo then begin
+        ch.stats.reroutes <- ch.stats.reroutes + 1;
+        ch.reroute ch.tx_payload.(tx_slot ch seq)
+      end
     done;
-    Hashtbl.reset ch.unacked;
-    Hashtbl.reset ch.reorder;
     ch.expected <- ch.next_seq;
     ch.unacked_lo <- ch.next_seq;
     ch.probe_fails <- 0;
@@ -317,14 +332,13 @@ and go_down ch =
 let arm_probe ch =
   match ch.rel with
   | Some rel
-    when rel.probe_interval_ns > 0.0 && (not ch.down) && Hashtbl.length ch.unacked > 0
-    ->
+    when rel.probe_interval_ns > 0.0 && (not ch.down) && unacked ch > 0 ->
       Nfp_sim.Engine.arm_timer (Lazy.force ch.probe) ~delay:rel.probe_interval_ns
   | _ -> ()
 
 let probe ch =
   match ch.rel with
-  | Some rel when (not ch.down) && Hashtbl.length ch.unacked > 0 ->
+  | Some rel when (not ch.down) && unacked ch > 0 ->
       if partitioned ch then begin
         ch.probe_fails <- ch.probe_fails + 1;
         if ch.probe_fails >= rel.probe_timeout_k then go_down ch else arm_probe ch
@@ -339,6 +353,11 @@ let probe ch =
    needs them. *)
 let create ~engine ~name ?state ?reliability ~deliver ~reroute ~stats () =
   let timer what f = Nfp_sim.Engine.timer engine ~name:(name ^ ":" ^ what) f in
+  let window, reorder_window =
+    match reliability with
+    | Some r -> (max 1 r.window, max 1 r.reorder_window)
+    | None -> (0, 0)
+  in
   let rec ch =
     {
       engine;
@@ -348,8 +367,10 @@ let create ~engine ~name ?state ?reliability ~deliver ~reroute ~stats () =
       reroute;
       stats;
       next_seq = 0;
-      unacked = Hashtbl.create 16;
       unacked_lo = 0;
+      tx_payload = [||];
+      tx_attempts = Array.make window 0;
+      tx_last = Array.make window 0.0;
       rto = lazy (timer "rto" (fun () -> rto ch));
       rto_streak = 0;
       ack = lazy (timer "ack" (fun () -> ack ch));
@@ -357,7 +378,8 @@ let create ~engine ~name ?state ?reliability ~deliver ~reroute ~stats () =
       probe_fails = 0;
       down = false;
       expected = 0;
-      reorder = Hashtbl.create 16;
+      rx_payload = [||];
+      rx_seq = Array.make reorder_window (-1);
       retry_release = lazy (timer "release" (fun () -> release ch));
     }
   in
@@ -407,12 +429,16 @@ let rec send ch x =
           ch.reroute x;
           true
         end
-      else if Hashtbl.length ch.unacked >= rel.window then false
+      else if unacked ch >= rel.window then false
       else begin
         let seq = ch.next_seq in
         ch.next_seq <- seq + 1;
-        Hashtbl.replace ch.unacked seq
-          { payload = x; attempts = 0; last_tx = now ch };
+        let i = tx_slot ch seq in
+        if Array.length ch.tx_payload = 0 then
+          ch.tx_payload <- Array.make (Array.length ch.tx_last) x
+        else ch.tx_payload.(i) <- x;
+        ch.tx_attempts.(i) <- 0;
+        ch.tx_last.(i) <- now ch;
         transmit ch seq x;
         arm_rto ch;
         arm_probe ch;

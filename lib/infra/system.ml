@@ -137,39 +137,43 @@ type fault_config = Watchdog.config = {
 
 let default_fault_config = Watchdog.default
 
-(* Bounded (pid, version) memory with generational pruning: two
-   hash tables, [g_cur] receiving inserts and [g_prev] holding the
-   previous generation; membership consults both. When [g_cur] reaches
-   half the capacity the generations rotate and the oldest half is
-   dropped, so the table never holds more than [capacity] entries yet
-   any entry survives at least [capacity / 2] subsequent insertions —
-   the dedup window a late retransmission or replayed branch must fit
-   inside (satellite: previously these tables grew without bound). *)
+(* Bounded packet-identity memory with generational pruning: two
+   tables, [g_cur] receiving inserts and [g_prev] holding the previous
+   generation; membership consults both. When [g_cur] reaches half the
+   capacity the generations rotate and the oldest half is dropped, so
+   the memory never holds more than [capacity] entries yet any entry
+   survives at least [capacity / 2] subsequent insertions — the dedup
+   window a late retransmission or replayed branch must fit inside.
+   Keys are two int limbs in open-addressed tables, so neither a lookup
+   nor an insert allocates: the 40-bit PID as a native int, and the
+   version (delivery) or the packed (MID, merge point) pair (merger). *)
 module Dedup = struct
-  type 'k t = {
+  type t = {
     half : int;
-    mutable g_cur : ('k, unit) Hashtbl.t;
-    mutable g_prev : ('k, unit) Hashtbl.t;
+    mutable g_cur : unit Nfp_algo.Pair_table.t;
+    mutable g_prev : unit Nfp_algo.Pair_table.t;
   }
+
+  let merge_limb ~mid ~merge_id = (mid lsl 32) lor merge_id
 
   let create capacity =
     let half = max 1 (capacity / 2) in
-    { half; g_cur = Hashtbl.create 64; g_prev = Hashtbl.create 64 }
+    { half; g_cur = Nfp_algo.Pair_table.create (); g_prev = Nfp_algo.Pair_table.create () }
 
-  let mem t key = Hashtbl.mem t.g_cur key || Hashtbl.mem t.g_prev key
+  let mem t ~a ~b = Nfp_algo.Pair_table.mem t.g_cur ~a ~b || Nfp_algo.Pair_table.mem t.g_prev ~a ~b
 
-  let add t key =
-    if not (mem t key) then begin
-      if Hashtbl.length t.g_cur >= t.half then begin
+  let add t ~a ~b =
+    if not (mem t ~a ~b) then begin
+      if Nfp_algo.Pair_table.length t.g_cur >= t.half then begin
         let retired = t.g_prev in
-        Hashtbl.reset retired;
+        Nfp_algo.Pair_table.clear retired;
         t.g_prev <- t.g_cur;
         t.g_cur <- retired
       end;
-      Hashtbl.replace t.g_cur key ()
+      Nfp_algo.Pair_table.replace t.g_cur ~a ~b ()
     end
 
-  let length t = Hashtbl.length t.g_cur + Hashtbl.length t.g_prev
+  let length t = Nfp_algo.Pair_table.length t.g_cur + Nfp_algo.Pair_table.length t.g_prev
 end
 
 let core_count config (plan : Tables.plan) =
@@ -546,17 +550,18 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
   let dedup_capacity =
     match fault with Some fc -> max 2 fc.dedup_capacity | None -> 65_536
   in
-  let delivered_versions : (int64 * int) Dedup.t = Dedup.create dedup_capacity in
-  let merger_dedups : (int * int * int64) Dedup.t list ref = ref [] in
+  let delivered_versions = Dedup.create dedup_capacity in
+  let merger_dedups : Dedup.t list ref = ref [] in
   let dedup_entries () =
     Dedup.length delivered_versions
     + List.fold_left (fun acc d -> acc + Dedup.length d) 0 !merger_dedups
   in
   let deliver_out ?(version = 0) ~pid pkt =
-    if dedup_on && version > 0 && Dedup.mem delivered_versions (pid, version) then
+    let a = Int64.to_int pid in
+    if dedup_on && version > 0 && Dedup.mem delivered_versions ~a ~b:version then
       incr deduped
     else begin
-      if dedup_on && version > 0 then Dedup.add delivered_versions (pid, version);
+      if dedup_on && version > 0 then Dedup.add delivered_versions ~a ~b:version;
       Nfp_sim.Engine.schedule engine ~delay:wire_delay (fun () -> output ~pid pkt)
     end
   in
@@ -759,7 +764,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
            merger instance can merge any packet from any service graph"),
            each with a private accumulating table keyed by MID and PID. *)
         let make_merger index =
-          let at : (int * int * int64, at_entry) Hashtbl.t = Hashtbl.create 1024 in
+          let at : at_entry Nfp_algo.Pair_table.t = Nfp_algo.Pair_table.create () in
           let spec_of mid id =
             match Tables.find_merge (plan_of_mid mid) id with
             | Some s -> s
@@ -785,20 +790,21 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           let execute (d : delivery) =
             let mid = Context.mid d.ctx in
             let spec = spec_of mid d.merge_id in
-            let key = (mid, d.merge_id, Context.pid d.ctx) in
+            let a = Int64.to_int (Context.pid d.ctx)
+            and b = Dedup.merge_limb ~mid ~merge_id:d.merge_id in
             let entry =
-              match Hashtbl.find_opt at key with
-              | Some e -> e
-              | None ->
+              match Nfp_algo.Pair_table.find at ~a ~b with
+              | -1 ->
                   let e = { received = 0; nil_from = [] } in
-                  Hashtbl.replace at key e;
+                  Nfp_algo.Pair_table.replace at ~a ~b e;
                   e
+              | s -> Nfp_algo.Pair_table.value at s
             in
             entry.received <- entry.received + 1;
             if d.nil then entry.nil_from <- d.deliverer :: entry.nil_from;
             if entry.received < List.length spec.expected then [||]
             else begin
-              Hashtbl.remove at key;
+              Nfp_algo.Pair_table.remove at ~a ~b;
               let nil_branches =
                 List.filter_map (fun del -> branch_of spec del) entry.nil_from
               in
@@ -1412,7 +1418,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           end
         in
         let make_merger index =
-          let at : (int * int * int64, cat_entry) Hashtbl.t = Hashtbl.create 1024 in
+          let at : cat_entry Nfp_algo.Pair_table.t = Nfp_algo.Pair_table.create () in
           (* Completed-merge memory (armed runs only): a branch arriving
              after its merge already completed — a straggler emitted by
              a salvaged core after a merge timeout force-completed the
@@ -1421,7 +1427,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
              instead of opening a fresh accumulation that would deliver
              a duplicate. Mergers never see the same (MID, merge, PID)
              complete twice within the bounded dedup window. *)
-          let done_tbl : (int * int * int64) Dedup.t = Dedup.create dedup_capacity in
+          let done_tbl = Dedup.create dedup_capacity in
           merger_dedups := done_tbl :: !merger_dedups;
           let service_ns (d : cdelivery) (cell : Nfp_sim.Server.cell) =
             let m = d.d_merge in
@@ -1433,38 +1439,39 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           in
           let execute (d : cdelivery) =
             let m = d.d_merge in
-            let key = (m.m_mid, m.m_id, Context.pid d.d_ctx) in
-            if dedup_on && Dedup.mem done_tbl key then begin
+            let a = Int64.to_int (Context.pid d.d_ctx)
+            and b = Dedup.merge_limb ~mid:m.m_mid ~merge_id:m.m_id in
+            if dedup_on && Dedup.mem done_tbl ~a ~b then begin
               incr deduped;
               [||]
             end
             else begin
               let entry =
-                match Hashtbl.find_opt at key with
-                | Some e -> e
-                | None ->
+                match Nfp_algo.Pair_table.find at ~a ~b with
+                | -1 ->
                     let e = { c_received = 0; c_nil_mask = 0; c_arrived_mask = 0 } in
-                    Hashtbl.replace at key e;
+                    Nfp_algo.Pair_table.replace at ~a ~b e;
                     (* Arm the straggler timeout when this accumulation
                        opens: if a failed branch never shows up, merge
                        what did arrive rather than wedge the packet (the
                        drop policy still applies to arrived nils). *)
                     if merge_timeout_ns > 0.0 then
                       Nfp_sim.Engine.schedule engine ~delay:merge_timeout_ns (fun () ->
-                          match Hashtbl.find_opt at key with
-                          | Some e' when e' == e ->
-                              Hashtbl.remove at key;
-                              if dedup_on then Dedup.add done_tbl key;
-                              incr merge_timeouts;
-                              let missing =
-                                ((1 lsl m.m_expected) - 1) land lnot e.c_arrived_mask
-                              in
-                              drive
-                                (emission d.d_ctx
-                                   (complete m d.d_ctx ~nil_mask:e.c_nil_mask
-                                      ~skip_mask:(e.c_nil_mask lor missing)))
-                          | _ -> ());
+                          let s = Nfp_algo.Pair_table.find at ~a ~b in
+                          if s >= 0 && Nfp_algo.Pair_table.value at s == e then begin
+                            Nfp_algo.Pair_table.remove at ~a ~b;
+                            if dedup_on then Dedup.add done_tbl ~a ~b;
+                            incr merge_timeouts;
+                            let missing =
+                              ((1 lsl m.m_expected) - 1) land lnot e.c_arrived_mask
+                            in
+                            drive
+                              (emission d.d_ctx
+                                 (complete m d.d_ctx ~nil_mask:e.c_nil_mask
+                                    ~skip_mask:(e.c_nil_mask lor missing)))
+                          end);
                     e
+                | s -> Nfp_algo.Pair_table.value at s
               in
               entry.c_received <- entry.c_received + 1;
               if d.d_branch >= 0 then
@@ -1473,8 +1480,8 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                 entry.c_nil_mask <- entry.c_nil_mask lor (1 lsl d.d_branch);
               if entry.c_received < m.m_expected then [||]
               else begin
-                Hashtbl.remove at key;
-                if dedup_on then Dedup.add done_tbl key;
+                Nfp_algo.Pair_table.remove at ~a ~b;
+                if dedup_on then Dedup.add done_tbl ~a ~b;
                 complete m d.d_ctx ~nil_mask:entry.c_nil_mask ~skip_mask:entry.c_nil_mask
               end
             end

@@ -112,6 +112,39 @@ val default_fault_config : fault_config
     disabled ([breaker_threshold = 0]; factor 2.0, 2 ms delay cap and
     a Bypass fallback once enabled), and 65536-entry dedup tables. *)
 
+(** {2 Dedup memories} *)
+
+(** The bounded packet-identity memory behind [dedup_capacity]: the
+    delivery filter keys it by (PID, version), each merger's
+    completed-merge memory by (PID, MID, merge point). Two generations
+    of at most [capacity / 2] entries each; when the newer fills, the
+    older is dropped and the generations rotate. Keys are two native
+    int limbs, the first the 40-bit PID itself, so lookups and inserts
+    allocate nothing. *)
+module Dedup : sig
+  type t
+
+  val create : int -> t
+  (** [create capacity] is a memory bounded by [capacity] entries (at
+      least one per generation). *)
+
+  val merge_limb : mid:int -> merge_id:int -> int
+  (** The merger's second key limb: MID and merge point packed into
+      one int ([merge_id] below 2{^32}). The delivery filter's second
+      limb is the version itself. *)
+
+  val mem : t -> a:int -> b:int -> bool
+  (** Whether either generation holds the key. *)
+
+  val add : t -> a:int -> b:int -> unit
+  (** Insert a key not yet held, rotating first when the newer
+      generation is full; a no-op for a key already held. *)
+
+  val length : t -> int
+  (** Entries across both generations — the [health.dedup_entries]
+      gauge. *)
+end
+
 (** {2 Overload control} *)
 
 type overload_config = {

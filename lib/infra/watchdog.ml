@@ -63,9 +63,13 @@ type t = {
 (* Lossless-recovery cell of one NF replica: the last checkpoint, plus
    a bounded log of pre-processing packet copies appended since (each
    carries its MID/PID/version metadata). A full log forces a
-   checkpoint early — never a silent loss. [charge] bills checkpoint
-   time to the replica's core; {!watch} wires it to the probe's
-   server. *)
+   checkpoint early — never a silent loss — so the log never holds more
+   than [capacity] packets: it is an array of that many slots, each a
+   distinct packet, refilled in place by later appends. Slots
+   [0, materialised) hold packets; the array is built on the first
+   append, its unmaterialised tail filled with that packet as a
+   placeholder. [charge] bills checkpoint time to the replica's core;
+   {!watch} wires it to the probe's server. *)
 and cell =
   | No_cell
   | Cell of {
@@ -75,8 +79,9 @@ and cell =
       restore : Nfp_nf.Nf.state -> unit;
       capacity : int;
       mutable last : Nfp_nf.Nf.state;
-      mutable log : Nfp_packet.Packet.t list;
+      mutable log : Nfp_packet.Packet.t array;
       mutable log_len : int;
+      mutable materialised : int;
       mutable charge : float -> unit;
     }
 
@@ -150,8 +155,9 @@ let cell t (nf : Nfp_nf.Nf.t) =
           restore;
           capacity = max 1 fc.log_capacity;
           last = snap ();
-          log = [];
+          log = [||];
           log_len = 0;
+          materialised = 0;
           charge = ignore;
         }
   | _ -> No_cell
@@ -168,7 +174,6 @@ let refresh = function
   | No_cell -> ()
   | Cell c ->
       c.last <- c.snap ();
-      c.log <- [];
       c.log_len <- 0
 
 let checkpoint ~forced = function
@@ -190,8 +195,14 @@ let log cell pkt =
   | No_cell -> ()
   | Cell c ->
       if c.log_len >= c.capacity then checkpoint ~forced:true cell;
-      c.log <- Nfp_packet.Packet.full_copy pkt :: c.log;
-      c.log_len <- c.log_len + 1
+      let i = c.log_len in
+      if i < c.materialised then Nfp_packet.Packet.copy_into ~dst:c.log.(i) pkt
+      else begin
+        let copy = Nfp_packet.Packet.full_copy pkt in
+        if i = 0 then c.log <- Array.make c.capacity copy else c.log.(i) <- copy;
+        c.materialised <- i + 1
+      end;
+      c.log_len <- i + 1
 
 (* Restore the checkpoint and re-process the log in arrival order on
    the logged copies: state effects replay exactly, nothing is emitted
@@ -205,13 +216,13 @@ let replay = function
       c.restore c.last;
       let cost = c.wd.cost and w = c.wd.counters in
       let extra = ref 0.0 in
-      List.iter
-        (fun pkt ->
-          let cycles = cost.replay_cycles + c.nf.cost_cycles pkt in
-          (try ignore (c.nf.process pkt) with _ -> ());
-          w.replayed <- w.replayed + 1;
-          extra := !extra +. Nfp_sim.Cost.ns_of_cycles cost cycles)
-        (List.rev c.log);
+      for i = 0 to c.log_len - 1 do
+        let pkt = c.log.(i) in
+        let cycles = cost.replay_cycles + c.nf.cost_cycles pkt in
+        (try ignore (c.nf.process pkt) with _ -> ());
+        w.replayed <- w.replayed + 1;
+        extra := !extra +. Nfp_sim.Cost.ns_of_cycles cost cycles
+      done;
       refresh cell;
       !extra
 

@@ -434,6 +434,20 @@ let full_copy t =
     g_l4_off = t.g_l4_off;
   }
 
+(* [full_copy] into an existing packet: [dst]'s bytes are reused when
+   the lengths match, so refilling a slot with a packet of the same size
+   allocates nothing. *)
+let copy_into ~dst src =
+  let len = Bytes.length src.buf in
+  if Bytes.length dst.buf = len then Bytes.blit src.buf 0 dst.buf 0 len
+  else dst.buf <- Bytes.copy src.buf;
+  dst.m_mid <- src.m_mid;
+  dst.m_pid <- src.m_pid;
+  dst.m_version <- src.m_version;
+  dst.g_ah <- src.g_ah;
+  dst.g_proto <- src.g_proto;
+  dst.g_l4_off <- src.g_l4_off
+
 let header_only_copy t ~version =
   Meta.check_version version;
   let hlen = header_length t in

@@ -145,6 +145,11 @@ val l4_checksum_valid : t -> bool
 val full_copy : t -> t
 (** Deep copy, same metadata. *)
 
+val copy_into : dst:t -> t -> unit
+(** [copy_into ~dst src] makes [dst] a deep copy of [src], metadata
+    included, reusing [dst]'s bytes when both packets have the same
+    wire length (no allocation) and replacing them otherwise. *)
+
 val header_only_copy : t -> version:int -> t
 (** Copy Ethernet + IPv4 [+ AH] + transport headers only; the copy's IP
     total length is set to the header length so it parses as a valid,

@@ -209,12 +209,14 @@ let flapping ~at_ns ~down_ns ~up_ns ~cycles link =
   }
 
 (* Runtime state of one link: its matching faults, a private PRNG for
-   the probabilistic draws, and the mutable Gilbert–Elliott state. *)
+   the probabilistic draws, the mutable Gilbert–Elliott state, and the
+   partition windows flattened to [start; end] pairs. *)
 type link_state = {
   l_name : string;
   l_faults : link_fault list;
   l_prng : Nfp_algo.Prng.t;
   mutable l_bad : bool;  (* Gilbert–Elliott: currently in the bad state *)
+  l_windows : float array;
 }
 
 let link_for p name =
@@ -236,18 +238,28 @@ let link_for p name =
                 ~seed:
                   (seed_for { seed = p.link_seed; specs = [] } ("link:" ^ name));
             l_bad = false;
+            l_windows =
+              Array.of_list
+                (List.concat_map
+                   (function
+                     | Partition { at_ns; duration_ns } -> [ at_ns; at_ns +. duration_ns ]
+                     | Loss _ | Duplicate _ | Jumble _ | Burst _ -> [])
+                   faults);
           }
 
 (* Partition windows are pure functions of time — no PRNG draw — so
    checking one (health probes do, every interval) never perturbs the
-   loss/duplication streams. *)
+   loss/duplication streams. A loop over the flat windows rather than a
+   walk of [l_faults]: small enough for the caller to inline, so
+   [now_ns] is never boxed to make the call. *)
 let link_partitioned st ~now_ns =
-  List.exists
-    (function
-      | Partition { at_ns; duration_ns } ->
-          now_ns >= at_ns && now_ns < at_ns +. duration_ns
-      | Loss _ | Duplicate _ | Jumble _ | Burst _ -> false)
-    st.l_faults
+  let w = st.l_windows in
+  let hit = ref false and i = ref 0 in
+  while (not !hit) && !i < Array.length w do
+    if now_ns >= w.(!i) && now_ns < w.(!i + 1) then hit := true;
+    i := !i + 2
+  done;
+  !hit
 
 (* What the fabric does to one transit of the link, drawn at send time.
    Fault processes are evaluated in declaration order; the first loss
@@ -261,36 +273,43 @@ type transit =
   | T_drop
   | T_delay of float  (* deliver [delay_ns] late, behind its successors *)
 
+(* One step per fault process, the verdict so far carried in the
+   arguments ([nan] = not duplicated / not delayed): no refs and no
+   closure, so a pass or a drop allocates nothing. Every draw is taken
+   before it is OR-ed into [dropped], so an earlier loss never skips a
+   later draw and the PRNG stream is consumed identically whatever the
+   verdict. *)
+let rec draw st faults dropped dup delay =
+  match faults with
+  | [] ->
+      if dropped then T_drop
+      else if not (Float.is_nan dup) then T_pass_dup dup
+      else if not (Float.is_nan delay) then T_delay delay
+      else T_pass
+  | Partition _ :: rest -> draw st rest dropped dup delay
+  | Burst { p_enter; p_exit; drop } :: rest ->
+      (* One transition draw per transit, then a loss draw while bad:
+         the classic per-slot Gilbert–Elliott walk. *)
+      let t = Nfp_algo.Prng.float st.l_prng in
+      if st.l_bad then begin
+        if t < p_exit then st.l_bad <- false
+      end
+      else if t < p_enter then st.l_bad <- true;
+      let lost = st.l_bad && Nfp_algo.Prng.float st.l_prng < drop in
+      draw st rest (lost || dropped) dup delay
+  | Loss { probability } :: rest ->
+      let lost = Nfp_algo.Prng.float st.l_prng < probability in
+      draw st rest (lost || dropped) dup delay
+  | Duplicate { probability; gap_ns } :: rest ->
+      let hit = Nfp_algo.Prng.float st.l_prng < probability in
+      draw st rest dropped (if hit then gap_ns else dup) delay
+  | Jumble { probability; span_ns } :: rest ->
+      if Nfp_algo.Prng.float st.l_prng < probability then
+        draw st rest dropped dup (Float.max 1.0 (Nfp_algo.Prng.float st.l_prng *. span_ns))
+      else draw st rest dropped dup delay
+
 let transit st ~now_ns =
-  if link_partitioned st ~now_ns then T_drop
-  else begin
-    let dropped = ref false and dup = ref nan and delay = ref nan in
-    List.iter
-      (fun f ->
-        match f with
-        | Partition _ -> ()
-        | Burst { p_enter; p_exit; drop } ->
-            (* One transition draw per transit, then a loss draw while
-               bad: the classic per-slot Gilbert–Elliott walk. *)
-            let t = Nfp_algo.Prng.float st.l_prng in
-            if st.l_bad then begin
-              if t < p_exit then st.l_bad <- false
-            end
-            else if t < p_enter then st.l_bad <- true;
-            if st.l_bad && Nfp_algo.Prng.float st.l_prng < drop then dropped := true
-        | Loss { probability } ->
-            if Nfp_algo.Prng.float st.l_prng < probability then dropped := true
-        | Duplicate { probability; gap_ns } ->
-            if Nfp_algo.Prng.float st.l_prng < probability then dup := gap_ns
-        | Jumble { probability; span_ns } ->
-            if Nfp_algo.Prng.float st.l_prng < probability then
-              delay := Float.max 1.0 (Nfp_algo.Prng.float st.l_prng *. span_ns))
-      st.l_faults;
-    if !dropped then T_drop
-    else if not (Float.is_nan !dup) then T_pass_dup !dup
-    else if not (Float.is_nan !delay) then T_delay !delay
-    else T_pass
-  end
+  if link_partitioned st ~now_ns then T_drop else draw st st.l_faults false nan nan
 
 let link_fault_count p =
   List.fold_left (fun acc (s : link_spec) -> acc + List.length s.faults) 0 p.link_specs

@@ -118,9 +118,13 @@ type link_state = {
   l_faults : link_fault list;
   l_prng : Nfp_algo.Prng.t;
   mutable l_bad : bool;  (** Gilbert–Elliott: currently in the bad state *)
+  l_windows : float array;
+      (** the [Partition] windows of [l_faults] as flat
+          [start; start + duration] pairs *)
 }
 (** One link's share of a plan: its matching faults, a private seeded
-    PRNG stream, and the mutable burst-loss state. *)
+    PRNG stream, the mutable burst-loss state, and the partition
+    windows in a form the per-transit check reads without allocating. *)
 
 val link_for : link_plan -> string -> link_state option
 (** [None] when no spec matches the name — the channel then carries a

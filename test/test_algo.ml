@@ -693,6 +693,82 @@ let flow_table_tests =
           (List.init n Fun.id));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Pair_table (int-pair-keyed map)                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Keys from a small space, so probe runs collide, wrap and are torn
+   by backward-shift deletion. *)
+type pair_op = Put of int * int * int | Del of int * int
+
+let pair_op_gen =
+  QCheck.Gen.(
+    let key = pair (int_range 0 40) (int_range 0 3) in
+    frequency
+      [
+        (3, map2 (fun (a, b) v -> Put (a, b, v)) key small_nat);
+        (2, map (fun (a, b) -> Del (a, b)) key);
+      ])
+
+let pair_ops =
+  QCheck.make
+    ~print:
+      (QCheck.Print.list (function
+        | Put (a, b, v) -> Printf.sprintf "put(%d,%d)=%d" a b v
+        | Del (a, b) -> Printf.sprintf "del(%d,%d)" a b))
+    QCheck.Gen.(list_size (int_range 0 600) pair_op_gen)
+
+let pair_table_tests =
+  let lookup t a b =
+    match Pair_table.find t ~a ~b with -1 -> None | s -> Some (Pair_table.value t s)
+  in
+  [
+    Alcotest.test_case "limbs are distinct keys" `Quick (fun () ->
+        let t = Pair_table.create () in
+        Pair_table.replace t ~a:1 ~b:2 "x";
+        Pair_table.replace t ~a:2 ~b:1 "y";
+        check (Alcotest.option Alcotest.string) "(1,2)" (Some "x") (lookup t 1 2);
+        check (Alcotest.option Alcotest.string) "(2,1)" (Some "y") (lookup t 2 1);
+        check (Alcotest.option Alcotest.string) "(1,1)" None (lookup t 1 1);
+        Alcotest.check_raises "negative first limb"
+          (Invalid_argument "Pair_table.replace: negative key") (fun () ->
+            Pair_table.replace t ~a:(-1) ~b:0 "z"));
+    Alcotest.test_case "grows past its initial size, clear keeps it usable" `Quick
+      (fun () ->
+        let t = Pair_table.create () in
+        for i = 0 to 999 do
+          Pair_table.replace t ~a:i ~b:(i * 7) i
+        done;
+        check Alcotest.int "length" 1000 (Pair_table.length t);
+        for i = 0 to 999 do
+          check (Alcotest.option Alcotest.int) "read back" (Some i) (lookup t i (i * 7))
+        done;
+        Pair_table.clear t;
+        check Alcotest.int "cleared" 0 (Pair_table.length t);
+        check Alcotest.bool "gone" false (Pair_table.mem t ~a:5 ~b:35);
+        Pair_table.replace t ~a:5 ~b:35 1;
+        check (Alcotest.option Alcotest.int) "reinserted" (Some 1) (lookup t 5 35));
+    qtest ~count:300 "agrees with Hashtbl over puts and removals" pair_ops (fun ops ->
+        let t = Pair_table.create () and model = Hashtbl.create 64 in
+        List.for_all
+          (fun op ->
+            (match op with
+            | Put (a, b, v) ->
+                Pair_table.replace t ~a ~b v;
+                Hashtbl.replace model (a, b) v
+            | Del (a, b) ->
+                Pair_table.remove t ~a ~b;
+                Hashtbl.remove model (a, b));
+            Pair_table.length t = Hashtbl.length model
+            && List.for_all
+                 (fun a ->
+                   List.for_all
+                     (fun b -> lookup t a b = Hashtbl.find_opt model (a, b))
+                     [ 0; 1; 2; 3 ])
+                 (List.init 41 Fun.id))
+          ops);
+  ]
+
 let checksum_tests =
   [
     Alcotest.test_case "classic RFC 1071 example" `Quick (fun () ->
@@ -911,6 +987,7 @@ let () =
       ("aes", aes_tests);
       ("hashing", hashing_tests);
       ("flow_table", flow_table_tests);
+      ("pair_table", pair_table_tests);
       ("checksum", checksum_tests);
       ("token_bucket", bucket_tests);
       ("lz77", lz77_tests);

@@ -272,7 +272,11 @@ let property_tests =
    A third test pins the cost of one hop: the slope of words/packet
    over the length of a sequential chain of no-op NFs, which prices
    ring enqueue, breath, completion event and emission, and nothing
-   per packet.
+   per packet. The same slope prices the reliable link in front of
+   each hop (sequence, unacked and reorder rings, cumulative ack) and
+   the lossless-recovery input log (a slot refilled in place): each is
+   budgeted at 4 words a hop. A fabric transit that passes or drops is
+   budgeted at 0.
 
    The figures hold for the release build the repository selects in
    dune-workspace. A regression that reintroduces boxing to the hot
@@ -288,10 +292,11 @@ let fwd_bindings = List.init 5 (fun i -> (Printf.sprintf "f%d" i, "Forwarder"))
 (* Minor words per packet of the second of two identical runs of a
    deployment; the first warms module state, memo tables and
    first-breath scratch. *)
-let words_of_plan ~plan ~nfs ~batch_size ~packets =
+let words_of_plan ?fault ?links ~plan ~nfs ~batch_size ~packets () =
   let gen = traffic () in
   let make engine ~output =
-    Nfp_infra.System.make ~config:(roomy_at batch_size) ~plan ~nfs engine ~output
+    Nfp_infra.System.make ?fault ?links ~config:(roomy_at batch_size) ~plan ~nfs engine
+      ~output
   in
   let run () =
     ignore
@@ -304,11 +309,15 @@ let words_of_plan ~plan ~nfs ~batch_size ~packets =
   (Gc.minor_words () -. before) /. float_of_int packets
 
 let words_per_packet ~text ~bindings ~batch_size ~packets =
-  words_of_plan ~plan:(plan_of text) ~nfs:(fst (instances bindings)) ~batch_size ~packets
+  words_of_plan ~plan:(plan_of text) ~nfs:(fst (instances bindings)) ~batch_size ~packets ()
+
+type Nfp_nf.Nf.state += Nop_state
 
 (* Words/packet through a sequential chain of [n] no-op NFs (a
-   [Graph.seq], so no copies and no merger). *)
-let chain_words n ~packets =
+   [Graph.seq], so no copies and no merger). The NFs checkpoint a
+   constant state, so an armed fault config logs every hop without
+   the snapshots themselves allocating. *)
+let chain_words ?fault ?links n ~packets =
   let names = List.init n (Printf.sprintf "nop%d") in
   let profile = [ Nfp_nf.Action.Read Field.Dip ] in
   let plan =
@@ -317,11 +326,38 @@ let chain_words n ~packets =
     | Error e -> Alcotest.failf "plan: %s" e
   in
   let nop name =
-    Nfp_nf.Nf.make ~name ~kind:"Nop" ~profile ~cost_cycles:(fun _ -> 100) (fun _ ->
-        Nfp_nf.Nf.Forward)
+    Nfp_nf.Nf.make ~name ~kind:"Nop" ~profile ~cost_cycles:(fun _ -> 100)
+      ~snapshot:(fun () -> Nop_state)
+      ~restore:(fun _ -> ())
+      (fun _ -> Nfp_nf.Nf.Forward)
   in
   let nfs = List.map (fun name -> (name, nop name)) names in
-  words_of_plan ~plan ~nfs:(fun n -> List.assoc n nfs) ~batch_size:roomy.cost.batch ~packets
+  words_of_plan ?fault ?links ~plan ~nfs:(fun n -> List.assoc n nfs)
+    ~batch_size:roomy.cost.batch ~packets ()
+
+let per_hop ?fault ?links () =
+  let one = chain_words ?fault ?links 1 ~packets:4000
+  and five = chain_words ?fault ?links 5 ~packets:4000 in
+  (five -. one) /. 4.0
+
+(* Every port behind a link that never loses a transit, so each hop
+   pays the transit draw. *)
+let lossless_links ~reliable =
+  {
+    Nfp_infra.System.default_links_config with
+    link_plan = Nfp_sim.Fault.link_plan [ Nfp_sim.Fault.loss ~probability:0.0 "*" ];
+    reliable;
+  }
+
+(* Armed recovery with a crash plan that names no core: every NF hop is
+   logged and checkpointed, nothing ever crashes. The short log wraps
+   many times over a run, so nearly every append refills a slot. *)
+let logged_fault =
+  {
+    (lossless_fault (Nfp_sim.Fault.plan [ Nfp_sim.Fault.crash ~at_ns:1.0 "no-such-core" ]))
+    with
+    log_capacity = 64;
+  }
 
 let allocation_tests =
   [
@@ -356,11 +392,48 @@ let allocation_tests =
           Alcotest.failf "batched path allocates more: %.1f vs %.1f words/packet"
             batched legacy);
     Alcotest.test_case "a chain hop allocates at most 4 words" `Quick (fun () ->
-        let one = chain_words 1 ~packets:4000 and five = chain_words 5 ~packets:4000 in
-        let per_hop = (five -. one) /. 4.0 in
+        let per_hop = per_hop () in
         if per_hop > 4.0 then
           Alcotest.failf "allocation regression: %.2f minor words per hop (budget 4)"
             per_hop);
+    Alcotest.test_case "a reliable link adds at most 4 words to a raw one" `Quick
+      (fun () ->
+        let raw = per_hop ~links:(lossless_links ~reliable:false) ()
+        and reliable = per_hop ~links:(lossless_links ~reliable:true) () in
+        if reliable -. raw > 4.0 then
+          Alcotest.failf
+            "allocation regression: a reliable hop costs %.2f minor words, a raw one \
+             %.2f (budget +4)"
+            reliable raw);
+    Alcotest.test_case "a logged hop allocates at most 4 words" `Quick (fun () ->
+        let per_hop = per_hop ~fault:logged_fault () in
+        if per_hop > 4.0 then
+          Alcotest.failf
+            "allocation regression: %.2f minor words per logged hop (budget 4)" per_hop);
+    Alcotest.test_case "passing and dropping transits allocate nothing" `Quick
+      (fun () ->
+        let plan =
+          Nfp_sim.Fault.link_plan
+            [
+              Nfp_sim.Fault.burst ~p_enter:0.05 ~p_exit:0.3 ~drop:0.5 "a";
+              Nfp_sim.Fault.loss ~probability:0.05 "a";
+              Nfp_sim.Fault.partition ~at_ns:1e9 ~duration_ns:1e3 "a";
+            ]
+        in
+        let st = Option.get (Nfp_sim.Fault.link_for plan "a") in
+        let passed = ref 0 and dropped = ref 0 in
+        let before = Gc.minor_words () in
+        for _ = 1 to 10_000 do
+          match Nfp_sim.Fault.transit st ~now_ns:1000.0 with
+          | Nfp_sim.Fault.T_pass -> incr passed
+          | Nfp_sim.Fault.T_drop -> incr dropped
+          | Nfp_sim.Fault.T_pass_dup _ | Nfp_sim.Fault.T_delay _ -> ()
+        done;
+        let words = Gc.minor_words () -. before in
+        check Alcotest.int "every verdict passes or drops" 10_000 (!passed + !dropped);
+        check Alcotest.bool "both verdicts drawn" true (!passed > 0 && !dropped > 0);
+        if words > 0.0 then
+          Alcotest.failf "allocation regression: 10000 transits allocated %.0f words" words);
   ]
 
 let () =

@@ -1079,6 +1079,110 @@ let fault_tests =
           "jitter must satisfy 0 <= jitter < 1" fc);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Dedup memories                                                      *)
+(* ------------------------------------------------------------------ *)
+
+module Dedup = Nfp_infra.System.Dedup
+
+(* The generational semantics the int-limb tables must keep, as first
+   written over two polymorphic Hashtbls: membership consults both
+   generations, and an insert of a new key into a full newer generation
+   first retires the older one. *)
+module Dedup_model = struct
+  type t = {
+    half : int;
+    mutable cur : (int * int, unit) Hashtbl.t;
+    mutable prev : (int * int, unit) Hashtbl.t;
+  }
+
+  let create capacity =
+    { half = max 1 (capacity / 2); cur = Hashtbl.create 64; prev = Hashtbl.create 64 }
+
+  let mem t k = Hashtbl.mem t.cur k || Hashtbl.mem t.prev k
+
+  let add t k =
+    if not (mem t k) then begin
+      if Hashtbl.length t.cur >= t.half then begin
+        let retired = t.prev in
+        Hashtbl.reset retired;
+        t.prev <- t.cur;
+        t.cur <- retired
+      end;
+      Hashtbl.replace t.cur k ()
+    end
+
+  let length t = Hashtbl.length t.cur + Hashtbl.length t.prev
+end
+
+type dedup_op = Add of int * int | Mem of int * int
+
+(* Capacities from 2 to 400 against up to 1500 operations over a few
+   hundred keys: small memories rotate many times over, large ones grow
+   their tables past the initial 64 slots before the first rotation. *)
+let dedup_case =
+  QCheck.make
+    ~print:(fun (capacity, ops) ->
+      Printf.sprintf "capacity %d: %s" capacity
+        (String.concat " "
+           (List.map
+              (function
+                | Add (a, b) -> Printf.sprintf "+%d/%d" a b
+                | Mem (a, b) -> Printf.sprintf "?%d/%d" a b)
+              ops)))
+    QCheck.Gen.(
+      let* capacity = int_range 2 400 in
+      let* span = int_range 4 300 in
+      let key = pair (int_range 0 span) (int_range 1 3) in
+      let* ops =
+        list_size (int_range 0 1500)
+          (frequency
+             [ (3, map (fun (a, b) -> Add (a, b)) key); (1, map (fun (a, b) -> Mem (a, b)) key) ])
+      in
+      return (capacity, ops))
+
+let dedup_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:200
+         ~name:"int-limb dedup agrees with the generational Hashtbl model" dedup_case
+         (fun (capacity, ops) ->
+           let d = Dedup.create capacity and m = Dedup_model.create capacity in
+           List.for_all
+             (fun op ->
+               match op with
+               | Add (a, b) ->
+                   Dedup.add d ~a ~b;
+                   Dedup_model.add m (a, b);
+                   Dedup.length d = Dedup_model.length m
+               | Mem (a, b) -> Dedup.mem d ~a ~b = Dedup_model.mem m (a, b))
+             ops));
+    Alcotest.test_case "keys differing only in version, MID or merge point stay distinct"
+      `Quick (fun () ->
+        let pid = 0xAB_CDEF_0123 in
+        let delivered = Dedup.create 1024 in
+        Dedup.add delivered ~a:pid ~b:1;
+        check Alcotest.bool "same version" true (Dedup.mem delivered ~a:pid ~b:1);
+        check Alcotest.bool "other version" false (Dedup.mem delivered ~a:pid ~b:2);
+        check Alcotest.bool "other pid" false (Dedup.mem delivered ~a:(pid + 1) ~b:1);
+        let merged = Dedup.create 1024 in
+        let key mid merge_id = Dedup.merge_limb ~mid ~merge_id in
+        Dedup.add merged ~a:pid ~b:(key 3 7);
+        check Alcotest.bool "same merge" true (Dedup.mem merged ~a:pid ~b:(key 3 7));
+        List.iter
+          (fun (what, mid, merge_id) ->
+            check Alcotest.bool what false (Dedup.mem merged ~a:pid ~b:(key mid merge_id)))
+          [
+            ("other mid", 4, 7);
+            ("other merge point", 3, 8);
+            ("swapped mid and merge point", 7, 3);
+            ("largest mid", (1 lsl Meta.mid_bits) - 1, 7);
+            ("merge point past 16 bits", 3, 7 + (1 lsl 16));
+          ];
+        check Alcotest.int "one delivery entry" 1 (Dedup.length delivered);
+        check Alcotest.int "one merge entry" 1 (Dedup.length merged));
+  ]
+
 let () =
   Alcotest.run "nfp_infra"
     [
@@ -1089,4 +1193,5 @@ let () =
       ("cluster", cluster_tests);
       ("property", property_tests);
       ("fault", fault_tests);
+      ("dedup", dedup_tests);
     ]

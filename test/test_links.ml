@@ -301,6 +301,61 @@ let unit_tests =
                      ~plan ~nfs:lookup engine ~output)
                  ~gen:(traffic ())
                  ~arrivals:steady ~packets:10 ())));
+    Alcotest.test_case "stacked link faults draw their pinned verdicts" `Quick
+      (fun () ->
+        (* Burst + Loss + Duplicate + Jumble on one link, plus a
+           partition window over transits 300-349: the first 1000
+           verdicts, one char each ('.' pass, 'x' drop, 'd' duplicate,
+           'j' delay), and an FNV-1a digest of the same sequence with
+           every gap and delay in hex. Any change to the order or number
+           of draws shows here long before it moves a BENCH figure. *)
+        let plan =
+          F.link_plan ~seed:7L
+            [
+              {
+                F.link = "stack";
+                faults =
+                  [
+                    F.Burst { p_enter = 0.05; p_exit = 0.3; drop = 0.5 };
+                    F.Loss { probability = 0.05 };
+                    F.Duplicate { probability = 0.1; gap_ns = 200.0 };
+                    F.Jumble { probability = 0.1; span_ns = 1000.0 };
+                    F.Partition { at_ns = 300.0; duration_ns = 50.0 };
+                  ];
+              };
+            ]
+        in
+        let st = Option.get (F.link_for plan "stack") in
+        let kinds = Buffer.create 1000 and detail = Buffer.create 4000 in
+        for i = 0 to 999 do
+          let k, d =
+            match F.transit st ~now_ns:(float_of_int i) with
+            | F.T_pass -> ('.', ".")
+            | F.T_drop -> ('x', "x")
+            | F.T_pass_dup g -> ('d', Printf.sprintf "d%h" g)
+            | F.T_delay d -> ('j', Printf.sprintf "j%h" d)
+          in
+          Buffer.add_char kinds k;
+          Buffer.add_string detail d
+        done;
+        let pinned =
+          String.concat ""
+            [
+              ".j.......d.x.....j.j...j........d....j.........j.j.x.xx.........j.....d..j...........jjdj....d..jjxx";
+              "xxxxdx....jx.j.j.....xjxxx.x...x...dd......dx..xx...d.xxx....d.........d.....j.x.....d.d...dj.x.xx..";
+              "..d..x...d..........d.......xxx..x...d...d.........d............d.d....j...dd...dx.x..x..j........j.";
+              "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx...d...d......dx.j.......d.j...jx..d....x.....x.jx";
+              "....j..xdxj.....d...j.......xx...x.x.x.....dxjx.......d..xxx.xj.......jx......xdd....j........d....x";
+              ".....j..j.....x...dj.xj....xj..jx.xx.j...j.....j...d...j....xjj......jxjxj.........d.x..j....x....dx";
+              "....x.d...jjd..d....d.........dd.........j.jj......ddj....x......dj....j........x.x.....j..x.xxx...x";
+              "d..j.d.j.d........x.......d.......j.j..............j...................d......jdj...x..j.d.....x..j.";
+              ".jxx.j.....xx......j.d....j.d.......x..j.d.....j.d.....jj.d..d.........djx..j...j...d.....x.......x.";
+              "..........jx.jx.j..x...........dxx.x..xx.....x..jx.d.d....d.d.x....j.....dj...d.d...x.............d.";
+            ]
+        in
+        check Alcotest.string "verdict kinds" pinned (Buffer.contents kinds);
+        check Alcotest.int "verdict digest" 3175680242
+          (Nfp_algo.Hashing.fnv1a32 (Buffer.contents detail)));
   ]
 
 (* ------------------------------------------------------------------ *)

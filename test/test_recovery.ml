@@ -258,6 +258,91 @@ let log_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Replay fidelity: the log replays the packets it logged, in order    *)
+(* ------------------------------------------------------------------ *)
+
+(* Counter NFs such as Firewall converge whatever packets a replay
+   feeds them, so a log that replayed the wrong packets — a stale slot,
+   one packet in every slot, a slot refilled with the wrong bytes —
+   would pass every equivalence above. This NF's state is a hash chain
+   over the bytes and PID of every packet it processes, in order: a
+   replay converges only if it re-processes exactly the logged
+   packets, in arrival order. *)
+type Nfp_nf.Nf.state += Chain_hash of int
+
+let hash_chain ~name =
+  let h = ref 0 in
+  let process pkt =
+    let bytes = Bytes.to_string (Packet.to_bytes pkt) in
+    h :=
+      Nfp_algo.Hashing.combine !h
+        (Nfp_algo.Hashing.combine (Int64.to_int (Packet.pid pkt))
+           (Nfp_algo.Hashing.fnv1a32 bytes));
+    Nfp_nf.Nf.Forward
+  in
+  Nfp_nf.Nf.make ~name ~kind:"Monitor"
+    ~profile:Nfp_nf.Action.[ Read Field.Sip; Read Field.Payload ]
+    ~cost_cycles:(fun _ -> 200)
+    ~state_digest:(fun () -> !h)
+    ~snapshot:(fun () -> Chain_hash !h)
+    ~restore:(function
+      | Chain_hash v -> h := v | _ -> invalid_arg "hash_chain: foreign state")
+    process
+
+let chain_text = "NF(hc, Monitor)\nNF(fw, Firewall)\nChain(hc, fw)"
+
+(* Four frame sizes, so consecutive appends into one log slot usually
+   differ in length and the slot's bytes are replaced, not refilled. *)
+let mixed_sizes = [ (64, 1.0); (200, 1.0); (700, 1.0); (1500, 1.0) ]
+
+let observe_chain ?fault ~packets () =
+  let hc = hash_chain ~name:"hc" in
+  let fw = Option.get (Nfp_nf.Registry.instantiate "Firewall" ~name:"fw") in
+  let outs = ref [] in
+  let make engine ~output =
+    Nfp_infra.System.make ?fault ~config:roomy ~plan:(plan_of chain_text)
+      ~nfs:(function "hc" -> hc | _ -> fw)
+      engine
+      ~output:(fun ~pid pkt ->
+        outs := (pid, Bytes.to_string (Packet.to_bytes pkt)) :: !outs;
+        output ~pid pkt)
+  in
+  let gen =
+    Nfp_traffic.Pktgen.packet
+      (Nfp_traffic.Pktgen.create
+         { Nfp_traffic.Pktgen.default with sizes = mixed_sizes; flows = 64 })
+  in
+  let r =
+    Nfp_sim.Harness.run ~make ~gen ~arrivals:(Nfp_sim.Harness.Uniform 1.0) ~packets ()
+  in
+  (hc.state_digest (), List.sort compare !outs, r)
+
+let replay_fidelity_tests =
+  [
+    Alcotest.test_case "replay re-processes the logged packets in order" `Quick
+      (fun () ->
+        let digest, outs, _ = observe_chain ~packets:1500 () in
+        (* A 16-slot log and a checkpoint interval past the run: only
+           full logs checkpoint, so the log wraps dozens of times before
+           the crash and the replay runs on refilled slots. *)
+        let fault =
+          lossless_fault ~checkpoint_interval_ns:60_000_000.0 ~log_capacity:16
+            (Nfp_sim.Fault.plan [ Nfp_sim.Fault.crash ~at_ns:700_000.0 "mid1:hc" ])
+        in
+        let digest', outs', r = observe_chain ~fault ~packets:1500 () in
+        check Alcotest.int "crash took effect" 1 r.health.crashes;
+        check Alcotest.bool
+          (Printf.sprintf "the log wrapped (%d forced checkpoints)"
+             r.health.forced_checkpoints)
+          true
+          (r.health.forced_checkpoints >= 2);
+        check Alcotest.bool "replay happened" true (r.health.replayed > 0);
+        check Alcotest.int "nothing left in flight" 0 r.in_flight;
+        check Alcotest.int "replayed hash chain" digest digest';
+        check Alcotest.bool "same deliveries" true (outs = outs'));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Switchover accounting: in-flight packets of a Bypass / Degrade      *)
 (* transition land in exactly one ledger bucket                        *)
 (* ------------------------------------------------------------------ *)
@@ -402,7 +487,7 @@ let () =
   Alcotest.run "nfp_recovery"
     [
       ("equivalence", equivalence_tests);
-      ("log", log_tests);
+      ("log", log_tests @ replay_fidelity_tests);
       ("switchover", switchover_tests);
       ("property", property_tests);
     ]
