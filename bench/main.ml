@@ -728,6 +728,22 @@ let run_micro () =
   in
   let aho = Nfp_algo.Aho_corasick.build (Nfp_nf.Ids.default_signatures 100) in
   let payload = String.make 1446 'Q' in
+  (* The west-east chain's NFs on a frame of the IMC mean size: the IPS
+     scans its payload in place, the Monitor updates a resident flow's
+     counters, the LoadBalancer hashes the flow and rewrites both
+     addresses. *)
+  let imc_frame =
+    let mean = int_of_float (Nfp_traffic.Size_dist.mean Nfp_traffic.Size_dist.datacenter) in
+    Nfp_traffic.Pktgen.packet
+      (Nfp_traffic.Pktgen.create
+         { Nfp_traffic.Pktgen.default with sizes = Nfp_traffic.Size_dist.fixed mean })
+      0
+  in
+  let ips, _ = Nfp_nf.Ids.create ~mode:`Prevent () in
+  let mon, _ = Nfp_nf.Monitor.create () in
+  ignore (mon.process imc_frame);
+  let lb, _ = Nfp_nf.Load_balancer.create () in
+  let lb_frame = Nfp_packet.Packet.full_copy imc_frame in
   let v2 = Nfp_packet.Packet.full_copy pkt1500 in
   Nfp_packet.Packet.set_sip v2 42l;
   let get = function 1 -> Some pkt1500 | 2 -> Some v2 | _ -> None in
@@ -827,6 +843,11 @@ let run_micro () =
           (Staged.stage (fun () -> Nfp_algo.Aes.encrypt_block aes block ~pos:0));
         Test.make ~name:"DPI scan 1446B (100 sigs)"
           (Staged.stage (fun () -> Nfp_algo.Aho_corasick.matches aho payload));
+        Test.make ~name:"IPS process (IMC frame, in place)"
+          (Staged.stage (fun () -> ips.process imc_frame));
+        Test.make ~name:"Monitor process (warm flow)"
+          (Staged.stage (fun () -> mon.process imc_frame));
+        Test.make ~name:"LoadBalancer process" (Staged.stage (fun () -> lb.process lb_frame));
         Test.make ~name:"merge op (modify sip)"
           (Staged.stage (fun () ->
                Nfp_core.Merge_op.apply

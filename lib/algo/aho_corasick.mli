@@ -2,8 +2,9 @@
 
     The signature-matching substrate of the IDS NF (paper §6.1: "similar
     to the core signature matching component of Snort with 100 signature
-    inspection rules"). Patterns are compiled once into an automaton;
-    scanning a payload is a single pass. *)
+    inspection rules"). Patterns are compiled once into a flat DFA over
+    byte classes (bytes no pattern uses share one class); scanning a
+    payload is a single pass of one table load per byte. *)
 
 type t
 
@@ -21,3 +22,9 @@ val scan : t -> string -> (int * int) list
 val matches : t -> string -> bool
 (** [matches t text] is [true] iff any pattern occurs in [text]; stops at
     the first hit. *)
+
+val matches_bytes : t -> bytes -> pos:int -> len:int -> bool
+(** [matches_bytes t buf ~pos ~len] is [matches t (Bytes.sub_string buf
+    pos len)] without the copy: the automaton runs over the range in
+    place and allocates nothing. @raise Invalid_argument when the range
+    is not inside [buf]. *)

@@ -42,57 +42,57 @@ let slot_of_packed t ~a ~b = Hashing.mix2_int a b land t.mask
 (* Entries are never deleted individually, so an empty slot inside the
    probe window proves absence. [find_packed] is the allocation-free
    form (no option, no int32 re-packing) the classifier's per-packet
-   hit path uses; [-1] means absent. *)
-let find_packed t ~a ~b =
-  let base = slot_of_packed t ~a ~b in
-  let rec go i =
-    if i >= probe_window then begin
+   hit path uses; [-1] means absent. The probe loops are top-level
+   functions: a local [let rec] over [t], [a] and [b] would allocate
+   its closure on every call. *)
+let rec find_from t a b base i =
+  if i >= probe_window then begin
+    t.misses <- t.misses + 1;
+    -1
+  end
+  else
+    let s = (base + i) land t.mask in
+    if t.ka.(s) = a && t.kb.(s) = b then begin
+      t.hits <- t.hits + 1;
+      t.value.(s)
+    end
+    else if t.ka.(s) = empty then begin
       t.misses <- t.misses + 1;
       -1
     end
-    else
-      let s = (base + i) land t.mask in
-      if t.ka.(s) = a && t.kb.(s) = b then begin
-        t.hits <- t.hits + 1;
-        t.value.(s)
-      end
-      else if t.ka.(s) = empty then begin
-        t.misses <- t.misses + 1;
-        -1
-      end
-      else go (i + 1)
-  in
-  go 0
+    else find_from t a b base (i + 1)
+
+let find_packed t ~a ~b = find_from t a b (slot_of_packed t ~a ~b) 0
 
 let find t ~sip ~dip ~sport ~dport ~proto =
   let a = Hashing.pack_a sip sport proto and b = Hashing.pack_b dip dport in
   match find_packed t ~a ~b with -1 -> None | v -> Some v
 
+let set t s a b v =
+  t.ka.(s) <- a;
+  t.kb.(s) <- b;
+  t.value.(s) <- v
+
+let rec put_from t a b v base i =
+  if i >= probe_window then begin
+    (* Window full: rotate the victim slot so one hot bucket does not
+       always evict the same entry. *)
+    let s = (base + (t.evictions land (probe_window - 1))) land t.mask in
+    t.evictions <- t.evictions + 1;
+    set t s a b v
+  end
+  else
+    let s = (base + i) land t.mask in
+    if t.ka.(s) = a && t.kb.(s) = b then t.value.(s) <- v
+    else if t.ka.(s) = empty then begin
+      set t s a b v;
+      t.occupied <- t.occupied + 1
+    end
+    else put_from t a b v base (i + 1)
+
 let put_packed t ~a ~b v =
   if v < 0 then invalid_arg "Flow_table.put: negative value";
-  let base = slot_of_packed t ~a ~b in
-  let rec go i =
-    if i >= probe_window then begin
-      (* Window full: rotate the victim slot so one hot bucket does not
-         always evict the same entry. *)
-      let s = (base + (t.evictions land (probe_window - 1))) land t.mask in
-      t.evictions <- t.evictions + 1;
-      t.ka.(s) <- a;
-      t.kb.(s) <- b;
-      t.value.(s) <- v
-    end
-    else
-      let s = (base + i) land t.mask in
-      if t.ka.(s) = a && t.kb.(s) = b then t.value.(s) <- v
-      else if t.ka.(s) = empty then begin
-        t.ka.(s) <- a;
-        t.kb.(s) <- b;
-        t.value.(s) <- v;
-        t.occupied <- t.occupied + 1
-      end
-      else go (i + 1)
-  in
-  go 0
+  put_from t a b v (slot_of_packed t ~a ~b) 0
 
 let put t ~sip ~dip ~sport ~dport ~proto v =
   put_packed t ~a:(Hashing.pack_a sip sport proto) ~b:(Hashing.pack_b dip dport) v

@@ -111,3 +111,9 @@ let clear t =
   end
 
 let length t = t.count
+
+let iter f t =
+  for s = 0 to Array.length t.vals - 1 do
+    let a = t.keys.(2 * s) in
+    if a <> empty then f a t.keys.((2 * s) + 1) t.vals.(s)
+  done

@@ -34,3 +34,8 @@ val clear : 'a t -> unit
 (** Drop every entry, keeping the table's size. *)
 
 val length : 'a t -> int
+
+val iter : (int -> int -> 'a -> unit) -> 'a t -> unit
+(** [iter f t] applies [f a b v] to every entry, in slot order (which
+    depends on the hash and the insertion history, so callers must not
+    depend on it). [f] must not insert into or remove from [t]. *)

@@ -113,20 +113,15 @@ let off =
     migrated_packets = 0;
   }
 
-(* Same bytes, same hash: [Flow.t] fields are the packet fields the
-   steering hash reads ([sip_int] is the unsigned int of the 32-bit
-   address), so the extract predicate's bucket agrees with the steering
+(* Same bytes, same hash: [Hashing.pack_a]/[pack_b] over a [Flow.t]
+   give the limbs [Packet.key_a]/[key_b] read from each of the flow's
+   packets, so the extract predicate's bucket agrees with the steering
    bucket of every packet of the flow. *)
 let bucket_of_flow nb (f : Flow.t) =
-  let a =
-    Nfp_algo.Hashing.pack_a_int
-      (Int32.to_int f.Flow.sip land 0xffffffff)
-      f.Flow.sport f.Flow.proto
-  in
-  let b =
-    Nfp_algo.Hashing.pack_b_int (Int32.to_int f.Flow.dip land 0xffffffff) f.Flow.dport
-  in
-  Nfp_algo.Hashing.rss2_int a b mod nb
+  Nfp_algo.Hashing.rss2_int
+    (Nfp_algo.Hashing.pack_a f.Flow.sip f.Flow.sport f.Flow.proto)
+    (Nfp_algo.Hashing.pack_b f.Flow.dip f.Flow.dport)
+  mod nb
 
 let owned st r = Array.fold_left (fun acc o -> if o = r then acc + 1 else acc) 0 st.st_map
 

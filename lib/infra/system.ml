@@ -925,15 +925,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
         let rss_hash ctx s =
           match Context.get ctx s.s_entry.Tables.version with
           | None -> 0
-          | Some pkt ->
-              let a =
-                Nfp_algo.Hashing.pack_a_int (Packet.sip_int pkt) (Packet.sport pkt)
-                  (Packet.proto pkt)
-              in
-              let b =
-                Nfp_algo.Hashing.pack_b_int (Packet.dip_int pkt) (Packet.dport pkt)
-              in
-              Nfp_algo.Hashing.rss2_int a b
+          | Some pkt -> Nfp_algo.Hashing.rss2_int (Packet.key_a pkt) (Packet.key_b pkt)
         in
         let merger_cores : (cdelivery, csend) Nfp_sim.Server.t array ref = ref [||] in
         let agent_core : (cdelivery, unit) Nfp_sim.Server.t option ref = ref None in

@@ -43,7 +43,7 @@ let rec create ?(name = "comp") () =
     else incr skipped;
     Nf.Forward
   in
-  let cost_cycles pkt = 1200 + (8 * String.length (Packet.payload pkt)) in
+  let cost_cycles pkt = 1200 + (8 * Packet.payload_length pkt) in
   (* Pressure-degrade mode: passthrough. Compression is an optimization,
      not a correctness requirement, so under pressure the NF forwards
      payloads untouched for a flat token cost (the skipped counter still

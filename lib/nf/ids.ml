@@ -47,17 +47,19 @@ let merge states =
 let rec create ?(name = "ids") ?(mode = `Detect) ?signatures () =
   let signatures = match signatures with Some s -> s | None -> default_signatures 100 in
   let automaton = Nfp_algo.Aho_corasick.build signatures in
+  (* Scans the payload where it lies in the packet buffer: no copy. *)
+  let scan buf pos len = Nfp_algo.Aho_corasick.matches_bytes automaton buf ~pos ~len in
   let alerts = ref 0 and scanned = ref 0 in
   let process pkt =
     incr scanned;
-    if Nfp_algo.Aho_corasick.matches automaton (Packet.payload pkt) then begin
+    if Packet.payload_exists pkt scan then begin
       incr alerts;
       match mode with `Detect -> Nf.Forward | `Prevent -> Nf.Dropped
     end
     else Nf.Forward
   in
   let profile = match mode with `Detect -> base_profile | `Prevent -> Action.Drop :: base_profile in
-  let cost_cycles pkt = 2400 + (5 * String.length (Packet.payload pkt)) in
+  let cost_cycles pkt = 2400 + (5 * Packet.payload_length pkt) in
   (* Pressure-degrade mode: sampled inspection. Every 8th packet gets
      the full automaton scan; the rest are waved through for the flat
      dispatch cost. Deterministic (a plain counter, no PRNG) so a
@@ -66,10 +68,7 @@ let rec create ?(name = "ids") ?(mode = `Detect) ?signatures () =
   let degrade =
     {
       Nf.d_label = "sampled-1/8";
-      d_cost_cycles =
-        (fun pkt ->
-          if !tick mod 8 = 0 then 2400 + (5 * String.length (Packet.payload pkt))
-          else 300);
+      d_cost_cycles = (fun pkt -> if !tick mod 8 = 0 then cost_cycles pkt else 300);
       d_process =
         (fun pkt ->
           let sampled = !tick mod 8 = 0 in

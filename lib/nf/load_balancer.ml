@@ -44,8 +44,7 @@ let rec create ?(name = "lb") ?(vip = default_vip) ?(backends = default_backends
   if Array.length backends = 0 then invalid_arg "Load_balancer.create: no backends";
   let counts = Array.make (Array.length backends) 0 in
   let process pkt =
-    let h = Flow.hash (Packet.flow pkt) in
-    let i = h mod Array.length backends in
+    let i = Packet.flow_hash pkt mod Array.length backends in
     counts.(i) <- counts.(i) + 1;
     Packet.set_dip pkt backends.(i);
     Packet.set_sip pkt vip;

@@ -12,4 +12,10 @@ type stats = {
   total_packets : unit -> int;
 }
 
+type Nf.state += State of (Nfp_packet.Flow.t, counter) Hashtbl.t * int
+(** The checkpoint, merge and migration format: per-flow counters and
+    the global packet total. The live table is keyed by the packet's
+    5-tuple limbs ({!Nfp_packet.Packet.key_a}/[key_b]) and converts to
+    and from this form only at those boundaries. *)
+
 val create : ?name:string -> unit -> Nf.t * stats

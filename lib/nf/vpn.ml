@@ -52,7 +52,7 @@ let create ?(name = "vpn") ?(key = default_key) ?(spi = 0x1001l) () =
     incr encrypted;
     Nf.Forward
   in
-  let cost_cycles pkt = 2000 + (10 * String.length (Packet.payload pkt)) in
+  let cost_cycles pkt = 2000 + (10 * Packet.payload_length pkt) in
   (* The sequence counter is the security-critical state: replaying the
      input log after a restore re-issues the exact nonce sequence, so
      re-encrypted payloads are byte-identical to the fault-free run. *)

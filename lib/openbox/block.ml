@@ -52,6 +52,7 @@ let header_classifier ~name ~acl =
 
 let dpi ~name ~signatures =
   let automaton = Nfp_algo.Aho_corasick.build signatures in
+  let scan buf pos len = Nfp_algo.Aho_corasick.matches_bytes automaton buf ~pos ~len in
   {
     name;
     kind = "DPI";
@@ -60,7 +61,7 @@ let dpi ~name ~signatures =
     cost_cycles = 2200;
     process =
       (fun pkt ->
-        if Nfp_algo.Aho_corasick.matches automaton (Packet.payload pkt) then Dropped
+        if Packet.payload_exists pkt scan then Dropped
         else Continue);
   }
 

@@ -176,10 +176,7 @@ let classify t (f : Flow.t) =
    read back through [last_probes]. Counters move exactly as
    [classify]'s do. *)
 let classify_packet t pkt =
-  let a =
-    Nfp_algo.Hashing.pack_a_int (Packet.sip_int pkt) (Packet.sport pkt) (Packet.proto pkt)
-  in
-  let b = Nfp_algo.Hashing.pack_b_int (Packet.dip_int pkt) (Packet.dport pkt) in
+  let a = Packet.key_a pkt and b = Packet.key_b pkt in
   match Nfp_algo.Flow_table.find_packed t.cache ~a ~b with
   | -1 ->
       let f = Packet.flow pkt in

@@ -94,12 +94,17 @@ let refresh_ip_checksum t =
 let ip_checksum_valid t = Nfp_algo.Checksum.verify t.buf ~pos:ip_off ~len:ip_len
 
 (* Transport checksums cover a pseudo-header (addresses, protocol, L4
-   length), so address rewrites must refresh them too (RFC 793/768). *)
+   length), so address rewrites must refresh them too (RFC 793/768).
+   The field's offset, or -1 when the transport has none: an int rather
+   than an option, because every address and port rewrite asks. *)
 let l4_checksum_field t =
-  match l4_protocol t with
-  | Tcp -> Some (l4_off t + 16)
-  | Udp -> Some (l4_off t + 6)
-  | Other _ -> None
+  if t.g_proto = proto_tcp then t.g_l4_off + 16
+  else if t.g_proto = proto_udp then t.g_l4_off + 6
+  else -1
+
+let is_udp t = t.g_proto = proto_udp
+
+let rec fold16 s = if s lsr 16 <> 0 then fold16 ((s land 0xffff) + (s lsr 16)) else s
 
 let l4_segment_checksum t =
   let l4o = l4_off t in
@@ -114,46 +119,38 @@ let l4_segment_checksum t =
     Nfp_algo.Checksum.ones_complement_sum pseudo ~pos:0 ~len:12
     + Nfp_algo.Checksum.ones_complement_sum t.buf ~pos:l4o ~len:seg_len
   in
-  let rec fold s = if s lsr 16 <> 0 then fold ((s land 0xffff) + (s lsr 16)) else s in
-  fold sum
+  fold16 sum
 
 (* RFC 1624 incremental update: when one 16-bit word of the segment or
    pseudo-header changes, the checksum is patched without re-summing
    the payload — what real dataplanes do on address/port rewrites. *)
 let l4_incremental_update t ~old16 ~new16 =
-  match l4_checksum_field t with
-  | None -> ()
-  | Some field ->
-      let c = get_u16 t.buf field in
-      if not (l4_protocol t = Udp && c = 0) then begin
-        let fold s =
-          let rec go s = if s lsr 16 <> 0 then go ((s land 0xffff) + (s lsr 16)) else s in
-          go s
-        in
-        let c' =
-          lnot (fold (lnot c land 0xffff + (lnot old16 land 0xffff) + new16)) land 0xffff
-        in
-        let c' = if c' = 0 && l4_protocol t = Udp then 0xffff else c' in
-        set_u16 t.buf field c'
-      end
+  let field = l4_checksum_field t in
+  if field >= 0 then begin
+    let c = get_u16 t.buf field in
+    if not (is_udp t && c = 0) then begin
+      let c' =
+        lnot (fold16 (lnot c land 0xffff + (lnot old16 land 0xffff) + new16)) land 0xffff
+      in
+      let c' = if c' = 0 && is_udp t then 0xffff else c' in
+      set_u16 t.buf field c'
+    end
+  end
 
 let refresh_l4_checksum t =
-  match l4_checksum_field t with
-  | None -> ()
-  | Some field ->
-      set_u16 t.buf field 0;
-      let c = lnot (l4_segment_checksum t) land 0xffff in
-      (* UDP transmits an all-zero checksum as 0xffff (RFC 768). *)
-      let c = if c = 0 && l4_protocol t = Udp then 0xffff else c in
-      set_u16 t.buf field c
+  let field = l4_checksum_field t in
+  if field >= 0 then begin
+    set_u16 t.buf field 0;
+    let c = lnot (l4_segment_checksum t) land 0xffff in
+    (* UDP transmits an all-zero checksum as 0xffff (RFC 768). *)
+    let c = if c = 0 && is_udp t then 0xffff else c in
+    set_u16 t.buf field c
+  end
 
 let l4_checksum_valid t =
-  match l4_checksum_field t with
-  | None -> true
-  | Some field ->
-      (* UDP checksum 0 means "not computed". *)
-      if l4_protocol t = Udp && get_u16 t.buf field = 0 then true
-      else l4_segment_checksum t = 0xffff
+  let field = l4_checksum_field t in
+  (* UDP checksum 0 means "not computed". *)
+  field < 0 || (is_udp t && get_u16 t.buf field = 0) || l4_segment_checksum t = 0xffff
 
 let set_total_length t len =
   set_u16 t.buf (ip_off + 2) len;
@@ -305,9 +302,24 @@ let sip_int t = (get_u16 t.buf (ip_off + 12) lsl 16) lor get_u16 t.buf (ip_off +
 
 let dip_int t = (get_u16 t.buf (ip_off + 16) lsl 16) lor get_u16 t.buf (ip_off + 18)
 
+(* The 5-tuple's two hash-key limbs ([Hashing.pack_a_int] /
+   [pack_b_int]) straight from packet bytes, as the classifier, the RSS
+   steering hash and the per-flow NF tables key on them. *)
+let key_a t = Nfp_algo.Hashing.pack_a_int (sip_int t) (sport t) (proto t)
+
+let key_b t = Nfp_algo.Hashing.pack_b_int (dip_int t) (dport t)
+
+let flow_hash t = Nfp_algo.Hashing.mix2_int (key_a t) (key_b t) land max_int
+
 let payload t =
   let off = payload_off t in
   Bytes.sub_string t.buf off (Bytes.length t.buf - off)
+
+let payload_length t = Bytes.length t.buf - payload_off t
+
+let payload_exists t f =
+  let off = payload_off t in
+  f t.buf off (Bytes.length t.buf - off)
 
 let set_payload t payload =
   let off = payload_off t in

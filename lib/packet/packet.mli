@@ -81,7 +81,8 @@ val set_dip : t -> int32 -> unit
 val sip_int : t -> int
 val dip_int : t -> int
 (** Unsigned native-int forms of {!sip}/{!dip} (the int32 forms box
-    their result; the classifier's per-packet cache probe uses these). *)
+    their result; {!key_a}/{!key_b} and the L3 forwarder's route lookup
+    use these). *)
 
 val sport : t -> int
 (** 0 when the packet has no TCP/UDP header. *)
@@ -104,7 +105,28 @@ val proto : t -> int
 
 val l4_protocol : t -> l4
 
+val key_a : t -> int
+val key_b : t -> int
+(** The 5-tuple packed into two non-negative native-int limbs,
+    [Hashing.pack_a_int (sip_int t) (sport t) (proto t)] and
+    [Hashing.pack_b_int (dip_int t) (dport t)]: the key of the
+    classifier's microflow cache, the RSS steering hash and the per-flow
+    NF tables. Read from the packet bytes; no allocation. *)
+
+val flow_hash : t -> int
+(** [Flow.hash (flow t)], bit for bit, without building the flow. *)
+
 val payload : t -> string
+(** A copy of the payload bytes. *)
+
+val payload_length : t -> int
+(** [String.length (payload t)], without the copy. *)
+
+val payload_exists : t -> (bytes -> int -> int -> bool) -> bool
+(** [payload_exists t f] is [f buf pos len] where [buf] is the packet's
+    own buffer and [pos, pos + len) its payload: a zero-copy read-only
+    scan. [f] must neither mutate [buf] nor keep it past the call. *)
+
 val set_payload : t -> string -> unit
 (** Replacing the payload may change packet length; IP total length and
     checksum are updated. *)

@@ -323,6 +323,55 @@ let naive_matches patterns text =
       go 0)
     patterns
 
+(* Every [(pattern index, end)] occurrence. [scan] reports by end
+   position; at one end, longer patterns first (the automaton's output
+   list follows failure links to ever shorter suffixes), and repeats of
+   one pattern in reverse index order. *)
+let naive_scan patterns text =
+  let indexed = List.mapi (fun i p -> (i, p)) patterns in
+  let at_end =
+    List.sort
+      (fun (i, p) (j, q) -> compare (String.length q, j) (String.length p, i))
+      indexed
+  in
+  List.concat_map
+    (fun e ->
+      List.filter_map
+        (fun (i, p) ->
+          let m = String.length p in
+          if m <= e && String.sub text (e - m) m = p then Some (i, e) else None)
+        at_end)
+    (List.init (String.length text) (fun k -> k + 1))
+
+(* Patterns over all 256 byte values. Half the cases add 2-byte
+   patterns covering every byte, so no byte falls in the shared class
+   and the class map holds 256 classes. The sub-range [pos, pos + len)
+   lies inside the text. *)
+let aho_case =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let* cover = bool in
+      let* random = list_size (int_range 1 8) (string_size ~gen:char (int_range 1 4)) in
+      let all = List.init 128 (fun i -> String.init 2 (fun j -> Char.chr ((2 * i) + j))) in
+      let patterns = if cover then random @ all else random in
+      (* Texts splice patterns between random bytes, so most cases hit. *)
+      let* pieces =
+        list_size (int_range 0 10)
+          (oneof [ oneofl patterns; string_size ~gen:char (int_range 0 6) ])
+      in
+      let text = String.concat "" pieces in
+      let* pos = int_range 0 (String.length text) in
+      let+ len = int_range 0 (String.length text - pos) in
+      (patterns, text, pos, len))
+  in
+  make
+    ~print:(fun (ps, text, pos, len) ->
+      Printf.sprintf "patterns=%s text=%S pos=%d len=%d"
+        (String.concat "," (List.map (Printf.sprintf "%S") ps))
+        text pos len)
+    gen
+
 let aho_tests =
   [
     Alcotest.test_case "finds single pattern" `Quick (fun () ->
@@ -361,6 +410,28 @@ let aho_tests =
       (fun (patterns, text) ->
         let t = Aho_corasick.build patterns in
         Aho_corasick.matches t text = (Aho_corasick.scan t text <> []));
+    qtest ~count:200 "matches_bytes over a sub-range agrees with naive search"
+      aho_case
+      (fun (patterns, text, pos, len) ->
+        let t = Aho_corasick.build patterns in
+        let buf = Bytes.of_string text in
+        Aho_corasick.matches_bytes t buf ~pos ~len
+        = naive_matches patterns (Bytes.sub_string buf pos len));
+    qtest ~count:200 "scan reports every occurrence, in order" aho_case
+      (fun (patterns, text, _, _) ->
+        Aho_corasick.scan (Aho_corasick.build patterns) text = naive_scan patterns text);
+    Alcotest.test_case "matches_bytes rejects a range outside the buffer" `Quick
+      (fun () ->
+        let t = Aho_corasick.build [ "ab" ] and buf = Bytes.of_string "xxab" in
+        check Alcotest.bool "in range" true (Aho_corasick.matches_bytes t buf ~pos:2 ~len:2);
+        check Alcotest.bool "stops at len" false
+          (Aho_corasick.matches_bytes t buf ~pos:1 ~len:2);
+        List.iter
+          (fun (pos, len) ->
+            match Aho_corasick.matches_bytes t buf ~pos ~len with
+            | _ -> Alcotest.failf "accepted pos=%d len=%d" pos len
+            | exception Invalid_argument _ -> ())
+          [ (-1, 2); (3, 2); (0, -1); (5, 0) ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -766,7 +837,12 @@ let pair_table_tests =
                      (fun b -> lookup t a b = Hashtbl.find_opt model (a, b))
                      [ 0; 1; 2; 3 ])
                  (List.init 41 Fun.id))
-          ops);
+          ops
+        &&
+        let seen = ref [] in
+        Pair_table.iter (fun a b v -> seen := ((a, b), v) :: !seen) t;
+        List.sort compare !seen
+        = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []));
   ]
 
 let checksum_tests =

@@ -236,6 +236,185 @@ let vpn_tests =
 (* Monitor / NAT / Proxy / Caching / Compression / Shaper / Gateway    *)
 (* ------------------------------------------------------------------ *)
 
+(* The Monitor as it was before its live table was keyed by packet
+   limbs: a polymorphic Hashtbl from [Flow.t] to immutable counters.
+   The model the limb-keyed Monitor must agree with, digest for digest
+   and entry for entry. *)
+module Ref_monitor = struct
+  type t = {
+    process : Packet.t -> unit;
+    digest : unit -> int;
+    snapshot : unit -> Nf.state;
+    restore : Nf.state -> unit;
+    extract : (Flow.t -> bool) -> Nf.state;
+    flows : unit -> int;
+    lookup : Flow.t -> Monitor.counter option;
+  }
+
+  let merge states =
+    let table = Hashtbl.create 1024 and total = ref 0 in
+    List.iter
+      (function
+        | Monitor.State (t, n) ->
+            total := !total + n;
+            Hashtbl.iter
+              (fun flow (c : Monitor.counter) ->
+                let prev =
+                  match Hashtbl.find_opt table flow with
+                  | Some p -> p
+                  | None -> { Monitor.packets = 0; bytes = 0 }
+                in
+                Hashtbl.replace table flow
+                  { Monitor.packets = prev.packets + c.packets; bytes = prev.bytes + c.bytes })
+              t
+        | _ -> invalid_arg "Ref_monitor.merge: foreign state")
+      states;
+    Monitor.State (table, !total)
+
+  let create () =
+    let table : (Flow.t, Monitor.counter) Hashtbl.t ref = ref (Hashtbl.create 1024) in
+    let total = ref 0 in
+    let process pkt =
+      let flow = Packet.flow pkt in
+      let prev =
+        match Hashtbl.find_opt !table flow with
+        | Some c -> c
+        | None -> { Monitor.packets = 0; bytes = 0 }
+      in
+      Hashtbl.replace !table flow
+        { Monitor.packets = prev.packets + 1; bytes = prev.bytes + Packet.wire_length pkt };
+      incr total
+    in
+    let digest () =
+      Hashtbl.fold
+        (fun flow (c : Monitor.counter) acc ->
+          (acc
+          + Nfp_algo.Hashing.combine (Flow.hash flow)
+              (Nfp_algo.Hashing.combine c.packets c.bytes))
+          land max_int)
+        !table !total
+    in
+    let restore = function
+      | Monitor.State (t, n) ->
+          table := Hashtbl.copy t;
+          total := n
+      | _ -> invalid_arg "Ref_monitor.restore: foreign state"
+    in
+    let extract pred =
+      let moved = Hashtbl.create 64 in
+      Hashtbl.iter (fun flow c -> if pred flow then Hashtbl.replace moved flow c) !table;
+      Hashtbl.iter (fun flow _ -> Hashtbl.remove !table flow) moved;
+      Monitor.State (moved, 0)
+    in
+    {
+      process;
+      digest;
+      snapshot = (fun () -> Monitor.State (Hashtbl.copy !table, !total));
+      restore;
+      extract;
+      flows = (fun () -> Hashtbl.length !table);
+      lookup = (fun f -> Hashtbl.find_opt !table f);
+    }
+end
+
+(* A checkpoint's entries in a canonical order, and its total. *)
+let contents = function
+  | Monitor.State (t, n) ->
+      (List.sort compare (Hashtbl.fold (fun f c acc -> (f, c) :: acc) t []), n)
+  | _ -> Alcotest.fail "not a Monitor state"
+
+(* A pool of flows (addresses over the whole 32-bit range, so half have
+   the high bit set and are negative as int32; TCP, UDP and protocols
+   with no ports) and a packet sequence drawing from it. Packets of one
+   flow vary in length, so byte counters differ from packet counters. *)
+let monitor_case =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let addr = map Int32.of_int (int_bound 0xffff_ffff) in
+      let port = int_bound 0xffff in
+      let proto = oneofl [ 6; 17; 1; 47; 132; 0; 255 ] in
+      let flow =
+        map
+          (fun ((sip, dip), (sport, dport), proto) ->
+            Flow.make ~sip ~dip ~sport ~dport ~proto)
+          (triple (pair addr addr) (pair port port) proto)
+      in
+      let* pool = array_size (int_range 1 12) flow in
+      let n = Array.length pool in
+      let* seq = list_size (int_range 0 80) (pair (int_bound (n - 1)) (int_bound 40)) in
+      let* cut = int_bound (List.length seq) in
+      let+ k = int_range 1 4 in
+      (pool, seq, cut, k))
+  in
+  make
+    ~print:(fun (pool, seq, cut, k) ->
+      Printf.sprintf "pool=[%s] seq=[%s] cut=%d k=%d"
+        (String.concat "; " (Array.to_list (Array.map (Format.asprintf "%a" Flow.pp) pool)))
+        (String.concat "; " (List.map (fun (i, l) -> Printf.sprintf "%d/%d" i l) seq))
+        cut k)
+    gen
+
+(* Feed both Monitors the same packets and compare every observable:
+   digest, flow count, lookups, checkpoint contents; then extract a
+   migration shard, merge and absorb it back, and cross-restore each
+   side from the other's checkpoint. *)
+let monitor_agrees (pool, seq, cut, k) =
+  let pkts =
+    List.map (fun (i, len) -> pkt ~flow:pool.(i) ~payload:(String.make len 'p') ()) seq
+  in
+  let first = List.filteri (fun i _ -> i < cut) pkts
+  and rest = List.filteri (fun i _ -> i >= cut) pkts in
+  let nf, stats = Monitor.create () and model = Ref_monitor.create () in
+  let snapshot () = Option.get nf.Nf.snapshot () and restore = Option.get nf.Nf.restore in
+  let merge = Option.get nf.Nf.merge and extract = Option.get nf.Nf.extract in
+  let feed =
+    List.iter (fun p ->
+        ignore (nf.process p);
+        model.process p)
+  in
+  (* Flows as the packets carry them (no ports without TCP/UDP), plus
+     the pool's own, which miss for the portless protocols. *)
+  let probes = List.map Packet.flow pkts @ Array.to_list pool in
+  let agree step =
+    if nf.state_digest () <> model.digest () then
+      QCheck.Test.fail_reportf "%s: digest %d, model %d" step (nf.state_digest ())
+        (model.digest ());
+    if stats.flows () <> model.flows () then
+      QCheck.Test.fail_reportf "%s: %d flows, model %d" step (stats.flows ())
+        (model.flows ());
+    List.iter
+      (fun f ->
+        if stats.lookup f <> model.lookup f then
+          QCheck.Test.fail_reportf "%s: lookup %a disagrees" step Flow.pp f)
+      probes;
+    if contents (snapshot ()) <> contents (model.snapshot ()) then
+      QCheck.Test.fail_reportf "%s: snapshot contents disagree" step
+  in
+  feed first;
+  agree "first part";
+  let saved = snapshot () and saved_model = model.snapshot () in
+  feed rest;
+  agree "whole sequence";
+  let pred f = Flow.hash f mod k = 0 in
+  let shard = extract pred and shard_model = model.extract pred in
+  if contents shard <> contents shard_model then
+    QCheck.Test.fail_reportf "extracted shards disagree";
+  agree "after extract";
+  if
+    contents (merge [ snapshot (); shard ])
+    <> contents (Ref_monitor.merge [ model.snapshot (); shard_model ])
+  then QCheck.Test.fail_reportf "merged states disagree";
+  Nf.absorb nf shard;
+  model.restore (Ref_monitor.merge [ model.snapshot (); shard_model ]);
+  agree "after absorbing the shard back";
+  restore saved_model;
+  model.restore saved;
+  agree "after cross restore";
+  feed rest;
+  agree "after replaying the rest";
+  true
+
 let monitor_tests =
   [
     Alcotest.test_case "counts per flow" `Quick (fun () ->
@@ -263,6 +442,9 @@ let monitor_tests =
         let before = Packet.to_bytes p in
         ignore (mon.process p);
         check Alcotest.bool "unchanged" true (Bytes.equal before (Packet.to_bytes p)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300 ~name:"agrees with the Hashtbl reference Monitor"
+         monitor_case monitor_agrees);
   ]
 
 let nat_tests =
