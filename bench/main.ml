@@ -112,6 +112,18 @@ let record_sample m =
     Mutex.unlock json_mutex
   end
 
+(* A measurement of one harness run: its mean and p99 latency in us,
+   under [label]. [mpps] is whatever the experiment reports in that
+   field (a lossless rate, goodput, availability). *)
+let sample ?(prov = default_prov) ?(extra = []) ~mpps label (r : Nfp_sim.Harness.result) =
+  {
+    mpps;
+    latency_us = Nfp_algo.Stats.mean r.latency /. 1000.0;
+    p99_us = Nfp_algo.Stats.percentile r.latency 99.0 /. 1000.0;
+    prov = { prov with label };
+    extra;
+  }
+
 (* One measurement, not yet recorded: [measure] for thunks on the
    domain pool, which record their results after collection. *)
 let measure_unrecorded ?(hi = 14.88) ?(prov = default_prov) ~gen make =
@@ -128,13 +140,7 @@ let measure_unrecorded ?(hi = 14.88) ?(prov = default_prov) ~gen make =
     failwith
       (Printf.sprintf "measure: %d packets missed the classification table"
          r.unmatched);
-  {
-    mpps;
-    latency_us = Nfp_algo.Stats.mean r.latency /. 1000.0;
-    p99_us = Nfp_algo.Stats.percentile r.latency 99.0 /. 1000.0;
-    prov;
-    extra = [];
-  }
+  sample ~prov ~mpps prov.label r
 
 let measure ?hi ?prov ~gen make =
   let m = measure_unrecorded ?hi ?prov ~gen make in
@@ -786,15 +792,9 @@ let run_micro () =
     Nfp_infra.Channel.create ~engine:channel_engine ~name:"micro"
       ~reliability:
         {
-          Nfp_infra.Channel.window = 256;
-          ack_interval_ns = 1_000.0;
-          rto_ns = 25_000.0;
-          rto_backoff = 2.0;
-          rto_max_ns = 400_000.0;
-          retransmit_budget = 16;
-          reorder_window = 256;
-          probe_interval_ns = 5_000.0;
-          probe_timeout_k = 3;
+          Nfp_infra.Channel.ack_interval_ns =
+            Nfp_infra.System.default_links_config.ack_interval_ns;
+          rto_ns = Nfp_infra.System.default_links_config.rto_ns;
           ack_ns = 10.0;
           retransmit_ns = 50.0;
         }
@@ -1326,17 +1326,9 @@ let run_elastic () =
       end;
       let h = r.health in
       let goodput = float_of_int r.completed /. r.duration_ns *. 1000.0 in
-      let p99 = Nfp_algo.Stats.percentile r.latency 99.0 /. 1000.0 in
-      note "  %3.0f%%     %-10.2f %-10.1f %-8d %-6d %-6d %-6d %d"
-        (100.0 *. frac) goodput p99 h.drops.ingress_rejected h.scale_outs
-        h.scale_ins h.migrations h.migration_aborts;
-      record_sample
-        {
-          mpps = goodput;
-          latency_us = Nfp_algo.Stats.mean r.latency /. 1000.0;
-          p99_us = p99;
-          prov = prov (Printf.sprintf "elastic:%s:load-%.1fx" vlabel frac);
-          extra =
+      let m =
+        sample ~mpps:goodput
+          ~extra:
             [
               ("offered_mpps", frac *. knee);
               ("ingress_drops", float_of_int h.drops.ingress_rejected);
@@ -1345,8 +1337,14 @@ let run_elastic () =
               ("migrations", float_of_int h.migrations);
               ("aborts", float_of_int h.migration_aborts);
               ("migrated_packets", float_of_int h.migrated_packets);
-            ];
-        })
+            ]
+          (Printf.sprintf "elastic:%s:load-%.1fx" vlabel frac)
+          r
+      in
+      note "  %3.0f%%     %-10.2f %-10.1f %-8d %-6d %-6d %-6d %d"
+        (100.0 *. frac) goodput m.p99_us h.drops.ingress_rejected h.scale_outs
+        h.scale_ins h.migrations h.migration_aborts;
+      record_sample m)
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -1462,22 +1460,19 @@ let run_classify () =
           | Some s -> s.Nfp_sim.Harness.classifier ()
           | None -> Nfp_sim.Harness.no_classifier_counters
         in
-        let us = Nfp_algo.Stats.mean r.latency /. 1000.0 in
-        record_sample
-          {
-            mpps = rate;
-            latency_us = us;
-            p99_us = Nfp_algo.Stats.percentile r.latency 99.0 /. 1000.0;
-            prov =
+        let m =
+          sample
+            ~prov:
               {
                 default_prov with
-                label = Printf.sprintf "classify:%d-tenants" tenants;
-                classify =
-                  (match classify with `Scan -> "scan" | `Cached -> "cached");
-              };
-            extra = [];
-          };
-        (us, counters)
+                classify = (match classify with `Scan -> "scan" | `Cached -> "cached");
+              }
+            ~mpps:rate
+            (Printf.sprintf "classify:%d-tenants" tenants)
+            r
+        in
+        record_sample m;
+        (m.latency_us, counters)
       in
       let scan_us, _ = run_mode `Scan in
       let cached_us, c = run_mode `Cached in
@@ -1592,11 +1587,10 @@ let run_faults () =
                in
                let h = r.health in
                let avail = float_of_int r.completed /. float_of_int r.offered in
+               let mlabel = mtbf_label mtbf in
                ( plabel,
-                 mtbf_label mtbf,
-                 avail,
-                 Nfp_algo.Stats.mean r.latency /. 1000.0,
-                 Nfp_algo.Stats.percentile r.latency 99.0 /. 1000.0,
+                 mlabel,
+                 sample ~mpps:avail (Printf.sprintf "faults:%s:mtbf-%s" plabel mlabel) r,
                  h.crashes,
                  h.detections,
                  h.drops.merge_timed_out,
@@ -1605,17 +1599,10 @@ let run_faults () =
          policies)
   in
   List.iter
-    (fun (plabel, mlabel, avail, mean_us, p99_us, crashes, detects, mto, lost) ->
-      record_sample
-        {
-          mpps = avail;
-          latency_us = mean_us;
-          p99_us;
-          prov = prov (Printf.sprintf "faults:%s:mtbf-%s" plabel mlabel);
-          extra = [];
-        };
+    (fun (plabel, mlabel, m, crashes, detects, mto, lost) ->
+      record_sample m;
       note "  %-9s %-8s | %6.2f%% %-9.1f %-9.1f | %-8d %-8d %-8d %d" plabel mlabel
-        (100.0 *. avail) mean_us p99_us crashes detects mto lost)
+        (100.0 *. m.mpps) m.latency_us m.p99_us crashes detects mto lost)
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -1677,11 +1664,12 @@ let run_recovery () =
                in
                let h = r.health in
                let avail = float_of_int r.completed /. float_of_int r.offered in
+               let mlabel = Printf.sprintf "%.1f ms" (mtbf_ns /. 1e6) in
                ( ilabel,
-                 Printf.sprintf "%.1f ms" (mtbf_ns /. 1e6),
-                 avail,
-                 Nfp_algo.Stats.mean r.latency /. 1000.0,
-                 Nfp_algo.Stats.percentile r.latency 99.0 /. 1000.0,
+                 mlabel,
+                 sample ~mpps:avail
+                   (Printf.sprintf "recovery:ckpt-%s:mtbf-%s" ilabel mlabel)
+                   r,
                  h.checkpoints,
                  h.replayed,
                  h.salvaged,
@@ -1690,17 +1678,10 @@ let run_recovery () =
          intervals)
   in
   List.iter
-    (fun (ilabel, mlabel, avail, mean_us, p99_us, ckpts, replayed, salvaged, lost) ->
-      record_sample
-        {
-          mpps = avail;
-          latency_us = mean_us;
-          p99_us;
-          prov = prov (Printf.sprintf "recovery:ckpt-%s:mtbf-%s" ilabel mlabel);
-          extra = [];
-        };
+    (fun (ilabel, mlabel, m, ckpts, replayed, salvaged, lost) ->
+      record_sample m;
       note "  %-8s %-8s | %6.2f%% %-9.1f %-9.1f | %-6d %-7d %-8d %d" ilabel mlabel
-        (100.0 *. avail) mean_us p99_us ckpts replayed salvaged lost)
+        (100.0 *. m.mpps) m.latency_us m.p99_us ckpts replayed salvaged lost)
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -1826,16 +1807,24 @@ let run_links () =
         ~arrivals:(Nfp_sim.Harness.Uniform rate) ~packets ()
     in
     let l = r.health.Nfp_sim.Harness.links in
-    let goodput =
-      float_of_int r.completed /. r.duration_ns *. 1000.0
-    in
+    let avail = float_of_int r.completed /. float_of_int r.offered in
     ( label,
-      goodput,
-      float_of_int r.completed /. float_of_int r.offered,
-      Nfp_algo.Stats.mean r.latency /. 1000.0,
-      Nfp_algo.Stats.percentile r.latency 99.0 /. 1000.0,
+      avail,
       l,
-      extras )
+      sample
+        ~mpps:(float_of_int r.completed /. r.duration_ns *. 1000.0)
+        ~extra:
+          (extras
+          @ [
+              ("availability", avail);
+              ("link_drops", float_of_int l.link_drops);
+              ("retransmits", float_of_int l.retransmits);
+              ("duplicates_suppressed", float_of_int l.duplicates_suppressed);
+              ("reordered", float_of_int l.reordered);
+              ("partitions", float_of_int l.partitions);
+              ("reroutes", float_of_int l.reroutes);
+            ])
+        ("links:" ^ label) r )
   in
   let loss_rates = [ 0.0; 0.005; 0.01; 0.02; 0.05 ] in
   let loss_points =
@@ -1883,27 +1872,10 @@ let run_links () =
     "avail" "mean(us)" "p99(us)" "drops" "retx" "dedup" "reroutes";
   let rows = Nfp_sim.Harness.parallel_runs (loss_points @ partition_points) in
   List.iter
-    (fun (label, goodput, avail, mean_us, p99_us, (l : Nfp_sim.Harness.link_stats), extras) ->
-      record_sample
-        {
-          mpps = goodput;
-          latency_us = mean_us;
-          p99_us;
-          prov = prov ("links:" ^ label);
-          extra =
-            extras
-            @ [
-                ("availability", avail);
-                ("link_drops", float_of_int l.link_drops);
-                ("retransmits", float_of_int l.retransmits);
-                ("duplicates_suppressed", float_of_int l.duplicates_suppressed);
-                ("reordered", float_of_int l.reordered);
-                ("partitions", float_of_int l.partitions);
-                ("reroutes", float_of_int l.reroutes);
-              ];
-        };
+    (fun (label, avail, (l : Nfp_sim.Harness.link_stats), m) ->
+      record_sample m;
       note "  %-26s | %-8.3f %-6.3f | %-9.1f %-9.1f | %-7d %-7d %-7d %d" label
-        goodput avail mean_us p99_us l.link_drops l.retransmits
+        m.mpps avail m.latency_us m.p99_us l.link_drops l.retransmits
         l.duplicates_suppressed l.reroutes)
     rows
 

@@ -242,7 +242,11 @@ let simulate_cmd =
         engine ~output
     in
     Format.printf "graph: %a@." Graph.pp out.graph;
-    measure "NFP" nfp_make;
+    (* A bad deployment config is refused when the system is built. *)
+    (try measure "NFP" nfp_make
+     with Invalid_argument msg ->
+       prerr_endline msg;
+       exit 1);
     (* The last measured run's samplers survive; print utilization. *)
     let cores = !stats_cell () in
     if cores <> [] then begin

@@ -89,15 +89,13 @@ let () =
     Nfp_infra.System.default_config.cost.batch;
   (* Overload control is opt-in ([?overload] on [System.make]); the
      defaults below are what [default_overload_config] would arm —
-     ring watermarks, priority-aware admission with a per-class
-     trickle, and pressure-degrade modes (see examples/overload.exe). *)
+     ring watermarks, priority-aware admission, and pressure-degrade
+     modes (see examples/overload.exe). *)
   let oc = Nfp_infra.System.default_overload_config in
   Format.printf
-    "overload config  : off by default; ~overload arms watermarks %d/%d  \
-     trickle 1-in-%d  degrade=%b  poll %.1f us@."
+    "overload config  : off by default; ~overload arms watermarks %d/%d  degrade=%b@."
     oc.Nfp_infra.System.high_watermark oc.Nfp_infra.System.low_watermark
-    oc.Nfp_infra.System.shed_trickle oc.Nfp_infra.System.degrade_enabled
-    (oc.Nfp_infra.System.pressure_poll_ns /. 1000.0);
+    oc.Nfp_infra.System.degrade_enabled;
   let pkt i = Nfp_traffic.Pktgen.packet gen i in
   let measure label make =
     let mx =

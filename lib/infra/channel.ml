@@ -55,18 +55,34 @@ let fresh_stats () =
   }
 
 type reliability = {
-  window : int;  (* max unacked sends; a full window refuses (backpressure) *)
   ack_interval_ns : float;  (* cumulative-ack cadence *)
   rto_ns : float;  (* initial head-of-line retransmit timeout *)
-  rto_backoff : float;  (* RTO multiplier per consecutive firing *)
-  rto_max_ns : float;  (* RTO ceiling *)
-  retransmit_budget : int;  (* per-packet retransmissions before Down escalation *)
-  reorder_window : int;  (* receiver reorder-buffer span *)
-  probe_interval_ns : float;  (* health-probe cadence while data is outstanding *)
-  probe_timeout_k : int;  (* consecutive probe timeouts declaring Down *)
   ack_ns : float;  (* processing cost of one cumulative ack *)
   retransmit_ns : float;  (* added transit delay of a retransmission *)
 }
+
+(* The fixed protocol constants. *)
+
+(* Max unacked sends; a full window refuses (backpressure). *)
+let window = 256
+
+(* Receiver reorder-buffer span in sequence numbers. *)
+let reorder_window = 256
+
+(* Per-packet retransmissions before Down escalation. *)
+let retransmit_budget = 16
+
+(* RTO multiplier per consecutive firing without ack progress, and its
+   ceiling. *)
+let rto_backoff = 2.0
+
+let rto_max_ns = 400_000.0
+
+(* Health-probe cadence while data is outstanding, and the consecutive
+   probe timeouts declaring Down. *)
+let probe_interval_ns = 5_000.0
+
+let probe_timeout_k = 3
 
 (* Both buffers are seq-indexed rings, so the per-packet path allocates
    nothing. The unacked sends are always the contiguous range
@@ -172,26 +188,23 @@ let ack ch =
 (* ------------------------------------------------------------------ *)
 
 let rec arrive ch seq payload =
-  match ch.rel with
-  | None -> assert false (* raw channels never sequence *)
-  | Some rel ->
-      if seq < ch.expected || buffered ch seq then
-        (* A fabric duplicate, or a retransmission of something already
-           received: consumed by the sequence filter. *)
-        ch.stats.duplicates_suppressed <- ch.stats.duplicates_suppressed + 1
-      else if seq >= ch.expected + rel.reorder_window then
-        (* Beyond the reorder buffer: the port refuses the copy; the
-           retransmit machinery re-delivers once the window advances. *)
-        ch.stats.link_drops <- ch.stats.link_drops + 1
-      else begin
-        let i = rx_slot ch seq in
-        if Array.length ch.rx_payload = 0 then
-          ch.rx_payload <- Array.make (Array.length ch.rx_seq) payload
-        else ch.rx_payload.(i) <- payload;
-        ch.rx_seq.(i) <- seq;
-        if seq > ch.expected then nack ch ~upto:seq;
-        release ch
-      end
+  if seq < ch.expected || buffered ch seq then
+    (* A fabric duplicate, or a retransmission of something already
+       received: consumed by the sequence filter. *)
+    ch.stats.duplicates_suppressed <- ch.stats.duplicates_suppressed + 1
+  else if seq >= ch.expected + reorder_window then
+    (* Beyond the reorder buffer: the port refuses the copy; the
+       retransmit machinery re-delivers once the window advances. *)
+    ch.stats.link_drops <- ch.stats.link_drops + 1
+  else begin
+    let i = rx_slot ch seq in
+    if Array.length ch.rx_payload = 0 then
+      ch.rx_payload <- Array.make (Array.length ch.rx_seq) payload
+    else ch.rx_payload.(i) <- payload;
+    ch.rx_seq.(i) <- seq;
+    if seq > ch.expected then nack ch ~upto:seq;
+    release ch
+  end
 
 (* First transmission: drawn against the fabric at send time. A clean
    pass arrives synchronously — a lossless reliable channel adds no
@@ -255,7 +268,7 @@ and nack ch ~upto =
           && t -. ch.tx_last.(i) >= rel.ack_interval_ns
         then begin
           ch.tx_attempts.(i) <- ch.tx_attempts.(i) + 1;
-          if ch.tx_attempts.(i) > rel.retransmit_budget then go_down ch
+          if ch.tx_attempts.(i) > retransmit_budget then go_down ch
           else retransmit ch seq rel
         end
       done
@@ -273,8 +286,8 @@ and arm_rto ch =
          && unacked ch > 0 ->
       Nfp_sim.Engine.arm_timer rto
         ~delay:
-          (Float.min rel.rto_max_ns
-             (rel.rto_ns *. (rel.rto_backoff ** float_of_int ch.rto_streak)))
+          (Float.min rto_max_ns
+             (rel.rto_ns *. (rto_backoff ** float_of_int ch.rto_streak)))
   | _ -> ()
 
 and rto ch =
@@ -288,7 +301,7 @@ and rto ch =
       else begin
         let i = tx_slot ch seq in
         ch.tx_attempts.(i) <- ch.tx_attempts.(i) + 1;
-        if ch.tx_attempts.(i) > rel.retransmit_budget then go_down ch
+        if ch.tx_attempts.(i) > retransmit_budget then go_down ch
         else begin
           ch.rto_streak <- ch.rto_streak + 1;
           retransmit ch seq rel;
@@ -330,18 +343,15 @@ and go_down ch =
    consecutive failures declare Down. Retransmit-budget exhaustion is
    the slower, loss-driven path to the same verdict. *)
 let arm_probe ch =
-  match ch.rel with
-  | Some rel
-    when rel.probe_interval_ns > 0.0 && (not ch.down) && unacked ch > 0 ->
-      Nfp_sim.Engine.arm_timer (Lazy.force ch.probe) ~delay:rel.probe_interval_ns
-  | _ -> ()
+  if Option.is_some ch.rel && (not ch.down) && unacked ch > 0 then
+    Nfp_sim.Engine.arm_timer (Lazy.force ch.probe) ~delay:probe_interval_ns
 
 let probe ch =
   match ch.rel with
-  | Some rel when (not ch.down) && unacked ch > 0 ->
+  | Some _ when (not ch.down) && unacked ch > 0 ->
       if partitioned ch then begin
         ch.probe_fails <- ch.probe_fails + 1;
-        if ch.probe_fails >= rel.probe_timeout_k then go_down ch else arm_probe ch
+        if ch.probe_fails >= probe_timeout_k then go_down ch else arm_probe ch
       end
       else begin
         ch.probe_fails <- 0;
@@ -353,10 +363,9 @@ let probe ch =
    needs them. *)
 let create ~engine ~name ?state ?reliability ~deliver ~reroute ~stats () =
   let timer what f = Nfp_sim.Engine.timer engine ~name:(name ^ ":" ^ what) f in
-  let window, reorder_window =
-    match reliability with
-    | Some r -> (max 1 r.window, max 1 r.reorder_window)
-    | None -> (0, 0)
+  (* A raw channel keeps no send or reorder buffer. *)
+  let tx_slots, rx_slots =
+    if Option.is_none reliability then (0, 0) else (window, reorder_window)
   in
   let rec ch =
     {
@@ -369,8 +378,8 @@ let create ~engine ~name ?state ?reliability ~deliver ~reroute ~stats () =
       next_seq = 0;
       unacked_lo = 0;
       tx_payload = [||];
-      tx_attempts = Array.make window 0;
-      tx_last = Array.make window 0.0;
+      tx_attempts = Array.make tx_slots 0;
+      tx_last = Array.make tx_slots 0.0;
       rto = lazy (timer "rto" (fun () -> rto ch));
       rto_streak = 0;
       ack = lazy (timer "ack" (fun () -> ack ch));
@@ -379,7 +388,7 @@ let create ~engine ~name ?state ?reliability ~deliver ~reroute ~stats () =
       down = false;
       expected = 0;
       rx_payload = [||];
-      rx_seq = Array.make reorder_window (-1);
+      rx_seq = Array.make rx_slots (-1);
       retry_release = lazy (timer "release" (fun () -> release ch));
     }
   in
@@ -414,7 +423,7 @@ let send_raw ch x =
 let rec send ch x =
   match ch.rel with
   | None -> send_raw ch x
-  | Some rel ->
+  | Some _ ->
       if ch.down then
         if not (partitioned ch) then begin
           (* The partition window has passed: the next probe cycle would
@@ -429,7 +438,7 @@ let rec send ch x =
           ch.reroute x;
           true
         end
-      else if unacked ch >= rel.window then false
+      else if unacked ch >= window then false
       else begin
         let seq = ch.next_seq in
         ch.next_seq <- seq + 1;

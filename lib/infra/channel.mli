@@ -15,7 +15,7 @@
     NACK- and RTO-driven retransmission with exponential backoff and a
     per-packet budget, a bounded reorder buffer releasing strictly in
     sequence order, receiver-side dedup, and health probes that declare
-    the link Down after [probe_timeout_k] consecutive timeouts —
+    the link Down after consecutive timeouts —
     detouring unacked packets through the caller's [reroute] path and
     recovering when a later send finds the partition over.
 
@@ -36,20 +36,17 @@ type stats = {
 val fresh_stats : unit -> stats
 
 type reliability = {
-  window : int;
   ack_interval_ns : float;
   rto_ns : float;
-  rto_backoff : float;
-  rto_max_ns : float;
-  retransmit_budget : int;
-  reorder_window : int;
-  probe_interval_ns : float;
-  probe_timeout_k : int;
-  ack_ns : float;
-  retransmit_ns : float;
+  ack_ns : float;  (** processing cost of one cumulative ack *)
+  retransmit_ns : float;  (** added transit delay of a retransmission *)
 }
 (** ARQ knobs; see {!Nfp_infra.System.links_config} for the deployment
-    defaults and documentation of each. *)
+    defaults of the first two. The rest of the protocol is fixed: a
+    256-send window over a 256-seq reorder buffer, the RTO doubling per
+    consecutive firing up to 400 us, a 16-retransmission budget per
+    packet, and 5 us health probes declaring Down after 3 straight
+    timeouts. *)
 
 type 'a t
 

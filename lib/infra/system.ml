@@ -24,36 +24,13 @@ let default_config =
     replicas = 1;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Overload control plane: ring watermarks, priority-aware admission,  *)
-(* pressure-degrade modes.                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Opt-in: a deployment built without an overload config is bit-for-bit
-   the pre-overload system (no watermarks armed, admission controller
-   absent, every NF at full fidelity). With one, every compiled-path
-   ring arms the high/low watermark latch, the classifier front end
-   sheds low-priority chains first when pressure persists, and NFs
-   that declare a [Nf.degrade] mode coarsen while their own ring sits
-   above the watermark. *)
-type overload_config = {
+type overload_config = Overload.config = {
   high_watermark : int;
   low_watermark : int;
-  shed_trickle : int;
   degrade_enabled : bool;
-  pressure_poll_ns : float;
 }
 
-(* 3/4 and 3/8 of the default ring capacity; one shed-level step every
-   2 us; a 1-in-16 trickle for shed classes. *)
-let default_overload_config =
-  {
-    high_watermark = 96;
-    low_watermark = 48;
-    shed_trickle = 16;
-    degrade_enabled = true;
-    pressure_poll_ns = 2_000.0;
-  }
+let default_overload_config = Overload.default
 
 type elastic_config = Elastic.config = {
   min_replicas : int;
@@ -91,30 +68,16 @@ let default_elastic_config = Elastic.default
 type links_config = {
   link_plan : Nfp_sim.Fault.link_plan;
   reliable : bool;
-  link_window : int;
   ack_interval_ns : float;
   rto_ns : float;
-  rto_backoff : float;
-  rto_max_ns : float;
-  retransmit_budget : int;
-  reorder_window : int;
-  probe_interval_ns : float;
-  probe_timeout_k : int;
 }
 
 let default_links_config =
   {
     link_plan = Nfp_sim.Fault.no_links;
     reliable = true;
-    link_window = 256;
     ack_interval_ns = 1_000.0;
     rto_ns = 25_000.0;
-    rto_backoff = 2.0;
-    rto_max_ns = 400_000.0;
-    retransmit_budget = 16;
-    reorder_window = 256;
-    probe_interval_ns = 5_000.0;
-    probe_timeout_k = 3;
   }
 
 type recovery = Watchdog.recovery = Restart | Bypass | Degrade
@@ -129,9 +92,6 @@ type fault_config = Watchdog.config = {
   checkpoint_interval_ns : float;
   log_capacity : int;
   breaker_threshold : int;
-  backoff_factor : float;
-  backoff_max_ns : float;
-  breaker_fallback : recovery;
   dedup_capacity : int;
 }
 
@@ -375,14 +335,17 @@ let validate ~path ~config ?fault ?overload ?elastic ?links graphs =
   if graphs = [] then fail "no service graphs";
   if not (0.0 <= config.jitter && config.jitter < 1.0) then
     fail "jitter must satisfy 0 <= jitter < 1";
+  if config.mergers < 1 then fail "mergers must be >= 1";
+  if config.ring_capacity < 1 then fail "ring_capacity must be >= 1";
+  if config.replicas < 1 then fail "replicas must be >= 1";
   (match fault with
   | Some (fc : fault_config) ->
       compiled_only "fault injection requires the `Compiled path";
       if not (fc.watchdog_interval_ns > 0.0 && fc.watchdog_deadline_ns > 0.0) then
         fail "fault watchdog interval and deadline must be positive";
-      if not (fc.restart_ns >= 0.0 && fc.backoff_max_ns >= 0.0) then
-        fail "fault restart_ns and backoff_max_ns must be >= 0";
-      if not (fc.backoff_factor >= 1.0) then fail "fault backoff_factor must be >= 1.0"
+      if not (fc.restart_ns >= 0.0) then fail "fault restart_ns must be >= 0";
+      if fc.log_capacity < 1 then fail "fault log_capacity must be >= 1";
+      if fc.dedup_capacity < 2 then fail "fault dedup_capacity must be >= 2"
   | None -> ());
   (match overload with
   | Some (oc : overload_config) ->
@@ -392,8 +355,7 @@ let validate ~path ~config ?fault ?overload ?elastic ?links graphs =
           (0 <= oc.low_watermark
           && oc.low_watermark < oc.high_watermark
           && oc.high_watermark <= config.ring_capacity)
-      then fail "overload watermarks must satisfy 0 <= low < high <= ring_capacity";
-      if oc.pressure_poll_ns <= 0.0 then fail "overload pressure_poll_ns must be positive"
+      then fail "overload watermarks must satisfy 0 <= low < high <= ring_capacity"
   | None -> ());
   (match elastic with
   | Some (ec : elastic_config) ->
@@ -413,15 +375,8 @@ let validate ~path ~config ?fault ?overload ?elastic ?links graphs =
   (match links with
   | Some (lc : links_config) ->
       compiled_only "link channels require the `Compiled path";
-      if lc.link_window < 1 then fail "links link_window must be >= 1";
-      if lc.reorder_window < 1 then fail "links reorder_window must be >= 1";
-      if lc.retransmit_budget < 1 then fail "links retransmit_budget must be >= 1";
-      if
-        lc.ack_interval_ns <= 0.0 || lc.rto_ns <= 0.0 || lc.rto_max_ns <= 0.0
-        || lc.probe_interval_ns < 0.0
-      then fail "links periods must be positive";
-      if lc.rto_backoff < 1.0 then fail "links rto_backoff must be >= 1.0";
-      if lc.probe_timeout_k < 1 then fail "links probe_timeout_k must be >= 1"
+      if lc.ack_interval_ns <= 0.0 || lc.rto_ns <= 0.0 then
+        fail "links periods must be positive"
   | None -> ());
   if config.replicas > 1 then compiled_only "replicas require the `Compiled path"
 
@@ -438,20 +393,6 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
     | other -> other
   in
   validate ~path ~config ?fault ?overload ?elastic ?links graphs;
-  (* Watermarks for every compiled-path ring; [None] (no overload
-     config) leaves each ring's latch disarmed — the bit-identity
-     guarantee. *)
-  let wm =
-    match overload with
-    | Some (oc : overload_config) -> Some (oc.high_watermark, oc.low_watermark)
-    | None -> None
-  in
-  let degrade_on =
-    match overload with Some oc -> oc.degrade_enabled | None -> false
-  in
-  (* Replica target for strategy-eligible NFs; 1 (the default) keeps
-     the deployment bit-identical to the pre-replication system. *)
-  let replicas_knob = max 1 config.replicas in
   let cost = config.cost in
   (* Breath size for every core's poll loop; 1 restores per-packet
      (legacy) execution exactly. Both execution paths get the same
@@ -514,21 +455,15 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
          graphs)
   in
   let ring_drops = ref 0 and nf_drops = ref 0 and unmatched = ref 0 in
-  (* Overload counters, shared by the admission controller (built after
-     the cores, next to the watchdog) and the per-NF degrade switches
-     (inside the replica closures below). *)
-  let shed_total = ref 0
-  and degraded_packets = ref 0
-  and degrade_switches = ref 0 in
-  (* Highest admission class any hosted chain declares: the shed ladder
-     never climbs past it, so the top class is never shed (anti-
-     starvation holds even before the trickle). *)
-  let max_class =
-    Array.fold_left
-      (fun acc (_, (p : Tables.plan), _) -> max acc (max 0 p.Tables.priority))
-      0 table
+  (* The overload control plane: its watermarks arm every compiled-path
+     ring, each NF replica takes a degrade switch from it, and its shed
+     ladder starts polling once every core exists (below). Without an
+     overload config it is inert — the bit-identity guarantee. *)
+  let overload_ctl =
+    Overload.create ~engine ?config:overload
+      ~priorities:(Array.map (fun (_, (p : Tables.plan), _) -> p.Tables.priority) table)
+      ()
   in
-  let shed_class = Array.make (max_class + 1) 0 in
   let prng = Nfp_algo.Prng.create ~seed:config.seed in
   let jitter_for () = (config.jitter, Nfp_algo.Prng.split prng) in
   (* Standby replicas (indices past the static count) draw jitter from
@@ -548,7 +483,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
      chains tag version 1, compiled/interpretive paths their plan
      version), which pass through unfiltered. *)
   let dedup_capacity =
-    match fault with Some fc -> max 2 fc.dedup_capacity | None -> 65_536
+    match fault with Some fc -> fc.dedup_capacity | None -> 65_536
   in
   let delivered_versions = Dedup.create dedup_capacity in
   let merger_dedups : Dedup.t list ref = ref [] in
@@ -576,15 +511,8 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
     | Some (lc : links_config) when lc.reliable ->
         Some
           {
-            Channel.window = max 1 lc.link_window;
-            ack_interval_ns = lc.ack_interval_ns;
+            Channel.ack_interval_ns = lc.ack_interval_ns;
             rto_ns = lc.rto_ns;
-            rto_backoff = lc.rto_backoff;
-            rto_max_ns = lc.rto_max_ns;
-            retransmit_budget = lc.retransmit_budget;
-            reorder_window = max 1 lc.reorder_window;
-            probe_interval_ns = lc.probe_interval_ns;
-            probe_timeout_k = lc.probe_timeout_k;
             ack_ns = Nfp_sim.Cost.ns_of_cycles cost cost.ack_cycles;
             retransmit_ns = Nfp_sim.Cost.ns_of_cycles cost cost.retransmit_cycles;
           }
@@ -863,7 +791,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
             ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns ~jitter:(jitter_for ())
             ~service_ns ~execute ~emit:Nfp_sim.Server.call ()
         in
-        merger_cores := Array.init (max 1 config.mergers) make_merger;
+        merger_cores := Array.init config.mergers make_merger;
         (* The merger agent: hash the immutable PID, steer to an instance. *)
         if config.mergers > 1 then begin
           let instances = !merger_cores in
@@ -1167,8 +1095,11 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                 let branch = branch_index m.m_spec (Tables.D_nf entry.nf) in
                 [| S_merge { merge = m; branch; nil = true } |]
           in
+          (* [config.replicas] targets strategy-eligible NFs; 1 (the
+             default) keeps the deployment bit-identical to the
+             pre-replication system. *)
           let base_replicas =
-            if replicas_knob > 1 && shardable mid entry.nf then replicas_knob else 1
+            if config.replicas > 1 && shardable mid entry.nf then config.replicas else 1
           in
           (* Scalable = the elastic controller may add/remove replicas
              at runtime: the plan clears the NF for sharding AND its
@@ -1204,22 +1135,12 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
             (* Pressure-degrade switch: while this replica's own ring
                sits above the watermark, an NF that declares a degrade
                mode runs its coarsened semantics at its coarsened cost.
-               The predicate reads the server created below (through a
-               cell, to break the creation cycle); within one breath the
-               ring occupancy is constant, so pricing and execution
-               always agree per breath. Without an overload config (or
-               without a declared mode) [deg] is [None] and this entire
-               path is dead code. *)
-            let deg = if degrade_on then nf.Nfp_nf.Nf.degrade else None in
-            let self_pressured = ref (fun () -> false) in
-            let deg_active = ref false in
+               It reads the server created below, once bound. *)
+            let sw = Overload.switch overload_ctl nf in
             let service_ns ctx (c : Nfp_sim.Server.cell) =
               let nf_cycles =
                 match Context.get ctx entry.version with
-                | Some pkt -> (
-                    match deg with
-                    | Some d when !self_pressured () -> d.Nfp_nf.Nf.d_cost_cycles pkt
-                    | _ -> nf.cost_cycles pkt)
+                | Some pkt -> Overload.cost_cycles sw pkt
                 | None -> 0
               in
               c.ns <-
@@ -1230,24 +1151,8 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
               | None -> [||]
               | Some pkt -> (
                   Watchdog.log cell pkt;
-                  let degrade_mode =
-                    match deg with
-                    | None -> None
-                    | Some d ->
-                        let p = !self_pressured () in
-                        if p <> !deg_active then begin
-                          deg_active := p;
-                          if p then incr degrade_switches
-                        end;
-                        if p then Some d else None
-                  in
                   let verdict =
-                    try
-                      match degrade_mode with
-                      | Some d ->
-                          incr degraded_packets;
-                          d.Nfp_nf.Nf.d_process pkt
-                      | None -> nf.process pkt
+                    try Overload.process sw pkt
                     with exn ->
                       Log.warn (fun m ->
                           m "NF %s crashed on packet %Ld: %s" entry.nf (Context.pid ctx)
@@ -1269,10 +1174,11 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
             in
             let server =
               Nfp_sim.Server.create ~engine ~name ~ring_capacity:config.ring_capacity ~batch
-                ~burst_saving_ns ~jitter ?watermarks:wm ?fault:(fault_for name) ~service_ns
-                ~execute ~emit:emit_send ()
+                ~burst_saving_ns ~jitter
+                ?watermarks:(Overload.watermarks overload_ctl)
+                ?fault:(fault_for name) ~service_ns ~execute ~emit:emit_send ()
             in
-            self_pressured := (fun () -> Nfp_sim.Server.pressured server);
+            Overload.bind sw ~pressured:(fun () -> Nfp_sim.Server.pressured server);
             (* Bypass recovery: mark the replica, reroute this core's
                casualties (the in-flight batch its kill reclaimed, and
                any pending emissions) plus the queued backlog through
@@ -1481,7 +1387,8 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           let name = Printf.sprintf "merger#%d" index in
           let server =
             Nfp_sim.Server.create ~engine ~name ~ring_capacity:config.ring_capacity
-              ~batch ~burst_saving_ns ~jitter:(jitter_for ()) ?watermarks:wm
+              ~batch ~burst_saving_ns ~jitter:(jitter_for ())
+              ?watermarks:(Overload.watermarks overload_ctl)
               ?fault:(fault_for name) ~service_ns ~execute
               ~emit:(fun (d : cdelivery) send -> emit_send d.d_ctx send)
               ()
@@ -1489,7 +1396,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           register_probe server;
           server
         in
-        merger_cores := Array.init (max 1 config.mergers) make_merger;
+        merger_cores := Array.init config.mergers make_merger;
         let merger_ports = Array.map server_port !merger_cores in
         merge_port :=
           (fun (d : cdelivery) ->
@@ -1506,7 +1413,9 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           let agent =
             Nfp_sim.Server.create ~engine ~name:"merger-agent"
               ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns
-              ~jitter:(jitter_for ()) ?watermarks:wm ?fault:(fault_for "merger-agent")
+              ~jitter:(jitter_for ())
+              ?watermarks:(Overload.watermarks overload_ctl)
+              ?fault:(fault_for "merger-agent")
               ~service_ns
               ~execute:(fun _ -> hop)
               ~emit:(fun (d : cdelivery) () ->
@@ -1533,7 +1442,9 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           let clf =
             Nfp_sim.Server.create ~engine ~name:"classifier"
               ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns
-              ~jitter:(jitter_for ()) ?watermarks:wm ?fault:(fault_for "classifier")
+              ~jitter:(jitter_for ())
+              ?watermarks:(Overload.watermarks overload_ctl)
+              ?fault:(fault_for "classifier")
               ~service_ns ~execute ~emit:emit_send ()
           in
           register_probe clf;
@@ -1658,7 +1569,8 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                     Nfp_sim.Server.create ~engine ~name:cname
                       ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns
                       ~jitter:(config.jitter, Nfp_algo.Prng.split twin_prng)
-                      ?watermarks:wm ?fault:(fault_for cname) ~service_ns ~execute ~emit ()
+                      ?watermarks:(Overload.watermarks overload_ctl)
+                      ?fault:(fault_for cname) ~service_ns ~execute ~emit ()
                   in
                   register_probe core;
                   Some core
@@ -1673,50 +1585,10 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
   let probe_arr = Array.of_list (List.rev !probes) in
   let degraded = Array.make (Array.length table) false in
   Watchdog.watch watchdog ~degraded probe_arr;
-  (* ---------------------------------------------------------------- *)
-  (* Admission controller (overload config only). An escalating shed   *)
-  (* level L with per-poll hysteresis: while any core's watermark      *)
-  (* latch is raised, L climbs one class per poll interval (capped at  *)
-  (* the deployment's highest class, which is therefore never shed);   *)
-  (* when pressure clears, L relaxes one class per poll. A classified  *)
-  (* packet whose chain's admission class is below L is refused at the *)
-  (* NIC boundary — except a deterministic 1-in-K trickle per class,   *)
-  (* so no class ever starves outright.                                *)
-  (* ---------------------------------------------------------------- *)
-  let shed_level = ref 0 in
-  let last_poll = ref neg_infinity in
-  let trickle_seen = Array.make (max_class + 1) 0 in
-  let shed_packet =
-    match overload with
-    | None -> fun _ -> false
-    | Some (oc : overload_config) ->
-        fun mid ->
-          let now = Nfp_sim.Engine.now engine in
-          if now -. !last_poll >= oc.pressure_poll_ns then begin
-            last_poll := now;
-            let pressured =
-              Array.exists
-                (fun (Watchdog.Probe p) -> Nfp_sim.Server.pressured p.server)
-                probe_arr
-            in
-            if pressured then begin
-              if !shed_level < max_class then incr shed_level
-            end
-            else if !shed_level > 0 then decr shed_level
-          end;
-          let cls = max 0 (min max_class (plan_of_mid mid).Tables.priority) in
-          if cls >= !shed_level then false
-          else begin
-            trickle_seen.(cls) <- trickle_seen.(cls) + 1;
-            if oc.shed_trickle > 0 && trickle_seen.(cls) mod oc.shed_trickle = 0 then
-              false
-            else begin
-              incr shed_total;
-              shed_class.(cls) <- shed_class.(cls) + 1;
-              true
-            end
-          end
-  in
+  (* The shed ladder polls whether any core's watermark latch is
+     raised. *)
+  Overload.watch overload_ctl ~pressured:(fun () ->
+      Array.exists (fun (Watchdog.Probe p) -> Nfp_sim.Server.pressured p.server) probe_arr);
   let health () =
     let cores =
       Array.to_list
@@ -1765,18 +1637,15 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           fault_dropped = sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.fault_drops p.server);
           flush_lost = sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.flushed p.server);
           merge_timed_out = !merge_timeouts;
-          shed = !shed_total;
-          shed_by_class =
-            (match overload with
-            | None -> []
-            | Some _ -> Array.to_list (Array.mapi (fun c n -> (c, n)) shed_class));
-          degraded = !degraded_packets;
+          shed = Overload.shed_total overload_ctl;
+          shed_by_class = Overload.shed_by_class overload_ctl;
+          degraded = Overload.degraded overload_ctl;
         };
       pressure_episodes =
         sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.pressure_episodes p.server);
       breaker_trips = w.breaker_trips;
       backoffs = w.backoffs;
-      degrade_switches = !degrade_switches;
+      degrade_switches = Overload.switches overload_ctl;
       scale_outs = controller.scale_outs;
       scale_ins = controller.scale_ins;
       migrations = controller.migrations;
@@ -1805,7 +1674,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           ~delay:(wire_delay +. Nfp_sim.Cost.ns_of_cycles cost !classify_cycles)
           (fun () ->
             if mid = 0 then incr unmatched
-            else if shed_packet mid then
+            else if Overload.shed overload_ctl mid then
               (* Refused by the admission controller: counted (total and
                  per class) and gone — deliberately, before it can cost
                  a ring slot or a core cycle. *)

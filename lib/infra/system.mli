@@ -15,16 +15,16 @@ type config = {
           (jobs inhaled per burst); 1 restores per-packet (legacy)
           execution bit-for-bit. Output is batch-size invariant — only
           timing moves (test_batch proves it differentially). *)
-  ring_capacity : int;
-  mergers : int;  (** merger instances; > 1 adds the agent core *)
+  ring_capacity : int;  (** slots per core's input ring; [>= 1] *)
+  mergers : int;  (** merger instances, [>= 1]; > 1 adds the agent core *)
   jitter : float;  (** ± fractional service jitter per core; in [\[0, 1)] *)
   seed : int64;
   replicas : int;
       (** target replica count for NFs the replication analysis clears
           ({!Nfp_core.Replication.shardable}: a safe state-access
           profile and no order-sensitive NF downstream); all other NFs
-          keep a single instance. Default 1 — bit-identical to the
-          pre-replication deployment. *)
+          keep a single instance. Must be [>= 1]. Default 1 —
+          bit-identical to the pre-replication deployment. *)
 }
 
 val default_config : config
@@ -56,7 +56,11 @@ type fault_config = Watchdog.config = {
   merge_timeout_ns : float;
       (** mergers force-complete an accumulation this old with the
           versions that did arrive; 0.0 disables the timeout *)
-  restart_ns : float;  (** downtime of a Restart / Degrade recovery; [>= 0] *)
+  restart_ns : float;
+      (** downtime of a Restart / Degrade recovery; [>= 0]. The n-th
+          consecutive restart of a core waits
+          [restart_ns * 2^(n-1)], capped at 2 ms, while the breaker is
+          armed. *)
   recovery_of : string -> recovery;  (** policy per NF instance name *)
   checkpoint_interval_ns : float;
       (** period of the per-core NF state checkpoints that arm lossless
@@ -70,29 +74,18 @@ type fault_config = Watchdog.config = {
           lacks them recover lossily either way. *)
   log_capacity : int;
       (** bound on each core's input log (packets retained since its
-          last checkpoint). A full log forces an early checkpoint —
-          counted in [health.forced_checkpoints] — never silent
-          truncation. *)
+          last checkpoint), [>= 1]. A full log forces an early
+          checkpoint — counted in [health.forced_checkpoints] — never
+          silent truncation. *)
   breaker_threshold : int;
       (** circuit breaker: after this many consecutive watchdog
           detections of the same NF core with no processed-packet
-          progress in between, stop restarting it and apply
-          [breaker_fallback]. 0 (the default) disables the breaker and
-          the restart backoff — the recover-forever behavior, bit for
-          bit. *)
-  backoff_factor : float;
-      (** exponential restart backoff (armed with the breaker): the
-          n-th consecutive restart of a core waits
-          [restart_ns * backoff_factor^(n-1)], capped at
-          [backoff_max_ns]; each delayed restart is counted in
-          [health.backoffs]. Must be [>= 1.0]. *)
-  backoff_max_ns : float;  (** ceiling on the backed-off restart delay; [>= 0] *)
-  breaker_fallback : recovery;
-      (** policy for a tripped core: [Bypass] removes it from the
-          graph; [Degrade] pins its graph to the sequential twin and
-          removes it; [Restart] is treated as [Bypass]. Infrastructure
-          cores never trip (they only back off). Trips are counted in
-          [health.breaker_trips]. *)
+          progress in between, stop restarting it and bypass it
+          (counted in [health.breaker_trips]). It also arms the
+          exponential restart backoff: each delayed restart is counted
+          in [health.backoffs]. Infrastructure cores never trip (they
+          only back off). 0 (the default) disables the breaker and the
+          backoff — the recover-forever behavior, bit for bit. *)
   dedup_capacity : int;
       (** bound on each (pid, version) dedup table — the delivery
           filter and every merger's completed-merge memory. The tables
@@ -101,16 +94,15 @@ type fault_config = Watchdog.config = {
           [dedup_capacity / 2] further insertions — the window a
           replayed branch or late retransmission must land inside —
           while live entries never exceed the bound
-          ([health.dedup_entries] is the gauge). *)
+          ([health.dedup_entries] is the gauge). Must be [>= 2]. *)
 }
 
 val default_fault_config : fault_config
 (** An empty plan, Restart everywhere, 30/120 us watchdog
     interval/deadline, 250 us merge timeout,
     {!Nfp_sim.Cost.default}'s [restart_ns], 100 us checkpoint
-    interval, a 4096-packet input log, the circuit breaker
-    disabled ([breaker_threshold = 0]; factor 2.0, 2 ms delay cap and
-    a Bypass fallback once enabled), and 65536-entry dedup tables. *)
+    interval, a 4096-packet input log, the circuit breaker disabled
+    ([breaker_threshold = 0]), and 65536-entry dedup tables. *)
 
 (** {2 Dedup memories} *)
 
@@ -147,35 +139,30 @@ end
 
 (** {2 Overload control} *)
 
-type overload_config = {
+type overload_config = Overload.config = {
   high_watermark : int;
       (** ring occupancy at which a core's pressure latch raises; must
           satisfy [0 <= low < high <= ring_capacity] *)
   low_watermark : int;
       (** occupancy at which the latch releases — the hysteresis band
           [low..high] keeps a sawtooth queue from flapping the signal *)
-  shed_trickle : int;
-      (** anti-starvation: of every [shed_trickle] consecutive packets
-          of a class being shed, one is admitted anyway (deterministic);
-          0 sheds the class outright *)
   degrade_enabled : bool;
       (** let NFs that declare an [Nf.degrade] mode coarsen while their
           own ring sits above the watermark *)
-  pressure_poll_ns : float;
-      (** minimum interval between shed-level re-evaluations at
-          ingress; the shed ladder moves at most one class per poll *)
 }
 (** Arms the overload control plane (compiled path only): every ring
     gets the high/low watermark latch, the classifier front end gains
     the priority-aware admission controller (chains with a lower
     [Tables.plan.priority] shed first; the deployment's highest class
-    is never shed), and NFs with a declared degrade mode coarsen under
+    is never shed; the shed ladder moves at most one class per 2 us
+    poll, and one of every 16 arrivals of a shed class is admitted
+    anyway), and NFs with a declared degrade mode coarsen under
     their own core's occupancy pressure. A deployment built without an
     overload config is bit-identical to the pre-overload system. *)
 
 val default_overload_config : overload_config
-(** Watermarks 96/48 (3/4 and 3/8 of the default ring capacity), a
-    1-in-16 trickle, degrade enabled, 2 us poll interval. *)
+(** Watermarks 96/48 (3/4 and 3/8 of the default ring capacity),
+    degrade enabled. *)
 
 (** {2 Elastic scale-out} *)
 
@@ -246,33 +233,16 @@ type links_config = {
           acks, NACK/RTO retransmission, bounded reorder buffer,
           receiver dedup, health probes + partition reroute); [false]
           models the raw fabric — drops are real losses (the run
-          ledger's [in_flight] residual) and duplicates deliver twice *)
-  link_window : int;
-      (** sender window per link: max unacked sends before [send]
-          refuses (backpressure — the upstream core stalls and
-          retries, exactly like a full ring) *)
+          ledger's [in_flight] residual) and duplicates deliver twice.
+          The protocol's window, budget and probe constants are fixed;
+          see {!Channel}. *)
   ack_interval_ns : float;
       (** cumulative-ack cadence — acks ride breath completions, so
           this is the granularity at which the retransmit buffer
           prunes *)
-  rto_ns : float;  (** initial head-of-line retransmit timeout *)
-  rto_backoff : float;
-      (** RTO multiplier per consecutive firing without ack progress
-          (exponential backoff); must be [>= 1.0] *)
-  rto_max_ns : float;  (** ceiling on the backed-off RTO *)
-  retransmit_budget : int;
-      (** retransmissions of one packet before the link is declared
-          Down and its unacked traffic reroutes *)
-  reorder_window : int;
-      (** receiver reorder-buffer span in sequence numbers; arrivals
-          beyond it are refused at the port and recovered by
-          retransmission *)
-  probe_interval_ns : float;
-      (** link health-probe cadence while data is outstanding;
-          [probe_timeout_k] consecutive probes finding the link
-          partitioned declare it Down. 0 disables probing — budget
-          exhaustion still detects partitions, just slower. *)
-  probe_timeout_k : int;  (** consecutive probe timeouts declaring Down *)
+  rto_ns : float;
+      (** initial head-of-line retransmit timeout; it doubles per
+          consecutive firing without ack progress, up to 400 us *)
 }
 (** Arms the lossy-interconnect fault domain (compiled path only):
     every inter-core edge whose destination port the plan names
@@ -294,9 +264,7 @@ type links_config = {
     bit-identical to the pre-links system. *)
 
 val default_links_config : links_config
-(** An empty plan; reliable, window 256 over a 256-seq reorder buffer,
-    1 us ack cadence, 25 us RTO backing off 2x to 400 us, a 16-retry
-    budget, 5 us probes declaring Down after 3 misses. *)
+(** An empty plan; reliable, 1 us ack cadence, 25 us initial RTO. *)
 
 type core_stats = {
   core : string;
@@ -441,7 +409,9 @@ val make_multi :
     domain and, when its [reliable] flag is set, the per-link ARQ
     channels — see {!links_config}.
     @raise Invalid_argument on an empty table, a missing NF, a
-    [config.jitter] outside [\[0, 1)], an out-of-range [fault],
+    [config.jitter] outside [\[0, 1)], [config.mergers],
+    [config.ring_capacity] or [config.replicas] below 1, an
+    out-of-range [fault],
     [overload], [elastic] or [links] setting, or [fault], [overload],
     [elastic], [links] or [config.replicas > 1] combined with the
     [`Interpretive] path. Every check runs before anything is built. *)

@@ -10,9 +10,6 @@ type config = {
   checkpoint_interval_ns : float;
   log_capacity : int;
   breaker_threshold : int;
-  backoff_factor : float;
-  backoff_max_ns : float;
-  breaker_fallback : recovery;
   dedup_capacity : int;
 }
 
@@ -27,9 +24,6 @@ let default =
     checkpoint_interval_ns = 100_000.0;
     log_capacity = 4096;
     breaker_threshold = 0;
-    backoff_factor = 2.0;
-    backoff_max_ns = 2_000_000.0;
-    breaker_fallback = Bypass;
     dedup_capacity = 65_536;
   }
 
@@ -153,7 +147,7 @@ let cell t (nf : Nfp_nf.Nf.t) =
           nf;
           snap;
           restore;
-          capacity = max 1 fc.log_capacity;
+          capacity = fc.log_capacity;
           last = snap ();
           log = [||];
           log_len = 0;
@@ -231,11 +225,16 @@ let mark_progress ws i s now =
   ws.prev_stalled.(i) <- Nfp_sim.Server.stalled_ns s;
   ws.last_progress.(i) <- now
 
+(* Fixed restart backoff: the n-th consecutive restart of a core waits
+   [restart_ns * backoff_factor^(n-1)], capped at [backoff_max_ns]. *)
+let backoff_factor = 2.0
+
+let backoff_max_ns = 2_000_000.0
+
 (* The n-th consecutive restart of a core backs off exponentially; past
-   [breaker_threshold] the circuit breaker trips — an NF core falls to
-   the [breaker_fallback] policy instead of restart-looping forever. A
-   threshold of 0 disables both (the pre-breaker behavior, bit for
-   bit). *)
+   [breaker_threshold] the circuit breaker trips — an NF core is
+   bypassed instead of restart-looping forever. A threshold of 0
+   disables both (the pre-breaker behavior, bit for bit). *)
 let recover t ws i (Probe p) =
   let engine = t.engine and fc = ws.fc and w = t.counters and consec = ws.consec in
   let s = p.server and breaker_on = fc.breaker_threshold > 0 in
@@ -244,8 +243,8 @@ let recover t ws i (Probe p) =
   let restart_delay () =
     if breaker_on && consec.(i) > 1 then begin
       w.backoffs <- w.backoffs + 1;
-      Float.min fc.backoff_max_ns
-        (fc.restart_ns *. (fc.backoff_factor ** float_of_int (consec.(i) - 1)))
+      Float.min backoff_max_ns
+        (fc.restart_ns *. (backoff_factor ** float_of_int (consec.(i) - 1)))
     end
     else fc.restart_ns
   in
@@ -274,30 +273,20 @@ let recover t ws i (Probe p) =
     Nfp_sim.Server.kill s;
     ignore (p.drain ())
   in
-  let degrade mid =
-    ws.degraded.(mid - 1) <- true;
-    w.degrades <- w.degrades + 1
-  in
   match p.nf with
   | None -> restart_core ~on_up:ignore ()
   | Some (mid, nfname) ->
       if breaker_on && consec.(i) > fc.breaker_threshold then begin
         w.breaker_trips <- w.breaker_trips + 1;
-        match fc.breaker_fallback with
-        | Restart | Bypass -> bypass_core ()
-        | Degrade ->
-            (* Pin the graph to its sequential twin and remove the
-               hopeless core; no [on_up] ever clears the degraded
-               flag. *)
-            degrade mid;
-            bypass_core ()
+        bypass_core ()
       end
       else (
         match fc.recovery_of nfname with
         | Restart -> restart_core ~on_up:ignore ()
         | Bypass -> bypass_core ()
         | Degrade ->
-            degrade mid;
+            ws.degraded.(mid - 1) <- true;
+            w.degrades <- w.degrades + 1;
             restart_core
               ~on_up:(fun () ->
                 ws.degraded.(mid - 1) <- false;

@@ -2,7 +2,8 @@
     progress heartbeats, the Restart / Bypass / Degrade recovery
     policies, the lossless-recovery cells (checkpoint, bounded input log,
     replay) with their checkpoint tick, and the circuit breaker with its
-    exponential restart backoff. The fields of {!recovery} and
+    exponential restart backoff (factor 2, capped at 2 ms; a tripped NF
+    core is bypassed). The fields of {!recovery} and
     {!config} are documented where {!System} re-exports them, as
     [System.recovery] and [System.fault_config]. *)
 
@@ -18,9 +19,6 @@ type config = {
   checkpoint_interval_ns : float;
   log_capacity : int;
   breaker_threshold : int;
-  backoff_factor : float;
-  backoff_max_ns : float;
-  breaker_fallback : recovery;
   dedup_capacity : int;
 }
 

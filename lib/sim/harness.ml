@@ -363,7 +363,14 @@ let parallel_runs ?domains thunks =
       Fun.protect ~finally:(fun () -> Domain.DLS.set in_pool saved) drain
     in
     let spawned = List.init (workers - 1) (fun _ -> Domain.spawn worker) in
-    Fun.protect ~finally:(fun () -> List.iter Domain.join spawned) worker;
+    (* A failing job's exception reaches the caller as itself, not
+       wrapped by a second failure met while joining the other domains. *)
+    (match worker () with
+    | () -> List.iter Domain.join spawned
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        List.iter (fun d -> try Domain.join d with _ -> ()) spawned;
+        Printexc.raise_with_backtrace e bt);
     Array.to_list
       (Array.map
          (function

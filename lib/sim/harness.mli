@@ -58,8 +58,8 @@ type link_stats = {
   reordered : int;
       (** transits the fabric delivered behind their successors *)
   partitions : int;
-      (** links declared Down — [probe_timeout_k] consecutive probe
-          timeouts, or a packet's retransmit budget exhausted *)
+      (** links declared Down — 3 consecutive probe timeouts, or a
+          packet's retransmit budget exhausted *)
   reroutes : int;  (** packets detoured around a Down link *)
 }
 (** The link taxonomy: what the lossy fabric and the reliable channels

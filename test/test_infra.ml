@@ -1069,14 +1069,14 @@ let fault_tests =
           { fc with watchdog_interval_ns = 0.0 };
         rejects "fault watchdog interval and deadline must be positive"
           { fc with watchdog_deadline_ns = 0.0 };
-        rejects "fault restart_ns and backoff_max_ns must be >= 0"
-          { fc with restart_ns = -1.0 };
-        rejects "fault restart_ns and backoff_max_ns must be >= 0"
-          { fc with backoff_max_ns = -1.0 };
-        rejects "fault backoff_factor must be >= 1.0" { fc with backoff_factor = 0.5 };
-        rejects
-          ~config:{ Nfp_infra.System.default_config with jitter = 1.5 }
-          "jitter must satisfy 0 <= jitter < 1" fc);
+        rejects "fault restart_ns must be >= 0" { fc with restart_ns = -1.0 };
+        rejects "fault log_capacity must be >= 1" { fc with log_capacity = 0 };
+        rejects "fault dedup_capacity must be >= 2" { fc with dedup_capacity = 1 };
+        let dc = Nfp_infra.System.default_config in
+        rejects ~config:{ dc with jitter = 1.5 } "jitter must satisfy 0 <= jitter < 1" fc;
+        rejects ~config:{ dc with mergers = 0 } "mergers must be >= 1" fc;
+        rejects ~config:{ dc with ring_capacity = 0 } "ring_capacity must be >= 1" fc;
+        rejects ~config:{ dc with replicas = 0 } "replicas must be >= 1" fc);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -276,16 +276,10 @@ let unit_tests =
                    ~output:(fun ~pid:_ _ -> ())))
         in
         let lossy = links [ F.loss ~probability:0.01 "*" ] in
-        rejects "System.make_multi: links link_window must be >= 1"
-          { lossy with link_window = 0 };
-        rejects "System.make_multi: links reorder_window must be >= 1"
-          { lossy with reorder_window = 0 };
-        rejects "System.make_multi: links retransmit_budget must be >= 1"
-          { lossy with retransmit_budget = 0 };
-        rejects "System.make_multi: links rto_backoff must be >= 1.0"
-          { lossy with rto_backoff = 0.5 };
-        rejects "System.make_multi: links probe_timeout_k must be >= 1"
-          { lossy with probe_timeout_k = 0 });
+        rejects "System.make_multi: links periods must be positive"
+          { lossy with ack_interval_ns = 0.0 };
+        rejects "System.make_multi: links periods must be positive"
+          { lossy with rto_ns = 0.0 });
     Alcotest.test_case "interpretive path refuses the links knob" `Quick (fun () ->
         let plan = plan_of tag_text in
         let lookup = instances ~make_nf:tag_make_nf tag_bindings in
@@ -611,12 +605,7 @@ let regression_tests =
           { (links [ F.loss ~probability:0.04 "*" ]) with reliable = false }
         in
         let tight =
-          {
-            Sys.default_overload_config with
-            high_watermark = 32;
-            low_watermark = 8;
-            degrade_enabled = false;
-          }
+          { Sys.high_watermark = 32; low_watermark = 8; degrade_enabled = false }
         in
         let make engine ~output =
           Sys.make_multi ~links:lc ~overload:tight ~graphs engine ~output

@@ -242,8 +242,7 @@ let rig_run ?overload ?fault ~arrivals ~packets () =
 (* Tight watermarks, degrade off: admission behaviour in isolation. *)
 let tight =
   {
-    Nfp_infra.System.default_overload_config with
-    high_watermark = 32;
+    Nfp_infra.System.high_watermark = 32;
     low_watermark = 8;
     degrade_enabled = false;
   }
@@ -346,6 +345,91 @@ let admission_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Admission ladder, driven directly: no deployment is built           *)
+(* ------------------------------------------------------------------ *)
+
+(* A controller over one graph per class 0..[top] (MID = class + 1),
+   with a pressure switch the test flips. *)
+let ladder ~top =
+  let engine = Nfp_sim.Engine.create () in
+  let pressure = ref true in
+  let t =
+    Nfp_infra.Overload.create ~engine ~config:Nfp_infra.System.default_overload_config
+      ~priorities:(Array.init (top + 1) Fun.id) ()
+  in
+  Nfp_infra.Overload.watch t ~pressured:(fun () -> !pressure);
+  (engine, t, pressure)
+
+(* [f ()], run at simulated time [ns]. *)
+let at engine ns f =
+  let result = ref None in
+  Nfp_sim.Engine.schedule_at engine ns (fun () -> result := Some (f ()));
+  Nfp_sim.Engine.run engine;
+  Option.get !result
+
+(* The classes one arrival each would shed now, lowest first. *)
+let shed_now t ~top =
+  List.filter (fun c -> Nfp_infra.Overload.shed t (c + 1)) (List.init (top + 1) Fun.id)
+
+let ladder_tests =
+  let classes = Alcotest.(list int) in
+  [
+    Alcotest.test_case "pressure climbs the shed level one class per 2 us poll"
+      `Quick (fun () ->
+        let engine, t, _ = ladder ~top:3 in
+        let shed_at ns = at engine ns (fun () -> shed_now t ~top:3) in
+        check classes "first poll" [ 0 ] (shed_at 0.0);
+        check classes "no poll before 2 us" [ 0 ] (shed_at 1_999.0);
+        check classes "second poll" [ 0; 1 ] (shed_at 2_000.0);
+        check classes "between polls" [ 0; 1 ] (shed_at 3_000.0);
+        check classes "third poll" [ 0; 1; 2 ] (shed_at 4_000.0);
+        check classes "capped below the top class" [ 0; 1; 2 ] (shed_at 6_000.0));
+    Alcotest.test_case "cleared pressure relaxes the level one class per poll"
+      `Quick (fun () ->
+        let engine, t, pressure = ladder ~top:3 in
+        let shed_at ns = at engine ns (fun () -> shed_now t ~top:3) in
+        List.iter (fun ns -> ignore (shed_at ns)) [ 0.0; 2_000.0; 4_000.0 ];
+        pressure := false;
+        check classes "first relaxed poll" [ 0; 1 ] (shed_at 6_000.0);
+        check classes "no poll before 2 us" [ 0; 1 ] (shed_at 7_999.0);
+        check classes "second relaxed poll" [ 0 ] (shed_at 8_000.0);
+        check classes "third relaxed poll" [] (shed_at 10_000.0);
+        check classes "stays at zero" [] (shed_at 12_000.0));
+    Alcotest.test_case "the top class is never shed" `Quick (fun () ->
+        let engine, t, _ = ladder ~top:2 in
+        for i = 0 to 49 do
+          let ns = float_of_int i *. 1_000.0 in
+          if at engine ns (fun () -> Nfp_infra.Overload.shed t 3) then
+            Alcotest.failf "top class shed at %.0f ns" ns
+        done;
+        check Alcotest.bool "lower classes are shed" true
+          (at engine 50_000.0 (fun () -> Nfp_infra.Overload.shed t 1));
+        check
+          Alcotest.(list (pair int int))
+          "per-class counts" [ (0, 1); (1, 0); (2, 0) ]
+          (Nfp_infra.Overload.shed_by_class t));
+    Alcotest.test_case "one of every 16 arrivals of a shed class is admitted"
+      `Quick (fun () ->
+        let engine, t, _ = ladder ~top:1 in
+        let admitted =
+          at engine 0.0 (fun () ->
+              List.filter
+                (fun _ -> not (Nfp_infra.Overload.shed t 1))
+                (List.init 160 Fun.id))
+        in
+        check Alcotest.(list int) "the 16th, 32nd, ... arrival"
+          (List.init 10 (fun k -> (16 * k) + 15))
+          admitted;
+        check Alcotest.int "the rest are shed" 150 (Nfp_infra.Overload.shed_total t);
+        check Alcotest.bool "the top class passes" false
+          (at engine 0.0 (fun () -> Nfp_infra.Overload.shed t 2));
+        check
+          Alcotest.(list (pair int int))
+          "per-class counts" [ (0, 150); (1, 0) ]
+          (Nfp_infra.Overload.shed_by_class t));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Pressure-degrade modes: cheaper fidelity instead of lost packets    *)
 (* ------------------------------------------------------------------ *)
 
@@ -358,12 +442,7 @@ let ids_make ~degrade_enabled engine ~output =
   in
   let nf, _ = Nfp_nf.Ids.create ~name:"ids" () in
   let overload =
-    {
-      Nfp_infra.System.default_overload_config with
-      high_watermark = 32;
-      low_watermark = 8;
-      degrade_enabled;
-    }
+    { Nfp_infra.System.high_watermark = 32; low_watermark = 8; degrade_enabled }
   in
   Nfp_infra.System.make ~overload ~plan ~nfs:(fun _ -> nf) engine ~output
 
@@ -447,7 +526,6 @@ let breaker_tests =
             merge_timeout_ns = 0.0;
             checkpoint_interval_ns = 0.0;
             breaker_threshold = 2;
-            breaker_fallback = Nfp_infra.System.Bypass;
           }
         in
         let table = Hashtbl.create 4 in
@@ -620,6 +698,7 @@ let () =
       ("ring watermarks", ring_tests);
       ("token bucket", bucket_tests);
       ("admission", admission_tests);
+      ("ladder", ladder_tests);
       ("degrade", degrade_tests);
       ("breaker", breaker_tests);
       ("property", property_tests);
