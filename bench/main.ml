@@ -124,13 +124,19 @@ let sample ?(prov = default_prov) ?(extra = []) ~mpps label (r : Nfp_sim.Harness
     extra;
   }
 
+(* [n] packets delivered over [r]'s run, in Mpps (packets per ns x
+   1000). *)
+let goodput (r : Nfp_sim.Harness.result) n = float_of_int n /. r.duration_ns *. 1000.0
+
+(* The max lossless rate of [make] under [gen]: the harness's 8-step
+   bisection below [hi] Mpps, [search_packets] packets per probe. *)
+let knee ?(hi = 14.88) ~gen make =
+  Nfp_sim.Harness.max_lossless_mpps ~make ~gen ~packets:search_packets ~hi ~iterations:8 ()
+
 (* One measurement, not yet recorded: [measure] for thunks on the
    domain pool, which record their results after collection. *)
-let measure_unrecorded ?(hi = 14.88) ?(prov = default_prov) ~gen make =
-  let mpps =
-    Nfp_sim.Harness.max_lossless_mpps ~make ~gen ~packets:search_packets ~hi
-      ~iterations:8 ()
-  in
+let measure_unrecorded ?hi ?(prov = default_prov) ~gen make =
+  let mpps = knee ?hi ~gen make in
   let r =
     Nfp_sim.Harness.run ~make ~gen
       ~arrivals:(Nfp_sim.Harness.Burst (0.9 *. mpps, 32))
@@ -658,11 +664,7 @@ let run_fig15 () =
     ]
   in
   let rates =
-    List.map
-      (fun (_, bs) ->
-        Nfp_sim.Harness.max_lossless_mpps ~make:(deploy bs) ~gen ~packets:search_packets
-          ~hi ~iterations:8 ())
-      variants
+    List.map (fun (_, bs) -> knee ~hi ~gen (deploy bs)) variants
   in
   let common = 0.7 *. List.fold_left min hi rates in
   note "";
@@ -1033,8 +1035,7 @@ let elastic_knee () =
   let make engine ~output =
     Nfp_infra.System.make ~plan ~nfs:(lookup_of elastic_kinds ()) engine ~output
   in
-  Nfp_sim.Harness.max_lossless_mpps ~make ~gen:(gen_of_size 64)
-    ~packets:search_packets ~hi:14.88 ~iterations:8 ()
+  knee ~gen:(gen_of_size 64) make
 
 (* ------------------------------------------------------------------ *)
 (* loadsweep: latency vs offered load (methodology check)              *)
@@ -1052,10 +1053,7 @@ let run_loadsweep () =
     Nfp_infra.System.make ~plan ~nfs:(lookup_of kinds ()) engine ~output
   in
   let gen = gen_of_size 64 in
-  let mx =
-    Nfp_sim.Harness.max_lossless_mpps ~make ~gen ~packets:search_packets ~hi:14.88
-      ~iterations:8 ()
-  in
+  let mx = knee ~gen make in
   note "  max lossless rate: %.2f Mpps" mx;
   note "  %-10s %-12s %-12s %-10s %-10s %s" "load" "mean (us)" "p99 (us)" "ingress"
     "internal" "stall (us)";
@@ -1113,10 +1111,7 @@ let run_loadsweep () =
   let rig_make engine ~output =
     Nfp_infra.System.make_multi ~graphs:(overload_graphs ~extra:300 ()) engine ~output
   in
-  let mx3 =
-    Nfp_sim.Harness.max_lossless_mpps ~make:rig_make ~gen:overload_gen
-      ~packets:search_packets ~hi:14.88 ~iterations:8 ()
-  in
+  let mx3 = knee ~gen:overload_gen rig_make in
   note "  rig knee: %.2f Mpps; per class: delivered (shed)" mx3;
   note "  %-10s %-18s %-18s %-18s %s" "load" "bronze" "silver" "gold" "p99 (us)";
   let rows =
@@ -1325,7 +1320,7 @@ let run_elastic () =
           "p99 (us)" "ingress" "outs" "ins" "migr" "aborts"
       end;
       let h = r.health in
-      let goodput = float_of_int r.completed /. r.duration_ns *. 1000.0 in
+      let goodput = goodput r r.completed in
       let m =
         sample ~mpps:goodput
           ~extra:
@@ -1526,6 +1521,33 @@ let run_batch () =
 (* faults: availability under crash storms, per recovery policy        *)
 (* ------------------------------------------------------------------ *)
 
+(* One point of the crash-storm rig the faults and recovery experiments
+   share: the degree-4 rig of Fig. 11 (four [Share_all] firewalls, 2
+   mergers, +300 cycles) offered 20,000 64 B packets at a fixed 2.0
+   Mpps, under a storm that crashes every NF core at exponential
+   intervals of mean [mtbf_ns] ([None]: no crashes). [fault] supplies
+   everything but the plan. *)
+let storm_point ?ring_capacity ~mtbf_ns fault =
+  let names = [ "fw0"; "fw1"; "fw2"; "fw3" ] in
+  let rate = 2.0 and packets = 20000 in
+  let gen = gen_of_size 64 in
+  let plan =
+    match mtbf_ns with
+    | None -> Nfp_sim.Fault.empty
+    | Some mtbf_ns ->
+        Nfp_sim.Fault.storm
+          ~cores:(List.map (fun n -> "mid1:" ^ n) names)
+          ~mtbf_ns
+          ~horizon_ns:(float_of_int packets /. rate *. 1000.0)
+          ()
+  in
+  let make =
+    fw_deploy ~copy_mode:`Share_all ~mergers:2 ?ring_capacity ~extra:300
+      ~graph:(Graph.par (List.map Graph.nf names))
+      names ~fault:{ fault with Nfp_infra.System.plan }
+  in
+  Nfp_sim.Harness.run ~make ~gen ~arrivals:(Nfp_sim.Harness.Uniform rate) ~packets ()
+
 let run_faults () =
   section "Faults  Availability under crash storms (4 parallel firewalls, 64B)";
   note "(crash-rate sweep over the degree-4 rig of Fig. 11: every NF core crashes";
@@ -1534,12 +1556,6 @@ let run_faults () =
   note " mergers time out accumulations a dead branch would wedge. Availability";
   note " is completed/offered at a fixed 2.0 Mpps load; in BENCH_faults.json the";
   note " \"mpps\" field carries availability, not a rate)";
-  let names = [ "fw0"; "fw1"; "fw2"; "fw3" ] in
-  let nf_cores = List.map (fun n -> "mid1:" ^ n) names in
-  let graph = Graph.par (List.map Graph.nf names) in
-  let rate = 2.0 in
-  let packets = 20000 in
-  let horizon_ns = float_of_int packets /. rate *. 1000.0 in
   let policies =
     [
       ("Restart", Nfp_infra.System.Restart);
@@ -1563,27 +1579,12 @@ let run_faults () =
          (fun (plabel, policy) ->
            List.map
              (fun mtbf () ->
-               let gen = gen_of_size 64 in
-               let plan =
-                 match mtbf with
-                 | None -> Nfp_sim.Fault.empty
-                 | Some mtbf_ns ->
-                     Nfp_sim.Fault.storm ~cores:nf_cores ~mtbf_ns ~horizon_ns ()
-               in
-               let fault =
-                 {
-                   Nfp_infra.System.default_fault_config with
-                   plan;
-                   recovery_of = (fun _ -> policy);
-                 }
-               in
-               let make engine ~output =
-                 fw_deploy ~copy_mode:`Share_all ~mergers:2 ~extra:300 ~graph names
-                   ~fault engine ~output
-               in
                let r =
-                 Nfp_sim.Harness.run ~make ~gen
-                   ~arrivals:(Nfp_sim.Harness.Uniform rate) ~packets ()
+                 storm_point ~mtbf_ns:mtbf
+                   {
+                     Nfp_infra.System.default_fault_config with
+                     recovery_of = (fun _ -> policy);
+                   }
                in
                let h = r.health in
                let avail = float_of_int r.completed /. float_of_int r.offered in
@@ -1618,12 +1619,6 @@ let run_recovery () =
   note " flush-the-backlog baseline. Availability is completed/offered at a fixed";
   note " 2.0 Mpps load; in BENCH_recovery.json the \"mpps\" field carries";
   note " availability, not a rate)";
-  let names = [ "fw0"; "fw1"; "fw2"; "fw3" ] in
-  let nf_cores = List.map (fun n -> "mid1:" ^ n) names in
-  let graph = Graph.par (List.map Graph.nf names) in
-  let rate = 2.0 in
-  let packets = 20000 in
-  let horizon_ns = float_of_int packets /. rate *. 1000.0 in
   let intervals =
     [
       ("lossy", 0.0);
@@ -1642,25 +1637,16 @@ let run_recovery () =
          (fun (ilabel, interval_ns) ->
            List.map
              (fun mtbf_ns () ->
-               let gen = gen_of_size 64 in
-               let fault =
-                 {
-                   Nfp_infra.System.default_fault_config with
-                   plan = Nfp_sim.Fault.storm ~cores:nf_cores ~mtbf_ns ~horizon_ns ();
-                   checkpoint_interval_ns = interval_ns;
-                 }
-               in
                (* Rings deep enough to buffer a typical outage. Lossless
                   restart never flushes admitted work, so any residual
                   loss here is admission refusal at the entry ring while
                   a replay-extended outage drains. *)
-               let make engine ~output =
-                 fw_deploy ~copy_mode:`Share_all ~mergers:2 ~ring_capacity:2048
-                   ~extra:300 ~graph names ~fault engine ~output
-               in
                let r =
-                 Nfp_sim.Harness.run ~make ~gen
-                   ~arrivals:(Nfp_sim.Harness.Uniform rate) ~packets ()
+                 storm_point ~ring_capacity:2048 ~mtbf_ns:(Some mtbf_ns)
+                   {
+                     Nfp_infra.System.default_fault_config with
+                     checkpoint_interval_ns = interval_ns;
+                   }
                in
                let h = r.health in
                let avail = float_of_int r.completed /. float_of_int r.offered in
@@ -1697,10 +1683,7 @@ let run_overload () =
     Nfp_infra.System.make_multi ~graphs:(overload_graphs ~extra:300 ()) engine
       ~output
   in
-  let mx =
-    Nfp_sim.Harness.max_lossless_mpps ~make ~gen:overload_gen
-      ~packets:search_packets ~hi:14.88 ~iterations:8 ()
-  in
+  let mx = knee ~gen:overload_gen make in
   note "  rig knee (unarmed, all classes lossless): %.2f Mpps" mx;
   let fracs = [ 0.8; 1.0; 1.2; 1.5; 2.0 ] in
   let variants =
@@ -1717,13 +1700,10 @@ let run_overload () =
                    ~packets:latency_packets ()
                in
                let d = r.health.Nfp_sim.Harness.drops in
-               (* Goodput in Mpps = packets per ns x 1000. *)
                let per_class =
                  List.map
                    (fun (cls, clabel) ->
-                     let goodput =
-                       float_of_int delivered.(cls) /. r.duration_ns *. 1000.0
-                     in
+                     let goodput = goodput r delivered.(cls) in
                      let mean_us, p99_us =
                        if Nfp_algo.Stats.count lat.(cls) = 0 then (0.0, 0.0)
                        else
@@ -1812,7 +1792,7 @@ let run_links () =
       avail,
       l,
       sample
-        ~mpps:(float_of_int r.completed /. r.duration_ns *. 1000.0)
+        ~mpps:(goodput r r.completed)
         ~extra:
           (extras
           @ [

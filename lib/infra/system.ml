@@ -338,6 +338,7 @@ let validate ~path ~config ?fault ?overload ?elastic ?links graphs =
   if config.mergers < 1 then fail "mergers must be >= 1";
   if config.ring_capacity < 1 then fail "ring_capacity must be >= 1";
   if config.replicas < 1 then fail "replicas must be >= 1";
+  if config.cost.batch < 1 then fail "batch must be >= 1";
   (match fault with
   | Some (fc : fault_config) ->
       compiled_only "fault injection requires the `Compiled path";
@@ -380,6 +381,76 @@ let validate ~path ~config ?fault ?overload ?elastic ?links graphs =
   | None -> ());
   if config.replicas > 1 then compiled_only "replicas require the `Compiled path"
 
+(* Degrade fallback: one sequential twin chain per service graph whose
+   [recovery_of] yields Degrade for at least one of its NFs, built from
+   the plan's provably-equivalent serial order; every other graph gets
+   [None], since the watchdog can never degrade it. While the watchdog
+   holds a graph degraded, new packets run the chain instead of the
+   parallel deployment. Each chain is built tail first through [core],
+   which makes and registers one twin core; twin cores draw jitter from
+   a PRNG stream independent of the main one, so building them does not
+   perturb the fault-free trace (the differential test holds this). *)
+let twin_chains ~config ?fault ~core ~deliver ~drops nf_impls table =
+  let cost = config.cost in
+  let prng = Nfp_algo.Prng.create ~seed:(Int64.logxor config.seed 0x5eed_f417L) in
+  let twin mid name (nf : Nfp_nf.Nf.t) next =
+    let service_ns ((_, pkt) : int64 * Packet.t) (cell : Nfp_sim.Server.cell) =
+      cell.ns <-
+        Nfp_sim.Cost.ns_of_cycles cost
+          (cost.ring_dequeue + cost.nf_runtime + nf.cost_cycles pkt + cost.ring_enqueue)
+    in
+    (* A twin's one send per forwarded job is the hop to the next twin
+       core. *)
+    let hop = [| () |] in
+    let emit job () =
+      match next with Some core -> Nfp_sim.Server.offer core job | None -> true
+    in
+    let execute (pid, pkt) =
+      let verdict =
+        try nf.process pkt
+        with exn ->
+          Log.warn (fun m ->
+              m "NF %s (sequential fallback) crashed on packet %Ld: %s" name pid
+                (Printexc.to_string exn));
+          Nfp_nf.Nf.Dropped
+      in
+      match verdict with
+      | Nfp_nf.Nf.Forward -> (
+          match next with
+          | Some _ -> hop
+          | None ->
+              deliver ~pid pkt;
+              [||])
+      | Nfp_nf.Nf.Dropped ->
+          incr drops;
+          [||]
+    in
+    core
+      ~name:(Printf.sprintf "seq:mid%d:%s" mid name)
+      ~jitter:(config.jitter, Nfp_algo.Prng.split prng)
+      ~service_ns ~execute ~emit
+  in
+  let degradable (e : Tables.nf_entry) =
+    match fault with Some fc -> fc.recovery_of e.nf = Degrade | None -> false
+  in
+  Array.mapi
+    (fun i (_, (plan : Tables.plan), _) ->
+      let mid = i + 1 in
+      if not (List.exists degradable plan.nf_entries) then None
+      else
+        List.fold_right
+          (fun name next ->
+            match
+              List.find_map
+                (fun (m, (e : Tables.nf_entry), nf) ->
+                  if m = mid && e.nf = name then Some nf else None)
+                nf_impls
+            with
+            | Some nf -> Some (twin mid name nf next)
+            | None -> next)
+          plan.serial_order None)
+    table
+
 let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_config)
     ?fault ?overload ?elastic ?links ?stats ?replication ~graphs engine ~output =
   (* A links config with an empty plan and no reliability layer is
@@ -394,20 +465,6 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
   in
   validate ~path ~config ?fault ?overload ?elastic ?links graphs;
   let cost = config.cost in
-  (* Breath size for every core's poll loop; 1 restores per-packet
-     (legacy) execution exactly. Both execution paths get the same
-     value and the same per-breath amortization, so the
-     interpretive/compiled differential is undisturbed at any size. *)
-  let batch = max 1 cost.batch in
-  let burst_saving_ns = Nfp_sim.Cost.ns_of_cycles cost cost.burst_saving in
-  (* Faults are resolved per core by name; [None] everywhere when no
-     fault config is given, and [Server.create ?fault:None] is exactly
-     the pre-fault server. *)
-  let fault_for name =
-    match fault with
-    | None -> None
-    | Some (fc : fault_config) -> Nfp_sim.Fault.for_core fc.plan name
-  in
   let merge_timeout_ns = match fault with Some fc -> fc.merge_timeout_ns | None -> 0.0 in
   (* The (pid, version) dedup filters arm with a non-empty fault plan (a
      replayed or timeout-completed branch), under elastic (a crash
@@ -473,6 +530,21 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
     Nfp_algo.Prng.create ~seed:(Int64.logxor config.seed 0x31a5_71c5L)
   in
   let elastic_jitter_for () = (config.jitter, Nfp_algo.Prng.split elastic_prng) in
+  (* The one core constructor. Every core gets the same ring, breath
+     size and per-breath amortization ([cost.batch = 1] restores
+     per-packet execution exactly, so the interpretive/compiled
+     differential is undisturbed at any size), the overload watermarks,
+     and the fault stream the plan names for it. Without a fault config
+     that is [None], and [Server.create ?fault:None] is exactly the
+     pre-fault server; the interpretive path has neither ([validate]). *)
+  let core ~name ~jitter ~service_ns ~execute ~emit =
+    Nfp_sim.Server.create ~engine ~name ~ring_capacity:config.ring_capacity
+      ~batch:cost.batch
+      ~burst_saving_ns:(Nfp_sim.Cost.ns_of_cycles cost cost.burst_saving)
+      ~jitter ?watermarks:(Overload.watermarks overload_ctl)
+      ?fault:(Option.bind fault (fun (fc : fault_config) -> Nfp_sim.Fault.for_core fc.plan name))
+      ~service_ns ~execute ~emit ()
+  in
   let packet_bytes ctx version =
     match Context.get ctx version with Some p -> Packet.wire_length p | None -> 1500
   in
@@ -483,7 +555,9 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
      chains tag version 1, compiled/interpretive paths their plan
      version), which pass through unfiltered. *)
   let dedup_capacity =
-    match fault with Some fc -> fc.dedup_capacity | None -> 65_536
+    match fault with
+    | Some fc -> fc.dedup_capacity
+    | None -> Watchdog.default.dedup_capacity
   in
   let delivered_versions = Dedup.create dedup_capacity in
   let merger_dedups : Dedup.t list ref = ref [] in
@@ -563,7 +637,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
   (* The watchdog exists before the cores: each NF replica takes its
      lossless-recovery cell from it. It starts watching once every core
      has registered its probe (below). *)
-  let watchdog = Watchdog.create ~engine ~cost ?fault () in
+  let watchdog = Watchdog.create ~engine ~cost ~graphs:(Array.length table) ?fault () in
   let bypassed_packets = ref 0 and merge_timeouts = ref 0 in
   let classify_port, sampler, controller, replication_report =
     match path with
@@ -680,13 +754,10 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                           incr nf_drops;
                           [||]))
             in
-            let core =
-              Nfp_sim.Server.create ~engine
-                ~name:(Printf.sprintf "mid%d:%s" mid entry.nf)
-                ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns
-                ~jitter:(jitter_for ()) ~service_ns ~execute ~emit:Nfp_sim.Server.call ()
-            in
-            Hashtbl.replace nf_cores (mid, entry.nf) core)
+            Hashtbl.replace nf_cores (mid, entry.nf)
+              (core
+                 ~name:(Printf.sprintf "mid%d:%s" mid entry.nf)
+                 ~jitter:(jitter_for ()) ~service_ns ~execute ~emit:Nfp_sim.Server.call))
           nf_impls;
         (* Merger instances: shared across service graphs (paper §5.3: "a
            merger instance can merge any packet from any service graph"),
@@ -786,10 +857,9 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
               end
             end
           in
-          Nfp_sim.Server.create ~engine
+          core
             ~name:(Printf.sprintf "merger#%d" index)
-            ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns ~jitter:(jitter_for ())
-            ~service_ns ~execute ~emit:Nfp_sim.Server.call ()
+            ~jitter:(jitter_for ()) ~service_ns ~execute ~emit:Nfp_sim.Server.call
         in
         merger_cores := Array.init config.mergers make_merger;
         (* The merger agent: hash the immutable PID, steer to an instance. *)
@@ -806,9 +876,8 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           in
           agent_core :=
             Some
-              (Nfp_sim.Server.create ~engine ~name:"merger-agent"
-                 ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns
-                 ~jitter:(jitter_for ()) ~service_ns ~execute ~emit:Nfp_sim.Server.call ())
+              (core ~name:"merger-agent" ~jitter:(jitter_for ()) ~service_ns ~execute
+                 ~emit:Nfp_sim.Server.call)
         end;
         let classifier =
           let service_ns (ctx : Context.t) (cell : Nfp_sim.Server.cell) =
@@ -820,9 +889,8 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
             emission_of_actions ~self:(Tables.D_nf "classifier") ctx
               (plan_of_mid (Context.mid ctx)).classifier_actions
           in
-          Nfp_sim.Server.create ~engine ~name:"classifier"
-            ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns ~jitter:(jitter_for ())
-            ~service_ns ~execute ~emit:Nfp_sim.Server.call ()
+          core ~name:"classifier" ~jitter:(jitter_for ()) ~service_ns ~execute
+            ~emit:Nfp_sim.Server.call
         in
         let sampler =
           sampler_of classifier
@@ -1172,12 +1240,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
               if r = 0 then Printf.sprintf "mid%d:%s" mid entry.nf
               else Printf.sprintf "mid%d:%s@%d" mid entry.nf r
             in
-            let server =
-              Nfp_sim.Server.create ~engine ~name ~ring_capacity:config.ring_capacity ~batch
-                ~burst_saving_ns ~jitter
-                ?watermarks:(Overload.watermarks overload_ctl)
-                ?fault:(fault_for name) ~service_ns ~execute ~emit:emit_send ()
-            in
+            let server = core ~name ~jitter ~service_ns ~execute ~emit:emit_send in
             Overload.bind sw ~pressured:(fun () -> Nfp_sim.Server.pressured server);
             (* Bypass recovery: mark the replica, reroute this core's
                casualties (the in-flight batch its kill reclaimed, and
@@ -1386,12 +1449,8 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           in
           let name = Printf.sprintf "merger#%d" index in
           let server =
-            Nfp_sim.Server.create ~engine ~name ~ring_capacity:config.ring_capacity
-              ~batch ~burst_saving_ns ~jitter:(jitter_for ())
-              ?watermarks:(Overload.watermarks overload_ctl)
-              ?fault:(fault_for name) ~service_ns ~execute
+            core ~name ~jitter:(jitter_for ()) ~service_ns ~execute
               ~emit:(fun (d : cdelivery) send -> emit_send d.d_ctx send)
-              ()
           in
           register_probe server;
           server
@@ -1411,16 +1470,10 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
              instance; there is nothing to say about it but "go". *)
           let hop = [| () |] in
           let agent =
-            Nfp_sim.Server.create ~engine ~name:"merger-agent"
-              ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns
-              ~jitter:(jitter_for ())
-              ?watermarks:(Overload.watermarks overload_ctl)
-              ?fault:(fault_for "merger-agent")
-              ~service_ns
+            core ~name:"merger-agent" ~jitter:(jitter_for ()) ~service_ns
               ~execute:(fun _ -> hop)
               ~emit:(fun (d : cdelivery) () ->
                 merger_ports.(slot_of_pid (Context.pid d.d_ctx) (Array.length merger_ports)) d)
-              ()
           in
           register_probe agent;
           merge_port := server_port agent;
@@ -1440,12 +1493,8 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
           in
           let execute ctx = exec_prog classifier_progs.(Context.mid ctx - 1) ctx in
           let clf =
-            Nfp_sim.Server.create ~engine ~name:"classifier"
-              ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns
-              ~jitter:(jitter_for ())
-              ?watermarks:(Overload.watermarks overload_ctl)
-              ?fault:(fault_for "classifier")
-              ~service_ns ~execute ~emit:emit_send ()
+            core ~name:"classifier" ~jitter:(jitter_for ()) ~service_ns ~execute
+              ~emit:emit_send
           in
           register_probe clf;
           clf
@@ -1500,82 +1549,13 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
      processed counts for every NF, plus the merged state digest. Call
      it after a run drains — the digest reads live NF state. *)
   (match replication with None -> () | Some cell -> cell := replication_report);
-  (* ---------------------------------------------------------------- *)
-  (* Degrade fallback: one sequential twin chain per service graph,   *)
-  (* built from the plan's provably-equivalent serial order. While a  *)
-  (* graph is degraded, new packets run the chain instead of the      *)
-  (* parallel deployment. Twin cores draw jitter from a PRNG stream   *)
-  (* independent of the main one, so building them does not perturb   *)
-  (* the fault-free trace (the differential test holds this).         *)
-  (* ---------------------------------------------------------------- *)
-  let twin_heads =
-    match fault with
-    | None -> [||]
-    | Some _ ->
-        let twin_prng =
-          Nfp_algo.Prng.create ~seed:(Int64.logxor config.seed 0x5eed_f417L)
-        in
-        Array.init (Array.length table) (fun i ->
-            let mid = i + 1 in
-            let plan = plan_of_mid mid in
-            let chain =
-              List.filter_map
-                (fun name ->
-                  List.find_map
-                    (fun (m, (e : Tables.nf_entry), nf) ->
-                      if m = mid && e.nf = name then Some (name, (nf : Nfp_nf.Nf.t))
-                      else None)
-                    nf_impls)
-                plan.serial_order
-            in
-            let rec build = function
-              | [] -> None
-              | (name, (nf : Nfp_nf.Nf.t)) :: rest ->
-                  let next = build rest in
-                  let service_ns ((_, pkt) : int64 * Packet.t) (cell : Nfp_sim.Server.cell) =
-                    cell.ns <-
-                      Nfp_sim.Cost.ns_of_cycles cost
-                        (cost.ring_dequeue + cost.nf_runtime + nf.cost_cycles pkt
-                       + cost.ring_enqueue)
-                  in
-                  (* A twin's one send per forwarded job is the hop to
-                     the next twin core. *)
-                  let hop = [| () |] in
-                  let emit job () =
-                    match next with Some core -> Nfp_sim.Server.offer core job | None -> true
-                  in
-                  let execute (pid, pkt) =
-                    let verdict =
-                      try nf.process pkt
-                      with exn ->
-                        Log.warn (fun m ->
-                            m "NF %s (sequential fallback) crashed on packet %Ld: %s"
-                              name pid (Printexc.to_string exn));
-                        Nfp_nf.Nf.Dropped
-                    in
-                    match verdict with
-                    | Nfp_nf.Nf.Forward -> (
-                        match next with
-                        | Some _ -> hop
-                        | None ->
-                            deliver_out ~version:1 ~pid pkt;
-                            [||])
-                    | Nfp_nf.Nf.Dropped ->
-                        incr nf_drops;
-                        [||]
-                  in
-                  let cname = Printf.sprintf "seq:mid%d:%s" mid name in
-                  let core =
-                    Nfp_sim.Server.create ~engine ~name:cname
-                      ~ring_capacity:config.ring_capacity ~batch ~burst_saving_ns
-                      ~jitter:(config.jitter, Nfp_algo.Prng.split twin_prng)
-                      ?watermarks:(Overload.watermarks overload_ctl)
-                      ?fault:(fault_for cname) ~service_ns ~execute ~emit ()
-                  in
-                  register_probe core;
-                  Some core
-            in
-            build chain)
+  let twins =
+    twin_chains ~config ?fault
+      ~core:(fun ~name ~jitter ~service_ns ~execute ~emit ->
+        let c = core ~name ~jitter ~service_ns ~execute ~emit in
+        register_probe c;
+        c)
+      ~deliver:(deliver_out ~version:1) ~drops:nf_drops nf_impls table
   in
   (* Watchdog: per-core progress heartbeats. A core is healthy while it
      processes packets or at least retries a stalled emission
@@ -1583,8 +1563,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
      heartbeat past the deadline is declared failed and its recovery
      policy runs. *)
   let probe_arr = Array.of_list (List.rev !probes) in
-  let degraded = Array.make (Array.length table) false in
-  Watchdog.watch watchdog ~degraded probe_arr;
+  Watchdog.watch watchdog probe_arr;
   (* The shed ladder polls whether any core's watermark latch is
      raised. *)
   Overload.watch overload_ctl ~pressured:(fun () ->
@@ -1679,18 +1658,16 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
                  per class) and gone — deliberately, before it can cost
                  a ring slot or a core cycle. *)
               ()
-            else if degraded.(mid - 1) then (
-              (* Sequential fallback: tag the packet as the
-                 classifier would and run the twin chain. *)
-              Packet.stamp pkt ~mid ~pid ~version:1;
-              match twin_heads.(mid - 1) with
-              | Some head ->
-                  if not (Nfp_sim.Server.offer head (pid, pkt)) then
-                    incr ring_drops
-              | None -> deliver_out ~version:1 ~pid pkt)
             else
-              let ctx = Context.create ~pid ~mid pkt in
-              if not (classify_port ctx) then incr ring_drops));
+              match twins.(mid - 1) with
+              | Some head when Watchdog.degraded watchdog mid ->
+                  (* Sequential fallback: tag the packet as the
+                     classifier would and run the twin chain. *)
+                  Packet.stamp pkt ~mid ~pid ~version:1;
+                  if not (Nfp_sim.Server.offer head (pid, pkt)) then incr ring_drops
+              | _ ->
+                  let ctx = Context.create ~pid ~mid pkt in
+                  if not (classify_port ctx) then incr ring_drops));
     classifier =
       (fun () ->
         {

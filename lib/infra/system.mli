@@ -12,7 +12,7 @@ open Nfp_packet
 type config = {
   cost : Nfp_sim.Cost.t;
       (** its [batch] is the breath size of every core's poll loop
-          (jobs inhaled per burst); 1 restores per-packet (legacy)
+          (jobs inhaled per burst), [>= 1]; 1 restores per-packet (legacy)
           execution bit-for-bit. Output is batch-size invariant — only
           timing moves (test_batch proves it differentially). *)
   ring_capacity : int;  (** slots per core's input ring; [>= 1] *)
@@ -61,7 +61,10 @@ type fault_config = Watchdog.config = {
           consecutive restart of a core waits
           [restart_ns * 2^(n-1)], capped at 2 ms, while the breaker is
           armed. *)
-  recovery_of : string -> recovery;  (** policy per NF instance name *)
+  recovery_of : string -> recovery;
+      (** policy per NF instance name. Also read when the system is
+          built: a graph gets its sequential twin chain only if some
+          NF of it maps to [Degrade]. *)
   checkpoint_interval_ns : float;
       (** period of the per-core NF state checkpoints that arm lossless
           Restart recovery: a restarting core restores its last
@@ -384,8 +387,8 @@ val make_multi :
     watchdog detects dead or wedged cores from progress heartbeats and
     applies each NF's {!recovery} policy (infrastructure cores always
     restart), mergers time out accumulations a failed branch would
-    otherwise wedge, and a sequential twin chain per graph backs the
-    [Degrade] policy. When [checkpoint_interval_ns] is positive, NF
+    otherwise wedge, and a sequential twin chain backs the [Degrade]
+    policy in every graph where some NF's [recovery_of] is [Degrade]. When [checkpoint_interval_ns] is positive, NF
     cores additionally checkpoint their state periodically and log
     post-classifier input packets, making Restart lossless: restore +
     deterministic replay + re-admission of reclaimed work, with
@@ -410,7 +413,8 @@ val make_multi :
     channels — see {!links_config}.
     @raise Invalid_argument on an empty table, a missing NF, a
     [config.jitter] outside [\[0, 1)], [config.mergers],
-    [config.ring_capacity] or [config.replicas] below 1, an
+    [config.ring_capacity], [config.replicas] or [config.cost.batch]
+    below 1, an
     out-of-range [fault],
     [overload], [elastic] or [links] setting, or [fault], [overload],
     [elastic], [links] or [config.replicas > 1] combined with the

@@ -51,6 +51,9 @@ type t = {
      checkpoint interval. *)
   lossless : bool;
   counters : counters;
+  (* Per service graph: [true] while Degrade recovery holds graph
+     [mid] on its sequential twin. *)
+  degraded : bool array;
   mutable watching : watching option;  (* set by {!watch} under a fault config *)
 }
 
@@ -93,7 +96,6 @@ and probe =
    checkpoint clock and the check timer. *)
 and watching = {
   fc : config;
-  degraded : bool array;
   probes : probe array;
   wstate : [ `Up | `Restarting | `Bypassed ] array;
   prev_processed : int array;
@@ -106,7 +108,7 @@ and watching = {
   timer : Nfp_sim.Engine.timer;
 }
 
-let create ~engine ~cost ?fault () =
+let create ~engine ~cost ~graphs ?fault () =
   let lossless =
     match fault with
     | Some fc -> (not (Nfp_sim.Fault.is_empty fc.plan)) && fc.checkpoint_interval_ns > 0.0
@@ -131,10 +133,13 @@ let create ~engine ~cost ?fault () =
         forced_checkpoints = 0;
         replayed = 0;
       };
+    degraded = Array.make graphs false;
     watching = None;
   }
 
 let counters t = t.counters
+
+let degraded t mid = t.degraded.(mid - 1)
 
 let no_cell = No_cell
 
@@ -285,11 +290,11 @@ let recover t ws i (Probe p) =
         | Restart -> restart_core ~on_up:ignore ()
         | Bypass -> bypass_core ()
         | Degrade ->
-            ws.degraded.(mid - 1) <- true;
+            t.degraded.(mid - 1) <- true;
             w.degrades <- w.degrades + 1;
             restart_core
               ~on_up:(fun () ->
-                ws.degraded.(mid - 1) <- false;
+                t.degraded.(mid - 1) <- false;
                 w.recoveries <- w.recoveries + 1)
               ())
 
@@ -374,7 +379,7 @@ let state t i =
 (* Every core's checkpoint time lands on its own server, so each cell's
    charge is wired once the probes exist. Without a fault config the
    watchdog stays inert: [kick] does nothing and no core is watched. *)
-let watch t ~degraded probes =
+let watch t probes =
   Array.iter
     (fun (Probe p) ->
       match p.cell with
@@ -393,7 +398,6 @@ let watch t ~degraded probes =
         Some
           {
             fc;
-            degraded;
             probes;
             wstate = Array.make n `Up;
             prev_processed = Array.make n 0;

@@ -44,14 +44,21 @@ type counters = private {
   mutable replayed : int;  (** logged packets re-processed after a restore *)
 }
 
-val create : engine:Nfp_sim.Engine.t -> cost:Nfp_sim.Cost.t -> ?fault:config -> unit -> t
-(** A watchdog for one deployment, idle until {!watch}ed. Lossless
+val create :
+  engine:Nfp_sim.Engine.t -> cost:Nfp_sim.Cost.t -> graphs:int -> ?fault:config -> unit -> t
+(** A watchdog for one deployment of [graphs] service graphs, idle until
+    {!watch}ed. Lossless
     recovery (checkpoint tick, input logging, replay, re-admission of
     reclaimed work instead of a flush) is armed when [fault] has a
     non-empty plan and a positive [checkpoint_interval_ns]. Without
     [fault] the watchdog is inert. *)
 
 val counters : t -> counters
+
+val degraded : t -> int -> bool
+(** [degraded t mid] is [true] while Degrade recovery holds graph [mid]
+    (1-based) on its sequential twin: from the detection of a failed NF
+    core whose [recovery_of] is [Degrade] until that core is back up. *)
 
 (** {2 Lossless-recovery cells} *)
 
@@ -95,9 +102,10 @@ type probe =
     }
       -> probe
 
-val watch : t -> degraded:bool array -> probe array -> unit
-(** Start watching [probes]. Degrade recovery sets [degraded.(mid - 1)]
-    while graph [mid] must run its sequential twin. *)
+val watch : t -> probe array -> unit
+(** Start watching [probes]. Degrade recovery of a probe with
+    [nf = Some (mid, _)] marks graph [mid] {!degraded} while the core
+    restarts. *)
 
 val kick : t -> unit
 (** Wake the watchdog on injection; it stops rescheduling itself once

@@ -488,10 +488,3 @@ let pp fmt t =
   Format.fprintf fmt "@[<h>%a len=%dB%s ttl=%d tos=%d [%a]@]" Flow.pp (flow t) (wire_length t)
     (if has_ah t then " +AH" else "")
     (ttl t) (tos t) Meta.pp (meta t)
-
-let pp_hex fmt t =
-  let b = t.buf in
-  for i = 0 to Bytes.length b - 1 do
-    if i > 0 && i mod 16 = 0 then Format.pp_print_newline fmt ();
-    Format.fprintf fmt "%02x " (Char.code (Bytes.get b i))
-  done

@@ -186,5 +186,3 @@ val equal_wire : t -> t -> bool
 (** Byte equality of wire representations (ignores metadata). *)
 
 val pp : Format.formatter -> t -> unit
-
-val pp_hex : Format.formatter -> t -> unit

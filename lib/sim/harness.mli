@@ -39,10 +39,6 @@ type drops = {
 
 val no_drops : drops
 
-val add_drops : drops -> drops -> drops
-(** Field-wise sum; per-class lists merge by class. [no_drops] is its
-    unit. *)
-
 type link_stats = {
   link_drops : int;
       (** transits lost by the fabric — drops, burst loss, partitions —
@@ -64,11 +60,6 @@ type link_stats = {
 }
 (** The link taxonomy: what the lossy fabric and the reliable channels
     did (satellite of the lossy-interconnect fault domain). *)
-
-val no_link_stats : link_stats
-
-val add_link_stats : link_stats -> link_stats -> link_stats
-(** Field-wise sum; [no_link_stats] is its unit. *)
 
 type core_health = {
   core : string;

@@ -985,6 +985,11 @@ let fault_tests =
         let h = r.health in
         check Alcotest.int "degraded once" 1 h.degrades;
         check Alcotest.int "recovered to parallel" 1 h.recoveries;
+        check Alcotest.bool "graph 1 has twin cores" true
+          (List.exists
+             (fun (c : Nfp_sim.Harness.core_health) ->
+               String.starts_with ~prefix:"seq:mid1:" c.core)
+             h.cores);
         (* The sequential twin chain carried the degraded window. *)
         check Alcotest.bool "twin cores processed packets" true
           (List.exists
@@ -1017,6 +1022,12 @@ let fault_tests =
         check Alcotest.int "restarts" 2 h.restarts;
         check Alcotest.int "no bypasses" 0 h.bypasses;
         check Alcotest.int "no degrades" 0 h.degrades;
+        (* No NF can select Degrade, so no sequential twin is built. *)
+        check Alcotest.bool "no twin cores" false
+          (List.exists
+             (fun (c : Nfp_sim.Harness.core_health) ->
+               String.starts_with ~prefix:"seq:" c.core)
+             h.cores);
         accounting_closes r);
     Alcotest.test_case "transient drop faults are counted exactly" `Quick (fun () ->
         let fault =
@@ -1075,6 +1086,7 @@ let fault_tests =
         let dc = Nfp_infra.System.default_config in
         rejects ~config:{ dc with jitter = 1.5 } "jitter must satisfy 0 <= jitter < 1" fc;
         rejects ~config:{ dc with mergers = 0 } "mergers must be >= 1" fc;
+        rejects ~config:{ dc with cost = { dc.cost with batch = 0 } } "batch must be >= 1" fc;
         rejects ~config:{ dc with ring_capacity = 0 } "ring_capacity must be >= 1" fc;
         rejects ~config:{ dc with replicas = 0 } "replicas must be >= 1" fc);
   ]
