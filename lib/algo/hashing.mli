@@ -51,14 +51,10 @@ val mix2_int : int -> int -> int
     boxes every intermediate on a non-flambda compiler and the
     microflow cache hashes on the classifier's per-packet hit path. *)
 
-val rss_seed_a : int
-val rss_seed_b : int
-(** Fixed seeds for the RSS shard-selection stream. *)
-
 val rss2_int : int -> int -> int
 (** [rss2_int a b] hashes the packed 5-tuple limbs on an independent
-    stream: [mix2_int (a lxor rss_seed_a) (b lxor rss_seed_b)],
-    truncated to the non-negative int range. The
+    stream: [mix2_int (a lxor seed_a) (b lxor seed_b)] for two fixed
+    seeds, truncated to the non-negative int range. The
     orchestrator's RSS shard stage steers each flow to an NF replica
     with [rss2_int a b mod replicas]; seeding the limbs decorrelates
     that choice from the microflow cache's bucket placement, which uses

@@ -34,6 +34,4 @@ val transform :
     parallel regardless of gray verdicts — paper §3). Fails on names
     that resolve to no registered profile. *)
 
-val pp_pair : Format.formatter -> pair -> unit
-
 val pp : Format.formatter -> t -> unit

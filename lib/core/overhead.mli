@@ -6,9 +6,6 @@
     the data-center packet-size distribution of the IMC'10 study the
     paper cites, this is 0.088 (d - 1) — 8.8 % at degree 2. *)
 
-val header_copy_bytes : int
-(** 64: Ethernet + IPv4 + TCP headers. *)
-
 val ratio : packet_bytes:int -> degree:int -> float
 (** [ro = 64 (d-1) / s]. @raise Invalid_argument on degree < 1 or
     non-positive size. *)

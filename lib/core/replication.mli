@@ -20,16 +20,14 @@ type strategy =
           are interchangeable and nothing needs merging *)
   | Sequential  (** unsafe to replicate; keep the single instance *)
 
-val of_profile : Nfp_nf.State_access.t -> strategy
-(** Strategy for a declared profile: any [Global]+[General] component
-    forces [Sequential]; otherwise any written component (commutative
-    anywhere, or general writes confined to per-flow scope) yields
-    [Shared_nothing]; all-read-only yields [Replicated_readonly]. *)
-
 val derive : Nfp_nf.Nf.t -> strategy
-(** {!of_profile} of the NF's declared profile; an NF that declares no
-    profile ([state_access = None]) is [Sequential] — silence is not
-    evidence of safety. *)
+(** Strategy for the NF's declared profile: any [Global]+[General]
+    component forces [Sequential]; otherwise any written component
+    (commutative anywhere, or general writes confined to per-flow scope)
+    yields [Shared_nothing]; all-read-only yields
+    [Replicated_readonly]. An NF that declares no profile
+    ([state_access = None]) is [Sequential] — silence is not evidence of
+    safety. *)
 
 val eligible : Nfp_nf.Nf.t -> bool
 (** Whether the orchestrator may actually instantiate extra replicas:

@@ -36,7 +36,7 @@ let default =
    source unfrozen and nothing observable changed, or atomically (one
    simulation event): carves the moving flows' state out of the source
    NF, folds it into the destination, re-homes the frozen in-flight
-   packets, flips the map buckets and bumps the epoch. *)
+   packets and flips the map buckets. *)
 type migration = {
   mg_src : int;
   mg_dst : int;
@@ -49,7 +49,6 @@ type migration = {
    single-event flip can never race an in-flight packet. *)
 type steer = {
   st_map : int array;
-  mutable st_epoch : int;  (* bumped at every committed flip *)
   mutable st_active : int;  (* replicas 0 .. active-1 receive traffic *)
   mutable st_draining : int;  (* replica being scaled in; -1 = none *)
   mutable st_last_op : float;  (* cooldown clock *)
@@ -68,7 +67,6 @@ let steer ec ~replicas ~base =
   let init = min replicas (max base ec.min_replicas) in
   {
     st_map = Array.init ec.buckets (fun b -> b mod init);
-    st_epoch = 0;
     st_active = init;
     st_draining = -1;
     st_backoff = 0.0;
@@ -270,7 +268,6 @@ let create ~engine ?fault (ec : config) ~ring_capacity ~busy slots =
               Watchdog.refresh s.cells.(mg.mg_src);
               Watchdog.refresh s.cells.(mg.mg_dst);
               List.iter (fun b -> st.st_map.(b) <- mg.mg_dst) mg.mg_buckets;
-              st.st_epoch <- st.st_epoch + 1;
               st.st_mig <- None;
               t.migrations <- t.migrations + 1;
               t.migrated_packets <- t.migrated_packets + List.length moved;

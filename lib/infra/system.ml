@@ -188,44 +188,159 @@ type replica_report = {
          replicas are identical by construction). *)
 }
 
-let replica_report ~mid (entry : Tables.nf_entry) (nfs : Nfp_nf.Nf.t array) processed =
-  let nf0 = nfs.(0) in
-  let merged_digest =
-    if Array.length nfs = 1 then nf0.state_digest ()
-    else
-      match (nf0.merge, nf0.fresh) with
-      | Some merge, Some fresh ->
-          let snaps =
-            Array.to_list
-              (Array.map
-                 (fun (nf : Nfp_nf.Nf.t) ->
-                   match nf.snapshot with
-                   | Some snap -> snap ()
-                   | None -> assert false (* eligibility requires it *))
-                 nfs)
-          in
-          let scratch = fresh () in
-          (match scratch.restore with
-          | Some restore -> restore (merge snaps)
-          | None -> assert false);
-          scratch.state_digest ()
-      | _ ->
-          (* Replicated_readonly: replicas never diverge. *)
-          nf0.state_digest ()
+(* ------------------------------------------------------------------ *)
+(* Shared by both dataplanes: NF resolution, build-time checks, the    *)
+(* one core constructor and the classifier front end.                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Every plan's NF implementations, resolved up front as
+   (MID, entry, NF) in table order, then plan order: the order NF cores
+   are built in, and so split the jitter PRNG in. *)
+let nf_impls graphs =
+  List.concat
+    (List.mapi
+       (fun i (_, (plan : Tables.plan), nfs) ->
+         List.map
+           (fun (e : Tables.nf_entry) ->
+             match nfs e.nf with
+             | nf -> (i + 1, e, nf)
+             | exception _ -> invalid_arg (Printf.sprintf "System.make: no NF named %S" e.nf))
+           plan.nf_entries)
+       graphs)
+
+let packet_bytes ctx version =
+  match Context.get ctx version with Some p -> Packet.wire_length p | None -> 1500
+
+(* The merger instance a PID hashes to. *)
+let slot_of_pid pid instances =
+  Int64.to_int
+    (Int64.rem
+       (Int64.logand (Nfp_algo.Hashing.mix64 pid) Int64.max_int)
+       (Int64.of_int (max 1 instances)))
+
+(* Every build-time check, run before anything is built: a bad
+   configuration is an [Invalid_argument] at deployment, never a failure
+   mid-run. Each period is tested as [not (x > 0.0)] or
+   [not (x >= 0.0)], so a NaN is rejected too. [who] names the builder
+   in the message; [links] arrives normalized (see [make_multi]). *)
+let validate ~who ~config ?fault ?overload ?elastic ?links graphs =
+  let fail msg = invalid_arg (Printf.sprintf "System.%s: %s" who msg) in
+  if graphs = [] then fail "no service graphs";
+  if not (0.0 <= config.jitter && config.jitter < 1.0) then
+    fail "jitter must satisfy 0 <= jitter < 1";
+  if config.mergers < 1 then fail "mergers must be >= 1";
+  if config.ring_capacity < 1 then fail "ring_capacity must be >= 1";
+  if config.replicas < 1 then fail "replicas must be >= 1";
+  if config.cost.batch < 1 then fail "batch must be >= 1";
+  (match fault with
+  | Some (fc : fault_config) ->
+      if not (fc.watchdog_interval_ns > 0.0 && fc.watchdog_deadline_ns > 0.0) then
+        fail "fault watchdog interval and deadline must be positive";
+      if not (fc.restart_ns >= 0.0) then fail "fault restart_ns must be >= 0";
+      if not (fc.merge_timeout_ns >= 0.0) then fail "fault merge_timeout_ns must be >= 0";
+      if not (fc.checkpoint_interval_ns >= 0.0) then
+        fail "fault checkpoint_interval_ns must be >= 0";
+      if fc.log_capacity < 1 then fail "fault log_capacity must be >= 1";
+      if fc.breaker_threshold < 0 then fail "fault breaker_threshold must be >= 0";
+      if fc.dedup_capacity < 2 then fail "fault dedup_capacity must be >= 2"
+  | None -> ());
+  (match overload with
+  | Some (oc : overload_config) ->
+      if
+        not
+          (0 <= oc.low_watermark
+          && oc.low_watermark < oc.high_watermark
+          && oc.high_watermark <= config.ring_capacity)
+      then fail "overload watermarks must satisfy 0 <= low < high <= ring_capacity"
+  | None -> ());
+  (match elastic with
+  | Some (ec : elastic_config) ->
+      if ec.min_replicas < 1 || ec.max_replicas < ec.min_replicas then
+        fail "elastic replica bounds must satisfy 1 <= min <= max";
+      if ec.buckets < ec.max_replicas then fail "elastic buckets must be >= max_replicas";
+      if
+        not
+          (ec.control_interval_ns > 0.0 && ec.transfer_ns >= 0.0
+          && ec.migration_deadline_ns > 0.0
+          && ec.commit_retry_ns > 0.0 && ec.cooldown_ns >= 0.0)
+      then fail "elastic periods must be positive";
+      if not (ec.scale_in_occupancy < ec.scale_out_occupancy) then
+        fail "elastic occupancy thresholds must satisfy in < out";
+      if ec.migration_batch < 1 then fail "elastic migration_batch must be >= 1"
+  | None -> ());
+  match links with
+  | Some (lc : links_config) ->
+      if not (lc.ack_interval_ns > 0.0 && lc.rto_ns > 0.0) then
+        fail "links periods must be positive"
+  | None -> ()
+
+(* The one core constructor. Every core splits its jitter stream off
+   [prng] and gets the same ring, breath size and per-breath
+   amortization ([cost.batch = 1] restores per-packet execution exactly,
+   so the interpretive/compiled differential is undisturbed at any
+   size), the overload watermarks, and the fault stream the plan names
+   for it. Without a fault config that is [None], and
+   [Server.create ?fault:None] is exactly the pre-fault server. *)
+let new_core ~engine ~config ?watermarks ?fault ~name ~prng ~service_ns ~execute ~emit () =
+  let cost = config.cost in
+  Nfp_sim.Server.create ~engine ~name ~ring_capacity:config.ring_capacity
+    ~batch:cost.batch
+    ~burst_saving_ns:(Nfp_sim.Cost.ns_of_cycles cost cost.burst_saving)
+    ~jitter:(config.jitter, Nfp_algo.Prng.split prng)
+    ?watermarks
+    ?fault:(Option.bind fault (fun (fc : fault_config) -> Nfp_sim.Fault.for_core fc.plan name))
+    ~service_ns ~execute ~emit ()
+
+(* Classifier front end: CT match, then [admit ~pid ~mid pkt] for a
+   packet a rule matched. Unmatched packets are discarded (no service
+   graph owns them) and counted in [unmatched], separately from NF
+   drops. [`Cached] resolves the flow through the two-level classifier
+   (microflow cache over the tuple-space matcher); [`Scan] is the linear
+   first-match reference. Either charges its structural cycles (zero
+   under the default cost model), plus half the wire delay, as delay
+   ahead of [admit]. Returns the inject function and the cache counters. *)
+let front_end ?(classify = `Cached) ~engine ~(cost : Nfp_sim.Cost.t) ~unmatched table admit =
+  let ct = Array.map (fun (m, _, _) -> m) table in
+  let clf = Nfp_packet.Classifier.create ct in
+  (* [classify_pkt] resolves the MID (0 = no rule matches) and leaves
+     the structural cycle charge in [classify_cycles] (an int ref, so
+     storing it never allocates). The [`Cached] arm reads the 5-tuple
+     straight from packet bytes and is allocation-free on a microflow
+     hit; [`Scan] is the reference path and keeps its boxed forms. *)
+  let classify_cycles = ref 0 in
+  let classify_pkt pkt =
+    match classify with
+    | `Cached ->
+        let mid = Nfp_packet.Classifier.classify_packet clf pkt in
+        let probed = Nfp_packet.Classifier.last_probes clf in
+        classify_cycles :=
+          (if probed < 0 then cost.classify_hit
+           else cost.classify_hit + (cost.classify_group * probed));
+        mid
+    | `Scan -> (
+        let result, examined = Nfp_packet.Classifier.scan ct (Packet.flow pkt) in
+        classify_cycles := cost.classify_rule * examined;
+        match result with Some m -> m | None -> 0)
   in
-  {
-    rr_mid = mid;
-    rr_nf = entry.nf;
-    rr_kind = nf0.kind;
-    rr_strategy = Replication.derive nf0;
-    rr_replicas = Array.length nfs;
-    rr_processed = processed;
-    rr_merged_digest = merged_digest;
-  }
+  let wire_delay = cost.wire_ns /. 2.0 in
+  let inject ~pid pkt =
+    let mid = classify_pkt pkt in
+    Nfp_sim.Engine.schedule engine
+      ~delay:(wire_delay +. Nfp_sim.Cost.ns_of_cycles cost !classify_cycles)
+      (fun () -> if mid = 0 then incr unmatched else admit ~pid ~mid pkt)
+  in
+  let counters () =
+    {
+      Nfp_sim.Harness.hits = Nfp_packet.Classifier.cache_hits clf;
+      misses = Nfp_packet.Classifier.cache_misses clf;
+      evictions = Nfp_packet.Classifier.cache_evictions clf;
+    }
+  in
+  (inject, counters)
 
 (* ------------------------------------------------------------------ *)
-(* Interpretive path: walks the plan's tables per packet. Kept as the  *)
-(* executable reference semantics for the compiled fast path; the      *)
+(* The interpretive reference walks the plan's tables per packet. It   *)
+(* is kept as the executable semantics of the compiled dataplane; the  *)
 (* differential test in test/test_fastpath.ml holds the two to         *)
 (* packet-for-packet agreement.                                        *)
 (* ------------------------------------------------------------------ *)
@@ -240,13 +355,291 @@ type delivery = {
 
 type at_entry = { mutable received : int; mutable nil_from : Tables.deliverer list }
 
+let interpretive ?(config = default_config) ~graphs engine ~output =
+  validate ~who:"interpretive" ~config graphs;
+  if config.replicas > 1 then invalid_arg "System.interpretive: replicas must be 1";
+  let cost = config.cost in
+  let table = Array.of_list graphs in
+  let plan_of_mid mid : Tables.plan =
+    let _, p, _ = table.(mid - 1) in
+    p
+  in
+  let nf_impls = nf_impls graphs in
+  let ring_drops = ref 0 and nf_drops = ref 0 and unmatched = ref 0 in
+  (* Cores split the jitter PRNG in build order: NF cores in [nf_impls]
+     order, mergers, the agent, the classifier. [make_multi] builds in
+     the same order, which is what makes the two traces identical. *)
+  let prng = Nfp_algo.Prng.create ~seed:config.seed in
+  let core ~name ~service_ns ~execute =
+    new_core ~engine ~config ~name ~prng ~service_ns ~execute ~emit:Nfp_sim.Server.call ()
+  in
+  let wire_delay = cost.wire_ns /. 2.0 in
+  let deliver_out ~pid pkt =
+    Nfp_sim.Engine.schedule engine ~delay:wire_delay (fun () -> output ~pid pkt)
+  in
+  let nf_cores : (int * string, (Context.t, unit -> bool) Nfp_sim.Server.t) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  let merger_cores : (delivery, unit -> bool) Nfp_sim.Server.t array ref = ref [||] in
+  let agent_core : (delivery, unit -> bool) Nfp_sim.Server.t option ref = ref None in
+  let action_cost ctx actions =
+    List.fold_left
+      (fun acc -> function
+        | Tables.Copy { full; src_version; _ } ->
+            if full then
+              acc + cost.copy_base
+              + int_of_float
+                  (cost.copy_per_byte *. float_of_int (packet_bytes ctx src_version))
+            else acc + cost.header_copy
+        | Tables.Distribute { targets; _ } ->
+            acc + (cost.ring_enqueue * List.length targets))
+      0 actions
+  in
+  (* A single send attempt; [false] = downstream full, retry later. *)
+  let send_to_merge (d : delivery) () =
+    match !agent_core with
+    | Some agent -> Nfp_sim.Server.offer agent d
+    | None ->
+        Nfp_sim.Server.offer
+          !merger_cores.(slot_of_pid (Context.pid d.ctx) (Array.length !merger_cores))
+          d
+  in
+  let send_to_nf name ctx () =
+    match Hashtbl.find_opt nf_cores (Context.mid ctx, name) with
+    | Some core -> Nfp_sim.Server.offer core ctx
+    | None -> invalid_arg (Printf.sprintf "System: FT references unknown NF %S" name)
+  in
+  (* Execute an action list: copies happen now; distributes become a
+     retryable emission worklist. *)
+  let emission_of_actions ~self ctx actions =
+    let sends =
+      List.concat_map
+        (function
+          | Tables.Copy { src_version; dst_version; full } ->
+              ignore (Context.copy ctx ~src:src_version ~dst:dst_version ~full);
+              []
+          | Tables.Distribute { version; targets } ->
+              List.map
+                (fun target () ->
+                  match target with
+                  | Tables.To_nf n -> send_to_nf n ctx ()
+                  | Tables.To_merger id ->
+                      send_to_merge
+                        { ctx; merge_id = id; deliverer = self; version; nil = false }
+                        ()
+                  | Tables.Deliver ->
+                      (match Context.get ctx version with
+                      | Some pkt ->
+                          deliver_out ~pid:(Context.pid ctx) pkt
+                      | None -> ());
+                      true)
+                targets)
+        actions
+    in
+    Array.of_list sends
+  in
+  (* One core per NF: the NF plus its runtime (paper §6: the runtime
+     shares the CPU core with the NF). *)
+  List.iter
+    (fun (mid, (entry : Tables.nf_entry), (nf : Nfp_nf.Nf.t)) ->
+      let service_ns ctx (cell : Nfp_sim.Server.cell) =
+        let nf_cycles =
+          match Context.get ctx entry.version with
+          | Some pkt -> nf.cost_cycles pkt
+          | None -> 0
+        in
+        cell.ns <-
+          Nfp_sim.Cost.ns_of_cycles cost
+            (cost.ring_dequeue + cost.nf_runtime + nf_cycles
+           + action_cost ctx entry.actions)
+      in
+      let execute ctx =
+        match Context.get ctx entry.version with
+        | None -> [||]
+        | Some pkt -> (
+            (* A crashing NF must not take the dataplane down: the
+               packet is treated as dropped (with a nil where a merger
+               expects this branch) and the fault is logged. *)
+            let verdict =
+              try nf.process pkt
+              with exn ->
+                Log.warn (fun m ->
+                    m "NF %s crashed on packet %Ld: %s" entry.nf (Context.pid ctx)
+                      (Printexc.to_string exn));
+                Nfp_nf.Nf.Dropped
+            in
+            match verdict with
+            | Nfp_nf.Nf.Forward ->
+                emission_of_actions ~self:(Tables.D_nf entry.nf) ctx entry.actions
+            | Nfp_nf.Nf.Dropped -> (
+                match entry.nil_target with
+                | Some id ->
+                    [|
+                        send_to_merge
+                          {
+                            ctx;
+                            merge_id = id;
+                            deliverer = Tables.D_nf entry.nf;
+                            version = entry.version;
+                            nil = true;
+                          };
+                    |]
+                | None ->
+                    incr nf_drops;
+                    [||]))
+      in
+      Hashtbl.replace nf_cores (mid, entry.nf)
+        (core ~name:(Printf.sprintf "mid%d:%s" mid entry.nf) ~service_ns ~execute))
+    nf_impls;
+  (* Merger instances: shared across service graphs (paper §5.3: "a
+     merger instance can merge any packet from any service graph"),
+     each with a private accumulating table keyed by MID and PID. *)
+  let make_merger index =
+    let at : at_entry Nfp_algo.Pair_table.t = Nfp_algo.Pair_table.create () in
+    let spec_of mid id =
+      match Tables.find_merge (plan_of_mid mid) id with
+      | Some s -> s
+      | None -> invalid_arg "System: delivery references unknown merge point"
+    in
+    let branch_of spec (deliverer : Tables.deliverer) =
+      List.find_opt
+        (fun (e : Tables.expect) ->
+          e.deliverer = deliverer
+          || match deliverer with Tables.D_nf n -> List.mem n e.members | _ -> false)
+        spec.Tables.expected
+    in
+    let service_ns (d : delivery) (cell : Nfp_sim.Server.cell) =
+      let spec = spec_of (Context.mid d.ctx) d.merge_id in
+      let branches = List.length spec.expected in
+      let completion =
+        (List.length spec.ops * cost.merge_op) + action_cost d.ctx spec.next
+      in
+      cell.ns <-
+        Nfp_sim.Cost.ns_of_cycles cost
+          (cost.ring_dequeue + cost.merge_delivery + (completion / max 1 branches))
+    in
+    let execute (d : delivery) =
+      let mid = Context.mid d.ctx in
+      let spec = spec_of mid d.merge_id in
+      let a = Int64.to_int (Context.pid d.ctx)
+      and b = Dedup.merge_limb ~mid ~merge_id:d.merge_id in
+      let entry =
+        match Nfp_algo.Pair_table.find at ~a ~b with
+        | -1 ->
+            let e = { received = 0; nil_from = [] } in
+            Nfp_algo.Pair_table.replace at ~a ~b e;
+            e
+        | s -> Nfp_algo.Pair_table.value at s
+      in
+      entry.received <- entry.received + 1;
+      if d.nil then entry.nil_from <- d.deliverer :: entry.nil_from;
+      if entry.received < List.length spec.expected then [||]
+      else begin
+        Nfp_algo.Pair_table.remove at ~a ~b;
+        let nil_branches =
+          List.filter_map (fun del -> branch_of spec del) entry.nil_from
+        in
+        let dropped =
+          match spec.drop_policy with
+          | `Any -> nil_branches <> []
+          | `Priority_to winner -> (
+              match branch_of spec winner with
+              | Some wb -> List.exists (fun (b : Tables.expect) -> b = wb) nil_branches
+              | None -> nil_branches <> [])
+        in
+        if dropped then begin
+          (* Propagate a nil upward when an enclosing merger expects this
+             branch; otherwise the packet dies here. *)
+          let nil_sends =
+            List.concat_map
+              (function
+                | Tables.Distribute { version; targets } ->
+                    List.filter_map
+                      (function
+                        | Tables.To_merger outer ->
+                            Some
+                              (send_to_merge
+                                 {
+                                   ctx = d.ctx;
+                                   merge_id = outer;
+                                   deliverer = Tables.D_merger d.merge_id;
+                                   version;
+                                   nil = true;
+                                 })
+                        | Tables.To_nf _ | Tables.Deliver -> None)
+                      targets
+                | Tables.Copy _ -> [])
+              spec.next
+          in
+          if nil_sends = [] then incr nf_drops;
+          Array.of_list nil_sends
+        end
+        else begin
+          (* Versions from branches that dropped under a priority policy
+             are half-processed; their ops are skipped. *)
+          let nil_versions =
+            List.map (fun (b : Tables.expect) -> b.version) nil_branches
+          in
+          let get v =
+            if List.mem v nil_versions && v <> spec.result_version then None
+            else Context.get d.ctx v
+          in
+          List.iter (fun op -> Merge_op.apply op ~get) spec.ops;
+          emission_of_actions ~self:(Tables.D_merger d.merge_id) d.ctx spec.next
+        end
+      end
+    in
+    core ~name:(Printf.sprintf "merger#%d" index) ~service_ns ~execute
+  in
+  merger_cores := Array.init config.mergers make_merger;
+  (* The merger agent: hash the immutable PID, steer to an instance. *)
+  if config.mergers > 1 then begin
+    let instances = !merger_cores in
+    let service_ns _ (cell : Nfp_sim.Server.cell) =
+      cell.ns <-
+        Nfp_sim.Cost.ns_of_cycles cost
+          (cost.ring_dequeue + cost.merger_agent + cost.ring_enqueue)
+    in
+    let execute (d : delivery) =
+      let i = slot_of_pid (Context.pid d.ctx) (Array.length instances) in
+      [| (fun () -> Nfp_sim.Server.offer instances.(i) d) |]
+    in
+    agent_core :=
+      Some (core ~name:"merger-agent" ~service_ns ~execute)
+  end;
+  let classifier =
+    let service_ns (ctx : Context.t) (cell : Nfp_sim.Server.cell) =
+      let actions = (plan_of_mid (Context.mid ctx)).classifier_actions in
+      cell.ns <-
+        Nfp_sim.Cost.ns_of_cycles cost (cost.classifier + action_cost ctx actions)
+    in
+    let execute ctx =
+      emission_of_actions ~self:(Tables.D_nf "classifier") ctx
+        (plan_of_mid (Context.mid ctx)).classifier_actions
+    in
+    core ~name:"classifier" ~service_ns ~execute
+  in
+  let inject, counters =
+    front_end ~engine ~cost ~unmatched table (fun ~pid ~mid pkt ->
+        if not (Nfp_sim.Server.offer classifier (Context.create ~pid ~mid pkt)) then
+          incr ring_drops)
+  in
+  let health () =
+    let drops = Nfp_sim.Harness.no_drops in
+    let drops =
+      { drops with ingress_rejected = !ring_drops; nf_dropped = !nf_drops; no_match = !unmatched }
+    in
+    { Nfp_sim.Harness.no_health with drops }
+  in
+  { Nfp_sim.Harness.inject; classifier = counters; health }
+
 (* ------------------------------------------------------------------ *)
-(* Compiled path: the plan is translated once, at deployment time,     *)
-(* into a preresolved runtime program — merge specs in arrays indexed  *)
-(* by merge id, NF and merger targets resolved to direct server slots, *)
-(* static cycle costs folded into one constant (only the per-byte      *)
-(* full-copy term stays dynamic), and emissions as arrays walked by a  *)
-(* cursor instead of per-packet closure lists.                         *)
+(* Compiled dataplane: the plan is translated once, at deployment     *)
+(* time, into a preresolved runtime program — merge specs in arrays    *)
+(* indexed by merge id, NF and merger targets resolved to direct       *)
+(* server slots, static cycle costs folded into one constant (only the *)
+(* per-byte full-copy term stays dynamic), and emissions as arrays     *)
+(* walked by a cursor instead of per-packet closure lists.             *)
 (* ------------------------------------------------------------------ *)
 
 type ccopy = { c_src : int; c_dst : int; c_full : bool }
@@ -310,8 +703,44 @@ type slot = {
          scalable, or no elastic config) *)
 }
 
+let replica_report s =
+  let nfs = s.s_nfs in
+  let nf0 = nfs.(0) in
+  let merged_digest =
+    if Array.length nfs = 1 then nf0.state_digest ()
+    else
+      match (nf0.merge, nf0.fresh) with
+      | Some merge, Some fresh ->
+          let snaps =
+            Array.to_list
+              (Array.map
+                 (fun (nf : Nfp_nf.Nf.t) ->
+                   match nf.snapshot with
+                   | Some snap -> snap ()
+                   | None -> assert false (* eligibility requires it *))
+                 nfs)
+          in
+          let scratch = fresh () in
+          (match scratch.restore with
+          | Some restore -> restore (merge snaps)
+          | None -> assert false);
+          scratch.state_digest ()
+      | _ ->
+          (* Replicated_readonly: replicas never diverge. *)
+          nf0.state_digest ()
+  in
+  {
+    rr_mid = s.s_mid;
+    rr_nf = s.s_entry.nf;
+    rr_kind = nf0.kind;
+    rr_strategy = Replication.derive nf0;
+    rr_replicas = Array.length nfs;
+    rr_processed = Array.to_list (Array.map Nfp_sim.Server.processed s.s_servers);
+    rr_merged_digest = merged_digest;
+  }
+
 (* First branch of [spec] the deliverer satisfies, mirroring the
-   interpretive path's [branch_of] — resolved once at compile time. *)
+   interpretive reference's [branch_of] — resolved once at compile time. *)
 let branch_index (spec : Tables.merge_spec) (deliverer : Tables.deliverer) =
   let rec go i = function
     | [] -> -1
@@ -326,60 +755,192 @@ let branch_index (spec : Tables.merge_spec) (deliverer : Tables.deliverer) =
 
 let empty_prog = { p_copies = [||]; p_sends = [||]; p_static = 0; p_full_srcs = [||] }
 
-(* Every build-time check, run before anything is built: a bad
-   configuration is an [Invalid_argument] at deployment, never a failure
-   mid-run. [links] arrives normalized (see [make_multi]). *)
-let validate ~path ~config ?fault ?overload ?elastic ?links graphs =
-  let fail msg = invalid_arg ("System.make_multi: " ^ msg) in
-  let compiled_only msg = if path = `Interpretive then fail msg in
-  if graphs = [] then fail "no service graphs";
-  if not (0.0 <= config.jitter && config.jitter < 1.0) then
-    fail "jitter must satisfy 0 <= jitter < 1";
-  if config.mergers < 1 then fail "mergers must be >= 1";
-  if config.ring_capacity < 1 then fail "ring_capacity must be >= 1";
-  if config.replicas < 1 then fail "replicas must be >= 1";
-  if config.cost.batch < 1 then fail "batch must be >= 1";
-  (match fault with
-  | Some (fc : fault_config) ->
-      compiled_only "fault injection requires the `Compiled path";
-      if not (fc.watchdog_interval_ns > 0.0 && fc.watchdog_deadline_ns > 0.0) then
-        fail "fault watchdog interval and deadline must be positive";
-      if not (fc.restart_ns >= 0.0) then fail "fault restart_ns must be >= 0";
-      if fc.log_capacity < 1 then fail "fault log_capacity must be >= 1";
-      if fc.dedup_capacity < 2 then fail "fault dedup_capacity must be >= 2"
-  | None -> ());
-  (match overload with
-  | Some (oc : overload_config) ->
-      compiled_only "overload control requires the `Compiled path";
-      if
-        not
-          (0 <= oc.low_watermark
-          && oc.low_watermark < oc.high_watermark
-          && oc.high_watermark <= config.ring_capacity)
-      then fail "overload watermarks must satisfy 0 <= low < high <= ring_capacity"
-  | None -> ());
-  (match elastic with
-  | Some (ec : elastic_config) ->
-      compiled_only "elastic scale-out requires the `Compiled path";
-      if ec.min_replicas < 1 || ec.max_replicas < ec.min_replicas then
-        fail "elastic replica bounds must satisfy 1 <= min <= max";
-      if ec.buckets < ec.max_replicas then fail "elastic buckets must be >= max_replicas";
-      if
-        ec.control_interval_ns <= 0.0 || ec.transfer_ns < 0.0
-        || ec.migration_deadline_ns <= 0.0
-        || ec.commit_retry_ns <= 0.0 || ec.cooldown_ns < 0.0
-      then fail "elastic periods must be positive";
-      if not (ec.scale_in_occupancy < ec.scale_out_occupancy) then
-        fail "elastic occupancy thresholds must satisfy in < out";
-      if ec.migration_batch < 1 then fail "elastic migration_batch must be >= 1"
-  | None -> ());
-  (match links with
-  | Some (lc : links_config) ->
-      compiled_only "link channels require the `Compiled path";
-      if lc.ack_interval_ns <= 0.0 || lc.rto_ns <= 0.0 then
-        fail "links periods must be positive"
-  | None -> ());
-  if config.replicas > 1 then compiled_only "replicas require the `Compiled path"
+(* The plan-to-program compiler: every plan, translated once into
+   preresolved programs. NF targets become dense slot indices in
+   [nf_impls] order, merge targets the [cmerge] records themselves, with
+   the branch each sender fills resolved and the static cycles of each
+   action list summed. Pure: it reads the plans and the cost model only.
+   Returns each NF slot's action program and nil sends (what it emits
+   when its NF drops the packet), and each graph's classifier program,
+   indexed by MID - 1. *)
+let compile ~(cost : Nfp_sim.Cost.t) (plans : Tables.plan array) nf_impls =
+  (* NF slots: dense indices in nf_impls order. *)
+  let slot_of : (int * string, int) Hashtbl.t = Hashtbl.create 16 in
+  List.iteri
+    (fun i (mid, (e : Tables.nf_entry), _) -> Hashtbl.replace slot_of (mid, e.nf) i)
+    nf_impls;
+  (* Merge specs per plan, in arrays indexed by merge id. *)
+  let cmerge_table =
+    Array.mapi
+      (fun i (plan : Tables.plan) ->
+        let mid = i + 1 in
+        let max_id =
+          List.fold_left (fun a (m : Tables.merge_spec) -> max a m.id) (-1) plan.merges
+        in
+        let arr = Array.make (max_id + 1) None in
+        List.iter
+          (fun (spec : Tables.merge_spec) ->
+            let drop_any, winner =
+              match spec.drop_policy with
+              | `Any -> (true, -1)
+              | `Priority_to w ->
+                  let b = branch_index spec w in
+                  (b < 0, b)
+            in
+            arr.(spec.id) <-
+              Some
+                {
+                  m_mid = mid;
+                  m_id = spec.id;
+                  m_spec = spec;
+                  m_expected = List.length spec.expected;
+                  m_versions =
+                    Array.of_list
+                      (List.map (fun (e : Tables.expect) -> e.version) spec.expected);
+                  m_result_version = spec.result_version;
+                  m_ops = Array.of_list spec.ops;
+                  m_drop_any = drop_any;
+                  m_winner = winner;
+                  m_next = empty_prog;
+                  m_nil_sends = [||];
+                  m_completion_static = 0;
+                })
+          plan.merges;
+        arr)
+      plans
+  in
+  let lookup_merge mid id =
+    let arr = cmerge_table.(mid - 1) in
+    if id < 0 || id >= Array.length arr then
+      invalid_arg "System: delivery references unknown merge point"
+    else
+      match arr.(id) with
+      | Some m -> m
+      | None -> invalid_arg "System: delivery references unknown merge point"
+  in
+  let compile_actions ~mid ~(self : Tables.deliverer) actions =
+    let copies = ref [] and sends = ref [] in
+    let static = ref 0 and full_srcs = ref [] in
+    List.iter
+      (function
+        | Tables.Copy { src_version; dst_version; full } ->
+            copies := { c_src = src_version; c_dst = dst_version; c_full = full } :: !copies;
+            if full then begin
+              static := !static + cost.copy_base;
+              full_srcs := src_version :: !full_srcs
+            end
+            else static := !static + cost.header_copy
+        | Tables.Distribute { version; targets } ->
+            static := !static + (cost.ring_enqueue * List.length targets);
+            List.iter
+              (fun target ->
+                let s =
+                  match target with
+                  | Tables.To_nf n -> (
+                      match Hashtbl.find_opt slot_of (mid, n) with
+                      | Some i -> S_nf i
+                      | None ->
+                          invalid_arg
+                            (Printf.sprintf "System: FT references unknown NF %S" n))
+                  | Tables.To_merger id ->
+                      let m = lookup_merge mid id in
+                      S_merge
+                        { merge = m; branch = branch_index m.m_spec self; nil = false }
+                  | Tables.Deliver -> S_deliver version
+                in
+                sends := s :: !sends)
+              targets)
+      actions;
+    {
+      p_copies = Array.of_list (List.rev !copies);
+      p_sends = Array.of_list (List.rev !sends);
+      p_static = !static;
+      p_full_srcs = Array.of_list (List.rev !full_srcs);
+    }
+  in
+  (* Second pass: merge continuations (may reference sibling or
+     enclosing merges, which all exist now). *)
+  Array.iteri
+    (fun i arr ->
+      let mid = i + 1 in
+      Array.iter
+        (function
+          | None -> ()
+          | Some m ->
+              let spec = m.m_spec in
+              m.m_next <- compile_actions ~mid ~self:(Tables.D_merger m.m_id) spec.next;
+              m.m_completion_static <-
+                (Array.length m.m_ops * cost.merge_op) + m.m_next.p_static;
+              m.m_nil_sends <-
+                Array.of_list
+                  (List.concat_map
+                     (function
+                       | Tables.Distribute { version = _; targets } ->
+                           List.filter_map
+                             (function
+                               | Tables.To_merger outer ->
+                                   let om = lookup_merge mid outer in
+                                   Some
+                                     (S_merge
+                                        {
+                                          merge = om;
+                                          branch =
+                                            branch_index om.m_spec
+                                              (Tables.D_merger m.m_id);
+                                          nil = true;
+                                        })
+                               | Tables.To_nf _ | Tables.Deliver -> None)
+                             targets
+                       | Tables.Copy _ -> [])
+                     spec.next))
+        arr)
+    cmerge_table;
+  let nf_progs =
+    Array.of_list
+      (List.map
+         (fun (mid, (entry : Tables.nf_entry), _) ->
+           let nil_sends =
+             match entry.nil_target with
+             | None -> [||]
+             | Some id ->
+                 let m = lookup_merge mid id in
+                 let branch = branch_index m.m_spec (Tables.D_nf entry.nf) in
+                 [| S_merge { merge = m; branch; nil = true } |]
+           in
+           (compile_actions ~mid ~self:(Tables.D_nf entry.nf) entry.actions, nil_sends))
+         nf_impls)
+  in
+  let classifier_progs =
+    Array.mapi
+      (fun i (plan : Tables.plan) ->
+        compile_actions ~mid:(i + 1) ~self:(Tables.D_nf "classifier") plan.classifier_actions)
+      plans
+  in
+  (nf_progs, classifier_progs)
+
+(* Run a program's copies; its sends are left to the caller. *)
+let exec_prog prog ctx =
+  let copies = prog.p_copies in
+  for i = 0 to Array.length copies - 1 do
+    let c = copies.(i) in
+    ignore (Context.copy ctx ~src:c.c_src ~dst:c.c_dst ~full:c.c_full)
+  done;
+  prog.p_sends
+
+(* The dynamic cycles of a program: the per-byte term of its full
+   copies. *)
+let dyn_cycles ~(cost : Nfp_sim.Cost.t) prog ctx =
+  let srcs = prog.p_full_srcs in
+  let n = Array.length srcs in
+  if n = 0 then 0
+  else begin
+    let acc = ref 0 in
+    for i = 0 to n - 1 do
+      acc :=
+        !acc + int_of_float (cost.copy_per_byte *. float_of_int (packet_bytes ctx srcs.(i)))
+    done;
+    !acc
+  end
 
 (* Degrade fallback: one sequential twin chain per service graph whose
    [recovery_of] yields Degrade for at least one of its NFs, built from
@@ -425,10 +986,7 @@ let twin_chains ~config ?fault ~core ~deliver ~drops nf_impls table =
           incr drops;
           [||]
     in
-    core
-      ~name:(Printf.sprintf "seq:mid%d:%s" mid name)
-      ~jitter:(config.jitter, Nfp_algo.Prng.split prng)
-      ~service_ns ~execute ~emit
+    core ~name:(Printf.sprintf "seq:mid%d:%s" mid name) ~prng ~service_ns ~execute ~emit
   in
   let degradable (e : Tables.nf_entry) =
     match fault with Some fc -> fc.recovery_of e.nf = Degrade | None -> false
@@ -451,8 +1009,8 @@ let twin_chains ~config ?fault ~core ~deliver ~drops nf_impls table =
           plan.serial_order None)
     table
 
-let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_config)
-    ?fault ?overload ?elastic ?links ?stats ?replication ~graphs engine ~output =
+let make_multi ?classify ?(config = default_config) ?fault ?overload ?elastic ?links ?stats
+    ?replication ~graphs engine ~output =
   (* A links config with an empty plan and no reliability layer is
      normalized away entirely — nothing to perturb, nothing to arm
      (bit-identity). *)
@@ -463,7 +1021,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
         None
     | other -> other
   in
-  validate ~path ~config ?fault ?overload ?elastic ?links graphs;
+  validate ~who:"make_multi" ~config ?fault ?overload ?elastic ?links graphs;
   let cost = config.cost in
   let merge_timeout_ns = match fault with Some fc -> fc.merge_timeout_ns | None -> 0.0 in
   (* The (pid, version) dedup filters arm with a non-empty fault plan (a
@@ -485,10 +1043,6 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
   let deduped = ref 0 in
   (* MIDs are 1-based positions in the classification table. *)
   let table = Array.of_list graphs in
-  let plan_of_mid mid : Tables.plan =
-    let _, p, _ = table.(mid - 1) in
-    p
-  in
   (* Shard only NFs the profile analysis clears within their graph:
      {!Replication.shardable} additionally vetoes any NF with an
      order-sensitive (Sequential-strategy) NF downstream, since
@@ -497,63 +1051,37 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
     let _, plan, nfs = table.(mid - 1) in
     Replication.shardable ~plan ~nf_of:nfs name
   in
-  (* Resolve every plan's NF implementations up front. *)
-  let nf_impls =
-    List.concat
-      (List.mapi
-         (fun i (_, (plan : Tables.plan), nfs) ->
-           List.map
-             (fun (e : Tables.nf_entry) ->
-               match nfs e.nf with
-               | nf -> (i + 1, e, nf)
-               | exception _ ->
-                   invalid_arg (Printf.sprintf "System.make: no NF named %S" e.nf))
-             plan.nf_entries)
-         graphs)
+  let nf_impls = nf_impls graphs in
+  let nf_progs, classifier_progs =
+    compile ~cost (Array.map (fun (_, plan, _) -> plan) table) nf_impls
   in
   let ring_drops = ref 0 and nf_drops = ref 0 and unmatched = ref 0 in
-  (* The overload control plane: its watermarks arm every compiled-path
-     ring, each NF replica takes a degrade switch from it, and its shed
-     ladder starts polling once every core exists (below). Without an
-     overload config it is inert — the bit-identity guarantee. *)
+  (* The overload control plane: its watermarks arm every ring, each NF
+     replica takes a degrade switch from it, and its shed ladder starts
+     polling once every core exists (below). Without an overload config
+     it is inert — the bit-identity guarantee. *)
   let overload_ctl =
     Overload.create ~engine ?config:overload
       ~priorities:(Array.map (fun (_, (p : Tables.plan), _) -> p.Tables.priority) table)
       ()
   in
   let prng = Nfp_algo.Prng.create ~seed:config.seed in
-  let jitter_for () = (config.jitter, Nfp_algo.Prng.split prng) in
   (* Standby replicas (indices past the static count) draw jitter from
      an independent stream, like the degrade twins: building them must
      not shift the main PRNG and perturb a never-scaling trace. *)
   let elastic_prng =
     Nfp_algo.Prng.create ~seed:(Int64.logxor config.seed 0x31a5_71c5L)
   in
-  let elastic_jitter_for () = (config.jitter, Nfp_algo.Prng.split elastic_prng) in
-  (* The one core constructor. Every core gets the same ring, breath
-     size and per-breath amortization ([cost.batch = 1] restores
-     per-packet execution exactly, so the interpretive/compiled
-     differential is undisturbed at any size), the overload watermarks,
-     and the fault stream the plan names for it. Without a fault config
-     that is [None], and [Server.create ?fault:None] is exactly the
-     pre-fault server; the interpretive path has neither ([validate]). *)
-  let core ~name ~jitter ~service_ns ~execute ~emit =
-    Nfp_sim.Server.create ~engine ~name ~ring_capacity:config.ring_capacity
-      ~batch:cost.batch
-      ~burst_saving_ns:(Nfp_sim.Cost.ns_of_cycles cost cost.burst_saving)
-      ~jitter ?watermarks:(Overload.watermarks overload_ctl)
-      ?fault:(Option.bind fault (fun (fc : fault_config) -> Nfp_sim.Fault.for_core fc.plan name))
-      ~service_ns ~execute ~emit ()
-  in
-  let packet_bytes ctx version =
-    match Context.get ctx version with Some p -> Packet.wire_length p | None -> 1500
+  let core ~name ~prng ~service_ns ~execute ~emit =
+    new_core ~engine ~config ?watermarks:(Overload.watermarks overload_ctl) ?fault ~name
+      ~prng ~service_ns ~execute ~emit ()
   in
   let wire_delay = cost.wire_ns /. 2.0 in
   (* Output-side dedup backstop (armed runs only): a replayed or
      timeout-completed branch must never deliver the same (pid, version)
      twice. Version 0 marks deliveries with no version identity (twin
-     chains tag version 1, compiled/interpretive paths their plan
-     version), which pass through unfiltered. *)
+     chains tag version 1, the parallel deployment its plan version),
+     which pass through unfiltered. *)
   let dedup_capacity =
     match fault with
     | Some fc -> fc.dedup_capacity
@@ -622,13 +1150,7 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
          ~reroute:(fun x -> drive (fun () -> offer x)))
       offer
   in
-  let slot_of_pid pid instances =
-    Int64.to_int
-      (Int64.rem
-         (Int64.logand (Nfp_algo.Hashing.mix64 pid) Int64.max_int)
-         (Int64.of_int (max 1 instances)))
-  in
-  (* Every compiled-path core registers a probe; the watchdog and the
+  (* Every core registers a probe; the watchdog and the
      [health] counters below work off this list. *)
   let probes : Watchdog.probe list ref = ref [] in
   let register_probe ?nf ?(drain = fun () -> 0) ?(cell = Watchdog.no_cell) server =
@@ -639,920 +1161,445 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
      has registered its probe (below). *)
   let watchdog = Watchdog.create ~engine ~cost ~graphs:(Array.length table) ?fault () in
   let bypassed_packets = ref 0 and merge_timeouts = ref 0 in
-  let classify_port, sampler, controller, replication_report =
-    match path with
-    | `Interpretive ->
-        (* ---------------- interpretive construction ---------------- *)
-        let nf_cores : (int * string, (Context.t, unit -> bool) Nfp_sim.Server.t) Hashtbl.t =
-          Hashtbl.create 16
-        in
-        let merger_cores : (delivery, unit -> bool) Nfp_sim.Server.t array ref = ref [||] in
-        let agent_core : (delivery, unit -> bool) Nfp_sim.Server.t option ref = ref None in
-        let action_cost ctx actions =
-          List.fold_left
-            (fun acc -> function
-              | Tables.Copy { full; src_version; _ } ->
-                  if full then
-                    acc + cost.copy_base
-                    + int_of_float
-                        (cost.copy_per_byte *. float_of_int (packet_bytes ctx src_version))
-                  else acc + cost.header_copy
-              | Tables.Distribute { targets; _ } ->
-                  acc + (cost.ring_enqueue * List.length targets))
-            0 actions
-        in
-        (* A single send attempt; [false] = downstream full, retry later. *)
-        let send_to_merge (d : delivery) () =
-          match !agent_core with
-          | Some agent -> Nfp_sim.Server.offer agent d
-          | None ->
-              Nfp_sim.Server.offer
-                !merger_cores.(slot_of_pid (Context.pid d.ctx) (Array.length !merger_cores))
-                d
-        in
-        let send_to_nf name ctx () =
-          match Hashtbl.find_opt nf_cores (Context.mid ctx, name) with
-          | Some core -> Nfp_sim.Server.offer core ctx
-          | None -> invalid_arg (Printf.sprintf "System: FT references unknown NF %S" name)
-        in
-        (* Execute an action list: copies happen now; distributes become a
-           retryable emission worklist. *)
-        let emission_of_actions ~self ctx actions =
-          let sends =
-            List.concat_map
-              (function
-                | Tables.Copy { src_version; dst_version; full } ->
-                    ignore (Context.copy ctx ~src:src_version ~dst:dst_version ~full);
-                    []
-                | Tables.Distribute { version; targets } ->
-                    List.map
-                      (fun target () ->
-                        match target with
-                        | Tables.To_nf n -> send_to_nf n ctx ()
-                        | Tables.To_merger id ->
-                            send_to_merge
-                              { ctx; merge_id = id; deliverer = self; version; nil = false }
-                              ()
-                        | Tables.Deliver ->
-                            (match Context.get ctx version with
-                            | Some pkt ->
-                                deliver_out ~version ~pid:(Context.pid ctx) pkt
-                            | None -> ());
-                            true)
-                      targets)
-              actions
-          in
-          Array.of_list sends
-        in
-        (* One core per NF: the NF plus its runtime (paper §6: the runtime
-           shares the CPU core with the NF). *)
-        List.iter
-          (fun (mid, (entry : Tables.nf_entry), (nf : Nfp_nf.Nf.t)) ->
-            let service_ns ctx (cell : Nfp_sim.Server.cell) =
-              let nf_cycles =
-                match Context.get ctx entry.version with
-                | Some pkt -> nf.cost_cycles pkt
-                | None -> 0
-              in
-              cell.ns <-
-                Nfp_sim.Cost.ns_of_cycles cost
-                  (cost.ring_dequeue + cost.nf_runtime + nf_cycles
-                 + action_cost ctx entry.actions)
-            in
-            let execute ctx =
-              match Context.get ctx entry.version with
-              | None -> [||]
-              | Some pkt -> (
-                  (* A crashing NF must not take the dataplane down: the
-                     packet is treated as dropped (with a nil where a merger
-                     expects this branch) and the fault is logged. *)
-                  let verdict =
-                    try nf.process pkt
-                    with exn ->
-                      Log.warn (fun m ->
-                          m "NF %s crashed on packet %Ld: %s" entry.nf (Context.pid ctx)
-                            (Printexc.to_string exn));
-                      Nfp_nf.Nf.Dropped
-                  in
-                  match verdict with
-                  | Nfp_nf.Nf.Forward ->
-                      emission_of_actions ~self:(Tables.D_nf entry.nf) ctx entry.actions
-                  | Nfp_nf.Nf.Dropped -> (
-                      match entry.nil_target with
-                      | Some id ->
-                          [|
-                              send_to_merge
-                                {
-                                  ctx;
-                                  merge_id = id;
-                                  deliverer = Tables.D_nf entry.nf;
-                                  version = entry.version;
-                                  nil = true;
-                                };
-                          |]
-                      | None ->
-                          incr nf_drops;
-                          [||]))
-            in
-            Hashtbl.replace nf_cores (mid, entry.nf)
-              (core
-                 ~name:(Printf.sprintf "mid%d:%s" mid entry.nf)
-                 ~jitter:(jitter_for ()) ~service_ns ~execute ~emit:Nfp_sim.Server.call))
-          nf_impls;
-        (* Merger instances: shared across service graphs (paper §5.3: "a
-           merger instance can merge any packet from any service graph"),
-           each with a private accumulating table keyed by MID and PID. *)
-        let make_merger index =
-          let at : at_entry Nfp_algo.Pair_table.t = Nfp_algo.Pair_table.create () in
-          let spec_of mid id =
-            match Tables.find_merge (plan_of_mid mid) id with
-            | Some s -> s
-            | None -> invalid_arg "System: delivery references unknown merge point"
-          in
-          let branch_of spec (deliverer : Tables.deliverer) =
-            List.find_opt
-              (fun (e : Tables.expect) ->
-                e.deliverer = deliverer
-                || match deliverer with Tables.D_nf n -> List.mem n e.members | _ -> false)
-              spec.Tables.expected
-          in
-          let service_ns (d : delivery) (cell : Nfp_sim.Server.cell) =
-            let spec = spec_of (Context.mid d.ctx) d.merge_id in
-            let branches = List.length spec.expected in
-            let completion =
-              (List.length spec.ops * cost.merge_op) + action_cost d.ctx spec.next
-            in
-            cell.ns <-
-              Nfp_sim.Cost.ns_of_cycles cost
-                (cost.ring_dequeue + cost.merge_delivery + (completion / max 1 branches))
-          in
-          let execute (d : delivery) =
-            let mid = Context.mid d.ctx in
-            let spec = spec_of mid d.merge_id in
-            let a = Int64.to_int (Context.pid d.ctx)
-            and b = Dedup.merge_limb ~mid ~merge_id:d.merge_id in
-            let entry =
-              match Nfp_algo.Pair_table.find at ~a ~b with
-              | -1 ->
-                  let e = { received = 0; nil_from = [] } in
-                  Nfp_algo.Pair_table.replace at ~a ~b e;
-                  e
-              | s -> Nfp_algo.Pair_table.value at s
-            in
-            entry.received <- entry.received + 1;
-            if d.nil then entry.nil_from <- d.deliverer :: entry.nil_from;
-            if entry.received < List.length spec.expected then [||]
-            else begin
-              Nfp_algo.Pair_table.remove at ~a ~b;
-              let nil_branches =
-                List.filter_map (fun del -> branch_of spec del) entry.nil_from
-              in
-              let dropped =
-                match spec.drop_policy with
-                | `Any -> nil_branches <> []
-                | `Priority_to winner -> (
-                    match branch_of spec winner with
-                    | Some wb -> List.exists (fun (b : Tables.expect) -> b = wb) nil_branches
-                    | None -> nil_branches <> [])
-              in
-              if dropped then begin
-                (* Propagate a nil upward when an enclosing merger expects this
-                   branch; otherwise the packet dies here. *)
-                let nil_sends =
-                  List.concat_map
-                    (function
-                      | Tables.Distribute { version; targets } ->
-                          List.filter_map
-                            (function
-                              | Tables.To_merger outer ->
-                                  Some
-                                    (send_to_merge
-                                       {
-                                         ctx = d.ctx;
-                                         merge_id = outer;
-                                         deliverer = Tables.D_merger d.merge_id;
-                                         version;
-                                         nil = true;
-                                       })
-                              | Tables.To_nf _ | Tables.Deliver -> None)
-                            targets
-                      | Tables.Copy _ -> [])
-                    spec.next
-                in
-                if nil_sends = [] then incr nf_drops;
-                Array.of_list nil_sends
-              end
-              else begin
-                (* Versions from branches that dropped under a priority policy
-                   are half-processed; their ops are skipped. *)
-                let nil_versions =
-                  List.map (fun (b : Tables.expect) -> b.version) nil_branches
-                in
-                let get v =
-                  if List.mem v nil_versions && v <> spec.result_version then None
-                  else Context.get d.ctx v
-                in
-                List.iter (fun op -> Merge_op.apply op ~get) spec.ops;
-                emission_of_actions ~self:(Tables.D_merger d.merge_id) d.ctx spec.next
-              end
-            end
-          in
-          core
-            ~name:(Printf.sprintf "merger#%d" index)
-            ~jitter:(jitter_for ()) ~service_ns ~execute ~emit:Nfp_sim.Server.call
-        in
-        merger_cores := Array.init config.mergers make_merger;
-        (* The merger agent: hash the immutable PID, steer to an instance. *)
-        if config.mergers > 1 then begin
-          let instances = !merger_cores in
-          let service_ns _ (cell : Nfp_sim.Server.cell) =
-            cell.ns <-
-              Nfp_sim.Cost.ns_of_cycles cost
-                (cost.ring_dequeue + cost.merger_agent + cost.ring_enqueue)
-          in
-          let execute (d : delivery) =
-            let i = slot_of_pid (Context.pid d.ctx) (Array.length instances) in
-            [| (fun () -> Nfp_sim.Server.offer instances.(i) d) |]
-          in
-          agent_core :=
-            Some
-              (core ~name:"merger-agent" ~jitter:(jitter_for ()) ~service_ns ~execute
-                 ~emit:Nfp_sim.Server.call)
-        end;
-        let classifier =
-          let service_ns (ctx : Context.t) (cell : Nfp_sim.Server.cell) =
-            let actions = (plan_of_mid (Context.mid ctx)).classifier_actions in
-            cell.ns <-
-              Nfp_sim.Cost.ns_of_cycles cost (cost.classifier + action_cost ctx actions)
-          in
-          let execute ctx =
-            emission_of_actions ~self:(Tables.D_nf "classifier") ctx
-              (plan_of_mid (Context.mid ctx)).classifier_actions
-          in
-          core ~name:"classifier" ~jitter:(jitter_for ()) ~service_ns ~execute
-            ~emit:Nfp_sim.Server.call
-        in
-        let sampler =
-          sampler_of classifier
-            (Hashtbl.fold (fun _ core acc -> core :: acc) nf_cores [])
-            !merger_cores !agent_core
-        in
-        ( Nfp_sim.Server.offer classifier,
-          sampler,
-          Elastic.off,
-          fun () ->
-            List.map
-              (fun (mid, (entry : Tables.nf_entry), nf) ->
-                let core = Hashtbl.find nf_cores (mid, entry.nf) in
-                replica_report ~mid entry [| nf |] [ Nfp_sim.Server.processed core ])
-              nf_impls )
-    | `Compiled ->
-        (* ----------------- compiled construction ------------------- *)
-        let slots : slot array ref = ref [||] in
-        (* RSS shard steering: hash the 5-tuple of the packet version
-           the slot's NF reads, i.e. the one that replica will observe.
-           The hash runs on its own seeded stream ([Hashing.rss2_int]) —
-           never correlated with the microflow cache's bucket hash — and
-           is skipped entirely for single-replica slots, keeping the
-           replicas=1 hot path (and trace) bit-identical to the
-           pre-replication system. Upstream 5-tuple rewrites (NAT, LB)
-           are flow-deterministic, so every packet of a flow hashes
-           alike and lands on the same replica. *)
-        let rss_hash ctx s =
-          match Context.get ctx s.s_entry.Tables.version with
-          | None -> 0
-          | Some pkt -> Nfp_algo.Hashing.rss2_int (Packet.key_a pkt) (Packet.key_b pkt)
-        in
-        let merger_cores : (cdelivery, csend) Nfp_sim.Server.t array ref = ref [||] in
-        let agent_core : (cdelivery, unit) Nfp_sim.Server.t option ref = ref None in
-        (* Where merge deliveries enter: the merger agent's port, or the
-           PID-hashed merger instance's; set once the mergers exist. *)
-        let merge_port : (cdelivery -> bool) ref = ref (fun _ -> false) in
-        (* The egress edge (merger/NF -> delivery port). The reroute of a
-           Down delivery link is delivery itself — the detour models the
-           alternate path to the egress NIC, and the exactly-once filter
-           upstream keeps it safe. *)
-        let deliver_port =
-          let deliver (v, pid, pkt) = deliver_out ~version:v ~pid pkt in
-          match
-            channel_for ~name:"delivery"
-              ~deliver:(fun d ->
-                deliver d;
-                true)
-              ~reroute:deliver
-          with
-          | Some ch -> fun v pid pkt -> Channel.send ch (v, pid, pkt)
-          | None ->
-              fun v pid pkt ->
-                deliver_out ~version:v ~pid pkt;
-                true
-        in
-        (* NF slots: dense indices in nf_impls order. *)
-        let slot_of : (int * string, int) Hashtbl.t = Hashtbl.create 16 in
-        List.iteri
-          (fun i (mid, (e : Tables.nf_entry), _) -> Hashtbl.replace slot_of (mid, e.nf) i)
-          nf_impls;
-        (* Merge specs per plan, in arrays indexed by merge id. *)
-        let cmerge_table =
-          Array.mapi
-            (fun i (_, (plan : Tables.plan), _) ->
-              let mid = i + 1 in
-              let max_id =
-                List.fold_left (fun a (m : Tables.merge_spec) -> max a m.id) (-1) plan.merges
-              in
-              let arr = Array.make (max_id + 1) None in
-              List.iter
-                (fun (spec : Tables.merge_spec) ->
-                  let drop_any, winner =
-                    match spec.drop_policy with
-                    | `Any -> (true, -1)
-                    | `Priority_to w ->
-                        let b = branch_index spec w in
-                        (b < 0, b)
-                  in
-                  arr.(spec.id) <-
-                    Some
-                      {
-                        m_mid = mid;
-                        m_id = spec.id;
-                        m_spec = spec;
-                        m_expected = List.length spec.expected;
-                        m_versions =
-                          Array.of_list
-                            (List.map (fun (e : Tables.expect) -> e.version) spec.expected);
-                        m_result_version = spec.result_version;
-                        m_ops = Array.of_list spec.ops;
-                        m_drop_any = drop_any;
-                        m_winner = winner;
-                        m_next = empty_prog;
-                        m_nil_sends = [||];
-                        m_completion_static = 0;
-                      })
-                plan.merges;
-              arr)
-            table
-        in
-        let lookup_merge mid id =
-          let arr = cmerge_table.(mid - 1) in
-          if id < 0 || id >= Array.length arr then
-            invalid_arg "System: delivery references unknown merge point"
+  let slots : slot array ref = ref [||] in
+  (* RSS shard steering: hash the 5-tuple of the packet version
+     the slot's NF reads, i.e. the one that replica will observe.
+     The hash runs on its own seeded stream ([Hashing.rss2_int]) —
+     never correlated with the microflow cache's bucket hash — and
+     is skipped entirely for single-replica slots, keeping the
+     replicas=1 hot path (and trace) bit-identical to the
+     pre-replication system. Upstream 5-tuple rewrites (NAT, LB)
+     are flow-deterministic, so every packet of a flow hashes
+     alike and lands on the same replica. *)
+  let rss_hash ctx s =
+    match Context.get ctx s.s_entry.Tables.version with
+    | None -> 0
+    | Some pkt -> Nfp_algo.Hashing.rss2_int (Packet.key_a pkt) (Packet.key_b pkt)
+  in
+  (* Where merge deliveries enter: the merger agent's port, or the
+     PID-hashed merger instance's; set once the mergers exist. *)
+  let merge_port : (cdelivery -> bool) ref = ref (fun _ -> false) in
+  (* The egress edge (merger/NF -> delivery port). The reroute of a
+     Down delivery link is delivery itself — the detour models the
+     alternate path to the egress NIC, and the exactly-once filter
+     upstream keeps it safe. *)
+  let deliver_port =
+    let deliver (v, pid, pkt) = deliver_out ~version:v ~pid pkt in
+    match
+      channel_for ~name:"delivery"
+        ~deliver:(fun d ->
+          deliver d;
+          true)
+        ~reroute:deliver
+    with
+    | Some ch -> fun v pid pkt -> Channel.send ch (v, pid, pkt)
+    | None ->
+        fun v pid pkt ->
+          deliver_out ~version:v ~pid pkt;
+          true
+  in
+  (* Runtime: one attempt at one compiled send. A core walks a
+     program's send array with its own cursor, which survives
+     backpressure retries, so each target is offered in order
+     exactly once. *)
+  let rec emit_send ctx send =
+    match send with
+    | S_nf slot -> route_nf ~release:false slot ctx
+    | S_merge { merge; branch; nil } ->
+        !merge_port { d_ctx = ctx; d_merge = merge; d_branch = branch; d_nil = nil }
+    | S_deliver v -> (
+        match Context.get ctx v with
+        | None -> true
+        | Some pkt -> deliver_port v (Context.pid ctx) pkt)
+  (* A send array as a retryable thunk, for emissions no core owns. *)
+  and emission ctx sends = Nfp_sim.Server.emission emit_send ctx sends
+  (* The one routing rule into NF slot [slot]: the send site
+     offers to the replicas' ports, a channel releasing a
+     buffered packet ([release]) to their rings — so a packet
+     parked on a link while a migration flips its bucket, or while
+     the watchdog bypasses the replica, lands where it would be
+     routed now and can never resurrect a retired owner's state.
+     Steered slots look the bucket up in the live map per attempt,
+     so a committed flip takes effect for every not-yet-offered
+     packet. A bypassed replica is out of the graph: its action
+     program runs immediately instead. *)
+  and route_nf ~release slot ctx =
+    let s = !slots.(slot) in
+    let n = Array.length s.s_servers in
+    let r =
+      if n < 2 then 0
+      else
+        match s.s_steer with
+        | Some st -> Elastic.owner st (rss_hash ctx s)
+        | None -> rss_hash ctx s mod n
+    in
+    if s.s_bypassed.(r) then begin
+      bypass s.s_prog ctx;
+      true
+    end
+    else if release then s.s_offers.(r) ctx
+    else s.s_ports.(r) ctx
+  and bypass prog ctx =
+    incr bypassed_packets;
+    off_core prog ctx
+  (* Run an action program off-core; [drive] absorbs any
+     backpressure of that rerouted emission. *)
+  and off_core prog ctx = drive (emission ctx (exec_prog prog ctx)) in
+  (* NF slots, in nf_impls order (replica 0 first — at replicas=1 the
+     same PRNG split order as [interpretive]). Replica 0 is the
+     caller's NF instance; further replicas are fresh
+     instances from [Nf.fresh], each with its own state, recovery
+     cell, fault stream and probe. *)
+  let build_slot slot (mid, (entry : Tables.nf_entry), (nf0 : Nfp_nf.Nf.t)) =
+    let prog, nil_sends = nf_progs.(slot) in
+    (* [config.replicas] targets strategy-eligible NFs; 1 (the
+       default) keeps the deployment bit-identical to the
+       pre-replication system. *)
+    let base_replicas =
+      if config.replicas > 1 && shardable mid entry.nf then config.replicas else 1
+    in
+    (* Scalable = the elastic controller may add/remove replicas
+       at runtime: the plan clears the NF for sharding AND its
+       state supports live extraction ([Replication.migratable]).
+       Standby replicas up to the ceiling are built now —
+       activation is then a pure steering-map change. *)
+    let steer =
+      match elastic with
+      | Some (ec : elastic_config)
+        when ec.max_replicas > 1 && Replication.migratable nf0
+             && shardable mid entry.nf ->
+          let n = max base_replicas ec.max_replicas in
+          Some (n, Elastic.steer ec ~replicas:n ~base:base_replicas)
+      | _ -> None
+    in
+    let n_replicas = match steer with Some (n, _) -> n | None -> base_replicas in
+    let nfs =
+      Array.init n_replicas (fun r ->
+          if r = 0 then nf0
           else
-            match arr.(id) with
-            | Some m -> m
-            | None -> invalid_arg "System: delivery references unknown merge point"
+            match nf0.Nfp_nf.Nf.fresh with
+            | Some fresh -> fresh ()
+            | None -> assert false (* [shardable] guarantees fresh *))
+    in
+    let bypassed = Array.make n_replicas false in
+    let make_replica r prng =
+      let nf = nfs.(r) in
+      let cell = Watchdog.cell watchdog nf in
+      let static =
+        cost.ring_dequeue + cost.nf_runtime + prog.p_static
+        + if Watchdog.logging cell then cost.log_append else 0
+      in
+      (* Pressure-degrade switch: while this replica's own ring
+         sits above the watermark, an NF that declares a degrade
+         mode runs its coarsened semantics at its coarsened cost.
+         It reads the server created below, once bound. *)
+      let sw = Overload.switch overload_ctl nf in
+      let service_ns ctx (c : Nfp_sim.Server.cell) =
+        let nf_cycles =
+          match Context.get ctx entry.version with
+          | Some pkt -> Overload.cost_cycles sw pkt
+          | None -> 0
         in
-        let compile_actions ~mid ~(self : Tables.deliverer) actions =
-          let copies = ref [] and sends = ref [] in
-          let static = ref 0 and full_srcs = ref [] in
-          List.iter
-            (function
-              | Tables.Copy { src_version; dst_version; full } ->
-                  copies := { c_src = src_version; c_dst = dst_version; c_full = full } :: !copies;
-                  if full then begin
-                    static := !static + cost.copy_base;
-                    full_srcs := src_version :: !full_srcs
-                  end
-                  else static := !static + cost.header_copy
-              | Tables.Distribute { version; targets } ->
-                  static := !static + (cost.ring_enqueue * List.length targets);
-                  List.iter
-                    (fun target ->
-                      let s =
-                        match target with
-                        | Tables.To_nf n -> (
-                            match Hashtbl.find_opt slot_of (mid, n) with
-                            | Some i -> S_nf i
-                            | None ->
-                                invalid_arg
-                                  (Printf.sprintf "System: FT references unknown NF %S" n))
-                        | Tables.To_merger id ->
-                            let m = lookup_merge mid id in
-                            S_merge
-                              { merge = m; branch = branch_index m.m_spec self; nil = false }
-                        | Tables.Deliver -> S_deliver version
+        c.ns <-
+          Nfp_sim.Cost.ns_of_cycles cost (static + nf_cycles + dyn_cycles ~cost prog ctx)
+      in
+      let execute ctx =
+        match Context.get ctx entry.version with
+        | None -> [||]
+        | Some pkt -> (
+            Watchdog.log cell pkt;
+            let verdict =
+              try Overload.process sw pkt
+              with exn ->
+                Log.warn (fun m ->
+                    m "NF %s crashed on packet %Ld: %s" entry.nf (Context.pid ctx)
+                      (Printexc.to_string exn));
+                Nfp_nf.Nf.Dropped
+            in
+            match verdict with
+            | Nfp_nf.Nf.Forward -> exec_prog prog ctx
+            | Nfp_nf.Nf.Dropped ->
+                if Array.length nil_sends = 0 then incr nf_drops;
+                nil_sends)
+      in
+      (* Replica 0 keeps the historical core name; shards get an
+         @r suffix, so fault plans can target (and crash) each
+         replica independently. *)
+      let name =
+        if r = 0 then Printf.sprintf "mid%d:%s" mid entry.nf
+        else Printf.sprintf "mid%d:%s@%d" mid entry.nf r
+      in
+      let server = core ~name ~prng ~service_ns ~execute ~emit:emit_send in
+      Overload.bind sw ~pressured:(fun () -> Nfp_sim.Server.pressured server);
+      (* Bypass recovery: mark the replica, reroute this core's
+         casualties (the in-flight batch its kill reclaimed, and
+         any pending emissions) plus the queued backlog through
+         its action program, so every packet lands in exactly one
+         ledger bucket and no merger waits on this branch. Other
+         replicas of the slot keep processing. *)
+      let drain () =
+        bypassed.(r) <- true;
+        Nfp_sim.Server.set_casualty_sink server (fun jobs emits ->
+            List.iter (bypass prog) jobs;
+            List.iter drive emits);
+        let backlog = Nfp_sim.Server.drain server in
+        List.iter (bypass prog) backlog;
+        List.length backlog
+      in
+      register_probe ~nf:(mid, entry.nf) ~drain ~cell server;
+      (server, cell)
+    in
+    (* Build replicas in index order: each creation splits the
+       jitter PRNG, and the replicas=1 trace must keep the
+       historical split sequence. Standby replicas (index >= the
+       static count) split the independent elastic stream instead,
+       leaving the main sequence untouched. *)
+    let replicas =
+      Array.init n_replicas (fun r ->
+          make_replica r (if r < base_replicas then prng else elastic_prng))
+    in
+    let servers = Array.map fst replicas in
+    let offers = Array.map Nfp_sim.Server.offer servers in
+    (* A channel releases through [route_nf] over the replicas'
+       rings, so steering and bypass are re-resolved at release
+       time. The reroute of a Down link runs the slot's action
+       program off-core, bypass-style: downstream sees every
+       expected branch. *)
+    let links =
+      Array.map
+        (fun srv ->
+          channel_for ~name:(Nfp_sim.Server.name srv)
+            ~deliver:(route_nf ~release:true slot) ~reroute:(off_core prog))
+        servers
+    in
+    {
+      s_mid = mid;
+      s_entry = entry;
+      s_prog = prog;
+      s_servers = servers;
+      s_nfs = nfs;
+      s_cells = Array.map snd replicas;
+      s_offers = offers;
+      s_links = links;
+      s_ports = Array.map2 offer_via links offers;
+      s_bypassed = bypassed;
+      s_steer = Option.map snd steer;
+    }
+  in
+  slots := Array.of_list (List.mapi build_slot nf_impls);
+  (* Migration transfers get their own link family
+     ("migrate:<replica>"): moved in-flight packets cross the
+     fabric like any other edge, so a plan can perturb the re-home
+     path independently of the data path. *)
+  let elastic_slot s =
+    match s.s_steer with
+    | None -> []
+    | Some steer ->
+        [
+          {
+            Elastic.servers = s.s_servers;
+            nfs = s.s_nfs;
+            cells = s.s_cells;
+            steer;
+            hash = (fun ctx -> rss_hash ctx s);
+            reachable =
+              (fun r ->
+                match s.s_links.(r) with
+                | Some ch -> not (Channel.is_down ch)
+                | None -> true);
+            rehome =
+              Array.map
+                (fun srv ->
+                  let port = server_port ~prefix:"migrate:" srv in
+                  fun ctx -> drive (fun () -> port ctx))
+                s.s_servers;
+          };
+        ]
+  in
+  let controller =
+    match elastic with
+    | None -> Elastic.off
+    | Some ec ->
+        Elastic.create ~engine ?fault ec ~ring_capacity:config.ring_capacity
+          ~busy:(fun () ->
+            List.exists
+              (fun (Watchdog.Probe p) ->
+                Nfp_sim.Server.queue_length p.server > 0
+                || Nfp_sim.Server.is_busy p.server)
+              !probes)
+          (List.concat_map elastic_slot (Array.to_list !slots))
+  in
+  (* Merge completion, shared by the full-arrival path and the
+     timeout path. [nil_mask] decides the drop policy; [skip_mask]
+     marks branches whose versions must not feed the merge ops —
+     nil branches (half-processed) and, on a timeout, branches
+     that never arrived. With [skip_mask = nil_mask] this is
+     exactly the pre-timeout completion. *)
+  let complete m ctx ~nil_mask ~skip_mask =
+    let dropped =
+      if m.m_drop_any then nil_mask <> 0 else nil_mask land (1 lsl m.m_winner) <> 0
+    in
+    if dropped then begin
+      if Array.length m.m_nil_sends = 0 then incr nf_drops;
+      m.m_nil_sends
+    end
+    else begin
+      (if skip_mask = 0 then
+         let get v = Context.get ctx v in
+         Array.iter (fun op -> Merge_op.apply op ~get) m.m_ops
+       else begin
+         (* Versions from branches that dropped under a priority
+            policy are half-processed; their ops are skipped. *)
+         let skip_versions = ref [] in
+         Array.iteri
+           (fun b v ->
+             if skip_mask land (1 lsl b) <> 0 then
+               skip_versions := v :: !skip_versions)
+           m.m_versions;
+         let svs = !skip_versions in
+         let get v =
+           if List.mem v svs && v <> m.m_result_version then None
+           else Context.get ctx v
+         in
+         Array.iter (fun op -> Merge_op.apply op ~get) m.m_ops
+       end);
+      exec_prog m.m_next ctx
+    end
+  in
+  let make_merger index =
+    let at : cat_entry Nfp_algo.Pair_table.t = Nfp_algo.Pair_table.create () in
+    (* Completed-merge memory (armed runs only): a branch arriving
+       after its merge already completed — a straggler emitted by
+       a salvaged core after a merge timeout force-completed the
+       accumulation, or a late retransmission of a branch a
+       timeout already nil-substituted — is consumed silently
+       instead of opening a fresh accumulation that would deliver
+       a duplicate. Mergers never see the same (MID, merge, PID)
+       complete twice within the bounded dedup window. *)
+    let done_tbl = Dedup.create dedup_capacity in
+    merger_dedups := done_tbl :: !merger_dedups;
+    let service_ns (d : cdelivery) (cell : Nfp_sim.Server.cell) =
+      let m = d.d_merge in
+      cell.ns <-
+        Nfp_sim.Cost.ns_of_cycles cost
+          (cost.ring_dequeue + cost.merge_delivery
+          + ((m.m_completion_static + dyn_cycles ~cost m.m_next d.d_ctx) / max 1 m.m_expected)
+          )
+    in
+    let execute (d : cdelivery) =
+      let m = d.d_merge in
+      let a = Int64.to_int (Context.pid d.d_ctx)
+      and b = Dedup.merge_limb ~mid:m.m_mid ~merge_id:m.m_id in
+      if dedup_on && Dedup.mem done_tbl ~a ~b then begin
+        incr deduped;
+        [||]
+      end
+      else begin
+        let entry =
+          match Nfp_algo.Pair_table.find at ~a ~b with
+          | -1 ->
+              let e = { c_received = 0; c_nil_mask = 0; c_arrived_mask = 0 } in
+              Nfp_algo.Pair_table.replace at ~a ~b e;
+              (* Arm the straggler timeout when this accumulation
+                 opens: if a failed branch never shows up, merge
+                 what did arrive rather than wedge the packet (the
+                 drop policy still applies to arrived nils). *)
+              if merge_timeout_ns > 0.0 then
+                Nfp_sim.Engine.schedule engine ~delay:merge_timeout_ns (fun () ->
+                    let s = Nfp_algo.Pair_table.find at ~a ~b in
+                    if s >= 0 && Nfp_algo.Pair_table.value at s == e then begin
+                      Nfp_algo.Pair_table.remove at ~a ~b;
+                      if dedup_on then Dedup.add done_tbl ~a ~b;
+                      incr merge_timeouts;
+                      let missing =
+                        ((1 lsl m.m_expected) - 1) land lnot e.c_arrived_mask
                       in
-                      sends := s :: !sends)
-                    targets)
-            actions;
-          {
-            p_copies = Array.of_list (List.rev !copies);
-            p_sends = Array.of_list (List.rev !sends);
-            p_static = !static;
-            p_full_srcs = Array.of_list (List.rev !full_srcs);
-          }
+                      drive
+                        (emission d.d_ctx
+                           (complete m d.d_ctx ~nil_mask:e.c_nil_mask
+                              ~skip_mask:(e.c_nil_mask lor missing)))
+                    end);
+              e
+          | s -> Nfp_algo.Pair_table.value at s
         in
-        (* Second pass: merge continuations (may reference sibling or
-           enclosing merges, which all exist now). *)
-        Array.iteri
-          (fun i arr ->
-            let mid = i + 1 in
-            Array.iter
-              (function
-                | None -> ()
-                | Some m ->
-                    let spec = m.m_spec in
-                    m.m_next <- compile_actions ~mid ~self:(Tables.D_merger m.m_id) spec.next;
-                    m.m_completion_static <-
-                      (Array.length m.m_ops * cost.merge_op) + m.m_next.p_static;
-                    m.m_nil_sends <-
-                      Array.of_list
-                        (List.concat_map
-                           (function
-                             | Tables.Distribute { version = _; targets } ->
-                                 List.filter_map
-                                   (function
-                                     | Tables.To_merger outer ->
-                                         let om = lookup_merge mid outer in
-                                         Some
-                                           (S_merge
-                                              {
-                                                merge = om;
-                                                branch =
-                                                  branch_index om.m_spec
-                                                    (Tables.D_merger m.m_id);
-                                                nil = true;
-                                              })
-                                     | Tables.To_nf _ | Tables.Deliver -> None)
-                                   targets
-                             | Tables.Copy _ -> [])
-                           spec.next))
-              arr)
-          cmerge_table;
-        (* Runtime: one attempt at one compiled send. A core walks a
-           program's send array with its own cursor, which survives
-           backpressure retries, so each target is offered in order
-           exactly once. *)
-        let rec emit_send ctx send =
-          match send with
-          | S_nf slot -> route_nf ~release:false slot ctx
-          | S_merge { merge; branch; nil } ->
-              !merge_port { d_ctx = ctx; d_merge = merge; d_branch = branch; d_nil = nil }
-          | S_deliver v -> (
-              match Context.get ctx v with
-              | None -> true
-              | Some pkt -> deliver_port v (Context.pid ctx) pkt)
-        (* Run a program's copies; its sends are left to the caller. *)
-        and exec_prog prog ctx =
-          let copies = prog.p_copies in
-          for i = 0 to Array.length copies - 1 do
-            let c = copies.(i) in
-            ignore (Context.copy ctx ~src:c.c_src ~dst:c.c_dst ~full:c.c_full)
-          done;
-          prog.p_sends
-        (* A send array as a retryable thunk, for emissions no core owns. *)
-        and emission ctx sends = Nfp_sim.Server.emission emit_send ctx sends
-        (* The one routing rule into NF slot [slot]: the send site
-           offers to the replicas' ports, a channel releasing a
-           buffered packet ([release]) to their rings — so a packet
-           parked on a link while a migration flips its bucket, or while
-           the watchdog bypasses the replica, lands where it would be
-           routed now and can never resurrect a retired owner's state.
-           Steered slots look the bucket up in the live map per attempt,
-           so a committed flip takes effect for every not-yet-offered
-           packet. A bypassed replica is out of the graph: its action
-           program runs immediately instead. *)
-        and route_nf ~release slot ctx =
-          let s = !slots.(slot) in
-          let n = Array.length s.s_servers in
-          let r =
-            if n < 2 then 0
-            else
-              match s.s_steer with
-              | Some st -> Elastic.owner st (rss_hash ctx s)
-              | None -> rss_hash ctx s mod n
-          in
-          if s.s_bypassed.(r) then begin
-            bypass s.s_prog ctx;
-            true
-          end
-          else if release then s.s_offers.(r) ctx
-          else s.s_ports.(r) ctx
-        and bypass prog ctx =
-          incr bypassed_packets;
-          off_core prog ctx
-        (* Run an action program off-core; [drive] absorbs any
-           backpressure of that rerouted emission. *)
-        and off_core prog ctx = drive (emission ctx (exec_prog prog ctx)) in
-        let dyn_cycles prog ctx =
-          let srcs = prog.p_full_srcs in
-          let n = Array.length srcs in
-          if n = 0 then 0
-          else begin
-            let acc = ref 0 in
-            for i = 0 to n - 1 do
-              acc :=
-                !acc
-                + int_of_float
-                    (cost.copy_per_byte *. float_of_int (packet_bytes ctx srcs.(i)))
-            done;
-            !acc
-          end
-        in
-        (* NF slots, in nf_impls order (replica 0 first — at replicas=1
-           the same PRNG split order as the interpretive path). Replica
-           0 is the caller's NF instance; further replicas are fresh
-           instances from [Nf.fresh], each with its own state, recovery
-           cell, fault stream and probe. *)
-        let build_slot slot (mid, (entry : Tables.nf_entry), (nf0 : Nfp_nf.Nf.t)) =
-          let prog = compile_actions ~mid ~self:(Tables.D_nf entry.nf) entry.actions in
-          let nil_sends =
-            match entry.nil_target with
-            | None -> [||]
-            | Some id ->
-                let m = lookup_merge mid id in
-                let branch = branch_index m.m_spec (Tables.D_nf entry.nf) in
-                [| S_merge { merge = m; branch; nil = true } |]
-          in
-          (* [config.replicas] targets strategy-eligible NFs; 1 (the
-             default) keeps the deployment bit-identical to the
-             pre-replication system. *)
-          let base_replicas =
-            if config.replicas > 1 && shardable mid entry.nf then config.replicas else 1
-          in
-          (* Scalable = the elastic controller may add/remove replicas
-             at runtime: the plan clears the NF for sharding AND its
-             state supports live extraction ([Replication.migratable]).
-             Standby replicas up to the ceiling are built now —
-             activation is then a pure steering-map change. *)
-          let steer =
-            match elastic with
-            | Some (ec : elastic_config)
-              when ec.max_replicas > 1 && Replication.migratable nf0
-                   && shardable mid entry.nf ->
-                let n = max base_replicas ec.max_replicas in
-                Some (n, Elastic.steer ec ~replicas:n ~base:base_replicas)
-            | _ -> None
-          in
-          let n_replicas = match steer with Some (n, _) -> n | None -> base_replicas in
-          let nfs =
-            Array.init n_replicas (fun r ->
-                if r = 0 then nf0
-                else
-                  match nf0.Nfp_nf.Nf.fresh with
-                  | Some fresh -> fresh ()
-                  | None -> assert false (* [shardable] guarantees fresh *))
-          in
-          let bypassed = Array.make n_replicas false in
-          let make_replica r jitter =
-            let nf = nfs.(r) in
-            let cell = Watchdog.cell watchdog nf in
-            let static =
-              cost.ring_dequeue + cost.nf_runtime + prog.p_static
-              + if Watchdog.logging cell then cost.log_append else 0
-            in
-            (* Pressure-degrade switch: while this replica's own ring
-               sits above the watermark, an NF that declares a degrade
-               mode runs its coarsened semantics at its coarsened cost.
-               It reads the server created below, once bound. *)
-            let sw = Overload.switch overload_ctl nf in
-            let service_ns ctx (c : Nfp_sim.Server.cell) =
-              let nf_cycles =
-                match Context.get ctx entry.version with
-                | Some pkt -> Overload.cost_cycles sw pkt
-                | None -> 0
-              in
-              c.ns <-
-                Nfp_sim.Cost.ns_of_cycles cost (static + nf_cycles + dyn_cycles prog ctx)
-            in
-            let execute ctx =
-              match Context.get ctx entry.version with
-              | None -> [||]
-              | Some pkt -> (
-                  Watchdog.log cell pkt;
-                  let verdict =
-                    try Overload.process sw pkt
-                    with exn ->
-                      Log.warn (fun m ->
-                          m "NF %s crashed on packet %Ld: %s" entry.nf (Context.pid ctx)
-                            (Printexc.to_string exn));
-                      Nfp_nf.Nf.Dropped
-                  in
-                  match verdict with
-                  | Nfp_nf.Nf.Forward -> exec_prog prog ctx
-                  | Nfp_nf.Nf.Dropped ->
-                      if Array.length nil_sends = 0 then incr nf_drops;
-                      nil_sends)
-            in
-            (* Replica 0 keeps the historical core name; shards get an
-               @r suffix, so fault plans can target (and crash) each
-               replica independently. *)
-            let name =
-              if r = 0 then Printf.sprintf "mid%d:%s" mid entry.nf
-              else Printf.sprintf "mid%d:%s@%d" mid entry.nf r
-            in
-            let server = core ~name ~jitter ~service_ns ~execute ~emit:emit_send in
-            Overload.bind sw ~pressured:(fun () -> Nfp_sim.Server.pressured server);
-            (* Bypass recovery: mark the replica, reroute this core's
-               casualties (the in-flight batch its kill reclaimed, and
-               any pending emissions) plus the queued backlog through
-               its action program, so every packet lands in exactly one
-               ledger bucket and no merger waits on this branch. Other
-               replicas of the slot keep processing. *)
-            let drain () =
-              bypassed.(r) <- true;
-              Nfp_sim.Server.set_casualty_sink server (fun jobs emits ->
-                  List.iter (bypass prog) jobs;
-                  List.iter drive emits);
-              let backlog = Nfp_sim.Server.drain server in
-              List.iter (bypass prog) backlog;
-              List.length backlog
-            in
-            register_probe ~nf:(mid, entry.nf) ~drain ~cell server;
-            (server, cell)
-          in
-          (* Build replicas in index order: each creation splits the
-             jitter PRNG, and the replicas=1 trace must keep the
-             historical split sequence. Standby replicas (index >= the
-             static count) split the independent elastic stream instead,
-             leaving the main sequence untouched. *)
-          let replicas =
-            Array.init n_replicas (fun r ->
-                make_replica r
-                  (if r < base_replicas then jitter_for () else elastic_jitter_for ()))
-          in
-          let servers = Array.map fst replicas in
-          let offers = Array.map Nfp_sim.Server.offer servers in
-          (* A channel releases through [route_nf] over the replicas'
-             rings, so steering and bypass are re-resolved at release
-             time. The reroute of a Down link runs the slot's action
-             program off-core, bypass-style: downstream sees every
-             expected branch. *)
-          let links =
-            Array.map
-              (fun srv ->
-                channel_for ~name:(Nfp_sim.Server.name srv)
-                  ~deliver:(route_nf ~release:true slot) ~reroute:(off_core prog))
-              servers
-          in
-          {
-            s_mid = mid;
-            s_entry = entry;
-            s_prog = prog;
-            s_servers = servers;
-            s_nfs = nfs;
-            s_cells = Array.map snd replicas;
-            s_offers = offers;
-            s_links = links;
-            s_ports = Array.map2 offer_via links offers;
-            s_bypassed = bypassed;
-            s_steer = Option.map snd steer;
-          }
-        in
-        slots := Array.of_list (List.mapi build_slot nf_impls);
-        (* Migration transfers get their own link family
-           ("migrate:<replica>"): moved in-flight packets cross the
-           fabric like any other edge, so a plan can perturb the re-home
-           path independently of the data path. *)
-        let elastic_slot s =
-          match s.s_steer with
-          | None -> []
-          | Some steer ->
-              [
-                {
-                  Elastic.servers = s.s_servers;
-                  nfs = s.s_nfs;
-                  cells = s.s_cells;
-                  steer;
-                  hash = (fun ctx -> rss_hash ctx s);
-                  reachable =
-                    (fun r ->
-                      match s.s_links.(r) with
-                      | Some ch -> not (Channel.is_down ch)
-                      | None -> true);
-                  rehome =
-                    Array.map
-                      (fun srv ->
-                        let port = server_port ~prefix:"migrate:" srv in
-                        fun ctx -> drive (fun () -> port ctx))
-                      s.s_servers;
-                };
-              ]
-        in
-        let controller =
-          match elastic with
-          | None -> Elastic.off
-          | Some ec ->
-              Elastic.create ~engine ?fault ec ~ring_capacity:config.ring_capacity
-                ~busy:(fun () ->
-                  List.exists
-                    (fun (Watchdog.Probe p) ->
-                      Nfp_sim.Server.queue_length p.server > 0
-                      || Nfp_sim.Server.is_busy p.server)
-                    !probes)
-                (List.concat_map elastic_slot (Array.to_list !slots))
-        in
-        (* Merge completion, shared by the full-arrival path and the
-           timeout path. [nil_mask] decides the drop policy; [skip_mask]
-           marks branches whose versions must not feed the merge ops —
-           nil branches (half-processed) and, on a timeout, branches
-           that never arrived. With [skip_mask = nil_mask] this is
-           exactly the pre-timeout completion. *)
-        let complete m ctx ~nil_mask ~skip_mask =
-          let dropped =
-            if m.m_drop_any then nil_mask <> 0 else nil_mask land (1 lsl m.m_winner) <> 0
-          in
-          if dropped then begin
-            if Array.length m.m_nil_sends = 0 then incr nf_drops;
-            m.m_nil_sends
-          end
-          else begin
-            (if skip_mask = 0 then
-               let get v = Context.get ctx v in
-               Array.iter (fun op -> Merge_op.apply op ~get) m.m_ops
-             else begin
-               (* Versions from branches that dropped under a priority
-                  policy are half-processed; their ops are skipped. *)
-               let skip_versions = ref [] in
-               Array.iteri
-                 (fun b v ->
-                   if skip_mask land (1 lsl b) <> 0 then
-                     skip_versions := v :: !skip_versions)
-                 m.m_versions;
-               let svs = !skip_versions in
-               let get v =
-                 if List.mem v svs && v <> m.m_result_version then None
-                 else Context.get ctx v
-               in
-               Array.iter (fun op -> Merge_op.apply op ~get) m.m_ops
-             end);
-            exec_prog m.m_next ctx
-          end
-        in
-        let make_merger index =
-          let at : cat_entry Nfp_algo.Pair_table.t = Nfp_algo.Pair_table.create () in
-          (* Completed-merge memory (armed runs only): a branch arriving
-             after its merge already completed — a straggler emitted by
-             a salvaged core after a merge timeout force-completed the
-             accumulation, or a late retransmission of a branch a
-             timeout already nil-substituted — is consumed silently
-             instead of opening a fresh accumulation that would deliver
-             a duplicate. Mergers never see the same (MID, merge, PID)
-             complete twice within the bounded dedup window. *)
-          let done_tbl = Dedup.create dedup_capacity in
-          merger_dedups := done_tbl :: !merger_dedups;
-          let service_ns (d : cdelivery) (cell : Nfp_sim.Server.cell) =
-            let m = d.d_merge in
-            cell.ns <-
-              Nfp_sim.Cost.ns_of_cycles cost
-                (cost.ring_dequeue + cost.merge_delivery
-                + ((m.m_completion_static + dyn_cycles m.m_next d.d_ctx) / max 1 m.m_expected)
-                )
-          in
-          let execute (d : cdelivery) =
-            let m = d.d_merge in
-            let a = Int64.to_int (Context.pid d.d_ctx)
-            and b = Dedup.merge_limb ~mid:m.m_mid ~merge_id:m.m_id in
-            if dedup_on && Dedup.mem done_tbl ~a ~b then begin
-              incr deduped;
-              [||]
-            end
-            else begin
-              let entry =
-                match Nfp_algo.Pair_table.find at ~a ~b with
-                | -1 ->
-                    let e = { c_received = 0; c_nil_mask = 0; c_arrived_mask = 0 } in
-                    Nfp_algo.Pair_table.replace at ~a ~b e;
-                    (* Arm the straggler timeout when this accumulation
-                       opens: if a failed branch never shows up, merge
-                       what did arrive rather than wedge the packet (the
-                       drop policy still applies to arrived nils). *)
-                    if merge_timeout_ns > 0.0 then
-                      Nfp_sim.Engine.schedule engine ~delay:merge_timeout_ns (fun () ->
-                          let s = Nfp_algo.Pair_table.find at ~a ~b in
-                          if s >= 0 && Nfp_algo.Pair_table.value at s == e then begin
-                            Nfp_algo.Pair_table.remove at ~a ~b;
-                            if dedup_on then Dedup.add done_tbl ~a ~b;
-                            incr merge_timeouts;
-                            let missing =
-                              ((1 lsl m.m_expected) - 1) land lnot e.c_arrived_mask
-                            in
-                            drive
-                              (emission d.d_ctx
-                                 (complete m d.d_ctx ~nil_mask:e.c_nil_mask
-                                    ~skip_mask:(e.c_nil_mask lor missing)))
-                          end);
-                    e
-                | s -> Nfp_algo.Pair_table.value at s
-              in
-              entry.c_received <- entry.c_received + 1;
-              if d.d_branch >= 0 then
-                entry.c_arrived_mask <- entry.c_arrived_mask lor (1 lsl d.d_branch);
-              if d.d_nil && d.d_branch >= 0 then
-                entry.c_nil_mask <- entry.c_nil_mask lor (1 lsl d.d_branch);
-              if entry.c_received < m.m_expected then [||]
-              else begin
-                Nfp_algo.Pair_table.remove at ~a ~b;
-                if dedup_on then Dedup.add done_tbl ~a ~b;
-                complete m d.d_ctx ~nil_mask:entry.c_nil_mask ~skip_mask:entry.c_nil_mask
-              end
-            end
-          in
-          let name = Printf.sprintf "merger#%d" index in
-          let server =
-            core ~name ~jitter:(jitter_for ()) ~service_ns ~execute
-              ~emit:(fun (d : cdelivery) send -> emit_send d.d_ctx send)
-          in
-          register_probe server;
-          server
-        in
-        merger_cores := Array.init config.mergers make_merger;
-        let merger_ports = Array.map server_port !merger_cores in
-        merge_port :=
-          (fun (d : cdelivery) ->
-            merger_ports.(slot_of_pid (Context.pid d.d_ctx) (Array.length merger_ports)) d);
-        if config.mergers > 1 then begin
-          let agent_ns =
-            Nfp_sim.Cost.ns_of_cycles cost
-              (cost.ring_dequeue + cost.merger_agent + cost.ring_enqueue)
-          in
-          let service_ns _ (cell : Nfp_sim.Server.cell) = cell.ns <- agent_ns in
-          (* The agent's one send per job is the hop to the PID's merger
-             instance; there is nothing to say about it but "go". *)
-          let hop = [| () |] in
-          let agent =
-            core ~name:"merger-agent" ~jitter:(jitter_for ()) ~service_ns
-              ~execute:(fun _ -> hop)
-              ~emit:(fun (d : cdelivery) () ->
-                merger_ports.(slot_of_pid (Context.pid d.d_ctx) (Array.length merger_ports)) d)
-          in
-          register_probe agent;
-          merge_port := server_port agent;
-          agent_core := Some agent
-        end;
-        let classifier_progs =
-          Array.init (Array.length table) (fun i ->
-              compile_actions ~mid:(i + 1) ~self:(Tables.D_nf "classifier")
-                (plan_of_mid (i + 1)).classifier_actions)
-        in
-        let classifier =
-          let service_ns (ctx : Context.t) (cell : Nfp_sim.Server.cell) =
-            let prog = classifier_progs.(Context.mid ctx - 1) in
-            cell.ns <-
-              Nfp_sim.Cost.ns_of_cycles cost
-                (cost.classifier + prog.p_static + dyn_cycles prog ctx)
-          in
-          let execute ctx = exec_prog classifier_progs.(Context.mid ctx - 1) ctx in
-          let clf =
-            core ~name:"classifier" ~jitter:(jitter_for ()) ~service_ns ~execute
-              ~emit:emit_send
-          in
-          register_probe clf;
-          clf
-        in
-        let sampler =
-          sampler_of classifier
-            (List.concat_map (fun s -> Array.to_list s.s_servers) (Array.to_list !slots))
-            !merger_cores !agent_core
-        in
-        ( Nfp_sim.Server.offer classifier,
-          sampler,
-          controller,
-          fun () ->
-            Array.to_list
-              (Array.map
-                 (fun s ->
-                   replica_report ~mid:s.s_mid s.s_entry s.s_nfs
-                     (Array.to_list (Array.map Nfp_sim.Server.processed s.s_servers)))
-                 !slots) )
+        entry.c_received <- entry.c_received + 1;
+        if d.d_branch >= 0 then
+          entry.c_arrived_mask <- entry.c_arrived_mask lor (1 lsl d.d_branch);
+        if d.d_nil && d.d_branch >= 0 then
+          entry.c_nil_mask <- entry.c_nil_mask lor (1 lsl d.d_branch);
+        if entry.c_received < m.m_expected then [||]
+        else begin
+          Nfp_algo.Pair_table.remove at ~a ~b;
+          if dedup_on then Dedup.add done_tbl ~a ~b;
+          complete m d.d_ctx ~nil_mask:entry.c_nil_mask ~skip_mask:entry.c_nil_mask
+        end
+      end
+    in
+    let name = Printf.sprintf "merger#%d" index in
+    let server =
+      core ~name ~prng ~service_ns ~execute
+        ~emit:(fun (d : cdelivery) send -> emit_send d.d_ctx send)
+    in
+    register_probe server;
+    server
   in
-  (* Classifier front end: CT match, metadata tagging, first-hop actions.
-     Unmatched packets are discarded (no service graph owns them) and
-     counted separately from NF drops. [`Cached] resolves the flow
-     through the two-level classifier (microflow cache over the
-     tuple-space matcher); [`Scan] is the linear first-match reference.
-     Both charge their structural cycles (zero under the default cost
-     model) as added delay ahead of the classifier core. *)
-  let ct = Array.map (fun (m, _, _) -> m) table in
-  let clf = Nfp_packet.Classifier.create ct in
-  (* [classify_pkt] resolves the MID (0 = no rule matches) and leaves
-     the structural cycle charge in [classify_cycles] (an int ref, so
-     storing it never allocates). The [`Cached] arm reads the 5-tuple
-     straight from packet bytes and is allocation-free on a microflow
-     hit; [`Scan] is the reference path and keeps its boxed forms. *)
-  let classify_cycles = ref 0 in
-  let classify_pkt pkt =
-    match classify with
-    | `Cached ->
-        let mid = Nfp_packet.Classifier.classify_packet clf pkt in
-        let probed = Nfp_packet.Classifier.last_probes clf in
-        classify_cycles :=
-          (if probed < 0 then cost.classify_hit
-           else cost.classify_hit + (cost.classify_group * probed));
-        mid
-    | `Scan -> (
-        let result, examined = Nfp_packet.Classifier.scan ct (Packet.flow pkt) in
-        classify_cycles := cost.classify_rule * examined;
-        match result with Some m -> m | None -> 0)
+  let merger_cores = Array.init config.mergers make_merger in
+  let merger_ports = Array.map server_port merger_cores in
+  let to_merger (d : cdelivery) =
+    merger_ports.(slot_of_pid (Context.pid d.d_ctx) (Array.length merger_ports)) d
   in
-  (match stats with None -> () | Some cell -> cell := sampler);
-  (* Replication report: strategy, replica fan-out and per-replica
-     processed counts for every NF, plus the merged state digest. Call
-     it after a run drains — the digest reads live NF state. *)
-  (match replication with None -> () | Some cell -> cell := replication_report);
+  merge_port := to_merger;
+  let agent_core =
+    if config.mergers = 1 then None
+    else begin
+      let agent_ns =
+        Nfp_sim.Cost.ns_of_cycles cost
+          (cost.ring_dequeue + cost.merger_agent + cost.ring_enqueue)
+      in
+      let service_ns _ (cell : Nfp_sim.Server.cell) = cell.ns <- agent_ns in
+      (* The agent's one send per job is the hop to the PID's merger
+         instance; there is nothing to say about it but "go". *)
+      let hop = [| () |] in
+      let agent =
+        core ~name:"merger-agent" ~prng ~service_ns
+          ~execute:(fun _ -> hop)
+          ~emit:(fun (d : cdelivery) () -> to_merger d)
+      in
+      register_probe agent;
+      merge_port := server_port agent;
+      Some agent
+    end
+  in
+  let classifier =
+    let service_ns (ctx : Context.t) (cell : Nfp_sim.Server.cell) =
+      let prog = classifier_progs.(Context.mid ctx - 1) in
+      cell.ns <-
+        Nfp_sim.Cost.ns_of_cycles cost
+          (cost.classifier + prog.p_static + dyn_cycles ~cost prog ctx)
+    in
+    let execute ctx = exec_prog classifier_progs.(Context.mid ctx - 1) ctx in
+    let clf =
+      core ~name:"classifier" ~prng ~service_ns ~execute ~emit:emit_send
+    in
+    register_probe clf;
+    clf
+  in
+  Option.iter
+    (fun cell ->
+      cell :=
+        sampler_of classifier
+          (List.concat_map (fun s -> Array.to_list s.s_servers) (Array.to_list !slots))
+          merger_cores agent_core)
+    stats;
+  (* Replication report: one entry per NF slot. Call it after a run
+     drains — the digest reads live NF state. *)
+  Option.iter
+    (fun cell -> cell := fun () -> Array.to_list (Array.map replica_report !slots))
+    replication;
   let twins =
     twin_chains ~config ?fault
-      ~core:(fun ~name ~jitter ~service_ns ~execute ~emit ->
-        let c = core ~name ~jitter ~service_ns ~execute ~emit in
+      ~core:(fun ~name ~prng ~service_ns ~execute ~emit ->
+        let c = core ~name ~prng ~service_ns ~execute ~emit in
         register_probe c;
         c)
       ~deliver:(deliver_out ~version:1) ~drops:nf_drops nf_impls table
@@ -1643,43 +1690,36 @@ let make_multi ?(path = `Compiled) ?(classify = `Cached) ?(config = default_conf
       dedup_entries = (if dedup_on then dedup_entries () else 0);
     }
   in
+  let front, counters =
+    front_end ?classify ~engine ~cost ~unmatched table (fun ~pid ~mid pkt ->
+        if Overload.shed overload_ctl mid then
+          (* Refused by the admission controller: counted (total and per
+             class) and gone — deliberately, before it can cost a ring
+             slot or a core cycle. *)
+          ()
+        else
+          match twins.(mid - 1) with
+          | Some head when Watchdog.degraded watchdog mid ->
+              (* Sequential fallback: tag the packet as the classifier
+                 would and run the twin chain. *)
+              Packet.stamp pkt ~mid ~pid ~version:1;
+              if not (Nfp_sim.Server.offer head (pid, pkt)) then incr ring_drops
+          | _ ->
+              let ctx = Context.create ~pid ~mid pkt in
+              if not (Nfp_sim.Server.offer classifier ctx) then incr ring_drops)
+  in
   {
     Nfp_sim.Harness.inject =
       (fun ~pid pkt ->
         Watchdog.kick watchdog;
         Elastic.kick controller;
-        let mid = classify_pkt pkt in
-        Nfp_sim.Engine.schedule engine
-          ~delay:(wire_delay +. Nfp_sim.Cost.ns_of_cycles cost !classify_cycles)
-          (fun () ->
-            if mid = 0 then incr unmatched
-            else if Overload.shed overload_ctl mid then
-              (* Refused by the admission controller: counted (total and
-                 per class) and gone — deliberately, before it can cost
-                 a ring slot or a core cycle. *)
-              ()
-            else
-              match twins.(mid - 1) with
-              | Some head when Watchdog.degraded watchdog mid ->
-                  (* Sequential fallback: tag the packet as the
-                     classifier would and run the twin chain. *)
-                  Packet.stamp pkt ~mid ~pid ~version:1;
-                  if not (Nfp_sim.Server.offer head (pid, pkt)) then incr ring_drops
-              | _ ->
-                  let ctx = Context.create ~pid ~mid pkt in
-                  if not (classify_port ctx) then incr ring_drops));
-    classifier =
-      (fun () ->
-        {
-          Nfp_sim.Harness.hits = Nfp_packet.Classifier.cache_hits clf;
-          misses = Nfp_packet.Classifier.cache_misses clf;
-          evictions = Nfp_packet.Classifier.cache_evictions clf;
-        });
+        front ~pid pkt);
+    classifier = counters;
     health;
   }
 
-let make ?path ?classify ?config ?fault ?overload ?elastic ?links ?stats ?replication
-    ~plan ~nfs engine ~output =
-  make_multi ?path ?classify ?config ?fault ?overload ?elastic ?links ?stats ?replication
+let make ?classify ?config ?fault ?overload ?elastic ?links ?stats ?replication ~plan ~nfs
+    engine ~output =
+  make_multi ?classify ?config ?fault ?overload ?elastic ?links ?stats ?replication
     ~graphs:[ (Flow_match.any, plan, nfs) ]
     engine ~output

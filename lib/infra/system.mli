@@ -55,7 +55,7 @@ type fault_config = Watchdog.config = {
           failed; backpressure alone never trips the watchdog. Positive. *)
   merge_timeout_ns : float;
       (** mergers force-complete an accumulation this old with the
-          versions that did arrive; 0.0 disables the timeout *)
+          versions that did arrive; 0.0 disables the timeout. [>= 0]. *)
   restart_ns : float;
       (** downtime of a Restart / Degrade recovery; [>= 0]. The n-th
           consecutive restart of a core waits
@@ -72,7 +72,7 @@ type fault_config = Watchdog.config = {
           replayed packets' service time, output suppressed) and
           re-admits the work the crash reclaimed instead of flushing
           it. 0.0 disables checkpointing — Restart falls back to the
-          lossy flush semantics. Only NFs providing both
+          lossy flush semantics. [>= 0]. Only NFs providing both
           [Nf.snapshot] and [Nf.restore] participate; cores whose NF
           lacks them recover lossily either way. *)
   log_capacity : int;
@@ -88,7 +88,7 @@ type fault_config = Watchdog.config = {
           exponential restart backoff: each delayed restart is counted
           in [health.backoffs]. Infrastructure cores never trip (they
           only back off). 0 (the default) disables the breaker and the
-          backoff — the recover-forever behavior, bit for bit. *)
+          backoff — the recover-forever behavior, bit for bit. [>= 0]. *)
   dedup_capacity : int;
       (** bound on each (pid, version) dedup table — the delivery
           filter and every merger's completed-merge memory. The tables
@@ -153,7 +153,7 @@ type overload_config = Overload.config = {
       (** let NFs that declare an [Nf.degrade] mode coarsen while their
           own ring sits above the watermark *)
 }
-(** Arms the overload control plane (compiled path only): every ring
+(** Arms the overload control plane: every ring
     gets the high/low watermark latch, the classifier front end gains
     the priority-aware admission controller (chains with a lower
     [Tables.plan.priority] shed first; the deployment's highest class
@@ -199,7 +199,7 @@ type elastic_config = Elastic.config = {
   cooldown_ns : float;
       (** minimum time between scale decisions per NF slot *)
 }
-(** Arms elastic scale-out with live migration (compiled path only).
+(** Arms elastic scale-out with live migration.
     Per NF the plan clears for sharding ({!Replication.shardable}) and
     whose state supports runtime extraction
     ({!Replication.migratable}), a controller watches per-replica ring
@@ -247,7 +247,7 @@ type links_config = {
       (** initial head-of-line retransmit timeout; it doubles per
           consecutive firing without ack progress, up to 400 us *)
 }
-(** Arms the lossy-interconnect fault domain (compiled path only):
+(** Arms the lossy-interconnect fault domain:
     every inter-core edge whose destination port the plan names
     (classifier->NF, NF->NF, branch->merger, merger->delivery,
     migration transfers) becomes a modeled link with its own seeded
@@ -300,7 +300,6 @@ type replica_report = {
     of {!make}/{!make_multi}. *)
 
 val make :
-  ?path:[ `Compiled | `Interpretive ] ->
   ?classify:[ `Cached | `Scan ] ->
   ?config:config ->
   ?fault:fault_config ->
@@ -319,7 +318,6 @@ val make :
     @raise Invalid_argument when an NF name has no implementation. *)
 
 val make_multi :
-  ?path:[ `Compiled | `Interpretive ] ->
   ?classify:[ `Cached | `Scan ] ->
   ?config:config ->
   ?fault:fault_config ->
@@ -355,7 +353,7 @@ val make_multi :
     classifier core, so measured latency reflects the lookup structure
     when those terms are enabled.
 
-    [config.replicas] (compiled path only): NFs the replication
+    [config.replicas]: NFs the replication
     analysis clears ({!Nfp_core.Replication.shardable}
     — a safe state-access profile, the [fresh]/[merge] machinery, and
     no Sequential-strategy NF downstream in the graph) are deployed as
@@ -373,16 +371,14 @@ val make_multi :
     deployment. When a [replication] ref is supplied it is filled with
     a thunk producing the per-NF {!replica_report} list.
 
-    [path] selects the execution strategy. [`Compiled] (the default)
-    translates every plan once, at deployment time, into a preresolved
-    program: merge specs in arrays indexed by merge id, NF and merger
-    targets bound to their server slots, static per-action cycle costs
-    folded into constants, and emissions as cursor-walked arrays.
-    [`Interpretive] walks the plan's tables per packet; it is the
-    executable reference semantics and the two paths produce
-    packet-for-packet identical results.
+    Every plan is translated once, at deployment time, into a
+    preresolved program: merge specs in arrays indexed by merge id, NF
+    and merger targets bound to their server slots, static per-action
+    cycle costs folded into constants, and emissions as cursor-walked
+    arrays. {!interpretive} is the reference it is held to, packet for
+    packet.
 
-    [fault] (compiled path only) arms the fault-tolerance subsystem:
+    [fault] arms the fault-tolerance subsystem:
     the plan's perturbations are installed on the named cores, a
     watchdog detects dead or wedged cores from progress heartbeats and
     applies each NF's {!recovery} policy (infrastructure cores always
@@ -400,7 +396,7 @@ val make_multi :
     packet trace byte-identical to a system built without [fault] (the
     differential test in test/test_fastpath.ml enforces this).
 
-    [overload] (compiled path only) arms the overload control plane:
+    [overload] arms the overload control plane:
     watermark backpressure latches on every ring, the priority-aware
     admission controller at the classifier (shed counts exposed
     through [health.drops]), and
@@ -408,14 +404,31 @@ val make_multi :
     workload never reaches — the deployment's output is bit-identical
     to the pre-overload system (test/test_overload.ml enforces this).
 
-    [links] (compiled path only) arms the lossy-interconnect fault
+    [links] arms the lossy-interconnect fault
     domain and, when its [reliable] flag is set, the per-link ARQ
     channels — see {!links_config}.
     @raise Invalid_argument on an empty table, a missing NF, a
     [config.jitter] outside [\[0, 1)], [config.mergers],
     [config.ring_capacity], [config.replicas] or [config.cost.batch]
-    below 1, an
-    out-of-range [fault],
-    [overload], [elastic] or [links] setting, or [fault], [overload],
-    [elastic], [links] or [config.replicas > 1] combined with the
-    [`Interpretive] path. Every check runs before anything is built. *)
+    below 1, or an out-of-range [fault], [overload], [elastic] or
+    [links] setting; a NaN period counts as out of range. Every check
+    runs before anything is built. *)
+
+val interpretive :
+  ?config:config ->
+  graphs:(Flow_match.t * Nfp_core.Tables.plan * (string -> Nfp_nf.Nf.t)) list ->
+  Nfp_sim.Engine.t ->
+  output:(pid:int64 -> Packet.t -> unit) ->
+  Nfp_sim.Harness.system
+(** The executable reference semantics of {!make_multi}: the same
+    deployment, but every core walks the plan's tables per packet
+    instead of running a compiled program. Built from the same
+    [config] and [graphs], it produces the same packets in the same
+    order with the same bytes, drop counters and simulated timestamps
+    (test/test_fastpath.ml holds the two to exact equality). It has no
+    fault, overload, elastic or links machinery, always uses the
+    [`Cached] classifier, and reports {!Nfp_sim.Harness.no_health}
+    apart from [drops.ingress_rejected], [drops.nf_dropped] and
+    [drops.no_match].
+    @raise Invalid_argument on the configs {!make_multi} rejects, and
+    on [config.replicas > 1]. *)

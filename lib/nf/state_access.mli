@@ -39,7 +39,4 @@ val per_flow : mode -> string -> component
 val global : mode -> string -> component
 (** [global mode label] — scope {!Global}. *)
 
-val scope_to_string : scope -> string
-val mode_to_string : mode -> string
-val pp_component : Format.formatter -> component -> unit
 val pp : Format.formatter -> t -> unit

@@ -8,8 +8,6 @@
 type t = private { mid : int; pid : int64; version : int }
 
 val mid_bits : int
-val pid_bits : int
-val version_bits : int
 
 val make : mid:int -> pid:int64 -> version:int -> t
 (** @raise Invalid_argument when any component exceeds its bit width. *)

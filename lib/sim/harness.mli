@@ -134,7 +134,7 @@ type health = {
 
 val no_health : health
 (** What systems without fault machinery (the baselines, the
-    interpretive path) report. *)
+    interpretive reference) report. *)
 
 val add_health : health -> health -> health
 (** Combine the health of composed systems (chained cluster segments):
@@ -204,14 +204,10 @@ val run :
     and the result reflects only the events executed so far — event
     order is unaffected either way. *)
 
-val default_domains : unit -> int
-(** Worker count used when [?domains] is omitted: the runtime's
-    recommended domain count (capped at 8), or 1 inside a
-    {!parallel_runs} worker so pools never nest. *)
-
 val parallel_runs : ?domains:int -> (unit -> 'a) list -> 'a list
 (** Evaluate independent simulation thunks on a pool of [domains]
-    worker domains (default {!default_domains}) and return their
+    worker domains (default: the runtime's recommended domain count,
+    capped at 8, or 1 inside a worker so pools never nest) and return their
     results in input order. Each {!run} invocation is fully
     self-contained and seeded, so thunks built from pure generators
     give identical results at any worker count. Thunks must not share

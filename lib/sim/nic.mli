@@ -5,12 +5,6 @@
     14.88 Mpps on a 10 Gbit/s link — the line-speed curve of the
     paper's Fig. 7(b). *)
 
-val line_rate_bps : float
-(** 10e9. *)
-
-val framing_overhead_bytes : int
-(** 20. *)
-
 val max_pps : frame_bytes:int -> float
 (** Packets per second at line rate for a given frame size. *)
 

@@ -36,6 +36,3 @@ val flow_of_index : t -> int -> Flow.t
 
 val frame_bytes : t -> int -> int
 (** Size the [i]-th packet will have. *)
-
-val header_bytes : int
-(** Ethernet + IPv4 + TCP: 54 bytes. *)

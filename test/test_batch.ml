@@ -74,12 +74,18 @@ type observation = {
   digests : (string * int) list;
 }
 
-let observe ?(path = `Compiled) ?fault ~batch_size ~plan ~bindings ~arrivals ~packets
-    () =
+(* [dataplane] builds the deployment: by default the compiled one, with
+   [fault] armed; the interpretive reference takes no fault config. *)
+let observe ?fault
+    ?(dataplane =
+      fun ~config ~graphs engine ~output ->
+        Nfp_infra.System.make_multi ?fault ~config ~graphs engine ~output)
+    ~batch_size ~plan ~bindings ~arrivals ~packets () =
   let lookup, nfs = instances bindings in
   let outs = ref [] in
   let make engine ~output =
-    Nfp_infra.System.make ~path ?fault ~config:(roomy_at batch_size) ~plan ~nfs:lookup
+    dataplane ~config:(roomy_at batch_size)
+      ~graphs:[ (Flow_match.any, plan, lookup) ]
       engine
       ~output:(fun ~pid pkt ->
         outs := (pid, Bytes.to_string (Packet.to_bytes pkt)) :: !outs;
@@ -119,15 +125,15 @@ let check_equivalent ~batch reference batched =
 
 (* Run batch = 1 (bitwise-legacy per-packet semantics) as the
    reference, then every swept size against it. *)
-let sweep ?path ?fault ~text ~bindings ~arrivals ?(packets = 2000) () =
+let sweep ?fault ?dataplane ~text ~bindings ~arrivals ?(packets = 2000) () =
   let plan = plan_of text in
   let reference =
-    observe ?path ?fault ~batch_size:1 ~plan ~bindings ~arrivals ~packets ()
+    observe ?fault ?dataplane ~batch_size:1 ~plan ~bindings ~arrivals ~packets ()
   in
   List.iter
     (fun batch ->
       let batched =
-        observe ?path ?fault ~batch_size:batch ~plan ~bindings ~arrivals ~packets ()
+        observe ?fault ?dataplane ~batch_size:batch ~plan ~bindings ~arrivals ~packets ()
       in
       check_equivalent ~batch reference batched)
     sizes;
@@ -167,7 +173,9 @@ let fault_free_tests =
     Alcotest.test_case "interpretive path agrees across batch sizes" `Quick
       (fun () ->
         ignore
-          (sweep ~path:`Interpretive ~text:ns_text ~bindings:ns_bindings
+          (sweep
+             ~dataplane:(fun ~config ~graphs -> Nfp_infra.System.interpretive ~config ~graphs)
+             ~text:ns_text ~bindings:ns_bindings
              ~arrivals:bursty ~packets:1200 ()));
   ]
 

@@ -351,20 +351,6 @@ let differential_tests =
         check Alcotest.int "no scale-outs" 0 ra.health.scale_outs;
         check Alcotest.int "no migrations" 0
           (ra.health.migrations + rb.health.migrations));
-    Alcotest.test_case "interpretive path refuses the elastic knob" `Quick (fun () ->
-        let plan = plan_of tag_text in
-        let lookup = instances ~make_nf:tag_make_nf tag_bindings in
-        Alcotest.check_raises "invalid_arg"
-          (Invalid_argument
-             "System.make_multi: elastic scale-out requires the `Compiled path")
-          (fun () ->
-            ignore
-              (Nfp_sim.Harness.run
-                 ~make:(fun engine ~output ->
-                   Sys.make ~path:`Interpretive ~elastic:eager ~plan ~nfs:lookup
-                     engine ~output)
-                 ~gen:(traffic ())
-                 ~arrivals:(Nfp_sim.Harness.Uniform 0.5) ~packets:10 ())));
     Alcotest.test_case "invalid elastic policies are rejected" `Quick (fun () ->
         let plan = plan_of tag_text in
         let lookup = instances ~make_nf:tag_make_nf tag_bindings in
@@ -382,7 +368,15 @@ let differential_tests =
         rejects "System.make_multi: elastic occupancy thresholds must satisfy in < out"
           { eager with scale_in_occupancy = 0.9 };
         rejects "System.make_multi: elastic migration_batch must be >= 1"
-          { eager with migration_batch = 0 });
+          { eager with migration_batch = 0 };
+        rejects "System.make_multi: elastic periods must be positive"
+          { eager with control_interval_ns = 0.0 };
+        rejects "System.make_multi: elastic periods must be positive"
+          { eager with control_interval_ns = Float.nan };
+        rejects "System.make_multi: elastic periods must be positive"
+          { eager with transfer_ns = Float.nan };
+        rejects "System.make_multi: elastic periods must be positive"
+          { eager with cooldown_ns = -1.0 });
     Alcotest.test_case "health shows standby and migrating cores; ledger balances"
       `Quick (fun () ->
         let plan = plan_of tag_text in

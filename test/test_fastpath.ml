@@ -1,9 +1,9 @@
 (* Differential tests for the compiled dataplane fast path: a
-   [`Compiled] deployment must be observationally identical to the
-   [`Interpretive] reference — same packets in the same order with the
-   same bytes, same drop counters, same simulated clock — and the
-   domain-parallel harness must return bit-identical results at any
-   worker count. *)
+   [System.make_multi] deployment must be observationally identical to
+   the [System.interpretive] reference built from the same graphs and
+   config — same packets in the same order with the same bytes, same
+   drop counters, same simulated clock — and the domain-parallel
+   harness must return bit-identical results at any worker count. *)
 
 open Nfp_packet
 open Nfp_core
@@ -41,10 +41,10 @@ type trace = {
   mean_ns : float;
 }
 
-let trace ~path ~make ~gen ~arrivals ~packets =
+let trace ~make ~gen ~arrivals ~packets =
   let outs = ref [] in
   let wrapped engine ~output =
-    make ~path engine ~output:(fun ~pid pkt ->
+    make engine ~output:(fun ~pid pkt ->
         outs := (pid, Bytes.to_string (Packet.to_bytes pkt)) :: !outs;
         output ~pid pkt)
   in
@@ -77,10 +77,21 @@ let check_traces ?(duration = true) a b =
       check Alcotest.string "output bytes" bytes_a bytes_b)
     a.outs b.outs
 
+(* The two dataplanes under one signature: the reference walks the
+   plan's tables per packet, the compiled one runs preresolved
+   programs. *)
+let interpretive ~config ~graphs engine ~output =
+  Nfp_infra.System.interpretive ~config ~graphs engine ~output
+
+let compiled ~config ~graphs engine ~output =
+  Nfp_infra.System.make_multi ~config ~graphs engine ~output
+
+(* [make dataplane] builds one deployment with fresh NF instances, so
+   stateful NFs never leak state from one run into the next. *)
 let differential ~make ~gen ~arrivals ~packets =
   check_traces
-    (trace ~path:`Interpretive ~make ~gen ~arrivals ~packets)
-    (trace ~path:`Compiled ~make ~gen ~arrivals ~packets)
+    (trace ~make:(make interpretive) ~gen ~arrivals ~packets)
+    (trace ~make:(make compiled) ~gen ~arrivals ~packets)
 
 let traffic ?(sizes = Nfp_traffic.Size_dist.fixed 128) () =
   let g =
@@ -89,10 +100,10 @@ let traffic ?(sizes = Nfp_traffic.Size_dist.fixed 128) () =
   in
   Nfp_traffic.Pktgen.packet g
 
-let single_make text bindings =
+let single_make ?(config = Nfp_infra.System.default_config) text bindings =
   let plan = plan_of text in
-  fun ~path engine ~output ->
-    Nfp_infra.System.make ~path ~plan ~nfs:(instances bindings) engine ~output
+  fun dataplane engine ~output ->
+    dataplane ~config ~graphs:[ (Flow_match.any, plan, instances bindings) ] engine ~output
 
 let ns_text =
   "NF(vpn, VPN)\nNF(mon, Monitor)\nNF(fw, Firewall)\nNF(lb, LoadBalancer)\n\
@@ -136,11 +147,10 @@ let differential_tests =
           ~gen:(traffic ~sizes:(Nfp_traffic.Size_dist.fixed 1500) ())
           ~arrivals:(Nfp_sim.Harness.Uniform 0.4) ~packets:400);
     Alcotest.test_case "multiple merger instances agree" `Quick (fun () ->
-        let plan = plan_of we_text in
-        let make ~path engine ~output =
-          Nfp_infra.System.make ~path
+        let make =
+          single_make
             ~config:{ Nfp_infra.System.default_config with mergers = 3 }
-            ~plan ~nfs:(instances we_bindings) engine ~output
+            we_text we_bindings
         in
         differential ~make ~gen:(traffic ())
           ~arrivals:(Nfp_sim.Harness.Uniform 0.8) ~packets:800);
@@ -149,8 +159,8 @@ let differential_tests =
            traffic is unmatched and must count identically. *)
         let p1 = plan_of "NF(m1, Monitor)\nPosition(m1, first)" in
         let p2 = plan_of ns_text in
-        let make ~path engine ~output =
-          Nfp_infra.System.make_multi ~path
+        let make dataplane engine ~output =
+          dataplane ~config:Nfp_infra.System.default_config
             ~graphs:
               [
                 (Flow_match.make ~proto:17 (), p1, instances [ ("m1", "Monitor") ]);
@@ -159,7 +169,7 @@ let differential_tests =
             engine ~output
         in
         let tr =
-          trace ~path:`Compiled ~make ~gen:(traffic ())
+          trace ~make:(make compiled) ~gen:(traffic ())
             ~arrivals:(Nfp_sim.Harness.Uniform 0.5) ~packets:600
         in
         check Alcotest.bool "some packets unmatched" true (tr.unmatched > 0);
@@ -182,11 +192,17 @@ let random_policy_gen =
     let* edge_bits = array_size (return (n * n)) bool in
     return (kinds, edge_bits))
 
-let random_policy_arbitrary =
+let print_policy (kinds, _) =
+  String.concat "," (Array.to_list (Array.map (fun i -> kind_pool.(i)) kinds))
+
+let random_policy_arbitrary = QCheck.make ~print:print_policy random_policy_gen
+
+(* A policy plus a merger count in {1, 2, 3}: at 2 and 3 every merge
+   delivery crosses the merger agent. *)
+let mergers_policy_arbitrary =
   QCheck.make
-    ~print:(fun (kinds, _) ->
-      String.concat "," (Array.to_list (Array.map (fun i -> kind_pool.(i)) kinds)))
-    random_policy_gen
+    ~print:(fun (mergers, spec) -> Printf.sprintf "mergers=%d %s" mergers (print_policy spec))
+    QCheck.Gen.(pair (int_range 1 3) random_policy_gen)
 
 let build_policy (kinds, edge_bits) =
   let n = Array.length kinds in
@@ -212,8 +228,8 @@ let property_tests =
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:25
          ~name:"compiled path matches interpretive path on any policy"
-         random_policy_arbitrary
-         (fun spec ->
+         mergers_policy_arbitrary
+         (fun (mergers, spec) ->
            let policy = build_policy spec in
            match Compiler.compile policy with
            | Error _ -> QCheck.assume_fail ()
@@ -221,15 +237,17 @@ let property_tests =
                match Tables.of_output out with
                | Error _ -> false
                | Ok plan ->
-                   let make ~path engine ~output =
-                     Nfp_infra.System.make ~path ~plan
-                       ~nfs:(instances policy.bindings) engine ~output
-                   in
-                   let t path =
-                     trace ~path ~make ~gen:(traffic ())
+                   let config = { Nfp_infra.System.default_config with mergers } in
+                   let t dataplane =
+                     trace
+                       ~make:(fun engine ~output ->
+                         dataplane ~config
+                           ~graphs:[ (Flow_match.any, plan, instances policy.bindings) ]
+                           engine ~output)
+                       ~gen:(traffic ())
                        ~arrivals:(Nfp_sim.Harness.Uniform 1.5) ~packets:300
                    in
-                   t `Interpretive = t `Compiled)));
+                   t interpretive = t compiled)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -248,10 +266,10 @@ let disarmed_fault =
 let fault_differential ~plan ~bindings ~arrivals ~packets =
   (* Fresh NF instances per run: stateful NFs (VPN sequence numbers,
      monitor counters) must not leak state from one run to the next. *)
-  let make ?fault () ~path engine ~output =
-    Nfp_infra.System.make ~path ?fault ~plan ~nfs:(instances bindings) engine ~output
+  let make ?fault () engine ~output =
+    Nfp_infra.System.make ?fault ~plan ~nfs:(instances bindings) engine ~output
   in
-  let t mk = trace ~path:`Compiled ~make:mk ~gen:(traffic ()) ~arrivals ~packets in
+  let t mk = trace ~make:mk ~gen:(traffic ()) ~arrivals ~packets in
   check_traces ~duration:false
     (t (make ()))
     (t (make ~fault:disarmed_fault ()))
@@ -282,12 +300,12 @@ let fault_differential_tests =
                match Tables.of_output out with
                | Error _ -> false
                | Ok plan ->
-                   let make ?fault () ~path engine ~output =
-                     Nfp_infra.System.make ~path ?fault ~plan
+                   let make ?fault () engine ~output =
+                     Nfp_infra.System.make ?fault ~plan
                        ~nfs:(instances policy.bindings) engine ~output
                    in
                    let t mk =
-                     trace ~path:`Compiled ~make:mk ~gen:(traffic ())
+                     trace ~make:mk ~gen:(traffic ())
                        ~arrivals:(Nfp_sim.Harness.Uniform 1.5) ~packets:300
                    in
                    let a = t (make ()) and b = t (make ~fault:disarmed_fault ()) in

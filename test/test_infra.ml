@@ -1062,25 +1062,31 @@ let fault_tests =
              h.cores);
         check Alcotest.int "no events" 0
           (h.detections + h.crashes + h.restarts + h.bypasses + h.drops.flush_lost));
-    Alcotest.test_case "fault config on the interpretive path is rejected" `Quick
+    Alcotest.test_case "bad fault and deployment configs are rejected" `Quick
       (fun () ->
         let o = compile_ok ns_text in
         let plan = plan_of_output o in
-        let rejects ?(path = `Compiled) ?config msg fault =
+        let rejects ?config msg fault =
           Alcotest.check_raises msg (Invalid_argument ("System.make_multi: " ^ msg))
             (fun () ->
               let engine = Nfp_sim.Engine.create () in
               ignore
-                (Nfp_infra.System.make ~path ?config ~fault ~plan
+                (Nfp_infra.System.make ?config ~fault ~plan
                    ~nfs:(instances ns_bindings) engine ~output:(fun ~pid:_ _ -> ())))
         in
         let fc = Nfp_infra.System.default_fault_config in
-        rejects ~path:`Interpretive "fault injection requires the `Compiled path" fc;
         rejects "fault watchdog interval and deadline must be positive"
           { fc with watchdog_interval_ns = 0.0 };
         rejects "fault watchdog interval and deadline must be positive"
           { fc with watchdog_deadline_ns = 0.0 };
         rejects "fault restart_ns must be >= 0" { fc with restart_ns = -1.0 };
+        rejects "fault merge_timeout_ns must be >= 0" { fc with merge_timeout_ns = -1.0 };
+        rejects "fault merge_timeout_ns must be >= 0" { fc with merge_timeout_ns = Float.nan };
+        rejects "fault checkpoint_interval_ns must be >= 0"
+          { fc with checkpoint_interval_ns = -1.0 };
+        rejects "fault checkpoint_interval_ns must be >= 0"
+          { fc with checkpoint_interval_ns = Float.nan };
+        rejects "fault breaker_threshold must be >= 0" { fc with breaker_threshold = -1 };
         rejects "fault log_capacity must be >= 1" { fc with log_capacity = 0 };
         rejects "fault dedup_capacity must be >= 2" { fc with dedup_capacity = 1 };
         let dc = Nfp_infra.System.default_config in

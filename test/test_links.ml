@@ -279,22 +279,11 @@ let unit_tests =
         rejects "System.make_multi: links periods must be positive"
           { lossy with ack_interval_ns = 0.0 };
         rejects "System.make_multi: links periods must be positive"
-          { lossy with rto_ns = 0.0 });
-    Alcotest.test_case "interpretive path refuses the links knob" `Quick (fun () ->
-        let plan = plan_of tag_text in
-        let lookup = instances ~make_nf:tag_make_nf tag_bindings in
-        Alcotest.check_raises "invalid_arg"
-          (Invalid_argument
-             "System.make_multi: link channels require the `Compiled path")
-          (fun () ->
-            ignore
-              (Nfp_sim.Harness.run
-                 ~make:(fun engine ~output ->
-                   Sys.make ~path:`Interpretive
-                     ~links:(links [ F.loss ~probability:0.01 "*" ])
-                     ~plan ~nfs:lookup engine ~output)
-                 ~gen:(traffic ())
-                 ~arrivals:steady ~packets:10 ())));
+          { lossy with rto_ns = 0.0 };
+        rejects "System.make_multi: links periods must be positive"
+          { lossy with ack_interval_ns = Float.nan };
+        rejects "System.make_multi: links periods must be positive"
+          { lossy with rto_ns = Float.nan });
     Alcotest.test_case "stacked link faults draw their pinned verdicts" `Quick
       (fun () ->
         (* Burst + Loss + Duplicate + Jumble on one link, plus a

@@ -306,15 +306,15 @@ let differential_tests =
         let plan = plan_of we_text in
         let lookup = instances ~make_nf:default_nf we_bindings in
         Alcotest.check_raises "invalid_arg"
-          (Invalid_argument "System.make_multi: replicas require the `Compiled path")
+          (Invalid_argument "System.interpretive: replicas must be 1")
           (fun () ->
             ignore
               (Nfp_sim.Harness.run
                  ~make:(fun engine ~output ->
-                   Sys.make ~path:`Interpretive
+                   Sys.interpretive
                      ~config:{ Sys.default_config with replicas = 4 }
-                     ~plan ~nfs:lookup engine
-                     ~output)
+                     ~graphs:[ (Nfp_packet.Flow_match.any, plan, lookup) ]
+                     engine ~output)
                  ~gen:(traffic ())
                  ~arrivals:(Nfp_sim.Harness.Uniform 0.5) ~packets:10 ())));
   ]
