@@ -85,6 +85,7 @@ let default_prov =
   }
 
 let prov label = { default_prov with label }
+let onvm_prov label = { default_prov with label; path = "onvm"; classify = "none" }
 
 type measurement = {
   mpps : float;
@@ -112,48 +113,71 @@ let record_sample m =
     Mutex.unlock json_mutex
   end
 
-(* A measurement of one harness run: its mean and p99 latency in us,
-   under [label]. [mpps] is whatever the experiment reports in that
-   field (a lossless rate, goodput, availability). *)
-let sample ?(prov = default_prov) ?(extra = []) ~mpps label (r : Nfp_sim.Harness.result) =
-  {
-    mpps;
-    latency_us = Nfp_algo.Stats.mean r.latency /. 1000.0;
-    p99_us = Nfp_algo.Stats.percentile r.latency 99.0 /. 1000.0;
-    prov = { prov with label };
-    extra;
-  }
+(* The mean and p99 of a latency sample in us; (0, 0) when it is empty
+   (an overload class the controller shed entirely). *)
+let latency_us stats =
+  if Nfp_algo.Stats.count stats = 0 then (0.0, 0.0)
+  else
+    ( Nfp_algo.Stats.mean stats /. 1000.0,
+      Nfp_algo.Stats.percentile stats 99.0 /. 1000.0 )
+
+(* A measurement of one latency sample under [label]. [mpps] is
+   whatever the experiment reports in that field (a lossless rate,
+   goodput, availability). *)
+let sample ?(prov = default_prov) ?(extra = []) ~mpps label latency =
+  let latency_us, p99_us = latency_us latency in
+  { mpps; latency_us; p99_us; prov = { prov with label }; extra }
 
 (* [n] packets delivered over [r]'s run, in Mpps (packets per ns x
    1000). *)
 let goodput (r : Nfp_sim.Harness.result) n = float_of_int n /. r.duration_ns *. 1000.0
+
+(* [f x] for every [x] of [xs] on the Harness.parallel_runs pool,
+   returned in [xs]'s order. Each [f x] builds its own generators and
+   stats cells (both are mutable) and every simulation is self-seeded,
+   so results are identical at any worker count; callers print and
+   record after collection. *)
+let sweep f xs = Nfp_sim.Harness.parallel_runs (List.map (fun x () -> f x) xs)
+
+(* Every pair of [xs] and [ys], [xs]-major: the order a crossed sweep
+   prints and records in. *)
+let cross xs ys = List.concat_map (fun x -> List.map (fun y -> (x, y)) ys) xs
 
 (* The max lossless rate of [make] under [gen]: the harness's 8-step
    bisection below [hi] Mpps, [search_packets] packets per probe. *)
 let knee ?(hi = 14.88) ~gen make =
   Nfp_sim.Harness.max_lossless_mpps ~make ~gen ~packets:search_packets ~hi ~iterations:8 ()
 
+(* The latency run of the evaluation's methodology: [latency_packets]
+   packets of [gen] into [make] in 32-packet bursts at [rate] Mpps. *)
+let latency_run ~gen make rate =
+  Nfp_sim.Harness.run ~make ~gen
+    ~arrivals:(Nfp_sim.Harness.Burst (rate, 32))
+    ~packets:latency_packets ()
+
 (* One measurement, not yet recorded: [measure] for thunks on the
    domain pool, which record their results after collection. *)
 let measure_unrecorded ?hi ?(prov = default_prov) ~gen make =
   let mpps = knee ?hi ~gen make in
-  let r =
-    Nfp_sim.Harness.run ~make ~gen
-      ~arrivals:(Nfp_sim.Harness.Burst (0.9 *. mpps, 32))
-      ~packets:latency_packets ()
-  in
+  let r = latency_run ~gen make (0.9 *. mpps) in
   if r.unmatched <> 0 then
     failwith
       (Printf.sprintf "measure: %d packets missed the classification table"
          r.unmatched);
-  sample ~prov ~mpps prov.label r
+  sample ~prov ~mpps prov.label r.latency
 
 let measure ?hi ?prov ~gen make =
   let m = measure_unrecorded ?hi ?prov ~gen make in
   record_sample m;
   m
 
-(* Fresh NF instances per deployment; [kinds] maps instance -> type. *)
+(* ------------------------------------------------------------------ *)
+(* Instances, plans and deployments                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* An instance lookup is a factory: every call builds fresh instances
+   for one deployment. [lookup_of kinds] builds registry types, [kinds]
+   mapping instance -> type. *)
 let lookup_of kinds () =
   let table = Hashtbl.create 8 in
   List.iter
@@ -164,6 +188,31 @@ let lookup_of kinds () =
     kinds;
   Hashtbl.find table
 
+let profile_in kinds n = Nfp_nf.Registry.profile_of (List.assoc n kinds)
+
+(* The registry cannot instantiate parameterized firewall variants, so
+   the firewall rigs take their instances, [extra] cycles per packet
+   each, from this lookup. *)
+let firewalls ~extra names () =
+  let table = Hashtbl.create 8 in
+  List.iter
+    (fun n ->
+      Hashtbl.replace table n
+        (fst (Nfp_nf.Firewall.create ~name:n ~extra_cycles:extra ())))
+    names;
+  Hashtbl.find table
+
+let fw_profile _ = Nfp_nf.Registry.profile_of "Firewall"
+let fw_names n = List.init n (Printf.sprintf "fw%d")
+let forwarder_kinds n = List.init n (fun i -> (Printf.sprintf "fwd%d" i, "Forwarder"))
+let seq names = Graph.seq (List.map Graph.nf names)
+let par names = Graph.par (List.map Graph.nf names)
+
+let north_south =
+  [ ("vpn", "VPN"); ("mon", "Monitor"); ("fw", "Firewall"); ("lb", "LoadBalancer") ]
+
+let west_east = [ ("ids", "IPS"); ("mon", "Monitor"); ("lb", "LoadBalancer") ]
+
 (* Every graph and chain the bench deploys is valid by construction, so
    a planning or compile error aborts the run. *)
 let plan_of ?copy_mode ?priority ~profile_of graph =
@@ -171,29 +220,37 @@ let plan_of ?copy_mode ?priority ~profile_of graph =
   | Ok p -> p
   | Error e -> failwith e
 
-(* The plan the policy compiler derives for the chain [order] over the
-   [(name, kind)] bindings [kinds]. *)
-let chain_plan kinds order =
+(* The registry chain [kinds] in sequence, as written. *)
+let seq_plan kinds = plan_of ~profile_of:(profile_in kinds) (seq (List.map fst kinds))
+
+(* The plan the policy compiler derives for the registry chain
+   [kinds]. *)
+let chain_plan kinds =
   let policy =
-    { Nfp_policy.Rule.bindings = kinds; rules = Nfp_policy.Rule.of_chain order }
+    {
+      Nfp_policy.Rule.bindings = kinds;
+      rules = Nfp_policy.Rule.of_chain (List.map fst kinds);
+    }
   in
   match Compiler.compile policy with
   | Error es -> failwith (String.concat ";" es)
   | Ok out -> ( match Tables.of_output out with Ok p -> p | Error e -> failwith e)
 
-let nfp_make ?(copy_mode = `Auto) ?(mergers = 1) ~kinds graph =
-  let profile_of n = Nfp_nf.Registry.profile_of (List.assoc n kinds) in
-  let plan = plan_of ~copy_mode ~profile_of graph in
+(* NFP running [graph]: its plan is built once, its instances fresh
+   from [nfs] per system. A rig that needs another System.make argument
+   calls System.make itself. *)
+let nfp ?copy_mode ?(mergers = 1) ~profile_of ~nfs graph =
+  let plan = plan_of ?copy_mode ~profile_of graph in
   fun engine ~output ->
     Nfp_infra.System.make
       ~config:{ Nfp_infra.System.default_config with mergers }
-      ~plan
-      ~nfs:(lookup_of kinds ())
-      engine ~output
+      ~plan ~nfs:(nfs ()) engine ~output
 
-let onvm_make ~kinds order engine ~output =
-  let lookup = lookup_of kinds () in
-  Nfp_baseline.Opennetvm.make ~nfs:(List.map lookup order) engine ~output
+(* OpenNetVM running [names] as a chain, fresh instances from [nfs]
+   per system. *)
+let onvm ~nfs names engine ~output =
+  let lookup = nfs () in
+  Nfp_baseline.Opennetvm.make ~nfs:(List.map lookup names) engine ~output
 
 (* ------------------------------------------------------------------ *)
 (* stats: Table 3 and the §4 NF-pair statistics                        *)
@@ -219,35 +276,24 @@ let run_stats () =
 (* fig7: sequential forwarder chains, OpenNetVM vs NFP                 *)
 (* ------------------------------------------------------------------ *)
 
-let forwarder_kinds n =
-  List.init n (fun i -> (Printf.sprintf "fwd%d" i, "Forwarder"))
-
 let run_fig7 () =
   section "Fig. 7  Sequential service chains (1-5 forwarders)";
   note "(a) latency, 64B packets (paper: both systems ~5-17us, linear in chain length,";
   note "    NFP within a few us of OpenNetVM):";
   note "    %-6s %-22s %-22s" "NFs" "OpenNetVM (us)" "NFP (us)";
+  (* OpenNetVM and NFP running [n] forwarders in sequence. *)
+  let chains n =
+    let kinds = forwarder_kinds n in
+    let names = List.map fst kinds and nfs = lookup_of kinds in
+    (onvm ~nfs names, nfp ~profile_of:(profile_in kinds) ~nfs (seq names))
+  in
   let gen = gen_of_size 64 in
   for n = 1 to 5 do
-    let kinds = forwarder_kinds n in
-    let order = List.map fst kinds in
+    let onvm_make, nfp_make = chains n in
     let onvm =
-      measure
-        ~prov:
-          {
-            default_prov with
-            label = Printf.sprintf "fig7a:onvm:%dnf" n;
-            path = "onvm";
-            classify = "none";
-          }
-        ~gen (onvm_make ~kinds order)
+      measure ~prov:(onvm_prov (Printf.sprintf "fig7a:onvm:%dnf" n)) ~gen onvm_make
     in
-    let nfp =
-      measure
-        ~prov:(prov (Printf.sprintf "fig7a:nfp:%dnf" n))
-        ~gen
-        (nfp_make ~kinds (Graph.seq (List.map Graph.nf order)))
-    in
+    let nfp = measure ~prov:(prov (Printf.sprintf "fig7a:nfp:%dnf" n)) ~gen nfp_make in
     note "    %-6d %-22.1f %-22.1f" n onvm.latency_us nfp.latency_us
   done;
   note "";
@@ -255,44 +301,23 @@ let run_fig7 () =
   note "    length; OpenNetVM slightly below and roughly flat in chain length):";
   note "    %-8s %-10s %-12s %-12s %-12s %-10s" "size" "line" "NFP-5NF" "ONVM-1NF" "ONVM-3NF"
     "ONVM-5NF";
-  (* Size points are independent sweeps, so they run on the domain pool;
-     each thunk builds its own generator (the memo cache is mutable) and
-     every simulation inside is self-seeded, so results are identical at
-     any worker count. Rows print, and their samples record, in order
-     after collection. *)
   let rows =
-    Nfp_sim.Harness.parallel_runs
-      (List.map
-         (fun size () ->
-           let gen = gen_of_size size in
-           let hi = Nfp_sim.Nic.max_mpps ~frame_bytes:size in
-           let rate sys n make =
-             let p =
-               if sys = "nfp" then prov (Printf.sprintf "fig7b:%s:%dnf:%dB" sys n size)
-               else
-                 {
-                   default_prov with
-                   label = Printf.sprintf "fig7b:%s:%dnf:%dB" sys n size;
-                   path = "onvm";
-                   classify = "none";
-                 }
-             in
-             measure_unrecorded ~hi ~prov:p ~gen (make n)
-           in
-           let nfp n =
-             let kinds = forwarder_kinds n in
-             nfp_make ~kinds (Graph.seq (List.map Graph.nf (List.map fst kinds)))
-           in
-           let onvm n =
-             let kinds = forwarder_kinds n in
-             onvm_make ~kinds (List.map fst kinds)
-           in
-           let nfp5 = rate "nfp" 5 nfp in
-           let onvm1 = rate "onvm" 1 onvm in
-           let onvm3 = rate "onvm" 3 onvm in
-           let onvm5 = rate "onvm" 5 onvm in
-           (size, hi, nfp5, onvm1, onvm3, onvm5))
-         [ 64; 256; 1024; 1500 ])
+    sweep
+      (fun size ->
+        let gen = gen_of_size size in
+        let hi = Nfp_sim.Nic.max_mpps ~frame_bytes:size in
+        let rate sys n =
+          let onvm_make, nfp_make = chains n in
+          let label = Printf.sprintf "fig7b:%s:%dnf:%dB" sys n size in
+          if sys = "nfp" then measure_unrecorded ~hi ~prov:(prov label) ~gen nfp_make
+          else measure_unrecorded ~hi ~prov:(onvm_prov label) ~gen onvm_make
+        in
+        let nfp5 = rate "nfp" 5 in
+        let onvm1 = rate "onvm" 1 in
+        let onvm3 = rate "onvm" 3 in
+        let onvm5 = rate "onvm" 5 in
+        (size, hi, nfp5, onvm1, onvm3, onvm5))
+      [ 64; 256; 1024; 1500 ]
   in
   List.iter
     (fun (size, hi, nfp5, onvm1, onvm3, onvm5) ->
@@ -302,29 +327,8 @@ let run_fig7 () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* fig8/fig9/fig11 rigs: 2..d instances of one NF (Fig. 10 setups)     *)
+(* fig8/fig9/fig11 rig: 2..d instances of one NF (Fig. 10 setups)      *)
 (* ------------------------------------------------------------------ *)
-
-let rig_kinds kind d = List.init d (fun i -> (Printf.sprintf "nf%d" i, kind))
-
-let rig_measurements ?(mergers = 1) ?(gen = gen_of_size 64) ?(hi = 14.88) kind d =
-  let kinds = rig_kinds kind d in
-  let names = List.map fst kinds in
-  let seq_graph = Graph.seq (List.map Graph.nf names) in
-  let par_graph = Graph.par (List.map Graph.nf names) in
-  let onvm = measure ~hi ~gen (onvm_make ~kinds names) in
-  let nfp_seq = measure ~hi ~gen (nfp_make ~kinds seq_graph) in
-  let par_nc = measure ~hi ~gen (nfp_make ~copy_mode:`Share_all ~mergers ~kinds par_graph) in
-  let par_c = measure ~hi ~gen (nfp_make ~copy_mode:`Copy_all ~mergers ~kinds par_graph) in
-  (onvm, nfp_seq, par_nc, par_c)
-
-let print_rig_row label (onvm, nfp_seq, par_nc, par_c) =
-  note "  %-12s | %7.1f %7.2f | %7.1f %7.2f | %7.1f %7.2f (%4.0f%%) | %7.1f %7.2f (%4.0f%%)"
-    label onvm.latency_us onvm.mpps nfp_seq.latency_us nfp_seq.mpps par_nc.latency_us
-    par_nc.mpps
-    (100.0 *. (nfp_seq.latency_us -. par_nc.latency_us) /. nfp_seq.latency_us)
-    par_c.latency_us par_c.mpps
-    (100.0 *. (nfp_seq.latency_us -. par_c.latency_us) /. nfp_seq.latency_us)
 
 let rig_header () =
   note "  %-12s | %-15s | %-15s | %-24s | %-24s" "" "ONVM-seq" "NFP-seq" "NFP-par-nocopy"
@@ -332,58 +336,44 @@ let rig_header () =
   note "  %-12s | %7s %7s | %7s %7s | %7s %7s %7s | %7s %7s %7s" "" "us" "Mpps" "us" "Mpps"
     "us" "Mpps" "(red.)" "us" "Mpps" "(red.)"
 
+(* The four Fig. 10 deployments of the instances [names], measured at
+   64B and printed as one row under [label]: OpenNetVM and NFP in
+   sequence, then NFP in parallel without and with packet copies on
+   [mergers] mergers. *)
+let rig ?mergers ~profile_of ~nfs label names =
+  let gen = gen_of_size 64 in
+  let onvm = measure ~gen (onvm ~nfs names) in
+  let nfp_seq = measure ~gen (nfp ~profile_of ~nfs (seq names)) in
+  let parallel copy_mode = nfp ~copy_mode ?mergers ~profile_of ~nfs (par names) in
+  let par_nc = measure ~gen (parallel `Share_all) in
+  let par_c = measure ~gen (parallel `Copy_all) in
+  let reduction m = 100.0 *. (nfp_seq.latency_us -. m.latency_us) /. nfp_seq.latency_us in
+  note
+    "  %-12s | %7.1f %7.2f | %7.1f %7.2f | %7.1f %7.2f (%4.0f%%) | %7.1f %7.2f (%4.0f%%)"
+    label onvm.latency_us onvm.mpps nfp_seq.latency_us nfp_seq.mpps par_nc.latency_us
+    par_nc.mpps (reduction par_nc) par_c.latency_us par_c.mpps (reduction par_c)
+
 let run_fig8 () =
   section "Fig. 8  Two instances of each NF type, sequential vs parallel (64B)";
   note "(paper: latency rises with NF complexity left to right; parallel beats";
   note " sequential, and the gain grows with complexity; copies cost little)";
   rig_header ();
   List.iter
-    (fun kind -> print_rig_row kind (rig_measurements kind 2))
+    (fun kind ->
+      let kinds = [ ("nf0", kind); ("nf1", kind) ] in
+      rig ~profile_of:(profile_in kinds) ~nfs:(lookup_of kinds) kind (List.map fst kinds))
     [ "Forwarder"; "LoadBalancer"; "Firewall"; "Monitor"; "VPN"; "IDS" ]
-
-(* The registry cannot instantiate parameterized firewall variants, so
-   Fig. 9/11 build their deployments from explicit instances. *)
-let fw_deploy ?(copy_mode = `Auto) ?(mergers = 1) ?ring_capacity ?fault ~extra
-    ~graph names =
-  let profile_of _ = Nfp_nf.Registry.profile_of "Firewall" in
-  let plan = plan_of ~copy_mode ~profile_of graph in
-  let ring_capacity =
-    match ring_capacity with
-    | Some c -> c
-    | None -> Nfp_infra.System.default_config.ring_capacity
-  in
-  fun engine ~output ->
-    let table = Hashtbl.create 8 in
-    List.iter
-      (fun n ->
-        Hashtbl.replace table n (fst (Nfp_nf.Firewall.create ~name:n ~extra_cycles:extra ())))
-      names;
-    Nfp_infra.System.make
-      ~config:{ Nfp_infra.System.default_config with mergers; ring_capacity }
-      ?fault ~plan ~nfs:(Hashtbl.find table) engine ~output
-
-let fw_onvm ~extra names engine ~output =
-  let nfs =
-    List.map (fun n -> fst (Nfp_nf.Firewall.create ~name:n ~extra_cycles:extra ())) names
-  in
-  Nfp_baseline.Opennetvm.make ~nfs engine ~output
 
 let run_fig9 () =
   section "Fig. 9  Firewall complexity sweep (two instances, 1-3000 extra cycles, 64B)";
   note "(paper: latency reduction from parallelism grows with per-packet cycles,";
   note " reaching ~45%% at 3000 cycles; copy overhead stays minimal)";
   rig_header ();
-  let gen = gen_of_size 64 in
+  let names = fw_names 2 in
   List.iter
     (fun extra ->
-      let names = [ "fw0"; "fw1" ] in
-      let seq = Graph.seq (List.map Graph.nf names) in
-      let par = Graph.par (List.map Graph.nf names) in
-      let onvm = measure ~gen (fw_onvm ~extra names) in
-      let nfp_seq = measure ~gen (fw_deploy ~extra ~graph:seq names) in
-      let par_nc = measure ~gen (fw_deploy ~copy_mode:`Share_all ~extra ~graph:par names) in
-      let par_c = measure ~gen (fw_deploy ~copy_mode:`Copy_all ~extra ~graph:par names) in
-      print_rig_row (Printf.sprintf "%d cyc" extra) (onvm, nfp_seq, par_nc, par_c))
+      rig ~profile_of:fw_profile ~nfs:(firewalls ~extra names)
+        (Printf.sprintf "%d cyc" extra) names)
     [ 1; 600; 1200; 1800; 2400; 3000 ]
 
 let run_fig11 () =
@@ -392,22 +382,13 @@ let run_fig11 () =
   note " 32%% with copies; processing rate roughly unaffected; two merger instances";
   note " serve degree >= 4)";
   rig_header ();
-  let gen = gen_of_size 64 in
   List.iter
     (fun d ->
-      let names = List.init d (fun i -> Printf.sprintf "fw%d" i) in
-      let mergers = if d >= 4 then 2 else 1 in
-      let seq = Graph.seq (List.map Graph.nf names) in
-      let par = Graph.par (List.map Graph.nf names) in
-      let onvm = measure ~gen (fw_onvm ~extra:300 names) in
-      let nfp_seq = measure ~gen (fw_deploy ~extra:300 ~graph:seq names) in
-      let par_nc =
-        measure ~gen (fw_deploy ~copy_mode:`Share_all ~mergers ~extra:300 ~graph:par names)
-      in
-      let par_c =
-        measure ~gen (fw_deploy ~copy_mode:`Copy_all ~mergers ~extra:300 ~graph:par names)
-      in
-      print_rig_row (Printf.sprintf "degree %d" d) (onvm, nfp_seq, par_nc, par_c))
+      let names = fw_names d in
+      rig
+        ~mergers:(if d >= 4 then 2 else 1)
+        ~profile_of:fw_profile ~nfs:(firewalls ~extra:300 names)
+        (Printf.sprintf "degree %d" d) names)
     [ 2; 3; 4; 5 ]
 
 (* ------------------------------------------------------------------ *)
@@ -418,7 +399,7 @@ let run_fig12 () =
   section "Fig. 12  Service-graph structures with 4 NFs (firewall + 300 cycles, 64B)";
   note "(paper: latency tracks the equivalent chain length; structure (2) wins,";
   note " structure (5), equivalent length 3, sees little reduction)";
-  let names = [ "fw0"; "fw1"; "fw2"; "fw3" ] in
+  let names = fw_names 4 in
   let n i = Graph.nf (List.nth names i) in
   let shapes =
     [
@@ -431,13 +412,17 @@ let run_fig12 () =
     ]
   in
   let gen = gen_of_size 64 in
+  let nfs = firewalls ~extra:300 names in
   note "  %-14s %-7s | %-17s | %-17s" "structure" "eq.len" "no copy (us, Mpps)"
     "copy (us, Mpps)";
   let baseline = ref 0.0 in
   List.iter
     (fun (label, graph) ->
-      let nc = measure ~gen (fw_deploy ~copy_mode:`Share_all ~mergers:2 ~extra:300 ~graph names) in
-      let c = measure ~gen (fw_deploy ~copy_mode:`Copy_all ~mergers:2 ~extra:300 ~graph names) in
+      let deploy copy_mode =
+        nfp ~copy_mode ~mergers:2 ~profile_of:fw_profile ~nfs graph
+      in
+      let nc = measure ~gen (deploy `Share_all) in
+      let c = measure ~gen (deploy `Copy_all) in
       if !baseline = 0.0 then baseline := nc.latency_us;
       note "  %-14s %-7d | %7.1f  %6.2f   | %7.1f  %6.2f   (vs seq: %4.0f%%)" label
         (Graph.equivalent_length graph) nc.latency_us nc.mpps c.latency_us c.mpps
@@ -453,18 +438,15 @@ let run_fig13 () =
   let chains =
     [
       ( "north-south",
-        [ ("vpn", "VPN"); ("mon", "Monitor"); ("fw", "Firewall"); ("lb", "LoadBalancer") ],
-        [ "vpn"; "mon"; "fw"; "lb" ],
+        north_south,
         "paper: 241us -> 210us (12.9% reduction), 0% overhead" );
-      ( "west-east",
-        [ ("ids", "IPS"); ("mon", "Monitor"); ("lb", "LoadBalancer") ],
-        [ "ids"; "mon"; "lb" ],
-        "paper: 220us -> 141us (35.9% reduction), 8.8% overhead" );
+      ("west-east", west_east, "paper: 220us -> 141us (35.9% reduction), 8.8% overhead");
     ]
   in
   List.iter
-    (fun (label, kinds, order, paper) ->
-      let plan = chain_plan kinds order in
+    (fun (label, kinds, paper) ->
+      let order = List.map fst kinds in
+      let plan = chain_plan kinds in
       note "";
       note "%s   [%s]" label paper;
       note "  chain : %s" (String.concat " -> " order);
@@ -482,19 +464,16 @@ let run_fig13 () =
       let gen = gen_datacenter () in
       let hi = Nfp_sim.Nic.max_mpps ~frame_bytes:724 in
       let run_variant tag uniform =
-        let wrap lookup n =
-          let nf = lookup n in
-          if uniform then { nf with Nfp_nf.Nf.cost_cycles = (fun _ -> 1200) } else nf
+        let nfs () =
+          let lookup = lookup_of kinds () in
+          fun n ->
+            let nf = lookup n in
+            if uniform then { nf with Nfp_nf.Nf.cost_cycles = (fun _ -> 1200) } else nf
         in
-        let onvm =
-          measure ~hi ~gen (fun engine ~output ->
-              let lookup = lookup_of kinds () in
-              Nfp_baseline.Opennetvm.make ~nfs:(List.map (wrap lookup) order) engine ~output)
-        in
+        let onvm = measure ~hi ~gen (onvm ~nfs order) in
         let nfp =
           measure ~hi ~gen (fun engine ~output ->
-              let lookup = lookup_of kinds () in
-              Nfp_infra.System.make ~plan ~nfs:(wrap lookup) engine ~output)
+              Nfp_infra.System.make ~plan ~nfs:(nfs ()) engine ~output)
         in
         note "  %-22s OpenNetVM %6.1f us  ->  NFP %6.1f us   (%.1f%% reduction)" tag
           onvm.latency_us nfp.latency_us
@@ -522,19 +501,16 @@ let run_table4 () =
   let gen = gen_of_size 64 in
   List.iter
     (fun n ->
-      let names = List.init n (fun i -> Printf.sprintf "fw%d" i) in
-      let onvm = measure ~gen (fw_onvm ~extra:0 names) in
-      let nfp_graph =
-        if n = 1 then Graph.nf "fw0" else Graph.par (List.map Graph.nf names)
-      in
+      let names = fw_names n in
+      let nfs = firewalls ~extra:0 names in
+      let onvm = measure ~gen (onvm ~nfs names) in
       let nfp =
-        measure ~gen (fw_deploy ~copy_mode:`Share_all ~extra:0 ~graph:nfp_graph names)
+        measure ~gen (nfp ~copy_mode:`Share_all ~profile_of:fw_profile ~nfs (par names))
       in
       let bess =
         measure ~gen (fun engine ~output ->
             Nfp_baseline.Bess.make ~cores:(n + 2)
-              ~chain:(fun () ->
-                List.map (fun nm -> fst (Nfp_nf.Firewall.create ~name:nm ())) names)
+              ~chain:(fun () -> List.map (nfs ()) names)
               engine ~output)
       in
       note "  %-6d | %7.1f %8.2f | %7.1f %8.2f | %7.1f %8.2f" n onvm.latency_us onvm.mpps
@@ -551,9 +527,12 @@ let run_merger () =
   note " suffice for full speed up to degree 5)";
   let gen = gen_of_size 64 in
   let rate ~d ~mergers =
-    let names = List.init d (fun i -> Printf.sprintf "fw%d" i) in
-    let graph = Graph.par (List.map Graph.nf names) in
-    (measure ~gen (fw_deploy ~copy_mode:`Share_all ~mergers ~extra:0 ~graph names)).mpps
+    let names = fw_names d in
+    let nfs = firewalls ~extra:0 names in
+    let make =
+      nfp ~copy_mode:`Share_all ~mergers ~profile_of:fw_profile ~nfs (par names)
+    in
+    (measure ~gen make).mpps
   in
   note "  %-8s %-14s %-14s" "degree" "1 merger" "2 mergers";
   List.iter
@@ -594,8 +573,8 @@ let run_overhead () =
 
 let run_replay () =
   section "§6.4  Result correctness: replay against sequential execution";
-  let run_chain label kinds order =
-    let plan = chain_plan kinds order in
+  let run_chain label kinds =
+    let plan = chain_plan kinds in
     let gen =
       Nfp_traffic.Pktgen.create
         {
@@ -607,21 +586,15 @@ let run_replay () =
     in
     let o =
       Nfp_traffic.Replay.run
-        ~chain:(fun () ->
-          let lookup = lookup_of kinds () in
-          List.map lookup order)
+        ~chain:(fun () -> List.map (lookup_of kinds ()) (List.map fst kinds))
         ~deployment:(fun () -> (plan, lookup_of kinds ()))
         ~gen:(Nfp_traffic.Pktgen.packet gen) ~packets:2000
     in
     note "  %-12s %d/%d packets identical (%s)" label o.agreements o.total
       (if Nfp_traffic.Replay.agrees o then "PASS" else "FAIL")
   in
-  run_chain "north-south"
-    [ ("vpn", "VPN"); ("mon", "Monitor"); ("fw", "Firewall"); ("lb", "LoadBalancer") ]
-    [ "vpn"; "mon"; "fw"; "lb" ];
-  run_chain "west-east"
-    [ ("ids", "IPS"); ("mon", "Monitor"); ("lb", "LoadBalancer") ]
-    [ "ids"; "mon"; "lb" ]
+  run_chain "north-south" north_south;
+  run_chain "west-east" west_east
 
 (* ------------------------------------------------------------------ *)
 (* fig15: OpenBox block-level parallelism                              *)
@@ -651,8 +624,7 @@ let run_fig15 () =
   let hi = Nfp_sim.Nic.max_mpps ~frame_bytes:256 in
   let deploy block_stages =
     let graph, nfs = Nfp_openbox.Pipeline.to_deployment block_stages in
-    let plan = plan_of ~profile_of:(fun n -> (nfs n).Nfp_nf.Nf.profile) graph in
-    fun engine ~output -> Nfp_infra.System.make ~plan ~nfs engine ~output
+    nfp ~profile_of:(fun n -> (nfs n).Nfp_nf.Nf.profile) ~nfs:(fun () -> nfs) graph
   in
   (* All three variants are DPI-bound; compare latency at a common
      offered rate below that bound. *)
@@ -674,14 +646,8 @@ let run_fig15 () =
   note "  cost-threshold effect as Fig. 8:";
   List.iter2
     (fun (label, bs) rate ->
-      let r =
-        Nfp_sim.Harness.run ~make:(deploy bs) ~gen
-          ~arrivals:(Nfp_sim.Harness.Burst (common, 32))
-          ~packets:latency_packets ()
-      in
-      note "  %-28s %6.1f us   (max %5.2f Mpps)" label
-        (Nfp_algo.Stats.mean r.latency /. 1000.0)
-        rate)
+      let r = latency_run ~gen (deploy bs) common in
+      note "  %-28s %6.1f us   (max %5.2f Mpps)" label (fst (latency_us r.latency)) rate)
     variants rates
 
 (* ------------------------------------------------------------------ *)
@@ -879,29 +845,13 @@ let run_partition () =
   section "§7  Cross-server partitioning (six firewalls + 300 cycles, 64B)";
   note "(extension of the paper's scalability sketch: cuts only where one merged";
   note " copy flows; each inter-server handoff pays the link plus both NICs)";
-  let names = List.init 6 (fun i -> Printf.sprintf "fw%d" i) in
   let graph =
     Graph.seq
-      [
-        Graph.nf "fw0";
-        Graph.par [ Graph.nf "fw1"; Graph.nf "fw2" ];
-        Graph.nf "fw3";
-        Graph.par [ Graph.nf "fw4"; Graph.nf "fw5" ];
-      ]
+      [ Graph.nf "fw0"; par [ "fw1"; "fw2" ]; Graph.nf "fw3"; par [ "fw4"; "fw5" ] ]
   in
-  let profile_of _ = Nfp_nf.Registry.profile_of "Firewall" in
-  let nfs () =
-    let t = Hashtbl.create 8 in
-    List.iter
-      (fun n -> Hashtbl.replace t n (fst (Nfp_nf.Firewall.create ~name:n ~extra_cycles:300 ())))
-      names;
-    Hashtbl.find t
-  in
+  let nfs = firewalls ~extra:300 (fw_names 6) in
   let gen = gen_of_size 64 in
-  let single engine ~output =
-    Nfp_infra.System.make ~plan:(plan_of ~profile_of graph) ~nfs:(nfs ()) engine ~output
-  in
-  let m1 = measure ~gen single in
+  let m1 = measure ~gen (nfp ~profile_of:fw_profile ~nfs graph) in
   note "  single server (%d cores): %.1f us, %.2f Mpps" (Partition.cores_needed graph)
     m1.latency_us m1.mpps;
   List.iter
@@ -911,8 +861,8 @@ let run_partition () =
       | Ok assignments ->
           let clustered engine ~output =
             match
-              Nfp_infra.Cluster.of_partition ~assignments ~profile_of ~nfs:(nfs ()) engine
-                ~output
+              Nfp_infra.Cluster.of_partition ~assignments ~profile_of:fw_profile
+                ~nfs:(nfs ()) engine ~output
             with
             | Ok s -> s
             | Error e -> failwith e
@@ -933,22 +883,13 @@ let run_partition () =
 
 let overload_classes = [ (0, "bronze"); (1, "silver"); (2, "gold") ]
 
-let overload_graphs ~extra () =
+let overload_graphs () =
   List.map
     (fun (cls, label) ->
       let names = [ label ^ "-fw0"; label ^ "-fw1" ] in
-      let graph = Graph.seq (List.map Graph.nf names) in
-      let profile_of _ = Nfp_nf.Registry.profile_of "Firewall" in
-      let plan = plan_of ~profile_of ~priority:cls graph in
-      let table = Hashtbl.create 4 in
-      List.iter
-        (fun n ->
-          Hashtbl.replace table n
-            (fst (Nfp_nf.Firewall.create ~name:n ~extra_cycles:extra ())))
-        names;
       ( Nfp_packet.Flow_match.make ~dport_range:(1000 + cls, 1000 + cls) (),
-        plan,
-        Hashtbl.find table ))
+        plan_of ~profile_of:fw_profile ~priority:cls (seq names),
+        firewalls ~extra:300 names () ))
     overload_classes
 
 (* Packet i belongs to chain (i mod 3); one flow per class keeps the
@@ -966,11 +907,17 @@ let overload_gen =
 
 let class_of_pid pid = Int64.to_int (Int64.rem pid 3L)
 
-(* One load point on the rig: per-class delivery counts and latency via
-   wrappers around the system's inject/output (the class is recoverable
-   from the pid). Returns the harness result plus per-class delivered
-   counts and latency accumulators. *)
-let overload_run ?overload ~rate ~packets () =
+(* The rig's knee with the control plane unarmed: every class
+   lossless. *)
+let overload_knee () =
+  knee ~gen:overload_gen (fun engine ~output ->
+      Nfp_infra.System.make_multi ~graphs:(overload_graphs ()) engine ~output)
+
+(* One load point on the rig at [rate] Mpps: per-class delivery counts
+   and latency via wrappers around the system's inject/output (the
+   class is recoverable from the pid). Returns the harness result plus
+   per-class delivered counts and latency accumulators. *)
+let overload_run ?overload rate =
   let lat = Array.init 3 (fun _ -> Nfp_algo.Stats.create ()) in
   let delivered = Array.make 3 0 in
   let t0 = Hashtbl.create 4096 in
@@ -986,8 +933,7 @@ let overload_run ?overload ~rate ~packets () =
       output ~pid pkt
     in
     let system =
-      Nfp_infra.System.make_multi ?overload ~graphs:(overload_graphs ~extra:300 ())
-        engine ~output
+      Nfp_infra.System.make_multi ?overload ~graphs:(overload_graphs ()) engine ~output
     in
     {
       system with
@@ -999,7 +945,7 @@ let overload_run ?overload ~rate ~packets () =
   in
   let r =
     Nfp_sim.Harness.run ~make ~gen:overload_gen
-      ~arrivals:(Nfp_sim.Harness.Uniform rate) ~packets ()
+      ~arrivals:(Nfp_sim.Harness.Uniform rate) ~packets:latency_packets ()
   in
   (r, delivered, lat)
 
@@ -1017,25 +963,16 @@ let shed_of_class (drops : Nfp_sim.Harness.drops) c =
 
 let elastic_kinds = forwarder_kinds 2 @ [ ("ids", "IDS") ]
 
-let elastic_plan () =
-  let profile_of n = Nfp_nf.Registry.profile_of (List.assoc n elastic_kinds) in
-  plan_of ~profile_of (Graph.seq (List.map (fun (n, _) -> Graph.nf n) elastic_kinds))
+let elastic_make ?elastic () =
+  let plan = seq_plan elastic_kinds in
+  fun engine ~output ->
+    Nfp_infra.System.make ?elastic ~plan ~nfs:(lookup_of elastic_kinds ()) engine ~output
 
-let elastic_point ?elastic ~rate ~packets () =
-  let plan = elastic_plan () in
-  let make engine ~output =
-    Nfp_infra.System.make ?elastic ~plan ~nfs:(lookup_of elastic_kinds ())
-      engine ~output
-  in
-  Nfp_sim.Harness.run ~make ~gen:(gen_of_size 64)
-    ~arrivals:(Nfp_sim.Harness.Uniform rate) ~packets ()
+let elastic_point ?elastic rate =
+  Nfp_sim.Harness.run ~make:(elastic_make ?elastic ()) ~gen:(gen_of_size 64)
+    ~arrivals:(Nfp_sim.Harness.Uniform rate) ~packets:latency_packets ()
 
-let elastic_knee () =
-  let plan = elastic_plan () in
-  let make engine ~output =
-    Nfp_infra.System.make ~plan ~nfs:(lookup_of elastic_kinds ()) engine ~output
-  in
-  knee ~gen:(gen_of_size 64) make
+let elastic_knee () = knee ~gen:(gen_of_size 64) (elastic_make ())
 
 (* ------------------------------------------------------------------ *)
 (* loadsweep: latency vs offered load (methodology check)              *)
@@ -1045,60 +982,37 @@ let run_loadsweep () =
   section "Load sweep  Latency vs offered load (north-south chain, 64B)";
   note "(methodology: the evaluation reports latency at 90%% of each setup's";
   note " max lossless rate; this sweep shows where that sits on the knee)";
-  let kinds =
-    [ ("vpn", "VPN"); ("mon", "Monitor"); ("fw", "Firewall"); ("lb", "LoadBalancer") ]
+  let plan = chain_plan north_south in
+  let make ?stats ?links ?(config = Nfp_infra.System.default_config) () engine ~output =
+    Nfp_infra.System.make ?stats ?links ~config ~plan ~nfs:(lookup_of north_south ())
+      engine ~output
   in
-  let plan = chain_plan kinds (List.map fst kinds) in
-  let make engine ~output =
-    Nfp_infra.System.make ~plan ~nfs:(lookup_of kinds ()) engine ~output
-  in
-  let gen = gen_of_size 64 in
-  let mx = knee ~gen make in
+  let mx = knee ~gen:(gen_of_size 64) (make ()) in
   note "  max lossless rate: %.2f Mpps" mx;
   note "  %-10s %-12s %-12s %-10s %-10s %s" "load" "mean (us)" "p99 (us)" "ingress"
     "internal" "stall (us)";
-  (* Each load point is an independent simulation; sweep them on the
-     domain pool (per-thunk generators and stats cells — both are
-     mutable) and print in order once all are collected. *)
-  let fracs = [ 0.2; 0.4; 0.6; 0.8; 0.9; 1.0; 1.1 ] in
   let rows =
-    Nfp_sim.Harness.parallel_runs
-      (List.map
-         (fun frac () ->
-           let gen = gen_of_size 64 in
-           let cell = ref (fun () -> []) in
-           let make engine ~output =
-             Nfp_infra.System.make ~stats:cell ~plan ~nfs:(lookup_of kinds ()) engine
-               ~output
-           in
-           let r =
-             Nfp_sim.Harness.run ~make ~gen
-               ~arrivals:(Nfp_sim.Harness.Burst (frac *. mx, 32))
-               ~packets:latency_packets ()
-           in
-           (* The unified drop taxonomy localizes where the knee comes
-              from: [ingress_rejected] are true losses at the NIC
-              boundary, [internal_rejected] are in-graph backpressure
-              retry events (not losses), and core stall time shows
-              where emission waits. *)
-           let d = r.health.Nfp_sim.Harness.drops in
-           let cores = !cell () in
-           let stalled_us =
-             List.fold_left (fun a c -> a +. c.Nfp_infra.System.stalled_ns) 0.0 cores
-             /. 1000.0
-           in
-           ( frac,
-             Nfp_algo.Stats.mean r.latency /. 1000.0,
-             Nfp_algo.Stats.percentile r.latency 99.0 /. 1000.0,
-             d.Nfp_sim.Harness.ingress_rejected,
-             d.Nfp_sim.Harness.internal_rejected,
-             stalled_us ))
-         fracs)
+    sweep
+      (fun frac ->
+        let stats = ref (fun () -> []) in
+        let r = latency_run ~gen:(gen_of_size 64) (make ~stats ()) (frac *. mx) in
+        (frac, r, !stats ()))
+      [ 0.2; 0.4; 0.6; 0.8; 0.9; 1.0; 1.1 ]
   in
   List.iter
-    (fun (frac, mean_us, p99_us, ingress, internal, stalled_us) ->
+    (fun (frac, (r : Nfp_sim.Harness.result), cores) ->
+      (* The unified drop taxonomy localizes where the knee comes from:
+         [ingress_rejected] are true losses at the NIC boundary,
+         [internal_rejected] are in-graph backpressure retry events
+         (not losses), and core stall time shows where emission
+         waits. *)
+      let mean_us, p99_us = latency_us r.latency in
+      let stalled_us =
+        List.fold_left (fun a c -> a +. c.Nfp_infra.System.stalled_ns) 0.0 cores /. 1000.0
+      in
+      let d = r.health.drops in
       note "  %3.0f%%       %-12.1f %-12.1f %-10d %-10d %.0f" (100.0 *. frac) mean_us
-        p99_us ingress internal stalled_us)
+        p99_us d.ingress_rejected d.internal_rejected stalled_us)
     rows;
   (* Per-priority breakdown: the same sweep on the three-class overload
      rig with the admission controller armed. Below the knee nothing
@@ -1108,37 +1022,22 @@ let run_loadsweep () =
   let oc = Nfp_infra.System.default_overload_config in
   note "  overload control plane armed (3 admission classes, watermarks %d/%d):"
     oc.Nfp_infra.System.high_watermark oc.Nfp_infra.System.low_watermark;
-  let rig_make engine ~output =
-    Nfp_infra.System.make_multi ~graphs:(overload_graphs ~extra:300 ()) engine ~output
-  in
-  let mx3 = knee ~gen:overload_gen rig_make in
+  let mx3 = overload_knee () in
   note "  rig knee: %.2f Mpps; per class: delivered (shed)" mx3;
   note "  %-10s %-18s %-18s %-18s %s" "load" "bronze" "silver" "gold" "p99 (us)";
   let rows =
-    Nfp_sim.Harness.parallel_runs
-      (List.map
-         (fun frac () ->
-           let r, delivered, _lat =
-             overload_run ~overload:Nfp_infra.System.default_overload_config
-               ~rate:(frac *. mx3) ~packets:latency_packets ()
-           in
-           let d = r.health.Nfp_sim.Harness.drops in
-           ( frac,
-             Array.to_list delivered,
-             List.map (shed_of_class d) [ 0; 1; 2 ],
-             Nfp_algo.Stats.percentile r.latency 99.0 /. 1000.0 ))
-         [ 0.6; 0.8; 1.0; 1.2; 1.5; 2.0 ])
+    sweep
+      (fun frac -> (frac, overload_run ~overload:oc (frac *. mx3)))
+      [ 0.6; 0.8; 1.0; 1.2; 1.5; 2.0 ]
   in
   List.iter
-    (fun (frac, delivered, shed, p99_us) ->
-      match (delivered, shed) with
-      | [ db; ds; dg ], [ sb; ss; sg ] ->
-          note "  %3.0f%%       %-18s %-18s %-18s %.1f" (100.0 *. frac)
-            (Printf.sprintf "%d (%d)" db sb)
-            (Printf.sprintf "%d (%d)" ds ss)
-            (Printf.sprintf "%d (%d)" dg sg)
-            p99_us
-      | _ -> ())
+    (fun (frac, ((r : Nfp_sim.Harness.result), delivered, _)) ->
+      let cell c =
+        Printf.sprintf "%d (%d)" delivered.(c) (shed_of_class r.health.drops c)
+      in
+      note "  %3.0f%%       %-18s %-18s %-18s %.1f" (100.0 *. frac) (cell 0) (cell 1)
+        (cell 2)
+        (snd (latency_us r.latency)))
     rows;
   (* Elastic breakdown: the same sweep idea on the scale rig with the
      elastic controller armed — the migration/abort columns show the
@@ -1151,24 +1050,17 @@ let run_loadsweep () =
   note "  %-10s %-12s %-12s %-8s %-6s %-6s %s" "load" "mean (us)" "p99 (us)"
     "ingress" "migr" "abort" "replicas out/in";
   let rows =
-    Nfp_sim.Harness.parallel_runs
-      (List.map
-         (fun frac () ->
-           let r =
-             elastic_point
-               ~elastic:Nfp_infra.System.default_elastic_config
-               ~rate:(frac *. mxe) ~packets:latency_packets ()
-           in
-           (frac, r))
-         [ 0.6; 0.9; 1.1; 1.5 ])
+    sweep
+      (fun frac ->
+        let elastic = Nfp_infra.System.default_elastic_config in
+        (frac, elastic_point ~elastic (frac *. mxe)))
+      [ 0.6; 0.9; 1.1; 1.5 ]
   in
   List.iter
     (fun (frac, (r : Nfp_sim.Harness.result)) ->
-      let h = r.health in
-      note "  %3.0f%%       %-12.1f %-12.1f %-8d %-6d %-6d %d/%d" (100.0 *. frac)
-        (Nfp_algo.Stats.mean r.latency /. 1000.0)
-        (Nfp_algo.Stats.percentile r.latency 99.0 /. 1000.0)
-        h.drops.ingress_rejected h.migrations h.migration_aborts h.scale_outs
+      let h = r.health and mean_us, p99_us = latency_us r.latency in
+      note "  %3.0f%%       %-12.1f %-12.1f %-8d %-6d %-6d %d/%d" (100.0 *. frac) mean_us
+        p99_us h.drops.ingress_rejected h.migrations h.migration_aborts h.scale_outs
         h.scale_ins)
     rows;
   (* Lossy-fabric breakdown: the same chain sweep with 1% loss on every
@@ -1179,38 +1071,23 @@ let run_loadsweep () =
   note "  lossy fabric armed (1%% loss on every link, reliable channels):";
   note "  %-10s %-12s %-12s %-8s %-8s %-8s %s" "load" "mean (us)" "p99 (us)"
     "drops" "retx" "dedup" "lost";
-  let lossy_links =
+  let links =
     {
       Nfp_infra.System.default_links_config with
       link_plan = Nfp_sim.Fault.link_plan [ Nfp_sim.Fault.loss ~probability:0.01 "*" ];
     }
-  in
+  and config = { Nfp_infra.System.default_config with ring_capacity = 8192 } in
   let rows =
-    Nfp_sim.Harness.parallel_runs
-      (List.map
-         (fun frac () ->
-           let gen = gen_of_size 64 in
-           let make engine ~output =
-             Nfp_infra.System.make ~links:lossy_links
-               ~config:{ Nfp_infra.System.default_config with ring_capacity = 8192 }
-               ~plan ~nfs:(lookup_of kinds ()) engine ~output
-           in
-           let r =
-             Nfp_sim.Harness.run ~make ~gen
-               ~arrivals:(Nfp_sim.Harness.Burst (frac *. mx, 32))
-               ~packets:latency_packets ()
-           in
-           (frac, r))
-         [ 0.2; 0.6; 0.9; 1.0 ])
+    sweep
+      (fun frac ->
+        (frac, latency_run ~gen:(gen_of_size 64) (make ~links ~config ()) (frac *. mx)))
+      [ 0.2; 0.6; 0.9; 1.0 ]
   in
   List.iter
     (fun (frac, (r : Nfp_sim.Harness.result)) ->
-      let l = r.health.Nfp_sim.Harness.links in
-      note "  %3.0f%%       %-12.1f %-12.1f %-8d %-8d %-8d %d" (100.0 *. frac)
-        (Nfp_algo.Stats.mean r.latency /. 1000.0)
-        (Nfp_algo.Stats.percentile r.latency 99.0 /. 1000.0)
-        l.Nfp_sim.Harness.link_drops l.Nfp_sim.Harness.retransmits
-        l.Nfp_sim.Harness.duplicates_suppressed
+      let l = r.health.links and mean_us, p99_us = latency_us r.latency in
+      note "  %3.0f%%       %-12.1f %-12.1f %-8d %-8d %-8d %d" (100.0 *. frac) mean_us
+        p99_us l.link_drops l.retransmits l.duplicates_suppressed
         (r.offered - r.completed - r.ring_drops))
     rows
 
@@ -1233,8 +1110,7 @@ let run_scale () =
      ceiling. The replicas knob asks for N everywhere; only the IDS is
      actually sharded. *)
   let kinds = forwarder_kinds 4 @ [ ("ids", "IDS") ] in
-  let profile_of n = Nfp_nf.Registry.profile_of (List.assoc n kinds) in
-  let plan = plan_of ~profile_of (Graph.seq (List.map (fun (n, _) -> Graph.nf n) kinds)) in
+  let plan = seq_plan kinds in
   let shown = ref false in
   let baseline = ref 0.0 in
   List.iter
@@ -1296,18 +1172,10 @@ let run_elastic () =
     ]
   in
   let rows =
-    Nfp_sim.Harness.parallel_runs
-      (List.concat_map
-         (fun (vlabel, elastic) ->
-           List.map
-             (fun frac () ->
-               let r =
-                 elastic_point ?elastic ~rate:(frac *. knee)
-                   ~packets:latency_packets ()
-               in
-               (vlabel, frac, r))
-             fracs)
-         variants)
+    sweep
+      (fun ((vlabel, elastic), frac) ->
+        (vlabel, frac, elastic_point ?elastic (frac *. knee)))
+      (cross variants fracs)
   in
   let last = ref "" in
   List.iter
@@ -1334,7 +1202,7 @@ let run_elastic () =
               ("migrated_packets", float_of_int h.migrated_packets);
             ]
           (Printf.sprintf "elastic:%s:load-%.1fx" vlabel frac)
-          r
+          r.latency
       in
       note "  %3.0f%%     %-10.2f %-10.1f %-8d %-6d %-6d %-6d %d"
         (100.0 *. frac) goodput m.p99_us h.drops.ingress_rejected h.scale_outs
@@ -1350,16 +1218,13 @@ let run_vm () =
   section "§7  Containers vs virtual machines (north-south chain, 64B)";
   note "(paper: the prototype uses containers for light-weight rings; a VM port";
   note " pays NetVM-style delivery costs on every hop)";
-  let kinds =
-    [ ("vpn", "VPN"); ("mon", "Monitor"); ("fw", "Firewall"); ("lb", "LoadBalancer") ]
-  in
-  let plan = chain_plan kinds (List.map fst kinds) in
+  let plan = chain_plan north_south in
   let gen = gen_of_size 64 in
   let run label cost =
     let make engine ~output =
       Nfp_infra.System.make
         ~config:{ Nfp_infra.System.default_config with cost }
-        ~plan ~nfs:(lookup_of kinds ()) engine ~output
+        ~plan ~nfs:(lookup_of north_south ()) engine ~output
     in
     let m = measure ~gen make in
     note "  %-12s %.1f us, %.2f Mpps" label m.latency_us m.mpps
@@ -1404,17 +1269,10 @@ let run_classify () =
     "scan (us)" "cached (us)" "hit rate" "evictions";
   List.iter
     (fun tenants ->
-      let graphs =
+      let graphs () =
         List.init tenants (fun t ->
-            let name = Printf.sprintf "fwd%d" t in
-            let profile_of _ = Nfp_nf.Registry.profile_of "Forwarder" in
-            let plan = plan_of ~profile_of (Graph.nf name) in
-            ( rule t,
-              plan,
-              fun n ->
-                match Nfp_nf.Registry.instantiate "Forwarder" ~name:n with
-                | Some nf -> nf
-                | None -> failwith "no Forwarder implementation" ))
+            let kinds = [ (Printf.sprintf "fwd%d" t, "Forwarder") ] in
+            (rule t, seq_plan kinds, lookup_of kinds ()))
       in
       let shapes =
         Nfp_packet.Classifier.group_count
@@ -1438,7 +1296,7 @@ let run_classify () =
               ~config:
                 { Nfp_infra.System.default_config with
                   cost = Nfp_sim.Cost.classified }
-              ~graphs engine ~output
+              ~graphs:(graphs ()) engine ~output
           in
           sys := Some s;
           s
@@ -1464,7 +1322,7 @@ let run_classify () =
               }
             ~mpps:rate
             (Printf.sprintf "classify:%d-tenants" tenants)
-            r
+            r.latency
         in
         record_sample m;
         (m.latency_us, counters)
@@ -1491,9 +1349,7 @@ let run_batch () =
   note " Batch 1 is the per-packet legacy path; the breath engine's dispatch";
   note " amortization shows up as the throughput step and the wall-clock drop)";
   let kinds = forwarder_kinds 5 in
-  let names = List.map fst kinds in
-  let profile_of n = Nfp_nf.Registry.profile_of (List.assoc n kinds) in
-  let plan = plan_of ~profile_of (Graph.seq (List.map Graph.nf names)) in
+  let plan = seq_plan kinds in
   let gen = gen_of_size 64 in
   note "";
   note "  %-7s %-9s %-10s %-10s %s" "batch" "Mpps" "mean(us)" "p99(us)" "wall(s)";
@@ -1521,32 +1377,66 @@ let run_batch () =
 (* faults: availability under crash storms, per recovery policy        *)
 (* ------------------------------------------------------------------ *)
 
-(* One point of the crash-storm rig the faults and recovery experiments
-   share: the degree-4 rig of Fig. 11 (four [Share_all] firewalls, 2
-   mergers, +300 cycles) offered 20,000 64 B packets at a fixed 2.0
-   Mpps, under a storm that crashes every NF core at exponential
-   intervals of mean [mtbf_ns] ([None]: no crashes). [fault] supplies
-   everything but the plan. *)
-let storm_point ?ring_capacity ~mtbf_ns fault =
-  let names = [ "fw0"; "fw1"; "fw2"; "fw3" ] in
+(* The crash-storm sweep the faults and recovery experiments share: the
+   degree-4 rig of Fig. 11 (four [Share_all] firewalls, 2 mergers, +300
+   cycles, [ring_capacity]-deep rings) offered 20,000 64 B packets at a
+   fixed 2.0 Mpps, under a storm that crashes every NF core at
+   exponential intervals of mean MTBF ([None]: no crashes). One point
+   per (variant, MTBF) pair, each variant a labelled fault config that
+   supplies everything but the storm. Availability (completed/offered)
+   goes in the "mpps" field, under [label variant mtbf]. [variant] names
+   the first column with its width; [columns] are three health
+   counters, each a header, a width and a reader. *)
+let storm_sweep ?(ring_capacity = Nfp_infra.System.default_config.ring_capacity) ~label
+    ~variant:(vhead, vwidth) ~columns variants mtbfs =
+  let names = fw_names 4 in
   let rate = 2.0 and packets = 20000 in
-  let gen = gen_of_size 64 in
-  let plan =
-    match mtbf_ns with
-    | None -> Nfp_sim.Fault.empty
-    | Some mtbf_ns ->
-        Nfp_sim.Fault.storm
-          ~cores:(List.map (fun n -> "mid1:" ^ n) names)
-          ~mtbf_ns
-          ~horizon_ns:(float_of_int packets /. rate *. 1000.0)
-          ()
+  let dplan = plan_of ~copy_mode:`Share_all ~profile_of:fw_profile (par names) in
+  let nfs = firewalls ~extra:300 names in
+  let point ((vlabel, fault), mtbf) =
+    let plan =
+      match mtbf with
+      | None -> Nfp_sim.Fault.empty
+      | Some mtbf_ns ->
+          Nfp_sim.Fault.storm
+            ~cores:(List.map (fun n -> "mid1:" ^ n) names)
+            ~mtbf_ns
+            ~horizon_ns:(float_of_int packets /. rate *. 1000.0)
+            ()
+    in
+    let make engine ~output =
+      Nfp_infra.System.make
+        ~config:{ Nfp_infra.System.default_config with mergers = 2; ring_capacity }
+        ~fault:{ fault with Nfp_infra.System.plan }
+        ~plan:dplan ~nfs:(nfs ()) engine ~output
+    in
+    let r =
+      Nfp_sim.Harness.run ~make ~gen:(gen_of_size 64)
+        ~arrivals:(Nfp_sim.Harness.Uniform rate) ~packets ()
+    in
+    let mlabel =
+      match mtbf with None -> "none" | Some m -> Printf.sprintf "%.1f ms" (m /. 1e6)
+    in
+    let avail = float_of_int r.completed /. float_of_int r.offered in
+    ( vlabel,
+      mlabel,
+      sample ~mpps:avail (label vlabel mlabel) r.latency,
+      List.map (fun (_, width, read) -> Printf.sprintf "%-*d" width (read r.health))
+        columns,
+      r.offered - r.completed )
   in
-  let make =
-    fw_deploy ~copy_mode:`Share_all ~mergers:2 ?ring_capacity ~extra:300
-      ~graph:(Graph.par (List.map Graph.nf names))
-      names ~fault:{ fault with Nfp_infra.System.plan }
+  note "";
+  let heads =
+    List.map (fun (head, width, _) -> Printf.sprintf "%-*s" width head) columns
   in
-  Nfp_sim.Harness.run ~make ~gen ~arrivals:(Nfp_sim.Harness.Uniform rate) ~packets ()
+  note "  %-*s %-8s | %-7s %-9s %-9s | %s %s" vwidth vhead "MTBF" "avail" "mean(us)"
+    "p99(us)" (String.concat " " heads) "lost";
+  List.iter
+    (fun (vlabel, mlabel, m, cells, lost) ->
+      record_sample m;
+      note "  %-*s %-8s | %6.2f%% %-9.1f %-9.1f | %s %d" vwidth vlabel mlabel
+        (100.0 *. m.mpps) m.latency_us m.p99_us (String.concat " " cells) lost)
+    (sweep point (cross variants mtbfs))
 
 let run_faults () =
   section "Faults  Availability under crash storms (4 parallel firewalls, 64B)";
@@ -1556,55 +1446,23 @@ let run_faults () =
   note " mergers time out accumulations a dead branch would wedge. Availability";
   note " is completed/offered at a fixed 2.0 Mpps load; in BENCH_faults.json the";
   note " \"mpps\" field carries availability, not a rate)";
-  let policies =
-    [
-      ("Restart", Nfp_infra.System.Restart);
-      ("Bypass", Nfp_infra.System.Bypass);
-      ("Degrade", Nfp_infra.System.Degrade);
-    ]
-  in
-  let mtbfs = [ None; Some 2.0e6; Some 1.0e6; Some 0.5e6 ] in
-  let mtbf_label = function
-    | None -> "none"
-    | Some m -> Printf.sprintf "%.1f ms" (m /. 1e6)
-  in
-  note "";
-  note "  %-9s %-8s | %-7s %-9s %-9s | %-8s %-8s %-8s %s" "policy" "MTBF" "avail"
-    "mean(us)" "p99(us)" "crashes" "detects" "m.t.o." "lost";
-  (* Policy x MTBF points are independent simulations; sweep them on
-     the domain pool and print in submission order. *)
-  let rows =
-    Nfp_sim.Harness.parallel_runs
-      (List.concat_map
-         (fun (plabel, policy) ->
-           List.map
-             (fun mtbf () ->
-               let r =
-                 storm_point ~mtbf_ns:mtbf
-                   {
-                     Nfp_infra.System.default_fault_config with
-                     recovery_of = (fun _ -> policy);
-                   }
-               in
-               let h = r.health in
-               let avail = float_of_int r.completed /. float_of_int r.offered in
-               let mlabel = mtbf_label mtbf in
-               ( plabel,
-                 mlabel,
-                 sample ~mpps:avail (Printf.sprintf "faults:%s:mtbf-%s" plabel mlabel) r,
-                 h.crashes,
-                 h.detections,
-                 h.drops.merge_timed_out,
-                 r.offered - r.completed ))
-             mtbfs)
-         policies)
-  in
-  List.iter
-    (fun (plabel, mlabel, m, crashes, detects, mto, lost) ->
-      record_sample m;
-      note "  %-9s %-8s | %6.2f%% %-9.1f %-9.1f | %-8d %-8d %-8d %d" plabel mlabel
-        (100.0 *. m.mpps) m.latency_us m.p99_us crashes detects mto lost)
-    rows
+  storm_sweep ~label:(Printf.sprintf "faults:%s:mtbf-%s") ~variant:("policy", 9)
+    ~columns:
+      [
+        ("crashes", 8, fun (h : Nfp_sim.Harness.health) -> h.crashes);
+        ("detects", 8, fun h -> h.detections);
+        ("m.t.o.", 8, fun h -> h.drops.merge_timed_out);
+      ]
+    (List.map
+       (fun (label, policy) ->
+         let fault = Nfp_infra.System.default_fault_config in
+         (label, { fault with recovery_of = (fun _ -> policy) }))
+       [
+         ("Restart", Nfp_infra.System.Restart);
+         ("Bypass", Nfp_infra.System.Bypass);
+         ("Degrade", Nfp_infra.System.Degrade);
+       ])
+    [ None; Some 2.0e6; Some 1.0e6; Some 0.5e6 ]
 
 (* ------------------------------------------------------------------ *)
 (* recovery: lossless restart vs checkpoint interval x crash rate      *)
@@ -1619,56 +1477,29 @@ let run_recovery () =
   note " flush-the-backlog baseline. Availability is completed/offered at a fixed";
   note " 2.0 Mpps load; in BENCH_recovery.json the \"mpps\" field carries";
   note " availability, not a rate)";
-  let intervals =
-    [
-      ("lossy", 0.0);
-      ("400 us", 400_000.0);
-      ("100 us", 100_000.0);
-      ("25 us", 25_000.0);
-    ]
-  in
-  let mtbfs = [ 2.0e6; 1.0e6; 0.5e6 ] in
-  note "";
-  note "  %-8s %-8s | %-7s %-9s %-9s | %-6s %-7s %-8s %s" "ckpt" "MTBF" "avail"
-    "mean(us)" "p99(us)" "ckpts" "replay" "salvage" "lost";
-  let rows =
-    Nfp_sim.Harness.parallel_runs
-      (List.concat_map
-         (fun (ilabel, interval_ns) ->
-           List.map
-             (fun mtbf_ns () ->
-               (* Rings deep enough to buffer a typical outage. Lossless
-                  restart never flushes admitted work, so any residual
-                  loss here is admission refusal at the entry ring while
-                  a replay-extended outage drains. *)
-               let r =
-                 storm_point ~ring_capacity:2048 ~mtbf_ns:(Some mtbf_ns)
-                   {
-                     Nfp_infra.System.default_fault_config with
-                     checkpoint_interval_ns = interval_ns;
-                   }
-               in
-               let h = r.health in
-               let avail = float_of_int r.completed /. float_of_int r.offered in
-               let mlabel = Printf.sprintf "%.1f ms" (mtbf_ns /. 1e6) in
-               ( ilabel,
-                 mlabel,
-                 sample ~mpps:avail
-                   (Printf.sprintf "recovery:ckpt-%s:mtbf-%s" ilabel mlabel)
-                   r,
-                 h.checkpoints,
-                 h.replayed,
-                 h.salvaged,
-                 r.offered - r.completed ))
-             mtbfs)
-         intervals)
-  in
-  List.iter
-    (fun (ilabel, mlabel, m, ckpts, replayed, salvaged, lost) ->
-      record_sample m;
-      note "  %-8s %-8s | %6.2f%% %-9.1f %-9.1f | %-6d %-7d %-8d %d" ilabel mlabel
-        (100.0 *. m.mpps) m.latency_us m.p99_us ckpts replayed salvaged lost)
-    rows
+  (* Rings deep enough to buffer a typical outage. Lossless restart
+     never flushes admitted work, so any residual loss here is
+     admission refusal at the entry ring while a replay-extended outage
+     drains. *)
+  storm_sweep ~ring_capacity:2048 ~label:(Printf.sprintf "recovery:ckpt-%s:mtbf-%s")
+    ~variant:("ckpt", 8)
+    ~columns:
+      [
+        ("ckpts", 6, fun (h : Nfp_sim.Harness.health) -> h.checkpoints);
+        ("replay", 7, fun h -> h.replayed);
+        ("salvage", 8, fun h -> h.salvaged);
+      ]
+    (List.map
+       (fun (label, interval) ->
+         let fault = Nfp_infra.System.default_fault_config in
+         (label, { fault with checkpoint_interval_ns = interval }))
+       [
+         ("lossy", 0.0);
+         ("400 us", 400_000.0);
+         ("100 us", 100_000.0);
+         ("25 us", 25_000.0);
+       ])
+    [ Some 2.0e6; Some 1.0e6; Some 0.5e6 ]
 
 (* ------------------------------------------------------------------ *)
 (* overload: per-class goodput and tail latency past the knee          *)
@@ -1679,43 +1510,31 @@ let run_overload () =
   note "(three identical firewall chains at admission classes bronze/silver/gold;";
   note " past the knee the armed control plane sheds bronze first and preserves";
   note " gold's goodput and tail, where the unarmed rig degrades uniformly)";
-  let make engine ~output =
-    Nfp_infra.System.make_multi ~graphs:(overload_graphs ~extra:300 ()) engine
-      ~output
-  in
-  let mx = knee ~gen:overload_gen make in
+  let mx = overload_knee () in
   note "  rig knee (unarmed, all classes lossless): %.2f Mpps" mx;
   let fracs = [ 0.8; 1.0; 1.2; 1.5; 2.0 ] in
   let variants =
     [ ("off", None); ("on", Some Nfp_infra.System.default_overload_config) ]
   in
+  (* One sample per class per load point; "mpps" carries the class's
+     goodput, not a lossless-rate search result. *)
   let rows =
-    Nfp_sim.Harness.parallel_runs
-      (List.concat_map
-         (fun (vlabel, overload) ->
-           List.map
-             (fun frac () ->
-               let r, delivered, lat =
-                 overload_run ?overload ~rate:(frac *. mx)
-                   ~packets:latency_packets ()
-               in
-               let d = r.health.Nfp_sim.Harness.drops in
-               let per_class =
-                 List.map
-                   (fun (cls, clabel) ->
-                     let goodput = goodput r delivered.(cls) in
-                     let mean_us, p99_us =
-                       if Nfp_algo.Stats.count lat.(cls) = 0 then (0.0, 0.0)
-                       else
-                         ( Nfp_algo.Stats.mean lat.(cls) /. 1000.0,
-                           Nfp_algo.Stats.percentile lat.(cls) 99.0 /. 1000.0 )
-                     in
-                     (clabel, goodput, mean_us, p99_us, shed_of_class d cls))
-                   overload_classes
-               in
-               (vlabel, frac, per_class, r.health))
-             fracs)
-         variants)
+    sweep
+      (fun ((vlabel, overload), frac) ->
+        let r, delivered, lat = overload_run ?overload (frac *. mx) in
+        let per_class =
+          List.map
+            (fun (cls, clabel) ->
+              ( sample
+                  ~mpps:(goodput r delivered.(cls))
+                  (Printf.sprintf "overload:admission-%s:load-%.1fx:%s" vlabel frac
+                     clabel)
+                  lat.(cls),
+                shed_of_class r.health.drops cls ))
+            overload_classes
+        in
+        (vlabel, frac, per_class, r.health))
+      (cross variants fracs)
   in
   let last = ref "" in
   List.iter
@@ -1727,31 +1546,13 @@ let run_overload () =
         note "  %-8s %-22s %-22s %-22s %s" "load" "bronze" "silver" "gold"
           "episodes/degr"
       end;
-      let cell (_, gp, _, p99, shed) =
-        Printf.sprintf "%.2f/%.1f (%d)" gp p99 shed
-      in
+      let cell (m, shed) = Printf.sprintf "%.2f/%.1f (%d)" m.mpps m.p99_us shed in
       (match per_class with
       | [ b; s; g ] ->
           note "  %3.0f%%     %-22s %-22s %-22s %d/%d" (100.0 *. frac) (cell b)
-            (cell s) (cell g) h.Nfp_sim.Harness.pressure_episodes
-            h.Nfp_sim.Harness.degrade_switches
+            (cell s) (cell g) h.pressure_episodes h.degrade_switches
       | _ -> ());
-      (* One sample per class per load point; "mpps" carries the class's
-         goodput, not a lossless-rate search result. *)
-      List.iter
-        (fun (clabel, gp, mean_us, p99_us, _) ->
-          record_sample
-            {
-              mpps = gp;
-              latency_us = mean_us;
-              p99_us;
-              prov =
-                prov
-                  (Printf.sprintf "overload:admission-%s:load-%.1fx:%s" vlabel
-                     frac clabel);
-              extra = [];
-            })
-        per_class)
+      List.iter (fun (m, _) -> record_sample m) per_class)
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -1767,26 +1568,29 @@ let run_links () =
   note " ingress link for the given window and reroutes around it once health";
   note " probes declare it Down — availability stays 1.0 at every duration)";
   let kinds = [ ("gw", "Gateway"); ("fw", "Firewall"); ("mon", "Monitor") ] in
-  let graph = Graph.seq (List.map (fun (n, _) -> Graph.nf n) kinds) in
-  let plan =
-    plan_of ~profile_of:(fun n -> Nfp_nf.Registry.profile_of (List.assoc n kinds)) graph
-  in
+  let plan = seq_plan kinds in
   let rate = 2.0 in
   let packets = 20000 in
-  let deploy ?links engine ~output =
-    Nfp_infra.System.make ?links
-      ~config:{ Nfp_infra.System.default_config with ring_capacity = 8192 }
-      ~plan
-      ~nfs:(lookup_of kinds ())
-      engine ~output
-  in
-  let sweep_point ?links label extras () =
-    let gen = gen_of_size 128 in
+  (* One scenario: its link plan, whether the channels are reliable,
+     its label and its scenario-specific extras. *)
+  let point (specs, reliable, label, extras) =
+    let links =
+      {
+        Nfp_infra.System.default_links_config with
+        link_plan = Nfp_sim.Fault.link_plan specs;
+        reliable;
+      }
+    in
+    let make engine ~output =
+      Nfp_infra.System.make ~links
+        ~config:{ Nfp_infra.System.default_config with ring_capacity = 8192 }
+        ~plan ~nfs:(lookup_of kinds ()) engine ~output
+    in
     let r =
-      Nfp_sim.Harness.run ~make:(deploy ?links) ~gen
+      Nfp_sim.Harness.run ~make ~gen:(gen_of_size 128)
         ~arrivals:(Nfp_sim.Harness.Uniform rate) ~packets ()
     in
-    let l = r.health.Nfp_sim.Harness.links in
+    let l = r.health.links in
     let avail = float_of_int r.completed /. float_of_int r.offered in
     ( label,
       avail,
@@ -1804,60 +1608,37 @@ let run_links () =
               ("partitions", float_of_int l.partitions);
               ("reroutes", float_of_int l.reroutes);
             ])
-        ("links:" ^ label) r )
+        ("links:" ^ label) r.latency )
   in
-  let loss_rates = [ 0.0; 0.005; 0.01; 0.02; 0.05 ] in
   let loss_points =
-    List.concat_map
-      (fun p ->
-        let specs =
-          if p = 0.0 then [] else [ Nfp_sim.Fault.loss ~probability:p "*" ]
-        in
-        List.map
-          (fun (mode, reliable) ->
-            let links =
-              {
-                Nfp_infra.System.default_links_config with
-                link_plan = Nfp_sim.Fault.link_plan specs;
-                reliable;
-              }
-            in
-            sweep_point ~links
-              (Printf.sprintf "loss-%.3f:%s" p mode)
-              [ ("loss_rate", p) ])
-          [ ("raw", false); ("reliable", true) ])
-      loss_rates
+    List.map
+      (fun (p, (mode, reliable)) ->
+        ( (if p = 0.0 then [] else [ Nfp_sim.Fault.loss ~probability:p "*" ]),
+          reliable,
+          Printf.sprintf "loss-%.3f:%s" p mode,
+          [ ("loss_rate", p) ] ))
+      (cross [ 0.0; 0.005; 0.01; 0.02; 0.05 ] [ ("raw", false); ("reliable", true) ])
   in
-  let durations = [ 0.0; 50_000.0; 200_000.0; 1_000_000.0; 5_000_000.0 ] in
   let partition_points =
     List.map
       (fun d ->
-        let specs =
-          if d = 0.0 then []
-          else [ Nfp_sim.Fault.partition ~at_ns:2_000_000.0 ~duration_ns:d "mid1:fw" ]
-        in
-        let links =
-          {
-            Nfp_infra.System.default_links_config with
-            link_plan = Nfp_sim.Fault.link_plan specs;
-          }
-        in
-        sweep_point ~links
-          (Printf.sprintf "partition-%.0fus:reliable" (d /. 1000.0))
-          [ ("partition_us", d /. 1000.0) ])
-      durations
+        ( (if d = 0.0 then []
+           else [ Nfp_sim.Fault.partition ~at_ns:2_000_000.0 ~duration_ns:d "mid1:fw" ]),
+          Nfp_infra.System.default_links_config.reliable,
+          Printf.sprintf "partition-%.0fus:reliable" (d /. 1000.0),
+          [ ("partition_us", d /. 1000.0) ] ))
+      [ 0.0; 50_000.0; 200_000.0; 1_000_000.0; 5_000_000.0 ]
   in
   note "";
   note "  %-26s | %-8s %-6s | %-9s %-9s | %-7s %-7s %-7s %s" "scenario" "goodput"
     "avail" "mean(us)" "p99(us)" "drops" "retx" "dedup" "reroutes";
-  let rows = Nfp_sim.Harness.parallel_runs (loss_points @ partition_points) in
   List.iter
     (fun (label, avail, (l : Nfp_sim.Harness.link_stats), m) ->
       record_sample m;
       note "  %-26s | %-8.3f %-6.3f | %-9.1f %-9.1f | %-7d %-7d %-7d %d" label
         m.mpps avail m.latency_us m.p99_us l.link_drops l.retransmits
         l.duplicates_suppressed l.reroutes)
-    rows
+    (sweep point (loss_points @ partition_points))
 
 (* ------------------------------------------------------------------ *)
 (* main                                                                *)

@@ -213,12 +213,17 @@ let simulate_cmd =
       & info [ "pcap" ] ~docv:"FILE" ~doc:"Capture the NFP deployment's output to a pcap file.")
   in
   let run path packets size mergers pcap =
+    if packets < 1 then or_die (Error "nfp_cli simulate: --packets must be >= 1");
     let policy = or_die (load_policy path) in
     let out = or_die (compile_policy policy) in
     let plan = or_die (Tables.of_output out) in
     let gen =
-      Nfp_traffic.Pktgen.create
-        { Nfp_traffic.Pktgen.default with sizes = Nfp_traffic.Size_dist.fixed size }
+      or_die
+        (try
+           Ok
+             (Nfp_traffic.Pktgen.create
+                { Nfp_traffic.Pktgen.default with sizes = Nfp_traffic.Size_dist.fixed size })
+         with Invalid_argument msg -> Error msg)
     in
     let pkt i = Nfp_traffic.Pktgen.packet gen i in
     let measure label make =

@@ -234,6 +234,7 @@ type result = {
 }
 
 let run ~make ~gen ~arrivals ~packets ?warmup ?(seed = 42L) ?stop () =
+  if packets < 0 then invalid_arg "Harness.run: packets must be >= 0";
   let warmup = match warmup with Some w -> w | None -> packets / 10 in
   let engine = Engine.create () in
   let latency = Nfp_algo.Stats.create () in
@@ -381,6 +382,7 @@ let parallel_runs ?domains thunks =
 
 let max_lossless_mpps ~make ~gen ~packets ?(lo = 0.01) ~hi ?(iterations = 12) ?domains
     () =
+  if iterations < 0 then invalid_arg "Harness.max_lossless_mpps: iterations must be >= 0";
   let lossless rate =
     (* Only the existence of a drop matters, so the probe aborts at the
        first one instead of simulating the remaining packets. *)

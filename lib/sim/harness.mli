@@ -202,7 +202,8 @@ val run :
     [warmup] packets (default 10%). When [stop] is given it is polled
     periodically; once it returns [true] the simulation is truncated
     and the result reflects only the events executed so far — event
-    order is unaffected either way. *)
+    order is unaffected either way.
+    @raise Invalid_argument if [packets < 0]. *)
 
 val parallel_runs : ?domains:int -> (unit -> 'a) list -> 'a list
 (** Evaluate independent simulation thunks on a pool of [domains]
@@ -228,4 +229,5 @@ val max_lossless_mpps :
     more than one domain the bracketing probes of the next bisection
     levels run speculatively in parallel ({!parallel_runs}); the result
     is bit-identical to the sequential search for deterministic
-    generators. *)
+    generators.
+    @raise Invalid_argument if [iterations < 0]. *)

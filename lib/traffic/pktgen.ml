@@ -15,11 +15,13 @@ let default =
 
 type t = config
 
+let header_bytes = 54
+
 let create config =
   if config.flows <= 0 then invalid_arg "Pktgen.create: need at least one flow";
+  if List.exists (fun (size, _) -> size < header_bytes) config.sizes then
+    invalid_arg "Pktgen.create: frame sizes must be >= 54 bytes";
   config
-
-let header_bytes = 54
 
 let prng_of t i =
   Nfp_algo.Prng.create ~seed:(Int64.add t.seed (Int64.mul 0x100000001L (Int64.of_int i)))
@@ -85,5 +87,5 @@ let frame_bytes t i =
 let packet t i =
   let prng = prng_of t i in
   let size = Size_dist.sample prng t.sizes in
-  let payload_len = max 0 (size - header_bytes) in
+  let payload_len = size - header_bytes in
   Packet.create ~flow:(flow_of_index t i) ~payload:(payload t prng i payload_len) ()

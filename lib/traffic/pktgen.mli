@@ -28,6 +28,8 @@ val default : config
 type t
 
 val create : config -> t
+(** @raise Invalid_argument if [flows <= 0] or a frame size in [sizes]
+    is below the 54 bytes of headers every generated frame carries. *)
 
 val packet : t -> int -> Packet.t
 (** The [i]-th packet (freshly allocated each call). *)

@@ -644,6 +644,27 @@ let harness_tests =
           Nfp_algo.Stats.mean r.latency
         in
         check (Alcotest.float 1e-9) "same" (once ()) (once ()));
+    Alcotest.test_case "negative packet count is rejected" `Quick (fun () ->
+        Alcotest.check_raises "packets"
+          (Invalid_argument "Harness.run: packets must be >= 0") (fun () ->
+            ignore
+              (Harness.run
+                 ~make:(fixed_system ~service_ns:100.0 ~ring:64)
+                 ~gen ~arrivals:(Harness.Uniform 1.0) ~packets:(-3) ())));
+    Alcotest.test_case "negative bisection depth is rejected" `Quick (fun () ->
+        (* One domain runs the sequential bisection, two the speculative
+           one; both must refuse before probing anything. *)
+        List.iter
+          (fun domains ->
+            Alcotest.check_raises
+              (Printf.sprintf "%d domains" domains)
+              (Invalid_argument "Harness.max_lossless_mpps: iterations must be >= 0")
+              (fun () ->
+                ignore
+                  (Harness.max_lossless_mpps
+                     ~make:(fixed_system ~service_ns:100.0 ~ring:64)
+                     ~gen ~packets:100 ~hi:14.88 ~iterations:(-1) ~domains ())))
+          [ 1; 2 ]);
   ]
 
 (* ------------------------------------------------------------------ *)

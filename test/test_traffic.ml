@@ -101,7 +101,10 @@ let pktgen_tests =
     Alcotest.test_case "zero flows rejected" `Quick (fun () ->
         Alcotest.check_raises "flows"
           (Invalid_argument "Pktgen.create: need at least one flow") (fun () ->
-            ignore (Pktgen.create { Pktgen.default with flows = 0 })));
+            ignore (Pktgen.create { Pktgen.default with flows = 0 }));
+        Alcotest.check_raises "frame below its headers"
+          (Invalid_argument "Pktgen.create: frame sizes must be >= 54 bytes") (fun () ->
+            ignore (Pktgen.create { Pktgen.default with sizes = Size_dist.fixed 10 })));
     qtest "packets always parse"
       QCheck.(int_range 0 5000)
       (fun i ->
