@@ -291,6 +291,15 @@ let new_core ~engine ~config ?watermarks ?fault ~name ~prng ~service_ns ~execute
     ?fault:(Option.bind fault (fun (fc : fault_config) -> Nfp_sim.Fault.for_core fc.plan name))
     ~service_ns ~execute ~emit ()
 
+(* An NF that raises must not take the dataplane down: the packet counts
+   as dropped and the fault is logged. *)
+let run_nf ~who process ~pid pkt =
+  try process pkt
+  with exn ->
+    Log.warn (fun m ->
+        m "NF %s crashed on packet %Ld: %s" who pid (Printexc.to_string exn));
+    Nfp_nf.Nf.Dropped
+
 (* Classifier front end: CT match, then [admit ~pid ~mid pkt] for a
    packet a rule matched. Unmatched packets are discarded (no service
    graph owns them) and counted in [unmatched], separately from NF
@@ -691,7 +700,6 @@ type slot = {
   s_servers : (Context.t, csend) Nfp_sim.Server.t array;
   s_nfs : Nfp_nf.Nf.t array;
   s_cells : Watchdog.cell array;
-  s_offers : (Context.t -> bool) array;  (* straight into each replica's ring *)
   s_links : Context.t Channel.t option array;
   s_ports : (Context.t -> bool) array;  (* the send sites' port: the link, if any *)
   s_bypassed : bool array;
@@ -942,18 +950,473 @@ let dyn_cycles ~(cost : Nfp_sim.Cost.t) prog ctx =
     !acc
   end
 
+(* ------------------------------------------------------------------ *)
+(* The runtime of one compiled deployment: the state its cores and the *)
+(* send path share, in one record. The builders below are top-level    *)
+(* functions over it; [make_multi] creates it and wires the parts.     *)
+(* ------------------------------------------------------------------ *)
+
+(* The deployment's exactly-once filters, armed or not. Armed, each
+   [filter] is a bounded [Dedup] memory, listed in [memories] for the
+   [dedup_entries] gauge; disarmed, it is [None], which has seen nothing
+   and remembers nothing. *)
+type dedup = { armed : bool; capacity : int; mutable memories : Dedup.t list }
+
+let filter d =
+  if d.armed then begin
+    let m = Dedup.create d.capacity in
+    d.memories <- m :: d.memories;
+    Some m
+  end
+  else None
+
+let seen f ~a ~b = match f with Some m -> Dedup.mem m ~a ~b | None -> false
+
+let remember f ~a ~b = match f with Some m -> Dedup.add m ~a ~b | None -> ()
+
+type rt = {
+  engine : Nfp_sim.Engine.t;
+  config : config;
+  fault : fault_config option;
+  elastic : elastic_config option;
+  output : pid:int64 -> Packet.t -> unit;
+  wire_delay : float;  (* half the wire: NIC to classifier, egress to NIC *)
+  dedup : dedup;
+  delivered : Dedup.t option;  (* the output's (PID, version) filter *)
+  merge_timeout_ns : float;  (* 0.0: accumulations never time out *)
+  watchdog : Watchdog.t;
+  overload : Overload.t;
+  prng : Nfp_algo.Prng.t;  (* the main jitter stream *)
+  elastic_prng : Nfp_algo.Prng.t;  (* standby replicas' stream *)
+  links : links_config option;
+  link_stats : Channel.stats;  (* shared by every channel: the link taxonomy *)
+  reliability : Channel.reliability option;
+  ring_drops : int ref;  (* NIC-boundary offer refusals *)
+  nf_drops : int ref;
+  unmatched : int ref;
+  deduped : int ref;
+  bypassed_packets : int ref;
+  merge_timeouts : int ref;
+  mutable probes : Watchdog.probe list;  (* one per core, newest first *)
+  emit : Context.t -> csend -> bool;  (* [emit_send] over this record *)
+  mutable slots : slot array;  (* set once every slot exists *)
+  mutable merge_port : cdelivery -> bool;
+      (* where merge deliveries enter: the merger agent's port, or the
+         PID-hashed merger instance's; set once the mergers exist *)
+  mutable deliver_port : Packet.t -> bool;  (* the egress edge; set with the record *)
+}
+
+(* Every compiled core: [new_core] under the deployment's watermarks and
+   fault plan, with its probe registered for the watchdog and [health]
+   in build order. NF replicas pass their [nf], [drain] and [cell]. *)
+let core rt ?nf ?(drain = fun _ -> 0) ?(cell = Watchdog.no_cell) ~name ~prng ~service_ns
+    ~execute ~emit () =
+  let server =
+    new_core ~engine:rt.engine ~config:rt.config
+      ?watermarks:(Overload.watermarks rt.overload) ?fault:rt.fault ~name ~prng ~service_ns
+      ~execute ~emit ()
+  in
+  rt.probes <- Watchdog.Probe { server; nf; drain; cell } :: rt.probes;
+  server
+
+(* Link channels: one per destination port, shared by every edge into
+   that core; each draws its fault state from the link plan by name.
+   Only ports the plan actually perturbs get a channel: an unmatched
+   port keeps the direct call path, so arming links with a plan that
+   names nothing behaves like no links at all, and the ARQ machinery
+   never taxes healthy ports. *)
+let channel_for rt ~name ~deliver ~reroute =
+  match rt.links with
+  | None -> None
+  | Some lc -> (
+      match Nfp_sim.Fault.link_for lc.link_plan name with
+      | None -> None
+      | Some state ->
+          Some
+            (Channel.create ~engine:rt.engine ~name:("link:" ^ name) ~state
+               ?reliability:rt.reliability ~deliver ~reroute ~stats:rt.link_stats ()))
+
+(* Build-time ports: every destination gets one offer closure, chosen
+   once — [Channel.send] when the link plan names the port, otherwise
+   [direct]. A core's own port detours a Down link straight into its
+   ring off-core: the fabric can be skipped, the core cannot. *)
+let offer_via chan direct = match chan with Some ch -> Channel.send ch | None -> direct
+
+let server_port ?(prefix = "") rt srv =
+  let offer = Nfp_sim.Server.offer srv in
+  offer_via
+    (channel_for rt ~name:(prefix ^ Nfp_sim.Server.name srv) ~deliver:offer
+       ~reroute:(fun x -> Nfp_sim.Server.drive rt.engine (fun () -> offer x)))
+    offer
+
+(* The output side of every path. The packet's own metadata names it:
+   contexts stamp and copies tag each version, and the twin chains stamp
+   version 1. On armed runs a replayed or timeout-completed branch must
+   never deliver the same (PID, version) twice. *)
+let deliver_out rt pkt =
+  let pid = Packet.pid pkt in
+  let a = Int64.to_int pid and b = Packet.version pkt in
+  if seen rt.delivered ~a ~b then incr rt.deduped
+  else begin
+    remember rt.delivered ~a ~b;
+    let output = rt.output in
+    Nfp_sim.Engine.schedule rt.engine ~delay:rt.wire_delay (fun () -> output ~pid pkt)
+  end
+
+(* The egress edge (merger/NF -> delivery port). The reroute of a Down
+   delivery link is delivery itself — the detour models the alternate
+   path to the egress NIC, and the exactly-once filter keeps it safe. *)
+let delivery_port rt =
+  let deliver pkt =
+    deliver_out rt pkt;
+    true
+  in
+  offer_via (channel_for rt ~name:"delivery" ~deliver ~reroute:(deliver_out rt)) deliver
+
+(* RSS shard steering: hash the 5-tuple of the packet version the slot's
+   NF reads, i.e. the one that replica will observe. The hash runs on
+   its own seeded stream ([Hashing.rss2_int]) — never correlated with
+   the microflow cache's bucket hash — and is skipped entirely for
+   single-replica slots, keeping the replicas=1 hot path (and trace)
+   bit-identical to the pre-replication system. Upstream 5-tuple
+   rewrites (NAT, LB) are flow-deterministic, so every packet of a flow
+   hashes alike and lands on the same replica. *)
+let rss_hash s ctx =
+  match Context.get ctx s.s_entry.Tables.version with
+  | None -> 0
+  | Some pkt -> Nfp_algo.Hashing.rss2_int (Packet.key_a pkt) (Packet.key_b pkt)
+
+(* ------------------------------------------------------------------ *)
+(* The send path. A core walks a program's send array with its own     *)
+(* cursor, which survives backpressure retries, so each target is      *)
+(* offered in order exactly once.                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Run a send array off-core; [Server.drive] absorbs any backpressure. *)
+let off_emit rt ctx sends =
+  Nfp_sim.Server.drive rt.engine (Nfp_sim.Server.emission rt.emit ctx sends)
+
+(* Run an action program off-core: bypass reroutes, Down-link detours. *)
+let off_core rt prog ctx = off_emit rt ctx (exec_prog prog ctx)
+
+let bypass rt prog ctx =
+  incr rt.bypassed_packets;
+  off_core rt prog ctx
+
+(* The one routing rule into NF slot [slot]: the send site offers to the
+   replicas' ports, a channel releasing a buffered packet ([release]) to
+   their rings — so a packet parked on a link while a migration flips
+   its bucket, or while the watchdog bypasses the replica, lands where
+   it would be routed now and can never resurrect a retired owner's
+   state. Steered slots look the bucket up in the live map per attempt,
+   so a committed flip takes effect for every not-yet-offered packet. A
+   bypassed replica is out of the graph: its action program runs
+   immediately instead. *)
+let route_nf rt ~release slot ctx =
+  let s = rt.slots.(slot) in
+  let n = Array.length s.s_servers in
+  let r =
+    if n < 2 then 0
+    else
+      match s.s_steer with
+      | Some st -> Elastic.owner st (rss_hash s ctx)
+      | None -> rss_hash s ctx mod n
+  in
+  if s.s_bypassed.(r) then begin
+    bypass rt s.s_prog ctx;
+    true
+  end
+  else if release then Nfp_sim.Server.offer s.s_servers.(r) ctx
+  else s.s_ports.(r) ctx
+
+(* One attempt at one compiled send. *)
+let emit_send rt ctx send =
+  match send with
+  | S_nf slot -> route_nf rt ~release:false slot ctx
+  | S_merge { merge; branch; nil } ->
+      rt.merge_port { d_ctx = ctx; d_merge = merge; d_branch = branch; d_nil = nil }
+  | S_deliver v -> (
+      match Context.get ctx v with None -> true | Some pkt -> rt.deliver_port pkt)
+
+(* ------------------------------------------------------------------ *)
+(* Per-NF runtime, mergers, twin chains and the health snapshot.       *)
+(* ------------------------------------------------------------------ *)
+
+(* One NF slot, in [nf_impls] order (replica 0 first — at replicas=1 the
+   same PRNG split order as [interpretive]). Replica 0 is the caller's NF
+   instance; further replicas are fresh instances from [Nf.fresh], each
+   with its own state, recovery cell, fault stream and probe. *)
+let build_slot rt ~shardable nf_progs slot
+    (mid, (entry : Tables.nf_entry), (nf0 : Nfp_nf.Nf.t)) =
+  let config = rt.config and cost = rt.config.cost in
+  let prog, nil_sends = nf_progs.(slot) in
+  (* [config.replicas] targets strategy-eligible NFs; 1 (the default)
+     keeps the deployment bit-identical to the pre-replication
+     system. *)
+  let base_replicas =
+    if config.replicas > 1 && shardable mid entry.nf then config.replicas else 1
+  in
+  (* Scalable = the elastic controller may add/remove replicas at
+     runtime: the plan clears the NF for sharding AND its state supports
+     live extraction ([Replication.migratable]). Standby replicas up to
+     the ceiling are built now — activation is then a pure steering-map
+     change. *)
+  let steer =
+    match rt.elastic with
+    | Some (ec : elastic_config)
+      when ec.max_replicas > 1 && Replication.migratable nf0 && shardable mid entry.nf ->
+        let n = max base_replicas ec.max_replicas in
+        Some (n, Elastic.steer ec ~replicas:n ~base:base_replicas)
+    | _ -> None
+  in
+  let n_replicas = match steer with Some (n, _) -> n | None -> base_replicas in
+  let nfs =
+    Array.init n_replicas (fun r ->
+        if r = 0 then nf0
+        else
+          match nf0.Nfp_nf.Nf.fresh with
+          | Some fresh -> fresh ()
+          | None -> assert false (* [shardable] guarantees fresh *))
+  in
+  let bypassed = Array.make n_replicas false in
+  let make_replica r prng =
+    let nf = nfs.(r) in
+    let cell = Watchdog.cell rt.watchdog nf in
+    let static =
+      cost.ring_dequeue + cost.nf_runtime + prog.p_static
+      + if Watchdog.logging cell then cost.log_append else 0
+    in
+    (* Pressure-degrade switch: while this replica's own ring sits above
+       the watermark, an NF that declares a degrade mode runs its
+       coarsened semantics at its coarsened cost. It reads the server
+       created below, once bound. *)
+    let sw = Overload.switch rt.overload nf in
+    let process = Overload.process sw in
+    let service_ns ctx (c : Nfp_sim.Server.cell) =
+      let nf_cycles =
+        match Context.get ctx entry.version with
+        | Some pkt -> Overload.cost_cycles sw pkt
+        | None -> 0
+      in
+      c.ns <- Nfp_sim.Cost.ns_of_cycles cost (static + nf_cycles + dyn_cycles ~cost prog ctx)
+    in
+    let execute ctx =
+      match Context.get ctx entry.version with
+      | None -> [||]
+      | Some pkt -> (
+          Watchdog.log cell pkt;
+          match run_nf ~who:entry.nf process ~pid:(Context.pid ctx) pkt with
+          | Nfp_nf.Nf.Forward -> exec_prog prog ctx
+          | Nfp_nf.Nf.Dropped ->
+              if Array.length nil_sends = 0 then incr rt.nf_drops;
+              nil_sends)
+    in
+    (* Replica 0 keeps the historical core name; shards get an @r
+       suffix, so fault plans can target (and crash) each replica
+       independently. *)
+    let name =
+      if r = 0 then Printf.sprintf "mid%d:%s" mid entry.nf
+      else Printf.sprintf "mid%d:%s@%d" mid entry.nf r
+    in
+    (* Bypass recovery: mark the replica, reroute this core's casualties
+       (the in-flight batch its kill reclaimed, and any pending
+       emissions) plus the queued backlog through its action program,
+       so every packet lands in exactly one ledger bucket and no merger
+       waits on this branch. Other replicas of the slot keep
+       processing. *)
+    let drain server =
+      bypassed.(r) <- true;
+      Nfp_sim.Server.set_casualty_sink server (fun jobs emits ->
+          List.iter (bypass rt prog) jobs;
+          List.iter (Nfp_sim.Server.drive rt.engine) emits);
+      let backlog = Nfp_sim.Server.drain server in
+      List.iter (bypass rt prog) backlog;
+      List.length backlog
+    in
+    let server =
+      core rt ~nf:(mid, entry.nf) ~drain ~cell ~name ~prng ~service_ns ~execute ~emit:rt.emit
+        ()
+    in
+    Overload.bind sw ~pressured:(fun () -> Nfp_sim.Server.pressured server);
+    (server, cell)
+  in
+  (* Build replicas in index order: each creation splits the jitter
+     PRNG, and the replicas=1 trace must keep the historical split
+     sequence. Standby replicas (index >= the static count) split the
+     independent elastic stream instead, leaving the main sequence
+     untouched. *)
+  let replicas =
+    Array.init n_replicas (fun r ->
+        make_replica r (if r < base_replicas then rt.prng else rt.elastic_prng))
+  in
+  let servers = Array.map fst replicas in
+  (* A channel releases through [route_nf] over the replicas' rings, so
+     steering and bypass are re-resolved at release time. The reroute of
+     a Down link runs the slot's action program off-core, bypass-style:
+     downstream sees every expected branch. *)
+  let links =
+    Array.map
+      (fun srv ->
+        channel_for rt ~name:(Nfp_sim.Server.name srv) ~deliver:(route_nf rt ~release:true slot)
+          ~reroute:(off_core rt prog))
+      servers
+  in
+  {
+    s_mid = mid;
+    s_entry = entry;
+    s_prog = prog;
+    s_servers = servers;
+    s_nfs = nfs;
+    s_cells = Array.map snd replicas;
+    s_links = links;
+    s_ports = Array.map2 (fun ch srv -> offer_via ch (Nfp_sim.Server.offer srv)) links servers;
+    s_bypassed = bypassed;
+    s_steer = Option.map snd steer;
+  }
+
+(* What the elastic controller sees of a scalable slot. Migration
+   transfers get their own link family ("migrate:<replica>"): moved
+   in-flight packets cross the fabric like any other edge, so a plan can
+   perturb the re-home path independently of the data path. *)
+let elastic_slot rt s =
+  match s.s_steer with
+  | None -> []
+  | Some steer ->
+      [
+        {
+          Elastic.servers = s.s_servers;
+          nfs = s.s_nfs;
+          cells = s.s_cells;
+          steer;
+          hash = rss_hash s;
+          reachable =
+            (fun r ->
+              match s.s_links.(r) with Some ch -> not (Channel.is_down ch) | None -> true);
+          rehome =
+            Array.map
+              (fun srv ->
+                let port = server_port ~prefix:"migrate:" rt srv in
+                fun ctx -> Nfp_sim.Server.drive rt.engine (fun () -> port ctx))
+              s.s_servers;
+        };
+      ]
+
+(* Merge completion, shared by the full-arrival path and the timeout
+   path. [nil_mask] decides the drop policy; [skip_mask] marks branches
+   whose versions must not feed the merge ops — nil branches
+   (half-processed) and, on a timeout, branches that never arrived.
+   With [skip_mask = nil_mask] this is exactly the pre-timeout
+   completion. *)
+let complete rt m ctx ~nil_mask ~skip_mask =
+  let dropped =
+    if m.m_drop_any then nil_mask <> 0 else nil_mask land (1 lsl m.m_winner) <> 0
+  in
+  if dropped then begin
+    if Array.length m.m_nil_sends = 0 then incr rt.nf_drops;
+    m.m_nil_sends
+  end
+  else begin
+    (if skip_mask = 0 then
+       let get v = Context.get ctx v in
+       Array.iter (fun op -> Merge_op.apply op ~get) m.m_ops
+     else begin
+       (* Versions from branches that dropped under a priority policy are
+          half-processed; their ops are skipped. *)
+       let skip_versions = ref [] in
+       Array.iteri
+         (fun b v -> if skip_mask land (1 lsl b) <> 0 then skip_versions := v :: !skip_versions)
+         m.m_versions;
+       let svs = !skip_versions in
+       let get v = if List.mem v svs && v <> m.m_result_version then None else Context.get ctx v in
+       Array.iter (fun op -> Merge_op.apply op ~get) m.m_ops
+     end);
+    exec_prog m.m_next ctx
+  end
+
+(* Merger instance [index]: shared across service graphs (paper §5.3),
+   with a private accumulating table keyed by PID and (MID, merge
+   point). *)
+let make_merger rt index =
+  let cost = rt.config.cost in
+  let at : cat_entry Nfp_algo.Pair_table.t = Nfp_algo.Pair_table.create () in
+  (* Completed-merge memory (armed runs only): a branch arriving after
+     its merge already completed — a straggler emitted by a salvaged
+     core after a merge timeout force-completed the accumulation, or a
+     late retransmission of a branch a timeout already nil-substituted —
+     is consumed silently instead of opening a fresh accumulation that
+     would deliver a duplicate. Mergers never see the same (MID, merge,
+     PID) complete twice within the bounded dedup window. *)
+  let done_tbl = filter rt.dedup in
+  let service_ns (d : cdelivery) (cell : Nfp_sim.Server.cell) =
+    let m = d.d_merge in
+    cell.ns <-
+      Nfp_sim.Cost.ns_of_cycles cost
+        (cost.ring_dequeue + cost.merge_delivery
+        + ((m.m_completion_static + dyn_cycles ~cost m.m_next d.d_ctx) / max 1 m.m_expected))
+  in
+  let execute (d : cdelivery) =
+    let m = d.d_merge in
+    let a = Int64.to_int (Context.pid d.d_ctx)
+    and b = Dedup.merge_limb ~mid:m.m_mid ~merge_id:m.m_id in
+    if seen done_tbl ~a ~b then begin
+      incr rt.deduped;
+      [||]
+    end
+    else begin
+      let entry =
+        match Nfp_algo.Pair_table.find at ~a ~b with
+        | -1 ->
+            let e = { c_received = 0; c_nil_mask = 0; c_arrived_mask = 0 } in
+            Nfp_algo.Pair_table.replace at ~a ~b e;
+            (* Arm the straggler timeout when this accumulation opens: if
+               a failed branch never shows up, merge what did arrive
+               rather than wedge the packet (the drop policy still
+               applies to arrived nils). *)
+            if rt.merge_timeout_ns > 0.0 then
+              Nfp_sim.Engine.schedule rt.engine ~delay:rt.merge_timeout_ns (fun () ->
+                  let s = Nfp_algo.Pair_table.find at ~a ~b in
+                  if s >= 0 && Nfp_algo.Pair_table.value at s == e then begin
+                    Nfp_algo.Pair_table.remove at ~a ~b;
+                    remember done_tbl ~a ~b;
+                    incr rt.merge_timeouts;
+                    let missing = ((1 lsl m.m_expected) - 1) land lnot e.c_arrived_mask in
+                    off_emit rt d.d_ctx
+                      (complete rt m d.d_ctx ~nil_mask:e.c_nil_mask
+                         ~skip_mask:(e.c_nil_mask lor missing))
+                  end);
+            e
+        | s -> Nfp_algo.Pair_table.value at s
+      in
+      entry.c_received <- entry.c_received + 1;
+      if d.d_branch >= 0 then entry.c_arrived_mask <- entry.c_arrived_mask lor (1 lsl d.d_branch);
+      if d.d_nil && d.d_branch >= 0 then
+        entry.c_nil_mask <- entry.c_nil_mask lor (1 lsl d.d_branch);
+      if entry.c_received < m.m_expected then [||]
+      else begin
+        Nfp_algo.Pair_table.remove at ~a ~b;
+        remember done_tbl ~a ~b;
+        complete rt m d.d_ctx ~nil_mask:entry.c_nil_mask ~skip_mask:entry.c_nil_mask
+      end
+    end
+  in
+  core rt
+    ~name:(Printf.sprintf "merger#%d" index)
+    ~prng:rt.prng ~service_ns ~execute
+    ~emit:(fun (d : cdelivery) send -> emit_send rt d.d_ctx send)
+    ()
+
 (* Degrade fallback: one sequential twin chain per service graph whose
    [recovery_of] yields Degrade for at least one of its NFs, built from
    the plan's provably-equivalent serial order; every other graph gets
    [None], since the watchdog can never degrade it. While the watchdog
    holds a graph degraded, new packets run the chain instead of the
-   parallel deployment. Each chain is built tail first through [core],
-   which makes and registers one twin core; twin cores draw jitter from
-   a PRNG stream independent of the main one, so building them does not
-   perturb the fault-free trace (the differential test holds this). *)
-let twin_chains ~config ?fault ~core ~deliver ~drops nf_impls table =
-  let cost = config.cost in
-  let prng = Nfp_algo.Prng.create ~seed:(Int64.logxor config.seed 0x5eed_f417L) in
+   parallel deployment. Each chain is built tail first; twin cores draw
+   jitter from a PRNG stream independent of the main one, so building
+   them does not perturb the fault-free trace (the differential test
+   holds this). *)
+let twin_chains rt nf_impls table =
+  let cost = rt.config.cost in
+  let prng = Nfp_algo.Prng.create ~seed:(Int64.logxor rt.config.seed 0x5eed_f417L) in
   let twin mid name (nf : Nfp_nf.Nf.t) next =
     let service_ns ((_, pkt) : int64 * Packet.t) (cell : Nfp_sim.Server.cell) =
       cell.ns <-
@@ -966,30 +1429,23 @@ let twin_chains ~config ?fault ~core ~deliver ~drops nf_impls table =
     let emit job () =
       match next with Some core -> Nfp_sim.Server.offer core job | None -> true
     in
+    let who = name ^ " (sequential fallback)" in
     let execute (pid, pkt) =
-      let verdict =
-        try nf.process pkt
-        with exn ->
-          Log.warn (fun m ->
-              m "NF %s (sequential fallback) crashed on packet %Ld: %s" name pid
-                (Printexc.to_string exn));
-          Nfp_nf.Nf.Dropped
-      in
-      match verdict with
+      match run_nf ~who nf.process ~pid pkt with
       | Nfp_nf.Nf.Forward -> (
           match next with
           | Some _ -> hop
           | None ->
-              deliver ~pid pkt;
+              deliver_out rt pkt;
               [||])
       | Nfp_nf.Nf.Dropped ->
-          incr drops;
+          incr rt.nf_drops;
           [||]
     in
-    core ~name:(Printf.sprintf "seq:mid%d:%s" mid name) ~prng ~service_ns ~execute ~emit
+    core rt ~name:(Printf.sprintf "seq:mid%d:%s" mid name) ~prng ~service_ns ~execute ~emit ()
   in
   let degradable (e : Tables.nf_entry) =
-    match fault with Some fc -> fc.recovery_of e.nf = Degrade | None -> false
+    match rt.fault with Some fc -> fc.recovery_of e.nf = Degrade | None -> false
   in
   Array.mapi
     (fun i (_, (plan : Tables.plan), _) ->
@@ -1009,6 +1465,81 @@ let twin_chains ~config ?fault ~core ~deliver ~drops nf_impls table =
           plan.serial_order None)
     table
 
+(* The health snapshot, one entry per probe in registration order. *)
+let health rt (controller : Elastic.t) probes () =
+  let cores =
+    Array.to_list
+      (Array.mapi
+         (fun i (Watchdog.Probe { server = s; _ }) ->
+           let name = Nfp_sim.Server.name s in
+           {
+             Nfp_sim.Harness.core = name;
+             state =
+               (match Watchdog.state rt.watchdog i with
+               | Some s -> s
+               | None when Nfp_sim.Server.is_down s -> "down"
+               | None -> Option.value (controller.core_state name) ~default:"up");
+             processed = Nfp_sim.Server.processed s;
+             queue = Nfp_sim.Server.queue_length s;
+           })
+         probes)
+  in
+  let sum f = Array.fold_left (fun acc p -> acc + f p) 0 probes in
+  let rejected_total = sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.rejected p.server) in
+  let w = Watchdog.counters rt.watchdog and ls = rt.link_stats in
+  {
+    Nfp_sim.Harness.cores;
+    detections = w.detections;
+    crashes = sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.crashes p.server);
+    restarts = w.restarts;
+    bypasses = w.bypasses;
+    degrades = w.degrades;
+    recoveries = w.recoveries;
+    bypassed_packets = !(rt.bypassed_packets);
+    checkpoints = w.checkpoints;
+    forced_checkpoints = w.forced_checkpoints;
+    replayed = w.replayed;
+    deduped = !(rt.deduped);
+    salvaged = w.salvaged;
+    drops =
+      {
+        Nfp_sim.Harness.ingress_rejected = !(rt.ring_drops);
+        (* [ring_drops] counts exactly the NIC-boundary offer refusals
+           (the only [offer] sites outside a server are in [inject]);
+           every other refusal a server ring recorded is a backpressure
+           retry event, not a loss. *)
+        internal_rejected = max 0 (rejected_total - !(rt.ring_drops));
+        nf_dropped = !(rt.nf_drops);
+        no_match = !(rt.unmatched);
+        fault_dropped = sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.fault_drops p.server);
+        flush_lost = sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.flushed p.server);
+        merge_timed_out = !(rt.merge_timeouts);
+        shed = Overload.shed_total rt.overload;
+        shed_by_class = Overload.shed_by_class rt.overload;
+        degraded = Overload.degraded rt.overload;
+      };
+    pressure_episodes = sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.pressure_episodes p.server);
+    breaker_trips = w.breaker_trips;
+    backoffs = w.backoffs;
+    degrade_switches = Overload.switches rt.overload;
+    scale_outs = controller.scale_outs;
+    scale_ins = controller.scale_ins;
+    migrations = controller.migrations;
+    migration_aborts = controller.migration_aborts;
+    migrated_packets = controller.migrated_packets;
+    migrating = controller.migrating ();
+    links =
+      {
+        Nfp_sim.Harness.link_drops = ls.link_drops;
+        retransmits = ls.retransmits;
+        duplicates_suppressed = ls.duplicates_suppressed;
+        reordered = ls.reordered;
+        partitions = ls.partitions;
+        reroutes = ls.reroutes;
+      };
+    dedup_entries = List.fold_left (fun acc m -> acc + Dedup.length m) 0 rt.dedup.memories;
+  }
+
 let make_multi ?classify ?(config = default_config) ?fault ?overload ?elastic ?links ?stats
     ?replication ~graphs engine ~output =
   (* A links config with an empty plan and no reliability layer is
@@ -1016,14 +1547,26 @@ let make_multi ?classify ?(config = default_config) ?fault ?overload ?elastic ?l
      (bit-identity). *)
   let links =
     match links with
-    | Some (lc : links_config)
-      when Nfp_sim.Fault.links_empty lc.link_plan && not lc.reliable ->
+    | Some (lc : links_config) when Nfp_sim.Fault.links_empty lc.link_plan && not lc.reliable ->
         None
     | other -> other
   in
   validate ~who:"make_multi" ~config ?fault ?overload ?elastic ?links graphs;
   let cost = config.cost in
-  let merge_timeout_ns = match fault with Some fc -> fc.merge_timeout_ns | None -> 0.0 in
+  (* MIDs are 1-based positions in the classification table. *)
+  let table = Array.of_list graphs in
+  (* Shard only NFs the profile analysis clears within their graph:
+     {!Replication.shardable} additionally vetoes any NF with an
+     order-sensitive (Sequential-strategy) NF downstream, since sharding
+     changes the cross-flow arrival order those cores see. *)
+  let shardable mid name =
+    let _, plan, nfs = table.(mid - 1) in
+    Replication.shardable ~plan ~nf_of:nfs name
+  in
+  let nf_impls = nf_impls graphs in
+  let nf_progs, classifier_progs =
+    compile ~cost (Array.map (fun (_, plan, _) -> plan) table) nf_impls
+  in
   (* The (pid, version) dedup filters arm with a non-empty fault plan (a
      replayed or timeout-completed branch), under elastic (a crash
      landing mid-migration can re-home a packet whose original emission
@@ -1034,388 +1577,78 @@ let make_multi ?classify ?(config = default_config) ?fault ?overload ?elastic ?l
      plan arms nothing here, and no input logging or checkpoint in
      [Watchdog] either: the packet trace stays byte-identical to a system
      built without one (the differential test enforces this). *)
-  let dedup_on =
-    (match fault with
-    | Some (fc : fault_config) -> not (Nfp_sim.Fault.is_empty fc.plan)
-    | None -> false)
-    || elastic <> None || links <> None
+  let dedup =
+    {
+      armed =
+        (match fault with
+        | Some (fc : fault_config) -> not (Nfp_sim.Fault.is_empty fc.plan)
+        | None -> false)
+        || elastic <> None || links <> None;
+      capacity =
+        (match fault with Some fc -> fc.dedup_capacity | None -> Watchdog.default.dedup_capacity);
+      memories = [];
+    }
   in
-  let deduped = ref 0 in
-  (* MIDs are 1-based positions in the classification table. *)
-  let table = Array.of_list graphs in
-  (* Shard only NFs the profile analysis clears within their graph:
-     {!Replication.shardable} additionally vetoes any NF with an
-     order-sensitive (Sequential-strategy) NF downstream, since
-     sharding changes the cross-flow arrival order those cores see. *)
-  let shardable mid name =
-    let _, plan, nfs = table.(mid - 1) in
-    Replication.shardable ~plan ~nf_of:nfs name
-  in
-  let nf_impls = nf_impls graphs in
-  let nf_progs, classifier_progs =
-    compile ~cost (Array.map (fun (_, plan, _) -> plan) table) nf_impls
-  in
-  let ring_drops = ref 0 and nf_drops = ref 0 and unmatched = ref 0 in
   (* The overload control plane: its watermarks arm every ring, each NF
      replica takes a degrade switch from it, and its shed ladder starts
      polling once every core exists (below). Without an overload config
      it is inert — the bit-identity guarantee. *)
-  let overload_ctl =
+  let overload =
     Overload.create ~engine ?config:overload
       ~priorities:(Array.map (fun (_, (p : Tables.plan), _) -> p.Tables.priority) table)
       ()
-  in
-  let prng = Nfp_algo.Prng.create ~seed:config.seed in
-  (* Standby replicas (indices past the static count) draw jitter from
-     an independent stream, like the degrade twins: building them must
-     not shift the main PRNG and perturb a never-scaling trace. *)
-  let elastic_prng =
-    Nfp_algo.Prng.create ~seed:(Int64.logxor config.seed 0x31a5_71c5L)
-  in
-  let core ~name ~prng ~service_ns ~execute ~emit =
-    new_core ~engine ~config ?watermarks:(Overload.watermarks overload_ctl) ?fault ~name
-      ~prng ~service_ns ~execute ~emit ()
-  in
-  let wire_delay = cost.wire_ns /. 2.0 in
-  (* Output-side dedup backstop (armed runs only): a replayed or
-     timeout-completed branch must never deliver the same (pid, version)
-     twice. Version 0 marks deliveries with no version identity (twin
-     chains tag version 1, the parallel deployment its plan version),
-     which pass through unfiltered. *)
-  let dedup_capacity =
-    match fault with
-    | Some fc -> fc.dedup_capacity
-    | None -> Watchdog.default.dedup_capacity
-  in
-  let delivered_versions = Dedup.create dedup_capacity in
-  let merger_dedups : Dedup.t list ref = ref [] in
-  let dedup_entries () =
-    Dedup.length delivered_versions
-    + List.fold_left (fun acc d -> acc + Dedup.length d) 0 !merger_dedups
-  in
-  let deliver_out ?(version = 0) ~pid pkt =
-    let a = Int64.to_int pid in
-    if dedup_on && version > 0 && Dedup.mem delivered_versions ~a ~b:version then
-      incr deduped
-    else begin
-      if dedup_on && version > 0 then Dedup.add delivered_versions ~a ~b:version;
-      Nfp_sim.Engine.schedule engine ~delay:wire_delay (fun () -> output ~pid pkt)
-    end
-  in
-  (* Bypass reroutes and timed-out merges emit off-core. *)
-  let drive = Nfp_sim.Server.drive engine in
-  (* Link channels: one per destination port, shared by every edge into
-     that core. All channels share one stats record (the run ledger's
-     link taxonomy) and draw fault state from the link plan by name. *)
-  let link_stats = Channel.fresh_stats () in
-  let link_reliability =
-    match links with
-    | Some (lc : links_config) when lc.reliable ->
-        Some
-          {
-            Channel.ack_interval_ns = lc.ack_interval_ns;
-            rto_ns = lc.rto_ns;
-            ack_ns = Nfp_sim.Cost.ns_of_cycles cost cost.ack_cycles;
-            retransmit_ns = Nfp_sim.Cost.ns_of_cycles cost cost.retransmit_cycles;
-          }
-    | _ -> None
-  in
-  let channel_for ~name ~deliver ~reroute =
-    match links with
-    | None -> None
-    | Some (lc : links_config) -> (
-        (* Only ports the plan actually perturbs get a channel: an
-           unmatched port keeps the direct call path, so arming links
-           with a plan that names nothing behaves like no links at
-           all, and the ARQ machinery never taxes healthy ports. *)
-        match Nfp_sim.Fault.link_for lc.link_plan name with
-        | None -> None
-        | Some state ->
-            Some
-              (Channel.create ~engine ~name:("link:" ^ name) ~state
-                 ?reliability:link_reliability ~deliver ~reroute ~stats:link_stats
-                 ()))
-  in
-  (* Build-time ports: every destination gets one offer closure, chosen
-     once — [Channel.send] when the link plan names the port, otherwise
-     [direct]. A core's own port detours a Down link straight into its
-     ring off-core: the fabric can be skipped, the core cannot. *)
-  let offer_via chan direct =
-    match chan with Some ch -> Channel.send ch | None -> direct
-  in
-  let server_port ?(prefix = "") srv =
-    let offer = Nfp_sim.Server.offer srv in
-    offer_via
-      (channel_for ~name:(prefix ^ Nfp_sim.Server.name srv) ~deliver:offer
-         ~reroute:(fun x -> drive (fun () -> offer x)))
-      offer
-  in
-  (* Every core registers a probe; the watchdog and the
-     [health] counters below work off this list. *)
-  let probes : Watchdog.probe list ref = ref [] in
-  let register_probe ?nf ?(drain = fun () -> 0) ?(cell = Watchdog.no_cell) server =
-    probes := Watchdog.Probe { server; nf; drain; cell } :: !probes
   in
   (* The watchdog exists before the cores: each NF replica takes its
      lossless-recovery cell from it. It starts watching once every core
      has registered its probe (below). *)
   let watchdog = Watchdog.create ~engine ~cost ~graphs:(Array.length table) ?fault () in
-  let bypassed_packets = ref 0 and merge_timeouts = ref 0 in
-  let slots : slot array ref = ref [||] in
-  (* RSS shard steering: hash the 5-tuple of the packet version
-     the slot's NF reads, i.e. the one that replica will observe.
-     The hash runs on its own seeded stream ([Hashing.rss2_int]) —
-     never correlated with the microflow cache's bucket hash — and
-     is skipped entirely for single-replica slots, keeping the
-     replicas=1 hot path (and trace) bit-identical to the
-     pre-replication system. Upstream 5-tuple rewrites (NAT, LB)
-     are flow-deterministic, so every packet of a flow hashes
-     alike and lands on the same replica. *)
-  let rss_hash ctx s =
-    match Context.get ctx s.s_entry.Tables.version with
-    | None -> 0
-    | Some pkt -> Nfp_algo.Hashing.rss2_int (Packet.key_a pkt) (Packet.key_b pkt)
-  in
-  (* Where merge deliveries enter: the merger agent's port, or the
-     PID-hashed merger instance's; set once the mergers exist. *)
-  let merge_port : (cdelivery -> bool) ref = ref (fun _ -> false) in
-  (* The egress edge (merger/NF -> delivery port). The reroute of a
-     Down delivery link is delivery itself — the detour models the
-     alternate path to the egress NIC, and the exactly-once filter
-     upstream keeps it safe. *)
-  let deliver_port =
-    let deliver (v, pid, pkt) = deliver_out ~version:v ~pid pkt in
-    match
-      channel_for ~name:"delivery"
-        ~deliver:(fun d ->
-          deliver d;
-          true)
-        ~reroute:deliver
-    with
-    | Some ch -> fun v pid pkt -> Channel.send ch (v, pid, pkt)
-    | None ->
-        fun v pid pkt ->
-          deliver_out ~version:v ~pid pkt;
-          true
-  in
-  (* Runtime: one attempt at one compiled send. A core walks a
-     program's send array with its own cursor, which survives
-     backpressure retries, so each target is offered in order
-     exactly once. *)
-  let rec emit_send ctx send =
-    match send with
-    | S_nf slot -> route_nf ~release:false slot ctx
-    | S_merge { merge; branch; nil } ->
-        !merge_port { d_ctx = ctx; d_merge = merge; d_branch = branch; d_nil = nil }
-    | S_deliver v -> (
-        match Context.get ctx v with
-        | None -> true
-        | Some pkt -> deliver_port v (Context.pid ctx) pkt)
-  (* A send array as a retryable thunk, for emissions no core owns. *)
-  and emission ctx sends = Nfp_sim.Server.emission emit_send ctx sends
-  (* The one routing rule into NF slot [slot]: the send site
-     offers to the replicas' ports, a channel releasing a
-     buffered packet ([release]) to their rings — so a packet
-     parked on a link while a migration flips its bucket, or while
-     the watchdog bypasses the replica, lands where it would be
-     routed now and can never resurrect a retired owner's state.
-     Steered slots look the bucket up in the live map per attempt,
-     so a committed flip takes effect for every not-yet-offered
-     packet. A bypassed replica is out of the graph: its action
-     program runs immediately instead. *)
-  and route_nf ~release slot ctx =
-    let s = !slots.(slot) in
-    let n = Array.length s.s_servers in
-    let r =
-      if n < 2 then 0
-      else
-        match s.s_steer with
-        | Some st -> Elastic.owner st (rss_hash ctx s)
-        | None -> rss_hash ctx s mod n
-    in
-    if s.s_bypassed.(r) then begin
-      bypass s.s_prog ctx;
-      true
-    end
-    else if release then s.s_offers.(r) ctx
-    else s.s_ports.(r) ctx
-  and bypass prog ctx =
-    incr bypassed_packets;
-    off_core prog ctx
-  (* Run an action program off-core; [drive] absorbs any
-     backpressure of that rerouted emission. *)
-  and off_core prog ctx = drive (emission ctx (exec_prog prog ctx)) in
-  (* NF slots, in nf_impls order (replica 0 first — at replicas=1 the
-     same PRNG split order as [interpretive]). Replica 0 is the
-     caller's NF instance; further replicas are fresh
-     instances from [Nf.fresh], each with its own state, recovery
-     cell, fault stream and probe. *)
-  let build_slot slot (mid, (entry : Tables.nf_entry), (nf0 : Nfp_nf.Nf.t)) =
-    let prog, nil_sends = nf_progs.(slot) in
-    (* [config.replicas] targets strategy-eligible NFs; 1 (the
-       default) keeps the deployment bit-identical to the
-       pre-replication system. *)
-    let base_replicas =
-      if config.replicas > 1 && shardable mid entry.nf then config.replicas else 1
-    in
-    (* Scalable = the elastic controller may add/remove replicas
-       at runtime: the plan clears the NF for sharding AND its
-       state supports live extraction ([Replication.migratable]).
-       Standby replicas up to the ceiling are built now —
-       activation is then a pure steering-map change. *)
-    let steer =
-      match elastic with
-      | Some (ec : elastic_config)
-        when ec.max_replicas > 1 && Replication.migratable nf0
-             && shardable mid entry.nf ->
-          let n = max base_replicas ec.max_replicas in
-          Some (n, Elastic.steer ec ~replicas:n ~base:base_replicas)
-      | _ -> None
-    in
-    let n_replicas = match steer with Some (n, _) -> n | None -> base_replicas in
-    let nfs =
-      Array.init n_replicas (fun r ->
-          if r = 0 then nf0
-          else
-            match nf0.Nfp_nf.Nf.fresh with
-            | Some fresh -> fresh ()
-            | None -> assert false (* [shardable] guarantees fresh *))
-    in
-    let bypassed = Array.make n_replicas false in
-    let make_replica r prng =
-      let nf = nfs.(r) in
-      let cell = Watchdog.cell watchdog nf in
-      let static =
-        cost.ring_dequeue + cost.nf_runtime + prog.p_static
-        + if Watchdog.logging cell then cost.log_append else 0
-      in
-      (* Pressure-degrade switch: while this replica's own ring
-         sits above the watermark, an NF that declares a degrade
-         mode runs its coarsened semantics at its coarsened cost.
-         It reads the server created below, once bound. *)
-      let sw = Overload.switch overload_ctl nf in
-      let service_ns ctx (c : Nfp_sim.Server.cell) =
-        let nf_cycles =
-          match Context.get ctx entry.version with
-          | Some pkt -> Overload.cost_cycles sw pkt
-          | None -> 0
-        in
-        c.ns <-
-          Nfp_sim.Cost.ns_of_cycles cost (static + nf_cycles + dyn_cycles ~cost prog ctx)
-      in
-      let execute ctx =
-        match Context.get ctx entry.version with
-        | None -> [||]
-        | Some pkt -> (
-            Watchdog.log cell pkt;
-            let verdict =
-              try Overload.process sw pkt
-              with exn ->
-                Log.warn (fun m ->
-                    m "NF %s crashed on packet %Ld: %s" entry.nf (Context.pid ctx)
-                      (Printexc.to_string exn));
-                Nfp_nf.Nf.Dropped
-            in
-            match verdict with
-            | Nfp_nf.Nf.Forward -> exec_prog prog ctx
-            | Nfp_nf.Nf.Dropped ->
-                if Array.length nil_sends = 0 then incr nf_drops;
-                nil_sends)
-      in
-      (* Replica 0 keeps the historical core name; shards get an
-         @r suffix, so fault plans can target (and crash) each
-         replica independently. *)
-      let name =
-        if r = 0 then Printf.sprintf "mid%d:%s" mid entry.nf
-        else Printf.sprintf "mid%d:%s@%d" mid entry.nf r
-      in
-      let server = core ~name ~prng ~service_ns ~execute ~emit:emit_send in
-      Overload.bind sw ~pressured:(fun () -> Nfp_sim.Server.pressured server);
-      (* Bypass recovery: mark the replica, reroute this core's
-         casualties (the in-flight batch its kill reclaimed, and
-         any pending emissions) plus the queued backlog through
-         its action program, so every packet lands in exactly one
-         ledger bucket and no merger waits on this branch. Other
-         replicas of the slot keep processing. *)
-      let drain () =
-        bypassed.(r) <- true;
-        Nfp_sim.Server.set_casualty_sink server (fun jobs emits ->
-            List.iter (bypass prog) jobs;
-            List.iter drive emits);
-        let backlog = Nfp_sim.Server.drain server in
-        List.iter (bypass prog) backlog;
-        List.length backlog
-      in
-      register_probe ~nf:(mid, entry.nf) ~drain ~cell server;
-      (server, cell)
-    in
-    (* Build replicas in index order: each creation splits the
-       jitter PRNG, and the replicas=1 trace must keep the
-       historical split sequence. Standby replicas (index >= the
-       static count) split the independent elastic stream instead,
-       leaving the main sequence untouched. *)
-    let replicas =
-      Array.init n_replicas (fun r ->
-          make_replica r (if r < base_replicas then prng else elastic_prng))
-    in
-    let servers = Array.map fst replicas in
-    let offers = Array.map Nfp_sim.Server.offer servers in
-    (* A channel releases through [route_nf] over the replicas'
-       rings, so steering and bypass are re-resolved at release
-       time. The reroute of a Down link runs the slot's action
-       program off-core, bypass-style: downstream sees every
-       expected branch. *)
-    let links =
-      Array.map
-        (fun srv ->
-          channel_for ~name:(Nfp_sim.Server.name srv)
-            ~deliver:(route_nf ~release:true slot) ~reroute:(off_core prog))
-        servers
-    in
+  let rec rt =
     {
-      s_mid = mid;
-      s_entry = entry;
-      s_prog = prog;
-      s_servers = servers;
-      s_nfs = nfs;
-      s_cells = Array.map snd replicas;
-      s_offers = offers;
-      s_links = links;
-      s_ports = Array.map2 offer_via links offers;
-      s_bypassed = bypassed;
-      s_steer = Option.map snd steer;
+      engine;
+      config;
+      fault;
+      elastic;
+      output;
+      wire_delay = cost.wire_ns /. 2.0;
+      dedup;
+      delivered = filter dedup;
+      merge_timeout_ns = (match fault with Some fc -> fc.merge_timeout_ns | None -> 0.0);
+      watchdog;
+      overload;
+      prng = Nfp_algo.Prng.create ~seed:config.seed;
+      (* Standby replicas (indices past the static count) draw jitter
+         from an independent stream, like the degrade twins: building
+         them must not shift the main PRNG and perturb a never-scaling
+         trace. *)
+      elastic_prng = Nfp_algo.Prng.create ~seed:(Int64.logxor config.seed 0x31a5_71c5L);
+      links;
+      link_stats = Channel.fresh_stats ();
+      reliability =
+        (match links with
+        | Some (lc : links_config) when lc.reliable ->
+            Some
+              {
+                Channel.ack_interval_ns = lc.ack_interval_ns;
+                rto_ns = lc.rto_ns;
+                ack_ns = Nfp_sim.Cost.ns_of_cycles cost cost.ack_cycles;
+                retransmit_ns = Nfp_sim.Cost.ns_of_cycles cost cost.retransmit_cycles;
+              }
+        | _ -> None);
+      ring_drops = ref 0;
+      nf_drops = ref 0;
+      unmatched = ref 0;
+      deduped = ref 0;
+      bypassed_packets = ref 0;
+      merge_timeouts = ref 0;
+      probes = [];
+      emit = (fun ctx send -> emit_send rt ctx send);
+      slots = [||];
+      merge_port = (fun _ -> false);
+      deliver_port = (fun _ -> false);
     }
   in
-  slots := Array.of_list (List.mapi build_slot nf_impls);
-  (* Migration transfers get their own link family
-     ("migrate:<replica>"): moved in-flight packets cross the
-     fabric like any other edge, so a plan can perturb the re-home
-     path independently of the data path. *)
-  let elastic_slot s =
-    match s.s_steer with
-    | None -> []
-    | Some steer ->
-        [
-          {
-            Elastic.servers = s.s_servers;
-            nfs = s.s_nfs;
-            cells = s.s_cells;
-            steer;
-            hash = (fun ctx -> rss_hash ctx s);
-            reachable =
-              (fun r ->
-                match s.s_links.(r) with
-                | Some ch -> not (Channel.is_down ch)
-                | None -> true);
-            rehome =
-              Array.map
-                (fun srv ->
-                  let port = server_port ~prefix:"migrate:" srv in
-                  fun ctx -> drive (fun () -> port ctx))
-                s.s_servers;
-          };
-        ]
-  in
+  rt.deliver_port <- delivery_port rt;
+  rt.slots <- Array.of_list (List.mapi (build_slot rt ~shardable nf_progs) nf_impls);
   let controller =
     match elastic with
     | None -> Elastic.off
@@ -1424,149 +1657,33 @@ let make_multi ?classify ?(config = default_config) ?fault ?overload ?elastic ?l
           ~busy:(fun () ->
             List.exists
               (fun (Watchdog.Probe p) ->
-                Nfp_sim.Server.queue_length p.server > 0
-                || Nfp_sim.Server.is_busy p.server)
-              !probes)
-          (List.concat_map elastic_slot (Array.to_list !slots))
+                Nfp_sim.Server.queue_length p.server > 0 || Nfp_sim.Server.is_busy p.server)
+              rt.probes)
+          (List.concat_map (elastic_slot rt) (Array.to_list rt.slots))
   in
-  (* Merge completion, shared by the full-arrival path and the
-     timeout path. [nil_mask] decides the drop policy; [skip_mask]
-     marks branches whose versions must not feed the merge ops —
-     nil branches (half-processed) and, on a timeout, branches
-     that never arrived. With [skip_mask = nil_mask] this is
-     exactly the pre-timeout completion. *)
-  let complete m ctx ~nil_mask ~skip_mask =
-    let dropped =
-      if m.m_drop_any then nil_mask <> 0 else nil_mask land (1 lsl m.m_winner) <> 0
-    in
-    if dropped then begin
-      if Array.length m.m_nil_sends = 0 then incr nf_drops;
-      m.m_nil_sends
-    end
-    else begin
-      (if skip_mask = 0 then
-         let get v = Context.get ctx v in
-         Array.iter (fun op -> Merge_op.apply op ~get) m.m_ops
-       else begin
-         (* Versions from branches that dropped under a priority
-            policy are half-processed; their ops are skipped. *)
-         let skip_versions = ref [] in
-         Array.iteri
-           (fun b v ->
-             if skip_mask land (1 lsl b) <> 0 then
-               skip_versions := v :: !skip_versions)
-           m.m_versions;
-         let svs = !skip_versions in
-         let get v =
-           if List.mem v svs && v <> m.m_result_version then None
-           else Context.get ctx v
-         in
-         Array.iter (fun op -> Merge_op.apply op ~get) m.m_ops
-       end);
-      exec_prog m.m_next ctx
-    end
-  in
-  let make_merger index =
-    let at : cat_entry Nfp_algo.Pair_table.t = Nfp_algo.Pair_table.create () in
-    (* Completed-merge memory (armed runs only): a branch arriving
-       after its merge already completed — a straggler emitted by
-       a salvaged core after a merge timeout force-completed the
-       accumulation, or a late retransmission of a branch a
-       timeout already nil-substituted — is consumed silently
-       instead of opening a fresh accumulation that would deliver
-       a duplicate. Mergers never see the same (MID, merge, PID)
-       complete twice within the bounded dedup window. *)
-    let done_tbl = Dedup.create dedup_capacity in
-    merger_dedups := done_tbl :: !merger_dedups;
-    let service_ns (d : cdelivery) (cell : Nfp_sim.Server.cell) =
-      let m = d.d_merge in
-      cell.ns <-
-        Nfp_sim.Cost.ns_of_cycles cost
-          (cost.ring_dequeue + cost.merge_delivery
-          + ((m.m_completion_static + dyn_cycles ~cost m.m_next d.d_ctx) / max 1 m.m_expected)
-          )
-    in
-    let execute (d : cdelivery) =
-      let m = d.d_merge in
-      let a = Int64.to_int (Context.pid d.d_ctx)
-      and b = Dedup.merge_limb ~mid:m.m_mid ~merge_id:m.m_id in
-      if dedup_on && Dedup.mem done_tbl ~a ~b then begin
-        incr deduped;
-        [||]
-      end
-      else begin
-        let entry =
-          match Nfp_algo.Pair_table.find at ~a ~b with
-          | -1 ->
-              let e = { c_received = 0; c_nil_mask = 0; c_arrived_mask = 0 } in
-              Nfp_algo.Pair_table.replace at ~a ~b e;
-              (* Arm the straggler timeout when this accumulation
-                 opens: if a failed branch never shows up, merge
-                 what did arrive rather than wedge the packet (the
-                 drop policy still applies to arrived nils). *)
-              if merge_timeout_ns > 0.0 then
-                Nfp_sim.Engine.schedule engine ~delay:merge_timeout_ns (fun () ->
-                    let s = Nfp_algo.Pair_table.find at ~a ~b in
-                    if s >= 0 && Nfp_algo.Pair_table.value at s == e then begin
-                      Nfp_algo.Pair_table.remove at ~a ~b;
-                      if dedup_on then Dedup.add done_tbl ~a ~b;
-                      incr merge_timeouts;
-                      let missing =
-                        ((1 lsl m.m_expected) - 1) land lnot e.c_arrived_mask
-                      in
-                      drive
-                        (emission d.d_ctx
-                           (complete m d.d_ctx ~nil_mask:e.c_nil_mask
-                              ~skip_mask:(e.c_nil_mask lor missing)))
-                    end);
-              e
-          | s -> Nfp_algo.Pair_table.value at s
-        in
-        entry.c_received <- entry.c_received + 1;
-        if d.d_branch >= 0 then
-          entry.c_arrived_mask <- entry.c_arrived_mask lor (1 lsl d.d_branch);
-        if d.d_nil && d.d_branch >= 0 then
-          entry.c_nil_mask <- entry.c_nil_mask lor (1 lsl d.d_branch);
-        if entry.c_received < m.m_expected then [||]
-        else begin
-          Nfp_algo.Pair_table.remove at ~a ~b;
-          if dedup_on then Dedup.add done_tbl ~a ~b;
-          complete m d.d_ctx ~nil_mask:entry.c_nil_mask ~skip_mask:entry.c_nil_mask
-        end
-      end
-    in
-    let name = Printf.sprintf "merger#%d" index in
-    let server =
-      core ~name ~prng ~service_ns ~execute
-        ~emit:(fun (d : cdelivery) send -> emit_send d.d_ctx send)
-    in
-    register_probe server;
-    server
-  in
-  let merger_cores = Array.init config.mergers make_merger in
-  let merger_ports = Array.map server_port merger_cores in
+  let merger_cores = Array.init config.mergers (make_merger rt) in
+  let merger_ports = Array.map (server_port rt) merger_cores in
   let to_merger (d : cdelivery) =
     merger_ports.(slot_of_pid (Context.pid d.d_ctx) (Array.length merger_ports)) d
   in
-  merge_port := to_merger;
+  rt.merge_port <- to_merger;
+  (* The merger agent hashes the immutable PID and steers to an
+     instance; its one send per job is that hop. *)
   let agent_core =
     if config.mergers = 1 then None
     else begin
       let agent_ns =
-        Nfp_sim.Cost.ns_of_cycles cost
-          (cost.ring_dequeue + cost.merger_agent + cost.ring_enqueue)
+        Nfp_sim.Cost.ns_of_cycles cost (cost.ring_dequeue + cost.merger_agent + cost.ring_enqueue)
       in
-      let service_ns _ (cell : Nfp_sim.Server.cell) = cell.ns <- agent_ns in
-      (* The agent's one send per job is the hop to the PID's merger
-         instance; there is nothing to say about it but "go". *)
       let hop = [| () |] in
       let agent =
-        core ~name:"merger-agent" ~prng ~service_ns
+        core rt ~name:"merger-agent" ~prng:rt.prng
+          ~service_ns:(fun _ (cell : Nfp_sim.Server.cell) -> cell.ns <- agent_ns)
           ~execute:(fun _ -> hop)
           ~emit:(fun (d : cdelivery) () -> to_merger d)
+          ()
       in
-      register_probe agent;
-      merge_port := server_port agent;
+      rt.merge_port <- server_port rt agent;
       Some agent
     end
   in
@@ -1574,139 +1691,51 @@ let make_multi ?classify ?(config = default_config) ?fault ?overload ?elastic ?l
     let service_ns (ctx : Context.t) (cell : Nfp_sim.Server.cell) =
       let prog = classifier_progs.(Context.mid ctx - 1) in
       cell.ns <-
-        Nfp_sim.Cost.ns_of_cycles cost
-          (cost.classifier + prog.p_static + dyn_cycles ~cost prog ctx)
+        Nfp_sim.Cost.ns_of_cycles cost (cost.classifier + prog.p_static + dyn_cycles ~cost prog ctx)
     in
     let execute ctx = exec_prog classifier_progs.(Context.mid ctx - 1) ctx in
-    let clf =
-      core ~name:"classifier" ~prng ~service_ns ~execute ~emit:emit_send
-    in
-    register_probe clf;
-    clf
+    core rt ~name:"classifier" ~prng:rt.prng ~service_ns ~execute ~emit:rt.emit ()
   in
   Option.iter
     (fun cell ->
       cell :=
         sampler_of classifier
-          (List.concat_map (fun s -> Array.to_list s.s_servers) (Array.to_list !slots))
+          (List.concat_map (fun s -> Array.to_list s.s_servers) (Array.to_list rt.slots))
           merger_cores agent_core)
     stats;
   (* Replication report: one entry per NF slot. Call it after a run
      drains — the digest reads live NF state. *)
   Option.iter
-    (fun cell -> cell := fun () -> Array.to_list (Array.map replica_report !slots))
+    (fun cell -> cell := fun () -> Array.to_list (Array.map replica_report rt.slots))
     replication;
-  let twins =
-    twin_chains ~config ?fault
-      ~core:(fun ~name ~prng ~service_ns ~execute ~emit ->
-        let c = core ~name ~prng ~service_ns ~execute ~emit in
-        register_probe c;
-        c)
-      ~deliver:(deliver_out ~version:1) ~drops:nf_drops nf_impls table
-  in
+  let twins = twin_chains rt nf_impls table in
   (* Watchdog: per-core progress heartbeats. A core is healthy while it
      processes packets or at least retries a stalled emission
      (backpressure is not failure); a core with queued work and a frozen
      heartbeat past the deadline is declared failed and its recovery
-     policy runs. *)
-  let probe_arr = Array.of_list (List.rev !probes) in
-  Watchdog.watch watchdog probe_arr;
-  (* The shed ladder polls whether any core's watermark latch is
-     raised. *)
-  Overload.watch overload_ctl ~pressured:(fun () ->
-      Array.exists (fun (Watchdog.Probe p) -> Nfp_sim.Server.pressured p.server) probe_arr);
-  let health () =
-    let cores =
-      Array.to_list
-        (Array.mapi
-           (fun i (Watchdog.Probe { server = s; _ }) ->
-             let name = Nfp_sim.Server.name s in
-             {
-               Nfp_sim.Harness.core = name;
-               state =
-                 (match Watchdog.state watchdog i with
-                 | Some s -> s
-                 | None when Nfp_sim.Server.is_down s -> "down"
-                 | None -> Option.value (controller.core_state name) ~default:"up");
-               processed = Nfp_sim.Server.processed s;
-               queue = Nfp_sim.Server.queue_length s;
-             })
-           probe_arr)
-    in
-    let sum f = Array.fold_left (fun acc p -> acc + f p) 0 probe_arr in
-    let rejected_total = sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.rejected p.server) in
-    let w = Watchdog.counters watchdog in
-    {
-      Nfp_sim.Harness.cores;
-      detections = w.detections;
-      crashes = sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.crashes p.server);
-      restarts = w.restarts;
-      bypasses = w.bypasses;
-      degrades = w.degrades;
-      recoveries = w.recoveries;
-      bypassed_packets = !bypassed_packets;
-      checkpoints = w.checkpoints;
-      forced_checkpoints = w.forced_checkpoints;
-      replayed = w.replayed;
-      deduped = !deduped;
-      salvaged = w.salvaged;
-      drops =
-        {
-          Nfp_sim.Harness.ingress_rejected = !ring_drops;
-          (* [ring_drops] counts exactly the NIC-boundary offer
-             refusals (the only [offer] sites outside a server are in
-             [inject]); every other refusal a server ring recorded is a
-             backpressure retry event, not a loss. *)
-          internal_rejected = max 0 (rejected_total - !ring_drops);
-          nf_dropped = !nf_drops;
-          no_match = !unmatched;
-          fault_dropped = sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.fault_drops p.server);
-          flush_lost = sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.flushed p.server);
-          merge_timed_out = !merge_timeouts;
-          shed = Overload.shed_total overload_ctl;
-          shed_by_class = Overload.shed_by_class overload_ctl;
-          degraded = Overload.degraded overload_ctl;
-        };
-      pressure_episodes =
-        sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.pressure_episodes p.server);
-      breaker_trips = w.breaker_trips;
-      backoffs = w.backoffs;
-      degrade_switches = Overload.switches overload_ctl;
-      scale_outs = controller.scale_outs;
-      scale_ins = controller.scale_ins;
-      migrations = controller.migrations;
-      migration_aborts = controller.migration_aborts;
-      migrated_packets = controller.migrated_packets;
-      migrating = controller.migrating ();
-      links =
-        {
-          Nfp_sim.Harness.link_drops = link_stats.Channel.link_drops;
-          retransmits = link_stats.Channel.retransmits;
-          duplicates_suppressed = link_stats.Channel.duplicates_suppressed;
-          reordered = link_stats.Channel.reordered;
-          partitions = link_stats.Channel.partitions;
-          reroutes = link_stats.Channel.reroutes;
-        };
-      dedup_entries = (if dedup_on then dedup_entries () else 0);
-    }
-  in
+     policy runs. The shed ladder polls whether any core's watermark
+     latch is raised. *)
+  let probes = Array.of_list (List.rev rt.probes) in
+  Watchdog.watch watchdog probes;
+  Overload.watch overload ~pressured:(fun () ->
+      Array.exists (fun (Watchdog.Probe p) -> Nfp_sim.Server.pressured p.server) probes);
   let front, counters =
-    front_end ?classify ~engine ~cost ~unmatched table (fun ~pid ~mid pkt ->
-        if Overload.shed overload_ctl mid then
+    front_end ?classify ~engine ~cost ~unmatched:rt.unmatched table (fun ~pid ~mid pkt ->
+        if Overload.shed rt.overload mid then
           (* Refused by the admission controller: counted (total and per
              class) and gone — deliberately, before it can cost a ring
              slot or a core cycle. *)
           ()
         else
           match twins.(mid - 1) with
-          | Some head when Watchdog.degraded watchdog mid ->
+          | Some head when Watchdog.degraded rt.watchdog mid ->
               (* Sequential fallback: tag the packet as the classifier
                  would and run the twin chain. *)
               Packet.stamp pkt ~mid ~pid ~version:1;
-              if not (Nfp_sim.Server.offer head (pid, pkt)) then incr ring_drops
+              if not (Nfp_sim.Server.offer head (pid, pkt)) then incr rt.ring_drops
           | _ ->
               let ctx = Context.create ~pid ~mid pkt in
-              if not (Nfp_sim.Server.offer classifier ctx) then incr ring_drops)
+              if not (Nfp_sim.Server.offer classifier ctx) then incr rt.ring_drops)
   in
   {
     Nfp_sim.Harness.inject =
@@ -1715,7 +1744,7 @@ let make_multi ?classify ?(config = default_config) ?fault ?overload ?elastic ?l
         Elastic.kick controller;
         front ~pid pkt);
     classifier = counters;
-    health;
+    health = health rt controller probes;
   }
 
 let make ?classify ?config ?fault ?overload ?elastic ?links ?stats ?replication ~plan ~nfs

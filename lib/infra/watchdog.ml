@@ -86,7 +86,7 @@ and probe =
   | Probe : {
       server : ('job, 'send) Nfp_sim.Server.t;
       nf : (int * string) option;
-      drain : unit -> int;
+      drain : ('job, 'send) Nfp_sim.Server.t -> int;
       cell : cell;
     }
       -> probe
@@ -276,7 +276,7 @@ let recover t ws i (Probe p) =
     ws.wstate.(i) <- `Bypassed;
     w.bypasses <- w.bypasses + 1;
     Nfp_sim.Server.kill s;
-    ignore (p.drain ())
+    ignore (p.drain p.server)
   in
   match p.nf with
   | None -> restart_core ~on_up:ignore ()

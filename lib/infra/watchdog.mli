@@ -95,9 +95,9 @@ type probe =
   | Probe : {
       server : ('job, 'send) Nfp_sim.Server.t;
       nf : (int * string) option;  (** mid, NF instance name; [None] = infrastructure *)
-      drain : unit -> int;
-          (** Bypass: reroute the core's backlog and casualties around it;
-              returns the backlog length *)
+      drain : ('job, 'send) Nfp_sim.Server.t -> int;
+          (** Bypass: reroute [server]'s backlog and casualties around
+              it; returns the backlog length *)
       cell : cell;  (** the core's recovery cell; checkpoint time is billed to [server] *)
     }
       -> probe

@@ -103,7 +103,7 @@ let rec sift_down t i seq action =
   end
 
 let arm_at t time action =
-  if time < t.clock.ns then invalid_arg "Engine.schedule_at: time is in the past";
+  if not (time >= t.clock.ns) then invalid_arg "Engine.schedule_at: time is in the past";
   if t.size = Array.length t.actions then grow t;
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -116,7 +116,7 @@ let arm_at t time action =
 let schedule_at t time action = ignore (arm_at t time action)
 
 let arm t ~delay action =
-  if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
+  if not (delay >= 0.0) then invalid_arg "Engine.schedule: negative delay";
   arm_at t (t.clock.ns +. delay) action
 
 let schedule t ~delay action = ignore (arm t ~delay action)

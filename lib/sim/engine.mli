@@ -19,11 +19,12 @@ val now : t -> float
 (** Current simulated time in nanoseconds. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> unit
-(** [schedule t ~delay f] fires [f] at [now t +. delay]. Negative
-    delays raise [Invalid_argument]. *)
+(** [schedule t ~delay f] fires [f] at [now t +. delay]. Negative and
+    NaN delays raise [Invalid_argument]. *)
 
 val schedule_at : t -> float -> (unit -> unit) -> unit
-(** Absolute-time variant; times in the past raise [Invalid_argument]. *)
+(** Absolute-time variant; times in the past, and NaN, raise
+    [Invalid_argument]. *)
 
 val arm : t -> delay:float -> (unit -> unit) -> int
 (** {!schedule} that returns the event's sequence number: while the

@@ -82,7 +82,8 @@ let for_core p name =
    crash rates. Draw order is per-core, so the storm is stable under
    reordering of [cores]. *)
 let storm ?(seed = 1L) ~cores ~mtbf_ns ~horizon_ns () =
-  if mtbf_ns <= 0.0 then invalid_arg "Fault.storm: mtbf_ns must be positive";
+  if not (mtbf_ns > 0.0) then invalid_arg "Fault.storm: mtbf_ns must be positive";
+  if not (Float.is_finite horizon_ns) then invalid_arg "Fault.storm: horizon_ns must be finite";
   let specs =
     List.map
       (fun core ->
@@ -120,11 +121,11 @@ type surge_shape =
 type surge = { base_mpps : float; shapes : surge_shape list }
 
 let surge ~base_mpps shapes =
-  if base_mpps <= 0.0 then invalid_arg "Fault.surge: base_mpps must be positive";
+  if not (base_mpps > 0.0) then invalid_arg "Fault.surge: base_mpps must be positive";
   List.iter
     (function
       | Step { factor; _ } | Spike { factor; _ } | Ramp { factor; _ } ->
-          if factor <= 0.0 then invalid_arg "Fault.surge: factor must be positive")
+          if not (factor > 0.0) then invalid_arg "Fault.surge: factor must be positive")
     shapes;
   { base_mpps; shapes }
 

@@ -53,7 +53,8 @@ val storm :
 (** Each listed core crashes at exponentially-distributed intervals
     (mean [mtbf_ns]) within [horizon_ns]; draw order is per-core, so
     the storm is stable under reordering of [cores].
-    @raise Invalid_argument when [mtbf_ns <= 0]. *)
+    @raise Invalid_argument unless [mtbf_ns > 0] and [horizon_ns] is
+    finite. *)
 
 val event_count : plan -> int
 
@@ -167,8 +168,8 @@ type surge_shape =
 type surge = { base_mpps : float; shapes : surge_shape list }
 
 val surge : base_mpps:float -> surge_shape list -> surge
-(** @raise Invalid_argument when [base_mpps <= 0] or any factor
-    [<= 0]. *)
+(** @raise Invalid_argument unless [base_mpps] and every factor are
+    [> 0] (a NaN is rejected too). *)
 
 val surge_rate : surge -> now_ns:float -> float
 (** The offered load (Mpps) the plan prescribes at [now_ns]. *)

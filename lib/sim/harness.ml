@@ -235,6 +235,11 @@ type result = {
 
 let run ~make ~gen ~arrivals ~packets ?warmup ?(seed = 42L) ?stop () =
   if packets < 0 then invalid_arg "Harness.run: packets must be >= 0";
+  (match arrivals with
+  | Uniform r | Poisson r | Burst (r, _) when not (r > 0.0) ->
+      invalid_arg "Harness.run: arrival rate must be positive"
+  | Burst (_, k) when k < 1 -> invalid_arg "Harness.run: burst size must be >= 1"
+  | _ -> ());
   let warmup = match warmup with Some w -> w | None -> packets / 10 in
   let engine = Engine.create () in
   let latency = Nfp_algo.Stats.create () in

@@ -203,7 +203,9 @@ val run :
     periodically; once it returns [true] the simulation is truncated
     and the result reflects only the events executed so far — event
     order is unaffected either way.
-    @raise Invalid_argument if [packets < 0]. *)
+    @raise Invalid_argument if [packets < 0], if a [Uniform], [Poisson]
+    or [Burst] rate is not [> 0] (NaN included), or if a burst size is
+    below 1. *)
 
 val parallel_runs : ?domains:int -> (unit -> 'a) list -> 'a list
 (** Evaluate independent simulation thunks on a pool of [domains]

@@ -20,6 +20,10 @@ type fstate = {
 
 type cell = { mutable ns : float }
 
+(* The stall-poll interval: how long a core blocked on downstream
+   backpressure, or an emission no core owns, waits before retrying. *)
+let retry_ns = 150.0
+
 type ('job, 'send) t = {
   engine : Engine.t;
   name : string;
@@ -34,7 +38,6 @@ type ('job, 'send) t = {
      charging. *)
   burst_saving_ns : float;
   jitter : (float * Nfp_algo.Prng.t) option;
-  retry_ns : float;
   service_ns : 'job -> cell -> unit;
   service : cell;
   execute : 'job -> 'send array;
@@ -173,8 +176,8 @@ let rec flush t =
       flush t
     end
     else begin
-      t.f.stalled_ns <- t.f.stalled_ns +. t.retry_ns;
-      t.armed <- Engine.arm t.engine ~delay:t.retry_ns t.retry
+      t.f.stalled_ns <- t.f.stalled_ns +. retry_ns;
+      t.armed <- Engine.arm t.engine ~delay:retry_ns t.retry
     end
   end
 
@@ -191,8 +194,8 @@ and pump_orphans t =
           pump_orphans t
         end
         else begin
-          t.f.stalled_ns <- t.f.stalled_ns +. t.retry_ns;
-          Engine.arm_timer (Lazy.force t.pump) ~delay:t.retry_ns
+          t.f.stalled_ns <- t.f.stalled_ns +. retry_ns;
+          Engine.arm_timer (Lazy.force t.pump) ~delay:retry_ns
         end
   end
 
@@ -306,16 +309,14 @@ let resume t =
     pump_orphans t
   end
 
-let default_retry_ns = 150.0
-
 (* Run a retryable emission that no core owns to completion, polling at
    a core's default stall cadence. *)
 let rec drive engine emission =
   if not (emission ()) then
-    Engine.schedule engine ~delay:default_retry_ns (fun () -> drive engine emission)
+    Engine.schedule engine ~delay:retry_ns (fun () -> drive engine emission)
 
 let create ~engine ~name ~ring_capacity ~batch ?(burst_saving_ns = 0.0) ?jitter
-    ?(retry_ns = default_retry_ns) ?watermarks ?fault ~service_ns ~execute ~emit () =
+    ?watermarks ?fault ~service_ns ~execute ~emit () =
   let batch = max 1 batch in
   let ring = Nfp_algo.Ring.create ~capacity:ring_capacity in
   (match watermarks with
@@ -329,7 +330,6 @@ let create ~engine ~name ~ring_capacity ~batch ?(burst_saving_ns = 0.0) ?jitter
       batch;
       burst_saving_ns;
       jitter;
-      retry_ns;
       service_ns;
       service = { ns = 0.0 };
       execute;

@@ -31,7 +31,6 @@ val create :
   batch:int ->
   ?burst_saving_ns:float ->
   ?jitter:float * Nfp_algo.Prng.t ->
-  ?retry_ns:float ->
   ?watermarks:int * int ->
   ?fault:Fault.core ->
   service_ns:('job -> cell -> unit) ->
@@ -43,7 +42,8 @@ val create :
     in [cell.ns]. [execute job] performs the job's semantics once and
     returns its sends; [emit job send] makes one attempt at one of them
     and is called again, later, for the same send until it returns
-    [true]. [retry_ns] is the stall-poll interval (default 150 ns).
+    [true]. A core blocked on downstream backpressure retries every
+    150 ns (the stall-poll interval).
 
     [burst_saving_ns] (default 0.0) is the batch cost model: the
     nanoseconds of per-job dispatch work that the second and later jobs

@@ -796,6 +796,21 @@ let cluster_tests =
         Nfp_sim.Engine.run engine;
         check Alcotest.int "second server's drop counted" 1
           (system.health ()).drops.nf_dropped);
+    Alcotest.test_case "cluster rejects a negative or NaN link latency" `Quick (fun () ->
+        (* -1 used to fail mid-run; NaN finished with a NaN duration. *)
+        let plan =
+          let profile_of _ = Nfp_nf.Registry.profile_of "Monitor" in
+          match Tables.plan ~profile_of (Graph.nf "m") with Ok p -> p | Error e -> Alcotest.fail e
+        in
+        let segment = (plan, fun _ -> fst (Nfp_nf.Monitor.create ~name:"m" ())) in
+        List.iter
+          (fun link_latency_ns ->
+            Alcotest.check_raises (Printf.sprintf "%g" link_latency_ns)
+              (Invalid_argument "Cluster.make: link_latency_ns must be >= 0") (fun () ->
+                ignore
+                  (Nfp_infra.Cluster.make ~link_latency_ns ~segments:[ segment; segment ]
+                     (Nfp_sim.Engine.create ()) ~output:(fun ~pid:_ _ -> ()))))
+          [ -1.0; Float.nan ]);
     Alcotest.test_case "empty cluster rejected" `Quick (fun () ->
         let engine = Nfp_sim.Engine.create () in
         Alcotest.check_raises "empty" (Invalid_argument "Cluster.make: no segments")
@@ -1003,6 +1018,60 @@ let fault_tests =
         check Alcotest.bool "most traffic survived" true
           (float_of_int r.completed > 0.7 *. float_of_int r.offered);
         accounting_closes r);
+    Alcotest.test_case "stats sampler and health list the same cores" `Quick (fun () ->
+        (* Replicas, a merger agent and a Degrade twin chain: every core
+           kind the builder registers. The sampler lists each parallel
+           core once; health lists the same cores with the same counts,
+           plus the twin cores, which only health reports. *)
+        let fault =
+          {
+            Nfp_infra.System.default_fault_config with
+            plan = Nfp_sim.Fault.plan [ Nfp_sim.Fault.crash ~at_ns:500_000.0 "mid1:mon" ];
+            recovery_of = (fun nf -> if nf = "mon" then Degrade else Restart);
+          }
+        in
+        let config = { Nfp_infra.System.default_config with replicas = 2; mergers = 2 } in
+        let plan = plan_of_output (compile_ok par_text) in
+        let sampler = ref (fun () -> []) in
+        let make engine ~output =
+          Nfp_infra.System.make ~config ~fault ~stats:sampler ~plan
+            ~nfs:(instances par_bindings) engine ~output
+        in
+        let r =
+          Nfp_sim.Harness.run ~make ~gen:gen_pkt ~arrivals:(Nfp_sim.Harness.Uniform 0.5)
+            ~packets:2000 ()
+        in
+        let sampled = !sampler () and cores = r.health.cores in
+        List.iter
+          (fun name ->
+            check Alcotest.bool (name ^ " sampled") true
+              (List.exists (fun (s : Nfp_infra.System.core_stats) -> s.core = name) sampled))
+          [ "classifier"; "mid1:mon"; "mid1:mon@1"; "merger#0"; "merger#1"; "merger-agent" ];
+        List.iter
+          (fun (s : Nfp_infra.System.core_stats) ->
+            match
+              List.filter (fun (c : Nfp_sim.Harness.core_health) -> c.core = s.core) cores
+            with
+            | [ c ] ->
+                check Alcotest.int (s.core ^ " processed") s.processed c.processed;
+                check Alcotest.int (s.core ^ " queue") s.queue c.queue
+            | l -> Alcotest.failf "%s appears %d times in health.cores" s.core (List.length l))
+          sampled;
+        let twins =
+          List.filter
+            (fun (c : Nfp_sim.Harness.core_health) ->
+              not
+                (List.exists (fun (s : Nfp_infra.System.core_stats) -> s.core = c.core) sampled))
+            cores
+        in
+        check Alcotest.bool "twin cores exist" true (twins <> []);
+        List.iter
+          (fun (c : Nfp_sim.Harness.core_health) ->
+            check Alcotest.bool (c.core ^ " is a twin") true
+              (String.starts_with ~prefix:"seq:" c.core))
+          twins;
+        check Alcotest.int "every core once" (List.length cores)
+          (List.length sampled + List.length twins));
     Alcotest.test_case "counters match a two-crash storm" `Quick (fun () ->
         let fault =
           {

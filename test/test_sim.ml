@@ -48,13 +48,19 @@ let engine_tests =
     Alcotest.test_case "negative delay rejected" `Quick (fun () ->
         let e = Engine.create () in
         Alcotest.check_raises "negative" (Invalid_argument "Engine.schedule: negative delay")
-          (fun () -> Engine.schedule e ~delay:(-1.0) (fun () -> ())));
+          (fun () -> Engine.schedule e ~delay:(-1.0) (fun () -> ()));
+        (* A NaN delay would enter the heap and turn the clock NaN. *)
+        Alcotest.check_raises "nan" (Invalid_argument "Engine.schedule: negative delay")
+          (fun () -> Engine.schedule e ~delay:Float.nan (fun () -> ())));
     Alcotest.test_case "scheduling in the past rejected" `Quick (fun () ->
         let e = Engine.create () in
         Engine.schedule e ~delay:10.0 (fun () ->
             Alcotest.check_raises "past"
               (Invalid_argument "Engine.schedule_at: time is in the past") (fun () ->
-                Engine.schedule_at e 5.0 (fun () -> ())));
+                Engine.schedule_at e 5.0 (fun () -> ()));
+            Alcotest.check_raises "nan"
+              (Invalid_argument "Engine.schedule_at: time is in the past") (fun () ->
+                Engine.schedule_at e Float.nan (fun () -> ())));
         Engine.run e);
     Alcotest.test_case "max_events bounds execution" `Quick (fun () ->
         let e = Engine.create () in
@@ -503,6 +509,32 @@ let fault_tests =
           (Fault.event_count (mk 1e8) > Fault.event_count (mk 1e6));
         check Alcotest.bool "different seed, different storm" true
           (mk 1e7 <> Fault.storm ~seed:8L ~cores:[ "a"; "b" ] ~mtbf_ns:1e6 ~horizon_ns:1e7 ()));
+    Alcotest.test_case "storm rejects a NaN mean and a non-finite horizon" `Quick (fun () ->
+        (* Each of these used to loop, allocating crash events until
+           memory ran out. *)
+        let storm ~mtbf_ns ~horizon_ns () =
+          ignore (Fault.storm ~cores:[ "a" ] ~mtbf_ns ~horizon_ns ())
+        in
+        Alcotest.check_raises "nan mtbf" (Invalid_argument "Fault.storm: mtbf_ns must be positive")
+          (storm ~mtbf_ns:Float.nan ~horizon_ns:1e6);
+        List.iter
+          (fun h ->
+            Alcotest.check_raises (Printf.sprintf "horizon %g" h)
+              (Invalid_argument "Fault.storm: horizon_ns must be finite")
+              (storm ~mtbf_ns:1e3 ~horizon_ns:h))
+          [ Float.nan; Float.infinity ]);
+    Alcotest.test_case "surge rejects a NaN base and NaN factors" `Quick (fun () ->
+        Alcotest.check_raises "base" (Invalid_argument "Fault.surge: base_mpps must be positive")
+          (fun () -> ignore (Fault.surge ~base_mpps:Float.nan []));
+        List.iter
+          (fun shape ->
+            Alcotest.check_raises "factor" (Invalid_argument "Fault.surge: factor must be positive")
+              (fun () -> ignore (Fault.surge ~base_mpps:1.0 [ shape ])))
+          [
+            Fault.Step { at_ns = 0.0; factor = Float.nan };
+            Fault.Spike { at_ns = 0.0; duration_ns = 1.0; factor = Float.nan };
+            Fault.Ramp { from_ns = 0.0; to_ns = 1.0; factor = Float.nan };
+          ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -645,12 +677,32 @@ let harness_tests =
         in
         check (Alcotest.float 1e-9) "same" (once ()) (once ()));
     Alcotest.test_case "negative packet count is rejected" `Quick (fun () ->
+        let run ?(packets = 20) arrivals () =
+          ignore
+            (Harness.run ~make:(fixed_system ~service_ns:100.0 ~ring:64) ~gen ~arrivals ~packets ())
+        in
         Alcotest.check_raises "packets"
-          (Invalid_argument "Harness.run: packets must be >= 0") (fun () ->
-            ignore
-              (Harness.run
-                 ~make:(fixed_system ~service_ns:100.0 ~ring:64)
-                 ~gen ~arrivals:(Harness.Uniform 1.0) ~packets:(-3) ())));
+          (Invalid_argument "Harness.run: packets must be >= 0")
+          (run ~packets:(-3) (Harness.Uniform 1.0));
+        (* Arrivals that used to fail mid-run (negative delay, division by
+           zero) or return an infinite or NaN duration. *)
+        List.iter
+          (fun (label, arrivals) ->
+            Alcotest.check_raises label
+              (Invalid_argument "Harness.run: arrival rate must be positive") (run arrivals))
+          [
+            ("uniform -1", Harness.Uniform (-1.0));
+            ("uniform 0", Harness.Uniform 0.0);
+            ("uniform nan", Harness.Uniform Float.nan);
+            ("poisson 0", Harness.Poisson 0.0);
+            ("burst nan", Harness.Burst (Float.nan, 4));
+          ];
+        List.iter
+          (fun k ->
+            Alcotest.check_raises (Printf.sprintf "burst of %d" k)
+              (Invalid_argument "Harness.run: burst size must be >= 1")
+              (run (Harness.Burst (1.0, k))))
+          [ 0; -2 ]);
     Alcotest.test_case "negative bisection depth is rejected" `Quick (fun () ->
         (* One domain runs the sequential bisection, two the speculative
            one; both must refuse before probing anything. *)
