@@ -766,7 +766,7 @@ let run_micro () =
           ack_ns = 10.0;
           retransmit_ns = 50.0;
         }
-      ~deliver:(fun _ -> true) ~reroute:ignore ~stats:(Nfp_infra.Channel.fresh_stats ())
+      ~deliver:(fun _ -> true) ~reroute:ignore ~stats:(Nfp_sim.Harness.fresh_health ()).links
       ()
   in
   let send_ack () =

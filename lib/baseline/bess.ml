@@ -15,7 +15,8 @@ type job = { pid : int64; pkt : Packet.t }
 let make ?(config = default_config) ~cores ~chain engine ~output =
   if cores < 1 then invalid_arg "Bess.make: need at least one core";
   let cost = config.cost in
-  let ring_drops = ref 0 and nf_drops = ref 0 in
+  let health = Nfp_sim.Harness.fresh_health () in
+  let drops = health.drops in
   let prng = Nfp_algo.Prng.create ~seed:config.seed in
   let wire_delay = cost.wire_ns /. 2.0 in
   let make_core i =
@@ -37,7 +38,7 @@ let make ?(config = default_config) ~cores ~chain engine ~output =
         | (nf : Nfp_nf.Nf.t) :: rest -> (
             match nf.process job.pkt with
             | Nfp_nf.Nf.Forward -> go rest
-            | Nfp_nf.Nf.Dropped -> incr nf_drops)
+            | Nfp_nf.Nf.Dropped -> drops.nf_dropped <- drops.nf_dropped + 1)
       in
       go nfs;
       [||]
@@ -60,17 +61,8 @@ let make ?(config = default_config) ~cores ~chain engine ~output =
                    (Int64.logand (Nfp_algo.Hashing.mix64 pid) Int64.max_int)
                    (Int64.of_int cores))
             in
-            if not (Nfp_sim.Server.offer replicas.(i) { pid; pkt }) then incr ring_drops));
+            if not (Nfp_sim.Server.offer replicas.(i) { pid; pkt }) then
+              drops.ingress_rejected <- drops.ingress_rejected + 1));
     classifier = (fun () -> Nfp_sim.Harness.no_classifier_counters);
-    health =
-      (fun () ->
-        {
-          Nfp_sim.Harness.no_health with
-          drops =
-            {
-              Nfp_sim.Harness.no_drops with
-              ingress_rejected = !ring_drops;
-              nf_dropped = !nf_drops;
-            };
-        });
+    health = (fun () -> Nfp_sim.Harness.copy_health health);
   }

@@ -23,7 +23,8 @@ let make ?(config = default_config) ~nfs engine ~output =
   let cost = config.cost in
   let n = List.length nfs in
   let nf_arr = Array.of_list nfs in
-  let ring_drops = ref 0 and nf_drops = ref 0 in
+  let health = Nfp_sim.Harness.fresh_health () in
+  let drops = health.drops in
   let prng = Nfp_algo.Prng.create ~seed:config.seed in
   let jitter_for () = (config.jitter, Nfp_algo.Prng.split prng) in
   let nf_cores : (job, unit -> bool) Nfp_sim.Server.t option array = Array.make n None in
@@ -78,7 +79,7 @@ let make ?(config = default_config) ~nfs engine ~output =
         match nf.process job.pkt with
         | Nfp_nf.Nf.Forward -> emit_to tx { job with next_stage = i + 1 }
         | Nfp_nf.Nf.Dropped ->
-            incr nf_drops;
+            drops.nf_dropped <- drops.nf_dropped + 1;
             [||]
       in
       nf_cores.(i) <-
@@ -92,17 +93,7 @@ let make ?(config = default_config) ~nfs engine ~output =
       (fun ~pid pkt ->
         Nfp_sim.Engine.schedule engine ~delay:wire_delay (fun () ->
             if not (Nfp_sim.Server.offer rx { pid; pkt; next_stage = 0 }) then
-              incr ring_drops));
+              drops.ingress_rejected <- drops.ingress_rejected + 1));
     classifier = (fun () -> Nfp_sim.Harness.no_classifier_counters);
-    health =
-      (fun () ->
-        {
-          Nfp_sim.Harness.no_health with
-          drops =
-            {
-              Nfp_sim.Harness.no_drops with
-              ingress_rejected = !ring_drops;
-              nf_dropped = !nf_drops;
-            };
-        });
+    health = (fun () -> Nfp_sim.Harness.copy_health health);
   }

@@ -35,25 +35,6 @@
    machinery exists for), which keeps the protocol provably
    terminating. *)
 
-type stats = {
-  mutable link_drops : int;
-  mutable retransmits : int;
-  mutable duplicates_suppressed : int;
-  mutable reordered : int;
-  mutable partitions : int;
-  mutable reroutes : int;
-}
-
-let fresh_stats () =
-  {
-    link_drops = 0;
-    retransmits = 0;
-    duplicates_suppressed = 0;
-    reordered = 0;
-    partitions = 0;
-    reroutes = 0;
-  }
-
 type reliability = {
   ack_interval_ns : float;  (* cumulative-ack cadence *)
   rto_ns : float;  (* initial head-of-line retransmit timeout *)
@@ -101,7 +82,7 @@ type 'a t = {
   rel : reliability option;
   deliver : 'a -> bool;  (* the destination ring; [false] = full *)
   reroute : 'a -> unit;  (* detour around a Down link *)
-  stats : stats;
+  stats : Nfp_sim.Harness.link_stats;  (* the deployment ledger's link taxonomy *)
   (* --- sender --- *)
   mutable next_seq : int;
   mutable unacked_lo : int;  (* lowest unacked seq *)

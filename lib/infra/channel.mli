@@ -22,19 +22,6 @@
     Every timer self-quenches when its work drains, so an idle channel
     schedules nothing and the simulation's event heap empties. *)
 
-type stats = {
-  mutable link_drops : int;
-  mutable retransmits : int;
-  mutable duplicates_suppressed : int;
-  mutable reordered : int;
-  mutable partitions : int;
-  mutable reroutes : int;
-}
-(** Shared mutable taxonomy counters, aggregated across every channel
-    of a deployment and surfaced as {!Nfp_sim.Harness.link_stats}. *)
-
-val fresh_stats : unit -> stats
-
 type reliability = {
   ack_interval_ns : float;
   rto_ns : float;
@@ -57,21 +44,23 @@ val create :
   ?reliability:reliability ->
   deliver:('a -> bool) ->
   reroute:('a -> unit) ->
-  stats:stats ->
+  stats:Nfp_sim.Harness.link_stats ->
   unit ->
   'a t
 (** [deliver] offers to the destination ring ([false] = full: a raw
     channel propagates the refusal to the sender, a reliable channel
     buffers and retries at the stall-poll cadence). [reroute] detours a
     packet around a Down link (reliable mode only) and must always
-    succeed — e.g. by driving a bypass-style emission off-core. *)
+    succeed — e.g. by driving a bypass-style emission off-core. Every
+    channel of a deployment counts into the same [stats], its
+    ledger's link taxonomy. *)
 
 val send : 'a t -> 'a -> bool
 (** Put one payload on the link. [false] means backpressure — the ring
     (raw) or the sender window (reliable) is full — and the caller must
     retry the same payload later, exactly like {!Nfp_sim.Server.offer}.
     Everything else (loss, duplication, reordering, retransmission,
-    reroute) is absorbed by the channel and reported in {!stats}. *)
+    reroute) is absorbed by the channel and counted in its [stats]. *)
 
 val is_down : 'a t -> bool
 (** Whether the link is currently declared Down — the elastic

@@ -53,7 +53,7 @@ let make ?config ?fault ?overload ?elastic ?links ?(link_latency_ns = 2000.0)
       (fun () ->
         List.fold_left
           (fun acc f -> Nfp_sim.Harness.add_health acc (f ()))
-          Nfp_sim.Harness.no_health !health_fns);
+          (Nfp_sim.Harness.fresh_health ()) !health_fns);
   }
 
 let of_partition ?config ?fault ?overload ?elastic ?links ?link_latency_ns

@@ -91,11 +91,6 @@ type t = {
   interval : float;
   migrating : unit -> int;
   core_state : string -> string option;
-  mutable scale_outs : int;
-  mutable scale_ins : int;
-  mutable migrations : int;
-  mutable migration_aborts : int;
-  mutable migrated_packets : int;
 }
 
 let off =
@@ -104,11 +99,6 @@ let off =
     interval = 0.0;
     migrating = (fun () -> 0);
     core_state = (fun _ -> None);
-    scale_outs = 0;
-    scale_ins = 0;
-    migrations = 0;
-    migration_aborts = 0;
-    migrated_packets = 0;
   }
 
 (* Same bytes, same hash: [Hashing.pack_a]/[pack_b] over a [Flow.t]
@@ -135,7 +125,8 @@ let kick t =
    migration is in flight per slot; its commit is an independently
    scheduled event, so a down controller never wedges a frozen source —
    the commit fires and aborts. *)
-let create ~engine ?fault (ec : config) ~ring_capacity ~busy slots =
+let create ~engine ?fault (ec : config) ~ring_capacity ~busy
+    ~(health : Nfp_sim.Harness.health) slots =
   if List.is_empty slots then off
   else begin
     let slots = Array.of_list slots in
@@ -205,11 +196,6 @@ let create ~engine ?fault (ec : config) ~ring_capacity ~busy slots =
                 | None -> acc)
               0 slots);
         core_state;
-        scale_outs = 0;
-        scale_ins = 0;
-        migrations = 0;
-        migration_aborts = 0;
-        migrated_packets = 0;
       }
     (* Phase 2: commit or roll back. Abort leaves the old map in force
        with the source unfrozen — nothing observable changed since the
@@ -225,7 +211,7 @@ let create ~engine ?fault (ec : config) ~ring_capacity ~busy slots =
           let src = s.servers.(mg.mg_src) and dst = s.servers.(mg.mg_dst) in
           let abort () =
             st.st_mig <- None;
-            t.migration_aborts <- t.migration_aborts + 1;
+            health.migration_aborts <- health.migration_aborts + 1;
             st.st_last_op <- now;
             st.st_backoff <- now +. ec.cooldown_ns;
             Nfp_sim.Server.unpause src
@@ -269,8 +255,8 @@ let create ~engine ?fault (ec : config) ~ring_capacity ~busy slots =
               Watchdog.refresh s.cells.(mg.mg_dst);
               List.iter (fun b -> st.st_map.(b) <- mg.mg_dst) mg.mg_buckets;
               st.st_mig <- None;
-              t.migrations <- t.migrations + 1;
-              t.migrated_packets <- t.migrated_packets + List.length moved;
+              health.migrations <- health.migrations + 1;
+              health.migrated_packets <- health.migrated_packets + List.length moved;
               st.st_last_op <- now;
               (* Unpause first: orphaned emissions of already-executed
                  source jobs pump now, so downstream sees them before
@@ -322,7 +308,7 @@ let create ~engine ?fault (ec : config) ~ring_capacity ~busy slots =
         if st.st_draining >= 0 && owned st st.st_draining = 0 then begin
           st.st_active <- st.st_active - 1;
           st.st_draining <- -1;
-          t.scale_ins <- t.scale_ins + 1;
+          health.scale_ins <- health.scale_ins + 1;
           st.st_last_op <- now
         end;
         if st.st_draining >= 0 then begin
@@ -358,7 +344,7 @@ let create ~engine ?fault (ec : config) ~ring_capacity ~busy slots =
               (* Activate the next standby; rebalance moves buckets onto
                  it from the next tick on. *)
               st.st_active <- st.st_active + 1;
-              t.scale_outs <- t.scale_outs + 1;
+              health.scale_outs <- health.scale_outs + 1;
               st.st_last_op <- now
             end
             else if !max_occ <= ec.scale_in_occupancy && st.st_active > floor_active

@@ -53,15 +53,10 @@ type t = private {
   core_state : string -> string option;
       (** ["migrating"] for a frozen source replica, ["standby"] for an
           inactive one, [None] otherwise *)
-  mutable scale_outs : int;
-  mutable scale_ins : int;
-  mutable migrations : int;
-  mutable migration_aborts : int;
-  mutable migrated_packets : int;
 }
 
 val off : t
-(** No controller: {!kick} does nothing and every counter stays 0. *)
+(** No controller: {!kick} does nothing. *)
 
 val create :
   engine:Nfp_sim.Engine.t ->
@@ -69,10 +64,13 @@ val create :
   config ->
   ring_capacity:int ->
   busy:(unit -> bool) ->
+  health:Nfp_sim.Harness.health ->
   'send slot list ->
   t
 (** A controller over [slots] ({!off} when there are none), idle until
-    kicked. [busy ()] reports queued work anywhere in the system.
+    kicked. [busy ()] reports queued work anywhere in the system. Its
+    scale-outs, scale-ins, migrations, aborts and migrated packets are
+    counted in the deployment's ledger [health].
     [fault] may crash or hang the pseudo-core ["elastic"]: while it is
     down no decision runs and due commits abort. *)
 

@@ -30,14 +30,12 @@ type t = {
   mutable last_poll : float;
   seen : int array;  (* per class: arrivals while shed, for the trickle *)
   shed_class : int array;
-  mutable shed : int;
-  mutable degraded : int;
-  mutable switches : int;
+  health : Nfp_sim.Harness.health;
 }
 
 (* The ladder never climbs past the highest class any chain declares,
    so the top class is never shed. *)
-let create ~engine ?config ~priorities () =
+let create ~engine ?config ~priorities ~health () =
   let max_class = Array.fold_left (fun acc p -> max acc (max 0 p)) 0 priorities in
   {
     engine;
@@ -50,9 +48,7 @@ let create ~engine ?config ~priorities () =
     last_poll = neg_infinity;
     seen = Array.make (max_class + 1) 0;
     shed_class = Array.make (max_class + 1) 0;
-    shed = 0;
-    degraded = 0;
-    switches = 0;
+    health;
   }
 
 let watermarks t = t.watermarks
@@ -80,22 +76,16 @@ let shed t mid =
         t.seen.(cls) <- t.seen.(cls) + 1;
         if t.seen.(cls) mod trickle = 0 then false
         else begin
-          t.shed <- t.shed + 1;
+          t.health.drops.shed <- t.health.drops.shed + 1;
           t.shed_class.(cls) <- t.shed_class.(cls) + 1;
           true
         end
       end
 
-let shed_total t = t.shed
-
 let shed_by_class t =
   match t.config with
   | None -> []
   | Some _ -> Array.to_list (Array.mapi (fun c n -> (c, n)) t.shed_class)
-
-let degraded t = t.degraded
-
-let switches t = t.switches
 
 (* ------------------------------------------------------------------ *)
 (* Pressure-degrade switch                                             *)
@@ -134,10 +124,10 @@ let process sw pkt =
       let p = sw.self_pressured () in
       if p <> sw.active then begin
         sw.active <- p;
-        if p then sw.ov.switches <- sw.ov.switches + 1
+        if p then sw.ov.health.degrade_switches <- sw.ov.health.degrade_switches + 1
       end;
       if p then begin
-        sw.ov.degraded <- sw.ov.degraded + 1;
+        sw.ov.health.drops.degraded <- sw.ov.health.drops.degraded + 1;
         d.Nfp_nf.Nf.d_process pkt
       end
       else sw.nf.process pkt

@@ -1,22 +1,29 @@
 (** The overload control plane of a {!System} deployment: the ring
     watermarks its cores arm, the priority-aware admission controller
     at the classifier front end (the shed ladder with its poll and
-    trickle), the per-replica pressure-degrade switch, and their
-    counters. The fields of {!config} are documented where {!System}
-    re-exports it, as [System.overload_config]. *)
+    trickle) and the per-replica pressure-degrade switch. The fields of
+    {!config} are documented where {!System} re-exports it, as
+    [System.overload_config]. *)
 
 type config = { high_watermark : int; low_watermark : int; degrade_enabled : bool }
 
 val default : config
 
 type t
-(** One deployment's admission controller and degrade counters. *)
+(** One deployment's admission controller. *)
 
 val create :
-  engine:Nfp_sim.Engine.t -> ?config:config -> priorities:int array -> unit -> t
+  engine:Nfp_sim.Engine.t ->
+  ?config:config ->
+  priorities:int array ->
+  health:Nfp_sim.Harness.health ->
+  unit ->
+  t
 (** [priorities.(mid - 1)] is the admission class of graph [mid]
-    (negative counts as 0). Without [config] the controller is inert:
-    no watermarks, nothing shed, no NF degraded. *)
+    (negative counts as 0). Sheds, degraded packets and degrade
+    switches are counted in the deployment's ledger [health]. Without
+    [config] the controller is inert: no watermarks, nothing shed, no
+    NF degraded. *)
 
 val watermarks : t -> (int * int) option
 (** [(high, low)] for every core's ring, or [None] when unarmed. *)
@@ -33,17 +40,9 @@ val shed : t -> int -> bool
     A packet whose class is below the level is shed, except every
     16th such arrival of its class (the trickle). *)
 
-val shed_total : t -> int
-
 val shed_by_class : t -> (int * int) list
 (** [(class, shed)] for every class up to the highest; [[]] when
     unarmed. *)
-
-val degraded : t -> int
-(** Packets processed in a degrade mode, across every switch. *)
-
-val switches : t -> int
-(** Times any switch entered its degrade mode. *)
 
 (** {2 Pressure-degrade switch} *)
 

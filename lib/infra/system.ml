@@ -302,13 +302,14 @@ let run_nf ~who process ~pid pkt =
 
 (* Classifier front end: CT match, then [admit ~pid ~mid pkt] for a
    packet a rule matched. Unmatched packets are discarded (no service
-   graph owns them) and counted in [unmatched], separately from NF
+   graph owns them) and counted in [drops.no_match], separately from NF
    drops. [`Cached] resolves the flow through the two-level classifier
    (microflow cache over the tuple-space matcher); [`Scan] is the linear
    first-match reference. Either charges its structural cycles (zero
    under the default cost model), plus half the wire delay, as delay
    ahead of [admit]. Returns the inject function and the cache counters. *)
-let front_end ?(classify = `Cached) ~engine ~(cost : Nfp_sim.Cost.t) ~unmatched table admit =
+let front_end ?(classify = `Cached) ~engine ~(cost : Nfp_sim.Cost.t)
+    ~(drops : Nfp_sim.Harness.drops) table admit =
   let ct = Array.map (fun (m, _, _) -> m) table in
   let clf = Nfp_packet.Classifier.create ct in
   (* [classify_pkt] resolves the MID (0 = no rule matches) and leaves
@@ -336,7 +337,7 @@ let front_end ?(classify = `Cached) ~engine ~(cost : Nfp_sim.Cost.t) ~unmatched 
     let mid = classify_pkt pkt in
     Nfp_sim.Engine.schedule engine
       ~delay:(wire_delay +. Nfp_sim.Cost.ns_of_cycles cost !classify_cycles)
-      (fun () -> if mid = 0 then incr unmatched else admit ~pid ~mid pkt)
+      (fun () -> if mid = 0 then drops.no_match <- drops.no_match + 1 else admit ~pid ~mid pkt)
   in
   let counters () =
     {
@@ -374,7 +375,8 @@ let interpretive ?(config = default_config) ~graphs engine ~output =
     p
   in
   let nf_impls = nf_impls graphs in
-  let ring_drops = ref 0 and nf_drops = ref 0 and unmatched = ref 0 in
+  let health = Nfp_sim.Harness.fresh_health () in
+  let drops = health.drops in
   (* Cores split the jitter PRNG in build order: NF cores in [nf_impls]
      order, mergers, the agent, the classifier. [make_multi] builds in
      the same order, which is what makes the two traces identical. *)
@@ -494,7 +496,7 @@ let interpretive ?(config = default_config) ~graphs engine ~output =
                           };
                     |]
                 | None ->
-                    incr nf_drops;
+                    drops.nf_dropped <- drops.nf_dropped + 1;
                     [||]))
       in
       Hashtbl.replace nf_cores (mid, entry.nf)
@@ -580,7 +582,7 @@ let interpretive ?(config = default_config) ~graphs engine ~output =
                 | Tables.Copy _ -> [])
               spec.next
           in
-          if nil_sends = [] then incr nf_drops;
+          if nil_sends = [] then drops.nf_dropped <- drops.nf_dropped + 1;
           Array.of_list nil_sends
         end
         else begin
@@ -629,18 +631,15 @@ let interpretive ?(config = default_config) ~graphs engine ~output =
     core ~name:"classifier" ~service_ns ~execute
   in
   let inject, counters =
-    front_end ~engine ~cost ~unmatched table (fun ~pid ~mid pkt ->
+    front_end ~engine ~cost ~drops table (fun ~pid ~mid pkt ->
         if not (Nfp_sim.Server.offer classifier (Context.create ~pid ~mid pkt)) then
-          incr ring_drops)
+          drops.ingress_rejected <- drops.ingress_rejected + 1)
   in
-  let health () =
-    let drops = Nfp_sim.Harness.no_drops in
-    let drops =
-      { drops with ingress_rejected = !ring_drops; nf_dropped = !nf_drops; no_match = !unmatched }
-    in
-    { Nfp_sim.Harness.no_health with drops }
-  in
-  { Nfp_sim.Harness.inject; classifier = counters; health }
+  {
+    Nfp_sim.Harness.inject;
+    classifier = counters;
+    health = (fun () -> Nfp_sim.Harness.copy_health health);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Compiled dataplane: the plan is translated once, at deployment     *)
@@ -989,14 +988,8 @@ type rt = {
   prng : Nfp_algo.Prng.t;  (* the main jitter stream *)
   elastic_prng : Nfp_algo.Prng.t;  (* standby replicas' stream *)
   links : links_config option;
-  link_stats : Channel.stats;  (* shared by every channel: the link taxonomy *)
   reliability : Channel.reliability option;
-  ring_drops : int ref;  (* NIC-boundary offer refusals *)
-  nf_drops : int ref;
-  unmatched : int ref;
-  deduped : int ref;
-  bypassed_packets : int ref;
-  merge_timeouts : int ref;
+  health : Nfp_sim.Harness.health;  (* the deployment's counter ledger *)
   mutable probes : Watchdog.probe list;  (* one per core, newest first *)
   emit : Context.t -> csend -> bool;  (* [emit_send] over this record *)
   mutable slots : slot array;  (* set once every slot exists *)
@@ -1034,7 +1027,7 @@ let channel_for rt ~name ~deliver ~reroute =
       | Some state ->
           Some
             (Channel.create ~engine:rt.engine ~name:("link:" ^ name) ~state
-               ?reliability:rt.reliability ~deliver ~reroute ~stats:rt.link_stats ()))
+               ?reliability:rt.reliability ~deliver ~reroute ~stats:rt.health.links ()))
 
 (* Build-time ports: every destination gets one offer closure, chosen
    once — [Channel.send] when the link plan names the port, otherwise
@@ -1056,7 +1049,7 @@ let server_port ?(prefix = "") rt srv =
 let deliver_out rt pkt =
   let pid = Packet.pid pkt in
   let a = Int64.to_int pid and b = Packet.version pkt in
-  if seen rt.delivered ~a ~b then incr rt.deduped
+  if seen rt.delivered ~a ~b then rt.health.deduped <- rt.health.deduped + 1
   else begin
     remember rt.delivered ~a ~b;
     let output = rt.output in
@@ -1100,7 +1093,7 @@ let off_emit rt ctx sends =
 let off_core rt prog ctx = off_emit rt ctx (exec_prog prog ctx)
 
 let bypass rt prog ctx =
-  incr rt.bypassed_packets;
+  rt.health.bypassed_packets <- rt.health.bypassed_packets + 1;
   off_core rt prog ctx
 
 (* The one routing rule into NF slot [slot]: the send site offers to the
@@ -1208,7 +1201,8 @@ let build_slot rt ~shardable nf_progs slot
           match run_nf ~who:entry.nf process ~pid:(Context.pid ctx) pkt with
           | Nfp_nf.Nf.Forward -> exec_prog prog ctx
           | Nfp_nf.Nf.Dropped ->
-              if Array.length nil_sends = 0 then incr rt.nf_drops;
+              if Array.length nil_sends = 0 then
+                rt.health.drops.nf_dropped <- rt.health.drops.nf_dropped + 1;
               nil_sends)
     in
     (* Replica 0 keeps the historical core name; shards get an @r
@@ -1312,7 +1306,8 @@ let complete rt m ctx ~nil_mask ~skip_mask =
     if m.m_drop_any then nil_mask <> 0 else nil_mask land (1 lsl m.m_winner) <> 0
   in
   if dropped then begin
-    if Array.length m.m_nil_sends = 0 then incr rt.nf_drops;
+    if Array.length m.m_nil_sends = 0 then
+      rt.health.drops.nf_dropped <- rt.health.drops.nf_dropped + 1;
     m.m_nil_sends
   end
   else begin
@@ -1359,7 +1354,7 @@ let make_merger rt index =
     let a = Int64.to_int (Context.pid d.d_ctx)
     and b = Dedup.merge_limb ~mid:m.m_mid ~merge_id:m.m_id in
     if seen done_tbl ~a ~b then begin
-      incr rt.deduped;
+      rt.health.deduped <- rt.health.deduped + 1;
       [||]
     end
     else begin
@@ -1378,7 +1373,7 @@ let make_merger rt index =
                   if s >= 0 && Nfp_algo.Pair_table.value at s == e then begin
                     Nfp_algo.Pair_table.remove at ~a ~b;
                     remember done_tbl ~a ~b;
-                    incr rt.merge_timeouts;
+                    rt.health.drops.merge_timed_out <- rt.health.drops.merge_timed_out + 1;
                     let missing = ((1 lsl m.m_expected) - 1) land lnot e.c_arrived_mask in
                     off_emit rt d.d_ctx
                       (complete rt m d.d_ctx ~nil_mask:e.c_nil_mask
@@ -1439,7 +1434,7 @@ let twin_chains rt nf_impls table =
               deliver_out rt pkt;
               [||])
       | Nfp_nf.Nf.Dropped ->
-          incr rt.nf_drops;
+          rt.health.drops.nf_dropped <- rt.health.drops.nf_dropped + 1;
           [||]
     in
     core rt ~name:(Printf.sprintf "seq:mid%d:%s" mid name) ~prng ~service_ns ~execute ~emit ()
@@ -1465,8 +1460,10 @@ let twin_chains rt nf_impls table =
           plan.serial_order None)
     table
 
-(* The health snapshot, one entry per probe in registration order. *)
-let health rt (controller : Elastic.t) probes () =
+(* The health snapshot: a copy of the ledger, with the fields computed
+   at read time filled in — the core list (one entry per probe, in
+   registration order), the per-server sums and the gauges. *)
+let snapshot rt (controller : Elastic.t) probes () =
   let cores =
     Array.to_list
       (Array.mapi
@@ -1485,58 +1482,28 @@ let health rt (controller : Elastic.t) probes () =
          probes)
   in
   let sum f = Array.fold_left (fun acc p -> acc + f p) 0 probes in
-  let rejected_total = sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.rejected p.server) in
-  let w = Watchdog.counters rt.watchdog and ls = rt.link_stats in
+  let h = Nfp_sim.Harness.copy_health rt.health in
   {
-    Nfp_sim.Harness.cores;
-    detections = w.detections;
+    h with
+    cores;
     crashes = sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.crashes p.server);
-    restarts = w.restarts;
-    bypasses = w.bypasses;
-    degrades = w.degrades;
-    recoveries = w.recoveries;
-    bypassed_packets = !(rt.bypassed_packets);
-    checkpoints = w.checkpoints;
-    forced_checkpoints = w.forced_checkpoints;
-    replayed = w.replayed;
-    deduped = !(rt.deduped);
-    salvaged = w.salvaged;
     drops =
       {
-        Nfp_sim.Harness.ingress_rejected = !(rt.ring_drops);
-        (* [ring_drops] counts exactly the NIC-boundary offer refusals
-           (the only [offer] sites outside a server are in [inject]);
-           every other refusal a server ring recorded is a backpressure
-           retry event, not a loss. *)
-        internal_rejected = max 0 (rejected_total - !(rt.ring_drops));
-        nf_dropped = !(rt.nf_drops);
-        no_match = !(rt.unmatched);
+        h.drops with
+        (* [ingress_rejected] counts exactly the NIC-boundary offer
+           refusals (the only [offer] sites outside a server are in
+           [inject]); every other refusal a server ring recorded is a
+           backpressure retry event, not a loss. *)
+        internal_rejected =
+          max 0
+            (sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.rejected p.server)
+            - h.drops.ingress_rejected);
         fault_dropped = sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.fault_drops p.server);
         flush_lost = sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.flushed p.server);
-        merge_timed_out = !(rt.merge_timeouts);
-        shed = Overload.shed_total rt.overload;
         shed_by_class = Overload.shed_by_class rt.overload;
-        degraded = Overload.degraded rt.overload;
       };
     pressure_episodes = sum (fun (Watchdog.Probe p) -> Nfp_sim.Server.pressure_episodes p.server);
-    breaker_trips = w.breaker_trips;
-    backoffs = w.backoffs;
-    degrade_switches = Overload.switches rt.overload;
-    scale_outs = controller.scale_outs;
-    scale_ins = controller.scale_ins;
-    migrations = controller.migrations;
-    migration_aborts = controller.migration_aborts;
-    migrated_packets = controller.migrated_packets;
     migrating = controller.migrating ();
-    links =
-      {
-        Nfp_sim.Harness.link_drops = ls.link_drops;
-        retransmits = ls.retransmits;
-        duplicates_suppressed = ls.duplicates_suppressed;
-        reordered = ls.reordered;
-        partitions = ls.partitions;
-        reroutes = ls.reroutes;
-      };
     dedup_entries = List.fold_left (fun acc m -> acc + Dedup.length m) 0 rt.dedup.memories;
   }
 
@@ -1593,15 +1560,16 @@ let make_multi ?classify ?(config = default_config) ?fault ?overload ?elastic ?l
      replica takes a degrade switch from it, and its shed ladder starts
      polling once every core exists (below). Without an overload config
      it is inert — the bit-identity guarantee. *)
+  let health = Nfp_sim.Harness.fresh_health () in
   let overload =
     Overload.create ~engine ?config:overload
       ~priorities:(Array.map (fun (_, (p : Tables.plan), _) -> p.Tables.priority) table)
-      ()
+      ~health ()
   in
   (* The watchdog exists before the cores: each NF replica takes its
      lossless-recovery cell from it. It starts watching once every core
      has registered its probe (below). *)
-  let watchdog = Watchdog.create ~engine ~cost ~graphs:(Array.length table) ?fault () in
+  let watchdog = Watchdog.create ~engine ~cost ~graphs:(Array.length table) ~health ?fault () in
   let rec rt =
     {
       engine;
@@ -1622,7 +1590,6 @@ let make_multi ?classify ?(config = default_config) ?fault ?overload ?elastic ?l
          trace. *)
       elastic_prng = Nfp_algo.Prng.create ~seed:(Int64.logxor config.seed 0x31a5_71c5L);
       links;
-      link_stats = Channel.fresh_stats ();
       reliability =
         (match links with
         | Some (lc : links_config) when lc.reliable ->
@@ -1634,12 +1601,7 @@ let make_multi ?classify ?(config = default_config) ?fault ?overload ?elastic ?l
                 retransmit_ns = Nfp_sim.Cost.ns_of_cycles cost cost.retransmit_cycles;
               }
         | _ -> None);
-      ring_drops = ref 0;
-      nf_drops = ref 0;
-      unmatched = ref 0;
-      deduped = ref 0;
-      bypassed_packets = ref 0;
-      merge_timeouts = ref 0;
+      health;
       probes = [];
       emit = (fun ctx send -> emit_send rt ctx send);
       slots = [||];
@@ -1659,6 +1621,7 @@ let make_multi ?classify ?(config = default_config) ?fault ?overload ?elastic ?l
               (fun (Watchdog.Probe p) ->
                 Nfp_sim.Server.queue_length p.server > 0 || Nfp_sim.Server.is_busy p.server)
               rt.probes)
+          ~health
           (List.concat_map (elastic_slot rt) (Array.to_list rt.slots))
   in
   let merger_cores = Array.init config.mergers (make_merger rt) in
@@ -1720,7 +1683,7 @@ let make_multi ?classify ?(config = default_config) ?fault ?overload ?elastic ?l
   Overload.watch overload ~pressured:(fun () ->
       Array.exists (fun (Watchdog.Probe p) -> Nfp_sim.Server.pressured p.server) probes);
   let front, counters =
-    front_end ?classify ~engine ~cost ~unmatched:rt.unmatched table (fun ~pid ~mid pkt ->
+    front_end ?classify ~engine ~cost ~drops:health.drops table (fun ~pid ~mid pkt ->
         if Overload.shed rt.overload mid then
           (* Refused by the admission controller: counted (total and per
              class) and gone — deliberately, before it can cost a ring
@@ -1732,10 +1695,12 @@ let make_multi ?classify ?(config = default_config) ?fault ?overload ?elastic ?l
               (* Sequential fallback: tag the packet as the classifier
                  would and run the twin chain. *)
               Packet.stamp pkt ~mid ~pid ~version:1;
-              if not (Nfp_sim.Server.offer head (pid, pkt)) then incr rt.ring_drops
+              if not (Nfp_sim.Server.offer head (pid, pkt)) then
+                health.drops.ingress_rejected <- health.drops.ingress_rejected + 1
           | _ ->
               let ctx = Context.create ~pid ~mid pkt in
-              if not (Nfp_sim.Server.offer classifier ctx) then incr rt.ring_drops)
+              if not (Nfp_sim.Server.offer classifier ctx) then
+                health.drops.ingress_rejected <- health.drops.ingress_rejected + 1)
   in
   {
     Nfp_sim.Harness.inject =
@@ -1744,7 +1709,7 @@ let make_multi ?classify ?(config = default_config) ?fault ?overload ?elastic ?l
         Elastic.kick controller;
         front ~pid pkt);
     classifier = counters;
-    health = health rt controller probes;
+    health = snapshot rt controller probes;
   }
 
 let make ?classify ?config ?fault ?overload ?elastic ?links ?stats ?replication ~plan ~nfs

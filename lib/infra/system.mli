@@ -427,8 +427,7 @@ val interpretive :
     order with the same bytes, drop counters and simulated timestamps
     (test/test_fastpath.ml holds the two to exact equality). It has no
     fault, overload, elastic or links machinery, always uses the
-    [`Cached] classifier, and reports {!Nfp_sim.Harness.no_health}
-    apart from [drops.ingress_rejected], [drops.nf_dropped] and
-    [drops.no_match].
+    [`Cached] classifier, and its health reports zero apart from
+    [drops.ingress_rejected], [drops.nf_dropped] and [drops.no_match].
     @raise Invalid_argument on the configs {!make_multi} rejects, and
     on [config.replicas > 1]. *)

@@ -27,22 +27,6 @@ let default =
     dedup_capacity = 65_536;
   }
 
-(* The counters a watchdog keeps: its own recovery actions plus the
-   lossless-recovery cells' checkpoints and replays. *)
-type counters = {
-  mutable detections : int;
-  mutable restarts : int;
-  mutable bypasses : int;
-  mutable degrades : int;
-  mutable recoveries : int;
-  mutable breaker_trips : int;
-  mutable backoffs : int;
-  mutable salvaged : int;
-  mutable checkpoints : int;
-  mutable forced_checkpoints : int;
-  mutable replayed : int;
-}
-
 type t = {
   engine : Nfp_sim.Engine.t;
   fault : config option;
@@ -50,7 +34,9 @@ type t = {
   (* Checkpointing armed: a non-empty fault plan and a positive
      checkpoint interval. *)
   lossless : bool;
-  counters : counters;
+  (* The deployment's ledger: detections, recovery actions, checkpoints
+     and replays are counted there. *)
+  health : Nfp_sim.Harness.health;
   (* Per service graph: [true] while Degrade recovery holds graph
      [mid] on its sequential twin. *)
   degraded : bool array;
@@ -108,7 +94,7 @@ and watching = {
   timer : Nfp_sim.Engine.timer;
 }
 
-let create ~engine ~cost ~graphs ?fault () =
+let create ~engine ~cost ~graphs ~health ?fault () =
   let lossless =
     match fault with
     | Some fc -> (not (Nfp_sim.Fault.is_empty fc.plan)) && fc.checkpoint_interval_ns > 0.0
@@ -119,25 +105,10 @@ let create ~engine ~cost ~graphs ?fault () =
     fault;
     cost;
     lossless;
-    counters =
-      {
-        detections = 0;
-        restarts = 0;
-        bypasses = 0;
-        degrades = 0;
-        recoveries = 0;
-        breaker_trips = 0;
-        backoffs = 0;
-        salvaged = 0;
-        checkpoints = 0;
-        forced_checkpoints = 0;
-        replayed = 0;
-      };
+    health;
     degraded = Array.make graphs false;
     watching = None;
   }
-
-let counters t = t.counters
 
 let degraded t mid = t.degraded.(mid - 1)
 
@@ -183,7 +154,7 @@ let checkpoint ~forced = function
          would buy nothing and still charge the core. *)
       if c.log_len > 0 then begin
         refresh cell;
-        let w = c.wd.counters in
+        let w = c.wd.health in
         w.checkpoints <- w.checkpoints + 1;
         if forced then w.forced_checkpoints <- w.forced_checkpoints + 1;
         c.charge (Nfp_sim.Cost.ns_of_cycles c.wd.cost c.wd.cost.checkpoint_cycles)
@@ -213,7 +184,7 @@ let replay = function
   | No_cell -> 0.0
   | Cell c as cell ->
       c.restore c.last;
-      let cost = c.wd.cost and w = c.wd.counters in
+      let cost = c.wd.cost and w = c.wd.health in
       let extra = ref 0.0 in
       for i = 0 to c.log_len - 1 do
         let pkt = c.log.(i) in
@@ -241,7 +212,7 @@ let backoff_max_ns = 2_000_000.0
    bypassed instead of restart-looping forever. A threshold of 0
    disables both (the pre-breaker behavior, bit for bit). *)
 let recover t ws i (Probe p) =
-  let engine = t.engine and fc = ws.fc and w = t.counters and consec = ws.consec in
+  let engine = t.engine and fc = ws.fc and w = t.health and consec = ws.consec in
   let s = p.server and breaker_on = fc.breaker_threshold > 0 in
   w.detections <- w.detections + 1;
   consec.(i) <- consec.(i) + 1;

@@ -27,33 +27,22 @@ val default : config
 type t
 (** One deployment's watchdog and its lossless-recovery cells. *)
 
-(** What a watchdog has done so far. *)
-type counters = private {
-  mutable detections : int;
-  mutable restarts : int;
-  mutable bypasses : int;
-  mutable degrades : int;
-  mutable recoveries : int;
-  mutable breaker_trips : int;
-  mutable backoffs : int;
-  mutable salvaged : int;
-      (** in-flight jobs re-admitted by lossless restarts instead of
-          flushed *)
-  mutable checkpoints : int;  (** NF state snapshots, periodic + forced *)
-  mutable forced_checkpoints : int;  (** checkpoints forced by a full input log *)
-  mutable replayed : int;  (** logged packets re-processed after a restore *)
-}
-
 val create :
-  engine:Nfp_sim.Engine.t -> cost:Nfp_sim.Cost.t -> graphs:int -> ?fault:config -> unit -> t
+  engine:Nfp_sim.Engine.t ->
+  cost:Nfp_sim.Cost.t ->
+  graphs:int ->
+  health:Nfp_sim.Harness.health ->
+  ?fault:config ->
+  unit ->
+  t
 (** A watchdog for one deployment of [graphs] service graphs, idle until
-    {!watch}ed. Lossless
+    {!watch}ed. It counts its detections and recovery actions, and its
+    cells' checkpoints, replays and salvaged jobs, in the deployment's
+    ledger [health]. Lossless
     recovery (checkpoint tick, input logging, replay, re-admission of
     reclaimed work instead of a flush) is armed when [fault] has a
     non-empty plan and a positive [checkpoint_interval_ns]. Without
     [fault] the watchdog is inert. *)
-
-val counters : t -> counters
 
 val degraded : t -> int -> bool
 (** [degraded t mid] is [true] while Degrade recovery holds graph [mid]

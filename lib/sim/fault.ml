@@ -38,7 +38,18 @@ let hang ~at_ns ~duration_ns core = { core; events = [ Hang { at_ns; duration_ns
 
 let slowdown ~at_ns ~factor core = { core; events = [ Slowdown { at_ns; factor } ] }
 
-let drop ~probability core = { core; events = [ Drop { probability } ] }
+(* Input checks of the constructors, run when a plan is built: each
+   test is [not (...)], so a NaN fails too. *)
+let probability_in_range ~who name p =
+  if not (0.0 <= p && p <= 1.0) then
+    invalid_arg (Printf.sprintf "Fault.%s: %s must be in [0, 1]" who name)
+
+let non_negative ~who name x =
+  if not (x >= 0.0) then invalid_arg (Printf.sprintf "Fault.%s: %s must be >= 0" who name)
+
+let drop ~probability core =
+  probability_in_range ~who:"drop" "probability" probability;
+  { core; events = [ Drop { probability } ] }
 
 (* Exact name, or prefix followed by '*' ("mid1:*" perturbs every NF
    core of graph 1). *)
@@ -181,27 +192,42 @@ let links_empty p = p.link_specs = []
 
 let link_plan ?(seed = 1L) specs = { link_seed = seed; link_specs = specs }
 
-let loss ~probability link = { link; faults = [ Loss { probability } ] }
+let loss ~probability link =
+  probability_in_range ~who:"loss" "probability" probability;
+  { link; faults = [ Loss { probability } ] }
 
 let duplicate ?(gap_ns = 200.0) ~probability link =
+  probability_in_range ~who:"duplicate" "probability" probability;
+  non_negative ~who:"duplicate" "gap_ns" gap_ns;
   { link; faults = [ Duplicate { probability; gap_ns } ] }
 
 let jumble ~probability ~span_ns link =
+  probability_in_range ~who:"jumble" "probability" probability;
+  non_negative ~who:"jumble" "span_ns" span_ns;
   { link; faults = [ Jumble { probability; span_ns } ] }
 
 let burst ~p_enter ~p_exit ~drop link =
+  probability_in_range ~who:"burst" "p_enter" p_enter;
+  probability_in_range ~who:"burst" "p_exit" p_exit;
+  probability_in_range ~who:"burst" "drop" drop;
   { link; faults = [ Burst { p_enter; p_exit; drop } ] }
 
 let partition ~at_ns ~duration_ns link =
+  non_negative ~who:"partition" "at_ns" at_ns;
+  non_negative ~who:"partition" "duration_ns" duration_ns;
   { link; faults = [ Partition { at_ns; duration_ns } ] }
 
 (* A flapping link: [cycles] partition windows of [down_ns] each,
    separated by [up_ns] of health, starting at [at_ns]. *)
 let flapping ~at_ns ~down_ns ~up_ns ~cycles link =
+  List.iter
+    (fun (name, x) -> non_negative ~who:"flapping" name x)
+    [ ("at_ns", at_ns); ("down_ns", down_ns); ("up_ns", up_ns) ];
+  if cycles < 1 then invalid_arg "Fault.flapping: cycles must be >= 1";
   {
     link;
     faults =
-      List.init (max 1 cycles) (fun i ->
+      List.init cycles (fun i ->
           Partition
             {
               at_ns = at_ns +. (float_of_int i *. (down_ns +. up_ns));

@@ -37,6 +37,8 @@ val hang : at_ns:float -> duration_ns:float -> string -> spec
 val slowdown : at_ns:float -> factor:float -> string -> spec
 
 val drop : probability:float -> string -> spec
+(** @raise Invalid_argument unless [probability] is in [[0, 1]] (a NaN
+    is rejected too). *)
 
 val matches : pattern:string -> name:string -> bool
 
@@ -98,6 +100,12 @@ val no_links : link_plan
 val links_empty : link_plan -> bool
 
 val link_plan : ?seed:int64 -> link_spec list -> link_plan
+
+(** The link-spec constructors check their inputs when the plan is
+    built: each raises [Invalid_argument] for a probability outside
+    [[0, 1]] or a time ([gap_ns], [span_ns], [at_ns], [duration_ns],
+    [down_ns], [up_ns]) below 0, a NaN included, and {!flapping} for
+    [cycles < 1]. *)
 
 val loss : probability:float -> string -> link_spec
 

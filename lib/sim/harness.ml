@@ -10,31 +10,17 @@ let no_classifier_counters = { hits = 0; misses = 0; evictions = 0 }
    is excluded from every ledger; it is surfaced because a growing
    value is the signature of a saturated interior hop. *)
 type drops = {
-  ingress_rejected : int;  (* NIC-boundary ring full: packets lost at entry *)
-  internal_rejected : int;  (* in-graph ring-full rejections: retries, not losses *)
-  nf_dropped : int;  (* NF verdict Drop *)
-  no_match : int;  (* no classifier rule matched *)
-  fault_dropped : int;  (* injected Drop faults *)
-  flush_lost : int;  (* in-flight work discarded by lossy restarts *)
-  merge_timed_out : int;  (* merges force-completed without a failed branch *)
-  shed : int;  (* refused by the admission controller under pressure *)
+  mutable ingress_rejected : int;  (* NIC-boundary ring full: packets lost at entry *)
+  mutable internal_rejected : int;  (* in-graph ring-full rejections: retries, not losses *)
+  mutable nf_dropped : int;  (* NF verdict Drop *)
+  mutable no_match : int;  (* no classifier rule matched *)
+  mutable fault_dropped : int;  (* injected Drop faults *)
+  mutable flush_lost : int;  (* in-flight work discarded by lossy restarts *)
+  mutable merge_timed_out : int;  (* merges force-completed without a failed branch *)
+  mutable shed : int;  (* refused by the admission controller under pressure *)
   shed_by_class : (int * int) list;  (* (priority class, shed count) *)
-  degraded : int;  (* packets that took a pressure-degraded NF path *)
+  mutable degraded : int;  (* packets that took a pressure-degraded NF path *)
 }
-
-let no_drops =
-  {
-    ingress_rejected = 0;
-    internal_rejected = 0;
-    nf_dropped = 0;
-    no_match = 0;
-    fault_dropped = 0;
-    flush_lost = 0;
-    merge_timed_out = 0;
-    shed = 0;
-    shed_by_class = [];
-    degraded = 0;
-  }
 
 (* Merge per-class shed counts: classes union, counts add, sorted by
    class so composition is order-insensitive. *)
@@ -68,23 +54,13 @@ let add_drops a b =
    armed they are transient — the retransmit machinery re-delivers, so
    they never show up as end-of-run losses. *)
 type link_stats = {
-  link_drops : int;  (* transits lost by the fabric (incl. lost retransmissions) *)
-  retransmits : int;  (* re-emissions by reliable channels (RTO or NACK) *)
-  duplicates_suppressed : int;  (* receiver-side dedup hits (fabric dup or spurious rtx) *)
-  reordered : int;  (* transits the fabric delivered behind their successors *)
-  partitions : int;  (* links declared Down (probe timeouts or budget exhaustion) *)
-  reroutes : int;  (* packets detoured around a Down link *)
+  mutable link_drops : int;  (* transits lost by the fabric (incl. lost retransmissions) *)
+  mutable retransmits : int;  (* re-emissions by reliable channels (RTO or NACK) *)
+  mutable duplicates_suppressed : int;  (* receiver-side dedup hits (fabric dup or spurious rtx) *)
+  mutable reordered : int;  (* transits the fabric delivered behind their successors *)
+  mutable partitions : int;  (* links declared Down (probe timeouts or budget exhaustion) *)
+  mutable reroutes : int;  (* packets detoured around a Down link *)
 }
-
-let no_link_stats =
-  {
-    link_drops = 0;
-    retransmits = 0;
-    duplicates_suppressed = 0;
-    reordered = 0;
-    partitions = 0;
-    reroutes = 0;
-  }
 
 let add_link_stats a b =
   {
@@ -97,8 +73,7 @@ let add_link_stats a b =
   }
 
 (* Per-core liveness as the watchdog sees it, plus the fault/recovery
-   counters of the whole system. Systems without fault machinery report
-   [no_health]. *)
+   counters of the whole system. *)
 type core_health = {
   core : string;
   state : string;
@@ -108,32 +83,34 @@ type core_health = {
   queue : int;
 }
 
+(* One deployment's counter ledger: its components increment these
+   fields in place, and [health ()] hands out copies. *)
 type health = {
   cores : core_health list;
-  detections : int;  (* watchdog heartbeat-deadline detections *)
-  crashes : int;  (* injected crash events that took a core down *)
-  restarts : int;  (* cores brought back by the Restart/Degrade policies *)
-  bypasses : int;  (* cores removed from the graph by the Bypass policy *)
-  degrades : int;  (* graphs switched to their sequential fallback *)
-  recoveries : int;  (* degraded graphs switched back to parallel *)
-  bypassed_packets : int;  (* packets that skipped a bypassed NF *)
-  checkpoints : int;  (* NF state snapshots taken (periodic + forced) *)
-  forced_checkpoints : int;  (* checkpoints forced by input-log overflow *)
-  replayed : int;  (* packets re-processed from an input log, output-suppressed *)
-  deduped : int;  (* duplicate emissions suppressed after a replay *)
-  salvaged : int;  (* in-flight jobs re-admitted instead of flushed *)
+  mutable detections : int;  (* watchdog heartbeat-deadline detections *)
+  mutable crashes : int;  (* injected crash events that took a core down *)
+  mutable restarts : int;  (* cores brought back by the Restart/Degrade policies *)
+  mutable bypasses : int;  (* cores removed from the graph by the Bypass policy *)
+  mutable degrades : int;  (* graphs switched to their sequential fallback *)
+  mutable recoveries : int;  (* degraded graphs switched back to parallel *)
+  mutable bypassed_packets : int;  (* packets that skipped a bypassed NF *)
+  mutable checkpoints : int;  (* NF state snapshots taken (periodic + forced) *)
+  mutable forced_checkpoints : int;  (* checkpoints forced by input-log overflow *)
+  mutable replayed : int;  (* packets re-processed from an input log, output-suppressed *)
+  mutable deduped : int;  (* duplicate emissions suppressed after a replay *)
+  mutable salvaged : int;  (* in-flight jobs re-admitted instead of flushed *)
   (* Overload control plane (PR 8). *)
   drops : drops;  (* the unified drop taxonomy *)
-  pressure_episodes : int;  (* ring watermark onsets across all cores *)
-  breaker_trips : int;  (* circuit breaker gave up on a restart-looping core *)
-  backoffs : int;  (* restarts delayed by exponential backoff *)
-  degrade_switches : int;  (* NFs toggled into a pressure-degrade mode *)
+  mutable pressure_episodes : int;  (* ring watermark onsets across all cores *)
+  mutable breaker_trips : int;  (* circuit breaker gave up on a restart-looping core *)
+  mutable backoffs : int;  (* restarts delayed by exponential backoff *)
+  mutable degrade_switches : int;  (* NFs toggled into a pressure-degrade mode *)
   (* Elastic scale-out / live migration (PR 9). *)
-  scale_outs : int;  (* replicas activated by the elastic controller *)
-  scale_ins : int;  (* replicas drained and retired *)
-  migrations : int;  (* committed bucket migrations *)
-  migration_aborts : int;  (* migrations rolled back (crash or deadline) *)
-  migrated_packets : int;  (* frozen packets re-homed by committed migrations *)
+  mutable scale_outs : int;  (* replicas activated by the elastic controller *)
+  mutable scale_ins : int;  (* replicas drained and retired *)
+  mutable migrations : int;  (* committed bucket migrations *)
+  mutable migration_aborts : int;  (* migrations rolled back (crash or deadline) *)
+  mutable migrated_packets : int;  (* frozen packets re-homed by committed migrations *)
   migrating : int;  (* gauge: packets currently frozen at quiesced sources *)
   (* Lossy fabric / reliable channels (PR 10). *)
   links : link_stats;  (* the link taxonomy *)
@@ -143,7 +120,7 @@ type health = {
          lossy run retransmits *)
 }
 
-let no_health =
+let fresh_health () =
   {
     cores = [];
     detections = 0;
@@ -158,7 +135,19 @@ let no_health =
     replayed = 0;
     deduped = 0;
     salvaged = 0;
-    drops = no_drops;
+    drops =
+      {
+        ingress_rejected = 0;
+        internal_rejected = 0;
+        nf_dropped = 0;
+        no_match = 0;
+        fault_dropped = 0;
+        flush_lost = 0;
+        merge_timed_out = 0;
+        shed = 0;
+        shed_by_class = [];
+        degraded = 0;
+      };
     pressure_episodes = 0;
     breaker_trips = 0;
     backoffs = 0;
@@ -169,7 +158,15 @@ let no_health =
     migration_aborts = 0;
     migrated_packets = 0;
     migrating = 0;
-    links = no_link_stats;
+    links =
+      {
+        link_drops = 0;
+        retransmits = 0;
+        duplicates_suppressed = 0;
+        reordered = 0;
+        partitions = 0;
+        reroutes = 0;
+      };
     dedup_entries = 0;
   }
 
@@ -204,6 +201,10 @@ let add_health a b =
     links = add_link_stats a.links b.links;
     dedup_entries = a.dedup_entries + b.dedup_entries;
   }
+
+(* Every record of the copy is fresh, so later increments of [h] do not
+   reach it. *)
+let copy_health h = add_health h (fresh_health ())
 
 type system = {
   inject : pid:int64 -> Nfp_packet.Packet.t -> unit;
@@ -345,13 +346,15 @@ let default_domains () =
   if Domain.DLS.get in_pool then 1
   else max 1 (min 8 (Domain.recommended_domain_count ()))
 
+let workers ~who = function
+  | Some d when d < 1 -> invalid_arg (who ^ ": domains must be >= 1")
+  | Some d -> d
+  | None -> default_domains ()
+
 let parallel_runs ?domains thunks =
   let jobs = Array.of_list thunks in
   let n = Array.length jobs in
-  let workers =
-    let d = match domains with Some d -> max 1 d | None -> default_domains () in
-    min d n
-  in
+  let workers = min (workers ~who:"Harness.parallel_runs" domains) n in
   if workers <= 1 then List.map (fun f -> f ()) thunks
   else begin
     let results = Array.make n None in
@@ -388,6 +391,7 @@ let parallel_runs ?domains thunks =
 let max_lossless_mpps ~make ~gen ~packets ?(lo = 0.01) ~hi ?(iterations = 12) ?domains
     () =
   if iterations < 0 then invalid_arg "Harness.max_lossless_mpps: iterations must be >= 0";
+  let workers = workers ~who:"Harness.max_lossless_mpps" domains in
   let lossless rate =
     (* Only the existence of a drop matters, so the probe aborts at the
        first one instead of simulating the remaining packets. *)
@@ -398,7 +402,6 @@ let max_lossless_mpps ~make ~gen ~packets ?(lo = 0.01) ~hi ?(iterations = 12) ?d
     in
     r.ring_drops = 0
   in
-  let workers = match domains with Some d -> max 1 d | None -> default_domains () in
   if workers <= 1 then begin
     if lossless hi then hi
     else begin

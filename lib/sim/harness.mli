@@ -13,50 +13,48 @@ val no_classifier_counters : classifier_counters
     baselines) report. *)
 
 type drops = {
-  ingress_rejected : int;
+  mutable ingress_rejected : int;
       (** NIC-boundary ring full: packets lost at entry — the only
           ring-full events that are true losses *)
-  internal_rejected : int;
+  mutable internal_rejected : int;
       (** in-graph ring-full rejections: backpressure retry events
           (the upstream core stalls and re-offers), {e not} losses, so
           excluded from every ledger; growth here flags a saturated
           interior hop *)
-  nf_dropped : int;  (** NF verdict Drop *)
-  no_match : int;  (** no classifier rule matched *)
-  fault_dropped : int;  (** injected Drop faults *)
-  flush_lost : int;  (** in-flight work discarded by lossy restarts *)
-  merge_timed_out : int;
+  mutable nf_dropped : int;  (** NF verdict Drop *)
+  mutable no_match : int;  (** no classifier rule matched *)
+  mutable fault_dropped : int;  (** injected Drop faults *)
+  mutable flush_lost : int;  (** in-flight work discarded by lossy restarts *)
+  mutable merge_timed_out : int;
       (** merges force-completed without a failed branch *)
-  shed : int;  (** refused by the admission controller under pressure *)
+  mutable shed : int;  (** refused by the admission controller under pressure *)
   shed_by_class : (int * int) list;
       (** per-priority-class shed counts, sorted by class *)
-  degraded : int;  (** packets that took a pressure-degraded NF path *)
+  mutable degraded : int;  (** packets that took a pressure-degraded NF path *)
 }
 (** The unified drop taxonomy: every way a packet can fail to reach the
     output, in one record (satellite of the overload control plane —
     previously these counters lived across Server, System and merger
     internals). *)
 
-val no_drops : drops
-
 type link_stats = {
-  link_drops : int;
+  mutable link_drops : int;
       (** transits lost by the fabric — drops, burst loss, partitions —
           including lost retransmissions. Raw link losses sit in the run
           ledger's [in_flight] residual (the packet was offered and
           vanished inside the system, like an injected fault drop); with
           reliable channels armed they are transient and re-delivered. *)
-  retransmits : int;
+  mutable retransmits : int;
       (** re-emissions by reliable channels, RTO- or NACK-driven *)
-  duplicates_suppressed : int;
+  mutable duplicates_suppressed : int;
       (** receiver-side dedup hits: fabric duplicates and spurious
           retransmissions consumed by the sequence filter *)
-  reordered : int;
+  mutable reordered : int;
       (** transits the fabric delivered behind their successors *)
-  partitions : int;
+  mutable partitions : int;
       (** links declared Down — 3 consecutive probe timeouts, or a
           packet's retransmit budget exhausted *)
-  reroutes : int;  (** packets detoured around a Down link *)
+  mutable reroutes : int;  (** packets detoured around a Down link *)
 }
 (** The link taxonomy: what the lossy fabric and the reliable channels
     did (satellite of the lossy-interconnect fault domain). *)
@@ -74,46 +72,46 @@ type core_health = {
 
 type health = {
   cores : core_health list;
-  detections : int;  (** watchdog heartbeat-deadline detections *)
-  crashes : int;  (** injected crash events that took a core down *)
-  restarts : int;  (** cores brought back by the Restart/Degrade policies *)
-  bypasses : int;  (** cores removed from the graph by the Bypass policy *)
-  degrades : int;  (** graphs switched to their sequential fallback *)
-  recoveries : int;  (** degraded graphs switched back to parallel *)
-  bypassed_packets : int;  (** packets that skipped a bypassed NF *)
-  checkpoints : int;  (** NF state snapshots taken (periodic + forced) *)
-  forced_checkpoints : int;
+  mutable detections : int;  (** watchdog heartbeat-deadline detections *)
+  mutable crashes : int;  (** injected crash events that took a core down *)
+  mutable restarts : int;  (** cores brought back by the Restart/Degrade policies *)
+  mutable bypasses : int;  (** cores removed from the graph by the Bypass policy *)
+  mutable degrades : int;  (** graphs switched to their sequential fallback *)
+  mutable recoveries : int;  (** degraded graphs switched back to parallel *)
+  mutable bypassed_packets : int;  (** packets that skipped a bypassed NF *)
+  mutable checkpoints : int;  (** NF state snapshots taken (periodic + forced) *)
+  mutable forced_checkpoints : int;
       (** checkpoints forced early by input-log overflow — a full log is
           never silently truncated *)
-  replayed : int;
+  mutable replayed : int;
       (** packets re-processed from an input log after a restore, with
           their output suppressed (the original emissions stand) *)
-  deduped : int;
+  mutable deduped : int;
       (** duplicate emissions suppressed by the (pid, version) dedup
           filters, e.g. a replayed branch reaching a merge that a
           timeout already force-completed *)
-  salvaged : int;
+  mutable salvaged : int;
       (** in-flight jobs of a crashed core re-admitted by a lossless
           restart instead of being flushed *)
   drops : drops;
       (** the unified drop taxonomy (see {!drops}): injected Drop
           faults, crash and restart flushes and force-completed merges
           are counted there *)
-  pressure_episodes : int;
+  mutable pressure_episodes : int;
       (** ring watermark pressure onsets summed across all cores *)
-  breaker_trips : int;
+  mutable breaker_trips : int;
       (** circuit breaker abandoned Restart on a restart-looping core *)
-  backoffs : int;  (** restarts delayed by exponential backoff *)
-  degrade_switches : int;
+  mutable backoffs : int;  (** restarts delayed by exponential backoff *)
+  mutable degrade_switches : int;
       (** NFs toggled into a pressure-degrade mode (onsets) *)
-  scale_outs : int;
+  mutable scale_outs : int;
       (** replicas activated at runtime by the elastic controller *)
-  scale_ins : int;  (** replicas drained of their buckets and retired *)
-  migrations : int;  (** bucket migrations that committed *)
-  migration_aborts : int;
+  mutable scale_ins : int;  (** replicas drained of their buckets and retired *)
+  mutable migrations : int;  (** bucket migrations that committed *)
+  mutable migration_aborts : int;
       (** migrations rolled back — crash at a party, destination full
           past the deadline — leaving the old steering map in force *)
-  migrated_packets : int;
+  mutable migrated_packets : int;
       (** frozen in-flight packets re-homed to the destination replica
           by committed migrations (exactly-once: the dedup layer drops
           any duplicate emission) *)
@@ -130,15 +128,26 @@ type health = {
           pinned below their configured capacity by generational
           pruning however long a lossy run retransmits *)
 }
-(** Fault/recovery counters of a whole system plus per-core liveness. *)
+(** Fault/recovery counters of a whole system plus per-core liveness.
 
-val no_health : health
-(** What systems without fault machinery (the baselines, the
-    interpretive reference) report. *)
+    A deployment keeps one [health] value as its counter ledger: every
+    component of it (watchdog, elastic controller, overload plane,
+    channels, send path, mergers, front end) increments the ledger's
+    fields in place. What {!system.health} returns is a snapshot, a
+    copy in fresh records: it keeps its values while the run goes on,
+    and nothing written to it reaches the ledger. *)
+
+val fresh_health : unit -> health
+(** A new all-zero ledger with no cores. Each deployment takes its own,
+    so no two deployments share a counter. *)
+
+val copy_health : health -> health
+(** A snapshot of a ledger: the same values in fresh records. *)
 
 val add_health : health -> health -> health
 (** Combine the health of composed systems (chained cluster segments):
-    core lists concatenate, counters add. [no_health] is its unit. *)
+    core lists concatenate, counters add. The result is fresh, and
+    [fresh_health ()] is its unit. *)
 
 type system = {
   inject : pid:int64 -> Nfp_packet.Packet.t -> unit;
@@ -147,9 +156,9 @@ type system = {
       (** current classifier cache counters (see
           {!classifier_counters}) *)
   health : unit -> health;
-      (** current drop taxonomy, watchdog view and fault/recovery
-          counters (see {!health}); systems without fault machinery
-          report {!no_health} apart from their [drops] *)
+      (** a snapshot of the current drop taxonomy, watchdog view and
+          fault/recovery counters (see {!health}); systems without
+          fault machinery report zero apart from their [drops] *)
 }
 
 type arrivals =
@@ -214,7 +223,8 @@ val parallel_runs : ?domains:int -> (unit -> 'a) list -> 'a list
     results in input order. Each {!run} invocation is fully
     self-contained and seeded, so thunks built from pure generators
     give identical results at any worker count. Thunks must not share
-    mutable state. *)
+    mutable state.
+    @raise Invalid_argument if [domains < 1]. *)
 
 val max_lossless_mpps :
   make:(Engine.t -> output:(pid:int64 -> Nfp_packet.Packet.t -> unit) -> system) ->
@@ -232,4 +242,4 @@ val max_lossless_mpps :
     levels run speculatively in parallel ({!parallel_runs}); the result
     is bit-identical to the sequential search for deterministic
     generators.
-    @raise Invalid_argument if [iterations < 0]. *)
+    @raise Invalid_argument if [iterations < 0] or [domains < 1]. *)

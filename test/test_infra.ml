@@ -819,6 +819,113 @@ let cluster_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The counter ledger: one per deployment, read through snapshots      *)
+(* ------------------------------------------------------------------ *)
+
+(* Every way the ledger tests build a system, each on its own NF
+   instances. The compiled deployment runs a lossy raw fabric, so its
+   link taxonomy moves too. *)
+let ledger_systems =
+  let plan = plan_of_output (compile_ok ns_text) in
+  [
+    ( "compiled",
+      fun engine ~output ->
+        Nfp_infra.System.make ~plan ~nfs:(instances ns_bindings)
+          ~links:
+            {
+              Nfp_infra.System.default_links_config with
+              link_plan = Nfp_sim.Fault.link_plan [ Nfp_sim.Fault.loss ~probability:0.05 "*" ];
+              reliable = false;
+            }
+          engine ~output );
+    ( "interpretive",
+      fun engine ~output ->
+        Nfp_infra.System.interpretive
+          ~graphs:[ (Flow_match.any, plan, instances ns_bindings) ]
+          engine ~output );
+    ( "OpenNetVM",
+      fun engine ~output ->
+        Nfp_baseline.Opennetvm.make
+          ~nfs:(List.map (instances ns_bindings) [ "vpn"; "mon"; "fw"; "lb" ])
+          engine ~output );
+  ]
+
+let ledger_tests =
+  [
+    Alcotest.test_case "a mid-run health snapshot keeps its values" `Quick (fun () ->
+        List.iter
+          (fun (name, make) ->
+            (* Overloaded at 20 Mpps, so the ring drops keep growing
+               after the first one, when the snapshot is taken. *)
+            let snap = ref None in
+            let stop (s : Nfp_sim.Harness.system) =
+              let h = s.health () in
+              if !snap = None && h.drops.ingress_rejected > 0 then
+                snap := Some (h, Marshal.to_string h []);
+              false
+            in
+            let r =
+              Nfp_sim.Harness.run ~make ~gen:gen_pkt ~arrivals:(Nfp_sim.Harness.Uniform 20.0)
+                ~packets:3000 ~stop ()
+            in
+            let h, frozen = Option.get !snap in
+            let (taken : Nfp_sim.Harness.health) = Marshal.from_string frozen 0 in
+            check Alcotest.bool (name ^ ": snapshot unchanged") true (h = taken);
+            check Alcotest.bool (name ^ ": the run went on counting") true
+              (r.health.drops.ingress_rejected > taken.drops.ingress_rejected);
+            if name = "compiled" then
+              check Alcotest.bool "the fabric went on losing" true
+                (r.health.links.link_drops > taken.links.link_drops))
+          ledger_systems);
+    Alcotest.test_case "two deployments in one process share no counter" `Quick (fun () ->
+        List.iter
+          (fun (name, make) ->
+            let engine = Nfp_sim.Engine.create () in
+            let output ~pid:_ _ = () in
+            let (a : Nfp_sim.Harness.system) = make engine ~output
+            and (b : Nfp_sim.Harness.system) = make engine ~output in
+            let before = b.health () in
+            for i = 0 to 999 do
+              a.inject ~pid:(Int64.of_int i) (gen_pkt i)
+            done;
+            Nfp_sim.Engine.run engine;
+            check Alcotest.bool (name ^ ": the busy one counted") true
+              ((a.health ()).drops.ingress_rejected > 0);
+            check Alcotest.bool (name ^ ": the idle one did not") true
+              (b.health () = before))
+          ledger_systems);
+    Alcotest.test_case "cluster segments share no counter" `Quick (fun () ->
+        (* Only the second segment drops: a ledger both segments shared
+           would report every drop twice in the sum. *)
+        let plan_of kind =
+          let profile_of _ = Nfp_nf.Registry.profile_of kind in
+          match Tables.plan ~profile_of (Graph.nf "x") with Ok p -> p | Error e -> Alcotest.fail e
+        in
+        let engine = Nfp_sim.Engine.create () in
+        let system =
+          Nfp_infra.Cluster.make
+            ~segments:
+              [
+                (plan_of "Monitor", fun _ -> fst (Nfp_nf.Monitor.create ~name:"x" ()));
+                ( plan_of "Firewall",
+                  fun _ ->
+                    fst
+                      (Nfp_nf.Firewall.create ~name:"x"
+                         ~acl:[ Nfp_nf.Firewall.any_rule ~permit:false ] ()) );
+              ]
+            engine
+            ~output:(fun ~pid:_ _ -> Alcotest.fail "nothing should get through")
+        in
+        for i = 0 to 9 do
+          system.Nfp_sim.Harness.inject ~pid:(Int64.of_int i) (gen_pkt i)
+        done;
+        Nfp_sim.Engine.run engine;
+        let h = system.health () in
+        check Alcotest.int "each drop counted once" 10 h.drops.nf_dropped;
+        check Alcotest.int "both segments' cores listed" 6 (List.length h.cores));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Fault injection, failure detection, and recovery policies           *)
 (* ------------------------------------------------------------------ *)
 
@@ -1278,6 +1385,7 @@ let () =
       ("system", system_tests);
       ("multi", multi_tests);
       ("cluster", cluster_tests);
+      ("ledger", ledger_tests);
       ("property", property_tests);
       ("fault", fault_tests);
       ("dedup", dedup_tests);

@@ -349,16 +349,17 @@ let admission_tests =
 (* ------------------------------------------------------------------ *)
 
 (* A controller over one graph per class 0..[top] (MID = class + 1),
-   with a pressure switch the test flips. *)
+   with a pressure switch the test flips, and the ledger it counts in. *)
 let ladder ~top =
   let engine = Nfp_sim.Engine.create () in
   let pressure = ref true in
+  let health = Nfp_sim.Harness.fresh_health () in
   let t =
     Nfp_infra.Overload.create ~engine ~config:Nfp_infra.System.default_overload_config
-      ~priorities:(Array.init (top + 1) Fun.id) ()
+      ~priorities:(Array.init (top + 1) Fun.id) ~health ()
   in
   Nfp_infra.Overload.watch t ~pressured:(fun () -> !pressure);
-  (engine, t, pressure)
+  (engine, t, pressure, health)
 
 (* [f ()], run at simulated time [ns]. *)
 let at engine ns f =
@@ -376,7 +377,7 @@ let ladder_tests =
   [
     Alcotest.test_case "pressure climbs the shed level one class per 2 us poll"
       `Quick (fun () ->
-        let engine, t, _ = ladder ~top:3 in
+        let engine, t, _, _ = ladder ~top:3 in
         let shed_at ns = at engine ns (fun () -> shed_now t ~top:3) in
         check classes "first poll" [ 0 ] (shed_at 0.0);
         check classes "no poll before 2 us" [ 0 ] (shed_at 1_999.0);
@@ -386,7 +387,7 @@ let ladder_tests =
         check classes "capped below the top class" [ 0; 1; 2 ] (shed_at 6_000.0));
     Alcotest.test_case "cleared pressure relaxes the level one class per poll"
       `Quick (fun () ->
-        let engine, t, pressure = ladder ~top:3 in
+        let engine, t, pressure, _ = ladder ~top:3 in
         let shed_at ns = at engine ns (fun () -> shed_now t ~top:3) in
         List.iter (fun ns -> ignore (shed_at ns)) [ 0.0; 2_000.0; 4_000.0 ];
         pressure := false;
@@ -396,7 +397,7 @@ let ladder_tests =
         check classes "third relaxed poll" [] (shed_at 10_000.0);
         check classes "stays at zero" [] (shed_at 12_000.0));
     Alcotest.test_case "the top class is never shed" `Quick (fun () ->
-        let engine, t, _ = ladder ~top:2 in
+        let engine, t, _, _ = ladder ~top:2 in
         for i = 0 to 49 do
           let ns = float_of_int i *. 1_000.0 in
           if at engine ns (fun () -> Nfp_infra.Overload.shed t 3) then
@@ -410,7 +411,7 @@ let ladder_tests =
           (Nfp_infra.Overload.shed_by_class t));
     Alcotest.test_case "one of every 16 arrivals of a shed class is admitted"
       `Quick (fun () ->
-        let engine, t, _ = ladder ~top:1 in
+        let engine, t, _, health = ladder ~top:1 in
         let admitted =
           at engine 0.0 (fun () ->
               List.filter
@@ -420,7 +421,7 @@ let ladder_tests =
         check Alcotest.(list int) "the 16th, 32nd, ... arrival"
           (List.init 10 (fun k -> (16 * k) + 15))
           admitted;
-        check Alcotest.int "the rest are shed" 150 (Nfp_infra.Overload.shed_total t);
+        check Alcotest.int "the rest are shed" 150 health.drops.shed;
         check Alcotest.bool "the top class passes" false
           (at engine 0.0 (fun () -> Nfp_infra.Overload.shed t 2));
         check

@@ -523,6 +523,48 @@ let fault_tests =
               (Invalid_argument "Fault.storm: horizon_ns must be finite")
               (storm ~mtbf_ns:1e3 ~horizon_ns:h))
           [ Float.nan; Float.infinity ]);
+    Alcotest.test_case "link faults reject out-of-range probabilities, times and cycles"
+      `Quick (fun () ->
+        (* Refused when the plan is built: a negative gap would raise
+           mid-run, a NaN would disarm its fault, and zero cycles would
+           run one window. *)
+        let nan = Float.nan in
+        let rejects msg build =
+          Alcotest.check_raises msg (Invalid_argument ("Fault." ^ msg)) (fun () ->
+              ignore (build ()))
+        in
+        let prob who = who ^ ": probability must be in [0, 1]" in
+        rejects (prob "drop") (fun () -> Fault.drop ~probability:nan "a");
+        rejects (prob "drop") (fun () -> Fault.drop ~probability:1.5 "a");
+        rejects (prob "loss") (fun () -> Fault.loss ~probability:nan "a");
+        rejects (prob "loss") (fun () -> Fault.loss ~probability:(-0.1) "a");
+        rejects (prob "duplicate") (fun () -> Fault.duplicate ~probability:2.0 "a");
+        rejects "duplicate: gap_ns must be >= 0" (fun () ->
+            Fault.duplicate ~gap_ns:(-1.0) ~probability:0.5 "*");
+        rejects "duplicate: gap_ns must be >= 0" (fun () ->
+            Fault.duplicate ~gap_ns:nan ~probability:0.5 "*");
+        rejects (prob "jumble") (fun () -> Fault.jumble ~probability:nan ~span_ns:10.0 "a");
+        rejects "jumble: span_ns must be >= 0" (fun () ->
+            Fault.jumble ~probability:0.5 ~span_ns:(-1.0) "a");
+        rejects "jumble: span_ns must be >= 0" (fun () ->
+            Fault.jumble ~probability:0.5 ~span_ns:nan "a");
+        rejects "burst: p_enter must be in [0, 1]" (fun () ->
+            Fault.burst ~p_enter:nan ~p_exit:0.5 ~drop:0.5 "a");
+        rejects "burst: p_exit must be in [0, 1]" (fun () ->
+            Fault.burst ~p_enter:0.5 ~p_exit:(-0.5) ~drop:0.5 "a");
+        rejects "burst: drop must be in [0, 1]" (fun () ->
+            Fault.burst ~p_enter:0.5 ~p_exit:0.5 ~drop:1.1 "a");
+        rejects "partition: at_ns must be >= 0" (fun () ->
+            Fault.partition ~at_ns:(-1.0) ~duration_ns:10.0 "a");
+        rejects "partition: duration_ns must be >= 0" (fun () ->
+            Fault.partition ~at_ns:0.0 ~duration_ns:nan "a");
+        let flapping ?(at_ns = 0.0) ?(down_ns = 1.0) ?(up_ns = 1.0) ?(cycles = 2) () =
+          Fault.flapping ~at_ns ~down_ns ~up_ns ~cycles "a"
+        in
+        rejects "flapping: at_ns must be >= 0" (flapping ~at_ns:nan);
+        rejects "flapping: down_ns must be >= 0" (flapping ~down_ns:(-1.0));
+        rejects "flapping: up_ns must be >= 0" (flapping ~up_ns:nan);
+        rejects "flapping: cycles must be >= 1" (flapping ~cycles:0));
     Alcotest.test_case "surge rejects a NaN base and NaN factors" `Quick (fun () ->
         Alcotest.check_raises "base" (Invalid_argument "Fault.surge: base_mpps must be positive")
           (fun () -> ignore (Fault.surge ~base_mpps:Float.nan []));
@@ -574,7 +616,7 @@ let cost_tests =
 
 (* A one-core system with a known deterministic service time. *)
 let fixed_system ~service_ns ~ring engine ~output =
-  let drops = ref 0 in
+  let health = Harness.fresh_health () in
   let core =
     thunk_server ~engine ~name:"core" ~ring_capacity:ring ~batch:32
       ~service_ns:(fun _ -> service_ns)
@@ -586,14 +628,11 @@ let fixed_system ~service_ns ~ring engine ~output =
   in
   {
     Harness.inject =
-      (fun ~pid pkt -> if not (Server.offer core (pid, pkt)) then incr drops);
+      (fun ~pid pkt ->
+        if not (Server.offer core (pid, pkt)) then
+          health.drops.ingress_rejected <- health.drops.ingress_rejected + 1);
     classifier = (fun () -> Harness.no_classifier_counters);
-    health =
-      (fun () ->
-        {
-          Harness.no_health with
-          drops = { Harness.no_drops with ingress_rejected = !drops };
-        });
+    health = (fun () -> Harness.copy_health health);
   }
 
 let gen _ =
@@ -716,7 +755,23 @@ let harness_tests =
                   (Harness.max_lossless_mpps
                      ~make:(fixed_system ~service_ns:100.0 ~ring:64)
                      ~gen ~packets:100 ~hi:14.88 ~iterations:(-1) ~domains ())))
-          [ 1; 2 ]);
+          [ 1; 2 ];
+        (* A pool of fewer than one worker is refused, not clamped to 1. *)
+        List.iter
+          (fun domains ->
+            Alcotest.check_raises
+              (Printf.sprintf "lossless search on %d domains" domains)
+              (Invalid_argument "Harness.max_lossless_mpps: domains must be >= 1")
+              (fun () ->
+                ignore
+                  (Harness.max_lossless_mpps
+                     ~make:(fixed_system ~service_ns:100.0 ~ring:64)
+                     ~gen ~packets:100 ~hi:14.88 ~domains ()));
+            Alcotest.check_raises
+              (Printf.sprintf "parallel runs on %d domains" domains)
+              (Invalid_argument "Harness.parallel_runs: domains must be >= 1")
+              (fun () -> ignore (Harness.parallel_runs ~domains [ Fun.id; Fun.id ])))
+          [ 0; -1 ]);
   ]
 
 (* ------------------------------------------------------------------ *)
