@@ -675,11 +675,34 @@ let run_ablation () =
   show "Chain(Proxy, Gateway)"
 
 (* ------------------------------------------------------------------ *)
+(* Tenant tables: the classify rig's, shared with micro's classifier    *)
+(* kernels                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Tenant [t] owns dip 10.0.t.0/24; odd tenants also pin the protocol
+   and tenants with bit 1 set also carry a source-port range, so the
+   table spans four mask shapes however many tenants there are. *)
+let tenant_rule t =
+  let dip = Int32.of_int ((10 lsl 24) lor ((t land 0xff) lsl 8)) in
+  Nfp_packet.Flow_match.make ~dip_prefix:(dip, 24)
+    ?proto:(if t land 1 = 1 then Some 17 else None)
+    ?sport_range:(if t land 2 = 2 then Some (1024, 65535) else None)
+    ()
+
+let tenant_flow tenants fid =
+  let t = fid mod tenants in
+  let host = (fid / tenants) land 0xff in
+  let dip = Int32.of_int ((10 lsl 24) lor ((t land 0xff) lsl 8) lor host) in
+  let sip = Int32.of_int ((10 lsl 24) lor (200 lsl 16) lor fid) in
+  Nfp_packet.Flow.make ~sip ~dip ~sport:(10000 + fid) ~dport:80
+    ~proto:(if t land 1 = 1 then 17 else 6)
+
+(* ------------------------------------------------------------------ *)
 (* micro: bechamel microbenchmarks of the per-packet kernels           *)
 (* ------------------------------------------------------------------ *)
 
 let run_micro () =
-  section "Microbenchmarks  Per-packet kernels (bechamel, ns/op)";
+  section "Microbenchmarks  Per-packet kernels (bechamel ns/op, minor words/op)";
   let open Bechamel in
   let open Toolkit in
   let flow =
@@ -789,38 +812,61 @@ let run_micro () =
     Nfp_infra.System.Dedup.add dedup ~a:!dedup_pid ~b:1;
     Nfp_infra.System.Dedup.mem dedup ~a:!dedup_pid ~b:1
   in
+  (* The classifier on a 256-tenant table like tenants_miss's, each op
+     classifying the next of 4096 frames in turn. The hit kernel's
+     default cache holds all of them once warmed; the miss kernel's
+     8-entry cache has evicted each flow long before it comes round
+     again, so every op walks the tuple space. *)
+  let tenant_frames =
+    Array.init 4096 (fun fid ->
+        Nfp_packet.Packet.create ~flow:(tenant_flow 256 fid) ~payload:(String.make 46 'x') ())
+  in
+  let classify_op ?cache_capacity () =
+    let clf = Nfp_packet.Classifier.create ?cache_capacity (Array.init 256 tenant_rule) in
+    let next = ref 0 in
+    fun () ->
+      next := (!next + 1) land (Array.length tenant_frames - 1);
+      Nfp_packet.Classifier.classify_packet clf tenant_frames.(!next)
+  in
+  let classify_hit = classify_op () in
+  Array.iter (fun _ -> ignore (classify_hit ())) tenant_frames;
+  let classify_miss = classify_op ~cache_capacity:8 () in
+  (* Minor words per op, counted around 1000 runs of each kernel before
+     bechamel times it: bechamel's own allocation instance reads 0 here
+     even for kernels that do allocate. *)
+  let words = Hashtbl.create 32 in
+  let kernel name f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    Hashtbl.replace words ("nfp " ^ name) ((Gc.minor_words () -. before) /. 1000.0);
+    Test.make ~name (Staged.stage f)
+  in
   let tests =
     Test.make_grouped ~name:"nfp" ~fmt:"%s %s"
       [
-        Test.make ~name:"reliable channel send+ack (lossless)" (Staged.stage send_ack);
-        Test.make ~name:"Fault.transit (1% loss)"
-          (Staged.stage (fun () -> Nfp_sim.Fault.transit lossy ~now_ns:0.0));
-        Test.make ~name:"dedup add+mem" (Staged.stage dedup_op);
-        Test.make ~name:"header-only copy"
-          (Staged.stage (fun () -> Nfp_packet.Packet.header_only_copy pkt1500 ~version:2));
-        Test.make ~name:"full copy 1500B"
-          (Staged.stage (fun () -> Nfp_packet.Packet.full_copy pkt1500));
-        Test.make ~name:"5-tuple hash" (Staged.stage (fun () -> Nfp_packet.Flow.hash flow));
-        Test.make ~name:"LPM lookup (1000 routes)"
-          (Staged.stage (fun () -> Nfp_algo.Lpm.lookup lpm 0x0a1702a9l));
-        Test.make ~name:"LPM lookup, int address"
-          (Staged.stage (fun () -> Nfp_algo.Lpm.lookup_int lpm 0x0a1702a9));
-        Test.make ~name:"engine schedule+pop (1k heap)" (Staged.stage schedule_pop);
-        Test.make ~name:"server breath (1 job)" (Staged.stage breath);
-        Test.make ~name:"AES-128 block"
-          (Staged.stage (fun () -> Nfp_algo.Aes.encrypt_block aes block ~pos:0));
-        Test.make ~name:"DPI scan 1446B (100 sigs)"
-          (Staged.stage (fun () -> Nfp_algo.Aho_corasick.matches aho payload));
-        Test.make ~name:"IPS process (IMC frame, in place)"
-          (Staged.stage (fun () -> ips.process imc_frame));
-        Test.make ~name:"Monitor process (warm flow)"
-          (Staged.stage (fun () -> mon.process imc_frame));
-        Test.make ~name:"LoadBalancer process" (Staged.stage (fun () -> lb.process lb_frame));
-        Test.make ~name:"merge op (modify sip)"
-          (Staged.stage (fun () ->
-               Nfp_core.Merge_op.apply
-                 (Nfp_core.Merge_op.Modify { dst = 1; src = 2; field = Nfp_packet.Field.Sip })
-                 ~get));
+        kernel "classifier hit (256 tenants)" classify_hit;
+        kernel "classifier miss (256 tenants)" classify_miss;
+        kernel "reliable channel send+ack (lossless)" send_ack;
+        kernel "Fault.transit (1% loss)" (fun () -> Nfp_sim.Fault.transit lossy ~now_ns:0.0);
+        kernel "dedup add+mem" dedup_op;
+        kernel "header-only copy" (fun () -> Nfp_packet.Packet.header_only_copy pkt1500 ~version:2);
+        kernel "full copy 1500B" (fun () -> Nfp_packet.Packet.full_copy pkt1500);
+        kernel "5-tuple hash" (fun () -> Nfp_packet.Flow.hash flow);
+        kernel "LPM lookup (1000 routes)" (fun () -> Nfp_algo.Lpm.lookup lpm 0x0a1702a9l);
+        kernel "LPM lookup, int address" (fun () -> Nfp_algo.Lpm.lookup_int lpm 0x0a1702a9);
+        kernel "engine schedule+pop (1k heap)" schedule_pop;
+        kernel "server breath (1 job)" breath;
+        kernel "AES-128 block" (fun () -> Nfp_algo.Aes.encrypt_block aes block ~pos:0);
+        kernel "DPI scan 1446B (100 sigs)" (fun () -> Nfp_algo.Aho_corasick.matches aho payload);
+        kernel "IPS process (IMC frame, in place)" (fun () -> ips.process imc_frame);
+        kernel "Monitor process (warm flow)" (fun () -> mon.process imc_frame);
+        kernel "LoadBalancer process" (fun () -> lb.process lb_frame);
+        kernel "merge op (modify sip)" (fun () ->
+            Nfp_core.Merge_op.apply
+              (Nfp_core.Merge_op.Modify { dst = 1; src = 2; field = Nfp_packet.Field.Sip })
+              ~get);
       ]
   in
   let ols =
@@ -833,8 +879,8 @@ let run_micro () =
   Hashtbl.iter
     (fun name ols_result ->
       match Analyze.OLS.estimates ols_result with
-      | Some [ ns ] -> note "  %-32s %10.1f ns/op" name ns
-      | _ -> note "  %-32s (no estimate)" name)
+      | Some [ ns ] -> note "  %-40s %10.1f ns/op %8.1f words/op" name ns (Hashtbl.find words name)
+      | _ -> note "  %-40s (no estimate)" name)
     results
 
 (* ------------------------------------------------------------------ *)
@@ -1247,24 +1293,6 @@ let run_classify () =
                     delta between the two runs is pure lookup cost *) in
   let flows = 1024 in
   let packets = latency_packets in
-  (* Tenant [t] owns dip 10.0.t.0/24; odd tenants also pin the protocol
-     and tenants with bit 1 set also carry a source-port range, so the
-     table spans four mask shapes however many tenants there are. *)
-  let rule t =
-    let dip = Int32.of_int ((10 lsl 24) lor ((t land 0xff) lsl 8)) in
-    Nfp_packet.Flow_match.make ~dip_prefix:(dip, 24)
-      ?proto:(if t land 1 = 1 then Some 17 else None)
-      ?sport_range:(if t land 2 = 2 then Some (1024, 65535) else None)
-      ()
-  in
-  let flow_of tenants fid =
-    let t = fid mod tenants in
-    let host = (fid / tenants) land 0xff in
-    let dip = Int32.of_int ((10 lsl 24) lor ((t land 0xff) lsl 8) lor host) in
-    let sip = Int32.of_int ((10 lsl 24) lor (200 lsl 16) lor fid) in
-    Nfp_packet.Flow.make ~sip ~dip ~sport:(10000 + fid) ~dport:80
-      ~proto:(if t land 1 = 1 then 17 else 6)
-  in
   note "  %-8s %-6s %-7s %-11s %-11s %-9s %s" "tenants" "rules" "shapes"
     "scan (us)" "cached (us)" "hit rate" "evictions";
   List.iter
@@ -1272,12 +1300,12 @@ let run_classify () =
       let graphs () =
         List.init tenants (fun t ->
             let kinds = [ (Printf.sprintf "fwd%d" t, "Forwarder") ] in
-            (rule t, seq_plan kinds, lookup_of kinds ()))
+            (tenant_rule t, seq_plan kinds, lookup_of kinds ()))
       in
       let shapes =
         Nfp_packet.Classifier.group_count
           (Nfp_packet.Classifier.create
-             (Array.init tenants (fun t -> rule t)))
+             (Array.init tenants tenant_rule))
       in
       let gen =
         memoized (fun i ->
@@ -1285,7 +1313,7 @@ let run_classify () =
               Int64.to_int (Nfp_algo.Hashing.mix64 (Int64.of_int i))
               land (flows - 1)
             in
-            Nfp_packet.Packet.create ~flow:(flow_of tenants fid)
+            Nfp_packet.Packet.create ~flow:(tenant_flow tenants fid)
               ~payload:(String.make 46 'x') ())
       in
       let run_mode classify =

@@ -4,38 +4,45 @@
    recently seen 5-tuples map straight to their result, including the
    negative "no rule matches" result. Level 2 is a tuple-space matcher:
    rules are grouped by mask shape — (sip prefix length, dip prefix
-   length, port kind, port kind, proto presence) — and each group keeps
-   one hash table from the masked key to its rules, so a cache miss
+   length, port kind, port kind, proto presence) — so a cache miss
    probes one table per distinct shape instead of scanning every rule.
 
-   First-match priority is preserved exactly: each group's bucket list
-   is ascending by rule index, groups are scanned in ascending order of
-   their lowest rule index, and the probe stops as soon as no remaining
-   group can beat the best match found. Port ranges are not maskable,
-   so range dimensions contribute nothing to a group's key and are
-   verified per candidate rule inside the bucket. *)
+   Both levels work on the two packed key limbs of the 5-tuple
+   ([Hashing.pack_a] = sip<<24 | sport<<8 | proto, [pack_b] =
+   dip<<16 | dport), which a packet yields straight from its bytes. A
+   shape is a pair of limb masks (prefix bits, exact-port bits, proto
+   bits when the shape has a proto), and each group keeps one
+   [Pair_table] from the masked limbs to a flat bucket of rule indices.
+   Key equality proves the prefixes, the exact ports and the proto, so
+   a candidate only has its port ranges left to check, against per-rule
+   int bounds. A miss allocates nothing.
 
-type port_kind = Wild | Exact | Range
+   First-match priority is preserved exactly: each bucket is ascending
+   by rule index, groups are scanned in ascending order of their lowest
+   rule index, and the probe stops as soon as no remaining group can
+   beat the best match found. *)
 
-type entry = { e_index : int; e_match : Flow_match.t }
+module Pair_table = Nfp_algo.Pair_table
 
 type group = {
-  g_sip_len : int;  (* 0 = wildcard *)
-  g_dip_len : int;
-  g_sport : port_kind;
-  g_dport : port_kind;
-  g_proto : bool;
+  g_mask_a : int;  (* limb-a bits the shape keys on *)
+  g_mask_b : int;  (* limb-b bits the shape keys on *)
   g_min_index : int;  (* lowest rule index in the group *)
-  g_table : (int * int, entry list) Hashtbl.t;
+  g_table : int array Pair_table.t;  (* masked limbs -> rule indices, ascending *)
 }
 
 type t = {
   groups : group array;  (* ascending by g_min_index *)
+  (* Inclusive port bounds per rule; an absent range spans
+     [0, 0xffff]. *)
+  sport_lo : int array;
+  sport_hi : int array;
+  dport_lo : int array;
+  dport_hi : int array;
   cache : Nfp_algo.Flow_table.t;
-  rules : int;
-  (* Probe count of the most recent [classify_packet]: -1 for a cache
-     hit, otherwise the number of tuple-space groups probed. Out-of-band
-     so the allocation-free entry point can stay int-valued. *)
+  (* Probe count of the most recent lookup: -1 for a cache hit,
+     otherwise the number of tuple-space groups probed. Out-of-band so
+     the allocation-free entry point can stay int-valued. *)
   mutable last_probes : int;
 }
 
@@ -45,79 +52,91 @@ type outcome = Hit | Miss of int
    land in the same group shape as an absent prefix. *)
 let prefix_len = function None | Some (_, 0) -> 0 | Some (_, len) -> len
 
-let port_kind = function
-  | None -> Wild
-  | Some (lo, hi) -> if lo = hi then Exact else Range
+let prefix_mask len = (0xffffffff lsl (32 - len)) land 0xffffffff
 
-let mask_of_len len = if len = 0 then 0l else Int32.shift_left (-1l) (32 - len)
+(* Wild 0, exact 1, range 2. *)
+let port_kind = function None -> 0 | Some (lo, hi) -> if lo = hi then 1 else 2
 
-let masked_key g (m : Flow_match.t) =
-  let ip prefix len =
-    match prefix with
-    | None -> 0l
-    | Some (p, _) -> Int32.logand p (mask_of_len len)
-  in
-  let port kind range = match (kind, range) with Exact, Some (lo, _) -> lo | _ -> 0 in
-  ( Nfp_algo.Hashing.pack_a (ip m.sip_prefix g.g_sip_len)
-      (port g.g_sport m.sport_range)
-      (match (g.g_proto, m.proto) with true, Some p -> p | _ -> 0),
-    Nfp_algo.Hashing.pack_b (ip m.dip_prefix g.g_dip_len) (port g.g_dport m.dport_range) )
+(* The shape as one int: 6 bits per prefix length, 2 per port kind,
+   1 for proto presence. *)
+let shape_code (m : Flow_match.t) =
+  (prefix_len m.sip_prefix lsl 11)
+  lor (prefix_len m.dip_prefix lsl 5)
+  lor (port_kind m.sport_range lsl 3)
+  lor (port_kind m.dport_range lsl 1)
+  lor if m.proto = None then 0 else 1
 
-let flow_key g (f : Flow.t) =
-  ( Nfp_algo.Hashing.pack_a
-      (Int32.logand f.sip (mask_of_len g.g_sip_len))
-      (match g.g_sport with Exact -> f.sport | Wild | Range -> 0)
-      (if g.g_proto then f.proto else 0),
-    Nfp_algo.Hashing.pack_b
-      (Int32.logand f.dip (mask_of_len g.g_dip_len))
-      (match g.g_dport with Exact -> f.dport | Wild | Range -> 0) )
+let limb_masks (m : Flow_match.t) =
+  let exact range = if port_kind range = 1 then 0xffff else 0 in
+  ( Nfp_algo.Hashing.pack_a_int
+      (prefix_mask (prefix_len m.sip_prefix))
+      (exact m.sport_range)
+      (if m.proto = None then 0 else 0xff),
+    Nfp_algo.Hashing.pack_b_int (prefix_mask (prefix_len m.dip_prefix)) (exact m.dport_range) )
 
-let shape_of (m : Flow_match.t) =
-  ( prefix_len m.sip_prefix,
-    prefix_len m.dip_prefix,
-    port_kind m.sport_range,
-    port_kind m.dport_range,
-    m.proto <> None )
+(* A rule's fields packed like a 5-tuple; masking with its shape's
+   limb masks gives its key. *)
+let rule_limbs (m : Flow_match.t) =
+  let addr = function None -> 0 | Some (p, _) -> Int32.to_int p land 0xffffffff in
+  let lo = function None -> 0 | Some (lo, _) -> lo in
+  ( Nfp_algo.Hashing.pack_a_int (addr m.sip_prefix) (lo m.sport_range)
+      (Option.value m.proto ~default:0),
+    Nfp_algo.Hashing.pack_b_int (addr m.dip_prefix) (lo m.dport_range) )
+
+(* A group under construction: its buckets hold rule indices newest
+   first. *)
+type draft = { d_mask_a : int; d_mask_b : int; d_min_index : int; d_members : int list Pair_table.t }
 
 let create ?(cache_capacity = 1 lsl 16) rules =
-  let shapes = Hashtbl.create 16 in
+  (* Rules arrive in ascending index order, so shapes are met in
+     ascending order of their lowest rule index. *)
+  let shapes = Pair_table.create () and drafts = ref [] in
   Array.iteri
     (fun i m ->
-      let s = shape_of m in
-      let g =
-        match Hashtbl.find_opt shapes s with
-        | Some g -> g
-        | None ->
-            let sip_len, dip_len, sk, dk, proto = s in
-            let g =
-              {
-                g_sip_len = sip_len;
-                g_dip_len = dip_len;
-                g_sport = sk;
-                g_dport = dk;
-                g_proto = proto;
-                g_min_index = i;
-                g_table = Hashtbl.create 64;
-              }
-            in
-            Hashtbl.replace shapes s g;
-            g
+      let code = shape_code m in
+      let d =
+        match Pair_table.find shapes ~a:code ~b:0 with
+        | -1 ->
+            let d_mask_a, d_mask_b = limb_masks m in
+            let d = { d_mask_a; d_mask_b; d_min_index = i; d_members = Pair_table.create () } in
+            Pair_table.replace shapes ~a:code ~b:0 d;
+            drafts := d :: !drafts;
+            d
+        | s -> Pair_table.value shapes s
       in
-      let key = masked_key g m in
-      let bucket = try Hashtbl.find g.g_table key with Not_found -> [] in
-      (* Rules arrive in ascending index order; appending keeps each
-         bucket sorted, so its first full match is the group minimum. *)
-      Hashtbl.replace g.g_table key (bucket @ [ { e_index = i; e_match = m } ]))
+      let a, b = rule_limbs m in
+      let a = a land d.d_mask_a and b = b land d.d_mask_b in
+      let s = Pair_table.find d.d_members ~a ~b in
+      Pair_table.replace d.d_members ~a ~b (i :: (if s < 0 then [] else Pair_table.value d.d_members s)))
     rules;
-  let groups =
-    Hashtbl.fold (fun _ g acc -> g :: acc) shapes []
-    |> List.sort (fun a b -> compare a.g_min_index b.g_min_index)
-    |> Array.of_list
+  let group d =
+    let table = Pair_table.create () in
+    Pair_table.iter
+      (fun a b newest_first -> Pair_table.replace table ~a ~b (Array.of_list (List.rev newest_first)))
+      d.d_members;
+    { g_mask_a = d.d_mask_a; g_mask_b = d.d_mask_b; g_min_index = d.d_min_index; g_table = table }
   in
+  let bounds range =
+    let lo = Array.make (Array.length rules) 0 and hi = Array.make (Array.length rules) 0xffff in
+    Array.iteri
+      (fun i m ->
+        match range m with
+        | Some (l, h) ->
+            lo.(i) <- l;
+            hi.(i) <- h
+        | None -> ())
+      rules;
+    (lo, hi)
+  in
+  let sport_lo, sport_hi = bounds (fun (m : Flow_match.t) -> m.sport_range)
+  and dport_lo, dport_hi = bounds (fun (m : Flow_match.t) -> m.dport_range) in
   {
-    groups;
+    groups = Array.of_list (List.rev_map group !drafts);
+    sport_lo;
+    sport_hi;
+    dport_lo;
+    dport_hi;
     cache = Nfp_algo.Flow_table.create ~capacity:cache_capacity ();
-    rules = Array.length rules;
     last_probes = -1;
   }
 
@@ -128,71 +147,73 @@ let scan rules (f : Flow.t) =
   let rec go i = if i >= n then (None, n) else if Flow_match.matches rules.(i) f then (Some (i + 1), i + 1) else go (i + 1) in
   go 0
 
-let lookup_groups t (f : Flow.t) =
-  let best = ref max_int and probed = ref 0 in
-  let n = Array.length t.groups in
-  (let rec go gi =
-     if gi < n then begin
-       let g = t.groups.(gi) in
-       (* No rule in this or any later group can beat the match in
-          hand: groups are ascending by their lowest index. *)
-       if g.g_min_index < !best then begin
-         incr probed;
-         (match Hashtbl.find_opt g.g_table (flow_key g f) with
-         | None -> ()
-         | Some bucket -> (
-             match
-               List.find_opt (fun e -> Flow_match.matches e.e_match f) bucket
-             with
-             | Some e -> if e.e_index < !best then best := e.e_index
-             | None -> ()));
-         go (gi + 1)
-       end
-     end
-   in
-   go 0);
-  ((if !best = max_int then None else Some (!best + 1)), !probed)
+(* The walk is top-level recursion over int arguments: a local
+   [let rec] would allocate its closure per lookup. *)
 
-let classify t (f : Flow.t) =
-  match
-    Nfp_algo.Flow_table.find t.cache ~sip:f.sip ~dip:f.dip ~sport:f.sport
-      ~dport:f.dport ~proto:f.proto
-  with
-  | Some 0 -> (None, Hit)
-  | Some mid -> (Some mid, Hit)
-  | None ->
-      let result, probed = lookup_groups t f in
-      Nfp_algo.Flow_table.put t.cache ~sip:f.sip ~dip:f.dip ~sport:f.sport
-        ~dport:f.dport ~proto:f.proto
-        (match result with Some mid -> mid | None -> 0);
-      (result, Miss probed)
+(* The first rule of an ascending bucket whose port ranges hold, or
+   [max_int]. *)
+let rec first_fit t bucket j sport dport =
+  if j = Array.length bucket then max_int
+  else
+    let r = bucket.(j) in
+    if t.sport_lo.(r) <= sport && sport <= t.sport_hi.(r) && t.dport_lo.(r) <= dport
+       && dport <= t.dport_hi.(r)
+    then r
+    else first_fit t bucket (j + 1) sport dport
 
-(* Allocation-free classification for the dataplane front end: a
-   cache hit packs the 5-tuple straight from packet bytes into the two
-   key limbs and probes the microflow cache without building a Flow.t,
-   an option or an outcome — no allocation at all. Only a miss (which
-   pays a tuple-space walk anyway) materializes the flow. Returns the
-   resolved 1-based MID, 0 when no rule matches; probe accounting is
-   read back through [last_probes]. Counters move exactly as
-   [classify]'s do. *)
-let classify_packet t pkt =
-  let a = Packet.key_a pkt and b = Packet.key_b pkt in
+(* Lowest matching rule index, or [max_int]; leaves the groups probed
+   in [last_probes]. A group is probed only while its lowest index can
+   beat the match in hand: groups are ascending by it, so once one
+   cannot, no later one can. *)
+let rec walk t a b gi best probed =
+  if gi < Array.length t.groups && t.groups.(gi).g_min_index < best then begin
+    let g = t.groups.(gi) in
+    let s = Pair_table.find g.g_table ~a:(a land g.g_mask_a) ~b:(b land g.g_mask_b) in
+    let best =
+      if s < 0 then best
+      else
+        let r =
+          first_fit t (Pair_table.value g.g_table s) 0 ((a lsr 8) land 0xffff) (b land 0xffff)
+        in
+        if r < best then r else best
+    in
+    walk t a b (gi + 1) best (probed + 1)
+  end
+  else begin
+    t.last_probes <- probed;
+    best
+  end
+
+(* The one lookup path behind both entry points: the 1-based MID of the
+   5-tuple packed in limbs [a]/[b], 0 when no rule matches. *)
+let lookup t a b =
   match Nfp_algo.Flow_table.find_packed t.cache ~a ~b with
   | -1 ->
-      let f = Packet.flow pkt in
-      let result, probed = lookup_groups t f in
-      let mid = match result with Some mid -> mid | None -> 0 in
+      let best = walk t a b 0 max_int 0 in
+      let mid = if best = max_int then 0 else best + 1 in
       Nfp_algo.Flow_table.put_packed t.cache ~a ~b mid;
-      t.last_probes <- probed;
       mid
   | mid ->
       t.last_probes <- -1;
       mid
 
+let classify t (f : Flow.t) =
+  let mid =
+    lookup t
+      (Nfp_algo.Hashing.pack_a f.sip f.sport f.proto)
+      (Nfp_algo.Hashing.pack_b f.dip f.dport)
+  in
+  ((if mid = 0 then None else Some mid), if t.last_probes < 0 then Hit else Miss t.last_probes)
+
+(* Allocation-free classification for the dataplane front end: the
+   limbs come straight from packet bytes, and neither a cache hit nor a
+   tuple-space walk builds a Flow.t, an option or an outcome. *)
+let classify_packet t pkt = lookup t (Packet.key_a pkt) (Packet.key_b pkt)
+
 let last_probes t = t.last_probes
 
 let group_count t = Array.length t.groups
-let rule_count t = t.rules
+let rule_count t = Array.length t.sport_lo
 let cache_hits t = Nfp_algo.Flow_table.hits t.cache
 let cache_misses t = Nfp_algo.Flow_table.misses t.cache
 let cache_evictions t = Nfp_algo.Flow_table.evictions t.cache

@@ -10,10 +10,16 @@
       ({!Nfp_algo.Flow_table}): a recently seen flow maps straight to
       its MID (or to the cached negative "no rule" result);
     - level 2, a tuple-space matcher: rules grouped by mask shape
-      (prefix lengths, port-range kind, proto presence), one hash table
-      per shape, so a cache miss probes one table per distinct shape
-      rather than every rule. Port ranges are unmaskable and are
-      verified exactly, per candidate rule, inside a group's bucket.
+      (prefix lengths, port-range kind, proto presence), so a cache
+      miss probes one table per distinct shape rather than every rule.
+      A shape is a pair of masks over the two packed key limbs of the
+      5-tuple (prefix bits, exact-port bits, proto bits), and each
+      group keeps one {!Nfp_algo.Pair_table} from the masked limbs to
+      a flat, ascending array of rule indices. Port ranges are
+      unmaskable and are checked against per-rule int bounds.
+
+    Both levels read only the two limbs, so neither a hit nor a miss of
+    {!classify_packet} allocates.
 
     Priority is preserved exactly: each group resolves to its lowest
     matching rule index and the winner is the minimum across groups
@@ -38,16 +44,16 @@ val classify : t -> Flow.t -> int option * outcome
 
 val classify_packet : t -> Packet.t -> int
 (** Allocation-free form of {!classify} for the per-packet front end:
-    reads the 5-tuple straight from [pkt]'s bytes, and a microflow-cache
-    hit allocates nothing (no Flow.t, no option, no outcome). Returns
-    the resolved 1-based MID, 0 when no rule matches; identical result
-    and counter movement to {!classify} on the packet's flow. The probe
-    accounting {!classify} returns in its outcome is read back through
-    {!last_probes}. *)
+    reads the 5-tuple straight from [pkt]'s bytes and allocates nothing,
+    on a microflow-cache hit and on a miss alike (no Flow.t, no option,
+    no outcome). Returns the resolved 1-based MID, 0 when no rule
+    matches; identical result and counter movement to {!classify} on
+    the packet's flow. The probe accounting {!classify} returns in its
+    outcome is read back through {!last_probes}. *)
 
 val last_probes : t -> int
-(** Tuple-space groups probed by the most recent {!classify_packet}:
-    [-1] for a cache hit. *)
+(** Tuple-space groups probed by the most recent {!classify} or
+    {!classify_packet}: [-1] for a cache hit. *)
 
 val scan : Flow_match.t array -> Flow.t -> int option * int
 (** Reference linear scan; also returns the number of rules examined

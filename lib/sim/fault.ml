@@ -32,12 +32,6 @@ let is_empty p = p.specs = []
 
 let plan ?(seed = 1L) specs = { seed; specs }
 
-let crash ~at_ns core = { core; events = [ Crash { at_ns } ] }
-
-let hang ~at_ns ~duration_ns core = { core; events = [ Hang { at_ns; duration_ns } ] }
-
-let slowdown ~at_ns ~factor core = { core; events = [ Slowdown { at_ns; factor } ] }
-
 (* Input checks of the constructors, run when a plan is built: each
    test is [not (...)], so a NaN fails too. *)
 let probability_in_range ~who name p =
@@ -46,6 +40,22 @@ let probability_in_range ~who name p =
 
 let non_negative ~who name x =
   if not (x >= 0.0) then invalid_arg (Printf.sprintf "Fault.%s: %s must be >= 0" who name)
+
+(* A negative or NaN time would raise mid-run from the engine, and a
+   negative window would silently lose the packets it wedges. *)
+let crash ~at_ns core =
+  non_negative ~who:"crash" "at_ns" at_ns;
+  { core; events = [ Crash { at_ns } ] }
+
+let hang ~at_ns ~duration_ns core =
+  non_negative ~who:"hang" "at_ns" at_ns;
+  non_negative ~who:"hang" "duration_ns" duration_ns;
+  { core; events = [ Hang { at_ns; duration_ns } ] }
+
+let slowdown ~at_ns ~factor core =
+  non_negative ~who:"slowdown" "at_ns" at_ns;
+  if not (factor > 0.0) then invalid_arg "Fault.slowdown: factor must be positive";
+  { core; events = [ Slowdown { at_ns; factor } ] }
 
 let drop ~probability core =
   probability_in_range ~who:"drop" "probability" probability;

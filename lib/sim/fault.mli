@@ -31,10 +31,15 @@ val is_empty : plan -> bool
 val plan : ?seed:int64 -> spec list -> plan
 
 val crash : at_ns:float -> string -> spec
+(** @raise Invalid_argument when [at_ns] is negative or NaN. *)
 
 val hang : at_ns:float -> duration_ns:float -> string -> spec
+(** @raise Invalid_argument when [at_ns] or [duration_ns] is negative
+    or NaN. *)
 
 val slowdown : at_ns:float -> factor:float -> string -> spec
+(** @raise Invalid_argument when [at_ns] is negative or NaN, or
+    [factor] is not positive (a NaN is rejected too). *)
 
 val drop : probability:float -> string -> spec
 (** @raise Invalid_argument unless [probability] is in [[0, 1]] (a NaN

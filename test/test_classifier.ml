@@ -179,6 +179,134 @@ let structure_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Probe count: modeled output, charged per group probed               *)
+(* ------------------------------------------------------------------ *)
+
+(* An executable model of the tuple-space skip rule, built from the
+   rules alone: group the rules by mask shape (a /0 prefix is no
+   prefix), order the groups by their lowest index, and probe them in
+   that order while a group's lowest index is below the best match so
+   far. Returns the groups probed. *)
+let model_probes table =
+  let len = function None | Some (_, 0) -> 0 | Some (_, l) -> l in
+  let kind = function None -> `Wild | Some (lo, hi) -> if lo = hi then `Exact else `Range in
+  let shape (m : Flow_match.t) =
+    (len m.sip_prefix, len m.dip_prefix, kind m.sport_range, kind m.dport_range, m.proto <> None)
+  in
+  (* (shape, rule indices ascending), by first appearance. *)
+  let groups =
+    Array.to_list (Array.mapi (fun i m -> (i, m)) table)
+    |> List.fold_left
+         (fun acc (i, m) ->
+           if List.mem_assoc (shape m) acc then
+             List.map (fun (s, is) -> if s = shape m then (s, is @ [ i ]) else (s, is)) acc
+           else acc @ [ (shape m, [ i ]) ])
+         []
+    |> List.map snd
+  in
+  fun flow ->
+    let rec walk best probed = function
+      | (min :: _ as members) :: rest when min < best ->
+          let best =
+            List.fold_left
+              (fun b i -> if i < b && Flow_match.matches table.(i) flow then i else b)
+              best members
+          in
+          walk best (probed + 1) rest
+      | _ -> probed
+    in
+    walk max_int 0 groups
+
+let probe_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:100 ~name:"probe counts follow the skip rule"
+         QCheck.(pair (int_range 1 40) (int_bound 100_000))
+         (fun (rules, seed) ->
+           let prng = Prng.create ~seed:(Int64.of_int (seed + 11)) in
+           let table = random_table ~force_ranges:(seed land 1 = 1) prng rules in
+           let model = model_probes table in
+           let by_flow = Classifier.create table and by_packet = Classifier.create table in
+           (* Flows read back from packets: an ICMP packet carries no
+              ports, so its flow has both ports 0. *)
+           let pool =
+             Array.init 50 (fun _ -> Packet.create ~flow:(random_flow prng) ~payload:"" ())
+           in
+           let seen = Hashtbl.create 64 in
+           for i = 1 to 300 do
+             let pkt = pool.(Prng.int prng ~bound:(Array.length pool)) in
+             let flow = Packet.flow pkt in
+             let expected = if Hashtbl.mem seen flow then -1 else model flow in
+             Hashtbl.replace seen flow ();
+             let _, outcome = Classifier.classify by_flow flow in
+             let n = match outcome with Classifier.Hit -> -1 | Classifier.Miss n -> n in
+             let after_flow = Classifier.last_probes by_flow in
+             ignore (Classifier.classify_packet by_packet pkt);
+             let after_packet = Classifier.last_probes by_packet in
+             if (n, after_flow, after_packet) <> (expected, expected, expected) then
+               Alcotest.failf
+                 "packet %d (%a): model %d, classify %d, then last_probes %d, classify_packet %d"
+                 i Flow.pp flow expected n after_flow after_packet
+           done;
+           (* The model's hit rule assumes a cache that never evicts. *)
+           check Alcotest.int "no evictions" 0 (Classifier.cache_evictions by_flow);
+           true));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Allocation budget                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let alloc_tests =
+  [
+    Alcotest.test_case "classify_packet allocates nothing on hits and misses" `Quick
+      (fun () ->
+        (* Tenant t owns dip 10.0.t.0/24; odd tenants pin UDP and
+           tenants with bit 1 set carry a source-port range: four mask
+           shapes. Flows of tenants 64-79 match no rule. *)
+        let tenants = 64 in
+        let table =
+          Array.init tenants (fun t ->
+              Flow_match.make
+                ~dip_prefix:(ip 10 0 t 0, 24)
+                ?proto:(if t land 1 = 1 then Some 17 else None)
+                ?sport_range:(if t land 2 = 2 then Some (1024, 65535) else None)
+                ())
+        in
+        let clf = Classifier.create ~cache_capacity:8 table in
+        check Alcotest.int "shapes" 4 (Classifier.group_count clf);
+        (* Each flow arrives twice in a row: the repeat hits the cache,
+           and the 8-entry cache has evicted it by its next turn. *)
+        let packets =
+          Array.init 1024 (fun i ->
+              let fid = i / 2 in
+              let t = fid mod (tenants + 16) in
+              let flow =
+                Flow.make ~sip:(ip 10 200 (fid lsr 8) fid) ~dip:(ip 10 0 t (fid land 0xff))
+                  ~sport:(500 + (fid * 7 mod 2000)) ~dport:80
+                  ~proto:(if t land 1 = 1 then 17 else 6)
+              in
+              Packet.create ~flow ~payload:"" ())
+        in
+        let pass () =
+          for i = 0 to Array.length packets - 1 do
+            ignore (Classifier.classify_packet clf packets.(i))
+          done
+        in
+        pass ();
+        let hits = Classifier.cache_hits clf and misses = Classifier.cache_misses clf in
+        let before = Gc.minor_words () in
+        pass ();
+        let words = Gc.minor_words () -. before in
+        let hits = Classifier.cache_hits clf - hits and misses = Classifier.cache_misses clf - misses in
+        check Alcotest.bool "both hits and misses measured" true (hits > 0 && misses > 0);
+        check Alcotest.bool "the cache thrashes" true (Classifier.cache_evictions clf > 0);
+        if words > 0.0 then
+          Alcotest.failf "allocation regression: %d hits and %d misses allocated %.0f words" hits
+            misses words);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* System level: `Cached` vs `Scan` front ends are observationally     *)
 (* identical (costs default to zero, so even timestamps must agree).   *)
 (* ------------------------------------------------------------------ *)
@@ -263,5 +391,7 @@ let () =
     [
       ("differential", differential_tests);
       ("structure", structure_tests);
+      ("probes", probe_tests);
+      ("allocation", alloc_tests);
       ("system", system_tests);
     ]

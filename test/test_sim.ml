@@ -523,6 +523,32 @@ let fault_tests =
               (Invalid_argument "Fault.storm: horizon_ns must be finite")
               (storm ~mtbf_ns:1e3 ~horizon_ns:h))
           [ Float.nan; Float.infinity ]);
+    Alcotest.test_case "crash, hang and slowdown reject bad times, windows and factors"
+      `Quick (fun () ->
+        (* Refused when the plan is built: a negative or NaN time used
+           to raise from the engine mid-run, and a negative window
+           silently lost the packets it wedged. *)
+        let rejects msg build =
+          Alcotest.check_raises msg (Invalid_argument ("Fault." ^ msg)) (fun () ->
+              ignore (build ()))
+        in
+        List.iter
+          (fun bad ->
+            rejects "crash: at_ns must be >= 0" (fun () -> Fault.crash ~at_ns:bad "a");
+            rejects "hang: at_ns must be >= 0" (fun () ->
+                Fault.hang ~at_ns:bad ~duration_ns:1.0 "a");
+            rejects "hang: duration_ns must be >= 0" (fun () ->
+                Fault.hang ~at_ns:0.0 ~duration_ns:bad "a");
+            rejects "slowdown: at_ns must be >= 0" (fun () ->
+                Fault.slowdown ~at_ns:bad ~factor:2.0 "a"))
+          [ -1.0; Float.nan ];
+        List.iter
+          (fun bad ->
+            rejects "slowdown: factor must be positive" (fun () ->
+                Fault.slowdown ~at_ns:0.0 ~factor:bad "a"))
+          [ 0.0; -2.0; Float.nan ];
+        ignore (Fault.hang ~at_ns:0.0 ~duration_ns:0.0 "a");
+        ignore (Fault.slowdown ~at_ns:0.0 ~factor:0.5 "a"));
     Alcotest.test_case "link faults reject out-of-range probabilities, times and cycles"
       `Quick (fun () ->
         (* Refused when the plan is built: a negative gap would raise
