@@ -743,7 +743,15 @@ let run_micro () =
   let lb_frame = Nfp_packet.Packet.full_copy imc_frame in
   let v2 = Nfp_packet.Packet.full_copy pkt1500 in
   Nfp_packet.Packet.set_sip v2 42l;
-  let get = function 1 -> Some pkt1500 | 2 -> Some v2 | _ -> None in
+  let some_v1 = Some pkt1500 and some_v2 = Some v2 in
+  let get () = function 1 -> some_v1 | 2 -> some_v2 | _ -> None in
+  (* A west-east packet entering its graph: a context sized for the
+     plan's two versions, and the header copy the Monitor reads. *)
+  let imc_ctx_frame = Nfp_packet.Packet.full_copy imc_frame in
+  let context_copy () =
+    let ctx = Nfp_infra.Context.create ~pid:1L ~mid:1 ~versions:2 imc_ctx_frame in
+    Nfp_infra.Context.copy ctx ~src:1 ~dst:2 ~full:false
+  in
   (* Event heap held at 1k pending events: each op schedules one and
      fires the earliest. *)
   let heap_engine = Nfp_sim.Engine.create () in
@@ -866,7 +874,8 @@ let run_micro () =
         kernel "merge op (modify sip)" (fun () ->
             Nfp_core.Merge_op.apply
               (Nfp_core.Merge_op.Modify { dst = 1; src = 2; field = Nfp_packet.Field.Sip })
-              ~get);
+              ~get ());
+        kernel "context create + header copy (IMC frame)" context_copy;
       ]
   in
   let ols =
@@ -879,8 +888,8 @@ let run_micro () =
   Hashtbl.iter
     (fun name ols_result ->
       match Analyze.OLS.estimates ols_result with
-      | Some [ ns ] -> note "  %-40s %10.1f ns/op %8.1f words/op" name ns (Hashtbl.find words name)
-      | _ -> note "  %-40s (no estimate)" name)
+      | Some [ ns ] -> note "  %-44s %10.1f ns/op %8.1f words/op" name ns (Hashtbl.find words name)
+      | _ -> note "  %-44s (no estimate)" name)
     results
 
 (* ------------------------------------------------------------------ *)

@@ -35,16 +35,13 @@ let create ?(capacity = 1 lsl 16) () =
   }
 
 (* [Hashing.mix2_int] over the packed limbs is bit-identical to
-   [Int64.to_int (Hashing.tuple5_64 ...)], so packed and 5-tuple entry
-   points agree on slots. *)
+   [Int64.to_int (Hashing.tuple5_64 ...)] of the unpacked 5-tuple. *)
 let slot_of_packed t ~a ~b = Hashing.mix2_int a b land t.mask
 
 (* Entries are never deleted individually, so an empty slot inside the
-   probe window proves absence. [find_packed] is the allocation-free
-   form (no option, no int32 re-packing) the classifier's per-packet
-   hit path uses; [-1] means absent. The probe loops are top-level
-   functions: a local [let rec] over [t], [a] and [b] would allocate
-   its closure on every call. *)
+   probe window proves absence; [-1] means absent. The probe loops are
+   top-level functions: a local [let rec] over [t], [a] and [b] would
+   allocate its closure on every call. *)
 let rec find_from t a b base i =
   if i >= probe_window then begin
     t.misses <- t.misses + 1;
@@ -63,10 +60,6 @@ let rec find_from t a b base i =
     else find_from t a b base (i + 1)
 
 let find_packed t ~a ~b = find_from t a b (slot_of_packed t ~a ~b) 0
-
-let find t ~sip ~dip ~sport ~dport ~proto =
-  let a = Hashing.pack_a sip sport proto and b = Hashing.pack_b dip dport in
-  match find_packed t ~a ~b with -1 -> None | v -> Some v
 
 let set t s a b v =
   t.ka.(s) <- a;
@@ -91,11 +84,8 @@ let rec put_from t a b v base i =
     else put_from t a b v base (i + 1)
 
 let put_packed t ~a ~b v =
-  if v < 0 then invalid_arg "Flow_table.put: negative value";
+  if v < 0 then invalid_arg "Flow_table.put_packed: negative value";
   put_from t a b v (slot_of_packed t ~a ~b) 0
-
-let put t ~sip ~dip ~sport ~dport ~proto v =
-  put_packed t ~a:(Hashing.pack_a sip sport proto) ~b:(Hashing.pack_b dip dport) v
 
 let clear t =
   Array.fill t.ka 0 (Array.length t.ka) empty;

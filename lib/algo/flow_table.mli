@@ -3,7 +3,9 @@
     The classifier's first level (OVS-style microflow cache): maps a
     recently seen 5-tuple straight to a small non-negative int (the
     dataplane stores the packet's MID, with 0 reserved for "matched no
-    rule"). Open addressing over two packed native-int key limbs, a
+    rule"). Keys are the 5-tuple's two packed native-int limbs
+    ({!Hashing.pack_a} / {!Hashing.pack_b}, or [Packet.key_a] /
+    [Packet.key_b] straight from packet bytes). Open addressing, a
     short linear probe window, and eviction when the window fills —
     bounded memory, no resizing, no per-operation allocation. Keys are
     hashed with {!Hashing.tuple5_64}, the dataplane's one 5-tuple
@@ -15,12 +17,14 @@ val create : ?capacity:int -> unit -> t
 (** Fixed-capacity table; [capacity] (default 65536) is rounded up to a
     power of two. @raise Invalid_argument when not positive. *)
 
-val find : t -> sip:int32 -> dip:int32 -> sport:int -> dport:int -> proto:int -> int option
-(** Exact-match lookup; bumps the hit or miss counter. *)
+val find_packed : t -> a:int -> b:int -> int
+(** Exact-match lookup on the packed limbs; [-1] when absent. Bumps
+    the hit or miss counter. *)
 
-val put : t -> sip:int32 -> dip:int32 -> sport:int -> dport:int -> proto:int -> int -> unit
-(** Insert or overwrite; evicts a resident entry when the probe window
-    is full. @raise Invalid_argument on a negative value. *)
+val put_packed : t -> a:int -> b:int -> int -> unit
+(** Insert or overwrite on the packed limbs; evicts a resident entry
+    when the probe window is full.
+    @raise Invalid_argument on a negative value. *)
 
 val clear : t -> unit
 (** Drop every entry (counters are kept): used when the rule table the
@@ -32,19 +36,3 @@ val capacity : t -> int
 val hits : t -> int
 val misses : t -> int
 val evictions : t -> int
-
-(** {2 Packed entry points}
-
-    The classifier's per-packet path pre-packs the 5-tuple into the two
-    key limbs ({!Hashing.pack_a} / {!Hashing.pack_b}) straight from
-    packet bytes; these variants take the limbs and allocate nothing —
-    no option on lookup, no int32 boxing. Slots are identical to the
-    5-tuple entry points', which are now wrappers over these. *)
-
-val find_packed : t -> a:int -> b:int -> int
-(** Exact-match lookup on packed limbs; [-1] when absent. Bumps the
-    hit or miss counter exactly as {!find} does. *)
-
-val put_packed : t -> a:int -> b:int -> int -> unit
-(** Insert or overwrite on packed limbs; same eviction behaviour as
-    {!put}. @raise Invalid_argument on a negative value. *)

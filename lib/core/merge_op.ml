@@ -4,27 +4,24 @@ type t =
   | Modify of { dst : int; src : int; field : Field.t }
   | Align_headers of { dst : int; src : int }
 
-let apply op ~get =
+(* The version store is [get env]: the compiled merger passes
+   [Context.get] and the context itself, so applying an op allocates no
+   closure. *)
+let apply op ~get env =
   match op with
   | Modify { dst; src; field } -> (
-      match (get dst, get src) with
-      | Some d, Some s -> Packet.set_field d field (Packet.get_field s field)
+      match (get env dst, get env src) with
+      | Some d, Some s -> Packet.transfer_field ~dst:d ~src:s field
       | _ -> ())
   | Align_headers { dst; src } -> (
-      match (get dst, get src) with
+      match (get env dst, get env src) with
       | Some d, Some s -> (
-          match (Packet.has_ah s, Packet.has_ah d) with
-          | true, false ->
+          match (Packet.ah_fields s, Packet.has_ah d) with
+          | Some (spi, seq, icv), false ->
               (* Transplant the AH header the source version gained. *)
-              let tmp = Packet.full_copy s in
-              let spi, seq, icv =
-                match Packet.remove_ah tmp with
-                | Some v -> v
-                | None -> assert false
-              in
               Packet.add_ah d ~spi ~seq ~icv
-          | false, true -> ignore (Packet.remove_ah d)
-          | true, true | false, false -> ())
+          | None, true -> ignore (Packet.remove_ah d)
+          | Some _, true | None, false -> ())
       | _ -> ())
 
 let equal = ( = )

@@ -18,10 +18,11 @@ type t =
   | Modify of { dst : int; src : int; field : Field.t }
   | Align_headers of { dst : int; src : int }
 
-val apply : t -> get:(int -> Packet.t option) -> unit
-(** [apply op ~get] executes [op] over the version store [get]. Missing
-    versions (e.g. a branch that dropped under a priority policy) make
-    the op a no-op. *)
+val apply : t -> get:('env -> int -> Packet.t option) -> 'env -> unit
+(** [apply op ~get env] executes [op] over the version store
+    [get env]. Missing versions (e.g. a branch that dropped under a
+    priority policy) make the op a no-op. A header-field [Modify]
+    allocates nothing ({!Packet.transfer_field}). *)
 
 val equal : t -> t -> bool
 

@@ -117,8 +117,8 @@ let plan ?(copy_mode = `Auto) ?(priority_pairs = []) ?(priority = 0) ~profile_of
         let header_copies = ref 0 and full_copies = ref 0 in
         let fresh_version () =
           incr next_version;
-          if !next_version > 16 then
-            raise (Plan_error "graph needs more than 16 packet versions (4-bit limit)");
+          if !next_version > Nfp_packet.Meta.max_version then
+            raise (Plan_error "graph needs more than 15 packet versions (4-bit limit)");
           !next_version
         in
         (* Returns the actions that inject a packet into [term] and the

@@ -1,18 +1,19 @@
 open Nfp_packet
 
-(* [slots] starts with room for version 1 only and grows to the full 17
-   slots the first time a copy materializes a higher version: most
-   packets of most service graphs (every pure chain) never hold more
-   than one version, and a context is allocated per packet on the
-   dataplane's hot path — a 2-slot array is 15 words cheaper than the
-   full table. Growth is a one-time cost charged only to packets whose
-   graph actually copies. *)
+(* [slots] holds exactly the versions the packet's plan uses (index 0
+   is unused): a context is allocated per packet on the dataplane's hot
+   path, every pure chain needs version 1 only, and a graph that copies
+   would otherwise pay for a second, grown array on its first copy. A
+   version past the plan's count still grows the array to the full
+   table. *)
 type t = { pid : int64; mid : int; mutable slots : Packet.t option array }
 
-let max_versions = 16
+let max_versions = Meta.max_version
 
-let create ~pid ~mid pkt =
-  let slots = Array.make 2 None in
+let create ~pid ~mid ~versions pkt =
+  if versions < 1 || versions > max_versions then
+    invalid_arg "Context.create: version count out of range";
+  let slots = Array.make (versions + 1) None in
   Packet.stamp pkt ~mid ~pid ~version:1;
   slots.(1) <- Some pkt;
   { pid; mid; slots }

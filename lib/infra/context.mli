@@ -9,9 +9,12 @@ open Nfp_packet
 
 type t
 
-val create : pid:int64 -> mid:int -> Packet.t -> t
+val create : pid:int64 -> mid:int -> versions:int -> Packet.t -> t
 (** Store the original packet as version 1 and stamp its metadata
-    (MID/PID, version 1) the way the classifier does. *)
+    (MID/PID, version 1) the way the classifier does. [versions] is the
+    plan's [version_count]: the context has room for versions
+    [1 .. versions] up front, and {!set} grows it past them.
+    @raise Invalid_argument unless [1 <= versions <= Meta.max_version]. *)
 
 val pid : t -> int64
 
@@ -22,7 +25,7 @@ val get : t -> int -> Packet.t option
 (** Version lookup (1-based). Out-of-range versions are [None]. *)
 
 val set : t -> int -> Packet.t -> unit
-(** @raise Invalid_argument outside [1, 16]. *)
+(** @raise Invalid_argument outside [1, Meta.max_version]. *)
 
 val copy : t -> src:int -> dst:int -> full:bool -> int
 (** Materialize version [dst] from [src] (header-only unless [full]),

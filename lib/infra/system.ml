@@ -591,11 +591,11 @@ let interpretive ?(config = default_config) ~graphs engine ~output =
           let nil_versions =
             List.map (fun (b : Tables.expect) -> b.version) nil_branches
           in
-          let get v =
+          let get ctx v =
             if List.mem v nil_versions && v <> spec.result_version then None
-            else Context.get d.ctx v
+            else Context.get ctx v
           in
-          List.iter (fun op -> Merge_op.apply op ~get) spec.ops;
+          List.iter (fun op -> Merge_op.apply op ~get d.ctx) spec.ops;
           emission_of_actions ~self:(Tables.D_merger d.merge_id) d.ctx spec.next
         end
       end
@@ -632,7 +632,8 @@ let interpretive ?(config = default_config) ~graphs engine ~output =
   in
   let inject, counters =
     front_end ~engine ~cost ~drops table (fun ~pid ~mid pkt ->
-        if not (Nfp_sim.Server.offer classifier (Context.create ~pid ~mid pkt)) then
+        let ctx = Context.create ~pid ~mid ~versions:(plan_of_mid mid).version_count pkt in
+        if not (Nfp_sim.Server.offer classifier ctx) then
           drops.ingress_rejected <- drops.ingress_rejected + 1)
   in
   {
@@ -973,6 +974,39 @@ let seen f ~a ~b = match f with Some m -> Dedup.mem m ~a ~b | None -> false
 
 let remember f ~a ~b = match f with Some m -> Dedup.add m ~a ~b | None -> ()
 
+(* Deliveries on the egress wire, oldest first: a growable ring of
+   (PID, packet) pairs in two arrays of power-of-two capacity. As in
+   [Nfp_algo.Ring], a popped slot keeps its stale pair until a later
+   push overwrites it, so the ring keeps at most its capacity (the most
+   deliveries ever in flight at once) alive. Clearing the slot instead
+   would make every push store a young packet over an old value, one
+   more remembered-set entry per delivery. *)
+type egress = {
+  mutable e_pids : int64 array;
+  mutable e_pkts : Packet.t array;
+  mutable e_head : int;
+  mutable e_len : int;
+}
+
+let egress_push q pid pkt =
+  let cap = Array.length q.e_pkts in
+  if q.e_len = cap then begin
+    let cap' = max 16 (2 * cap) in
+    let pids = Array.make cap' pid and pkts = Array.make cap' pkt in
+    for i = 0 to q.e_len - 1 do
+      let j = (q.e_head + i) land (cap - 1) in
+      pids.(i) <- q.e_pids.(j);
+      pkts.(i) <- q.e_pkts.(j)
+    done;
+    q.e_pids <- pids;
+    q.e_pkts <- pkts;
+    q.e_head <- 0
+  end;
+  let i = (q.e_head + q.e_len) land (Array.length q.e_pkts - 1) in
+  q.e_pids.(i) <- pid;
+  q.e_pkts.(i) <- pkt;
+  q.e_len <- q.e_len + 1
+
 type rt = {
   engine : Nfp_sim.Engine.t;
   config : config;
@@ -980,6 +1014,8 @@ type rt = {
   elastic : elastic_config option;
   output : pid:int64 -> Packet.t -> unit;
   wire_delay : float;  (* half the wire: NIC to classifier, egress to NIC *)
+  egress : egress;  (* deliveries scheduled but not yet output *)
+  egress_fire : unit -> unit;  (* [egress_pop] over this record *)
   dedup : dedup;
   delivered : Dedup.t option;  (* the output's (PID, version) filter *)
   merge_timeout_ns : float;  (* 0.0: accumulations never time out *)
@@ -1045,16 +1081,32 @@ let server_port ?(prefix = "") rt srv =
 (* The output side of every path. The packet's own metadata names it:
    contexts stamp and copies tag each version, and the twin chains stamp
    version 1. On armed runs a replayed or timeout-completed branch must
-   never deliver the same (PID, version) twice. *)
+   never deliver the same (PID, version) twice.
+
+   Every delivery is one event [wire_delay] from now, all of them the
+   same callback, allocated once, which outputs the oldest queued
+   delivery. [wire_delay] is constant and simulated time never goes
+   back, so the egress events fire in the order they were scheduled,
+   which is the queue's order: each firing outputs its own delivery, at
+   the time and sequence number a per-delivery closure would have
+   had. *)
 let deliver_out rt pkt =
   let pid = Packet.pid pkt in
   let a = Int64.to_int pid and b = Packet.version pkt in
   if seen rt.delivered ~a ~b then rt.health.deduped <- rt.health.deduped + 1
   else begin
     remember rt.delivered ~a ~b;
-    let output = rt.output in
-    Nfp_sim.Engine.schedule rt.engine ~delay:rt.wire_delay (fun () -> output ~pid pkt)
+    egress_push rt.egress pid pkt;
+    Nfp_sim.Engine.schedule rt.engine ~delay:rt.wire_delay rt.egress_fire
   end
+
+let egress_pop rt =
+  let q = rt.egress in
+  let i = q.e_head in
+  let pid = q.e_pids.(i) and pkt = q.e_pkts.(i) in
+  q.e_head <- (i + 1) land (Array.length q.e_pkts - 1);
+  q.e_len <- q.e_len - 1;
+  rt.output ~pid pkt
 
 (* The egress edge (merger/NF -> delivery port). The reroute of a Down
    delivery link is delivery itself — the detour models the alternate
@@ -1312,8 +1364,9 @@ let complete rt m ctx ~nil_mask ~skip_mask =
   end
   else begin
     (if skip_mask = 0 then
-       let get v = Context.get ctx v in
-       Array.iter (fun op -> Merge_op.apply op ~get) m.m_ops
+       for i = 0 to Array.length m.m_ops - 1 do
+         Merge_op.apply m.m_ops.(i) ~get:Context.get ctx
+       done
      else begin
        (* Versions from branches that dropped under a priority policy are
           half-processed; their ops are skipped. *)
@@ -1322,8 +1375,10 @@ let complete rt m ctx ~nil_mask ~skip_mask =
          (fun b v -> if skip_mask land (1 lsl b) <> 0 then skip_versions := v :: !skip_versions)
          m.m_versions;
        let svs = !skip_versions in
-       let get v = if List.mem v svs && v <> m.m_result_version then None else Context.get ctx v in
-       Array.iter (fun op -> Merge_op.apply op ~get) m.m_ops
+       let get ctx v =
+         if List.mem v svs && v <> m.m_result_version then None else Context.get ctx v
+       in
+       Array.iter (fun op -> Merge_op.apply op ~get ctx) m.m_ops
      end);
     exec_prog m.m_next ctx
   end
@@ -1531,9 +1586,11 @@ let make_multi ?classify ?(config = default_config) ?fault ?overload ?elastic ?l
     Replication.shardable ~plan ~nf_of:nfs name
   in
   let nf_impls = nf_impls graphs in
-  let nf_progs, classifier_progs =
-    compile ~cost (Array.map (fun (_, plan, _) -> plan) table) nf_impls
-  in
+  let plans = Array.map (fun (_, plan, _) -> plan) table in
+  let nf_progs, classifier_progs = compile ~cost plans nf_impls in
+  (* Each graph's packets get a context with room for exactly the
+     versions its plan uses. *)
+  let versions = Array.map (fun (p : Tables.plan) -> p.version_count) plans in
   (* The (pid, version) dedup filters arm with a non-empty fault plan (a
      replayed or timeout-completed branch), under elastic (a crash
      landing mid-migration can re-home a packet whose original emission
@@ -1578,6 +1635,8 @@ let make_multi ?classify ?(config = default_config) ?fault ?overload ?elastic ?l
       elastic;
       output;
       wire_delay = cost.wire_ns /. 2.0;
+      egress = { e_pids = [||]; e_pkts = [||]; e_head = 0; e_len = 0 };
+      egress_fire = (fun () -> egress_pop rt);
       dedup;
       delivered = filter dedup;
       merge_timeout_ns = (match fault with Some fc -> fc.merge_timeout_ns | None -> 0.0);
@@ -1698,7 +1757,7 @@ let make_multi ?classify ?(config = default_config) ?fault ?overload ?elastic ?l
               if not (Nfp_sim.Server.offer head (pid, pkt)) then
                 health.drops.ingress_rejected <- health.drops.ingress_rejected + 1
           | _ ->
-              let ctx = Context.create ~pid ~mid pkt in
+              let ctx = Context.create ~pid ~mid ~versions:versions.(mid - 1) pkt in
               if not (Nfp_sim.Server.offer classifier ctx) then
                 health.drops.ingress_rejected <- health.drops.ingress_rejected + 1)
   in

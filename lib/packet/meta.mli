@@ -9,6 +9,10 @@ type t = private { mid : int; pid : int64; version : int }
 
 val mid_bits : int
 
+val max_version : int
+(** 15, the largest version the 4-bit field holds: a plan may use
+    versions 1 to [max_version]. *)
+
 val make : mid:int -> pid:int64 -> version:int -> t
 (** @raise Invalid_argument when any component exceeds its bit width. *)
 

@@ -239,22 +239,23 @@ let set_version t version =
 (* IPv4 field getters/setters. *)
 let sip t = get_u32 t.buf (ip_off + 12)
 
-let set_u32_with_l4 t off v =
+(* Address rewrites work on the unsigned native-int form: the int32
+   setters unbox once at the boundary, and [transfer_field] moves an
+   address between versions without boxing it at all. *)
+let set_addr_int t off v =
   let old_hi = get_u16 t.buf off and old_lo = get_u16 t.buf (off + 2) in
-  set_u32 t.buf off v;
-  let new_hi = get_u16 t.buf off and new_lo = get_u16 t.buf (off + 2) in
+  let new_hi = (v lsr 16) land 0xffff and new_lo = v land 0xffff in
+  set_u16 t.buf off new_hi;
+  set_u16 t.buf (off + 2) new_lo;
   l4_incremental_update t ~old16:old_hi ~new16:new_hi;
-  l4_incremental_update t ~old16:old_lo ~new16:new_lo
-
-let set_sip t v =
-  set_u32_with_l4 t (ip_off + 12) v;
+  l4_incremental_update t ~old16:old_lo ~new16:new_lo;
   refresh_ip_checksum t
+
+let set_sip t v = set_addr_int t (ip_off + 12) (Int32.to_int v)
 
 let dip t = get_u32 t.buf (ip_off + 16)
 
-let set_dip t v =
-  set_u32_with_l4 t (ip_off + 16) v;
-  refresh_ip_checksum t
+let set_dip t v = set_addr_int t (ip_off + 16) (Int32.to_int v)
 
 let ttl t = get_u8 t.buf (ip_off + 8)
 
@@ -349,23 +350,26 @@ let add_ah t ~spi ~seq ~icv =
   refresh_geom t;
   set_total_length t (Bytes.length t.buf - eth_len)
 
-let remove_ah t =
+let ah_fields t =
   if not (has_ah t) then None
-  else begin
+  else
+    let ah_at = ip_off + ip_len in
+    Some (get_u32 t.buf (ah_at + 4), get_u32 t.buf (ah_at + 8), get_u32 t.buf (ah_at + 12))
+
+let remove_ah t =
+  let fields = ah_fields t in
+  if has_ah t then begin
     let ah_at = ip_off + ip_len in
     let inner = get_u8 t.buf ah_at in
-    let spi = get_u32 t.buf (ah_at + 4) in
-    let seq = get_u32 t.buf (ah_at + 8) in
-    let icv = get_u32 t.buf (ah_at + 12) in
     let buf = Bytes.make (Bytes.length t.buf - ah_len) '\x00' in
     Bytes.blit t.buf 0 buf 0 ah_at;
     Bytes.blit t.buf (ah_at + ah_len) buf ah_at (Bytes.length t.buf - ah_at - ah_len);
     t.buf <- buf;
     set_u8 t.buf (ip_off + 9) inner;
     refresh_geom t;
-    set_total_length t (Bytes.length t.buf - eth_len);
-    Some (spi, seq, icv)
-  end
+    set_total_length t (Bytes.length t.buf - eth_len)
+  end;
+  fields
 
 (* Canonical string encodings used by merge operations. *)
 let encode_u32 v =
@@ -434,6 +438,20 @@ let set_field t field s =
       in
       set_payload t resized
   | Field.Payload -> set_payload t s
+
+(* Header fields move as ints through their setters, which write the
+   same bytes (and the same incremental checksum updates) as the string
+   round trip: a merge op's [Modify] allocates nothing. *)
+let transfer_field ~dst ~src field =
+  match field with
+  | Field.Sip -> set_addr_int dst (ip_off + 12) (sip_int src)
+  | Field.Dip -> set_addr_int dst (ip_off + 16) (dip_int src)
+  | Field.Sport -> set_sport dst (sport src)
+  | Field.Dport -> set_dport dst (dport src)
+  | Field.Proto -> set_inner_proto dst (proto src)
+  | Field.Ttl -> set_ttl dst (ttl src)
+  | Field.Tos -> set_tos dst (tos src)
+  | Field.Len | Field.Payload -> set_field dst field (get_field src field)
 
 let full_copy t =
   {

@@ -140,9 +140,18 @@ val set_field : t -> Field.t -> string -> unit
 (** Inverse of {!get_field}. @raise Invalid_argument on an encoding that
     does not fit the field. *)
 
+val transfer_field : dst:t -> src:t -> Field.t -> unit
+(** [transfer_field ~dst ~src f] writes the same bytes into [dst] as
+    [set_field dst f (get_field src f)]. Header fields move as ints and
+    allocate nothing; [Len] and [Payload] take the string path. *)
+
 (** {1 IPsec AH encapsulation (VPN NF)} *)
 
 val has_ah : t -> bool
+
+val ah_fields : t -> (int32 * int32 * int32) option
+(** The AH header's (spi, seq, icv), read in place; [None] when
+    absent. *)
 
 val add_ah : t -> spi:int32 -> seq:int32 -> icv:int32 -> unit
 (** Insert a 16-byte Authentication Header between IPv4 and the

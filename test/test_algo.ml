@@ -693,13 +693,17 @@ let flow_table_tests =
       443,
       6 )
   in
-  let find t i =
+  let limbs i =
     let sip, dip, sport, dport, proto = key i in
-    Flow_table.find t ~sip ~dip ~sport ~dport ~proto
+    (Hashing.pack_a sip sport proto, Hashing.pack_b dip dport)
+  in
+  let find t i =
+    let a, b = limbs i in
+    match Flow_table.find_packed t ~a ~b with -1 -> None | v -> Some v
   in
   let put t i v =
-    let sip, dip, sport, dport, proto = key i in
-    Flow_table.put t ~sip ~dip ~sport ~dport ~proto v
+    let a, b = limbs i in
+    Flow_table.put_packed t ~a ~b v
   in
   [
     Alcotest.test_case "put then find" `Quick (fun () ->
@@ -722,7 +726,7 @@ let flow_table_tests =
         check (Alcotest.option Alcotest.int) "zero" (Some 0) (find t 9));
     Alcotest.test_case "negative values rejected" `Quick (fun () ->
         let t = Flow_table.create ~capacity:64 () in
-        Alcotest.check_raises "neg" (Invalid_argument "Flow_table.put: negative value")
+        Alcotest.check_raises "neg" (Invalid_argument "Flow_table.put_packed: negative value")
           (fun () -> put t 1 (-1)));
     Alcotest.test_case "capacity rounded to a power of two" `Quick (fun () ->
         check Alcotest.int "48 -> 64" 64 (Flow_table.capacity (Flow_table.create ~capacity:48 ()));

@@ -272,13 +272,22 @@ let property_tests =
 
    - the pure forwarder chain isolates the engine itself (pktgen
      buffer, context, breath dispatch, classifier hit, merger
-     presentation, delivery, harness accounting); measured ~177
-     words/packet at batch 32, pinned at 222.
+     presentation, delivery, harness accounting); the compiler runs
+     its five Forwarders in parallel on one shared buffer, so each
+     packet also completes one merge with no ops. Measured ~116
+     words/packet at batch 32, pinned at 146.
    - the stateful NS chain adds the NF internals (VPN encapsulation
      copies, Monitor flow state); measured ~1142, pinned at 1430.
 
-   A third test pins the cost of one hop: the slope of words/packet
-   over the length of a sequential chain of no-op NFs, which prices
+   The copy/merge path has its own budget: a Monitor and a
+   LoadBalancer in parallel on one header copy (the west-east chain's
+   tail) measured ~123 words/packet, pinned at 154; a header-field
+   merge op is budgeted at 0.
+
+   Two tests fit a line to words/packet over the length of a
+   sequential chain of no-op NFs. Its intercept prices what every
+   packet pays once (frame, context, classification, delivery, harness
+   accounting): measured ~87, pinned at 108. Its slope prices one hop:
    ring enqueue, breath, completion event and emission, and nothing
    per packet. The same slope prices the reliable link in front of
    each hop (sequence, unacked and reorder rings, cumulative ack) and
@@ -449,6 +458,12 @@ let nf_tests =
         check Alcotest.int "every probe hit" misses (Nfp_algo.Flow_table.misses t));
   ]
 
+(* The west-east tail: the compiler runs the Monitor and the
+   LoadBalancer in parallel on one header copy, joined by one merger. *)
+let par_text = "NF(mon, Monitor)\nNF(lb, LoadBalancer)\nChain(mon, lb)"
+
+let par_bindings = [ ("mon", "Monitor"); ("lb", "LoadBalancer") ]
+
 let allocation_tests =
   [
     Alcotest.test_case "engine hot path stays under budget (forwarder chain)"
@@ -457,9 +472,37 @@ let allocation_tests =
           words_per_packet ~text:fwd_text ~bindings:fwd_bindings ~batch_size:32
             ~packets:4000
         in
-        if w > 222.0 then
+        if w > 146.0 then
           Alcotest.failf
-            "allocation regression: %.1f minor words/packet (budget 222)" w);
+            "allocation regression: %.1f minor words/packet (budget 146)" w);
+    Alcotest.test_case "a parallel graph with one header copy stays under budget" `Quick
+      (fun () ->
+        let plan = plan_of par_text in
+        check Alcotest.int "one header copy" 1 plan.header_copies;
+        check Alcotest.int "one merger" 1 (List.length plan.merges);
+        let w =
+          words_per_packet ~text:par_text ~bindings:par_bindings ~batch_size:32 ~packets:4000
+        in
+        if w > 154.0 then
+          Alcotest.failf "allocation regression: %.1f minor words/packet (budget 154)" w);
+    Alcotest.test_case "a header-field merge op allocates nothing" `Quick (fun () ->
+        let frames = imc_frames () in
+        let ctx = Nfp_infra.Context.create ~pid:1L ~mid:1 ~versions:2 frames.(0) in
+        ignore (Nfp_infra.Context.copy ctx ~src:1 ~dst:2 ~full:false);
+        let v2 = Option.get (Nfp_infra.Context.get ctx 2) in
+        Packet.transfer_field ~dst:v2 ~src:frames.(1) Field.Sip;
+        Packet.transfer_field ~dst:v2 ~src:frames.(1) Field.Dport;
+        let ops =
+          Array.of_list
+            (List.map
+               (fun field -> Merge_op.Modify { dst = 1; src = 2; field })
+               Field.[ Sip; Dip; Sport; Dport; Proto; Ttl; Tos ])
+        in
+        no_words "10000 merge ops"
+          (words_of_calls 10_000 (fun i ->
+               Merge_op.apply ops.(i mod Array.length ops) ~get:Nfp_infra.Context.get ctx));
+        check Alcotest.bool "checksums still valid" true
+          (Packet.ip_checksum_valid frames.(0) && Packet.l4_checksum_valid frames.(0)));
     Alcotest.test_case "stateful chain stays under budget" `Quick (fun () ->
         let w =
           words_per_packet ~text:ns_text ~bindings:ns_bindings ~batch_size:32
@@ -481,6 +524,12 @@ let allocation_tests =
         if batched > legacy +. 16.0 then
           Alcotest.failf "batched path allocates more: %.1f vs %.1f words/packet"
             batched legacy);
+    Alcotest.test_case "a sequential chain's per-packet intercept stays under budget" `Quick
+      (fun () ->
+        let one = chain_words 1 ~packets:4000 in
+        let w = one -. per_hop () in
+        if w > 108.0 then
+          Alcotest.failf "allocation regression: %.1f minor words/packet (budget 108)" w);
     Alcotest.test_case "a chain hop allocates at most 4 words" `Quick (fun () ->
         let per_hop = per_hop () in
         if per_hop > 4.0 then

@@ -544,10 +544,15 @@ let tables_tests =
         | Error e -> Alcotest.fail e);
     Alcotest.test_case "version limit enforced" `Quick (fun () ->
         Registry.register ~kind:"TosWriter" ~profile:[ Action.Write Nfp_packet.Field.Tos ] ();
-        let graph = Graph.par (List.init 17 (fun i -> Graph.nf (Printf.sprintf "w%d" i))) in
+        let graph n = Graph.par (List.init n (fun i -> Graph.nf (Printf.sprintf "w%d" i))) in
         let profile_of _ = Registry.profile_of "TosWriter" in
-        match Tables.plan ~profile_of graph with
-        | Ok _ -> Alcotest.fail "accepted more than 16 versions"
+        (* The metadata's 4-bit version field holds 15 versions: a plan
+           that needs a 16th is refused, never built to fail mid-run. *)
+        (match Tables.plan ~profile_of (graph 14) with
+        | Ok p -> check Alcotest.int "15 versions" 15 p.version_count
+        | Error e -> Alcotest.fail e);
+        match Tables.plan ~profile_of (graph 15) with
+        | Ok _ -> Alcotest.fail "accepted more than 15 versions"
         | Error e -> check Alcotest.bool "message" true (String.length e > 0));
     Alcotest.test_case "nested parallelism wires inner merger to outer" `Quick (fun () ->
         let graph =
@@ -639,14 +644,14 @@ let merge_op_tests =
     Alcotest.test_case "modify transplants a field" `Quick (fun () ->
         let v1 = mk_packet "aa" and v2 = mk_packet "aa" in
         Nfp_packet.Packet.set_sip v2 99l;
-        let get = function 1 -> Some v1 | 2 -> Some v2 | _ -> None in
-        Merge_op.apply (Merge_op.Modify { dst = 1; src = 2; field = Nfp_packet.Field.Sip }) ~get;
+        let get () = function 1 -> Some v1 | 2 -> Some v2 | _ -> None in
+        Merge_op.apply (Merge_op.Modify { dst = 1; src = 2; field = Nfp_packet.Field.Sip }) ~get ();
         check Alcotest.int32 "transplanted" 99l (Nfp_packet.Packet.sip v1));
     Alcotest.test_case "align_headers adds the AH the source gained" `Quick (fun () ->
         let v1 = mk_packet "xx" and v2 = mk_packet "xx" in
         Nfp_packet.Packet.add_ah v2 ~spi:5l ~seq:6l ~icv:7l;
-        let get = function 1 -> Some v1 | 2 -> Some v2 | _ -> None in
-        Merge_op.apply (Merge_op.Align_headers { dst = 1; src = 2 }) ~get;
+        let get () = function 1 -> Some v1 | 2 -> Some v2 | _ -> None in
+        Merge_op.apply (Merge_op.Align_headers { dst = 1; src = 2 }) ~get ();
         check Alcotest.bool "AH added" true (Nfp_packet.Packet.has_ah v1);
         match Nfp_packet.Packet.remove_ah v1 with
         | Some (spi, seq, icv) ->
@@ -657,14 +662,14 @@ let merge_op_tests =
     Alcotest.test_case "align_headers removes an AH the source lost" `Quick (fun () ->
         let v1 = mk_packet "xx" and v2 = mk_packet "xx" in
         Nfp_packet.Packet.add_ah v1 ~spi:1l ~seq:1l ~icv:1l;
-        let get = function 1 -> Some v1 | 2 -> Some v2 | _ -> None in
-        Merge_op.apply (Merge_op.Align_headers { dst = 1; src = 2 }) ~get;
+        let get () = function 1 -> Some v1 | 2 -> Some v2 | _ -> None in
+        Merge_op.apply (Merge_op.Align_headers { dst = 1; src = 2 }) ~get ();
         check Alcotest.bool "AH removed" false (Nfp_packet.Packet.has_ah v1));
     Alcotest.test_case "missing versions are a no-op" `Quick (fun () ->
         let v1 = mk_packet "xx" in
         let before = Nfp_packet.Packet.to_bytes v1 in
-        let get = function 1 -> Some v1 | _ -> None in
-        Merge_op.apply (Merge_op.Modify { dst = 1; src = 2; field = Nfp_packet.Field.Sip }) ~get;
+        let get () = function 1 -> Some v1 | _ -> None in
+        Merge_op.apply (Merge_op.Modify { dst = 1; src = 2; field = Nfp_packet.Field.Sip }) ~get ();
         check Alcotest.bool "unchanged" true (Bytes.equal before (Nfp_packet.Packet.to_bytes v1)));
     Alcotest.test_case "pp uses the paper's notation" `Quick (fun () ->
         check Alcotest.string "modify" "modify(v1.sip, v2.sip)"

@@ -23,7 +23,7 @@ let context_tests =
   [
     Alcotest.test_case "create stores version 1 with metadata" `Quick (fun () ->
         let p = pkt () in
-        let ctx = Nfp_infra.Context.create ~pid:42L ~mid:3 p in
+        let ctx = Nfp_infra.Context.create ~pid:42L ~mid:3 ~versions:1 p in
         check Alcotest.int64 "pid" 42L (Nfp_infra.Context.pid ctx);
         match Nfp_infra.Context.get ctx 1 with
         | Some q ->
@@ -31,13 +31,13 @@ let context_tests =
             check Alcotest.int "mid" 3 (Packet.meta q).Meta.mid
         | None -> Alcotest.fail "version 1 missing");
     Alcotest.test_case "missing versions are None" `Quick (fun () ->
-        let ctx = Nfp_infra.Context.create ~pid:1L ~mid:1 (pkt ()) in
+        let ctx = Nfp_infra.Context.create ~pid:1L ~mid:1 ~versions:1 (pkt ()) in
         check Alcotest.bool "v2" true (Nfp_infra.Context.get ctx 2 = None);
         check Alcotest.bool "v0" true (Nfp_infra.Context.get ctx 0 = None);
         check Alcotest.bool "v99" true (Nfp_infra.Context.get ctx 99 = None));
     Alcotest.test_case "header-only copy materializes a trimmed version" `Quick (fun () ->
         let ctx =
-          Nfp_infra.Context.create ~pid:1L ~mid:1 (pkt ~payload:(String.make 500 'x') ())
+          Nfp_infra.Context.create ~pid:1L ~mid:1 ~versions:1 (pkt ~payload:(String.make 500 'x') ())
         in
         let bytes = Nfp_infra.Context.copy ctx ~src:1 ~dst:2 ~full:false in
         check Alcotest.int "54 bytes" 54 bytes;
@@ -47,26 +47,38 @@ let context_tests =
             check Alcotest.int "tagged" 2 (Packet.meta c).Meta.version
         | None -> Alcotest.fail "copy missing");
     Alcotest.test_case "full copy keeps the payload" `Quick (fun () ->
-        let ctx = Nfp_infra.Context.create ~pid:1L ~mid:1 (pkt ~payload:"full copy" ()) in
+        let ctx = Nfp_infra.Context.create ~pid:1L ~mid:1 ~versions:1 (pkt ~payload:"full copy" ()) in
         ignore (Nfp_infra.Context.copy ctx ~src:1 ~dst:3 ~full:true);
         match Nfp_infra.Context.get ctx 3 with
         | Some c -> check Alcotest.string "payload" "full copy" (Packet.payload c)
         | None -> Alcotest.fail "copy missing");
     Alcotest.test_case "copies are independent buffers" `Quick (fun () ->
-        let ctx = Nfp_infra.Context.create ~pid:1L ~mid:1 (pkt ()) in
+        let ctx = Nfp_infra.Context.create ~pid:1L ~mid:1 ~versions:1 (pkt ()) in
         ignore (Nfp_infra.Context.copy ctx ~src:1 ~dst:2 ~full:true);
         let v2 = Option.get (Nfp_infra.Context.get ctx 2) in
         Packet.set_sip v2 77l;
         let v1 = Option.get (Nfp_infra.Context.get ctx 1) in
         check Alcotest.bool "v1 intact" true (Packet.sip v1 <> 77l));
     Alcotest.test_case "versions listing is sorted" `Quick (fun () ->
-        let ctx = Nfp_infra.Context.create ~pid:1L ~mid:1 (pkt ()) in
+        let ctx = Nfp_infra.Context.create ~pid:1L ~mid:1 ~versions:1 (pkt ()) in
         ignore (Nfp_infra.Context.copy ctx ~src:1 ~dst:3 ~full:false);
         ignore (Nfp_infra.Context.copy ctx ~src:1 ~dst:2 ~full:false);
         check Alcotest.(list int) "sorted" [ 1; 2; 3 ]
           (List.map fst (Nfp_infra.Context.versions ctx)));
+    Alcotest.test_case "a plan-sized context grows past its version count" `Quick (fun () ->
+        let ctx = Nfp_infra.Context.create ~pid:1L ~mid:1 ~versions:2 (pkt ()) in
+        ignore (Nfp_infra.Context.copy ctx ~src:1 ~dst:2 ~full:false);
+        ignore (Nfp_infra.Context.copy ctx ~src:1 ~dst:15 ~full:false);
+        check Alcotest.(list int) "versions" [ 1; 2; 15 ]
+          (List.map fst (Nfp_infra.Context.versions ctx));
+        List.iter
+          (fun versions ->
+            Alcotest.check_raises "out of range"
+              (Invalid_argument "Context.create: version count out of range") (fun () ->
+                ignore (Nfp_infra.Context.create ~pid:1L ~mid:1 ~versions (pkt ()))))
+          [ 0; 16 ]);
     Alcotest.test_case "copy from a missing source fails" `Quick (fun () ->
-        let ctx = Nfp_infra.Context.create ~pid:1L ~mid:1 (pkt ()) in
+        let ctx = Nfp_infra.Context.create ~pid:1L ~mid:1 ~versions:1 (pkt ()) in
         Alcotest.check_raises "missing"
           (Invalid_argument "Context.copy: source version missing") (fun () ->
             ignore (Nfp_infra.Context.copy ctx ~src:9 ~dst:2 ~full:false)));

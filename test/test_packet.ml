@@ -329,6 +329,46 @@ let packet_tests =
           ops;
         Packet.l4_checksum_valid p && Packet.l4_checksum_valid u
         && Packet.ip_checksum_valid p && Packet.ip_checksum_valid u);
+    Alcotest.test_case "ah_fields reads the AH header in place" `Quick (fun () ->
+        let p = fresh () in
+        check Alcotest.bool "absent" true (Packet.ah_fields p = None);
+        Packet.add_ah p ~spi:0xdeadl ~seq:(-7l) ~icv:0xbeefl;
+        let before = Packet.to_bytes p in
+        check Alcotest.bool "fields" true (Packet.ah_fields p = Some (0xdeadl, -7l, 0xbeefl));
+        check Alcotest.bool "unchanged" true (Bytes.equal before (Packet.to_bytes p)));
+    (* TCP, UDP and ICMP packets with random addresses, ports, TTL, TOS
+       and payload, each with or without an AH header: transfers cover
+       every field, ports into and out of packets without a transport
+       header, and addresses with the top bit set. *)
+    qtest ~count:1000 "transfer_field writes what set_field of get_field writes"
+      (let side =
+         QCheck.(
+           quad (oneofl [ 6; 17; 1 ]) bool (int_range 0 0xffff)
+             (string_of_size (Gen.int_range 0 64)))
+       in
+       QCheck.(triple (oneofl Field.all) side side))
+      (fun (field, a, b) ->
+        let mk (proto, ah, v, payload) =
+          let ports = proto <> 1 in
+          let flow =
+            Flow.make
+              ~sip:(Int32.of_int (v * 0x10001))
+              ~dip:(Int32.of_int ((v lxor 0xa5a5) lsl 16))
+              ~sport:(if ports then v else 0)
+              ~dport:(if ports then v lxor 0x1234 else 0)
+              ~proto
+          in
+          let p = Packet.create ~ttl:(v land 0xff) ~tos:(v lsr 8) ~flow ~payload () in
+          if ah then Packet.add_ah p ~spi:(Int32.of_int v) ~seq:1l ~icv:2l;
+          p
+        in
+        let src = mk a and dst = mk b in
+        let expected = Packet.full_copy dst in
+        Packet.set_field expected field (Packet.get_field src field);
+        Packet.transfer_field ~dst ~src field;
+        Packet.equal_wire dst expected
+        && Packet.header_length dst = Packet.header_length expected
+        && Packet.proto dst = Packet.proto expected);
     qtest ~count:100 "random payloads roundtrip through create/parse"
       QCheck.(string_of_size (Gen.int_range 0 1446))
       (fun payload ->
