@@ -743,8 +743,7 @@ let run_micro () =
   let lb_frame = Nfp_packet.Packet.full_copy imc_frame in
   let v2 = Nfp_packet.Packet.full_copy pkt1500 in
   Nfp_packet.Packet.set_sip v2 42l;
-  let some_v1 = Some pkt1500 and some_v2 = Some v2 in
-  let get () = function 1 -> some_v1 | 2 -> some_v2 | _ -> None in
+  let get () = function 1 -> pkt1500 | 2 -> v2 | _ -> Nfp_packet.Packet.absent in
   (* A west-east packet entering its graph: a context sized for the
      plan's two versions, and the header copy the Monitor reads. *)
   let imc_ctx_frame = Nfp_packet.Packet.full_copy imc_frame in
@@ -765,6 +764,15 @@ let run_micro () =
     Nfp_sim.Engine.schedule heap_engine ~delay:(float_of_int !heap_tick) nop;
     Nfp_sim.Engine.run ~max_events:1 heap_engine
   in
+  (* A classified packet's hop onto its graph: one send on an ingress
+     line and its firing, the line warmed to one send in flight. *)
+  let line_engine = Nfp_sim.Engine.create () in
+  let ingress = Nfp_sim.Engine.line line_engine ~delay:2000.0 (fun _ _ _ -> ()) in
+  let line_send_fire () =
+    Nfp_sim.Engine.send ingress 1L imc_frame 1;
+    Nfp_sim.Engine.run ~max_events:1 line_engine
+  in
+  line_send_fire ();
   (* One core, one job per breath: offer, breath start, completion
      event, execute, emit. *)
   let breath_engine = Nfp_sim.Engine.create () in
@@ -865,6 +873,7 @@ let run_micro () =
         kernel "LPM lookup (1000 routes)" (fun () -> Nfp_algo.Lpm.lookup lpm 0x0a1702a9l);
         kernel "LPM lookup, int address" (fun () -> Nfp_algo.Lpm.lookup_int lpm 0x0a1702a9);
         kernel "engine schedule+pop (1k heap)" schedule_pop;
+        kernel "ingress line send+fire" line_send_fire;
         kernel "server breath (1 job)" breath;
         kernel "AES-128 block" (fun () -> Nfp_algo.Aes.encrypt_block aes block ~pos:0);
         kernel "DPI scan 1446B (100 sigs)" (fun () -> Nfp_algo.Aho_corasick.matches aho payload);

@@ -18,11 +18,16 @@ type t =
   | Modify of { dst : int; src : int; field : Field.t }
   | Align_headers of { dst : int; src : int }
 
-val apply : t -> get:('env -> int -> Packet.t option) -> 'env -> unit
+val apply : t -> get:('env -> int -> Packet.t) -> 'env -> unit
 (** [apply op ~get env] executes [op] over the version store
-    [get env]. Missing versions (e.g. a branch that dropped under a
-    priority policy) make the op a no-op. A header-field [Modify]
-    allocates nothing ({!Packet.transfer_field}). *)
+    [get env], which answers {!Packet.absent} for a missing version.
+    Missing versions (e.g. a branch that dropped under a priority
+    policy) make the op a no-op. A header-field [Modify] allocates
+    nothing ({!Packet.transfer_field}). *)
+
+val version_mask : t -> int
+(** The versions [op] reads and writes, as the bit set
+    [(1 lsl dst) lor (1 lsl src)]. *)
 
 val equal : t -> t -> bool
 

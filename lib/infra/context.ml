@@ -1,56 +1,49 @@
 open Nfp_packet
 
-(* [slots] holds exactly the versions the packet's plan uses (index 0
-   is unused): a context is allocated per packet on the dataplane's hot
-   path, every pure chain needs version 1 only, and a graph that copies
-   would otherwise pay for a second, grown array on its first copy. A
-   version past the plan's count still grows the array to the full
-   table. *)
-type t = { pid : int64; mid : int; mutable slots : Packet.t option array }
-
-let max_versions = Meta.max_version
+(* Slot [v - 1] holds version [v], or [Packet.absent]: a context is
+   allocated per packet on the dataplane's hot path, so it is exactly
+   the versions the plan uses and nothing else. The PID and MID are read
+   back from version 1, which [create] stamps and nothing ever
+   replaces. *)
+type t = Packet.t array
 
 let create ~pid ~mid ~versions pkt =
-  if versions < 1 || versions > max_versions then
+  if versions < 1 || versions > Meta.max_version then
     invalid_arg "Context.create: version count out of range";
-  let slots = Array.make (versions + 1) None in
+  let slots = Array.make versions Packet.absent in
   Packet.stamp pkt ~mid ~pid ~version:1;
-  slots.(1) <- Some pkt;
-  { pid; mid; slots }
+  slots.(0) <- pkt;
+  slots
 
-let pid t = t.pid
+let pid t = Packet.pid t.(0)
 
-let mid t = t.mid
+let mid t = Packet.mid t.(0)
 
-let get t v = if v < 1 || v >= Array.length t.slots then None else t.slots.(v)
+let slot t v = if v < 1 || v > Array.length t then Packet.absent else t.(v - 1)
 
-let set t v pkt =
-  if v < 1 || v > max_versions then invalid_arg "Context.set: version out of range";
-  if v >= Array.length t.slots then begin
-    let grown = Array.make (max_versions + 1) None in
-    Array.blit t.slots 0 grown 0 (Array.length t.slots);
-    t.slots <- grown
-  end;
-  t.slots.(v) <- Some pkt
+let get t v =
+  let p = slot t v in
+  if p == Packet.absent then None else Some p
 
 let copy t ~src ~dst ~full =
-  match get t src with
-  | None -> invalid_arg "Context.copy: source version missing"
-  | Some pkt ->
-      let copy =
-        if full then begin
-          let c = Packet.full_copy pkt in
-          Packet.set_version c dst;
-          c
-        end
-        else Packet.header_only_copy pkt ~version:dst
-      in
-      set t dst copy;
-      Packet.wire_length copy
+  let pkt = slot t src in
+  if pkt == Packet.absent then invalid_arg "Context.copy: source version missing";
+  if dst < 2 || dst > Array.length t then
+    invalid_arg "Context.copy: destination version out of range";
+  let copy =
+    if full then begin
+      let c = Packet.full_copy pkt in
+      Packet.set_version c dst;
+      c
+    end
+    else Packet.header_only_copy pkt ~version:dst
+  in
+  t.(dst - 1) <- copy;
+  Packet.wire_length copy
 
 let versions t =
   let acc = ref [] in
-  for v = Array.length t.slots - 1 downto 1 do
-    match t.slots.(v) with Some p -> acc := (v, p) :: !acc | None -> ()
+  for i = Array.length t - 1 downto 0 do
+    if t.(i) != Packet.absent then acc := (i + 1, t.(i)) :: !acc
   done;
   !acc

@@ -209,7 +209,8 @@ let nf_impls graphs =
        graphs)
 
 let packet_bytes ctx version =
-  match Context.get ctx version with Some p -> Packet.wire_length p | None -> 1500
+  let p = Context.slot ctx version in
+  if p == Packet.absent then 1500 else Packet.wire_length p
 
 (* The merger instance a PID hashes to. *)
 let slot_of_pid pid instances =
@@ -307,37 +308,59 @@ let run_nf ~who process ~pid pkt =
    (microflow cache over the tuple-space matcher); [`Scan] is the linear
    first-match reference. Either charges its structural cycles (zero
    under the default cost model), plus half the wire delay, as delay
-   ahead of [admit]. Returns the inject function and the cache counters. *)
+   ahead of [admit]. Returns the inject function and the cache counters.
+
+   A classified packet travels on an engine line, so injecting one
+   allocates no closure. A line's delay is constant, and the charge
+   depends on the lookup's probe count (rules examined under [`Scan]),
+   so there is one line per distinct charge, found through [lines],
+   filled lazily and indexed by that count; under the default cost
+   model every count shares the one zero-charge line. *)
 let front_end ?(classify = `Cached) ~engine ~(cost : Nfp_sim.Cost.t)
     ~(drops : Nfp_sim.Harness.drops) table admit =
   let ct = Array.map (fun (m, _, _) -> m) table in
   let clf = Nfp_packet.Classifier.create ct in
-  (* [classify_pkt] resolves the MID (0 = no rule matches) and leaves
-     the structural cycle charge in [classify_cycles] (an int ref, so
-     storing it never allocates). The [`Cached] arm reads the 5-tuple
-     straight from packet bytes and is allocation-free on a microflow
-     hit; [`Scan] is the reference path and keeps its boxed forms. *)
-  let classify_cycles = ref 0 in
-  let classify_pkt pkt =
+  let arrive pid pkt mid =
+    if mid = 0 then drops.no_match <- drops.no_match + 1 else admit ~pid ~mid pkt
+  in
+  let by_charge = ref [] in
+  let line_of_charge cycles =
+    match List.assoc_opt cycles !by_charge with
+    | Some line -> line
+    | None ->
+        let delay = (cost.wire_ns /. 2.0) +. Nfp_sim.Cost.ns_of_cycles cost cycles in
+        let line = Nfp_sim.Engine.line engine ~delay arrive in
+        by_charge := (cycles, line) :: !by_charge;
+        line
+  in
+  (* Probe counts run from -1 (a cache hit) to the group count, rules
+     examined from 0 to the rule count. *)
+  let lines = Array.make (Array.length ct + 2) None in
+  let line count cycles =
+    match lines.(count) with
+    | Some line -> line
+    | None ->
+        let line = line_of_charge cycles in
+        lines.(count) <- Some line;
+        line
+  in
+  (* The [`Cached] arm reads the 5-tuple straight from packet bytes and
+     is allocation-free on a microflow hit; [`Scan] is the reference
+     path and keeps its boxed forms. *)
+  let inject ~pid pkt =
     match classify with
     | `Cached ->
         let mid = Nfp_packet.Classifier.classify_packet clf pkt in
         let probed = Nfp_packet.Classifier.last_probes clf in
-        classify_cycles :=
-          (if probed < 0 then cost.classify_hit
-           else cost.classify_hit + (cost.classify_group * probed));
-        mid
-    | `Scan -> (
+        let cycles =
+          if probed < 0 then cost.classify_hit
+          else cost.classify_hit + (cost.classify_group * probed)
+        in
+        Nfp_sim.Engine.send (line (probed + 1) cycles) pid pkt mid
+    | `Scan ->
         let result, examined = Nfp_packet.Classifier.scan ct (Packet.flow pkt) in
-        classify_cycles := cost.classify_rule * examined;
-        match result with Some m -> m | None -> 0)
-  in
-  let wire_delay = cost.wire_ns /. 2.0 in
-  let inject ~pid pkt =
-    let mid = classify_pkt pkt in
-    Nfp_sim.Engine.schedule engine
-      ~delay:(wire_delay +. Nfp_sim.Cost.ns_of_cycles cost !classify_cycles)
-      (fun () -> if mid = 0 then drops.no_match <- drops.no_match + 1 else admit ~pid ~mid pkt)
+        let mid = match result with Some m -> m | None -> 0 in
+        Nfp_sim.Engine.send (line examined (cost.classify_rule * examined)) pid pkt mid
   in
   let counters () =
     {
@@ -384,9 +407,8 @@ let interpretive ?(config = default_config) ~graphs engine ~output =
   let core ~name ~service_ns ~execute =
     new_core ~engine ~config ~name ~prng ~service_ns ~execute ~emit:Nfp_sim.Server.call ()
   in
-  let wire_delay = cost.wire_ns /. 2.0 in
-  let deliver_out ~pid pkt =
-    Nfp_sim.Engine.schedule engine ~delay:wire_delay (fun () -> output ~pid pkt)
+  let egress =
+    Nfp_sim.Engine.line engine ~delay:(cost.wire_ns /. 2.0) (fun pid pkt _ -> output ~pid pkt)
   in
   let nf_cores : (int * string, (Context.t, unit -> bool) Nfp_sim.Server.t) Hashtbl.t =
     Hashtbl.create 16
@@ -440,8 +462,7 @@ let interpretive ?(config = default_config) ~graphs engine ~output =
                         ()
                   | Tables.Deliver ->
                       (match Context.get ctx version with
-                      | Some pkt ->
-                          deliver_out ~pid:(Context.pid ctx) pkt
+                      | Some pkt -> Nfp_sim.Engine.send egress (Context.pid ctx) pkt 0
                       | None -> ());
                       true)
                 targets)
@@ -592,8 +613,8 @@ let interpretive ?(config = default_config) ~graphs engine ~output =
             List.map (fun (b : Tables.expect) -> b.version) nil_branches
           in
           let get ctx v =
-            if List.mem v nil_versions && v <> spec.result_version then None
-            else Context.get ctx v
+            if List.mem v nil_versions && v <> spec.result_version then Packet.absent
+            else Context.slot ctx v
           in
           List.iter (fun op -> Merge_op.apply op ~get d.ctx) spec.ops;
           emission_of_actions ~self:(Tables.D_merger d.merge_id) d.ctx spec.next
@@ -974,48 +995,12 @@ let seen f ~a ~b = match f with Some m -> Dedup.mem m ~a ~b | None -> false
 
 let remember f ~a ~b = match f with Some m -> Dedup.add m ~a ~b | None -> ()
 
-(* Deliveries on the egress wire, oldest first: a growable ring of
-   (PID, packet) pairs in two arrays of power-of-two capacity. As in
-   [Nfp_algo.Ring], a popped slot keeps its stale pair until a later
-   push overwrites it, so the ring keeps at most its capacity (the most
-   deliveries ever in flight at once) alive. Clearing the slot instead
-   would make every push store a young packet over an old value, one
-   more remembered-set entry per delivery. *)
-type egress = {
-  mutable e_pids : int64 array;
-  mutable e_pkts : Packet.t array;
-  mutable e_head : int;
-  mutable e_len : int;
-}
-
-let egress_push q pid pkt =
-  let cap = Array.length q.e_pkts in
-  if q.e_len = cap then begin
-    let cap' = max 16 (2 * cap) in
-    let pids = Array.make cap' pid and pkts = Array.make cap' pkt in
-    for i = 0 to q.e_len - 1 do
-      let j = (q.e_head + i) land (cap - 1) in
-      pids.(i) <- q.e_pids.(j);
-      pkts.(i) <- q.e_pkts.(j)
-    done;
-    q.e_pids <- pids;
-    q.e_pkts <- pkts;
-    q.e_head <- 0
-  end;
-  let i = (q.e_head + q.e_len) land (Array.length q.e_pkts - 1) in
-  q.e_pids.(i) <- pid;
-  q.e_pkts.(i) <- pkt;
-  q.e_len <- q.e_len + 1
-
 type rt = {
   engine : Nfp_sim.Engine.t;
   config : config;
   fault : fault_config option;
   elastic : elastic_config option;
-  output : pid:int64 -> Packet.t -> unit;
-  wire_delay : float;  (* half the wire: NIC to classifier, egress to NIC *)
-  egress : egress;  (* deliveries scheduled but not yet output *)
-  egress_fire : unit -> unit;  (* [egress_pop] over this record *)
+  egress : (int64, Packet.t) Nfp_sim.Engine.line;  (* half the wire, egress to NIC *)
   dedup : dedup;
   delivered : Dedup.t option;  (* the output's (PID, version) filter *)
   merge_timeout_ns : float;  (* 0.0: accumulations never time out *)
@@ -1081,32 +1066,15 @@ let server_port ?(prefix = "") rt srv =
 (* The output side of every path. The packet's own metadata names it:
    contexts stamp and copies tag each version, and the twin chains stamp
    version 1. On armed runs a replayed or timeout-completed branch must
-   never deliver the same (PID, version) twice.
-
-   Every delivery is one event [wire_delay] from now, all of them the
-   same callback, allocated once, which outputs the oldest queued
-   delivery. [wire_delay] is constant and simulated time never goes
-   back, so the egress events fire in the order they were scheduled,
-   which is the queue's order: each firing outputs its own delivery, at
-   the time and sequence number a per-delivery closure would have
-   had. *)
+   never deliver the same (PID, version) twice. *)
 let deliver_out rt pkt =
   let pid = Packet.pid pkt in
   let a = Int64.to_int pid and b = Packet.version pkt in
   if seen rt.delivered ~a ~b then rt.health.deduped <- rt.health.deduped + 1
   else begin
     remember rt.delivered ~a ~b;
-    egress_push rt.egress pid pkt;
-    Nfp_sim.Engine.schedule rt.engine ~delay:rt.wire_delay rt.egress_fire
+    Nfp_sim.Engine.send rt.egress pid pkt 0
   end
-
-let egress_pop rt =
-  let q = rt.egress in
-  let i = q.e_head in
-  let pid = q.e_pids.(i) and pkt = q.e_pkts.(i) in
-  q.e_head <- (i + 1) land (Array.length q.e_pkts - 1);
-  q.e_len <- q.e_len - 1;
-  rt.output ~pid pkt
 
 (* The egress edge (merger/NF -> delivery port). The reroute of a Down
    delivery link is delivery itself — the detour models the alternate
@@ -1127,9 +1095,9 @@ let delivery_port rt =
    rewrites (NAT, LB) are flow-deterministic, so every packet of a flow
    hashes alike and lands on the same replica. *)
 let rss_hash s ctx =
-  match Context.get ctx s.s_entry.Tables.version with
-  | None -> 0
-  | Some pkt -> Nfp_algo.Hashing.rss2_int (Packet.key_a pkt) (Packet.key_b pkt)
+  let pkt = Context.slot ctx s.s_entry.Tables.version in
+  if pkt == Packet.absent then 0
+  else Nfp_algo.Hashing.rss2_int (Packet.key_a pkt) (Packet.key_b pkt)
 
 (* ------------------------------------------------------------------ *)
 (* The send path. A core walks a program's send array with its own     *)
@@ -1180,8 +1148,9 @@ let emit_send rt ctx send =
   | S_nf slot -> route_nf rt ~release:false slot ctx
   | S_merge { merge; branch; nil } ->
       rt.merge_port { d_ctx = ctx; d_merge = merge; d_branch = branch; d_nil = nil }
-  | S_deliver v -> (
-      match Context.get ctx v with None -> true | Some pkt -> rt.deliver_port pkt)
+  | S_deliver v ->
+      let pkt = Context.slot ctx v in
+      pkt == Packet.absent || rt.deliver_port pkt
 
 (* ------------------------------------------------------------------ *)
 (* Per-NF runtime, mergers, twin chains and the health snapshot.       *)
@@ -1238,24 +1207,22 @@ let build_slot rt ~shardable nf_progs slot
     let sw = Overload.switch rt.overload nf in
     let process = Overload.process sw in
     let service_ns ctx (c : Nfp_sim.Server.cell) =
-      let nf_cycles =
-        match Context.get ctx entry.version with
-        | Some pkt -> Overload.cost_cycles sw pkt
-        | None -> 0
-      in
+      let pkt = Context.slot ctx entry.version in
+      let nf_cycles = if pkt == Packet.absent then 0 else Overload.cost_cycles sw pkt in
       c.ns <- Nfp_sim.Cost.ns_of_cycles cost (static + nf_cycles + dyn_cycles ~cost prog ctx)
     in
     let execute ctx =
-      match Context.get ctx entry.version with
-      | None -> [||]
-      | Some pkt -> (
-          Watchdog.log cell pkt;
-          match run_nf ~who:entry.nf process ~pid:(Context.pid ctx) pkt with
-          | Nfp_nf.Nf.Forward -> exec_prog prog ctx
-          | Nfp_nf.Nf.Dropped ->
-              if Array.length nil_sends = 0 then
-                rt.health.drops.nf_dropped <- rt.health.drops.nf_dropped + 1;
-              nil_sends)
+      let pkt = Context.slot ctx entry.version in
+      if pkt == Packet.absent then [||]
+      else begin
+        Watchdog.log cell pkt;
+        match run_nf ~who:entry.nf process ~pid:(Context.pid ctx) pkt with
+        | Nfp_nf.Nf.Forward -> exec_prog prog ctx
+        | Nfp_nf.Nf.Dropped ->
+            if Array.length nil_sends = 0 then
+              rt.health.drops.nf_dropped <- rt.health.drops.nf_dropped + 1;
+            nil_sends
+      end
     in
     (* Replica 0 keeps the historical core name; shards get an @r
        suffix, so fault plans can target (and crash) each replica
@@ -1363,23 +1330,17 @@ let complete rt m ctx ~nil_mask ~skip_mask =
     m.m_nil_sends
   end
   else begin
-    (if skip_mask = 0 then
-       for i = 0 to Array.length m.m_ops - 1 do
-         Merge_op.apply m.m_ops.(i) ~get:Context.get ctx
-       done
-     else begin
-       (* Versions from branches that dropped under a priority policy are
-          half-processed; their ops are skipped. *)
-       let skip_versions = ref [] in
-       Array.iteri
-         (fun b v -> if skip_mask land (1 lsl b) <> 0 then skip_versions := v :: !skip_versions)
-         m.m_versions;
-       let svs = !skip_versions in
-       let get ctx v =
-         if List.mem v svs && v <> m.m_result_version then None else Context.get ctx v
-       in
-       Array.iter (fun op -> Merge_op.apply op ~get ctx) m.m_ops
-     end);
+    (* Versions from branches that dropped under a priority policy are
+       half-processed: an op that reads or writes one is skipped. *)
+    let hidden = ref 0 in
+    for b = 0 to Array.length m.m_versions - 1 do
+      if skip_mask land (1 lsl b) <> 0 then hidden := !hidden lor (1 lsl m.m_versions.(b))
+    done;
+    let hidden = !hidden land lnot (1 lsl m.m_result_version) in
+    for i = 0 to Array.length m.m_ops - 1 do
+      let op = m.m_ops.(i) in
+      if Merge_op.version_mask op land hidden = 0 then Merge_op.apply op ~get:Context.slot ctx
+    done;
     exec_prog m.m_next ctx
   end
 
@@ -1633,10 +1594,8 @@ let make_multi ?classify ?(config = default_config) ?fault ?overload ?elastic ?l
       config;
       fault;
       elastic;
-      output;
-      wire_delay = cost.wire_ns /. 2.0;
-      egress = { e_pids = [||]; e_pkts = [||]; e_head = 0; e_len = 0 };
-      egress_fire = (fun () -> egress_pop rt);
+      egress =
+        Nfp_sim.Engine.line engine ~delay:(cost.wire_ns /. 2.0) (fun pid pkt _ -> output ~pid pkt);
       dedup;
       delivered = filter dedup;
       merge_timeout_ns = (match fault with Some fc -> fc.merge_timeout_ns | None -> 0.0);

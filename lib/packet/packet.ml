@@ -197,6 +197,8 @@ let create ?(dmac = default_dmac) ?(smac = default_smac) ?(ttl = 64) ?(tos = 0)
   refresh_l4_checksum t;
   t
 
+let absent = create ~flow:(Flow.make ~sip:0l ~dip:0l ~sport:0 ~dport:0 ~proto:0) ~payload:"" ()
+
 let of_bytes b =
   let len = Bytes.length b in
   if len < eth_len + ip_len then Error "packet too short for Ethernet + IPv4"

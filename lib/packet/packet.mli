@@ -29,6 +29,12 @@ val create :
     administered constants. @raise Invalid_argument if a MAC is not 6
     bytes. *)
 
+val absent : t
+(** The shared placeholder for a packet version that does not exist,
+    so a version store can answer a lookup without an option: test for
+    it with [==]. No other packet is physically equal to it; never
+    mutate it. *)
+
 val of_bytes : bytes -> (t, string) result
 (** Parse wire bytes (metadata zeroed). Validates lengths and the
     ethertype; does not require valid checksums. *)

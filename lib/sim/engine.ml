@@ -157,6 +157,74 @@ let arm_timer tm ~delay =
 
 let timer_armed tm = tm.armed
 
+(* A line's pending payloads, oldest first, in parallel arrays of
+   power-of-two capacity. As in [Nfp_algo.Ring], a popped slot keeps its
+   stale payload until a later send overwrites it, so a line keeps at
+   most its capacity (the most sends ever in flight at once) alive.
+   Clearing the slot instead would make every send store a young value
+   over an old one, one more remembered-set entry per send. *)
+type ('a, 'b) line = {
+  l_engine : t;
+  l_delay : float;
+  mutable l_firsts : 'a array;
+  mutable l_seconds : 'b array;
+  mutable l_tags : int array;
+  mutable l_head : int;
+  mutable l_len : int;
+  l_fire : unit -> unit;
+}
+
+let line_pop l deliver =
+  let i = l.l_head in
+  let a = l.l_firsts.(i) and b = l.l_seconds.(i) and tag = l.l_tags.(i) in
+  l.l_head <- (i + 1) land (Array.length l.l_tags - 1);
+  l.l_len <- l.l_len - 1;
+  deliver a b tag
+
+let line t ~delay deliver =
+  if not (delay >= 0.0) then invalid_arg "Engine.line: negative delay";
+  let rec l =
+    {
+      l_engine = t;
+      l_delay = delay;
+      l_firsts = [||];
+      l_seconds = [||];
+      l_tags = [||];
+      l_head = 0;
+      l_len = 0;
+      l_fire = (fun () -> line_pop l deliver);
+    }
+  in
+  l
+
+let line_grow l a b =
+  let cap = Array.length l.l_tags in
+  let cap' = max 16 (2 * cap) in
+  let firsts = Array.make cap' a and seconds = Array.make cap' b in
+  let tags = Array.make cap' 0 in
+  for i = 0 to l.l_len - 1 do
+    let j = (l.l_head + i) land (cap - 1) in
+    firsts.(i) <- l.l_firsts.(j);
+    seconds.(i) <- l.l_seconds.(j);
+    tags.(i) <- l.l_tags.(j)
+  done;
+  l.l_firsts <- firsts;
+  l.l_seconds <- seconds;
+  l.l_tags <- tags;
+  l.l_head <- 0
+
+(* The delay is constant and time never goes back, so a line's events
+   fire in the order they were sent: each firing pops its own send's
+   payload, at the (time, seq) a closure per send would have had. *)
+let send l a b tag =
+  if l.l_len = Array.length l.l_tags then line_grow l a b;
+  let i = (l.l_head + l.l_len) land (Array.length l.l_tags - 1) in
+  l.l_firsts.(i) <- a;
+  l.l_seconds.(i) <- b;
+  l.l_tags.(i) <- tag;
+  l.l_len <- l.l_len + 1;
+  schedule l.l_engine ~delay:l.l_delay l.l_fire
+
 (* Remove the minimum and return its action; its time and seq are read
    by the caller beforehand. The vacated tail slot keeps referencing the
    element that moved, which stays live in the heap, so the popped
@@ -171,22 +239,25 @@ let pop t =
   end;
   top
 
+(* Top level, so that a run allocates no closure: [deadline] arrives
+   boxed (from [until], or the static [infinity]) and is passed on as
+   is. *)
+let rec drain t deadline remaining =
+  if remaining > 0 && t.size > 0 then begin
+    let time = t.times.(0) in
+    if time > deadline then t.clock.ns <- deadline
+    else begin
+      let seq = t.seqs.(0) in
+      let action = pop t in
+      t.clock.ns <- time;
+      t.firing <- seq;
+      action ();
+      t.firing <- -1;
+      drain t deadline (remaining - 1)
+    end
+  end
+
 let run ?until ?(max_events = max_int) t =
   let deadline = match until with Some u -> u | None -> infinity in
-  let clock = t.clock in
-  let rec go remaining =
-    if remaining > 0 && t.size > 0 then begin
-      let time = t.times.(0) in
-      if time > deadline then clock.ns <- deadline
-      else begin
-        let seq = t.seqs.(0) in
-        let action = pop t in
-        clock.ns <- time;
-        t.firing <- seq;
-        action ();
-        t.firing <- -1;
-        go (remaining - 1)
-      end
-    end
-  in
-  go max_events
+  if not (deadline >= t.clock.ns) then invalid_arg "Engine.run: until is in the past";
+  drain t deadline max_events

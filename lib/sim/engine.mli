@@ -63,9 +63,31 @@ val arm_timer : timer -> delay:float -> unit
 val timer_armed : timer -> bool
 (** Whether a firing is queued. *)
 
+(** {2 Lines}
+
+    A line is a constant-delay FIFO: every send arrives [delay] after
+    it was sent, through one callback allocated with the line. Each
+    send carries two values and an int tag, held in the line's own
+    growable arrays, so sending and firing allocate nothing once the
+    arrays have grown to the most sends in flight at once. *)
+
+type ('a, 'b) line
+
+val line : t -> delay:float -> ('a -> 'b -> int -> unit) -> ('a, 'b) line
+(** [line t ~delay deliver]: an empty line whose sends reach
+    [deliver]. Negative and NaN delays raise [Invalid_argument]. *)
+
+val send : ('a, 'b) line -> 'a -> 'b -> int -> unit
+(** [send l a b tag] queues [deliver a b tag] [delay] from now. It
+    takes one sequence number, exactly as {!schedule} would, and fires
+    at the same (time, seq) as [schedule t ~delay (fun () -> deliver a
+    b tag)]: the delay is constant and time never goes back, so a
+    line's sends fire in the order they were made. *)
+
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Drain the queue, advancing time. [until] stops the clock at a
     deadline (remaining events stay queued); [max_events] bounds work
-    as a runaway guard. *)
+    as a runaway guard. A deadline before {!now}, or NaN, raises
+    [Invalid_argument]: the clock never goes back. *)
 
 val pending : t -> int

@@ -7,65 +7,6 @@ let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
 (* ------------------------------------------------------------------ *)
-(* Heap                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let heap_tests =
-  [
-    Alcotest.test_case "empty heap" `Quick (fun () ->
-        let h = Heap.create ~cmp:compare in
-        check Alcotest.bool "is_empty" true (Heap.is_empty h);
-        check Alcotest.(option int) "peek" None (Heap.peek h);
-        check Alcotest.(option int) "pop" None (Heap.pop h));
-    Alcotest.test_case "pop returns minimum" `Quick (fun () ->
-        let h = Heap.create ~cmp:compare in
-        List.iter (Heap.push h) [ 5; 1; 4; 2; 3 ];
-        check Alcotest.(option int) "min" (Some 1) (Heap.pop h);
-        check Alcotest.(option int) "next" (Some 2) (Heap.pop h);
-        check Alcotest.int "length" 3 (Heap.length h));
-    Alcotest.test_case "peek does not remove" `Quick (fun () ->
-        let h = Heap.create ~cmp:compare in
-        Heap.push h 7;
-        check Alcotest.(option int) "peek" (Some 7) (Heap.peek h);
-        check Alcotest.int "length still 1" 1 (Heap.length h));
-    Alcotest.test_case "custom comparison (max-heap)" `Quick (fun () ->
-        let h = Heap.create ~cmp:(fun a b -> compare b a) in
-        List.iter (Heap.push h) [ 2; 9; 4 ];
-        check Alcotest.(option int) "max first" (Some 9) (Heap.pop h));
-    Alcotest.test_case "clear empties" `Quick (fun () ->
-        let h = Heap.create ~cmp:compare in
-        List.iter (Heap.push h) [ 1; 2; 3 ];
-        Heap.clear h;
-        check Alcotest.bool "empty" true (Heap.is_empty h));
-    Alcotest.test_case "duplicate keys all come out" `Quick (fun () ->
-        let h = Heap.create ~cmp:compare in
-        List.iter (Heap.push h) [ 3; 3; 3 ];
-        check Alcotest.int "len" 3 (Heap.length h);
-        ignore (Heap.pop h);
-        ignore (Heap.pop h);
-        check Alcotest.(option int) "last" (Some 3) (Heap.pop h));
-    qtest "heap drains in sorted order"
-      QCheck.(list int)
-      (fun xs ->
-        let h = Heap.create ~cmp:compare in
-        List.iter (Heap.push h) xs;
-        let rec drain acc =
-          match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-        in
-        drain [] = List.sort compare xs);
-    qtest "heap length tracks pushes and pops"
-      QCheck.(pair (list small_int) small_int)
-      (fun (xs, pops) ->
-        let h = Heap.create ~cmp:compare in
-        List.iter (Heap.push h) xs;
-        let pops = min pops (List.length xs) in
-        for _ = 1 to pops do
-          ignore (Heap.pop h)
-        done;
-        Heap.length h = List.length xs - pops);
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Ring                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -1060,7 +1001,6 @@ let prng_tests =
 let () =
   Alcotest.run "nfp_algo"
     [
-      ("heap", heap_tests);
       ("ring", ring_tests);
       ("lpm", lpm_tests);
       ("aho_corasick", aho_tests);

@@ -644,13 +644,13 @@ let merge_op_tests =
     Alcotest.test_case "modify transplants a field" `Quick (fun () ->
         let v1 = mk_packet "aa" and v2 = mk_packet "aa" in
         Nfp_packet.Packet.set_sip v2 99l;
-        let get () = function 1 -> Some v1 | 2 -> Some v2 | _ -> None in
+        let get () = function 1 -> v1 | 2 -> v2 | _ -> Nfp_packet.Packet.absent in
         Merge_op.apply (Merge_op.Modify { dst = 1; src = 2; field = Nfp_packet.Field.Sip }) ~get ();
         check Alcotest.int32 "transplanted" 99l (Nfp_packet.Packet.sip v1));
     Alcotest.test_case "align_headers adds the AH the source gained" `Quick (fun () ->
         let v1 = mk_packet "xx" and v2 = mk_packet "xx" in
         Nfp_packet.Packet.add_ah v2 ~spi:5l ~seq:6l ~icv:7l;
-        let get () = function 1 -> Some v1 | 2 -> Some v2 | _ -> None in
+        let get () = function 1 -> v1 | 2 -> v2 | _ -> Nfp_packet.Packet.absent in
         Merge_op.apply (Merge_op.Align_headers { dst = 1; src = 2 }) ~get ();
         check Alcotest.bool "AH added" true (Nfp_packet.Packet.has_ah v1);
         match Nfp_packet.Packet.remove_ah v1 with
@@ -662,13 +662,13 @@ let merge_op_tests =
     Alcotest.test_case "align_headers removes an AH the source lost" `Quick (fun () ->
         let v1 = mk_packet "xx" and v2 = mk_packet "xx" in
         Nfp_packet.Packet.add_ah v1 ~spi:1l ~seq:1l ~icv:1l;
-        let get () = function 1 -> Some v1 | 2 -> Some v2 | _ -> None in
+        let get () = function 1 -> v1 | 2 -> v2 | _ -> Nfp_packet.Packet.absent in
         Merge_op.apply (Merge_op.Align_headers { dst = 1; src = 2 }) ~get ();
         check Alcotest.bool "AH removed" false (Nfp_packet.Packet.has_ah v1));
     Alcotest.test_case "missing versions are a no-op" `Quick (fun () ->
         let v1 = mk_packet "xx" in
         let before = Nfp_packet.Packet.to_bytes v1 in
-        let get () = function 1 -> Some v1 | _ -> None in
+        let get () = function 1 -> v1 | _ -> Nfp_packet.Packet.absent in
         Merge_op.apply (Merge_op.Modify { dst = 1; src = 2; field = Nfp_packet.Field.Sip }) ~get ();
         check Alcotest.bool "unchanged" true (Bytes.equal before (Nfp_packet.Packet.to_bytes v1)));
     Alcotest.test_case "pp uses the paper's notation" `Quick (fun () ->

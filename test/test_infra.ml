@@ -37,7 +37,7 @@ let context_tests =
         check Alcotest.bool "v99" true (Nfp_infra.Context.get ctx 99 = None));
     Alcotest.test_case "header-only copy materializes a trimmed version" `Quick (fun () ->
         let ctx =
-          Nfp_infra.Context.create ~pid:1L ~mid:1 ~versions:1 (pkt ~payload:(String.make 500 'x') ())
+          Nfp_infra.Context.create ~pid:1L ~mid:1 ~versions:3 (pkt ~payload:(String.make 500 'x') ())
         in
         let bytes = Nfp_infra.Context.copy ctx ~src:1 ~dst:2 ~full:false in
         check Alcotest.int "54 bytes" 54 bytes;
@@ -47,30 +47,36 @@ let context_tests =
             check Alcotest.int "tagged" 2 (Packet.meta c).Meta.version
         | None -> Alcotest.fail "copy missing");
     Alcotest.test_case "full copy keeps the payload" `Quick (fun () ->
-        let ctx = Nfp_infra.Context.create ~pid:1L ~mid:1 ~versions:1 (pkt ~payload:"full copy" ()) in
+        let ctx = Nfp_infra.Context.create ~pid:1L ~mid:1 ~versions:3 (pkt ~payload:"full copy" ()) in
         ignore (Nfp_infra.Context.copy ctx ~src:1 ~dst:3 ~full:true);
         match Nfp_infra.Context.get ctx 3 with
         | Some c -> check Alcotest.string "payload" "full copy" (Packet.payload c)
         | None -> Alcotest.fail "copy missing");
     Alcotest.test_case "copies are independent buffers" `Quick (fun () ->
-        let ctx = Nfp_infra.Context.create ~pid:1L ~mid:1 ~versions:1 (pkt ()) in
+        let ctx = Nfp_infra.Context.create ~pid:1L ~mid:1 ~versions:3 (pkt ()) in
         ignore (Nfp_infra.Context.copy ctx ~src:1 ~dst:2 ~full:true);
         let v2 = Option.get (Nfp_infra.Context.get ctx 2) in
         Packet.set_sip v2 77l;
         let v1 = Option.get (Nfp_infra.Context.get ctx 1) in
         check Alcotest.bool "v1 intact" true (Packet.sip v1 <> 77l));
     Alcotest.test_case "versions listing is sorted" `Quick (fun () ->
-        let ctx = Nfp_infra.Context.create ~pid:1L ~mid:1 ~versions:1 (pkt ()) in
+        let ctx = Nfp_infra.Context.create ~pid:1L ~mid:1 ~versions:3 (pkt ()) in
         ignore (Nfp_infra.Context.copy ctx ~src:1 ~dst:3 ~full:false);
         ignore (Nfp_infra.Context.copy ctx ~src:1 ~dst:2 ~full:false);
         check Alcotest.(list int) "sorted" [ 1; 2; 3 ]
           (List.map fst (Nfp_infra.Context.versions ctx)));
-    Alcotest.test_case "a plan-sized context grows past its version count" `Quick (fun () ->
+    Alcotest.test_case "a plan-sized context holds only its plan's versions" `Quick (fun () ->
         let ctx = Nfp_infra.Context.create ~pid:1L ~mid:1 ~versions:2 (pkt ()) in
         ignore (Nfp_infra.Context.copy ctx ~src:1 ~dst:2 ~full:false);
-        ignore (Nfp_infra.Context.copy ctx ~src:1 ~dst:15 ~full:false);
-        check Alcotest.(list int) "versions" [ 1; 2; 15 ]
+        List.iter
+          (fun dst ->
+            Alcotest.check_raises "no such slot"
+              (Invalid_argument "Context.copy: destination version out of range") (fun () ->
+                ignore (Nfp_infra.Context.copy ctx ~src:1 ~dst ~full:false)))
+          [ 1; 3; 15 ];
+        check Alcotest.(list int) "versions" [ 1; 2 ]
           (List.map fst (Nfp_infra.Context.versions ctx));
+        check Alcotest.int64 "pid read from version 1" 1L (Nfp_infra.Context.pid ctx);
         List.iter
           (fun versions ->
             Alcotest.check_raises "out of range"

@@ -62,6 +62,29 @@ let engine_tests =
               (Invalid_argument "Engine.schedule_at: time is in the past") (fun () ->
                 Engine.schedule_at e Float.nan (fun () -> ())));
         Engine.run e);
+    Alcotest.test_case "until before now is rejected, the clock kept" `Quick (fun () ->
+        let e = Engine.create () in
+        Engine.schedule e ~delay:200.0 ignore;
+        Engine.schedule e ~delay:300.0 ignore;
+        Engine.run ~until:250.0 e;
+        check (Alcotest.float 1e-9) "at the deadline" 250.0 (Engine.now e);
+        Alcotest.check_raises "past" (Invalid_argument "Engine.run: until is in the past")
+          (fun () -> Engine.run ~until:50.0 e);
+        check (Alcotest.float 1e-9) "clock not rewound" 250.0 (Engine.now e);
+        Alcotest.check_raises "schedule behind the clock"
+          (Invalid_argument "Engine.schedule_at: time is in the past") (fun () ->
+            Engine.schedule_at e 60.0 ignore);
+        (* A deadline at the current time is not in the past. *)
+        Engine.run ~until:250.0 e;
+        check Alcotest.int "still pending" 1 (Engine.pending e));
+    Alcotest.test_case "a NaN until is rejected" `Quick (fun () ->
+        let e = Engine.create () in
+        let fired = ref false in
+        Engine.schedule e ~delay:10.0 (fun () -> fired := true);
+        Alcotest.check_raises "nan" (Invalid_argument "Engine.run: until is in the past")
+          (fun () -> Engine.run ~until:Float.nan e);
+        check Alcotest.bool "nothing ran" false !fired;
+        check (Alcotest.float 1e-9) "clock" 0.0 (Engine.now e));
     Alcotest.test_case "max_events bounds execution" `Quick (fun () ->
         let e = Engine.create () in
         let count = ref 0 in
@@ -195,6 +218,128 @@ let timer_tests =
         if per_firing > 0.0 then
           Alcotest.failf "allocation regression: %.3f minor words per timer firing (budget 0)"
             per_firing);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Lines                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* A script of batches: at each batch's time, each op either sends
+   [(payload, hops)] on one of the lines or schedules a plain event
+   [delay] ahead. A delivery with hops left sends again on the next
+   line, so sends are also made from inside firings. *)
+type line_op = Send of int * int * int | Plain of float * int
+
+let line_script_gen =
+  QCheck.Gen.(
+    let* n = int_range 1 4 in
+    let* delays = shuffle_l [ 0.0; 1.0; 2.0; 3.0; 5.0; 8.0 ] in
+    let delays = Array.of_list (List.filteri (fun i _ -> i < n) delays) in
+    let op =
+      frequency
+        [
+          (3, map3 (fun k p hops -> Send (k mod n, p, hops)) (int_bound 3) small_nat (int_bound 2));
+          (1, map2 (fun d p -> Plain (d, p)) (oneofl [ 0.0; 1.0; 2.0; 3.0 ]) small_nat);
+        ]
+    in
+    let+ batches = list_size (int_range 1 20) (pair (int_bound 3) (list_size (int_range 1 6) op)) in
+    (delays, batches))
+
+let print_line_script (delays, batches) =
+  let op = function
+    | Send (k, p, h) -> Printf.sprintf "send(%d,%d,%d)" k p h
+    | Plain (d, p) -> Printf.sprintf "plain(%g,%d)" d p
+  in
+  Printf.sprintf "delays [%s]; %s"
+    (String.concat "; " (Array.to_list (Array.map string_of_float delays)))
+    (String.concat " | "
+       (List.map (fun (dt, ops) -> Printf.sprintf "+%d: %s" dt (String.concat " " (List.map op ops))) batches))
+
+(* The firing trace of a script: (time, firing seq, line, payload) per
+   delivery, with each send on a line ([lines]) or as one closure per
+   send scheduled at the line's delay. *)
+let line_trace ~lines (delays, batches) =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note k p = log := (Engine.now e, Engine.firing e, k, p) :: !log in
+  let send = ref (fun _ _ _ -> ()) in
+  let deliver k p hops =
+    note k p;
+    if hops > 0 then !send ((k + 1) mod Array.length delays) p (hops - 1)
+  in
+  let ls = Array.mapi (fun k delay -> Engine.line e ~delay (fun p hops _ -> deliver k p hops)) delays in
+  (send :=
+     fun k p hops ->
+       if lines then Engine.send ls.(k) p hops 0
+       else Engine.schedule e ~delay:delays.(k) (fun () -> deliver k p hops));
+  let run_op = function
+    | Send (k, p, hops) -> !send k p hops
+    | Plain (delay, p) -> Engine.schedule e ~delay (fun () -> note (-1) p)
+  in
+  ignore
+    (List.fold_left
+       (fun t (dt, ops) ->
+         let t = t +. float_of_int dt in
+         Engine.schedule_at e t (fun () -> List.iter run_op ops);
+         t)
+       0.0 batches);
+  Engine.run e;
+  List.rev !log
+
+(* Minor words allocated by [n] send-and-fire rounds on a line already
+   grown to one send in flight. *)
+let line_words n =
+  let e = Engine.create () in
+  let l = Engine.line e ~delay:5.0 (fun _ _ _ -> ()) in
+  let payload = "payload" in
+  let round () =
+    Engine.send l 1L payload 1;
+    Engine.run ~max_events:1 e
+  in
+  round ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    round ()
+  done;
+  Gc.minor_words () -. before
+
+let line_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300 ~name:"a line fires each send at a closure's (time, seq)"
+         (QCheck.make ~print:print_line_script line_script_gen)
+         (fun script -> line_trace ~lines:true script = line_trace ~lines:false script));
+    Alcotest.test_case "a line keeps its order across growth" `Quick (fun () ->
+        let e = Engine.create () in
+        let got = ref [] in
+        let l = Engine.line e ~delay:10.0 (fun a b tag -> got := (a, b, tag) :: !got) in
+        for i = 0 to 99 do
+          Engine.send l i (string_of_int i) (-i)
+        done;
+        Engine.run ~until:10.0 e;
+        (* The head now sits mid-array: these sends wrap around it and
+           grow the line again. *)
+        for i = 100 to 299 do
+          Engine.send l i (string_of_int i) (-i)
+        done;
+        Engine.run e;
+        check Alcotest.(list (triple int string int)) "in send order"
+          (List.init 300 (fun i -> (i, string_of_int i, -i)))
+          (List.rev !got));
+    Alcotest.test_case "a negative or NaN line delay is rejected" `Quick (fun () ->
+        let e = Engine.create () in
+        List.iter
+          (fun delay ->
+            Alcotest.check_raises "delay" (Invalid_argument "Engine.line: negative delay")
+              (fun () -> ignore (Engine.line e ~delay (fun () () _ -> ()))))
+          [ -1.0; Float.nan ]);
+    (* Holds for the release build the repository selects in
+       dune-workspace, like test_batch's budgets. *)
+    Alcotest.test_case "sending on and firing a line allocates nothing" `Quick (fun () ->
+        let words = line_words 10_000 in
+        if words > 0.0 then
+          Alcotest.failf "allocation regression: %.0f minor words over 10000 sends (budget 0)"
+            words);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -859,6 +1004,7 @@ let () =
     [
       ("engine", engine_tests);
       ("timer", timer_tests);
+      ("line", line_tests);
       ("server", server_tests);
       ("fault", fault_tests);
       ("nic", nic_tests);
