@@ -43,7 +43,7 @@ let () =
   Format.printf "inspector-derived profile: %a@." Action.pp_profile observed;
 
   (* Register the NF type so the orchestrator can fetch its actions. *)
-  Registry.register ~kind:"DscpMarker" ~profile:observed ();
+  Registry.register ~kind:"DscpMarker" ~profile:observed;
 
   (* The marker writes TOS, which nothing else in this chain reads or
      writes, so Dirty Memory Reusing lets it share the packet buffer

@@ -205,15 +205,3 @@ let ctr_transform k ~nonce buf ~pos ~len =
     off := !off + chunk;
     incr counter
   done
-
-let selftest () =
-  (* FIPS-197 C.1: key 000102...0f, plaintext 00112233...ff. *)
-  let key = String.init 16 Char.chr in
-  let plain = Bytes.init 16 (fun i -> Char.chr ((i * 0x11) land 0xff)) in
-  let expected = "\x69\xc4\xe0\xd8\x6a\x7b\x04\x30\xd8\xcd\xb7\x80\x70\xb4\xc5\x5a" in
-  let k = expand_key key in
-  let buf = Bytes.copy plain in
-  encrypt_block k buf ~pos:0;
-  let enc_ok = Bytes.to_string buf = expected in
-  decrypt_block k buf ~pos:0;
-  enc_ok && Bytes.equal buf plain

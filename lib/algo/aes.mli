@@ -19,12 +19,10 @@ val encrypt_block : key -> bytes -> pos:int -> unit
     @raise Invalid_argument if the block overruns the buffer. *)
 
 val decrypt_block : key -> bytes -> pos:int -> unit
-(** Inverse of {!encrypt_block}. *)
+(** Inverse of {!encrypt_block}. Kept for tests: the round-trip
+    oracle for the cipher; no NF decrypts. *)
 
 val ctr_transform : key -> nonce:int64 -> bytes -> pos:int -> len:int -> unit
 (** [ctr_transform key ~nonce buf ~pos ~len] XORs the CTR keystream for
     [nonce] over [len] bytes starting at [pos]. Applying it twice with
     the same nonce restores the original bytes. *)
-
-val selftest : unit -> bool
-(** FIPS-197 appendix C.1 known-answer test. *)

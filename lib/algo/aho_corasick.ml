@@ -19,7 +19,6 @@ type t = {
   nclasses : int;
   delta : int array;  (* nstates * nclasses; row offsets, negated when accepting *)
   outs : int list array;  (* per state: indices of patterns ending there *)
-  npatterns : int;
 }
 
 (* Classes in increasing byte order; class 0 is the shared class of the
@@ -107,9 +106,7 @@ let build patterns =
         let t = go.(i) in
         if out.(t) = [] then t * nc else lnot (t * nc))
   in
-  { cls; nclasses = nc; delta; outs = Array.sub out 0 n; npatterns = List.length patterns }
-
-let pattern_count t = t.npatterns
+  { cls; nclasses = nc; delta; outs = Array.sub out 0 n }
 
 let scan t text =
   let acc = ref [] in

@@ -12,12 +12,12 @@ val build : string list -> t
 (** [build patterns] compiles the automaton. Empty patterns are ignored.
     Pattern indices in match results refer to positions in [patterns]. *)
 
-val pattern_count : t -> int
-
 val scan : t -> string -> (int * int) list
 (** [scan t text] is the list of matches [(pattern_index, end_position)]
     in order of occurrence; [end_position] is the offset just past the
-    match. Overlapping and duplicate-pattern matches are all reported. *)
+    match. Overlapping and duplicate-pattern matches are all reported.
+    Kept for tests: every output link the automaton follows shows in
+    the list, where {!matches} stops at the first hit. *)
 
 val matches : t -> string -> bool
 (** [matches t text] is [true] iff any pattern occurs in [text]; stops at

@@ -12,7 +12,6 @@ type t = {
   kb : int array;  (* dip<<16 | dport *)
   value : int array;
   mask : int;
-  mutable occupied : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -28,7 +27,6 @@ let create ?(capacity = 1 lsl 16) () =
     kb = Array.make cap empty;
     value = Array.make cap 0;
     mask = cap - 1;
-    occupied = 0;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -77,23 +75,13 @@ let rec put_from t a b v base i =
   else
     let s = (base + i) land t.mask in
     if t.ka.(s) = a && t.kb.(s) = b then t.value.(s) <- v
-    else if t.ka.(s) = empty then begin
-      set t s a b v;
-      t.occupied <- t.occupied + 1
-    end
+    else if t.ka.(s) = empty then set t s a b v
     else put_from t a b v base (i + 1)
 
 let put_packed t ~a ~b v =
   if v < 0 then invalid_arg "Flow_table.put_packed: negative value";
   put_from t a b v (slot_of_packed t ~a ~b) 0
 
-let clear t =
-  Array.fill t.ka 0 (Array.length t.ka) empty;
-  Array.fill t.kb 0 (Array.length t.kb) empty;
-  t.occupied <- 0
-
-let length t = t.occupied
-let capacity t = t.mask + 1
 let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions

@@ -26,13 +26,6 @@ val put_packed : t -> a:int -> b:int -> int -> unit
     when the probe window is full.
     @raise Invalid_argument on a negative value. *)
 
-val clear : t -> unit
-(** Drop every entry (counters are kept): used when the rule table the
-    cached results were derived from changes. *)
-
-val length : t -> int
-val capacity : t -> int
-
 val hits : t -> int
 val misses : t -> int
 val evictions : t -> int

@@ -20,9 +20,3 @@ val lookup : 'a t -> int32 -> 'a option
 val lookup_int : 'a t -> int -> 'a option
 (** {!lookup} on an address held in the low 32 bits of an [int] (as
     [Packet.dip_int] returns it); allocates nothing. *)
-
-val remove : 'a t -> prefix:int32 -> len:int -> unit
-(** Remove the binding for exactly that prefix, if present. *)
-
-val entries : 'a t -> int
-(** Number of bound prefixes. *)

@@ -8,4 +8,5 @@
 val compress : string -> string
 
 val decompress : string -> string
-(** @raise Invalid_argument on a malformed token stream. *)
+(** Kept for tests: the round-trip oracle for {!compress}; the NF only
+    compresses. @raise Invalid_argument on a malformed token stream. *)

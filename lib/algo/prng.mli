@@ -8,9 +8,6 @@ type t
 
 val create : seed:int64 -> t
 
-val next : t -> int64
-(** Next 64-bit value. *)
-
 val float : t -> float
 (** Uniform in [0, 1). *)
 

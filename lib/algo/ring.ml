@@ -9,7 +9,6 @@ type 'a t = {
   capacity : int;
   mutable head : int; (* next slot to dequeue *)
   mutable size : int;
-  mutable enqueued : int;
   mutable rejected : int;
   (* Occupancy watermarks (0 = disabled). Pressure latches on at
      [size >= high] and releases only at [size <= low]; the gap is the
@@ -28,7 +27,6 @@ let create ~capacity =
     capacity;
     head = 0;
     size = 0;
-    enqueued = 0;
     rejected = 0;
     high = 0;
     low = 0;
@@ -43,11 +41,6 @@ let set_watermarks t ~high ~low =
     invalid_arg "Ring.set_watermarks: low must be in 0..high-1";
   t.high <- high;
   t.low <- low
-
-let clear_watermarks t =
-  t.high <- 0;
-  t.low <- 0;
-  t.pressured <- false
 
 (* Re-evaluate the latch after any size change. Cheap enough for the
    hot path: one load and branch when watermarks are disabled. *)
@@ -69,8 +62,6 @@ let length t = t.size
 
 let is_empty t = t.size = 0
 
-let is_full t = t.size = t.capacity
-
 let enqueue t x =
   if t.size = t.capacity then begin
     t.rejected <- t.rejected + 1;
@@ -82,7 +73,6 @@ let enqueue t x =
     let tail = if tail >= t.capacity then tail - t.capacity else tail in
     t.data.(tail) <- x;
     t.size <- t.size + 1;
-    t.enqueued <- t.enqueued + 1;
     update_pressure t;
     true
   end
@@ -97,8 +87,6 @@ let dequeue_exn t =
   t.size <- t.size - 1;
   update_pressure t;
   x
-
-let dequeue t = if t.size = 0 then None else Some (dequeue_exn t)
 
 (* Burst dequeue for the breath loop: drain up to [max] elements into
    [dst.(0) .. dst.(n-1)] without options or per-element dispatch.
@@ -120,37 +108,5 @@ let dequeue_into t dst pos max =
   t.size <- t.size - n;
   update_pressure t;
   n
-
-(* Burst enqueue: append elements of [src.(pos) .. src.(pos+len-1)]
-   until the ring fills; returns how many were accepted. Partial
-   acceptance counts one rejection per refused element, matching a
-   loop of single enqueues exactly. *)
-let enqueue_burst t src pos len =
-  if pos < 0 || len < 0 || pos + len > Array.length src then
-    invalid_arg "Ring.enqueue_burst: range overruns source";
-  let accepted = min len (t.capacity - t.size) in
-  if accepted > 0 then begin
-    if Array.length t.data = 0 then t.data <- Array.make t.capacity src.(pos);
-    for i = 0 to accepted - 1 do
-      let tail = t.head + t.size + i in
-      let tail = if tail >= t.capacity then tail - t.capacity else tail in
-      t.data.(tail) <- src.(pos + i)
-    done;
-    t.size <- t.size + accepted;
-    t.enqueued <- t.enqueued + accepted;
-    update_pressure t
-  end;
-  t.rejected <- t.rejected + (len - accepted);
-  accepted
-
-let peek t = if t.size = 0 then None else Some t.data.(t.head)
-
-let clear t =
-  t.data <- [||];
-  t.head <- 0;
-  t.size <- 0;
-  update_pressure t
-
-let enqueued_total t = t.enqueued
 
 let rejected_total t = t.rejected

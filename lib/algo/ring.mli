@@ -16,13 +16,9 @@ val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-val is_full : 'a t -> bool
-
 val enqueue : 'a t -> 'a -> bool
 (** [enqueue t x] appends [x]; returns [false] (ring unchanged) when
     full — the caller decides whether that is a drop or backpressure. *)
-
-val dequeue : 'a t -> 'a option
 
 val dequeue_into : 'a t -> 'a array -> int -> int -> int
 (** [dequeue_into t dst pos max] drains up to [max] elements (bounded
@@ -32,20 +28,10 @@ val dequeue_into : 'a t -> 'a array -> int -> int -> int
     calls; allocates nothing. @raise Invalid_argument when [pos] is
     outside [dst]. *)
 
-val enqueue_burst : 'a t -> 'a array -> int -> int -> int
-(** [enqueue_burst t src pos len] appends [src.(pos) .. src.(pos+len-1)]
-    until the ring fills, returning how many were accepted; refused
-    elements count into {!rejected_total} exactly as per-element
-    {!enqueue} calls would. @raise Invalid_argument when the range
-    overruns [src]. *)
-
 val dequeue_exn : 'a t -> 'a
-(** Like {!dequeue} without the option box — for poll loops that
-    already checked {!is_empty}. @raise Invalid_argument when empty. *)
-
-val peek : 'a t -> 'a option
-
-val clear : 'a t -> unit
+(** Pop the oldest element, without an option box — for poll loops
+    that already checked {!is_empty}.
+    @raise Invalid_argument when empty. *)
 
 val set_watermarks : 'a t -> high:int -> low:int -> unit
 (** [set_watermarks t ~high ~low] arms the occupancy watermarks:
@@ -55,9 +41,6 @@ val set_watermarks : 'a t -> high:int -> low:int -> unit
     the signal. @raise Invalid_argument unless
     [0 <= low < high <= capacity]. *)
 
-val clear_watermarks : 'a t -> unit
-(** Disarm the watermarks and release any latched pressure. *)
-
 val pressured : 'a t -> bool
 (** Whether the occupancy latch is currently on. Always [false] when
     watermarks are disarmed (the default). *)
@@ -66,9 +49,6 @@ val pressure_episodes : 'a t -> int
 (** Lifetime count of pressure onsets (off-to-on transitions) — a
     flapping detector: a steady sawtooth inside the hysteresis band
     must not grow this. *)
-
-val enqueued_total : 'a t -> int
-(** Lifetime count of successful enqueues (for occupancy statistics). *)
 
 val rejected_total : 'a t -> int
 (** Lifetime count of enqueues refused because the ring was full. *)

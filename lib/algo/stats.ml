@@ -1,7 +1,7 @@
-(* The running sums live in their own all-float record, which OCaml
-   stores flat: as mutable float fields of [t] every [add] would box two
-   fresh floats. *)
-type sums = { mutable sum : float; mutable sumsq : float }
+(* The running sum lives in its own all-float record, which OCaml
+   stores flat: as a mutable float field of [t] every [add] would box a
+   fresh float. *)
+type sums = { mutable sum : float }
 
 type t = {
   mutable samples : float array;
@@ -11,7 +11,7 @@ type t = {
 }
 
 let create () =
-  { samples = [||]; size = 0; sums = { sum = 0.0; sumsq = 0.0 }; sorted = true }
+  { samples = [||]; size = 0; sums = { sum = 0.0 }; sorted = true }
 
 let add t x =
   if t.size = Array.length t.samples then begin
@@ -23,7 +23,6 @@ let add t x =
   t.samples.(t.size) <- x;
   t.size <- t.size + 1;
   t.sums.sum <- t.sums.sum +. x;
-  t.sums.sumsq <- t.sums.sumsq +. (x *. x);
   t.sorted <- false
 
 let count t = t.size
@@ -40,38 +39,10 @@ let ensure_sorted t =
     t.sorted <- true
   end
 
-let min_value t =
-  require_nonempty t "min_value";
-  ensure_sorted t;
-  t.samples.(0)
-
-let max_value t =
-  require_nonempty t "max_value";
-  ensure_sorted t;
-  t.samples.(t.size - 1)
-
-let stddev t =
-  if t.size < 2 then 0.0
-  else
-    let n = float_of_int t.size in
-    let m = t.sums.sum /. n in
-    let v = (t.sums.sumsq /. n) -. (m *. m) in
-    if v <= 0.0 then 0.0 else sqrt v
-
 let percentile t p =
   require_nonempty t "percentile";
-  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of [0,100]";
+  if not (p >= 0.0 && p <= 100.0) then invalid_arg "Stats.percentile: p out of [0,100]";
   ensure_sorted t;
   let rank = int_of_float (ceil (p /. 100.0 *. float_of_int t.size)) in
   let idx = if rank <= 0 then 0 else min (t.size - 1) (rank - 1) in
   t.samples.(idx)
-
-let merge a b =
-  let t = create () in
-  for i = 0 to a.size - 1 do
-    add t a.samples.(i)
-  done;
-  for i = 0 to b.size - 1 do
-    add t b.samples.(i)
-  done;
-  t

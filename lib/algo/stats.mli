@@ -15,18 +15,7 @@ val count : t -> int
 val mean : t -> float
 (** 0. when empty. *)
 
-val min_value : t -> float
-(** @raise Invalid_argument when empty. *)
-
-val max_value : t -> float
-(** @raise Invalid_argument when empty. *)
-
-val stddev : t -> float
-(** Population standard deviation; 0. with fewer than 2 samples. *)
-
 val percentile : t -> float -> float
 (** [percentile t p] for [p] in [0,100], nearest-rank on sorted samples.
-    @raise Invalid_argument when empty or [p] out of range. *)
-
-val merge : t -> t -> t
-(** Combined accumulator over both sample sets. *)
+    @raise Invalid_argument when empty or [p] out of range (NaN
+    included). *)

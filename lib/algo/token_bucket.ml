@@ -31,10 +31,6 @@ let admit t ~now_ns ~size =
   end
   else false
 
-let available t ~now_ns =
-  refill t ~now_ns;
-  t.tokens
-
 let snapshot t = (t.tokens, t.last_ns)
 
 let restore t (tokens, last_ns) =

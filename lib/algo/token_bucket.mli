@@ -17,9 +17,6 @@ val admit : t -> now_ns:int64 -> size:int -> bool
     returns [true]; otherwise leaves the bucket unchanged and returns
     [false]. [now_ns] must be monotonically non-decreasing. *)
 
-val available : t -> now_ns:int64 -> float
-(** Tokens (bytes) available at [now_ns], without consuming. *)
-
 val snapshot : t -> float * int64
 (** Current [(tokens, last_refill_ns)] pair — the bucket's whole mutable
     state, for checkpointing (the rate and burst are immutable). *)

@@ -1,23 +1,17 @@
 open Nfp_packet
 
-type config = {
-  cost : Nfp_sim.Cost.t;
-  ring_capacity : int;
-  jitter : float;
-  seed : int64;
-}
-
-let default_config =
-  { cost = Nfp_sim.Cost.default; ring_capacity = 192; jitter = 0.05; seed = 13L }
+let cost = Nfp_sim.Cost.default
+let ring_capacity = 192
+let jitter = 0.05
+let seed = 13L
 
 type job = { pid : int64; pkt : Packet.t }
 
-let make ?(config = default_config) ~cores ~chain engine ~output =
+let make ~cores ~chain engine ~output =
   if cores < 1 then invalid_arg "Bess.make: need at least one core";
-  let cost = config.cost in
   let health = Nfp_sim.Harness.fresh_health () in
   let drops = health.drops in
-  let prng = Nfp_algo.Prng.create ~seed:config.seed in
+  let prng = Nfp_algo.Prng.create ~seed in
   let wire_delay = cost.wire_ns /. 2.0 in
   let make_core i =
     ignore i;
@@ -45,8 +39,8 @@ let make ?(config = default_config) ~cores ~chain engine ~output =
     in
     Nfp_sim.Server.create ~engine
       ~name:(Printf.sprintf "rtc#%d" i)
-      ~ring_capacity:config.ring_capacity ~batch:cost.batch
-      ~jitter:(config.jitter, Nfp_algo.Prng.split prng)
+      ~ring_capacity ~batch:cost.batch
+      ~jitter:(jitter, Nfp_algo.Prng.split prng)
       ~service_ns ~execute ~emit:Nfp_sim.Server.call ()
   in
   let replicas = Array.init cores make_core in

@@ -8,17 +8,7 @@
 
 open Nfp_packet
 
-type config = {
-  cost : Nfp_sim.Cost.t;
-  ring_capacity : int;
-  jitter : float;
-  seed : int64;
-}
-
-val default_config : config
-
 val make :
-  ?config:config ->
   cores:int ->
   chain:(unit -> Nfp_nf.Nf.t list) ->
   Nfp_sim.Engine.t ->

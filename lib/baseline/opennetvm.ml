@@ -1,16 +1,9 @@
 open Nfp_packet
 
-type config = {
-  cost : Nfp_sim.Cost.t;
-  ring_capacity : int;
-  jitter : float;
-  seed : int64;
-}
-
-let default_config =
-  { cost = Nfp_sim.Cost.default; ring_capacity = 128; jitter = 0.05; seed = 11L }
-
-let core_count ~nfs = List.length nfs + 1
+let cost = Nfp_sim.Cost.default
+let ring_capacity = 128
+let jitter = 0.05
+let seed = 11L
 
 type job = { pid : int64; pkt : Packet.t; next_stage : int }
 
@@ -19,14 +12,13 @@ type job = { pid : int64; pkt : Packet.t; next_stage : int }
    needed. *)
 let emit_to core job = [| (fun () -> Nfp_sim.Server.offer core job) |]
 
-let make ?(config = default_config) ~nfs engine ~output =
-  let cost = config.cost in
+let make ~nfs engine ~output =
   let n = List.length nfs in
   let nf_arr = Array.of_list nfs in
   let health = Nfp_sim.Harness.fresh_health () in
   let drops = health.drops in
-  let prng = Nfp_algo.Prng.create ~seed:config.seed in
-  let jitter_for () = (config.jitter, Nfp_algo.Prng.split prng) in
+  let prng = Nfp_algo.Prng.create ~seed in
+  let jitter_for () = (jitter, Nfp_algo.Prng.split prng) in
   let nf_cores : (job, unit -> bool) Nfp_sim.Server.t option array = Array.make n None in
   let wire_delay = cost.wire_ns /. 2.0 in
   (* The ONVM manager runs an RX thread (NIC ingress: descriptor
@@ -51,7 +43,7 @@ let make ?(config = default_config) ~nfs engine ~output =
         | Some core -> emit_to core job
         | None -> assert false
     in
-    Nfp_sim.Server.create ~engine ~name:"switch-tx" ~ring_capacity:config.ring_capacity
+    Nfp_sim.Server.create ~engine ~name:"switch-tx" ~ring_capacity
       ~batch:cost.batch ~jitter:(jitter_for ()) ~service_ns ~execute
       ~emit:Nfp_sim.Server.call ()
   in
@@ -64,7 +56,7 @@ let make ?(config = default_config) ~nfs engine ~output =
       | Some core -> emit_to core job
       | None -> emit_to tx job (* zero-length chain: straight to egress *)
     in
-    Nfp_sim.Server.create ~engine ~name:"switch-rx" ~ring_capacity:config.ring_capacity
+    Nfp_sim.Server.create ~engine ~name:"switch-rx" ~ring_capacity
       ~batch:cost.batch ~jitter:(jitter_for ()) ~service_ns ~execute
       ~emit:Nfp_sim.Server.call ()
   in
@@ -84,7 +76,7 @@ let make ?(config = default_config) ~nfs engine ~output =
       in
       nf_cores.(i) <-
         Some
-          (Nfp_sim.Server.create ~engine ~name:nf.name ~ring_capacity:config.ring_capacity
+          (Nfp_sim.Server.create ~engine ~name:nf.name ~ring_capacity
              ~batch:cost.batch ~jitter:(jitter_for ()) ~service_ns ~execute
       ~emit:Nfp_sim.Server.call ()))
     nf_arr;

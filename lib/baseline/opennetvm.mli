@@ -10,20 +10,7 @@
 
 open Nfp_packet
 
-type config = {
-  cost : Nfp_sim.Cost.t;
-  ring_capacity : int;
-  jitter : float;
-  seed : int64;
-}
-
-val default_config : config
-
-val core_count : nfs:Nfp_nf.Nf.t list -> int
-(** NF cores plus the dedicated switch core. *)
-
 val make :
-  ?config:config ->
   nfs:Nfp_nf.Nf.t list ->
   Nfp_sim.Engine.t ->
   output:(pid:int64 -> Packet.t -> unit) ->

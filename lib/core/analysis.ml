@@ -14,7 +14,6 @@ type summary = {
 
 let run_kinds ?field_sensitive_write_read population =
   let total = List.fold_left (fun acc (_, p) -> acc +. p) 0.0 population in
-  if total <= 0.0 then invalid_arg "Analysis.run_kinds: weights must sum to a positive value";
   let population = List.map (fun (k, p) -> (k, p /. total)) population in
   let pairs =
     List.concat_map

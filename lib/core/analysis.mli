@@ -23,9 +23,4 @@ type summary = {
 val run : ?field_sensitive_write_read:bool -> unit -> summary
 (** Over the weighted NF types of {!Nfp_nf.Registry.weighted_kinds}. *)
 
-val run_kinds :
-  ?field_sensitive_write_read:bool -> (string * float) list -> summary
-(** Over an explicit (kind, probability) population. Probabilities are
-    normalized. @raise Not_found for unregistered kinds. *)
-
 val pp : Format.formatter -> summary -> unit

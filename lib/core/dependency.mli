@@ -23,11 +23,6 @@ val verdict_to_string : verdict -> string
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
-val kind_pair : Nfp_nf.Action.kind -> Nfp_nf.Action.kind -> verdict
-(** The raw Table 3 cell for two action classes. Read–write and
-    write–write cells answer [Parallel_no_copy]; the same-field copy
-    refinement happens in {!action_pair}. *)
-
 val action_pair :
   ?field_sensitive_write_read:bool ->
   Nfp_nf.Action.t ->
@@ -36,10 +31,6 @@ val action_pair :
 (** Classify a concrete action pair, applying the same-field test to
     read–write and write–write combinations (and, when
     [field_sensitive_write_read] is set, to write–read). *)
-
-val table_rows : unit -> (Nfp_nf.Action.kind * (Nfp_nf.Action.kind * verdict) list) list
-(** The full 4×4 table for printing (field-sensitive cells are reported
-    with their same-field verdict, as the paper's orange/green split). *)
 
 val pp_table : Format.formatter -> unit -> unit
 (** Render Table 3 as ASCII. *)

@@ -48,8 +48,6 @@ let well_formed t =
     | Some n -> Error (Printf.sprintf "NF %S appears more than once" n)
     | None -> Ok ()
 
-let equal = ( = )
-
 let rec pp fmt = function
   | Nf n -> Format.pp_print_string fmt n
   | Seq ts ->

@@ -32,8 +32,6 @@ val contains : t -> string -> bool
 val well_formed : t -> (unit, string) result
 (** No duplicate NF names, no empty compositions. *)
 
-val equal : t -> t -> bool
-
 val pp : Format.formatter -> t -> unit
 (** Inline rendering, e.g. [vpn -> (mon | fw) -> lb]. *)
 

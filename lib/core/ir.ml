@@ -93,21 +93,3 @@ let transform ?field_sensitive_write_read (policy : Rule.policy) =
           policy.bindings
       in
       Ok { positions; pairs; free; profile_of }
-
-let pp_pair fmt p =
-  Format.fprintf fmt "%s %s %s [%s%s]" p.earlier
-    (match p.source with `Order -> "before" | `Priority -> "<prio")
-    p.later
-    (if p.parallelizable then "parallel" else "sequential")
-    (if p.conflicting_actions <> [] then ", copy" else "")
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun { nf; place } ->
-      Format.fprintf fmt "position %s %s@," nf
-        (match place with Rule.First -> "first" | Rule.Last -> "last"))
-    t.positions;
-  List.iter (fun p -> Format.fprintf fmt "%a@," pp_pair p) t.pairs;
-  List.iter (fun n -> Format.fprintf fmt "free %s@," n) t.free;
-  Format.fprintf fmt "@]"

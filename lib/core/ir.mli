@@ -33,5 +33,3 @@ val transform :
     actions for every [Priority] pair (which the operator forces
     parallel regardless of gray verdicts — paper §3). Fails on names
     that resolve to no registered profile. *)
-
-val pp : Format.formatter -> t -> unit

@@ -25,8 +25,6 @@ let apply op ~get env =
 let version_mask = function
   | Modify { dst; src; _ } | Align_headers { dst; src } -> (1 lsl dst) lor (1 lsl src)
 
-let equal = ( = )
-
 let pp fmt = function
   | Modify { dst; src; field } ->
       Format.fprintf fmt "modify(v%d.%a, v%d.%a)" dst Field.pp field src Field.pp field

@@ -29,6 +29,4 @@ val version_mask : t -> int
 (** The versions [op] reads and writes, as the bit set
     [(1 lsl dst) lor (1 lsl src)]. *)
 
-val equal : t -> t -> bool
-
 val pp : Format.formatter -> t -> unit

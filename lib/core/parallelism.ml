@@ -4,8 +4,6 @@ type result = {
   blocking : (Nfp_nf.Action.t * Nfp_nf.Action.t) option;
 }
 
-let needs_copy r = r.parallelizable && r.conflicting_actions <> []
-
 (* Algorithm 1: iterate over every action pair; a gray pair ends the
    analysis, orange pairs accumulate as conflicting actions. *)
 let analyze ?field_sensitive_write_read p1 p2 =
@@ -36,14 +34,3 @@ let verdict r =
   if not r.parallelizable then Dependency.Not_parallelizable
   else if r.conflicting_actions = [] then Dependency.Parallel_no_copy
   else Dependency.Parallel_with_copy
-
-let pp fmt r =
-  Format.fprintf fmt "%a" Dependency.pp_verdict (verdict r);
-  if r.conflicting_actions <> [] then begin
-    Format.fprintf fmt " (conflicts:";
-    List.iter
-      (fun (a1, a2) ->
-        Format.fprintf fmt " %a/%a" Nfp_nf.Action.pp a1 Nfp_nf.Action.pp a2)
-      r.conflicting_actions;
-    Format.fprintf fmt ")"
-  end

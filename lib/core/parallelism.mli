@@ -12,8 +12,6 @@ type result = {
       (** the first action pair that forbids parallelism, when any *)
 }
 
-val needs_copy : result -> bool
-
 val analyze :
   ?field_sensitive_write_read:bool ->
   Nfp_nf.Action.t list ->
@@ -32,5 +30,3 @@ val analyze_kinds :
 
 val verdict : result -> Dependency.verdict
 (** Collapse to the three-way classification of Table 3. *)
-
-val pp : Format.formatter -> result -> unit

@@ -33,7 +33,9 @@ val eligible : Nfp_nf.Nf.t -> bool
 (** Whether the orchestrator may actually instantiate extra replicas:
     the derived strategy must allow it {e and} the NF must supply the
     machinery — [fresh] for both replicating strategies, plus
-    [merge]/[snapshot]/[restore] for [Shared_nothing]. *)
+    [merge]/[snapshot]/[restore] for [Shared_nothing]. Kept for tests:
+    the strategy tests check this gate per built-in NF; deployments ask
+    {!shardable}, which adds the downstream check. *)
 
 val migratable : Nfp_nf.Nf.t -> bool
 (** Whether a replica's per-flow state can be moved to a peer at
@@ -57,3 +59,4 @@ val shardable :
 
 val to_string : strategy -> string
 val pp : Format.formatter -> strategy -> unit
+(** Kept for tests: the printer of the strategy testable. *)

@@ -98,7 +98,9 @@ let branch_needs_copy ~copy_mode index infos info =
              j <> index && intersects info.writes (other.reads @ other.writes))
            (List.mapi (fun j o -> (j, o)) infos)
 
-let plan ?(copy_mode = `Auto) ?(priority_pairs = []) ?(priority = 0) ~profile_of graph =
+(* [priority_pairs] are (hi, lo) instance names from Priority rules;
+   only {!of_output} has them. *)
+let plan_with_pairs ?(copy_mode = `Auto) ~priority_pairs ?(priority = 0) ~profile_of graph =
   match Graph.well_formed graph with
   | Error e -> Error e
   | Ok () -> (
@@ -276,11 +278,12 @@ let plan ?(copy_mode = `Auto) ?(priority_pairs = []) ?(priority = 0) ~profile_of
           }
       with Plan_error e -> Error e)
 
-let of_output ?copy_mode (output : Compiler.output) =
-  plan ?copy_mode ~priority_pairs:output.priority_pairs
-    ~priority:output.admit_class ~profile_of:output.ir.Ir.profile_of output.graph
+let plan ?copy_mode ?priority ~profile_of graph =
+  plan_with_pairs ?copy_mode ~priority_pairs:[] ?priority ~profile_of graph
 
-let find_nf plan name = List.find_opt (fun e -> e.nf = name) plan.nf_entries
+let of_output ?copy_mode (output : Compiler.output) =
+  plan_with_pairs ?copy_mode ~priority_pairs:output.priority_pairs
+    ~priority:output.admit_class ~profile_of:output.ir.Ir.profile_of output.graph
 
 let find_merge plan id = List.find_opt (fun m -> m.id = id) plan.merges
 

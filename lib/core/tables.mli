@@ -78,13 +78,11 @@ type plan = {
 
 val plan :
   ?copy_mode:[ `Auto | `Copy_all | `Share_all ] ->
-  ?priority_pairs:(string * string) list ->
   ?priority:int ->
   profile_of:(string -> Action.t list) ->
   Graph.t ->
   (plan, string) result
-(** [priority_pairs] are (hi, lo) instance names from Priority rules;
-    [priority] (default 0) is the chain's admission class.
+(** [priority] (default 0) is the chain's admission class.
     Errors: malformed graph, unknown NF profile, more than 16 versions
     (the 4-bit metadata limit, paper Fig. 5). *)
 
@@ -92,8 +90,6 @@ val of_output :
   ?copy_mode:[ `Auto | `Copy_all | `Share_all ] -> Compiler.output -> (plan, string) result
 (** Plan for a compiler result, carrying its priority pairs and
     admission class. *)
-
-val find_nf : plan -> string -> nf_entry option
 
 val find_merge : plan -> int -> merge_spec option
 

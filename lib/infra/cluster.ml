@@ -56,8 +56,7 @@ let make ?config ?fault ?overload ?elastic ?links ?(link_latency_ns = 2000.0)
           (Nfp_sim.Harness.fresh_health ()) !health_fns);
   }
 
-let of_partition ?config ?fault ?overload ?elastic ?links ?link_latency_ns
-    ~assignments
+let of_partition ?config ?fault ?overload ?elastic ?links ~assignments
     ~profile_of ~nfs engine ~output =
   let rec plans acc = function
     | [] -> Ok (List.rev acc)
@@ -70,6 +69,4 @@ let of_partition ?config ?fault ?overload ?elastic ?links ?link_latency_ns
   | Error e -> Error e
   | Ok segments ->
       Ok
-        (make ?config ?fault ?overload ?elastic ?links ?link_latency_ns ~segments
-           engine
-           ~output)
+        (make ?config ?fault ?overload ?elastic ?links ~segments engine ~output)

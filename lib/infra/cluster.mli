@@ -36,7 +36,9 @@ val make :
     in [health.links]. The inter-server hop itself stays lossless —
     its segments' NI-boundary rings are already modeled — but a plan
     matching each segment's ingress ports perturbs the same edges. @raise Invalid_argument on
-    an empty segment list, or a negative or NaN [link_latency_ns]. *)
+    an empty segment list, or a negative or NaN [link_latency_ns].
+    Kept for tests: the cluster tests deploy hand-built segment plans;
+    programs go through {!of_partition}. *)
 
 val of_partition :
   ?config:System.config ->
@@ -44,7 +46,6 @@ val of_partition :
   ?overload:System.overload_config ->
   ?elastic:System.elastic_config ->
   ?links:System.links_config ->
-  ?link_latency_ns:float ->
   assignments:Nfp_core.Partition.assignment list ->
   profile_of:(string -> Nfp_nf.Action.t list) ->
   nfs:(string -> Nfp_nf.Nf.t) ->
@@ -52,4 +53,5 @@ val of_partition :
   output:(pid:int64 -> Packet.t -> unit) ->
   (Nfp_sim.Harness.system, string) result
 (** Convenience: compile each partition segment to a plan and deploy.
-    All segments share the [nfs] instance lookup. *)
+    All segments share the [nfs] instance lookup; links take
+    {!make}'s default latency. *)

@@ -36,4 +36,5 @@ val copy : t -> src:int -> dst:int -> full:bool -> int
     version 1 or past the plan's version count. *)
 
 val versions : t -> (int * Packet.t) list
-(** Extant versions in ascending order. *)
+(** Extant versions in ascending order. Kept for tests: the context
+    tests read which versions a context holds. *)

@@ -18,4 +18,6 @@ val run_plan :
   nfs:(string -> Nfp_nf.Nf.t) ->
   Packet.t ->
   Packet.t option
-(** One packet through the deployed plan; [None] when dropped. *)
+(** One packet through the deployed plan with [mergers] merger cores
+    (default 1); [None] when dropped. Kept for tests: [mergers], which
+    the tests vary to show the result does not depend on it. *)

@@ -136,12 +136,6 @@ module Dedup = struct
   let length t = Nfp_algo.Pair_table.length t.g_cur + Nfp_algo.Pair_table.length t.g_prev
 end
 
-let core_count config (plan : Tables.plan) =
-  1
-  + List.length plan.Tables.nf_entries
-  + config.mergers
-  + if config.mergers > 1 then 1 else 0
-
 type core_stats = {
   core : string;
   busy_ns : float;
@@ -219,6 +213,42 @@ let slot_of_pid pid instances =
        (Int64.logand (Nfp_algo.Hashing.mix64 pid) Int64.max_int)
        (Int64.of_int (max 1 instances)))
 
+(* The cost model's checks, as top-level functions: a closure per
+   field, or a list of them, would allocate on every deployment. *)
+let cost_fail who field what =
+  invalid_arg (Printf.sprintf "System.%s: cost %s %s" who field what)
+
+let cost_cycles who field cycles = if cycles < 0 then cost_fail who field "must be >= 0"
+let cost_time who field v = if not (v >= 0.0) then cost_fail who field "must be >= 0"
+
+let check_cost ~who (c : Nfp_sim.Cost.t) =
+  if not (c.ghz > 0.0 && Float.is_finite c.ghz) then
+    cost_fail who "ghz" "must be positive and finite";
+  cost_cycles who "ring_enqueue" c.ring_enqueue;
+  cost_cycles who "ring_dequeue" c.ring_dequeue;
+  cost_cycles who "classifier" c.classifier;
+  cost_cycles who "classify_hit" c.classify_hit;
+  cost_cycles who "classify_group" c.classify_group;
+  cost_cycles who "classify_rule" c.classify_rule;
+  cost_cycles who "switch_forward" c.switch_forward;
+  cost_cycles who "switch_per_hop" c.switch_per_hop;
+  cost_cycles who "header_copy" c.header_copy;
+  cost_cycles who "copy_base" c.copy_base;
+  cost_cycles who "merge_delivery" c.merge_delivery;
+  cost_cycles who "merge_op" c.merge_op;
+  cost_cycles who "merger_agent" c.merger_agent;
+  cost_cycles who "nf_runtime" c.nf_runtime;
+  cost_cycles who "rtc_call" c.rtc_call;
+  cost_cycles who "burst_saving" c.burst_saving;
+  cost_cycles who "log_append" c.log_append;
+  cost_cycles who "checkpoint_cycles" c.checkpoint_cycles;
+  cost_cycles who "replay_cycles" c.replay_cycles;
+  cost_cycles who "ack_cycles" c.ack_cycles;
+  cost_cycles who "retransmit_cycles" c.retransmit_cycles;
+  cost_time who "wire_ns" c.wire_ns;
+  cost_time who "restart_ns" c.restart_ns;
+  cost_time who "copy_per_byte" c.copy_per_byte
+
 (* Every build-time check, run before anything is built: a bad
    configuration is an [Invalid_argument] at deployment, never a failure
    mid-run. Each period is tested as [not (x > 0.0)] or
@@ -233,6 +263,7 @@ let validate ~who ~config ?fault ?overload ?elastic ?links graphs =
   if config.ring_capacity < 1 then fail "ring_capacity must be >= 1";
   if config.replicas < 1 then fail "replicas must be >= 1";
   if config.cost.batch < 1 then fail "batch must be >= 1";
+  check_cost ~who config.cost;
   (match fault with
   | Some (fc : fault_config) ->
       if not (fc.watchdog_interval_ns > 0.0 && fc.watchdog_deadline_ns > 0.0) then

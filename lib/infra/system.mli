@@ -29,9 +29,6 @@ type config = {
 
 val default_config : config
 
-val core_count : config -> Nfp_core.Tables.plan -> int
-(** Cores the deployment uses: classifier + NFs + mergers (+ agent). *)
-
 (** {2 Fault tolerance} *)
 
 type recovery = Watchdog.recovery =
@@ -126,7 +123,8 @@ module Dedup : sig
   val merge_limb : mid:int -> merge_id:int -> int
   (** The merger's second key limb: MID and merge point packed into
       one int ([merge_id] below 2{^32}). The delivery filter's second
-      limb is the version itself. *)
+      limb is the version itself. Kept for tests: the dedup tests key
+      a merger memory with it. *)
 
   val mem : t -> a:int -> b:int -> bool
   (** Whether either generation holds the key. *)
@@ -137,7 +135,7 @@ module Dedup : sig
 
   val length : t -> int
   (** Entries across both generations — the [health.dedup_entries]
-      gauge. *)
+      gauge. Kept for tests: the dedup tests read a memory's size. *)
 end
 
 (** {2 Overload control} *)
@@ -410,9 +408,11 @@ val make_multi :
     @raise Invalid_argument on an empty table, a missing NF, a
     [config.jitter] outside [\[0, 1)], [config.mergers],
     [config.ring_capacity], [config.replicas] or [config.cost.batch]
-    below 1, or an out-of-range [fault], [overload], [elastic] or
-    [links] setting; a NaN period counts as out of range. Every check
-    runs before anything is built. *)
+    below 1, a [config.cost] with a clock that is not positive and
+    finite or a negative cycle, time or per-byte term, or an
+    out-of-range [fault], [overload], [elastic] or [links] setting; a
+    NaN period or cost counts as out of range. Every check runs before
+    anything is built. *)
 
 val interpretive :
   ?config:config ->
@@ -430,4 +430,5 @@ val interpretive :
     [`Cached] classifier, and its health reports zero apart from
     [drops.ingress_rejected], [drops.nf_dropped] and [drops.no_match].
     @raise Invalid_argument on the configs {!make_multi} rejects, and
-    on [config.replicas > 1]. *)
+    on [config.replicas > 1]. Kept for tests: the differential oracle
+    of the compiled dataplane. *)

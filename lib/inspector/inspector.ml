@@ -112,11 +112,11 @@ let probe_packet ~seed i =
 
 let mutable_fields = Field.all
 
-let derive_profile ?(probes = 64) ?(seed = 97L) factory =
+let probe_profile ~probes factory =
   let actions = ref [] in
   let add a = if not (List.mem a !actions) then actions := a :: !actions in
   for i = 0 to probes - 1 do
-    let base = probe_packet ~seed i in
+    let base = probe_packet ~seed:97L i in
     let before = Packet.full_copy base in
     let fp = run_once factory base in
     (* base has been processed in place. *)
@@ -147,6 +147,8 @@ let derive_profile ?(probes = 64) ?(seed = 97L) factory =
   done;
   Action.normalize !actions
 
+let derive_profile factory = probe_profile ~probes:64 factory
+
 type comparison = {
   matching : Action.t list;
   undeclared : Action.t list;
@@ -161,7 +163,7 @@ let compare_profiles ~declared ~observed =
     unobserved = List.filter (fun a -> not (List.mem a observed)) declared;
   }
 
-let inspect_registered ?probes kind =
+let inspect_registered ?(probes = 64) kind =
   match Registry.find kind with
   | None -> None
   | Some entry -> (
@@ -173,7 +175,7 @@ let inspect_registered ?probes kind =
             | Some nf -> nf
             | None -> assert false
           in
-          let observed = derive_profile ?probes factory in
+          let observed = probe_profile ~probes factory in
           Some (observed, compare_profiles ~declared:entry.profile ~observed))
 
 let pp_comparison fmt c =

@@ -20,10 +20,9 @@
 
 open Nfp_nf
 
-val derive_profile :
-  ?probes:int -> ?seed:int64 -> (unit -> Nf.t) -> Action.t list
+val derive_profile : (unit -> Nf.t) -> Action.t list
 (** [derive_profile factory] builds fresh instances via [factory] and
-    probes them. Default 64 probe packets. *)
+    probes them with 64 packets. *)
 
 type comparison = {
   matching : Action.t list;  (** declared and observed *)
@@ -32,11 +31,13 @@ type comparison = {
 }
 
 val compare_profiles : declared:Action.t list -> observed:Action.t list -> comparison
+(** Kept for tests: the comparison tests feed it hand-written profiles;
+    programs get it through {!inspect_registered}. *)
 
 val inspect_registered :
   ?probes:int -> string -> (Action.t list * comparison) option
 (** Probe a built-in NF type via {!Nfp_nf.Registry.instantiate} and
-    compare against its registered profile. [None] for types without an
-    implementation. *)
+    compare against its registered profile, with [probes] packets
+    (default 64). [None] for types without an implementation. *)
 
 val pp_comparison : Format.formatter -> comparison -> unit

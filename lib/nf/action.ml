@@ -16,8 +16,6 @@ let field = function
 
 let equal = ( = )
 
-let compare = Stdlib.compare
-
 let pp fmt = function
   | Read f -> Format.fprintf fmt "R(%a)" Field.pp f
   | Write f -> Format.fprintf fmt "W(%a)" Field.pp f
@@ -37,6 +35,4 @@ let may_drop p = List.mem Drop p
 
 let adds_or_removes_headers p = List.mem Add_rm_header p
 
-let read_write f = [ Read f; Write f ]
-
-let normalize p = List.sort_uniq compare p
+let normalize p = List.sort_uniq Stdlib.compare p

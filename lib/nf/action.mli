@@ -23,8 +23,6 @@ val field : t -> Field.t option
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
 val pp : Format.formatter -> t -> unit
 
 val pp_profile : Format.formatter -> t list -> unit
@@ -38,9 +36,6 @@ val writes : t list -> Field.t list
 val may_drop : t list -> bool
 
 val adds_or_removes_headers : t list -> bool
-
-val read_write : Field.t -> t list
-(** [read_write f] is [[Read f; Write f]] — the "R/W" cells of Table 2. *)
 
 val normalize : t list -> t list
 (** Sorted, deduplicated profile. *)

@@ -7,4 +7,5 @@
 type stats = { hits : unit -> int; misses : unit -> int; entries : unit -> int }
 
 val create : ?name:string -> ?capacity:int -> unit -> Nf.t * stats
-(** FIFO eviction beyond [capacity] (default 4096) keys. *)
+(** FIFO eviction beyond [capacity] (default 4096) keys. Kept for
+    tests: [capacity], which the eviction test shrinks to 2. *)

@@ -44,9 +44,8 @@ let merge states =
     states;
   State (!alerts, !scanned)
 
-let rec create ?(name = "ids") ?(mode = `Detect) ?signatures () =
-  let signatures = match signatures with Some s -> s | None -> default_signatures 100 in
-  let automaton = Nfp_algo.Aho_corasick.build signatures in
+let rec create ?(name = "ids") ?(mode = `Detect) () =
+  let automaton = Nfp_algo.Aho_corasick.build (default_signatures 100) in
   (* Scans the payload where it lies in the packet buffer: no copy. *)
   let scan buf pos len = Nfp_algo.Aho_corasick.matches_bytes automaton buf ~pos ~len in
   let alerts = ref 0 and scanned = ref 0 in
@@ -89,7 +88,7 @@ let rec create ?(name = "ids") ?(mode = `Detect) ?signatures () =
       ~cost_cycles
       ~state_digest:(fun () -> Nfp_algo.Hashing.combine !alerts !scanned)
       ~snapshot ~restore ~state_access
-      ~fresh:(fun () -> fst (create ~name ~mode ~signatures ()))
+      ~fresh:(fun () -> fst (create ~name ~mode ()))
       ~merge ~degrade
         (* Only commutative counters: migration moves the zero state. *)
       ~extract:(fun _ -> State (0, 0))

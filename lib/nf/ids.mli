@@ -15,6 +15,5 @@ val default_signatures : int -> string list
 (** [default_signatures n] is a deterministic set of [n] payload
     signatures. *)
 
-val create :
-  ?name:string -> ?mode:mode -> ?signatures:string list -> unit -> Nf.t * stats
-(** Defaults: [`Detect], 100 signatures. *)
+val create : ?name:string -> ?mode:mode -> unit -> Nf.t * stats
+(** Scans for [default_signatures 100]. Default mode: [`Detect]. *)

@@ -9,4 +9,5 @@ type stats = { per_backend : unit -> int array }
 
 val create :
   ?name:string -> ?vip:int32 -> ?backends:int32 array -> unit -> Nf.t * stats
-(** Defaults: vip 192.168.0.1 and 8 synthetic backends. *)
+(** Defaults: vip 192.168.0.1 and 8 synthetic backends. Kept for
+    tests: [vip] and [backends], which the tests pin the rewrite to. *)

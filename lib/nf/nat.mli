@@ -24,4 +24,6 @@ val create :
     [Sequential] replication strategy; [`Hashed] computes each flow's
     port from the flow hash instead (distinct flows may share a port),
     which removes the global write and makes the NAT RSS-shardable
-    ([Shared_nothing]). *)
+    ([Shared_nothing]). Kept for tests: [public_ip], [port_base],
+    [port_count] and [alloc], which the tests pin the rewrite, pool
+    exhaustion and the hashed allocator to. *)

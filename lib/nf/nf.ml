@@ -62,7 +62,3 @@ let absorb t shard =
   match (t.snapshot, t.restore, t.merge) with
   | Some snapshot, Some restore, Some merge -> restore (merge [ snapshot (); shard ])
   | _ -> invalid_arg "Nf.absorb: NF lacks snapshot/restore/merge"
-
-let rename t name = { t with name }
-
-let pp fmt t = Format.fprintf fmt "%s:%s %a" t.name t.kind Action.pp_profile t.profile

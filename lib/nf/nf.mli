@@ -106,9 +106,3 @@ val absorb : t -> state -> unit
     another replica's {!t.extract}) into [t]'s live state:
     [restore (merge [snapshot (); shard])].
     @raise Invalid_argument when [t] lacks snapshot/restore/merge. *)
-
-val rename : t -> string -> t
-(** Same NF type/state sharing the underlying closures under a new
-    instance name (used to deploy several instances of one NF). *)
-
-val pp : Format.formatter -> t -> unit

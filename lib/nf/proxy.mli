@@ -7,3 +7,5 @@
 type stats = { redirected : unit -> int }
 
 val create : ?name:string -> ?origin:int32 -> ?via:string -> unit -> Nf.t * stats
+(** Kept for tests: [origin] and [via], which the tests pin the
+    redirect and the stamped token to. *)

@@ -92,7 +92,7 @@ let find kind = Hashtbl.find_opt entries (key kind)
 let profile_of kind =
   match find kind with Some e -> e.profile | None -> raise Not_found
 
-let register ~kind ~profile ?deployment_pct () = put { kind; profile; deployment_pct }
+let register ~kind ~profile = put { kind; profile; deployment_pct = None }
 
 let weighted_kinds () =
   let weighted =

@@ -15,18 +15,16 @@ type entry = {
           [None] for rows the paper leaves unquantified *)
 }
 
-val table : unit -> entry list
-(** Current contents, paper rows first. *)
-
 val find : string -> entry option
 (** Case-insensitive lookup by NF type name. *)
 
 val profile_of : string -> Action.t list
 (** @raise Not_found for unregistered types. *)
 
-val register : kind:string -> profile:Action.t list -> ?deployment_pct:float -> unit -> unit
+val register : kind:string -> profile:Action.t list -> unit
 (** Register or overwrite an NF type (paper §4.3: "operators could
-    generate an action profile… and register it"). *)
+    generate an action profile… and register it"). A registered type
+    carries no deployment percentage. *)
 
 val weighted_kinds : unit -> (string * float) list
 (** NF types carrying a deployment percentage, normalized to sum 1 —

@@ -10,4 +10,5 @@ type stats = { conformed : unit -> int; policed : unit -> int }
 val create :
   ?name:string -> ?rate_bps:float -> ?burst_bytes:int -> unit -> Nf.t * stats * (int64 -> unit)
 (** Returns the NF, its stats, and the clock-advance function. Defaults:
-    1 Gbit/s, 64 KiB burst. *)
+    1 Gbit/s, 64 KiB burst. Kept for tests: [burst_bytes], which the
+    policing tests shrink to a few packets. *)

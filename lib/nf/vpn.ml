@@ -6,6 +6,9 @@ type Nf.state += State of int32 * int
 
 let default_key = "nfp-vpn-aes-key!"
 
+(* The security parameter index every tunnel this VPN opens carries. *)
+let spi = 0x1001l
+
 let profile =
   Action.
     [
@@ -32,7 +35,7 @@ let state_access =
       global Commutative "encrypted-counter";
     ]
 
-let create ?(name = "vpn") ?(key = default_key) ?(spi = 0x1001l) () =
+let create ?(name = "vpn") ?(key = default_key) () =
   let aes = Nfp_algo.Aes.expand_key key in
   let seq = ref 0l in
   let encrypted = ref 0 in

@@ -9,9 +9,12 @@
 
 type stats = { encrypted : unit -> int; sequence : unit -> int32 }
 
-val create : ?name:string -> ?key:string -> ?spi:int32 -> unit -> Nf.t * stats
-(** @raise Invalid_argument if [key] is not 16 bytes. *)
+val create : ?name:string -> ?key:string -> unit -> Nf.t * stats
+(** Every tunnel carries SPI 0x1001. Kept for tests: [key], which the
+    tests decrypt with a key of their own.
+    @raise Invalid_argument if [key] is not 16 bytes. *)
 
 val decrypt : key:string -> Nfp_packet.Packet.t -> bool
-(** Companion tunnel-exit used by tests: strips the AH header and
-    decrypts the payload; [false] when the packet carries no AH. *)
+(** Companion tunnel exit: strips the AH header and decrypts the
+    payload; [false] when the packet carries no AH. Kept for tests: the
+    round-trip oracle for the VPN's encryption. *)

@@ -11,11 +11,9 @@ let firewall ?acl () =
     Block.output ();
   ]
 
-let ips ?acl ?signatures () =
+let ips ?acl () =
   let acl = match acl with Some a -> a | None -> default_acl () in
-  let signatures =
-    match signatures with Some s -> s | None -> Nfp_nf.Ids.default_signatures 100
-  in
+  let signatures = Nfp_nf.Ids.default_signatures 100 in
   [
     Block.read_packets ();
     Block.header_classifier ~name:"hc" ~acl;

@@ -11,11 +11,14 @@ type t = Block.t list
 
 val firewall : ?acl:Nfp_nf.Firewall.rule list -> unit -> t
 (** Fig. 15's firewall: ReadPackets → HeaderClassifier → Alert →
-    Output. *)
+    Output, with a 100-rule default ACL. Kept for tests: [acl], which
+    the tests vary to keep two classifiers from merging. *)
 
-val ips : ?acl:Nfp_nf.Firewall.rule list -> ?signatures:string list -> unit -> t
+val ips : ?acl:Nfp_nf.Firewall.rule list -> unit -> t
 (** Fig. 15's IPS: ReadPackets → HeaderClassifier → DPI → Alert →
-    Output. *)
+    Output, with the firewall's default ACL and
+    [Ids.default_signatures 100]. Kept for tests: [acl], as for
+    {!firewall}. *)
 
 type merged = {
   shared : Block.t list;  (** common prefix, executed once *)

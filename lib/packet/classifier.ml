@@ -213,7 +213,6 @@ let classify_packet t pkt = lookup t (Packet.key_a pkt) (Packet.key_b pkt)
 let last_probes t = t.last_probes
 
 let group_count t = Array.length t.groups
-let rule_count t = Array.length t.sport_lo
 let cache_hits t = Nfp_algo.Flow_table.hits t.cache
 let cache_misses t = Nfp_algo.Flow_table.misses t.cache
 let cache_evictions t = Nfp_algo.Flow_table.evictions t.cache

@@ -40,7 +40,9 @@ val create : ?cache_capacity:int -> Flow_match.t array -> t
 
 val classify : t -> Flow.t -> int option * outcome
 (** First-match lookup: [Some mid] is the 1-based rule position, [None]
-    means no rule matches. Negative results are cached too. *)
+    means no rule matches. Negative results are cached too. Kept for
+    tests: the flow-level form the differential tests hold against
+    {!scan}; the dataplane calls {!classify_packet}. *)
 
 val classify_packet : t -> Packet.t -> int
 (** Allocation-free form of {!classify} for the per-packet front end:
@@ -61,8 +63,6 @@ val scan : Flow_match.t array -> Flow.t -> int option * int
 
 val group_count : t -> int
 (** Distinct mask shapes — the tables probed on a worst-case miss. *)
-
-val rule_count : t -> int
 
 val cache_hits : t -> int
 

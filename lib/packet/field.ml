@@ -31,5 +31,3 @@ let of_string s =
   | _ -> None
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
-
-let is_header = function Payload | Len -> false | Sip | Dip | Sport | Dport | Proto | Ttl | Tos -> true

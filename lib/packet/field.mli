@@ -28,12 +28,10 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 val to_string : t -> string
+(** Kept for tests: the name round-trip tests print fields with it. *)
 
 val of_string : string -> t option
-(** Case-insensitive; accepts the names printed by {!to_string}. *)
+(** Case-insensitive; accepts the names printed by {!to_string}. Kept
+    for tests: the inverse the name round-trip tests check with. *)
 
 val pp : Format.formatter -> t -> unit
-
-val is_header : t -> bool
-(** [true] for the fields a header-only copy preserves — everything
-    except [Payload] and [Len] (paper §4.2, Header-Only Copying). *)

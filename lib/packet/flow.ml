@@ -10,8 +10,6 @@ let equal a b =
   Int32.equal a.sip b.sip && Int32.equal a.dip b.dip && a.sport = b.sport && a.dport = b.dport
   && a.proto = b.proto
 
-let compare = Stdlib.compare
-
 let hash t = Nfp_algo.Hashing.tuple5 t.sip t.dip t.sport t.dport t.proto
 
 let reverse t = { t with sip = t.dip; dip = t.sip; sport = t.dport; dport = t.sport }

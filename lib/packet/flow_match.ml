@@ -59,22 +59,3 @@ let matches t (f : Flow.t) =
 let matches_packet t pkt = matches t (Packet.flow pkt)
 
 let is_any t = t = any
-
-let pp fmt t =
-  if is_any t then Format.pp_print_string fmt "*"
-  else begin
-    let part name p = Format.fprintf fmt "%s=%s " name p in
-    (match t.sip_prefix with
-    | Some (p, len) -> part "sip" (Printf.sprintf "%s/%d" (Flow.ip_to_string p) len)
-    | None -> ());
-    (match t.dip_prefix with
-    | Some (p, len) -> part "dip" (Printf.sprintf "%s/%d" (Flow.ip_to_string p) len)
-    | None -> ());
-    (match t.sport_range with
-    | Some (lo, hi) -> part "sport" (Printf.sprintf "%d-%d" lo hi)
-    | None -> ());
-    (match t.dport_range with
-    | Some (lo, hi) -> part "dport" (Printf.sprintf "%d-%d" lo hi)
-    | None -> ());
-    match t.proto with Some p -> part "proto" (string_of_int p) | None -> ()
-  end

@@ -25,16 +25,18 @@ val make :
   ?proto:int ->
   unit ->
   t
-(** @raise Invalid_argument on prefix lengths outside [0, 32], ports
-    outside [0, 65535], or inverted ranges. *)
+(** Kept for tests: [sip_prefix], since programs match on the other
+    fields only. @raise Invalid_argument on prefix lengths outside [0, 32],
+    ports outside [0, 65535], or inverted ranges. *)
 
 val of_flow : Flow.t -> t
-(** Exact match on one 5-tuple. *)
+(** Exact match on one 5-tuple. Kept for tests: the classifier tests
+    write exact-match rules with it. *)
 
 val matches : t -> Flow.t -> bool
 
 val matches_packet : t -> Packet.t -> bool
 
 val is_any : t -> bool
-
-val pp : Format.formatter -> t -> unit
+(** Whether the rule is {!any}. Kept for tests: the rule tests check
+    the wildcard with it. *)

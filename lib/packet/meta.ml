@@ -1,5 +1,3 @@
-type t = { mid : int; pid : int64; version : int }
-
 let mid_bits = 20
 let pid_bits = 40
 let version_bits = 4
@@ -18,26 +16,3 @@ let check ~mid ~pid ~version =
 let check_version version =
   if version < 0 || version > max_version then
     invalid_arg "Meta.make: version out of 4-bit range"
-
-let make ~mid ~pid ~version =
-  check ~mid ~pid ~version;
-  { mid; pid; version }
-
-let with_version t version = make ~mid:t.mid ~pid:t.pid ~version
-
-let encode t =
-  let mid = Int64.shift_left (Int64.of_int t.mid) (pid_bits + version_bits) in
-  let pid = Int64.shift_left t.pid version_bits in
-  Int64.logor mid (Int64.logor pid (Int64.of_int t.version))
-
-let decode v =
-  let version = Int64.to_int (Int64.logand v 0xfL) in
-  let pid = Int64.logand (Int64.shift_right_logical v version_bits) max_pid in
-  let mid = Int64.to_int (Int64.shift_right_logical v (pid_bits + version_bits)) land max_mid in
-  { mid; pid; version }
-
-let equal a b = a.mid = b.mid && Int64.equal a.pid b.pid && a.version = b.version
-
-let pp fmt t = Format.fprintf fmt "mid=%d pid=%Ld v%d" t.mid t.pid t.version
-
-let zero = { mid = 0; pid = 0L; version = 0 }

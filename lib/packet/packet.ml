@@ -8,10 +8,10 @@
    [remove_ah], [set_inner_proto] and [set_payload].
 
    The NFP metadata lives flat in [m_mid]/[m_pid]/[m_version] rather
-   than as a [Meta.t] field: stamping and copy-tagging happen per
-   packet on the dataplane's hot path, and keeping the components
-   unboxed makes both plain int stores (the pid limb shares its box
-   across copies). [Meta.t] is materialized only on demand ([meta]). *)
+   than as a record field: stamping and copy-tagging happen per packet
+   on the dataplane's hot path, and keeping the components unboxed
+   makes both plain int stores (the pid limb shares its box across
+   copies). *)
 type t = {
   mutable buf : bytes;
   mutable m_mid : int;
@@ -156,13 +156,10 @@ let set_total_length t len =
   set_u16 t.buf (ip_off + 2) len;
   refresh_ip_checksum t
 
-let default_dmac = "\x02\x00\x00\x00\x00\x02"
-let default_smac = "\x02\x00\x00\x00\x00\x01"
+let dmac = "\x02\x00\x00\x00\x00\x02"
+let smac = "\x02\x00\x00\x00\x00\x01"
 
-let create ?(dmac = default_dmac) ?(smac = default_smac) ?(ttl = 64) ?(tos = 0)
-    ~(flow : Flow.t) ~payload () =
-  if String.length dmac <> 6 || String.length smac <> 6 then
-    invalid_arg "Packet.create: MAC addresses must be 6 bytes";
+let create ~(flow : Flow.t) ~payload () =
   let l4 = if flow.proto = proto_tcp then tcp_len else if flow.proto = proto_udp then udp_len else 0 in
   let total = ip_len + l4 + String.length payload in
   let buf = Bytes.make (eth_len + total) '\x00' in
@@ -170,11 +167,10 @@ let create ?(dmac = default_dmac) ?(smac = default_smac) ?(ttl = 64) ?(tos = 0)
   Bytes.blit_string smac 0 buf 6 6;
   set_u16 buf 12 0x0800;
   set_u8 buf ip_off 0x45;
-  set_u8 buf (ip_off + 1) tos;
   set_u16 buf (ip_off + 2) total;
   set_u16 buf (ip_off + 4) 0 (* identification *);
   set_u16 buf (ip_off + 6) 0x4000 (* don't fragment *);
-  set_u8 buf (ip_off + 8) ttl;
+  set_u8 buf (ip_off + 8) 64;
   set_u8 buf (ip_off + 9) flow.proto;
   set_u32 buf (ip_off + 12) flow.sip;
   set_u32 buf (ip_off + 16) flow.dip;
@@ -214,13 +210,6 @@ let of_bytes b =
     end
 
 let to_bytes t = Bytes.copy t.buf
-
-let meta t = Meta.make ~mid:t.m_mid ~pid:t.m_pid ~version:t.m_version
-
-let set_meta t (m : Meta.t) =
-  t.m_mid <- m.mid;
-  t.m_pid <- m.pid;
-  t.m_version <- m.version
 
 let mid t = t.m_mid
 
@@ -505,6 +494,7 @@ let header_only_copy t ~version =
 let equal_wire a b = Bytes.equal a.buf b.buf
 
 let pp fmt t =
-  Format.fprintf fmt "@[<h>%a len=%dB%s ttl=%d tos=%d [%a]@]" Flow.pp (flow t) (wire_length t)
+  Format.fprintf fmt "@[<h>%a len=%dB%s ttl=%d tos=%d [mid=%d pid=%Ld v%d]@]" Flow.pp (flow t)
+    (wire_length t)
     (if has_ah t then " +AH" else "")
-    (ttl t) (tos t) Meta.pp (meta t)
+    (ttl t) (tos t) t.m_mid t.m_pid t.m_version

@@ -10,24 +10,13 @@
 
 type t
 
-type l4 = Tcp | Udp | Other of int
-
 (** {1 Construction and parsing} *)
 
-val create :
-  ?dmac:string ->
-  ?smac:string ->
-  ?ttl:int ->
-  ?tos:int ->
-  flow:Flow.t ->
-  payload:string ->
-  unit ->
-  t
-(** Build a well-formed packet for [flow] carrying [payload]. The L4
-    header is TCP for proto 6, UDP for proto 17, absent otherwise.
-    Checksums are computed. MAC addresses default to locally
-    administered constants. @raise Invalid_argument if a MAC is not 6
-    bytes. *)
+val create : flow:Flow.t -> payload:string -> unit -> t
+(** Build a well-formed packet for [flow] carrying [payload], with TTL
+    64, TOS 0 and locally administered MAC addresses. The L4 header is
+    TCP for proto 6, UDP for proto 17, absent otherwise. Checksums are
+    computed. *)
 
 val absent : t
 (** The shared placeholder for a packet version that does not exist,
@@ -47,12 +36,6 @@ val wire_length : t -> int
 
 (** {1 Metadata} *)
 
-val meta : t -> Meta.t
-(** Materializes a {!Meta.t} from the flat components; prefer {!mid} /
-    {!pid} / {!version} on hot paths (this allocates, those do not). *)
-
-val set_meta : t -> Meta.t -> unit
-
 val mid : t -> int
 (** The metadata Match ID, read flat (no allocation). *)
 
@@ -63,9 +46,9 @@ val version : t -> int
 (** The metadata copy version, read flat (no allocation). *)
 
 val stamp : t -> mid:int -> pid:int64 -> version:int -> unit
-(** Set all three metadata components without building a {!Meta.t} —
-    what the classifier does per packet.
-    @raise Invalid_argument exactly when {!Meta.make} would. *)
+(** Set all three metadata components — what the classifier does per
+    packet. @raise Invalid_argument when a component exceeds its bit
+    width ({!Meta.check}). *)
 
 val set_version : t -> int -> unit
 (** Retag the copy version only.
@@ -99,17 +82,20 @@ val set_sport : t -> int -> unit
 
 val dport : t -> int
 val set_dport : t -> int -> unit
+(** Kept for tests, like {!ttl} and {!set_ttl}: tests write these
+    fields directly, NFs through {!set_field}. *)
 
 val ttl : t -> int
+(** Kept for tests: see {!set_dport}. *)
+
 val set_ttl : t -> int -> unit
+(** Kept for tests: see {!set_dport}. *)
 
 val tos : t -> int
 val set_tos : t -> int -> unit
 
 val proto : t -> int
 (** The innermost protocol (looks through an AH header). *)
-
-val l4_protocol : t -> l4
 
 val key_a : t -> int
 val key_b : t -> int
@@ -170,12 +156,16 @@ val remove_ah : t -> (int32 * int32 * int32) option
     (spi, seq, icv) or [None] when absent. *)
 
 val ip_checksum_valid : t -> bool
+(** Whether the IPv4 header checksum verifies. Kept for tests, like
+    {!l4_checksum_valid}: the oracle that every rewrite keeps the
+    checksums right. *)
 
 val l4_checksum_valid : t -> bool
 (** TCP/UDP checksum over the RFC pseudo-header and segment; [true]
     for packets without a transport header and for UDP's "checksum
     disabled" zero. Field setters (including address rewrites, which
-    touch the pseudo-header) keep it valid. *)
+    touch the pseudo-header) keep it valid. Kept for tests: see
+    {!ip_checksum_valid}. *)
 
 (** {1 Copies (paper §4.2, §5.2)} *)
 

@@ -17,7 +17,9 @@ val parse : string -> (Rule.policy, string) result
 (** Parse a whole policy text; the error string carries a line number. *)
 
 val parse_rule : string -> (Rule.t, string) result
-(** Parse a single rule (no bindings, no comments). *)
+(** Parse a single rule (no bindings, no comments). Kept for tests:
+    the rule-syntax tests parse one rule at a time. *)
 
 val to_string : Rule.policy -> string
-(** Render back to parseable text. *)
+(** Render back to parseable text. Kept for tests: the round-trip
+    oracle for {!parse}. *)

@@ -36,8 +36,6 @@ let of_chain names =
   in
   pairs names
 
-let equal = ( = )
-
 let pp fmt = function
   | Order (a, b) -> Format.fprintf fmt "Order(%s, before, %s)" a b
   | Priority (a, b) -> Format.fprintf fmt "Priority(%s > %s)" a b

@@ -45,8 +45,8 @@ val of_chain : string list -> t list
     rules for neighbouring NFs (paper §3: sequential descriptions are
     converted automatically, then parallelism is explored). *)
 
-val equal : t -> t -> bool
-
 val pp : Format.formatter -> t -> unit
+(** Kept for tests: the printing tests pin each rule's form; programs
+    print whole policies with {!pp_policy}. *)
 
 val pp_policy : Format.formatter -> policy -> unit

@@ -212,8 +212,6 @@ let check (policy : Rule.policy) =
     (sccs names edges);
   List.rev !conflicts
 
-let is_valid policy = check policy = []
-
 let suggest = function
   | Unknown_nf { name; rule } ->
       Printf.sprintf "bind %S with an NF(%s, <Type>) line or fix rule #%d to use a registered type name"

@@ -39,8 +39,6 @@ val check : Rule.policy -> conflict list
     their [hi] NF treated as logically later (the paper converts a
     parallelizable [Order(a, before, b)] into [Priority(b > a)]). *)
 
-val is_valid : Rule.policy -> bool
-
 val suggest : conflict -> string
 (** A remediation hint for the operator — the paper defers conflict
     resolution to future work; this offers the obvious fixes. *)

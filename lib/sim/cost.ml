@@ -104,5 +104,3 @@ let vm =
 let classified = { default with classify_hit = 35; classify_group = 95; classify_rule = 30 }
 
 let ns_of_cycles t c = float_of_int c /. t.ghz
-
-let cycles_of_ns t ns = int_of_float (ns *. t.ghz)

@@ -75,5 +75,3 @@ val vm : t
     cost several times more, everything else is unchanged. *)
 
 val ns_of_cycles : t -> int -> float
-
-val cycles_of_ns : t -> float -> int

@@ -24,7 +24,8 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
 
 val schedule_at : t -> float -> (unit -> unit) -> unit
 (** Absolute-time variant; times in the past, and NaN, raise
-    [Invalid_argument]. *)
+    [Invalid_argument]. Kept for tests: the engine tests schedule at
+    fixed instants. *)
 
 val arm : t -> delay:float -> (unit -> unit) -> int
 (** {!schedule} that returns the event's sequence number: while the
@@ -49,7 +50,8 @@ exception Livelock of string
     other and simulated time runs on forever. *)
 
 val livelock_streak : int
-(** The longest run of timer-only firings {!run} tolerates. *)
+(** The longest run of timer-only firings {!run} tolerates. Kept for
+    tests: the livelock tests run a timer loop just past it. *)
 
 val timer : t -> name:string -> (unit -> unit) -> timer
 (** An unarmed timer that runs the callback each time it fires. *)
@@ -88,6 +90,7 @@ val run : ?until:float -> ?max_events:int -> t -> unit
 (** Drain the queue, advancing time. [until] stops the clock at a
     deadline (remaining events stay queued); [max_events] bounds work
     as a runaway guard. A deadline before {!now}, or NaN, raises
-    [Invalid_argument]: the clock never goes back. *)
+    [Invalid_argument]: the clock never goes back. Kept for tests:
+    [until], which the tests use to stop the clock mid-run. *)
 
 val pending : t -> int

@@ -120,9 +120,6 @@ let storm ?(seed = 1L) ~cores ~mtbf_ns ~horizon_ns () =
   in
   { seed; specs }
 
-let event_count p =
-  List.fold_left (fun acc (s : spec) -> acc + List.length s.events) 0 p.specs
-
 (* ------------------------------------------------------------------ *)
 (* Surge plans: offered-load shapes                                    *)
 (* ------------------------------------------------------------------ *)
@@ -142,11 +139,27 @@ type surge_shape =
 type surge = { base_mpps : float; shapes : surge_shape list }
 
 let surge ~base_mpps shapes =
-  if not (base_mpps > 0.0) then invalid_arg "Fault.surge: base_mpps must be positive";
+  let fail what = invalid_arg ("Fault.surge: " ^ what) in
+  if not (base_mpps > 0.0) then fail "base_mpps must be positive";
+  if base_mpps = Float.infinity then fail "base_mpps must be finite";
+  let factor f =
+    if not (f > 0.0) then fail "factor must be positive";
+    if f = Float.infinity then fail "factor must be finite"
+  in
+  let time name t = if not (t >= 0.0) then fail (name ^ " must be >= 0") in
   List.iter
     (function
-      | Step { factor; _ } | Spike { factor; _ } | Ramp { factor; _ } ->
-          if not (factor > 0.0) then invalid_arg "Fault.surge: factor must be positive")
+      | Step { at_ns; factor = f } ->
+          factor f;
+          time "at_ns" at_ns
+      | Spike { at_ns; duration_ns; factor = f } ->
+          factor f;
+          time "at_ns" at_ns;
+          time "duration_ns" duration_ns
+      | Ramp { from_ns; to_ns; factor = f } ->
+          factor f;
+          time "from_ns" from_ns;
+          if not (to_ns >= from_ns) then fail "to_ns must be >= from_ns")
     shapes;
   { base_mpps; shapes }
 
@@ -347,6 +360,3 @@ let rec draw st faults dropped dup delay =
 
 let transit st ~now_ns =
   if link_partitioned st ~now_ns then T_drop else draw st st.l_faults false nan nan
-
-let link_fault_count p =
-  List.fold_left (fun acc (s : link_spec) -> acc + List.length s.faults) 0 p.link_specs

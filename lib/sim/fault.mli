@@ -35,17 +35,18 @@ val crash : at_ns:float -> string -> spec
 
 val hang : at_ns:float -> duration_ns:float -> string -> spec
 (** @raise Invalid_argument when [at_ns] or [duration_ns] is negative
-    or NaN. *)
+    or NaN. Kept for tests, like {!slowdown}, {!drop}, {!jumble},
+    {!burst} and {!flapping}: the robustness suites write their fault
+    plans with these constructors. *)
 
 val slowdown : at_ns:float -> factor:float -> string -> spec
 (** @raise Invalid_argument when [at_ns] is negative or NaN, or
-    [factor] is not positive (a NaN is rejected too). *)
+    [factor] is not positive (a NaN is rejected too). Kept for tests:
+    see {!hang}. *)
 
 val drop : probability:float -> string -> spec
 (** @raise Invalid_argument unless [probability] is in [[0, 1]] (a NaN
-    is rejected too). *)
-
-val matches : pattern:string -> name:string -> bool
+    is rejected too). Kept for tests: see {!hang}. *)
 
 type core = { events : event list; prng : Nfp_algo.Prng.t }
 (** A core's share of a plan: its matching events plus a private PRNG
@@ -61,9 +62,8 @@ val storm :
     (mean [mtbf_ns]) within [horizon_ns]; draw order is per-core, so
     the storm is stable under reordering of [cores].
     @raise Invalid_argument unless [mtbf_ns > 0] and [horizon_ns] is
-    finite. *)
-
-val event_count : plan -> int
+    finite. Kept for tests: [seed], which the tests vary to check that
+    the storm depends on it. *)
 
 (** {2 Link fault domain}
 
@@ -115,17 +115,21 @@ val link_plan : ?seed:int64 -> link_spec list -> link_plan
 val loss : probability:float -> string -> link_spec
 
 val duplicate : ?gap_ns:float -> probability:float -> string -> link_spec
+(** Kept for tests: [gap_ns], which the tests use to space the
+    duplicate out. *)
 
 val jumble : probability:float -> span_ns:float -> string -> link_spec
+(** Kept for tests: see {!hang}. *)
 
 val burst : p_enter:float -> p_exit:float -> drop:float -> string -> link_spec
+(** Kept for tests: see {!hang}. *)
 
 val partition : at_ns:float -> duration_ns:float -> string -> link_spec
 
 val flapping :
   at_ns:float -> down_ns:float -> up_ns:float -> cycles:int -> string -> link_spec
 (** [cycles] partition windows of [down_ns] each, separated by [up_ns]
-    of health, starting at [at_ns]. *)
+    of health, starting at [at_ns]. Kept for tests: see {!hang}. *)
 
 type link_state = {
   l_name : string;
@@ -160,8 +164,6 @@ val transit : link_state -> now_ns:float -> transit
     process draws (the Gilbert–Elliott chain advances on every
     transit), loss wins over duplication wins over reordering. *)
 
-val link_fault_count : link_plan -> int
-
 (** {2 Surge plans}
 
     Where fault specs perturb cores, surge shapes perturb the {e offered
@@ -182,7 +184,8 @@ type surge = { base_mpps : float; shapes : surge_shape list }
 
 val surge : base_mpps:float -> surge_shape list -> surge
 (** @raise Invalid_argument unless [base_mpps] and every factor are
-    [> 0] (a NaN is rejected too). *)
+    positive and finite, every time and duration is [>= 0], and each
+    ramp's [to_ns >= from_ns] (a NaN is rejected too). *)
 
 val surge_rate : surge -> now_ns:float -> float
 (** The offered load (Mpps) the plan prescribes at [now_ns]. *)

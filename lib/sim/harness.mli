@@ -211,7 +211,8 @@ val run :
     [warmup] packets (default 10%). When [stop] is given it is polled
     periodically; once it returns [true] the simulation is truncated
     and the result reflects only the events executed so far — event
-    order is unaffected either way.
+    order is unaffected either way. Kept for tests: [stop], which the
+    tests use to watch a run mid-flight.
     @raise Invalid_argument if [packets < 0], if a [Uniform], [Poisson]
     or [Burst] rate is not [> 0] (NaN included), or if a burst size is
     below 1. *)
@@ -223,7 +224,8 @@ val parallel_runs : ?domains:int -> (unit -> 'a) list -> 'a list
     results in input order. Each {!run} invocation is fully
     self-contained and seeded, so thunks built from pure generators
     give identical results at any worker count. Thunks must not share
-    mutable state.
+    mutable state. Kept for tests: [domains], which the tests vary to
+    check that results do not depend on the worker count.
     @raise Invalid_argument if [domains < 1]. *)
 
 val max_lossless_mpps :

@@ -2,10 +2,6 @@ let line_rate_bps = 10e9
 
 let framing_overhead_bytes = 20
 
-let max_pps ~frame_bytes =
-  if frame_bytes <= 0 then invalid_arg "Nic.max_pps: frame size must be positive";
-  line_rate_bps /. (float_of_int (frame_bytes + framing_overhead_bytes) *. 8.0)
-
-let max_mpps ~frame_bytes = max_pps ~frame_bytes /. 1e6
-
-let ns_per_packet ~frame_bytes = 1e9 /. max_pps ~frame_bytes
+let max_mpps ~frame_bytes =
+  if frame_bytes <= 0 then invalid_arg "Nic.max_mpps: frame size must be positive";
+  line_rate_bps /. (float_of_int (frame_bytes + framing_overhead_bytes) *. 8.0) /. 1e6

@@ -5,10 +5,6 @@
     14.88 Mpps on a 10 Gbit/s link — the line-speed curve of the
     paper's Fig. 7(b). *)
 
-val max_pps : frame_bytes:int -> float
-(** Packets per second at line rate for a given frame size. *)
-
 val max_mpps : frame_bytes:int -> float
-
-val ns_per_packet : frame_bytes:int -> float
-(** Wire time of one frame. *)
+(** Packets per second at line rate for a given frame size, in
+    millions. @raise Invalid_argument when [frame_bytes <= 0]. *)

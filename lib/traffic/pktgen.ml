@@ -80,10 +80,6 @@ let payload t prng i len =
         Bytes.unsafe_to_string buf
       end
 
-let frame_bytes t i =
-  let prng = prng_of t i in
-  Size_dist.sample prng t.sizes
-
 let packet t i =
   let prng = prng_of t i in
   let size = Size_dist.sample prng t.sizes in

@@ -35,6 +35,5 @@ val packet : t -> int -> Packet.t
 (** The [i]-th packet (freshly allocated each call). *)
 
 val flow_of_index : t -> int -> Flow.t
-
-val frame_bytes : t -> int -> int
-(** Size the [i]-th packet will have. *)
+(** The flow of the [i]-th packet. Kept for tests: the generator tests
+    check the flow cycle with it. *)

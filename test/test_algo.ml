@@ -18,37 +18,26 @@ let ring_tests =
     Alcotest.test_case "fifo order" `Quick (fun () ->
         let r = Ring.create ~capacity:4 in
         List.iter (fun x -> ignore (Ring.enqueue r x)) [ 1; 2; 3 ];
-        check Alcotest.(option int) "first" (Some 1) (Ring.dequeue r);
-        check Alcotest.(option int) "second" (Some 2) (Ring.dequeue r));
+        check Alcotest.int "first" 1 (Ring.dequeue_exn r);
+        check Alcotest.int "second" 2 (Ring.dequeue_exn r));
     Alcotest.test_case "enqueue fails when full" `Quick (fun () ->
         let r = Ring.create ~capacity:2 in
         check Alcotest.bool "1" true (Ring.enqueue r 1);
         check Alcotest.bool "2" true (Ring.enqueue r 2);
         check Alcotest.bool "3 refused" false (Ring.enqueue r 3);
-        check Alcotest.int "rejected" 1 (Ring.rejected_total r);
-        check Alcotest.int "enqueued" 2 (Ring.enqueued_total r));
+        check Alcotest.int "rejected" 1 (Ring.rejected_total r));
     Alcotest.test_case "wrap-around preserves order" `Quick (fun () ->
         let r = Ring.create ~capacity:3 in
         ignore (Ring.enqueue r 1);
         ignore (Ring.enqueue r 2);
-        ignore (Ring.dequeue r);
+        ignore (Ring.dequeue_exn r);
         ignore (Ring.enqueue r 3);
         ignore (Ring.enqueue r 4);
         check
           Alcotest.(list int)
           "drain order" [ 2; 3; 4 ]
-          (List.filter_map (fun () -> Ring.dequeue r) [ (); (); () ]));
-    Alcotest.test_case "peek leaves element" `Quick (fun () ->
-        let r = Ring.create ~capacity:2 in
-        ignore (Ring.enqueue r 9);
-        check Alcotest.(option int) "peek" (Some 9) (Ring.peek r);
-        check Alcotest.int "length" 1 (Ring.length r));
-    Alcotest.test_case "clear resets contents but not stats" `Quick (fun () ->
-        let r = Ring.create ~capacity:2 in
-        ignore (Ring.enqueue r 1);
-        Ring.clear r;
-        check Alcotest.bool "empty" true (Ring.is_empty r);
-        check Alcotest.int "enqueued stat kept" 1 (Ring.enqueued_total r));
+          (List.map (fun () -> Ring.dequeue_exn r) [ (); (); () ]);
+        check Alcotest.bool "empty" true (Ring.is_empty r));
     qtest "ring behaves like a bounded queue"
       QCheck.(pair (int_range 1 8) (list (option small_int)))
       (fun (capacity, ops) ->
@@ -63,17 +52,17 @@ let ring_tests =
                 if model_accepts then Queue.add x model;
                 accepted = model_accepts
             | None ->
-                let got = Ring.dequeue r in
+                let got = if Ring.is_empty r then None else Some (Ring.dequeue_exn r) in
                 let expected = Queue.take_opt model in
                 got = expected)
           ops);
-    (* Burst operations (the breath loop's dequeue_into/enqueue_burst)
-       across the wrap-around seam and the full/empty boundaries. *)
+    (* The breath loop's burst dequeue across the wrap-around seam and
+       the full/empty boundaries. *)
     Alcotest.test_case "dequeue_into drains across the wrap seam" `Quick (fun () ->
         let r = Ring.create ~capacity:4 in
         List.iter (fun x -> ignore (Ring.enqueue r x)) [ 1; 2; 3 ];
-        ignore (Ring.dequeue r);
-        ignore (Ring.dequeue r);
+        ignore (Ring.dequeue_exn r);
+        ignore (Ring.dequeue_exn r);
         ignore (Ring.enqueue r 4);
         ignore (Ring.enqueue r 5);
         (* head is now at slot 2; elements 3,4,5 straddle the seam *)
@@ -97,45 +86,12 @@ let ring_tests =
         Alcotest.check_raises "oob"
           (Invalid_argument "Ring.dequeue_into: destination position out of range")
           (fun () -> ignore (Ring.dequeue_into r (Array.make 2 0) 3 1)));
-    Alcotest.test_case "enqueue_burst fills to capacity and counts rejections"
-      `Quick (fun () ->
-        let r = Ring.create ~capacity:3 in
-        ignore (Ring.enqueue r 0);
-        check Alcotest.int "partial" 2 (Ring.enqueue_burst r [| 1; 2; 3; 4 |] 0 4);
-        check Alcotest.bool "full" true (Ring.is_full r);
-        check Alcotest.int "rejected" 2 (Ring.rejected_total r);
-        check Alcotest.int "enqueued" 3 (Ring.enqueued_total r);
-        check Alcotest.(option int) "fifo head" (Some 0) (Ring.dequeue r);
-        check Alcotest.(option int) "then burst" (Some 1) (Ring.dequeue r));
-    Alcotest.test_case "enqueue_burst into a full ring rejects everything" `Quick
-      (fun () ->
-        let r = Ring.create ~capacity:2 in
-        ignore (Ring.enqueue r 1);
-        ignore (Ring.enqueue r 2);
-        check Alcotest.int "none" 0 (Ring.enqueue_burst r [| 3; 4 |] 0 2);
-        check Alcotest.int "rejected" 2 (Ring.rejected_total r));
-    Alcotest.test_case "enqueue_burst wraps around the seam" `Quick (fun () ->
-        let r = Ring.create ~capacity:4 in
-        List.iter (fun x -> ignore (Ring.enqueue r x)) [ 9; 9; 9 ];
-        ignore (Ring.dequeue r);
-        ignore (Ring.dequeue r);
-        ignore (Ring.dequeue r);
-        (* head at slot 3, empty: a burst of 3 must wrap *)
-        check Alcotest.int "all in" 3 (Ring.enqueue_burst r [| 1; 2; 3 |] 0 3);
-        let dst = Array.make 3 0 in
-        ignore (Ring.dequeue_into r dst 0 3);
-        check Alcotest.(list int) "fifo across seam" [ 1; 2; 3 ] (Array.to_list dst));
-    Alcotest.test_case "enqueue_burst validates its range" `Quick (fun () ->
-        let r = Ring.create ~capacity:2 in
-        Alcotest.check_raises "overrun"
-          (Invalid_argument "Ring.enqueue_burst: range overruns source") (fun () ->
-            ignore (Ring.enqueue_burst r [| 1; 2 |] 1 2)));
     qtest "burst ops behave like loops of single ops"
       QCheck.(
         pair (int_range 1 8)
           (small_list (pair bool (pair (int_range 0 9) small_int))))
       (fun (capacity, ops) ->
-        (* (true, (n, x)) = enqueue_burst of [x; x+1; ..] length n;
+        (* (true, (n, x)) = enqueues of [x; x+1; ..] length n;
            (false, (n, _)) = dequeue_into of up to n. The model runs the
            same op as single enqueues/dequeues on a Queue; acceptance
            counts, rejection stats, and drained prefixes must agree. *)
@@ -146,7 +102,9 @@ let ring_tests =
           (fun (is_enq, (n, x)) ->
             if is_enq then begin
               let src = Array.init n (fun i -> x + i) in
-              let accepted = Ring.enqueue_burst r src 0 n in
+              let accepted =
+                Array.fold_left (fun k v -> if Ring.enqueue r v then k + 1 else k) 0 src
+              in
               let model_accepted = min n (capacity - Queue.length model) in
               for i = 0 to model_accepted - 1 do
                 Queue.add src.(i) model
@@ -202,22 +160,7 @@ let lpm_tests =
         let t = Lpm.create () in
         Lpm.add t ~prefix:(ip 10 0 0 0) ~len:8 1;
         Lpm.add t ~prefix:(ip 10 0 0 0) ~len:8 2;
-        check Alcotest.(option int) "new value" (Some 2) (Lpm.lookup t (ip 10 3 0 0));
-        check Alcotest.int "entries" 1 (Lpm.entries t));
-    Alcotest.test_case "remove restores shorter match" `Quick (fun () ->
-        let t = Lpm.create () in
-        Lpm.add t ~prefix:(ip 10 0 0 0) ~len:8 1;
-        Lpm.add t ~prefix:(ip 10 1 0 0) ~len:16 2;
-        Lpm.remove t ~prefix:(ip 10 1 0 0) ~len:16;
-        check Alcotest.(option int) "/8 again" (Some 1) (Lpm.lookup t (ip 10 1 0 1));
-        check Alcotest.int "entries" 1 (Lpm.entries t));
-    Alcotest.test_case "remove of a missing prefix is a no-op" `Quick (fun () ->
-        let t = Lpm.create () in
-        Lpm.add t ~prefix:(ip 10 0 0 0) ~len:8 1;
-        Lpm.remove t ~prefix:(ip 11 0 0 0) ~len:8;
-        Lpm.remove t ~prefix:(ip 10 0 0 0) ~len:16;
-        check Alcotest.int "entries" 1 (Lpm.entries t);
-        check Alcotest.(option int) "still routes" (Some 1) (Lpm.lookup t (ip 10 1 1 1)));
+        check Alcotest.(option int) "new value" (Some 2) (Lpm.lookup t (ip 10 3 0 0)));
     Alcotest.test_case "invalid prefix length" `Quick (fun () ->
         let t : unit Lpm.t = Lpm.create () in
         Alcotest.check_raises "too long"
@@ -333,7 +276,6 @@ let aho_tests =
         check Alcotest.int "both fire" 2 (List.length hits));
     Alcotest.test_case "empty patterns ignored" `Quick (fun () ->
         let t = Aho_corasick.build [ ""; "x" ] in
-        check Alcotest.int "count" 1 (Aho_corasick.pattern_count t);
         check Alcotest.bool "no empty match" false (Aho_corasick.matches t "abc"));
     Alcotest.test_case "empty text" `Quick (fun () ->
         let t = Aho_corasick.build [ "x" ] in
@@ -382,7 +324,16 @@ let aho_tests =
 let aes_tests =
   [
     Alcotest.test_case "FIPS-197 known answer" `Quick (fun () ->
-        check Alcotest.bool "selftest" true (Aes.selftest ()));
+        (* FIPS-197 C.1: key 000102...0f, plaintext 00112233...ff. *)
+        let k = Aes.expand_key (String.init 16 Char.chr) in
+        let plain = Bytes.init 16 (fun i -> Char.chr ((i * 0x11) land 0xff)) in
+        let buf = Bytes.copy plain in
+        Aes.encrypt_block k buf ~pos:0;
+        check Alcotest.string "cipher"
+          "\x69\xc4\xe0\xd8\x6a\x7b\x04\x30\xd8\xcd\xb7\x80\x70\xb4\xc5\x5a"
+          (Bytes.to_string buf);
+        Aes.decrypt_block k buf ~pos:0;
+        check Alcotest.bytes "plain" plain buf);
     Alcotest.test_case "NIST SP 800-38A ECB vectors" `Quick (fun () ->
         (* Key 2b7e151628aed2a6abf7158809cf4f3c over the four standard
            plaintext blocks. *)
@@ -653,14 +604,13 @@ let flow_table_tests =
         check (Alcotest.option Alcotest.int) "present" (Some 17) (find t 1);
         check (Alcotest.option Alcotest.int) "absent" None (find t 2);
         check Alcotest.int "hits" 1 (Flow_table.hits t);
-        check Alcotest.int "misses" 1 (Flow_table.misses t);
-        check Alcotest.int "length" 1 (Flow_table.length t));
+        check Alcotest.int "misses" 1 (Flow_table.misses t));
     Alcotest.test_case "overwrite keeps one entry" `Quick (fun () ->
         let t = Flow_table.create ~capacity:64 () in
         put t 3 1;
         put t 3 2;
         check (Alcotest.option Alcotest.int) "updated" (Some 2) (find t 3);
-        check Alcotest.int "length" 1 (Flow_table.length t));
+        check Alcotest.int "no eviction" 0 (Flow_table.evictions t));
     Alcotest.test_case "zero values are cacheable (negative results)" `Quick (fun () ->
         let t = Flow_table.create ~capacity:64 () in
         put t 9 0;
@@ -670,7 +620,15 @@ let flow_table_tests =
         Alcotest.check_raises "neg" (Invalid_argument "Flow_table.put_packed: negative value")
           (fun () -> put t 1 (-1)));
     Alcotest.test_case "capacity rounded to a power of two" `Quick (fun () ->
-        check Alcotest.int "48 -> 64" 64 (Flow_table.capacity (Flow_table.create ~capacity:48 ()));
+        (* Entries are never deleted, so 1000 puts fill every slot, and
+           the keys that still read back are one per slot: 48 rounds
+           up to 64. *)
+        let t = Flow_table.create ~capacity:48 () in
+        for i = 0 to 999 do
+          put t i i
+        done;
+        let resident = List.filter (fun i -> find t i <> None) (List.init 1000 Fun.id) in
+        check Alcotest.int "48 -> 64" 64 (List.length resident);
         Alcotest.check_raises "zero" (Invalid_argument "Flow_table.create: capacity must be positive")
           (fun () -> ignore (Flow_table.create ~capacity:0 ())));
     Alcotest.test_case "overflow evicts instead of growing" `Quick (fun () ->
@@ -679,7 +637,6 @@ let flow_table_tests =
           put t i i
         done;
         check Alcotest.bool "evicted" true (Flow_table.evictions t > 0);
-        check Alcotest.bool "bounded" true (Flow_table.length t <= Flow_table.capacity t);
         (* Whatever survives must still read back correctly. *)
         let good = ref 0 in
         for i = 0 to 499 do
@@ -687,15 +644,8 @@ let flow_table_tests =
           | Some v -> check Alcotest.int "value" i v; incr good
           | None -> ()
         done;
-        check Alcotest.bool "some survived" true (!good > 0));
-    Alcotest.test_case "clear empties entries but keeps counters" `Quick (fun () ->
-        let t = Flow_table.create ~capacity:64 () in
-        put t 1 5;
-        ignore (find t 1);
-        Flow_table.clear t;
-        check Alcotest.int "length" 0 (Flow_table.length t);
-        check (Alcotest.option Alcotest.int) "gone" None (find t 1);
-        check Alcotest.int "hits kept" 1 (Flow_table.hits t));
+        check Alcotest.bool "some survived" true (!good > 0);
+        check Alcotest.bool "bounded" true (!good <= 32));
     qtest ~count:50 "random load: every undisplaced key reads its value"
       QCheck.(int_range 1 400)
       (fun n ->
@@ -844,7 +794,8 @@ let bucket_tests =
         check Alcotest.bool "after 50ns" true (Token_bucket.admit b ~now_ns:50L ~size:50));
     Alcotest.test_case "refill capped at burst" `Quick (fun () ->
         let b = Token_bucket.create ~rate_bps:8e9 ~burst_bytes:100 in
-        check Alcotest.(float 0.01) "capped" 100.0 (Token_bucket.available b ~now_ns:1_000_000L));
+        check Alcotest.bool "full burst" true (Token_bucket.admit b ~now_ns:1_000_000L ~size:100);
+        check Alcotest.bool "capped" false (Token_bucket.admit b ~now_ns:1_000_000L ~size:1));
     Alcotest.test_case "rejection does not consume" `Quick (fun () ->
         let b = Token_bucket.create ~rate_bps:8e9 ~burst_bytes:100 in
         ignore (Token_bucket.admit b ~now_ns:0L ~size:60);
@@ -899,12 +850,8 @@ let stats_tests =
     Alcotest.test_case "min and max" `Quick (fun () ->
         let s = Stats.create () in
         List.iter (Stats.add s) [ 3.0; 1.0; 2.0 ];
-        check (Alcotest.float 1e-9) "min" 1.0 (Stats.min_value s);
-        check (Alcotest.float 1e-9) "max" 3.0 (Stats.max_value s));
-    Alcotest.test_case "stddev of constant is zero" `Quick (fun () ->
-        let s = Stats.create () in
-        List.iter (Stats.add s) [ 5.0; 5.0; 5.0 ];
-        check (Alcotest.float 1e-9) "zero" 0.0 (Stats.stddev s));
+        check (Alcotest.float 1e-9) "min" 1.0 (Stats.percentile s 0.0);
+        check (Alcotest.float 1e-9) "max" 3.0 (Stats.percentile s 100.0));
     Alcotest.test_case "percentile nearest rank" `Quick (fun () ->
         let s = Stats.create () in
         List.iter (Stats.add s) (List.init 100 (fun i -> float_of_int (i + 1)));
@@ -916,19 +863,21 @@ let stats_tests =
         check (Alcotest.float 1e-9) "mean 0" 0.0 (Stats.mean s);
         Alcotest.check_raises "percentile" (Invalid_argument "Stats.percentile: empty")
           (fun () -> ignore (Stats.percentile s 50.0)));
-    Alcotest.test_case "merge combines samples" `Quick (fun () ->
-        let a = Stats.create () and b = Stats.create () in
-        Stats.add a 1.0;
-        Stats.add b 3.0;
-        let m = Stats.merge a b in
-        check Alcotest.int "count" 2 (Stats.count m);
-        check (Alcotest.float 1e-9) "mean" 2.0 (Stats.mean m));
     Alcotest.test_case "adding after sorting still works" `Quick (fun () ->
         let s = Stats.create () in
         List.iter (Stats.add s) [ 2.0; 1.0 ];
-        ignore (Stats.min_value s);
+        ignore (Stats.percentile s 0.0);
         Stats.add s 0.5;
-        check (Alcotest.float 1e-9) "new min" 0.5 (Stats.min_value s));
+        check (Alcotest.float 1e-9) "new min" 0.5 (Stats.percentile s 0.0));
+    Alcotest.test_case "percentile rejects NaN and out-of-range ranks" `Quick (fun () ->
+        let s = Stats.create () in
+        List.iter (Stats.add s) [ 1.0; 2.0; 3.0; 100.0 ];
+        List.iter
+          (fun p ->
+            Alcotest.check_raises (Printf.sprintf "p=%g" p)
+              (Invalid_argument "Stats.percentile: p out of [0,100]") (fun () ->
+                ignore (Stats.percentile s p)))
+          [ Float.nan; -1.0; 100.5; Float.infinity ]);
   ]
 
 let prng_tests =
@@ -936,11 +885,11 @@ let prng_tests =
     Alcotest.test_case "same seed, same stream" `Quick (fun () ->
         let a = Prng.create ~seed:1L and b = Prng.create ~seed:1L in
         for _ = 1 to 10 do
-          check Alcotest.int64 "step" (Prng.next a) (Prng.next b)
+          check (Alcotest.float 0.0) "step" (Prng.float a) (Prng.float b)
         done);
     Alcotest.test_case "different seeds differ" `Quick (fun () ->
         let a = Prng.create ~seed:1L and b = Prng.create ~seed:2L in
-        check Alcotest.bool "differ" true (Prng.next a <> Prng.next b));
+        check Alcotest.bool "differ" true (Prng.float a <> Prng.float b));
     Alcotest.test_case "float stays in [0,1)" `Quick (fun () ->
         let p = Prng.create ~seed:3L in
         for _ = 1 to 1000 do
@@ -966,30 +915,34 @@ let prng_tests =
     Alcotest.test_case "split produces an independent stream" `Quick (fun () ->
         let a = Prng.create ~seed:6L in
         let b = Prng.split a in
-        check Alcotest.bool "differ" true (Prng.next a <> Prng.next b));
+        check Alcotest.bool "differ" true (Prng.float a <> Prng.float b));
     Alcotest.test_case "limb implementation matches the Int64 reference" `Quick
       (fun () ->
         (* The production PRNG carries SplitMix64 in native-int limbs;
-           hold it to the boxed Int64 formulation it replaced. *)
+           hold it to the boxed Int64 formulation it replaced. Every
+           other step is a [split], which seeds a child with all 64
+           bits of the step's output; the child's first draw checks
+           them. *)
         let golden = 0x9e3779b97f4a7c15L in
+        let to_float x =
+          Int64.to_float (Int64.shift_right_logical x 11) /. 9007199254740992.0
+        in
         let ref_state = ref 0L in
         let ref_next () =
           ref_state := Int64.add !ref_state golden;
           Hashing.mix64 !ref_state
         in
-        let ref_float () =
-          let bits = Int64.shift_right_logical (ref_next ()) 11 in
-          Int64.to_float bits /. 9007199254740992.0
-        in
+        let ref_float () = to_float (ref_next ()) in
         List.iter
           (fun seed ->
             ref_state := seed;
             let p = Prng.create ~seed in
             for i = 1 to 5000 do
               if i mod 2 = 0 then
-                check Alcotest.int64
-                  (Printf.sprintf "next %Ld/%d" seed i)
-                  (ref_next ()) (Prng.next p)
+                check (Alcotest.float 0.0)
+                  (Printf.sprintf "split %Ld/%d" seed i)
+                  (to_float (Hashing.mix64 (Int64.add (ref_next ()) golden)))
+                  (Prng.float (Prng.split p))
               else
                 check (Alcotest.float 0.0)
                   (Printf.sprintf "float %Ld/%d" seed i)

@@ -66,8 +66,6 @@ let onvm_tests =
         in
         let l1 = latency 1 and l4 = latency 4 in
         if l4 <= l1 then Alcotest.failf "latency did not grow: %.0f vs %.0f" l1 l4);
-    Alcotest.test_case "core accounting includes the switch" `Quick (fun () ->
-        check Alcotest.int "cores" 4 (Nfp_baseline.Opennetvm.core_count ~nfs:(fw_chain 3 ())));
   ]
 
 let bess_tests =

@@ -164,7 +164,6 @@ let structure_tests =
           |]
         in
         let clf = Classifier.create table in
-        check Alcotest.int "rules" 5 (Classifier.rule_count clf);
         check Alcotest.int "shapes" 3 (Classifier.group_count clf));
     Alcotest.test_case "a /0 prefix is the same shape as no prefix" `Quick (fun () ->
         let table =

@@ -625,12 +625,12 @@ let registry_tests =
         check Alcotest.bool "no NAT" true
           (not (List.mem_assoc "NAT" (Registry.weighted_kinds ()))));
     Alcotest.test_case "register adds a new NF type" `Quick (fun () ->
-        Registry.register ~kind:"TestOnlyNf" ~profile:[ Action.Read Field.Ttl ] ();
+        Registry.register ~kind:"TestOnlyNf" ~profile:[ Action.Read Field.Ttl ];
         check Alcotest.bool "registered" true
           (Registry.profile_of "TestOnlyNf" = [ Action.Read Field.Ttl ]));
     Alcotest.test_case "register overwrites an existing profile" `Quick (fun () ->
-        Registry.register ~kind:"TestOnlyNf2" ~profile:[ Action.Drop ] ();
-        Registry.register ~kind:"TestOnlyNf2" ~profile:[ Action.Read Field.Tos ] ();
+        Registry.register ~kind:"TestOnlyNf2" ~profile:[ Action.Drop ];
+        Registry.register ~kind:"TestOnlyNf2" ~profile:[ Action.Read Field.Tos ];
         check Alcotest.bool "overwritten" true
           (Registry.profile_of "TestOnlyNf2" = [ Action.Read Field.Tos ]));
     Alcotest.test_case "instantiate covers every built-in type" `Quick (fun () ->
@@ -675,9 +675,6 @@ let action_tests =
     Alcotest.test_case "normalize sorts and dedups" `Quick (fun () ->
         let p = Action.[ Drop; Read Field.Sip; Drop; Read Field.Sip ] in
         check Alcotest.int "dedup" 2 (List.length (Action.normalize p)));
-    Alcotest.test_case "read_write expands" `Quick (fun () ->
-        check Alcotest.bool "rw" true
-          (Action.read_write Field.Sip = Action.[ Read Field.Sip; Write Field.Sip ]));
     Alcotest.test_case "profile predicates" `Quick (fun () ->
         let p = Action.[ Read Field.Sip; Write Field.Dip; Add_rm_header ] in
         check Alcotest.bool "reads" true (Action.reads p = [ Field.Sip ]);

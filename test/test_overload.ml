@@ -29,7 +29,7 @@ let raises_invalid name f =
 (* ------------------------------------------------------------------ *)
 
 let fill r n = for _ = 1 to n do assert (Nfp_algo.Ring.enqueue r ()) done
-let drain r n = for _ = 1 to n do ignore (Nfp_algo.Ring.dequeue r) done
+let drain r n = for _ = 1 to n do ignore (Nfp_algo.Ring.dequeue_exn r) done
 
 let ring_tests =
   [
@@ -96,12 +96,8 @@ let ring_tests =
         for i = 1 to 12 do
           assert (Nfp_algo.Ring.enqueue r i);
           if i mod 2 = 0 then (
-            (match Nfp_algo.Ring.dequeue r with
-            | Some x -> out := x :: !out
-            | None -> Alcotest.fail "unexpected empty");
-            match Nfp_algo.Ring.dequeue r with
-            | Some x -> out := x :: !out
-            | None -> Alcotest.fail "unexpected empty")
+            out := Nfp_algo.Ring.dequeue_exn r :: !out;
+            out := Nfp_algo.Ring.dequeue_exn r :: !out)
         done;
         check
           Alcotest.(list int)
@@ -112,7 +108,7 @@ let ring_tests =
         let r = Nfp_algo.Ring.create ~capacity:4 in
         Nfp_algo.Ring.set_watermarks r ~high:4 ~low:0;
         fill r 4;
-        check Alcotest.bool "full" true (Nfp_algo.Ring.is_full r);
+        check Alcotest.int "full" 4 (Nfp_algo.Ring.length r);
         check Alcotest.bool "pressured only when full" true
           (Nfp_algo.Ring.pressured r);
         check Alcotest.bool "refused at capacity" false
@@ -131,16 +127,6 @@ let ring_tests =
             Nfp_algo.Ring.set_watermarks r ~high:2 ~low:2);
         raises_invalid "negative low" (fun () ->
             Nfp_algo.Ring.set_watermarks r ~high:2 ~low:(-1)));
-    Alcotest.test_case "clear_watermarks disarms and releases" `Quick (fun () ->
-        let r = Nfp_algo.Ring.create ~capacity:8 in
-        Nfp_algo.Ring.set_watermarks r ~high:4 ~low:1;
-        fill r 4;
-        check Alcotest.bool "latched" true (Nfp_algo.Ring.pressured r);
-        Nfp_algo.Ring.clear_watermarks r;
-        check Alcotest.bool "disarmed" false (Nfp_algo.Ring.pressured r);
-        fill r 4;
-        check Alcotest.bool "stays off when disarmed" false
-          (Nfp_algo.Ring.pressured r));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -176,10 +162,10 @@ let bucket_tests =
         check Alcotest.bool "exactly the refill admits" true
           (Nfp_algo.Token_bucket.admit b ~now_ns:500_000_000L ~size:500);
         (* A long idle period refills to the burst cap, no further. *)
-        check
-          (Alcotest.float 1e-6)
-          "capped at burst" 1000.0
-          (Nfp_algo.Token_bucket.available b ~now_ns:100_000_000_000L));
+        check Alcotest.bool "a full burst after idling" true
+          (Nfp_algo.Token_bucket.admit b ~now_ns:100_000_000_000L ~size:1000);
+        check Alcotest.bool "capped at burst" false
+          (Nfp_algo.Token_bucket.admit b ~now_ns:100_000_000_000L ~size:1));
   ]
 
 (* ------------------------------------------------------------------ *)

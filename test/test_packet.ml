@@ -31,11 +31,6 @@ let field_tests =
         check Alcotest.bool "SIP" true (Field.of_string "SIP" = Some Field.Sip));
     Alcotest.test_case "of_string rejects junk" `Quick (fun () ->
         check Alcotest.bool "junk" true (Field.of_string "bogus" = None));
-    Alcotest.test_case "payload and length are the non-header fields" `Quick (fun () ->
-        check
-          Alcotest.(list bool)
-          "is_header" [ true; true; true; true; true; true; true; false; false ]
-          (List.map Field.is_header Field.all));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -43,34 +38,55 @@ let field_tests =
 (* ------------------------------------------------------------------ *)
 
 let meta_tests =
+  (* The metadata lives flat in the packet: [Packet.stamp] checks the
+     widths and the accessors read the components back. *)
+  let stamped ~mid ~pid ~version =
+    let p = fresh () in
+    Packet.stamp p ~mid ~pid ~version;
+    (Packet.mid p, Packet.pid p, Packet.version p)
+  in
+  let meta_t = Alcotest.(triple int int64 int) in
   [
-    Alcotest.test_case "encode/decode roundtrip" `Quick (fun () ->
-        let m = Meta.make ~mid:12345 ~pid:987654321L ~version:7 in
-        check Alcotest.bool "roundtrip" true (Meta.equal m (Meta.decode (Meta.encode m))));
     Alcotest.test_case "field widths enforced" `Quick (fun () ->
+        let p = fresh () in
         Alcotest.check_raises "mid" (Invalid_argument "Meta.make: mid out of 20-bit range")
-          (fun () -> ignore (Meta.make ~mid:(1 lsl 20) ~pid:0L ~version:0));
+          (fun () -> Packet.stamp p ~mid:(1 lsl 20) ~pid:0L ~version:0);
+        Alcotest.check_raises "pid" (Invalid_argument "Meta.make: pid out of 40-bit range")
+          (fun () -> Packet.stamp p ~mid:0 ~pid:(Int64.shift_left 1L 40) ~version:0);
         Alcotest.check_raises "version"
           (Invalid_argument "Meta.make: version out of 4-bit range") (fun () ->
-            ignore (Meta.make ~mid:0 ~pid:0L ~version:16)));
+            Packet.stamp p ~mid:0 ~pid:0L ~version:16);
+        Alcotest.check_raises "set_version"
+          (Invalid_argument "Meta.make: version out of 4-bit range") (fun () ->
+            Packet.set_version p 16));
     Alcotest.test_case "extremes roundtrip" `Quick (fun () ->
-        let m =
-          Meta.make ~mid:((1 lsl 20) - 1)
-            ~pid:(Int64.sub (Int64.shift_left 1L 40) 1L)
-            ~version:15
-        in
-        check Alcotest.bool "max" true (Meta.equal m (Meta.decode (Meta.encode m))));
+        let mid = (1 lsl 20) - 1 and pid = Int64.sub (Int64.shift_left 1L 40) 1L in
+        check meta_t "max" (mid, pid, 15) (stamped ~mid ~pid ~version:15));
     Alcotest.test_case "with_version keeps mid and pid" `Quick (fun () ->
-        let m = Meta.make ~mid:3 ~pid:42L ~version:1 in
-        let m2 = Meta.with_version m 5 in
-        check Alcotest.int "mid" 3 m2.Meta.mid;
-        check Alcotest.int64 "pid" 42L m2.Meta.pid;
-        check Alcotest.int "version" 5 m2.Meta.version);
+        let p = fresh () in
+        Packet.stamp p ~mid:3 ~pid:42L ~version:1;
+        Packet.set_version p 5;
+        check meta_t "retagged" (3, 42L, 5) (Packet.mid p, Packet.pid p, Packet.version p));
     qtest "roundtrip over random metadata"
       QCheck.(triple (int_range 0 0xfffff) (int_range 0 0x3fffffff) (int_range 0 15))
       (fun (mid, pid, version) ->
-        let m = Meta.make ~mid ~pid:(Int64.of_int pid) ~version in
-        Meta.equal m (Meta.decode (Meta.encode m)));
+        let pid = Int64.of_int pid in
+        stamped ~mid ~pid ~version = (mid, pid, version));
+    Alcotest.test_case "pp prints the flat metadata" `Quick (fun () ->
+        let p = fresh ~payload:"abc" () in
+        Packet.stamp p ~mid:7 ~pid:1234567L ~version:1;
+        let c = Packet.header_only_copy p ~version:3 in
+        let shown q = Format.asprintf "%a" Packet.pp q in
+        check Alcotest.string "stamped"
+          "10.1.2.3:1234 -> 172.16.0.9:80 (proto 6) len=57B ttl=64 tos=0 [mid=7 pid=1234567 v1]"
+          (shown p);
+        check Alcotest.string "copy"
+          "10.1.2.3:1234 -> 172.16.0.9:80 (proto 6) len=54B ttl=64 tos=0 [mid=7 pid=1234567 v3]"
+          (shown c);
+        Packet.set_version c 2;
+        check Alcotest.string "retagged"
+          "10.1.2.3:1234 -> 172.16.0.9:80 (proto 6) len=54B ttl=64 tos=0 [mid=7 pid=1234567 v2]"
+          (shown c));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -122,7 +138,7 @@ let packet_tests =
     Alcotest.test_case "udp packet layout" `Quick (fun () ->
         let p = fresh ~flow:udp_flow ~payload:"xyz" () in
         check Alcotest.int "wire length" (14 + 20 + 8 + 3) (Packet.wire_length p);
-        check Alcotest.bool "is udp" true (Packet.l4_protocol p = Packet.Udp));
+        check Alcotest.int "udp header" (14 + 20 + 8) (Packet.header_length p));
     Alcotest.test_case "no transport header for other protocols" `Quick (fun () ->
         let p = fresh ~flow:icmp_flow ~payload:"ping" () in
         check Alcotest.int "wire length" (14 + 20 + 4) (Packet.wire_length p);
@@ -237,12 +253,12 @@ let packet_tests =
         check Alcotest.bool "none" true (Packet.remove_ah (fresh ()) = None));
     Alcotest.test_case "header-only copy" `Quick (fun () ->
         let p = fresh ~payload:(String.make 1000 'x') () in
-        Packet.set_meta p (Meta.make ~mid:5 ~pid:77L ~version:1);
+        Packet.stamp p ~mid:5 ~pid:77L ~version:1;
         let c = Packet.header_only_copy p ~version:2 in
         check Alcotest.int "54 bytes" 54 (Packet.wire_length c);
         check Alcotest.string "no payload" "" (Packet.payload c);
-        check Alcotest.int "version tagged" 2 (Packet.meta c).Meta.version;
-        check Alcotest.int64 "pid kept" 77L (Packet.meta c).Meta.pid;
+        check Alcotest.int "version tagged" 2 (Packet.version c);
+        check Alcotest.int64 "pid kept" 77L (Packet.pid c);
         check Alcotest.bool "valid checksum" true (Packet.ip_checksum_valid c);
         (match Packet.of_bytes (Packet.to_bytes c) with
         | Ok _ -> ()
@@ -358,7 +374,9 @@ let packet_tests =
               ~dport:(if ports then v lxor 0x1234 else 0)
               ~proto
           in
-          let p = Packet.create ~ttl:(v land 0xff) ~tos:(v lsr 8) ~flow ~payload () in
+          let p = Packet.create ~flow ~payload () in
+          Packet.set_ttl p (v land 0xff);
+          Packet.set_tos p (v lsr 8);
           if ah then Packet.add_ah p ~spi:(Int32.of_int v) ~seq:1l ~icv:2l;
           p
         in

@@ -130,10 +130,10 @@ let validate_tests =
             ~bindings:[ ("fw", "Firewall"); ("mon", "Monitor") ]
             [ Rule.Order ("fw", "mon") ]
         in
-        check Alcotest.bool "valid" true (Validate.is_valid p));
+        check Alcotest.bool "valid" true (Validate.check p = []));
     Alcotest.test_case "type names usable without bindings" `Quick (fun () ->
         let p = mk [ Rule.Order ("VPN", "Monitor") ] in
-        check Alcotest.bool "valid" true (Validate.is_valid p));
+        check Alcotest.bool "valid" true (Validate.check p = []));
     Alcotest.test_case "unknown NF reported" `Quick (fun () ->
         let p = mk [ Rule.Order ("nothere", "Monitor") ] in
         check Alcotest.bool "conflict" true
@@ -172,7 +172,7 @@ let validate_tests =
         let p =
           mk [ Rule.Order ("VPN", "Monitor"); Rule.Order ("Monitor", "Firewall") ]
         in
-        check Alcotest.bool "valid" true (Validate.is_valid p));
+        check Alcotest.bool "valid" true (Validate.check p = []));
     Alcotest.test_case "priority both ways" `Quick (fun () ->
         let p = mk [ Rule.Priority ("Firewall", "Monitor"); Rule.Priority ("Monitor", "Firewall") ] in
         check Alcotest.bool "conflict" true
@@ -198,7 +198,7 @@ let validate_tests =
           (has_conflict p (function Validate.Position_order_conflict _ -> true | _ -> false)));
     Alcotest.test_case "consistent position plus order passes" `Quick (fun () ->
         let p = mk [ Rule.Position ("VPN", Rule.First); Rule.Order ("VPN", "Monitor") ] in
-        check Alcotest.bool "valid" true (Validate.is_valid p));
+        check Alcotest.bool "valid" true (Validate.check p = []));
     Alcotest.test_case "self-order reported" `Quick (fun () ->
         let p = mk [ Rule.Order ("Firewall", "Firewall") ] in
         check Alcotest.bool "conflict" true
