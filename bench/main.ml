@@ -715,14 +715,12 @@ let run_micro () =
   let aes = Nfp_algo.Aes.expand_key "0123456789abcdef" in
   let block = Bytes.make 16 'b' in
   let lpm =
-    let t = Nfp_algo.Lpm.create () in
-    for i = 0 to 999 do
-      Nfp_algo.Lpm.add t
-        ~prefix:(Int32.of_int ((10 lsl 24) lor (i lsl 8)))
-        ~len:24 i
-    done;
-    t
+    Nfp_algo.Lpm.of_list
+      (List.init 1000 (fun i -> (Int32.of_int ((10 lsl 24) lor (i lsl 8)), 24, i)))
   in
+  (* The Firewall's default 100-rule ACL, which [flow] misses: every
+     rule is examined. *)
+  let acl = Nfp_nf.Firewall.compile (Nfp_nf.Firewall.default_acl 100) in
   let aho = Nfp_algo.Aho_corasick.build (Nfp_nf.Ids.default_signatures 100) in
   let payload = String.make 1446 'Q' in
   (* The west-east chain's NFs on a frame of the IMC mean size: the IPS
@@ -872,6 +870,7 @@ let run_micro () =
         kernel "5-tuple hash" (fun () -> Nfp_packet.Flow.hash flow);
         kernel "LPM lookup (1000 routes)" (fun () -> Nfp_algo.Lpm.lookup lpm 0x0a1702a9l);
         kernel "LPM lookup, int address" (fun () -> Nfp_algo.Lpm.lookup_int lpm 0x0a1702a9);
+        kernel "firewall ACL, 100 rules (no match)" (fun () -> Nfp_nf.Firewall.denies acl pkt1500);
         kernel "engine schedule+pop (1k heap)" schedule_pop;
         kernel "ingress line send+fire" line_send_fire;
         kernel "server breath (1 job)" breath;

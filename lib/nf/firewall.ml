@@ -19,20 +19,53 @@ let any_rule ~permit =
     permit;
   }
 
-let prefix_matches (prefix, len) addr =
-  len = 0
-  ||
-  let mask = Int32.shift_left (-1l) (32 - len) in
-  Int32.equal (Int32.logand addr mask) (Int32.logand prefix mask)
+(* A compiled ACL: [stride] ints per rule, in rule order: source and
+   destination prefix as (address bits under the mask, mask) in the
+   unsigned form [Packet.sip_int] reads, the two inclusive port ranges,
+   the protocol or -1 for any, and 1 for deny. *)
+type acl = int array
 
-let in_range (lo, hi) v = v >= lo && v <= hi
+let stride = 10
 
-let matches rule pkt =
-  prefix_matches rule.sip_prefix (Packet.sip pkt)
-  && prefix_matches rule.dip_prefix (Packet.dip pkt)
-  && in_range rule.sport_range (Packet.sport pkt)
-  && in_range rule.dport_range (Packet.dport pkt)
-  && match rule.proto with None -> true | Some p -> p = Packet.proto pkt
+let prefix_mask len =
+  if len < 0 || len > 32 then invalid_arg "Firewall.compile: prefix length must be in [0, 32]";
+  0xffff_ffff lxor ((1 lsl (32 - len)) - 1)
+
+let compile_rule r =
+  let (sip, sip_len), (dip, dip_len) = (r.sip_prefix, r.dip_prefix) in
+  let sip_mask = prefix_mask sip_len and dip_mask = prefix_mask dip_len in
+  let proto =
+    match r.proto with
+    | None -> -1
+    | Some p when p < 0 || p > 255 -> invalid_arg "Firewall.compile: proto must be in [0, 255]"
+    | Some p -> p
+  in
+  [|
+    Int32.to_int sip land sip_mask; sip_mask;
+    Int32.to_int dip land dip_mask; dip_mask;
+    fst r.sport_range; snd r.sport_range;
+    fst r.dport_range; snd r.dport_range;
+    proto; Bool.to_int (not r.permit);
+  |]
+
+let compile rules = Array.concat (List.map compile_rule rules)
+
+(* The first rule matching the packet's fields decides: a top-level
+   loop over immediate ints, so no closure is built per packet. *)
+let rec first_match acl o sip dip sport dport proto =
+  if o >= Array.length acl then false
+  else if
+    sip land acl.(o + 1) = acl.(o)
+    && dip land acl.(o + 3) = acl.(o + 2)
+    && sport >= acl.(o + 4) && sport <= acl.(o + 5)
+    && dport >= acl.(o + 6) && dport <= acl.(o + 7)
+    && (acl.(o + 8) < 0 || acl.(o + 8) = proto)
+  then acl.(o + 9) = 1
+  else first_match acl (o + stride) sip dip sport dport proto
+
+let denies acl pkt =
+  first_match acl 0 (Packet.sip_int pkt) (Packet.dip_int pkt) (Packet.sport pkt)
+    (Packet.dport pkt) (Packet.proto pkt)
 
 let default_acl n =
   (* Deny a spread of /24s and port bands; deterministic so tests and
@@ -78,15 +111,17 @@ let merge states =
 
 let rec create ?(name = "fw") ?(extra_cycles = 0) ?acl () =
   let acl = match acl with Some a -> a | None -> default_acl 100 in
+  let compiled = compile acl in
   let passed = ref 0 and dropped = ref 0 in
   let process pkt =
-    let verdict =
-      match List.find_opt (fun r -> matches r pkt) acl with
-      | Some r when not r.permit -> Nf.Dropped
-      | Some _ | None -> Nf.Forward
-    in
-    (match verdict with Nf.Forward -> incr passed | Nf.Dropped -> incr dropped);
-    verdict
+    if denies compiled pkt then begin
+      incr dropped;
+      Nf.Dropped
+    end
+    else begin
+      incr passed;
+      Nf.Forward
+    end
   in
   let cost_cycles _ = 190 + extra_cycles in
   let snapshot () = State (!passed, !dropped) in

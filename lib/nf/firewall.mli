@@ -23,12 +23,25 @@ val default_acl : int -> rule list
     synthetic address plan, followed by an implicit permit — the
     evaluation workload's "ACL containing 100 rules". *)
 
+type acl
+(** An ACL compiled for first-match lookup: one flat int array, ten
+    ints a rule, read with no allocation. *)
+
+val compile : rule list -> acl
+(** [compile rules] keeps the rules' order for {!denies}.
+    @raise Invalid_argument if a prefix length is outside [0, 32] or a
+    [proto] outside [0, 255]. *)
+
+val denies : acl -> Packet.t -> bool
+(** [denies acl pkt] is [true] when the first rule matching [pkt]'s
+    SIP/DIP/SPORT/DPORT/protocol is a deny rule; no match permits. A
+    packet without L4 ports has ports 0. Allocates nothing. *)
+
 type stats = { passed : unit -> int; dropped : unit -> int }
 
 val create :
   ?name:string -> ?extra_cycles:int -> ?acl:rule list -> unit -> Nf.t * stats
 (** [extra_cycles] makes the firewall busy-loop after processing — the
     paper's NF-complexity knob for Fig. 9. The ACL defaults to
-    [default_acl 100]. First matching rule wins; no match permits. *)
-
-val matches : rule -> Packet.t -> bool
+    [default_acl 100]. First matching rule wins ({!denies}); no match
+    permits. @raise Invalid_argument as {!compile} does. *)

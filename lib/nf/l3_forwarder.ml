@@ -9,16 +9,12 @@ type stats = {
 type Nf.state += State of int * int * int option
 
 let build_table n =
-  let table : int Nfp_algo.Lpm.t = Nfp_algo.Lpm.create () in
-  for i = 0 to n - 1 do
-    (* Prefixes spread over 10.0.0.0/8 with lengths 16..28. *)
-    let len = 16 + (i mod 13) in
-    let prefix =
-      Int32.of_int ((10 lsl 24) lor ((i * 2654435761) land 0x00ffff00))
-    in
-    Nfp_algo.Lpm.add table ~prefix ~len (i mod 16)
-  done;
-  table
+  Nfp_algo.Lpm.of_list
+    (List.init n (fun i ->
+         (* Prefixes spread over 10.0.0.0/8 with lengths 16..28. *)
+         let len = 16 + (i mod 13) in
+         let prefix = Int32.of_int ((10 lsl 24) lor ((i * 2654435761) land 0x00ffff00)) in
+         (prefix, len, i mod 16)))
 
 (* [last] is a last-writer-wins cell read back by telemetry and folded
    into the digest: its final value depends on which packet the NF saw

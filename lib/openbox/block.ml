@@ -35,6 +35,7 @@ let signatures_key signatures =
     (List.length signatures) signatures
 
 let header_classifier ~name ~acl =
+  let compiled = Firewall.compile acl in
   {
     name;
     kind = "HeaderClassifier";
@@ -44,10 +45,7 @@ let header_classifier ~name ~acl =
         [ Read Field.Sip; Read Field.Dip; Read Field.Sport; Read Field.Dport; Drop ];
     cost_cycles = 150;
     process =
-      (fun pkt ->
-        match List.find_opt (fun r -> Firewall.matches r pkt) acl with
-        | Some r when not r.Firewall.permit -> Dropped
-        | Some _ | None -> Continue);
+      (fun pkt -> if Firewall.denies compiled pkt then Dropped else Continue);
   }
 
 let dpi ~name ~signatures =

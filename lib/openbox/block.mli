@@ -27,7 +27,8 @@ val read_packets : unit -> t
 (** NIC read block; no packet actions. *)
 
 val header_classifier : name:string -> acl:Firewall.rule list -> t
-(** Match 5-tuples against an ACL; drops on a deny rule. *)
+(** Match 5-tuples against an ACL, compiled once by
+    {!Firewall.compile} (whose errors it raises); drops on a deny rule. *)
 
 val dpi : name:string -> signatures:string list -> t
 (** Payload signature matching; drops on a match (IPS semantics). *)

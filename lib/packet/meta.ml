@@ -6,13 +6,12 @@ let max_mid = (1 lsl mid_bits) - 1
 let max_pid = Int64.sub (Int64.shift_left 1L pid_bits) 1L
 let max_version = (1 lsl version_bits) - 1
 
-let check ~mid ~pid ~version =
-  if mid < 0 || mid > max_mid then invalid_arg "Meta.make: mid out of 20-bit range";
-  if Int64.compare pid 0L < 0 || Int64.compare pid max_pid > 0 then
-    invalid_arg "Meta.make: pid out of 40-bit range";
+let check_version who version =
   if version < 0 || version > max_version then
-    invalid_arg "Meta.make: version out of 4-bit range"
+    invalid_arg (who ^ ": version out of 4-bit range")
 
-let check_version version =
-  if version < 0 || version > max_version then
-    invalid_arg "Meta.make: version out of 4-bit range"
+let check ~mid ~pid ~version =
+  if mid < 0 || mid > max_mid then invalid_arg "Packet.stamp: mid out of 20-bit range";
+  if Int64.compare pid 0L < 0 || Int64.compare pid max_pid > 0 then
+    invalid_arg "Packet.stamp: pid out of 40-bit range";
+  check_version "Packet.stamp" version

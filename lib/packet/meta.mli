@@ -12,8 +12,10 @@ val max_version : int
 
 val check : mid:int -> pid:int64 -> version:int -> unit
 (** The width check of {!Packet.stamp}.
-    @raise Invalid_argument when any component exceeds its bit width. *)
+    @raise Invalid_argument ["Packet.stamp: <field> out of <n>-bit range"]
+    when any component exceeds its bit width. *)
 
-val check_version : int -> unit
-(** The version-width check alone ({!Packet.set_version}).
-    @raise Invalid_argument outside the 4-bit range. *)
+val check_version : string -> int -> unit
+(** [check_version who v] is the version-width check alone
+    ({!Packet.set_version}, {!Packet.header_only_copy}).
+    @raise Invalid_argument ["<who>: version out of 4-bit range"]. *)

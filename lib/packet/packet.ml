@@ -224,7 +224,7 @@ let stamp t ~mid ~pid ~version =
   t.m_version <- version
 
 let set_version t version =
-  Meta.check_version version;
+  Meta.check_version "Packet.set_version" version;
   t.m_version <- version
 
 (* IPv4 field getters/setters. *)
@@ -470,7 +470,7 @@ let copy_into ~dst src =
   dst.g_l4_off <- src.g_l4_off
 
 let header_only_copy t ~version =
-  Meta.check_version version;
+  Meta.check_version "Packet.header_only_copy" version;
   let hlen = header_length t in
   let buf = Bytes.sub t.buf 0 hlen in
   let copy =

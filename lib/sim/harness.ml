@@ -239,6 +239,8 @@ let run ~make ~gen ~arrivals ~packets ?warmup ?(seed = 42L) ?stop () =
   (match arrivals with
   | Uniform r | Poisson r | Burst (r, _) when not (r > 0.0) ->
       invalid_arg "Harness.run: arrival rate must be positive"
+  | Uniform r | Poisson r | Burst (r, _) when r = Float.infinity ->
+      invalid_arg "Harness.run: arrival rate must be finite"
   | Burst (_, k) when k < 1 -> invalid_arg "Harness.run: burst size must be >= 1"
   | _ -> ());
   let warmup = match warmup with Some w -> w | None -> packets / 10 in
@@ -390,6 +392,8 @@ let parallel_runs ?domains thunks =
 
 let max_lossless_mpps ~make ~gen ~packets ?(lo = 0.01) ~hi ?(iterations = 12) ?domains
     () =
+  if not (0.0 < lo && lo < hi && hi < Float.infinity) then
+    invalid_arg "Harness.max_lossless_mpps: the bracket must be finite with 0 < lo < hi";
   if iterations < 0 then invalid_arg "Harness.max_lossless_mpps: iterations must be >= 0";
   let workers = workers ~who:"Harness.max_lossless_mpps" domains in
   let lossless rate =

@@ -214,8 +214,8 @@ val run :
     order is unaffected either way. Kept for tests: [stop], which the
     tests use to watch a run mid-flight.
     @raise Invalid_argument if [packets < 0], if a [Uniform], [Poisson]
-    or [Burst] rate is not [> 0] (NaN included), or if a burst size is
-    below 1. *)
+    or [Burst] rate is not [> 0] (NaN included) or is infinite, or if a
+    burst size is below 1. *)
 
 val parallel_runs : ?domains:int -> (unit -> 'a) list -> 'a list
 (** Evaluate independent simulation thunks on a pool of [domains]
@@ -244,4 +244,5 @@ val max_lossless_mpps :
     levels run speculatively in parallel ({!parallel_runs}); the result
     is bit-identical to the sequential search for deterministic
     generators.
-    @raise Invalid_argument if [iterations < 0] or [domains < 1]. *)
+    @raise Invalid_argument unless [0 < lo < hi] with [hi] finite (NaN
+    fails), or if [iterations < 0] or [domains < 1]. *)

@@ -134,63 +134,85 @@ let ip a b c d =
     (Int32.shift_left (Int32.of_int a) 24)
     (Int32.of_int ((b lsl 16) lor (c lsl 8) lor d))
 
+(* The longest route covering [addr], the later of two equal ones: the
+   brute-force model of [Lpm]. *)
+let lpm_model routes addr =
+  let covers (prefix, len, _) =
+    len = 0 || Int32.shift_right_logical (Int32.logxor prefix addr) (32 - len) = 0l
+  in
+  List.fold_left
+    (fun best ((_, len, _) as r) ->
+      match best with
+      | Some (_, blen, _) when blen > len -> best
+      | _ -> if covers r then Some r else best)
+    None routes
+  |> Option.map (fun (_, _, v) -> v)
+
+(* Routes around one to four random 32-bit bases, so prefixes nest and
+   repeat and bit 31 is often set; lengths weighted towards /0 and /32;
+   the empty set included. Each route's value is its position. Probe
+   addresses lie near the bases (low bits flipped) or anywhere. *)
+let lpm_case =
+  let open QCheck.Gen in
+  let gen =
+    list_size (int_range 1 4) int32 >>= fun bases ->
+    let near =
+      map3
+        (fun b k r -> Int32.logxor b (Int32.logand r (Int32.pred (Int32.shift_left 1l k))))
+        (oneofl bases) (int_range 0 31) int32
+    in
+    let addr = frequency [ (3, near); (1, int32) ] in
+    let len = frequency [ (1, return 0); (1, return 32); (4, int_range 0 32) ] in
+    pair
+      (map (List.mapi (fun i (p, l) -> (p, l, i))) (list_size (int_bound 12) (pair addr len)))
+      (list_size (return 16) addr)
+  in
+  let show_addr a = Printf.sprintf "0x%08lx" a in
+  QCheck.make gen
+    ~print:
+      QCheck.Print.(
+        pair
+          (list (fun (p, l, v) -> Printf.sprintf "%s/%d=%d" (show_addr p) l v))
+          (list show_addr))
+
 let lpm_tests =
   [
     Alcotest.test_case "empty table finds nothing" `Quick (fun () ->
-        let t : int Lpm.t = Lpm.create () in
+        let t : int Lpm.t = Lpm.of_list [] in
         check Alcotest.(option int) "none" None (Lpm.lookup t (ip 10 0 0 1)));
     Alcotest.test_case "longest prefix wins" `Quick (fun () ->
-        let t = Lpm.create () in
-        Lpm.add t ~prefix:(ip 10 0 0 0) ~len:8 1;
-        Lpm.add t ~prefix:(ip 10 1 0 0) ~len:16 2;
-        Lpm.add t ~prefix:(ip 10 1 2 0) ~len:24 3;
+        let t =
+          Lpm.of_list [ (ip 10 1 2 0, 24, 3); (ip 10 0 0 0, 8, 1); (ip 10 1 0 0, 16, 2) ]
+        in
         check Alcotest.(option int) "/24" (Some 3) (Lpm.lookup t (ip 10 1 2 9));
         check Alcotest.(option int) "/16" (Some 2) (Lpm.lookup t (ip 10 1 9 9));
         check Alcotest.(option int) "/8" (Some 1) (Lpm.lookup t (ip 10 9 9 9)));
     Alcotest.test_case "default route /0 matches everything" `Quick (fun () ->
-        let t = Lpm.create () in
-        Lpm.add t ~prefix:0l ~len:0 42;
+        let t = Lpm.of_list [ (0l, 0, 42) ] in
         check Alcotest.(option int) "any" (Some 42) (Lpm.lookup t (ip 192 168 1 1)));
     Alcotest.test_case "/32 exact host route" `Quick (fun () ->
-        let t = Lpm.create () in
-        Lpm.add t ~prefix:(ip 10 0 0 5) ~len:32 7;
+        let t = Lpm.of_list [ (ip 10 0 0 5, 32, 7) ] in
         check Alcotest.(option int) "host" (Some 7) (Lpm.lookup t (ip 10 0 0 5));
         check Alcotest.(option int) "neighbour" None (Lpm.lookup t (ip 10 0 0 6)));
     Alcotest.test_case "overwrite same prefix" `Quick (fun () ->
-        let t = Lpm.create () in
-        Lpm.add t ~prefix:(ip 10 0 0 0) ~len:8 1;
-        Lpm.add t ~prefix:(ip 10 0 0 0) ~len:8 2;
+        let t = Lpm.of_list [ (ip 10 0 0 0, 8, 1); (ip 10 0 0 0, 8, 2) ] in
         check Alcotest.(option int) "new value" (Some 2) (Lpm.lookup t (ip 10 3 0 0)));
     Alcotest.test_case "invalid prefix length" `Quick (fun () ->
-        let t : unit Lpm.t = Lpm.create () in
-        Alcotest.check_raises "too long"
-          (Invalid_argument "Lpm: prefix length must be in [0, 32]") (fun () ->
-            Lpm.add t ~prefix:0l ~len:33 ()));
-    qtest ~count:100 "lookup agrees with naive longest-prefix scan"
-      QCheck.(pair (list (pair (int_range 0 0xffffff) (int_range 0 24))) (int_range 0 0xffffff))
-      (fun (entries, addr_low) ->
-        let t = Lpm.create () in
-        let entries =
-          List.mapi (fun i (p, len) -> (Int32.of_int (p lsl 8), len, i)) entries
-        in
-        List.iter (fun (prefix, len, v) -> Lpm.add t ~prefix ~len v) entries;
-        let addr = Int32.of_int (addr_low lsl 8) in
-        let mask len = if len = 0 then 0l else Int32.shift_left (-1l) (32 - len) in
-        let matches (prefix, len, _) =
-          Int32.equal (Int32.logand addr (mask len)) (Int32.logand prefix (mask len))
-        in
-        (* Last insertion wins among equal prefixes; pick longest, latest. *)
-        let best =
-          List.fold_left
-            (fun acc ((_, len, _) as e) ->
-              if matches e then
-                match acc with
-                | Some (_, blen, _) when blen > len -> acc
-                | _ -> Some e
-              else acc)
-            None entries
-        in
-        Lpm.lookup t addr = Option.map (fun (_, _, v) -> v) best);
+        List.iter
+          (fun len ->
+            Alcotest.check_raises (Printf.sprintf "/%d" len)
+              (Invalid_argument "Lpm: prefix length must be in [0, 32]") (fun () ->
+                ignore (Lpm.of_list [ (0l, 8, ()); (0l, len, ()) ])))
+          [ 33; -1 ]);
+    qtest ~count:300 "lookup agrees with naive longest-prefix scan" lpm_case
+      (fun (routes, addrs) ->
+        let t = Lpm.of_list routes in
+        List.for_all
+          (fun addr ->
+            let want = lpm_model routes addr in
+            Lpm.lookup t addr = want
+            && Lpm.lookup_int t (Int32.to_int addr land 0xffff_ffff) = want)
+          addrs);
   ]
 
 (* ------------------------------------------------------------------ *)

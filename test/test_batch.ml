@@ -423,6 +423,14 @@ let nf_tests =
     Alcotest.test_case "LoadBalancer allocates nothing" `Quick (fun () ->
         let lb, _ = Nfp_nf.Load_balancer.create () in
         no_words "10000 LoadBalancer packets" (nf_words lb (imc_frames ())));
+    Alcotest.test_case "Forwarder allocates nothing" `Quick (fun () ->
+        let fwd, stats = Nfp_nf.L3_forwarder.create () in
+        no_words "10000 Forwarder packets" (nf_words fwd (imc_frames ()));
+        check Alcotest.int "every packet forwarded" 10_064 (stats.forwarded ()));
+    Alcotest.test_case "Firewall allocates nothing" `Quick (fun () ->
+        let fw, stats = Nfp_nf.Firewall.create () in
+        no_words "10000 Firewall packets" (nf_words fw (imc_frames ()));
+        check Alcotest.int "every packet judged" 10_064 (stats.passed () + stats.dropped ()));
     Alcotest.test_case "address and port rewrites allocate nothing" `Quick (fun () ->
         let udp =
           Packet.create

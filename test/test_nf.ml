@@ -20,6 +20,124 @@ let is_forward = function Nf.Forward -> true | Nf.Dropped -> false
 (* Firewall                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The first-match semantics the compiled ACL keeps, evaluated on the
+   rule records with [List.find_opt]: the reference model. *)
+let reference_denies acl p =
+  let prefix_matches (prefix, len) addr =
+    len = 0
+    ||
+    let mask = Int32.shift_left (-1l) (32 - len) in
+    Int32.equal (Int32.logand addr mask) (Int32.logand prefix mask)
+  in
+  let in_range (lo, hi) v = v >= lo && v <= hi in
+  let matches (r : Firewall.rule) =
+    prefix_matches r.sip_prefix (Packet.sip p)
+    && prefix_matches r.dip_prefix (Packet.dip p)
+    && in_range r.sport_range (Packet.sport p)
+    && in_range r.dport_range (Packet.dport p)
+    && match r.proto with None -> true | Some proto -> proto = Packet.proto p
+  in
+  match List.find_opt matches acl with Some r -> not r.permit | None -> false
+
+(* ACLs over one to three random 32-bit bases, so rules nest and
+   overlap: prefixes of length 0 to 32 keep their host bits, port ranges
+   are inclusive (an inverted one matches nothing) and either whole or
+   leaning on a few boundary ports, [proto] is Some or None. Up to three
+   later rules shadow earlier ones. Most flows are aimed at a rule: each
+   address inside its prefix or just outside it (the last prefix bit
+   flipped), each port on an edge of its range. TCP, UDP and ICMP flows
+   mix, and ICMP carries no ports. *)
+let acl_case =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let* bases = list_size (int_range 1 3) int32 in
+      let addr =
+        map3
+          (fun b k r -> Int32.logxor b (Int32.logand r (Int32.pred (Int32.shift_left 1l k))))
+          (oneofl bases) (int_range 0 31) int32
+      in
+      let len = frequency [ (1, return 0); (1, return 32); (4, int_range 0 32) ] in
+      let port = frequency [ (1, int_bound 0xffff); (2, oneofl [ 0; 1; 79; 80; 81; 0xffff ]) ] in
+      let range = frequency [ (1, return (0, 0xffff)); (3, pair port port) ] in
+      let proto = oneofl [ 1; 6; 17 ] in
+      let rule =
+        map
+          (fun ((sip, dip), (sport_range, dport_range), (proto, permit)) ->
+            {
+              Firewall.sip_prefix = sip;
+              dip_prefix = dip;
+              sport_range;
+              dport_range;
+              proto;
+              permit;
+            })
+          (triple (pair (pair addr len) (pair addr len))
+             (pair range range)
+             (pair (option proto) bool))
+      in
+      let around (prefix, len) =
+        let host = (1 lsl (32 - len)) - 1 in
+        map2
+          (fun r outside ->
+            let a = Int32.to_int prefix land lnot host lor (r land host) in
+            Int32.of_int (if outside && len > 0 then a lxor (host + 1) else a))
+          (int_bound 0xffff_ffff) bool
+      in
+      let edge (lo, hi) =
+        frequency
+          [ (3, map (fun p -> max 0 (min 0xffff p)) (oneofl [ lo - 1; lo; hi; hi + 1 ])); (1, port) ]
+      in
+      let flow (sip, dip) (sport, dport) proto =
+        map
+          (fun ((sip, dip), (sport, dport), proto) ->
+            Flow.make ~sip ~dip ~sport ~dport ~proto)
+          (triple (pair sip dip) (pair sport dport) proto)
+      in
+      let aimed (r : Firewall.rule) =
+        flow
+          (around r.sip_prefix, around r.dip_prefix)
+          (edge r.sport_range, edge r.dport_range)
+          (match r.proto with Some p -> frequency [ (3, return p); (1, proto) ] | None -> proto)
+      in
+      (* A later copy of a rule, widened and with the other verdict:
+         it matches what the first one decided. *)
+      let shadow (r : Firewall.rule) =
+        map3
+          (fun cut wide_ports any_proto ->
+            let shorter (a, l) = (a, max 0 (l - cut)) in
+            {
+              Firewall.sip_prefix = shorter r.sip_prefix;
+              dip_prefix = shorter r.dip_prefix;
+              sport_range = (if wide_ports then (0, 0xffff) else r.sport_range);
+              dport_range = (if wide_ports then (0, 0xffff) else r.dport_range);
+              proto = (if any_proto then None else r.proto);
+              permit = not r.permit;
+            })
+          (int_bound 8) bool bool
+      in
+      let* acl = list_size (int_bound 8) rule in
+      let* shadows =
+        if acl = [] then return [] else list_size (int_bound 3) (oneofl acl >>= shadow)
+      in
+      let acl = acl @ shadows in
+      let stray = flow (addr, addr) (port, port) proto in
+      let flows =
+        if acl = [] then stray else frequency [ (3, oneofl acl >>= aimed); (1, stray) ]
+      in
+      pair (return acl) (list_size (return 12) flows))
+  in
+  let show_rule (r : Firewall.rule) =
+    let prefix (a, l) = Printf.sprintf "%s/%d" (Flow.ip_to_string a) l in
+    let range (lo, hi) = Printf.sprintf "%d-%d" lo hi in
+    Printf.sprintf "%s %s -> %s %s proto %s %s" (prefix r.sip_prefix) (range r.sport_range)
+      (prefix r.dip_prefix) (range r.dport_range)
+      (match r.proto with None -> "any" | Some p -> string_of_int p)
+      (if r.permit then "permit" else "deny")
+  in
+  make gen
+    ~print:Print.(pair (list show_rule) (list (Format.asprintf "%a" Flow.pp)))
+
 let firewall_tests =
   [
     Alcotest.test_case "permits traffic missing the ACL" `Quick (fun () ->
@@ -63,6 +181,37 @@ let firewall_tests =
         check Alcotest.bool "udp denied" false
           (is_forward (fw.process (pkt ~flow:(flow ~proto:17 ()) ())));
         check Alcotest.bool "tcp passes" true (is_forward (fw.process (pkt ()))));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300 ~name:"compiled ACL agrees with the first-match reference"
+         acl_case (fun (acl, flows) ->
+           let fw, stats = Firewall.create ~acl () in
+           let compiled = Firewall.compile acl in
+           let denied =
+             List.fold_left
+               (fun denied f ->
+                 let p = Packet.create ~flow:f ~payload:"x" () in
+                 let want = reference_denies acl p in
+                 if Firewall.denies compiled p <> want || is_forward (fw.process p) = want then
+                   QCheck.Test.fail_reportf "%a: compiled %b, reference %b" Flow.pp f
+                     (Firewall.denies compiled p) want;
+                 if want then denied + 1 else denied)
+               0 flows
+           in
+           stats.dropped () = denied && stats.passed () = List.length flows - denied));
+    Alcotest.test_case "bad rules are rejected when the ACL is compiled" `Quick (fun () ->
+        let any = Firewall.any_rule ~permit:false in
+        let bad_len = "Firewall.compile: prefix length must be in [0, 32]"
+        and bad_proto = "Firewall.compile: proto must be in [0, 255]" in
+        List.iter
+          (fun (label, rule, msg) ->
+            Alcotest.check_raises label (Invalid_argument msg) (fun () ->
+                ignore (Firewall.create ~acl:[ any; rule ] ())))
+          [
+            ("sip /33", { any with sip_prefix = (0l, 33) }, bad_len);
+            ("dip /-1", { any with dip_prefix = (0l, -1) }, bad_len);
+            ("proto 256", { any with proto = Some 256 }, bad_proto);
+            ("proto -1", { any with proto = Some (-1) }, bad_proto);
+          ]);
     Alcotest.test_case "default ACL has the requested size" `Quick (fun () ->
         check Alcotest.int "100 rules" 100 (List.length (Firewall.default_acl 100)));
     Alcotest.test_case "extra cycles raise the cost" `Quick (fun () ->

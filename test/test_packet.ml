@@ -49,20 +49,23 @@ let meta_tests =
   [
     Alcotest.test_case "field widths enforced" `Quick (fun () ->
         let p = fresh () in
-        Alcotest.check_raises "mid" (Invalid_argument "Meta.make: mid out of 20-bit range")
+        Alcotest.check_raises "mid" (Invalid_argument "Packet.stamp: mid out of 20-bit range")
           (fun () -> Packet.stamp p ~mid:(1 lsl 20) ~pid:0L ~version:0);
-        Alcotest.check_raises "pid" (Invalid_argument "Meta.make: pid out of 40-bit range")
+        Alcotest.check_raises "pid" (Invalid_argument "Packet.stamp: pid out of 40-bit range")
           (fun () -> Packet.stamp p ~mid:0 ~pid:(Int64.shift_left 1L 40) ~version:0);
         Alcotest.check_raises "version"
-          (Invalid_argument "Meta.make: version out of 4-bit range") (fun () ->
+          (Invalid_argument "Packet.stamp: version out of 4-bit range") (fun () ->
             Packet.stamp p ~mid:0 ~pid:0L ~version:16);
         Alcotest.check_raises "set_version"
-          (Invalid_argument "Meta.make: version out of 4-bit range") (fun () ->
-            Packet.set_version p 16));
+          (Invalid_argument "Packet.set_version: version out of 4-bit range") (fun () ->
+            Packet.set_version p 16);
+        Alcotest.check_raises "header_only_copy"
+          (Invalid_argument "Packet.header_only_copy: version out of 4-bit range") (fun () ->
+            ignore (Packet.header_only_copy p ~version:(-1))));
     Alcotest.test_case "extremes roundtrip" `Quick (fun () ->
         let mid = (1 lsl 20) - 1 and pid = Int64.sub (Int64.shift_left 1L 40) 1L in
         check meta_t "max" (mid, pid, 15) (stamped ~mid ~pid ~version:15));
-    Alcotest.test_case "with_version keeps mid and pid" `Quick (fun () ->
+    Alcotest.test_case "set_version keeps mid and pid" `Quick (fun () ->
         let p = fresh () in
         Packet.stamp p ~mid:3 ~pid:42L ~version:1;
         Packet.set_version p 5;

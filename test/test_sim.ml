@@ -943,6 +943,47 @@ let harness_tests =
               (Invalid_argument "Harness.run: burst size must be >= 1")
               (run (Harness.Burst (1.0, k))))
           [ 0; -2 ]);
+    Alcotest.test_case "infinite rates and bad lossless brackets are rejected" `Quick (fun () ->
+        (* An infinite rate used to fail mid-run (Poisson) or run with
+           zero arrival gaps (Uniform, Burst). *)
+        List.iter
+          (fun (label, arrivals) ->
+            Alcotest.check_raises label
+              (Invalid_argument "Harness.run: arrival rate must be finite") (fun () ->
+                ignore
+                  (Harness.run ~make:(fixed_system ~service_ns:100.0 ~ring:64) ~gen ~arrivals
+                     ~packets:20 ())))
+          [
+            ("uniform inf", Harness.Uniform Float.infinity);
+            ("poisson inf", Harness.Poisson Float.infinity);
+            ("burst inf", Harness.Burst (Float.infinity, 4));
+          ];
+        (* Both searches, sequential and speculative, refuse before
+           probing anything. *)
+        List.iter
+          (fun (lo, hi) ->
+            List.iter
+              (fun domains ->
+                Alcotest.check_raises
+                  (Printf.sprintf "bracket [%g, %g] on %d domains" lo hi domains)
+                  (Invalid_argument
+                     "Harness.max_lossless_mpps: the bracket must be finite with 0 < lo < hi")
+                  (fun () ->
+                    ignore
+                      (Harness.max_lossless_mpps
+                         ~make:(fixed_system ~service_ns:100.0 ~ring:64)
+                         ~gen ~packets:100 ~lo ~hi ~domains ())))
+              [ 1; 2 ])
+          [
+            (0.0, 1.0);
+            (-1.0, 1.0);
+            (2.0, 1.0);
+            (1.0, 1.0);
+            (1.0, Float.infinity);
+            (Float.neg_infinity, 1.0);
+            (Float.nan, 1.0);
+            (0.5, Float.nan);
+          ]);
     Alcotest.test_case "negative bisection depth is rejected" `Quick (fun () ->
         (* One domain runs the sequential bisection, two the speculative
            one; both must refuse before probing anything. *)
