@@ -771,6 +771,20 @@ let run_micro () =
     Nfp_sim.Engine.run ~max_events:1 line_engine
   in
   line_send_fire ();
+  (* A line with 64 sends in flight at distinct times, as on a loaded
+     ingress hop: each op sends one more and fires the oldest. *)
+  let busy_engine = Nfp_sim.Engine.create () in
+  let busy = Nfp_sim.Engine.line busy_engine ~delay:64.0 (fun _ _ _ -> ()) in
+  for i = 0 to 63 do
+    Nfp_sim.Engine.schedule busy_engine ~delay:(float_of_int i) (fun () ->
+        Nfp_sim.Engine.send busy 1L imc_frame 1)
+  done;
+  Nfp_sim.Engine.run ~max_events:64 busy_engine;
+  let busy_pop () =
+    Nfp_sim.Engine.send busy 1L imc_frame 1;
+    Nfp_sim.Engine.run ~max_events:1 busy_engine
+  in
+  busy_pop ();
   (* One core, one job per breath: offer, breath start, completion
      event, execute, emit. *)
   let breath_engine = Nfp_sim.Engine.create () in
@@ -873,6 +887,7 @@ let run_micro () =
         kernel "firewall ACL, 100 rules (no match)" (fun () -> Nfp_nf.Firewall.denies acl pkt1500);
         kernel "engine schedule+pop (1k heap)" schedule_pop;
         kernel "ingress line send+fire" line_send_fire;
+        kernel "engine pop, 64 line sends in flight" busy_pop;
         kernel "server breath (1 job)" breath;
         kernel "AES-128 block" (fun () -> Nfp_algo.Aes.encrypt_block aes block ~pos:0);
         kernel "DPI scan 1446B (100 sigs)" (fun () -> Nfp_algo.Aho_corasick.matches aho payload);

@@ -102,15 +102,20 @@ let rec sift_down t i seq action =
     else place t i seq action
   end
 
-let arm_at t time action =
-  if not (time >= t.clock.ns) then invalid_arg "Engine.schedule_at: time is in the past";
+(* Queue [action] at (clock.key, seq): the caller sets the key and has
+   taken [seq]. *)
+let insert t seq action =
   if t.size = Array.length t.actions then grow t;
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
   let i = t.size in
   t.size <- i + 1;
+  sift_up t i seq action
+
+let arm_at t time action =
+  if not (time >= t.clock.ns) then invalid_arg "Engine.schedule_at: time is in the past";
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
   t.clock.key <- time;
-  sift_up t i seq action;
+  insert t seq action;
   seq
 
 let schedule_at t time action = ignore (arm_at t time action)
@@ -157,28 +162,45 @@ let arm_timer tm ~delay =
 
 let timer_armed tm = tm.armed
 
-(* A line's pending payloads, oldest first, in parallel arrays of
-   power-of-two capacity. As in [Nfp_algo.Ring], a popped slot keeps its
-   stale payload until a later send overwrites it, so a line keeps at
-   most its capacity (the most sends ever in flight at once) alive.
-   Clearing the slot instead would make every send store a young value
-   over an old one, one more remembered-set entry per send. *)
+(* A line's pending sends, oldest first, in parallel arrays of
+   power-of-two capacity: each send's payload and the (time, seq) it
+   fires at. As in [Nfp_algo.Ring], a popped slot keeps its stale
+   payload until a later send overwrites it, so a line keeps at most its
+   capacity (the most sends ever in flight at once) alive. Clearing the
+   slot instead would make every send store a young value over an old
+   one, one more remembered-set entry per send.
+
+   The delay is constant and time never goes back, so a line's sends
+   fire in the order they were made, and only the oldest needs a place
+   in the engine's heap. A non-empty line holds exactly one heap entry,
+   at its oldest send's (time, seq); an empty line holds none. *)
 type ('a, 'b) line = {
   l_engine : t;
   l_delay : float;
   mutable l_firsts : 'a array;
   mutable l_seconds : 'b array;
   mutable l_tags : int array;
+  mutable l_times : float array;
+  mutable l_seqs : int array;
   mutable l_head : int;
   mutable l_len : int;
   l_fire : unit -> unit;
 }
 
+(* The head fires: queue the next send's entry before [deliver] runs, so
+   that a send made from inside [deliver] finds the line non-empty and
+   adds no second entry, and the entry keeps the (time, seq) that send
+   took when it was made. *)
 let line_pop l deliver =
   let i = l.l_head in
   let a = l.l_firsts.(i) and b = l.l_seconds.(i) and tag = l.l_tags.(i) in
-  l.l_head <- (i + 1) land (Array.length l.l_tags - 1);
+  let next = (i + 1) land (Array.length l.l_tags - 1) in
+  l.l_head <- next;
   l.l_len <- l.l_len - 1;
+  if l.l_len > 0 then begin
+    l.l_engine.clock.key <- l.l_times.(next);
+    insert l.l_engine l.l_seqs.(next) l.l_fire
+  end;
   deliver a b tag
 
 let line t ~delay deliver =
@@ -190,6 +212,8 @@ let line t ~delay deliver =
       l_firsts = [||];
       l_seconds = [||];
       l_tags = [||];
+      l_times = [||];
+      l_seqs = [||];
       l_head = 0;
       l_len = 0;
       l_fire = (fun () -> line_pop l deliver);
@@ -201,29 +225,41 @@ let line_grow l a b =
   let cap = Array.length l.l_tags in
   let cap' = max 16 (2 * cap) in
   let firsts = Array.make cap' a and seconds = Array.make cap' b in
-  let tags = Array.make cap' 0 in
+  let tags = Array.make cap' 0 and times = Array.make cap' 0.0 and seqs = Array.make cap' 0 in
   for i = 0 to l.l_len - 1 do
     let j = (l.l_head + i) land (cap - 1) in
     firsts.(i) <- l.l_firsts.(j);
     seconds.(i) <- l.l_seconds.(j);
-    tags.(i) <- l.l_tags.(j)
+    tags.(i) <- l.l_tags.(j);
+    times.(i) <- l.l_times.(j);
+    seqs.(i) <- l.l_seqs.(j)
   done;
   l.l_firsts <- firsts;
   l.l_seconds <- seconds;
   l.l_tags <- tags;
+  l.l_times <- times;
+  l.l_seqs <- seqs;
   l.l_head <- 0
 
-(* The delay is constant and time never goes back, so a line's events
-   fire in the order they were sent: each firing pops its own send's
-   payload, at the (time, seq) a closure per send would have had. *)
+(* A send takes its seq and time as [schedule] would, so it fires at the
+   (time, seq) a closure per send would have had; only a send into an
+   empty line queues a heap entry. *)
 let send l a b tag =
   if l.l_len = Array.length l.l_tags then line_grow l a b;
+  let e = l.l_engine in
   let i = (l.l_head + l.l_len) land (Array.length l.l_tags - 1) in
+  let seq = e.next_seq and time = e.clock.ns +. l.l_delay in
+  e.next_seq <- seq + 1;
   l.l_firsts.(i) <- a;
   l.l_seconds.(i) <- b;
   l.l_tags.(i) <- tag;
+  l.l_times.(i) <- time;
+  l.l_seqs.(i) <- seq;
   l.l_len <- l.l_len + 1;
-  schedule l.l_engine ~delay:l.l_delay l.l_fire
+  if l.l_len = 1 then begin
+    e.clock.key <- time;
+    insert e seq l.l_fire
+  end
 
 (* Remove the minimum and return its action; its time and seq are read
    by the caller beforehand. The vacated tail slot keeps referencing the

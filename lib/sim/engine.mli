@@ -83,8 +83,10 @@ val send : ('a, 'b) line -> 'a -> 'b -> int -> unit
 (** [send l a b tag] queues [deliver a b tag] [delay] from now. It
     takes one sequence number, exactly as {!schedule} would, and fires
     at the same (time, seq) as [schedule t ~delay (fun () -> deliver a
-    b tag)]: the delay is constant and time never goes back, so a
-    line's sends fire in the order they were made. *)
+    b tag)]. The delay is constant and time never goes back, so a
+    line's sends fire in the order they were made: the line keeps each
+    send's (time, seq) with its payload and holds a single heap entry,
+    for its oldest send, whatever the number in flight. *)
 
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Drain the queue, advancing time. [until] stops the clock at a
@@ -94,3 +96,7 @@ val run : ?until:float -> ?max_events:int -> t -> unit
     [until], which the tests use to stop the clock mid-run. *)
 
 val pending : t -> int
+(** The number of queued heap entries: one per scheduled event or armed
+    timer, and one per non-empty line, however many sends it holds.
+    Zero exactly when {!run} has nothing left to fire, which is all
+    [Harness] reads from it. *)

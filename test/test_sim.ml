@@ -211,6 +211,20 @@ let timer_tests =
         spinner ~other:(2.0 *. horizon) e;
         Engine.run ~until:horizon e;
         check Alcotest.int "both still queued" 2 (Engine.pending e));
+    (* A line's many sends share one heap entry, and that entry counts
+       as an ordinary event, as one closure per send would. *)
+    Alcotest.test_case "a line holding sends keeps the guard quiet" `Quick (fun () ->
+        let e = Engine.create () in
+        let horizon = float_of_int (3 * Engine.livelock_streak) in
+        let delivered = ref 0 in
+        let l = Engine.line e ~delay:(2.0 *. horizon) (fun _ _ _ -> incr delivered) in
+        for i = 1 to 1000 do
+          Engine.send l i () 0
+        done;
+        spinner e;
+        Engine.run ~until:horizon e;
+        check Alcotest.int "the timer and the line's one entry" 2 (Engine.pending e);
+        check Alcotest.int "nothing delivered yet" 0 !delivered);
     (* Holds for the release build the repository selects in
        dune-workspace, like test_batch's budgets. *)
     Alcotest.test_case "arming and firing a timer allocates nothing" `Quick (fun () ->
@@ -226,65 +240,127 @@ let timer_tests =
 
 (* A script of batches: at each batch's time, each op either sends
    [(payload, hops)] on one of the lines or schedules a plain event
-   [delay] ahead. A delivery with hops left sends again on the next
-   line, so sends are also made from inside firings. *)
-type line_op = Send of int * int * int | Plain of float * int
+   [delay] ahead. A delivery with hops left sends again, so sends are
+   also made from inside firings: on the next line, or with [stay] on
+   its own line, which is then often left empty just as the send is
+   made. A staying delivery also schedules a plain event at its line's
+   delay, before or after that send, so the two fire at one time. *)
+type line_op = Send of int * int * int * bool | Plain of float * int
 
+(* A point where the run stops and resumes: after [n] more firings, or
+   [dt] past the clock. *)
+type line_split = Events of int | Until of float
+
+(* A script's lines (1-4, with distinct delays) and its batches, with
+   the splits of its run. Besides sends that hop across lines, it draws
+   the edge cases of a line's single heap entry: plain events at the
+   lines' own delays, so they collide with line sends at equal times;
+   sends that stay on their line, re-arming it from inside its own
+   delivery; and runs split by [max_events] and [until]. *)
 let line_script_gen =
   QCheck.Gen.(
     let* n = int_range 1 4 in
     let* delays = shuffle_l [ 0.0; 1.0; 2.0; 3.0; 5.0; 8.0 ] in
     let delays = Array.of_list (List.filteri (fun i _ -> i < n) delays) in
+    let send ~stay hops = map3 (fun k p hops -> Send (k mod n, p, hops, stay)) (int_bound 3) small_nat hops in
+    let plain delay = map2 (fun d p -> Plain (d, p)) delay small_nat in
     let op =
       frequency
         [
-          (3, map3 (fun k p hops -> Send (k mod n, p, hops)) (int_bound 3) small_nat (int_bound 2));
-          (1, map2 (fun d p -> Plain (d, p)) (oneofl [ 0.0; 1.0; 2.0; 3.0 ]) small_nat);
+          (3, send ~stay:false (int_bound 2));
+          (2, send ~stay:true (int_range 1 4));
+          (1, plain (oneofl [ 0.0; 1.0; 2.0; 3.0 ]));
+          (1, plain (oneofa delays));
         ]
     in
-    let+ batches = list_size (int_range 1 20) (pair (int_bound 3) (list_size (int_range 1 6) op)) in
-    (delays, batches))
+    let split =
+      oneof
+        [
+          map (fun k -> Events k) (int_bound 8);
+          map (fun dt -> Until dt) (oneofl [ 0.0; 0.5; 1.0; 2.0; 3.0; 7.5 ]);
+        ]
+    in
+    let* batches = list_size (int_range 1 20) (pair (int_bound 3) (list_size (int_range 1 6) op)) in
+    let+ splits = list_size (int_bound 6) split in
+    (delays, batches, splits))
 
-let print_line_script (delays, batches) =
+let print_line_script (delays, batches, splits) =
   let op = function
-    | Send (k, p, h) -> Printf.sprintf "send(%d,%d,%d)" k p h
+    | Send (k, p, h, stay) -> Printf.sprintf "send(%d,%d,%d%s)" k p h (if stay then ",stay" else "")
     | Plain (d, p) -> Printf.sprintf "plain(%g,%d)" d p
   in
-  Printf.sprintf "delays [%s]; %s"
+  let split = function Events n -> Printf.sprintf "events %d" n | Until dt -> Printf.sprintf "until +%g" dt in
+  Printf.sprintf "delays [%s]; %s; splits [%s]"
     (String.concat "; " (Array.to_list (Array.map string_of_float delays)))
     (String.concat " | "
        (List.map (fun (dt, ops) -> Printf.sprintf "+%d: %s" dt (String.concat " " (List.map op ops))) batches))
+    (String.concat "; " (List.map split splits))
 
 (* The firing trace of a script: (time, firing seq, line, payload) per
-   delivery, with each send on a line ([lines]) or as one closure per
-   send scheduled at the line's delay. *)
-let line_trace ~lines (delays, batches) =
+   delivery or plain event, with each send on a line ([lines]) or as
+   one closure per send scheduled at the line's delay, the run stopped
+   and resumed at each split. Also returns the most by which
+   [Engine.pending] ever exceeded the queued plain events plus the
+   number of lines, checked at every firing and split (0 or less when
+   each line holds at most one heap entry). *)
+let line_trace ~lines (delays, batches, splits) =
   let e = Engine.create () in
   let log = ref [] in
-  let note k p = log := (Engine.now e, Engine.firing e, k, p) :: !log in
-  let send = ref (fun _ _ _ -> ()) in
-  let deliver k p hops =
-    note k p;
-    if hops > 0 then !send ((k + 1) mod Array.length delays) p (hops - 1)
+  let plain = ref 0 and excess = ref min_int in
+  let bound () = excess := max !excess (Engine.pending e - (!plain + Array.length delays)) in
+  let counted f () =
+    decr plain;
+    bound ();
+    f ()
   in
-  let ls = Array.mapi (fun k delay -> Engine.line e ~delay (fun p hops _ -> deliver k p hops)) delays in
+  let schedule ~delay f =
+    incr plain;
+    Engine.schedule e ~delay (counted f)
+  in
+  let note k p = log := (Engine.now e, Engine.firing e, k, p) :: !log in
+  let send = ref (fun _ _ _ _ -> ()) in
+  let deliver k p hops stay =
+    bound ();
+    note k p;
+    if hops > 0 then
+      if stay then begin
+        let echo () = schedule ~delay:delays.(k) (fun () -> note (-1) p) in
+        if hops mod 2 = 1 then echo ();
+        !send k p (hops - 1) stay;
+        if hops mod 2 = 0 then echo ()
+      end
+      else !send ((k + 1) mod Array.length delays) p (hops - 1) stay
+  in
+  let ls =
+    Array.mapi
+      (fun k delay -> Engine.line e ~delay (fun p hops stay -> deliver k p hops (stay = 1)))
+      delays
+  in
   (send :=
-     fun k p hops ->
-       if lines then Engine.send ls.(k) p hops 0
-       else Engine.schedule e ~delay:delays.(k) (fun () -> deliver k p hops));
+     fun k p hops stay ->
+       if lines then Engine.send ls.(k) p hops (Bool.to_int stay)
+       else schedule ~delay:delays.(k) (fun () -> deliver k p hops stay));
   let run_op = function
-    | Send (k, p, hops) -> !send k p hops
-    | Plain (delay, p) -> Engine.schedule e ~delay (fun () -> note (-1) p)
+    | Send (k, p, hops, stay) -> !send k p hops stay
+    | Plain (delay, p) -> schedule ~delay (fun () -> note (-1) p)
   in
   ignore
     (List.fold_left
        (fun t (dt, ops) ->
          let t = t +. float_of_int dt in
-         Engine.schedule_at e t (fun () -> List.iter run_op ops);
+         incr plain;
+         Engine.schedule_at e t (counted (fun () -> List.iter run_op ops));
          t)
        0.0 batches);
+  List.iter
+    (fun split ->
+      (match split with
+      | Events n -> Engine.run ~max_events:n e
+      | Until dt -> Engine.run ~until:(Engine.now e +. dt) e);
+      bound ())
+    splits;
   Engine.run e;
-  List.rev !log
+  (List.rev !log, !excess)
 
 (* Minor words allocated by [n] send-and-fire rounds on a line already
    grown to one send in flight. *)
@@ -306,9 +382,13 @@ let line_words n =
 let line_tests =
   [
     QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~count:300 ~name:"a line fires each send at a closure's (time, seq)"
+      (QCheck.Test.make ~count:500 ~name:"a line fires each send at a closure's (time, seq)"
          (QCheck.make ~print:print_line_script line_script_gen)
-         (fun script -> line_trace ~lines:true script = line_trace ~lines:false script));
+         (fun script ->
+           let trace, excess = line_trace ~lines:true script in
+           if excess > 0 then
+             QCheck.Test.fail_reportf "pending exceeded plain events + lines by %d" excess;
+           trace = fst (line_trace ~lines:false script)));
     Alcotest.test_case "a line keeps its order across growth" `Quick (fun () ->
         let e = Engine.create () in
         let got = ref [] in
