@@ -86,6 +86,7 @@ let default_prov =
 
 let prov label = { default_prov with label }
 let onvm_prov label = { default_prov with label; path = "onvm"; classify = "none" }
+let bess_prov label = { default_prov with label; path = "bess"; classify = "none" }
 
 type measurement = {
   mpps : float;
@@ -339,14 +340,15 @@ let rig_header () =
 (* The four Fig. 10 deployments of the instances [names], measured at
    64B and printed as one row under [label]: OpenNetVM and NFP in
    sequence, then NFP in parallel without and with packet copies on
-   [mergers] mergers. *)
-let rig ?mergers ~profile_of ~nfs label names =
+   [mergers] mergers. Each is recorded as "<exp>:<deployment>:<row>". *)
+let rig ?mergers ~profile_of ~nfs ~exp ~row label names =
   let gen = gen_of_size 64 in
-  let onvm = measure ~gen (onvm ~nfs names) in
-  let nfp_seq = measure ~gen (nfp ~profile_of ~nfs (seq names)) in
+  let tag system = Printf.sprintf "%s:%s:%s" exp system row in
+  let onvm = measure ~prov:(onvm_prov (tag "onvm-seq")) ~gen (onvm ~nfs names) in
+  let nfp_seq = measure ~prov:(prov (tag "nfp-seq")) ~gen (nfp ~profile_of ~nfs (seq names)) in
   let parallel copy_mode = nfp ~copy_mode ?mergers ~profile_of ~nfs (par names) in
-  let par_nc = measure ~gen (parallel `Share_all) in
-  let par_c = measure ~gen (parallel `Copy_all) in
+  let par_nc = measure ~prov:(prov (tag "nfp-par-nocopy")) ~gen (parallel `Share_all) in
+  let par_c = measure ~prov:(prov (tag "nfp-par-copy")) ~gen (parallel `Copy_all) in
   let reduction m = 100.0 *. (nfp_seq.latency_us -. m.latency_us) /. nfp_seq.latency_us in
   note
     "  %-12s | %7.1f %7.2f | %7.1f %7.2f | %7.1f %7.2f (%4.0f%%) | %7.1f %7.2f (%4.0f%%)"
@@ -361,7 +363,8 @@ let run_fig8 () =
   List.iter
     (fun kind ->
       let kinds = [ ("nf0", kind); ("nf1", kind) ] in
-      rig ~profile_of:(profile_in kinds) ~nfs:(lookup_of kinds) kind (List.map fst kinds))
+      rig ~profile_of:(profile_in kinds) ~nfs:(lookup_of kinds) ~exp:"fig8"
+        ~row:(String.lowercase_ascii kind) kind (List.map fst kinds))
     [ "Forwarder"; "LoadBalancer"; "Firewall"; "Monitor"; "VPN"; "IDS" ]
 
 let run_fig9 () =
@@ -372,8 +375,8 @@ let run_fig9 () =
   let names = fw_names 2 in
   List.iter
     (fun extra ->
-      rig ~profile_of:fw_profile ~nfs:(firewalls ~extra names)
-        (Printf.sprintf "%d cyc" extra) names)
+      rig ~profile_of:fw_profile ~nfs:(firewalls ~extra names) ~exp:"fig9"
+        ~row:(Printf.sprintf "%dcyc" extra) (Printf.sprintf "%d cyc" extra) names)
     [ 1; 600; 1200; 1800; 2400; 3000 ]
 
 let run_fig11 () =
@@ -387,8 +390,8 @@ let run_fig11 () =
       let names = fw_names d in
       rig
         ~mergers:(if d >= 4 then 2 else 1)
-        ~profile_of:fw_profile ~nfs:(firewalls ~extra:300 names)
-        (Printf.sprintf "degree %d" d) names)
+        ~profile_of:fw_profile ~nfs:(firewalls ~extra:300 names) ~exp:"fig11"
+        ~row:(Printf.sprintf "degree-%d" d) (Printf.sprintf "degree %d" d) names)
     [ 2; 3; 4; 5 ]
 
 (* ------------------------------------------------------------------ *)
@@ -416,13 +419,14 @@ let run_fig12 () =
   note "  %-14s %-7s | %-17s | %-17s" "structure" "eq.len" "no copy (us, Mpps)"
     "copy (us, Mpps)";
   let baseline = ref 0.0 in
-  List.iter
-    (fun (label, graph) ->
+  List.iteri
+    (fun i (label, graph) ->
       let deploy copy_mode =
         nfp ~copy_mode ~mergers:2 ~profile_of:fw_profile ~nfs graph
       in
-      let nc = measure ~gen (deploy `Share_all) in
-      let c = measure ~gen (deploy `Copy_all) in
+      let tag system = prov (Printf.sprintf "fig12:%s:shape-%d" system (i + 1)) in
+      let nc = measure ~prov:(tag "nfp-nocopy") ~gen (deploy `Share_all) in
+      let c = measure ~prov:(tag "nfp-copy") ~gen (deploy `Copy_all) in
       if !baseline = 0.0 then baseline := nc.latency_us;
       note "  %-14s %-7d | %7.1f  %6.2f   | %7.1f  %6.2f   (vs seq: %4.0f%%)" label
         (Graph.equivalent_length graph) nc.latency_us nc.mpps c.latency_us c.mpps
@@ -463,24 +467,25 @@ let run_fig13 () =
              ~degree:(if plan.header_copies + plan.full_copies > 0 then 2 else 1));
       let gen = gen_datacenter () in
       let hi = Nfp_sim.Nic.max_mpps ~frame_bytes:724 in
-      let run_variant tag uniform =
+      let run_variant costs tag uniform =
         let nfs () =
           let lookup = lookup_of kinds () in
           fun n ->
             let nf = lookup n in
             if uniform then { nf with Nfp_nf.Nf.cost_cycles = (fun _ -> 1200) } else nf
         in
-        let onvm = measure ~hi ~gen (onvm ~nfs order) in
+        let row system = Printf.sprintf "fig13:%s:%s-%s" system label costs in
+        let onvm = measure ~hi ~prov:(onvm_prov (row "onvm")) ~gen (onvm ~nfs order) in
         let nfp =
-          measure ~hi ~gen (fun engine ~output ->
+          measure ~hi ~prov:(prov (row "nfp")) ~gen (fun engine ~output ->
               Nfp_infra.System.make ~plan ~nfs:(nfs ()) engine ~output)
         in
         note "  %-22s OpenNetVM %6.1f us  ->  NFP %6.1f us   (%.1f%% reduction)" tag
           onvm.latency_us nfp.latency_us
           (100.0 *. (onvm.latency_us -. nfp.latency_us) /. onvm.latency_us)
       in
-      run_variant "cost-faithful NFs :" false;
-      run_variant "cost-uniform NFs  :" true)
+      run_variant "faithful" "cost-faithful NFs :" false;
+      run_variant "uniform" "cost-uniform NFs  :" true)
     chains;
   note "";
   note "(cost-uniform rows equalize per-NF cycles, the regime the paper's uniform";
@@ -503,12 +508,14 @@ let run_table4 () =
     (fun n ->
       let names = fw_names n in
       let nfs = firewalls ~extra:0 names in
-      let onvm = measure ~gen (onvm ~nfs names) in
+      let row system = Printf.sprintf "table4:%s:%dfw" system n in
+      let onvm = measure ~prov:(onvm_prov (row "onvm")) ~gen (onvm ~nfs names) in
       let nfp =
-        measure ~gen (nfp ~copy_mode:`Share_all ~profile_of:fw_profile ~nfs (par names))
+        measure ~prov:(prov (row "nfp")) ~gen
+          (nfp ~copy_mode:`Share_all ~profile_of:fw_profile ~nfs (par names))
       in
       let bess =
-        measure ~gen (fun engine ~output ->
+        measure ~prov:(bess_prov (row "bess")) ~gen (fun engine ~output ->
             Nfp_baseline.Bess.make ~cores:(n + 2)
               ~chain:(fun () -> List.map (nfs ()) names)
               engine ~output)
@@ -532,7 +539,12 @@ let run_merger () =
     let make =
       nfp ~copy_mode:`Share_all ~mergers ~profile_of:fw_profile ~nfs (par names)
     in
-    (measure ~gen make).mpps
+    let label =
+      Printf.sprintf "merger:%d-merger%s:degree-%d" mergers
+        (if mergers = 1 then "" else "s")
+        d
+    in
+    (measure ~prov:(prov label) ~gen make).mpps
   in
   note "  %-8s %-14s %-14s" "degree" "1 merger" "2 mergers";
   List.iter
@@ -929,7 +941,8 @@ let run_partition () =
   in
   let nfs = firewalls ~extra:300 (fw_names 6) in
   let gen = gen_of_size 64 in
-  let m1 = measure ~gen (nfp ~profile_of:fw_profile ~nfs graph) in
+  let label = Printf.sprintf "partition:nfp:1x%d-cores" (Partition.cores_needed graph) in
+  let m1 = measure ~prov:(prov label) ~gen (nfp ~profile_of:fw_profile ~nfs graph) in
   note "  single server (%d cores): %.1f us, %.2f Mpps" (Partition.cores_needed graph)
     m1.latency_us m1.mpps;
   List.iter
@@ -945,7 +958,10 @@ let run_partition () =
             | Ok s -> s
             | Error e -> failwith e
           in
-          let m = measure ~gen clustered in
+          let label =
+            Printf.sprintf "partition:cluster:%dx%d-cores" (List.length assignments) cores
+          in
+          let m = measure ~prov:(prov label) ~gen clustered in
           note "  %d servers x %d cores (%d link hops): %.1f us, %.2f Mpps"
             (List.length assignments) cores
             (Partition.inter_server_hops assignments)

@@ -3,6 +3,8 @@ let make ?config ?fault ?overload ?elastic ?links ?(link_latency_ns = 2000.0)
     engine ~output =
   if segments = [] then invalid_arg "Cluster.make: no segments";
   if not (link_latency_ns >= 0.0) then invalid_arg "Cluster.make: link_latency_ns must be >= 0";
+  if link_latency_ns = Float.infinity then
+    invalid_arg "Cluster.make: link_latency_ns must be finite";
   let classifier_fns = ref [] and health_fns = ref [] in
   let record (system : Nfp_sim.Harness.system) =
     classifier_fns := system.classifier :: !classifier_fns;

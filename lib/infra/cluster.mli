@@ -36,7 +36,7 @@ val make :
     in [health.links]. The inter-server hop itself stays lossless —
     its segments' NI-boundary rings are already modeled — but a plan
     matching each segment's ingress ports perturbs the same edges. @raise Invalid_argument on
-    an empty segment list, or a negative or NaN [link_latency_ns].
+    an empty segment list, or a negative, NaN or infinite [link_latency_ns].
     Kept for tests: the cluster tests deploy hand-built segment plans;
     programs go through {!of_partition}. *)
 

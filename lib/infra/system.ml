@@ -219,7 +219,9 @@ let cost_fail who field what =
   invalid_arg (Printf.sprintf "System.%s: cost %s %s" who field what)
 
 let cost_cycles who field cycles = if cycles < 0 then cost_fail who field "must be >= 0"
-let cost_time who field v = if not (v >= 0.0) then cost_fail who field "must be >= 0"
+let cost_time who field v =
+  if not (v >= 0.0) then cost_fail who field "must be >= 0";
+  if v = Float.infinity then cost_fail who field "must be finite"
 
 let check_cost ~who (c : Nfp_sim.Cost.t) =
   if not (c.ghz > 0.0 && Float.is_finite c.ghz) then
@@ -252,10 +254,13 @@ let check_cost ~who (c : Nfp_sim.Cost.t) =
 (* Every build-time check, run before anything is built: a bad
    configuration is an [Invalid_argument] at deployment, never a failure
    mid-run. Each period is tested as [not (x > 0.0)] or
-   [not (x >= 0.0)], so a NaN is rejected too. [who] names the builder
-   in the message; [links] arrives normalized (see [make_multi]). *)
+   [not (x >= 0.0)], so a NaN is rejected too, and then checked finite:
+   an event parked at +inf either ends the run there or keeps it from
+   ever ending. [who] names the builder in the message; [links] arrives
+   normalized (see [make_multi]). *)
 let validate ~who ~config ?fault ?overload ?elastic ?links graphs =
   let fail msg = invalid_arg (Printf.sprintf "System.%s: %s" who msg) in
+  let finite what x = if x = Float.infinity then fail (what ^ " must be finite") in
   if graphs = [] then fail "no service graphs";
   if not (0.0 <= config.jitter && config.jitter < 1.0) then
     fail "jitter must satisfy 0 <= jitter < 1";
@@ -268,8 +273,12 @@ let validate ~who ~config ?fault ?overload ?elastic ?links graphs =
   | Some (fc : fault_config) ->
       if not (fc.watchdog_interval_ns > 0.0 && fc.watchdog_deadline_ns > 0.0) then
         fail "fault watchdog interval and deadline must be positive";
+      finite "fault watchdog interval and deadline"
+        (Float.max fc.watchdog_interval_ns fc.watchdog_deadline_ns);
       if not (fc.restart_ns >= 0.0) then fail "fault restart_ns must be >= 0";
+      finite "fault restart_ns" fc.restart_ns;
       if not (fc.merge_timeout_ns >= 0.0) then fail "fault merge_timeout_ns must be >= 0";
+      finite "fault merge_timeout_ns" fc.merge_timeout_ns;
       if not (fc.checkpoint_interval_ns >= 0.0) then
         fail "fault checkpoint_interval_ns must be >= 0";
       if fc.log_capacity < 1 then fail "fault log_capacity must be >= 1";
@@ -296,6 +305,10 @@ let validate ~who ~config ?fault ?overload ?elastic ?links graphs =
           && ec.migration_deadline_ns > 0.0
           && ec.commit_retry_ns > 0.0 && ec.cooldown_ns >= 0.0)
       then fail "elastic periods must be positive";
+      finite "elastic periods"
+        (Float.max
+           (Float.max ec.control_interval_ns ec.transfer_ns)
+           (Float.max ec.migration_deadline_ns (Float.max ec.commit_retry_ns ec.cooldown_ns)));
       if not (ec.scale_in_occupancy < ec.scale_out_occupancy) then
         fail "elastic occupancy thresholds must satisfy in < out";
       if ec.migration_batch < 1 then fail "elastic migration_batch must be >= 1"
@@ -303,7 +316,8 @@ let validate ~who ~config ?fault ?overload ?elastic ?links graphs =
   match links with
   | Some (lc : links_config) ->
       if not (lc.ack_interval_ns > 0.0 && lc.rto_ns > 0.0) then
-        fail "links periods must be positive"
+        fail "links periods must be positive";
+      finite "links periods" (Float.max lc.ack_interval_ns lc.rto_ns)
   | None -> ()
 
 (* The one core constructor. Every core splits its jitter stream off

@@ -411,7 +411,8 @@ val make_multi :
     below 1, a [config.cost] with a clock that is not positive and
     finite or a negative cycle, time or per-byte term, or an
     out-of-range [fault], [overload], [elastic] or [links] setting; a
-    NaN period or cost counts as out of range. Every check runs before
+    NaN period or cost counts as out of range, and so does an infinite
+    fault time, elastic or links period, or cost time or per-byte term. Every check runs before
     anything is built. *)
 
 val interpretive :

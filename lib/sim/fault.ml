@@ -41,19 +41,25 @@ let probability_in_range ~who name p =
 let non_negative ~who name x =
   if not (x >= 0.0) then invalid_arg (Printf.sprintf "Fault.%s: %s must be >= 0" who name)
 
-(* A negative or NaN time would raise mid-run from the engine, and a
-   negative window would silently lose the packets it wedges. *)
+let finite_time ~who name x =
+  non_negative ~who name x;
+  if x = Float.infinity then invalid_arg (Printf.sprintf "Fault.%s: %s must be finite" who name)
+
+(* A negative or NaN time would raise mid-run from the engine, a
+   negative window would silently lose the packets it wedges, and an
+   infinite time or window would park an event at +inf that the run
+   waits for forever (or ends at, with an infinite duration). *)
 let crash ~at_ns core =
-  non_negative ~who:"crash" "at_ns" at_ns;
+  finite_time ~who:"crash" "at_ns" at_ns;
   { core; events = [ Crash { at_ns } ] }
 
 let hang ~at_ns ~duration_ns core =
-  non_negative ~who:"hang" "at_ns" at_ns;
-  non_negative ~who:"hang" "duration_ns" duration_ns;
+  finite_time ~who:"hang" "at_ns" at_ns;
+  finite_time ~who:"hang" "duration_ns" duration_ns;
   { core; events = [ Hang { at_ns; duration_ns } ] }
 
 let slowdown ~at_ns ~factor core =
-  non_negative ~who:"slowdown" "at_ns" at_ns;
+  finite_time ~who:"slowdown" "at_ns" at_ns;
   if not (factor > 0.0) then invalid_arg "Fault.slowdown: factor must be positive";
   { core; events = [ Slowdown { at_ns; factor } ] }
 

@@ -31,17 +31,17 @@ val is_empty : plan -> bool
 val plan : ?seed:int64 -> spec list -> plan
 
 val crash : at_ns:float -> string -> spec
-(** @raise Invalid_argument when [at_ns] is negative or NaN. *)
+(** @raise Invalid_argument when [at_ns] is negative, NaN or infinite. *)
 
 val hang : at_ns:float -> duration_ns:float -> string -> spec
-(** @raise Invalid_argument when [at_ns] or [duration_ns] is negative
-    or NaN. Kept for tests, like {!slowdown}, {!drop}, {!jumble},
+(** @raise Invalid_argument when [at_ns] or [duration_ns] is negative,
+    NaN or infinite. Kept for tests, like {!slowdown}, {!drop}, {!jumble},
     {!burst} and {!flapping}: the robustness suites write their fault
     plans with these constructors. *)
 
 val slowdown : at_ns:float -> factor:float -> string -> spec
-(** @raise Invalid_argument when [at_ns] is negative or NaN, or
-    [factor] is not positive (a NaN is rejected too). Kept for tests:
+(** @raise Invalid_argument when [at_ns] is negative, NaN or infinite,
+    or [factor] is not positive (a NaN is rejected too). Kept for tests:
     see {!hang}. *)
 
 val drop : probability:float -> string -> spec

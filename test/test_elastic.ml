@@ -376,7 +376,11 @@ let differential_tests =
         rejects "System.make_multi: elastic periods must be positive"
           { eager with transfer_ns = Float.nan };
         rejects "System.make_multi: elastic periods must be positive"
-          { eager with cooldown_ns = -1.0 });
+          { eager with cooldown_ns = -1.0 };
+        rejects "System.make_multi: elastic periods must be finite"
+          { eager with control_interval_ns = Float.infinity };
+        rejects "System.make_multi: elastic periods must be finite"
+          { eager with migration_deadline_ns = Float.infinity });
     Alcotest.test_case "health shows standby and migrating cores; ledger balances"
       `Quick (fun () ->
         let plan = plan_of tag_text in

@@ -820,21 +820,23 @@ let cluster_tests =
         Nfp_sim.Engine.run engine;
         check Alcotest.int "second server's drop counted" 1
           (system.health ()).drops.nf_dropped);
-    Alcotest.test_case "cluster rejects a negative or NaN link latency" `Quick (fun () ->
-        (* -1 used to fail mid-run; NaN finished with a NaN duration. *)
+    Alcotest.test_case "cluster rejects a negative, NaN or infinite link latency" `Quick
+      (fun () ->
+        (* -1 used to fail mid-run; NaN finished with a NaN duration;
+           infinity left most packets undelivered at run end. *)
         let plan =
           let profile_of _ = Nfp_nf.Registry.profile_of "Monitor" in
           match Tables.plan ~profile_of (Graph.nf "m") with Ok p -> p | Error e -> Alcotest.fail e
         in
         let segment = (plan, fun _ -> fst (Nfp_nf.Monitor.create ~name:"m" ())) in
         List.iter
-          (fun link_latency_ns ->
+          (fun (link_latency_ns, msg) ->
             Alcotest.check_raises (Printf.sprintf "%g" link_latency_ns)
-              (Invalid_argument "Cluster.make: link_latency_ns must be >= 0") (fun () ->
+              (Invalid_argument ("Cluster.make: link_latency_ns must be " ^ msg)) (fun () ->
                 ignore
                   (Nfp_infra.Cluster.make ~link_latency_ns ~segments:[ segment; segment ]
                      (Nfp_sim.Engine.create ()) ~output:(fun ~pid:_ _ -> ()))))
-          [ -1.0; Float.nan ]);
+          [ (-1.0, ">= 0"); (Float.nan, ">= 0"); (Float.infinity, "finite") ]);
     Alcotest.test_case "empty cluster rejected" `Quick (fun () ->
         let engine = Nfp_sim.Engine.create () in
         Alcotest.check_raises "empty" (Invalid_argument "Cluster.make: no segments")
@@ -1282,6 +1284,16 @@ let fault_tests =
         rejects "fault restart_ns must be >= 0" { fc with restart_ns = -1.0 };
         rejects "fault merge_timeout_ns must be >= 0" { fc with merge_timeout_ns = -1.0 };
         rejects "fault merge_timeout_ns must be >= 0" { fc with merge_timeout_ns = Float.nan };
+        (* An infinite restart left the livelock guard blind to a
+           watchdog re-arming forever; an infinite merge timeout ended
+           the run at +inf. *)
+        let inf = Float.infinity in
+        rejects "fault watchdog interval and deadline must be finite"
+          { fc with watchdog_interval_ns = inf };
+        rejects "fault watchdog interval and deadline must be finite"
+          { fc with watchdog_deadline_ns = inf };
+        rejects "fault restart_ns must be finite" { fc with restart_ns = inf };
+        rejects "fault merge_timeout_ns must be finite" { fc with merge_timeout_ns = inf };
         rejects "fault checkpoint_interval_ns must be >= 0"
           { fc with checkpoint_interval_ns = -1.0 };
         rejects "fault checkpoint_interval_ns must be >= 0"
@@ -1333,6 +1345,9 @@ let fault_tests =
                 ("wire_ns must be >= 0", { c with wire_ns = Float.nan });
                 ("restart_ns must be >= 0", { c with restart_ns = Float.nan });
                 ("copy_per_byte must be >= 0", { c with copy_per_byte = Float.nan });
+                ("wire_ns must be finite", { c with wire_ns = Float.infinity });
+                ("restart_ns must be finite", { c with restart_ns = Float.infinity });
+                ("copy_per_byte must be finite", { c with copy_per_byte = Float.infinity });
               ];
             (* The shipped presets all pass. *)
             List.iter

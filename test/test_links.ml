@@ -282,7 +282,9 @@ let unit_tests =
         rejects "System.make_multi: links periods must be positive"
           { lossy with ack_interval_ns = Float.nan };
         rejects "System.make_multi: links periods must be positive"
-          { lossy with rto_ns = Float.nan });
+          { lossy with rto_ns = Float.nan };
+        rejects "System.make_multi: links periods must be finite"
+          { lossy with rto_ns = Float.infinity });
     Alcotest.test_case "stacked link faults draw their pinned verdicts" `Quick
       (fun () ->
         (* Burst + Loss + Duplicate + Jumble on one link, plus a

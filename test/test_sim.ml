@@ -769,6 +769,15 @@ let fault_tests =
             rejects "slowdown: at_ns must be >= 0" (fun () ->
                 Fault.slowdown ~at_ns:bad ~factor:2.0 "a"))
           [ -1.0; Float.nan ];
+        (* An infinite time parked the crash at +inf: the run ended
+           there, with an infinite duration. *)
+        let inf = Float.infinity in
+        rejects "crash: at_ns must be finite" (fun () -> Fault.crash ~at_ns:inf "a");
+        rejects "hang: at_ns must be finite" (fun () -> Fault.hang ~at_ns:inf ~duration_ns:1.0 "a");
+        rejects "hang: duration_ns must be finite" (fun () ->
+            Fault.hang ~at_ns:0.0 ~duration_ns:inf "a");
+        rejects "slowdown: at_ns must be finite" (fun () ->
+            Fault.slowdown ~at_ns:inf ~factor:2.0 "a");
         List.iter
           (fun bad ->
             rejects "slowdown: factor must be positive" (fun () ->
