@@ -733,8 +733,32 @@ let run_micro () =
   (* The Firewall's default 100-rule ACL, which [flow] misses: every
      rule is examined. *)
   let acl = Nfp_nf.Firewall.compile (Nfp_nf.Firewall.default_acl 100) in
-  let aho = Nfp_algo.Aho_corasick.build (Nfp_nf.Ids.default_signatures 100) in
+  let signatures = Nfp_nf.Ids.default_signatures 100 in
+  let aho = Nfp_algo.Aho_corasick.build signatures in
   let payload = String.make 1446 'Q' in
+  (* Two more payloads the matcher must read to the end: uniform random
+     bytes, and signatures but their last byte, end to end (each kept
+     only if the text still matches nothing), which hold the DFA off
+     its root nearly throughout: the block-shift filter's worst case. *)
+  let random_payload =
+    let prng = Nfp_algo.Prng.create ~seed:1L in
+    let text = String.init 1446 (fun _ -> Char.chr (Nfp_algo.Prng.int prng ~bound:256)) in
+    if Nfp_algo.Aho_corasick.matches aho text then
+      invalid_arg "run_micro: the random DPI payload matches a signature";
+    text
+  in
+  let prefixes_payload =
+    let prefixes =
+      Array.of_list (List.map (fun s -> String.sub s 0 (String.length s - 1)) signatures)
+    in
+    let rec grow text k =
+      if String.length text >= 1446 then String.sub text 0 1446
+      else
+        let next = text ^ prefixes.(k mod Array.length prefixes) in
+        grow (if Nfp_algo.Aho_corasick.matches aho next then text else next) (k + 1)
+    in
+    grow "" 0
+  in
   (* The west-east chain's NFs on a frame of the IMC mean size: the IPS
      scans its payload in place, the Monitor updates a resident flow's
      counters, the LoadBalancer hashes the flow and rewrites both
@@ -903,6 +927,10 @@ let run_micro () =
         kernel "server breath (1 job)" breath;
         kernel "AES-128 block" (fun () -> Nfp_algo.Aes.encrypt_block aes block ~pos:0);
         kernel "DPI scan 1446B (100 sigs)" (fun () -> Nfp_algo.Aho_corasick.matches aho payload);
+        kernel "DPI scan 1446B random bytes" (fun () ->
+            Nfp_algo.Aho_corasick.matches aho random_payload);
+        kernel "DPI scan 1446B pattern prefixes" (fun () ->
+            Nfp_algo.Aho_corasick.matches aho prefixes_payload);
         kernel "IPS process (IMC frame, in place)" (fun () -> ips.process imc_frame);
         kernel "Monitor process (warm flow)" (fun () -> mon.process imc_frame);
         kernel "LoadBalancer process" (fun () -> lb.process lb_frame);
@@ -1320,7 +1348,7 @@ let run_vm () =
         ~config:{ Nfp_infra.System.default_config with cost }
         ~plan ~nfs:(lookup_of north_south ()) engine ~output
     in
-    let m = measure ~gen make in
+    let m = measure ~prov:(prov ("vm:nfp:" ^ String.lowercase_ascii label)) ~gen make in
     note "  %-12s %.1f us, %.2f Mpps" label m.latency_us m.mpps
   in
   run "containers" Nfp_sim.Cost.default;

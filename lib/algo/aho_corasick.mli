@@ -3,8 +3,11 @@
     The signature-matching substrate of the IDS NF (paper §6.1: "similar
     to the core signature matching component of Snort with 100 signature
     inspection rules"). Patterns are compiled once into a flat DFA over
-    byte classes (bytes no pattern uses share one class); scanning a
-    payload is a single pass of one table load per byte. *)
+    byte classes (bytes no pattern uses share one class), fronted by a
+    Wu–Manber shift table over 2-byte blocks (Snort's "mwm" filter):
+    {!matches_bytes} skips the bytes no occurrence can start in and runs
+    the DFA only where one may, stepping each byte at most once, so it
+    is linear in the range on any text. *)
 
 type t
 

@@ -83,7 +83,7 @@ val plan :
   Graph.t ->
   (plan, string) result
 (** [priority] (default 0) is the chain's admission class.
-    Errors: malformed graph, unknown NF profile, more than 16 versions
+    Errors: malformed graph, unknown NF profile, more than 15 versions
     (the 4-bit metadata limit, paper Fig. 5). *)
 
 val of_output :

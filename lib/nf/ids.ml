@@ -44,8 +44,19 @@ let merge states =
     states;
   State (!alerts, !scanned)
 
+(* One automaton per process, shared by every instance and its [fresh]
+   replicas: it is immutable after build (the "signature-automaton"
+   state is [Read_only]), and building one per instance would cost a
+   64 KB shift table each. Built on first use under a mutex, because
+   [Harness.parallel_runs] creates instances from several domains and a
+   lazy value must not be forced from two at once. *)
+let automaton =
+  let lock = Mutex.create () in
+  let built = lazy (Nfp_algo.Aho_corasick.build (default_signatures 100)) in
+  fun () -> Mutex.protect lock (fun () -> Lazy.force built)
+
 let rec create ?(name = "ids") ?(mode = `Detect) () =
-  let automaton = Nfp_algo.Aho_corasick.build (default_signatures 100) in
+  let automaton = automaton () in
   (* Scans the payload where it lies in the packet buffer: no copy. *)
   let scan buf pos len = Nfp_algo.Aho_corasick.matches_bytes automaton buf ~pos ~len in
   let alerts = ref 0 and scanned = ref 0 in

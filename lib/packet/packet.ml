@@ -106,20 +106,18 @@ let is_udp t = t.g_proto = proto_udp
 
 let rec fold16 s = if s lsr 16 <> 0 then fold16 ((s land 0xffff) + (s lsr 16)) else s
 
+(* The pseudo-header's six 16-bit words (source and destination
+   address, zero and protocol, L4 length) are summed as ints where they
+   lie or are computed, not laid out in a buffer of their own. *)
 let l4_segment_checksum t =
   let l4o = l4_off t in
   let seg_len = Bytes.length t.buf - l4o in
-  let pseudo = Bytes.create 12 in
-  Bytes.blit t.buf (ip_off + 12) pseudo 0 8;
-  Bytes.set pseudo 8 '\x00';
-  Bytes.set pseudo 9 (Char.chr (proto t));
-  Bytes.set pseudo 10 (Char.chr ((seg_len lsr 8) land 0xff));
-  Bytes.set pseudo 11 (Char.chr (seg_len land 0xff));
-  let sum =
-    Nfp_algo.Checksum.ones_complement_sum pseudo ~pos:0 ~len:12
-    + Nfp_algo.Checksum.ones_complement_sum t.buf ~pos:l4o ~len:seg_len
+  let b = t.buf in
+  let pseudo =
+    get_u16 b (ip_off + 12) + get_u16 b (ip_off + 14) + get_u16 b (ip_off + 16)
+    + get_u16 b (ip_off + 18) + proto t + (seg_len land 0xffff)
   in
-  fold16 sum
+  fold16 (pseudo + Nfp_algo.Checksum.ones_complement_sum b ~pos:l4o ~len:seg_len)
 
 (* RFC 1624 incremental update: when one 16-bit word of the segment or
    pseudo-header changes, the checksum is patched without re-summing

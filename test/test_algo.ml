@@ -278,6 +278,46 @@ let aho_case =
         text pos len)
     gen
 
+(* Cases where the block-shift filter runs: every pattern at least
+   [minlen] (2-8) bytes long, one exactly that, over a 3-letter alphabet
+   (half the time "a", "\x00" and "\xff"), so blocks repeat and
+   windows often shift by less than [minlen - 1]. Texts splice
+   patterns, their proper prefixes (which walk the DFA without
+   accepting) and alphabet noise. Half the cases end the range exactly
+   where a pattern ends; [len] may be shorter than every pattern. *)
+let skip_case =
+  let open QCheck in
+  let gen =
+    Gen.(
+      let* alphabet = oneofl [ "abc"; "a\x00\xff" ] in
+      let letter = map (String.get alphabet) (int_bound 2) in
+      let* minlen = int_range 2 8 in
+      let word lo hi = string_size ~gen:letter (int_range lo hi) in
+      let* shortest = word minlen minlen in
+      let* longer = list_size (int_range 0 5) (word minlen (minlen + 6)) in
+      let patterns = shortest :: longer in
+      let prefix = map2 (fun p k -> String.sub p 0 (k mod String.length p)) (oneofl patterns) nat in
+      let* pieces =
+        list_size (int_range 0 12) (frequency [ (1, oneofl patterns); (3, prefix); (2, word 0 5) ])
+      in
+      let text = String.concat "" pieces in
+      let* pos = int_range 0 (String.length text) in
+      let* at_end = bool in
+      if at_end then
+        let+ p = oneofl patterns in
+        let text = text ^ p in
+        (patterns, text, pos, String.length text - pos)
+      else
+        let+ len = int_range 0 (String.length text - pos) in
+        (patterns, text, pos, len))
+  in
+  make
+    ~print:(fun (ps, text, pos, len) ->
+      Printf.sprintf "patterns=%s text=%S pos=%d len=%d"
+        (String.concat "," (List.map (Printf.sprintf "%S") ps))
+        text pos len)
+    gen
+
 let aho_tests =
   [
     Alcotest.test_case "finds single pattern" `Quick (fun () ->
@@ -322,6 +362,14 @@ let aho_tests =
         let buf = Bytes.of_string text in
         Aho_corasick.matches_bytes t buf ~pos ~len
         = naive_matches patterns (Bytes.sub_string buf pos len));
+    qtest ~count:500 "matches_bytes through the block-shift filter agrees with naive search"
+      skip_case
+      (fun (patterns, text, pos, len) ->
+        let t = Aho_corasick.build patterns in
+        let buf = Bytes.of_string text in
+        Aho_corasick.matches_bytes t buf ~pos ~len
+        = naive_matches patterns (Bytes.sub_string buf pos len)
+        && Aho_corasick.matches t text = naive_matches patterns text);
     qtest ~count:200 "scan reports every occurrence, in order" aho_case
       (fun (patterns, text, _, _) ->
         Aho_corasick.scan (Aho_corasick.build patterns) text = naive_scan patterns text);

@@ -331,6 +331,48 @@ let ids_tests =
         check Alcotest.bool "prevent drops" true (Action.may_drop prev.profile);
         check Alcotest.string "kinds" "IDS" det.kind;
         check Alcotest.string "kinds" "IPS" prev.kind);
+    (* Pktgen payloads of every style and of sizes from an empty
+       payload up to a full frame, left alone or with a signature
+       written over their first or last bytes: the IPS drops exactly
+       the packets whose payload holds a signature. *)
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:500 ~name:"IPS verdict agrees with naive signature search"
+         QCheck.(
+           quad
+             (oneofl Nfp_traffic.Pktgen.[ Random_bytes; Ascii; Tagged ])
+             (pair (int_range 54 1500) small_nat)
+             (int_range 0 99)
+             (oneofl [ `None; `First; `Last ]))
+         (fun (payload_style, (size, i), sig_idx, plant) ->
+           let gen =
+             Nfp_traffic.Pktgen.create
+               {
+                 Nfp_traffic.Pktgen.default with
+                 payload_style;
+                 sizes = Nfp_traffic.Size_dist.fixed size;
+               }
+           in
+           let p = Nfp_traffic.Pktgen.packet gen i in
+           let signatures = Ids.default_signatures 100 in
+           let signature = List.nth signatures sig_idx in
+           let payload = Bytes.of_string (Packet.payload p) in
+           let room = Bytes.length payload - String.length signature in
+           (match plant with
+           | `First when room >= 0 -> Bytes.blit_string signature 0 payload 0 (String.length signature)
+           | `Last when room >= 0 -> Bytes.blit_string signature 0 payload room (String.length signature)
+           | _ -> ());
+           let payload = Bytes.to_string payload in
+           Packet.set_payload p payload;
+           let naive =
+             List.exists
+               (fun s ->
+                 let m = String.length s in
+                 let rec at k = k + m <= String.length payload && (String.sub payload k m = s || at (k + 1)) in
+                 at 0)
+               signatures
+           in
+           let ips, _ = Ids.create ~mode:`Prevent () in
+           is_forward (ips.process p) = not naive));
     Alcotest.test_case "cost grows with payload" `Quick (fun () ->
         let ids, _ = Ids.create () in
         let small = pkt ~payload:"x" () and big = pkt ~payload:(String.make 1000 'x') () in

@@ -390,6 +390,36 @@ let packet_tests =
         Packet.equal_wire dst expected
         && Packet.header_length dst = Packet.header_length expected
         && Packet.proto dst = Packet.proto expected);
+    (* The reference lays the RFC 793 pseudo-header out as bytes
+       (source, destination, zero, protocol, L4 length) ahead of the
+       segment with its checksum field zeroed, and takes the RFC 1071
+       checksum of the lot. TCP and UDP, behind an AH header or not,
+       as created or as a header-only copy (whose checksum is
+       recomputed over the trimmed segment). *)
+    qtest ~count:300 "transport checksums equal an explicit pseudo-header reference"
+      QCheck.(
+        quad
+          (triple (oneofl [ 6; 17 ]) bool bool)
+          (pair int32 int32) (int_range 0 0xffff)
+          (string_of_size (Gen.int_range 0 200)))
+      (fun ((proto, ah, copy), (sip, dip), port, payload) ->
+        let flow = Flow.make ~sip ~dip ~sport:port ~dport:(port lxor 0x4321) ~proto in
+        let p = Packet.create ~flow ~payload () in
+        if ah then Packet.add_ah p ~spi:7l ~seq:1l ~icv:2l;
+        let p = if copy then Packet.header_only_copy p ~version:2 else p in
+        let b = Packet.to_bytes p in
+        let l4o = 14 + 20 + if ah then 16 else 0 in
+        let field = l4o + if proto = 6 then 16 else 6 in
+        let seg = Bytes.sub b l4o (Bytes.length b - l4o) in
+        Bytes.set_uint16_be seg (field - l4o) 0;
+        let pseudo = Bytes.make 12 '\x00' in
+        Bytes.blit b 26 pseudo 0 8;
+        Bytes.set_uint8 pseudo 9 proto;
+        Bytes.set_uint16_be pseudo 10 (Bytes.length seg);
+        let whole = Bytes.cat pseudo seg in
+        let expected = Nfp_algo.Checksum.compute whole ~pos:0 ~len:(Bytes.length whole) in
+        let expected = if expected = 0 && proto = 17 then 0xffff else expected in
+        Bytes.get_uint16_be b field = expected);
     qtest ~count:100 "random payloads roundtrip through create/parse"
       QCheck.(string_of_size (Gen.int_range 0 1446))
       (fun payload ->
