@@ -730,8 +730,8 @@ let run_micro () =
     Nfp_algo.Lpm.of_list
       (List.init 1000 (fun i -> (Int32.of_int ((10 lsl 24) lor (i lsl 8)), 24, i)))
   in
-  (* The Firewall's default 100-rule ACL, which [flow] misses: every
-     rule is examined. *)
+  (* The Firewall's default 100-rule ACL, which [flow] misses: its one
+     shape is probed and holds no bucket for the source /24. *)
   let acl = Nfp_nf.Firewall.compile (Nfp_nf.Firewall.default_acl 100) in
   let signatures = Nfp_nf.Ids.default_signatures 100 in
   let aho = Nfp_algo.Aho_corasick.build signatures in
@@ -837,8 +837,9 @@ let run_micro () =
     Nfp_sim.Engine.run breath_engine
   in
   (* A reliable channel over a perfect fabric: each op sends one
-     payload and drains the engine, so the cumulative ack prunes it and
-     the retransmit and probe timers quench. A no-op event queued
+     payload and drains the engine, so the pending cumulative ack prunes
+     it when the retransmit timer next fires, and the retransmit and
+     probe timers quench. A no-op event queued
      behind the timers stands in for the traffic a real run keeps on
      the calendar (timers alone would trip the engine's livelock
      guard). *)
@@ -875,6 +876,15 @@ let run_micro () =
     incr dedup_pid;
     Nfp_infra.System.Dedup.add dedup ~a:!dedup_pid ~b:1;
     Nfp_infra.System.Dedup.mem dedup ~a:!dedup_pid ~b:1
+  in
+  (* The same on PIDs strided by 2^16: every key starts its probe at the
+     same slot pair, so all but the first few spill. *)
+  let strided = Nfp_infra.System.Dedup.create 65_536 in
+  let strided_pid = ref 0 in
+  let strided_op () =
+    strided_pid := !strided_pid + (1 lsl 16);
+    Nfp_infra.System.Dedup.add strided ~a:!strided_pid ~b:1;
+    Nfp_infra.System.Dedup.mem strided ~a:!strided_pid ~b:1
   in
   (* The classifier on a 256-tenant table like tenants_miss's, each op
      classifying the next of 4096 frames in turn. The hit kernel's
@@ -915,6 +925,7 @@ let run_micro () =
         kernel "reliable channel send+ack (lossless)" send_ack;
         kernel "Fault.transit (1% loss)" (fun () -> Nfp_sim.Fault.transit lossy ~now_ns:0.0);
         kernel "dedup add+mem" dedup_op;
+        kernel "dedup add+mem, strided PIDs" strided_op;
         kernel "header-only copy" (fun () -> Nfp_packet.Packet.header_only_copy pkt1500 ~version:2);
         kernel "full copy 1500B" (fun () -> Nfp_packet.Packet.full_copy pkt1500);
         kernel "5-tuple hash" (fun () -> Nfp_packet.Flow.hash flow);

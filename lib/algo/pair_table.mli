@@ -6,8 +6,8 @@
     probing at load at most 1/2, backward-shift deletion (no
     tombstones). Unlike {!Flow_table} it is a map, not a cache: it
     never evicts, and it doubles when it fills. The dataplane keys its
-    dedup memories and merge accumulations by packet ID plus a second
-    limb packing the version or the (MID, merge point) pair. *)
+    merge accumulations by packet ID plus a second limb packing the
+    (MID, merge point) pair. *)
 
 type 'a t
 
@@ -20,6 +20,8 @@ val find : 'a t -> a:int -> b:int -> int
     valid until the next {!replace}, {!remove} or {!clear}. *)
 
 val mem : 'a t -> a:int -> b:int -> bool
+(** Kept for tests: the table tests check membership after removal and
+    clearing. *)
 
 val value : 'a t -> int -> 'a
 (** The value in a slot returned by {!find}. *)

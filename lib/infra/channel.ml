@@ -28,12 +28,19 @@
      partition over.
 
    Every timer self-quenches when its work drains — the simulation
-   engine runs until its event heap empties, so a perpetual probe or
-   ack tick would hang every run. Acks and probes are control-plane
-   exchanges piggybacked on breath completions: they never traverse the
-   lossy fabric themselves (the data-loss case is what the retransmit
+   engine runs until its event heap empties, so a perpetual probe tick
+   would hang every run. Acks and probes are control-plane exchanges
+   piggybacked on breath completions: they never traverse the lossy
+   fabric themselves (the data-loss case is what the retransmit
    machinery exists for), which keeps the protocol provably
-   terminating. *)
+   terminating.
+
+   The cumulative ack is not an engine event. A channel keeps its
+   pending ack as the (due time, reserved engine seq) the event would
+   have had, and settles it — prunes the unacked range up to
+   [expected] — when the state it changes is next read, or [expected]
+   next written, by an event that sorts after it. Everything the ack
+   would have done it does, in the same order, with no heap entry. *)
 
 type reliability = {
   ack_interval_ns : float;  (* cumulative-ack cadence *)
@@ -91,7 +98,8 @@ type 'a t = {
   tx_last : float array;  (* time of the last (re)transmission *)
   rto : Nfp_sim.Engine.timer Lazy.t;
   mutable rto_streak : int;  (* consecutive RTO firings without ack progress *)
-  ack : Nfp_sim.Engine.timer Lazy.t;
+  mutable ack_seq : int;  (* the pending ack's reserved engine seq; -1 = none *)
+  ack_due : float array;  (* its due time, in one unboxed slot *)
   probe : Nfp_sim.Engine.timer Lazy.t;
   mutable probe_fails : int;
   mutable down : bool;
@@ -129,7 +137,28 @@ let buffered ch seq = ch.rx_seq.(rx_slot ch seq) = seq
 (* Receiver: dedup, bounded reorder buffer, in-order release           *)
 (* ------------------------------------------------------------------ *)
 
+(* The pending ack has happened once its (due, seq) sorts before the
+   event now firing: it then prunes with the [expected] it would have
+   seen, which nothing has written since its due time, because every
+   writer settles first. The entry points that read [unacked_lo] or
+   [rto_streak], or write [expected] — [send], [release], [nack],
+   [rto] and [probe] — settle before anything else; [arm_rto],
+   [arm_probe] and [go_down] run only under them. *)
+let settle ch =
+  let seq = ch.ack_seq in
+  if seq >= 0 then begin
+    let due = ch.ack_due.(0) and now = now ch in
+    if due < now || (due = now && seq < Nfp_sim.Engine.firing ch.engine) then begin
+      ch.ack_seq <- -1;
+      if ch.unacked_lo < ch.expected then begin
+        ch.unacked_lo <- ch.expected;
+        ch.rto_streak <- 0
+      end
+    end
+  end
+
 let rec release ch =
+  settle ch;
   let retry = Lazy.force ch.retry_release in
   if not (Nfp_sim.Engine.timer_armed retry) then
     let i = rx_slot ch ch.expected in
@@ -146,23 +175,17 @@ let rec release ch =
         Nfp_sim.Engine.arm_timer retry ~delay:150.0
 
 (* Cumulative ack: prune every send below the receiver's [expected].
-   One event per cadence interval, armed by release progress and
-   re-armed only while something was pruned — an idle channel schedules
-   nothing. *)
+   At most one pending per channel, due one cadence interval after the
+   release progress that arms it, at the time and seq a timer armed
+   here would have taken. Releases while one is pending arm nothing:
+   it prunes up to [expected] itself, and the next release after it
+   arms the next one. *)
 and arm_ack ch =
   match ch.rel with
-  | Some rel when unacked ch > 0 ->
-      Nfp_sim.Engine.arm_timer (Lazy.force ch.ack) ~delay:(rel.ack_interval_ns +. rel.ack_ns)
+  | Some rel when ch.ack_seq < 0 && unacked ch > 0 ->
+      ch.ack_due.(0) <- now ch +. (rel.ack_interval_ns +. rel.ack_ns);
+      ch.ack_seq <- Nfp_sim.Engine.reserve_seq ch.engine
   | _ -> ()
-
-(* Releases since this ack was armed need no re-arm here: the ack
-   prunes up to [expected] itself, and each later release arms the next
-   one. *)
-let ack ch =
-  if ch.unacked_lo < ch.expected then begin
-    ch.unacked_lo <- ch.expected;
-    ch.rto_streak <- 0
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Sender: transit draws, RTO + NACK retransmission, health probes     *)
@@ -240,6 +263,7 @@ and nack ch ~upto =
   match ch.rel with
   | None -> ()
   | Some rel ->
+      settle ch;
       let t = now ch in
       for seq = ch.expected to upto - 1 do
         let i = tx_slot ch seq in
@@ -272,6 +296,7 @@ and arm_rto ch =
   | _ -> ()
 
 and rto ch =
+  settle ch;
   match ch.rel with
   | Some rel when (not ch.down) && unacked ch > 0 ->
       let seq = ch.unacked_lo in
@@ -296,7 +321,9 @@ and rto ch =
    [reroute] — then resync the receiver to the sender's next sequence
    number (an out-of-band control-plane exchange, like a migration
    commit). The link stays Down until a later send observes the
-   partition window over. *)
+   partition window over. A pending ack stays pending and settles as
+   usual; since the RTO stops re-arming here, the ack also keeps an
+   engine event at its due time, so a run's last event is the same. *)
 and go_down ch =
   if not ch.down then begin
     ch.down <- true;
@@ -315,7 +342,8 @@ and go_down ch =
     ch.expected <- ch.next_seq;
     ch.unacked_lo <- ch.next_seq;
     ch.probe_fails <- 0;
-    ch.rto_streak <- 0
+    ch.rto_streak <- 0;
+    if ch.ack_seq >= 0 then Nfp_sim.Engine.schedule_at ch.engine ch.ack_due.(0) ignore
   end
 
 (* Health probes: while data is outstanding, sample the link every
@@ -328,6 +356,7 @@ let arm_probe ch =
     Nfp_sim.Engine.arm_timer (Lazy.force ch.probe) ~delay:probe_interval_ns
 
 let probe ch =
+  settle ch;
   match ch.rel with
   | Some _ when (not ch.down) && unacked ch > 0 ->
       if partitioned ch then begin
@@ -340,7 +369,7 @@ let probe ch =
       end
   | _ -> ()
 
-(* The four timers are built on first arming: a raw channel never
+(* The three timers are built on first arming: a raw channel never
    needs them. *)
 let create ~engine ~name ?state ?reliability ~deliver ~reroute ~stats () =
   let timer what f = Nfp_sim.Engine.timer engine ~name:(name ^ ":" ^ what) f in
@@ -363,7 +392,8 @@ let create ~engine ~name ?state ?reliability ~deliver ~reroute ~stats () =
       tx_last = Array.make tx_slots 0.0;
       rto = lazy (timer "rto" (fun () -> rto ch));
       rto_streak = 0;
-      ack = lazy (timer "ack" (fun () -> ack ch));
+      ack_seq = -1;
+      ack_due = [| 0.0 |];
       probe = lazy (timer "probe" (fun () -> probe ch));
       probe_fails = 0;
       down = false;
@@ -405,6 +435,7 @@ let rec send ch x =
   match ch.rel with
   | None -> send_raw ch x
   | Some _ ->
+      settle ch;
       if ch.down then
         if not (partitioned ch) then begin
           (* The partition window has passed: the next probe cycle would

@@ -19,53 +19,47 @@ let any_rule ~permit =
     permit;
   }
 
-(* A compiled ACL: [stride] ints per rule, in rule order: source and
-   destination prefix as (address bits under the mask, mask) in the
-   unsigned form [Packet.sip_int] reads, the two inclusive port ranges,
-   the protocol or -1 for any, and 1 for deny. *)
-type acl = int array
+(* A compiled ACL: the tuple space of the rules any packet can match,
+   in rule order, and whether each of them denies. *)
+type acl = { space : Tuple_space.t; deny : bool array }
 
-let stride = 10
+let check_prefix (_, len) =
+  if len < 0 || len > 32 then invalid_arg "Firewall.compile: prefix length must be in [0, 32]"
 
-let prefix_mask len =
-  if len < 0 || len > 32 then invalid_arg "Firewall.compile: prefix length must be in [0, 32]";
-  0xffff_ffff lxor ((1 lsl (32 - len)) - 1)
+(* A rule as the tuple space keys it, or [None] for one no packet
+   matches (an inverted or out-of-range port range), which can never
+   decide: its ranges are clipped to the port space, and a range over
+   all of it is a wildcard. *)
+let to_match r =
+  check_prefix r.sip_prefix;
+  check_prefix r.dip_prefix;
+  (match r.proto with
+  | Some p when p < 0 || p > 255 -> invalid_arg "Firewall.compile: proto must be in [0, 255]"
+  | _ -> ());
+  let clip (lo, hi) = (max lo 0, min hi 0xffff) in
+  let (slo, shi), (dlo, dhi) = (clip r.sport_range, clip r.dport_range) in
+  if slo > shi || dlo > dhi then None
+  else
+    let range lo hi = if lo = 0 && hi = 0xffff then None else Some (lo, hi) in
+    Some
+      ( {
+          Flow_match.sip_prefix = Some r.sip_prefix;
+          dip_prefix = Some r.dip_prefix;
+          sport_range = range slo shi;
+          dport_range = range dlo dhi;
+          proto = r.proto;
+        },
+        not r.permit )
 
-let compile_rule r =
-  let (sip, sip_len), (dip, dip_len) = (r.sip_prefix, r.dip_prefix) in
-  let sip_mask = prefix_mask sip_len and dip_mask = prefix_mask dip_len in
-  let proto =
-    match r.proto with
-    | None -> -1
-    | Some p when p < 0 || p > 255 -> invalid_arg "Firewall.compile: proto must be in [0, 255]"
-    | Some p -> p
-  in
-  [|
-    Int32.to_int sip land sip_mask; sip_mask;
-    Int32.to_int dip land dip_mask; dip_mask;
-    fst r.sport_range; snd r.sport_range;
-    fst r.dport_range; snd r.dport_range;
-    proto; Bool.to_int (not r.permit);
-  |]
+let compile rules =
+  let live = Array.of_list (List.filter_map to_match rules) in
+  { space = Tuple_space.create (Array.map fst live); deny = Array.map snd live }
 
-let compile rules = Array.concat (List.map compile_rule rules)
-
-(* The first rule matching the packet's fields decides: a top-level
-   loop over immediate ints, so no closure is built per packet. *)
-let rec first_match acl o sip dip sport dport proto =
-  if o >= Array.length acl then false
-  else if
-    sip land acl.(o + 1) = acl.(o)
-    && dip land acl.(o + 3) = acl.(o + 2)
-    && sport >= acl.(o + 4) && sport <= acl.(o + 5)
-    && dport >= acl.(o + 6) && dport <= acl.(o + 7)
-    && (acl.(o + 8) < 0 || acl.(o + 8) = proto)
-  then acl.(o + 9) = 1
-  else first_match acl (o + stride) sip dip sport dport proto
-
+(* The packet's key limbs carry SIP, SPORT and the protocol, and DIP and
+   DPORT, as the tuple space keys them. *)
 let denies acl pkt =
-  first_match acl 0 (Packet.sip_int pkt) (Packet.dip_int pkt) (Packet.sport pkt)
-    (Packet.dport pkt) (Packet.proto pkt)
+  let r = Tuple_space.find acl.space (Packet.key_a pkt) (Packet.key_b pkt) in
+  r >= 0 && acl.deny.(r)
 
 let default_acl n =
   (* Deny a spread of /24s and port bands; deterministic so tests and
@@ -109,9 +103,18 @@ let merge states =
     states;
   State (!passed, !dropped)
 
+(* The default ACL is compiled once per process and shared by every
+   instance and its [fresh] replicas: it is immutable (the "acl" state
+   is [Read_only]). Built on first use under a mutex, because
+   [Harness.parallel_runs] creates instances from several domains and a
+   lazy value must not be forced from two at once. *)
+let default_compiled =
+  let lock = Mutex.create () in
+  let built = lazy (compile (default_acl 100)) in
+  fun () -> Mutex.protect lock (fun () -> Lazy.force built)
+
 let rec create ?(name = "fw") ?(extra_cycles = 0) ?acl () =
-  let acl = match acl with Some a -> a | None -> default_acl 100 in
-  let compiled = compile acl in
+  let compiled = match acl with Some a -> compile a | None -> default_compiled () in
   let passed = ref 0 and dropped = ref 0 in
   let process pkt =
     if denies compiled pkt then begin
@@ -134,7 +137,7 @@ let rec create ?(name = "fw") ?(extra_cycles = 0) ?acl () =
   ( Nf.make ~name ~kind:"Firewall" ~profile ~cost_cycles
       ~state_digest:(fun () -> Nfp_algo.Hashing.combine !passed !dropped)
       ~snapshot ~restore ~state_access
-      ~fresh:(fun () -> fst (create ~name ~extra_cycles ~acl ()))
+      ~fresh:(fun () -> fst (create ~name ~extra_cycles ?acl ()))
       ~merge
         (* Only commutative counters: migration moves the zero state. *)
       ~extract:(fun _ -> State (0, 0))

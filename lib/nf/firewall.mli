@@ -24,8 +24,10 @@ val default_acl : int -> rule list
     evaluation workload's "ACL containing 100 rules". *)
 
 type acl
-(** An ACL compiled for first-match lookup: one flat int array, ten
-    ints a rule, read with no allocation. *)
+(** An ACL compiled for first-match lookup: a {!Nfp_packet.Tuple_space}
+    over its rules and a deny flag per rule, read with no allocation.
+    The default ACL's 100 rules share one shape (a source /24), so a
+    lookup probes one table. *)
 
 val compile : rule list -> acl
 (** [compile rules] keeps the rules' order for {!denies}.
@@ -43,5 +45,5 @@ val create :
   ?name:string -> ?extra_cycles:int -> ?acl:rule list -> unit -> Nf.t * stats
 (** [extra_cycles] makes the firewall busy-loop after processing — the
     paper's NF-complexity knob for Fig. 9. The ACL defaults to
-    [default_acl 100]. First matching rule wins ({!denies}); no match
-    permits. @raise Invalid_argument as {!compile} does. *)
+    [default_acl 100], compiled once per process and shared. First
+    matching rule wins ({!denies}); no match permits. @raise Invalid_argument as {!compile} does. *)

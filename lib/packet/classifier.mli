@@ -9,22 +9,16 @@
     - level 1, an exact-match microflow cache
       ({!Nfp_algo.Flow_table}): a recently seen flow maps straight to
       its MID (or to the cached negative "no rule" result);
-    - level 2, a tuple-space matcher: rules grouped by mask shape
-      (prefix lengths, port-range kind, proto presence), so a cache
-      miss probes one table per distinct shape rather than every rule.
-      A shape is a pair of masks over the two packed key limbs of the
-      5-tuple (prefix bits, exact-port bits, proto bits), and each
-      group keeps one {!Nfp_algo.Pair_table} from the masked limbs to
-      a flat, ascending array of rule indices. Port ranges are
-      unmaskable and are checked against per-rule int bounds.
+    - level 2, the {!Tuple_space} matcher: rules grouped by mask
+      shape (prefix lengths, port-range kind, proto presence), so a
+      cache miss probes one table per distinct shape rather than every
+      rule.
 
     Both levels read only the two limbs, so neither a hit nor a miss of
     {!classify_packet} allocates.
 
-    Priority is preserved exactly: each group resolves to its lowest
-    matching rule index and the winner is the minimum across groups
-    (groups whose lowest index cannot beat the match in hand are
-    skipped). [test/test_classifier.ml] holds {!classify} to
+    Priority is preserved exactly, as {!Tuple_space} keeps it.
+    [test/test_classifier.ml] holds {!classify} to
     packet-for-packet agreement with {!scan} on randomized tables. *)
 
 type t

@@ -74,7 +74,9 @@ val dip_int : t -> int
     use these). *)
 
 val sport : t -> int
-(** 0 when the packet has no TCP/UDP header. *)
+(** 0 when the packet has no TCP/UDP header. Kept for tests, like
+    {!proto}: the firewall's reference model reads the fields one by
+    one, programs through {!key_a}. *)
 
 val set_sport : t -> int -> unit
 (** No-op on packets without a transport header.
@@ -95,7 +97,8 @@ val tos : t -> int
 val set_tos : t -> int -> unit
 
 val proto : t -> int
-(** The innermost protocol (looks through an AH header). *)
+(** The innermost protocol (looks through an AH header). Kept for
+    tests: see {!sport}. *)
 
 val key_a : t -> int
 val key_b : t -> int

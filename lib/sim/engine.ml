@@ -110,10 +110,14 @@ let insert t seq action =
   t.size <- i + 1;
   sift_up t i seq action
 
-let arm_at t time action =
-  if not (time >= t.clock.ns) then invalid_arg "Engine.schedule_at: time is in the past";
+let reserve_seq t =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
+  seq
+
+let arm_at t time action =
+  if not (time >= t.clock.ns) then invalid_arg "Engine.schedule_at: time is in the past";
+  let seq = reserve_seq t in
   t.clock.key <- time;
   insert t seq action;
   seq

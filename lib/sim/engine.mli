@@ -24,8 +24,7 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
 
 val schedule_at : t -> float -> (unit -> unit) -> unit
 (** Absolute-time variant; times in the past, and NaN, raise
-    [Invalid_argument]. Kept for tests: the engine tests schedule at
-    fixed instants. *)
+    [Invalid_argument]. *)
 
 val arm : t -> delay:float -> (unit -> unit) -> int
 (** {!schedule} that returns the event's sequence number: while the
@@ -34,6 +33,13 @@ val arm : t -> delay:float -> (unit -> unit) -> int
 val firing : t -> int
 (** Sequence number of the event whose callback is running; [-1]
     outside {!run}. *)
+
+val reserve_seq : t -> int
+(** Take the next sequence number exactly as {!arm} would, and queue
+    nothing. A component that keeps a deadline itself, instead of
+    scheduling it, holds its place in the event order with the
+    reserved number: a (time, seq) sorts before the firing event when
+    its time is earlier, or equal with a smaller seq than {!firing}. *)
 
 (** {2 Timers}
 

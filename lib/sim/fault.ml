@@ -227,12 +227,12 @@ let loss ~probability link =
 
 let duplicate ?(gap_ns = 200.0) ~probability link =
   probability_in_range ~who:"duplicate" "probability" probability;
-  non_negative ~who:"duplicate" "gap_ns" gap_ns;
+  finite_time ~who:"duplicate" "gap_ns" gap_ns;
   { link; faults = [ Duplicate { probability; gap_ns } ] }
 
 let jumble ~probability ~span_ns link =
   probability_in_range ~who:"jumble" "probability" probability;
-  non_negative ~who:"jumble" "span_ns" span_ns;
+  finite_time ~who:"jumble" "span_ns" span_ns;
   { link; faults = [ Jumble { probability; span_ns } ] }
 
 let burst ~p_enter ~p_exit ~drop link =
@@ -249,9 +249,12 @@ let partition ~at_ns ~duration_ns link =
 (* A flapping link: [cycles] partition windows of [down_ns] each,
    separated by [up_ns] of health, starting at [at_ns]. *)
 let flapping ~at_ns ~down_ns ~up_ns ~cycles link =
+  non_negative ~who:"flapping" "at_ns" at_ns;
+  (* An infinite window length would make the first window start at
+     [0 * inf = nan], and the link would never be partitioned. *)
   List.iter
-    (fun (name, x) -> non_negative ~who:"flapping" name x)
-    [ ("at_ns", at_ns); ("down_ns", down_ns); ("up_ns", up_ns) ];
+    (fun (name, x) -> finite_time ~who:"flapping" name x)
+    [ ("down_ns", down_ns); ("up_ns", up_ns) ];
   if cycles < 1 then invalid_arg "Fault.flapping: cycles must be >= 1";
   {
     link;

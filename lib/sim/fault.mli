@@ -109,8 +109,10 @@ val link_plan : ?seed:int64 -> link_spec list -> link_plan
 (** The link-spec constructors check their inputs when the plan is
     built: each raises [Invalid_argument] for a probability outside
     [[0, 1]] or a time ([gap_ns], [span_ns], [at_ns], [duration_ns],
-    [down_ns], [up_ns]) below 0, a NaN included, and {!flapping} for
-    [cycles < 1]. *)
+    [down_ns], [up_ns]) below 0, a NaN included, an infinite [gap_ns],
+    [span_ns], [down_ns] or [up_ns], and {!flapping} for [cycles < 1].
+    A {!partition} may have an infinite [at_ns] (it never starts) or
+    [duration_ns] (a permanent outage). *)
 
 val loss : probability:float -> string -> link_spec
 

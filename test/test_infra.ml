@@ -1394,10 +1394,56 @@ end
 
 type dedup_op = Add of int * int | Mem of int * int
 
-(* Capacities from 2 to 400 against up to 1500 operations over a few
-   hundred keys: small memories rotate many times over, large ones grow
-   their tables past the initial 64 slots before the first rotation. *)
+(* Capacities from 2 to 400 against up to 1500 operations. Half the
+   cases draw keys from a few hundred small PIDs and versions 1-3: small
+   memories rotate many times over, large ones grow their tables past
+   the initial 64 slots before the first rotation. The other half walk
+   PIDs the way a run issues them, where the PID-ordered slot layout is
+   weakest: mostly the next PID, sometimes a look back a few or a few
+   thousand PIDs, PIDs [base + i * 2^k] strided by a power of two up to
+   2^20, and up to three second limbs per PID, versions or
+   [Dedup.merge_limb] pairs. A long run rotates the memory many
+   times. *)
 let dedup_case =
+  let open QCheck.Gen in
+  let small =
+    let* span = int_range 4 300 in
+    let key = pair (int_range 0 span) (int_range 1 3) in
+    list_size (int_range 0 1500)
+      (frequency
+         [ (3, map (fun (a, b) -> Add (a, b)) key); (1, map (fun (a, b) -> Mem (a, b)) key) ])
+  in
+  let walk =
+    let* base = int_bound 1_000_000 and* shift = int_range 0 20 in
+    let limb =
+      oneof
+        [
+          int_range 1 3;
+          map2 (fun mid merge_id -> Dedup.merge_limb ~mid ~merge_id) (int_range 0 3) (int_range 0 3);
+        ]
+    in
+    let* limbs = list_size (int_range 1 3) limb in
+    let step =
+      frequency
+        [
+          (12, return 1);
+          (2, return 0);
+          (1, map (fun k -> -k) (int_bound 50));
+          (1, map (fun k -> -k) (int_bound 3000));
+        ]
+    in
+    let add = frequency [ (3, return true); (1, return false) ] in
+    let* steps = list_size (int_range 0 1500) (triple step (oneofl limbs) add) in
+    let _, ops =
+      List.fold_left
+        (fun (i, ops) (d, b, add) ->
+          let i = max 0 (i + d) in
+          let a = base + (i lsl shift) in
+          (i, (if add then Add (a, b) else Mem (a, b)) :: ops))
+        (0, []) steps
+    in
+    return (List.rev ops)
+  in
   QCheck.make
     ~print:(fun (capacity, ops) ->
       Printf.sprintf "capacity %d: %s" capacity
@@ -1407,16 +1453,7 @@ let dedup_case =
                 | Add (a, b) -> Printf.sprintf "+%d/%d" a b
                 | Mem (a, b) -> Printf.sprintf "?%d/%d" a b)
               ops)))
-    QCheck.Gen.(
-      let* capacity = int_range 2 400 in
-      let* span = int_range 4 300 in
-      let key = pair (int_range 0 span) (int_range 1 3) in
-      let* ops =
-        list_size (int_range 0 1500)
-          (frequency
-             [ (3, map (fun (a, b) -> Add (a, b)) key); (1, map (fun (a, b) -> Mem (a, b)) key) ])
-      in
-      return (capacity, ops))
+    (pair (int_range 2 400) (oneof [ small; walk ]))
 
 let dedup_tests =
   [

@@ -464,6 +464,46 @@ let differential_tests =
         check Alcotest.int "nothing left in flight" 0 rr.in_flight;
         check Alcotest.bool "the link recovered after the window" true
           (rr.completed > l.reroutes));
+    Alcotest.test_case "an infinite partition start or length is accepted" `Quick (fun () ->
+        (* A partition at +inf never starts; one of infinite length is
+           a permanent outage that every later send detours around.
+           Both runs end at a finite time with every packet delivered. *)
+        let plan = plan_of tag_text in
+        List.iter
+          (fun (what, at_ns, duration_ns) ->
+            let _, rr =
+              observe
+                ~links:(links [ F.partition ~at_ns ~duration_ns "*" ])
+                ~make_nf:tag_make_nf ~plan ~bindings:tag_bindings ~arrivals:steady
+                ~packets:400 ()
+            in
+            check Alcotest.bool (what ^ ": finite duration") true (Float.is_finite rr.duration_ns);
+            check Alcotest.int (what ^ ": every packet delivered") rr.offered rr.completed)
+          [
+            ("never starts", Float.infinity, 100_000.0);
+            ("permanent outage", 300_000.0, Float.infinity);
+          ]);
+    Alcotest.test_case "an ack pending when a partition takes the link Down keeps the \
+                        run's duration" `Quick (fun () ->
+        (* Jumbled transits drawn before the partition land inside it,
+           so releases, and the acks they arm, go on until the probes
+           declare the links Down. A pending ack is no engine event; the
+           duration (the last event's time) is the one the run had when
+           every ack was a timer. *)
+        let plan = plan_of par_text in
+        let _, rr =
+          observe
+            ~links:
+              (links
+                 [
+                   F.partition ~at_ns:396_000.0 ~duration_ns:100_000.0 "*";
+                   F.jumble ~probability:0.6 ~span_ns:20_000.0 "*";
+                 ])
+            ~plan ~bindings:par_bindings ~arrivals:steady ~packets:200 ()
+        in
+        check Alcotest.bool "links went Down" true ((link_taxonomy rr).partitions >= 1);
+        check Alcotest.int "every packet delivered" rr.offered rr.completed;
+        check (Alcotest.float 0.0) "duration_ns" 454200.13023382408 rr.duration_ns);
     Alcotest.test_case "raw fabric: drops are real losses, in the ledger residual"
       `Quick (fun () ->
         let plan = plan_of tag_text in

@@ -180,6 +180,20 @@ let equivalence_tests =
             ()
         in
         check Alcotest.int "both crashes took effect" 2 rr.health.crashes);
+    Alcotest.test_case "an infinite checkpoint interval is accepted: no periodic checkpoint"
+      `Quick (fun () ->
+        (* Only a full input log forces a checkpoint, so the crash
+           replays the whole log since the start; the run still ends at a
+           finite time with every packet delivered once. *)
+        let rr =
+          equivalence ~checkpoint_interval_ns:Float.infinity ~text:ns_text ~bindings:ns_bindings
+            ~crash_plan:
+              (Nfp_sim.Fault.plan [ Nfp_sim.Fault.crash ~at_ns:500_000.0 "mid1:vpn" ])
+            ()
+        in
+        check Alcotest.int "crash took effect" 1 rr.health.crashes;
+        check Alcotest.bool "finite duration" true (Float.is_finite rr.duration_ns);
+        check Alcotest.int "every packet delivered" rr.offered rr.completed);
     Alcotest.test_case "crash storm across every NF core" `Quick (fun () ->
         let storm =
           Nfp_sim.Fault.storm ~seed:11L

@@ -810,6 +810,12 @@ let fault_tests =
             Fault.jumble ~probability:0.5 ~span_ns:(-1.0) "a");
         rejects "jumble: span_ns must be >= 0" (fun () ->
             Fault.jumble ~probability:0.5 ~span_ns:nan "a");
+        (* An infinite gap or span parks a copy at +inf, which the run
+           then ends at. *)
+        rejects "duplicate: gap_ns must be finite" (fun () ->
+            Fault.duplicate ~gap_ns:Float.infinity ~probability:0.5 "*");
+        rejects "jumble: span_ns must be finite" (fun () ->
+            Fault.jumble ~probability:0.5 ~span_ns:Float.infinity "a");
         rejects "burst: p_enter must be in [0, 1]" (fun () ->
             Fault.burst ~p_enter:nan ~p_exit:0.5 ~drop:0.5 "a");
         rejects "burst: p_exit must be in [0, 1]" (fun () ->
@@ -826,6 +832,9 @@ let fault_tests =
         rejects "flapping: at_ns must be >= 0" (flapping ~at_ns:nan);
         rejects "flapping: down_ns must be >= 0" (flapping ~down_ns:(-1.0));
         rejects "flapping: up_ns must be >= 0" (flapping ~up_ns:nan);
+        (* An infinite window length makes the first window [nan, nan]. *)
+        rejects "flapping: down_ns must be finite" (flapping ~down_ns:Float.infinity);
+        rejects "flapping: up_ns must be finite" (flapping ~up_ns:Float.infinity);
         rejects "flapping: cycles must be >= 1" (flapping ~cycles:0));
     Alcotest.test_case "surge rejects a NaN base and NaN factors" `Quick (fun () ->
         Alcotest.check_raises "base" (Invalid_argument "Fault.surge: base_mpps must be positive")
