@@ -176,19 +176,6 @@ let measure ?hi ?prov ~gen make =
 (* Instances, plans and deployments                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* An instance lookup is a factory: every call builds fresh instances
-   for one deployment. [lookup_of kinds] builds registry types, [kinds]
-   mapping instance -> type. *)
-let lookup_of kinds () =
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun (name, kind) ->
-      match Nfp_nf.Registry.instantiate kind ~name with
-      | Some nf -> Hashtbl.replace table name nf
-      | None -> failwith ("no implementation for " ^ kind))
-    kinds;
-  Hashtbl.find table
-
 let profile_in kinds n = Nfp_nf.Registry.profile_of (List.assoc n kinds)
 
 (* The registry cannot instantiate parameterized firewall variants, so
@@ -285,7 +272,7 @@ let run_fig7 () =
   (* OpenNetVM and NFP running [n] forwarders in sequence. *)
   let chains n =
     let kinds = forwarder_kinds n in
-    let names = List.map fst kinds and nfs = lookup_of kinds in
+    let names = List.map fst kinds and nfs () = Nfp_nf.Registry.instances kinds in
     (onvm ~nfs names, nfp ~profile_of:(profile_in kinds) ~nfs (seq names))
   in
   let gen = gen_of_size 64 in
@@ -363,8 +350,9 @@ let run_fig8 () =
   List.iter
     (fun kind ->
       let kinds = [ ("nf0", kind); ("nf1", kind) ] in
-      rig ~profile_of:(profile_in kinds) ~nfs:(lookup_of kinds) ~exp:"fig8"
-        ~row:(String.lowercase_ascii kind) kind (List.map fst kinds))
+      rig ~profile_of:(profile_in kinds)
+        ~nfs:(fun () -> Nfp_nf.Registry.instances kinds)
+        ~exp:"fig8" ~row:(String.lowercase_ascii kind) kind (List.map fst kinds))
     [ "Forwarder"; "LoadBalancer"; "Firewall"; "Monitor"; "VPN"; "IDS" ]
 
 let run_fig9 () =
@@ -469,7 +457,7 @@ let run_fig13 () =
       let hi = Nfp_sim.Nic.max_mpps ~frame_bytes:724 in
       let run_variant costs tag uniform =
         let nfs () =
-          let lookup = lookup_of kinds () in
+          let lookup = Nfp_nf.Registry.instances kinds in
           fun n ->
             let nf = lookup n in
             if uniform then { nf with Nfp_nf.Nf.cost_cycles = (fun _ -> 1200) } else nf
@@ -598,8 +586,8 @@ let run_replay () =
     in
     let o =
       Nfp_traffic.Replay.run
-        ~chain:(fun () -> List.map (lookup_of kinds ()) (List.map fst kinds))
-        ~deployment:(fun () -> (plan, lookup_of kinds ()))
+        ~chain:(fun () -> List.map (Nfp_nf.Registry.instances kinds) (List.map fst kinds))
+        ~deployment:(fun () -> (plan, Nfp_nf.Registry.instances kinds))
         ~gen:(Nfp_traffic.Pktgen.packet gen) ~packets:2000
     in
     note "  %-12s %d/%d packets identical (%s)" label o.agreements o.total
@@ -842,10 +830,18 @@ let run_micro () =
      probe timers quench. A no-op event queued
      behind the timers stands in for the traffic a real run keeps on
      the calendar (timers alone would trip the engine's livelock
-     guard). *)
+     guard). The fabric's only fault is a partition that never starts,
+     so every transit checks one window and passes. *)
   let channel_engine = Nfp_sim.Engine.create () in
+  let perfect =
+    Option.get
+      (Nfp_sim.Fault.link_for
+         (Nfp_sim.Fault.link_plan
+            [ Nfp_sim.Fault.partition ~at_ns:infinity ~duration_ns:0.0 "l" ])
+         "l")
+  in
   let channel =
-    Nfp_infra.Channel.create ~engine:channel_engine ~name:"micro"
+    Nfp_infra.Channel.create ~engine:channel_engine ~name:"micro" ~state:perfect
       ~reliability:
         {
           Nfp_infra.Channel.ack_interval_ns =
@@ -1099,7 +1095,8 @@ let elastic_kinds = forwarder_kinds 2 @ [ ("ids", "IDS") ]
 let elastic_make ?elastic () =
   let plan = seq_plan elastic_kinds in
   fun engine ~output ->
-    Nfp_infra.System.make ?elastic ~plan ~nfs:(lookup_of elastic_kinds ()) engine ~output
+    Nfp_infra.System.make ?elastic ~plan ~nfs:(Nfp_nf.Registry.instances elastic_kinds) engine
+      ~output
 
 let elastic_point ?elastic rate =
   Nfp_sim.Harness.run ~make:(elastic_make ?elastic ()) ~gen:(gen_of_size 64)
@@ -1117,7 +1114,8 @@ let run_loadsweep () =
   note " max lossless rate; this sweep shows where that sits on the knee)";
   let plan = chain_plan north_south in
   let make ?stats ?links ?(config = Nfp_infra.System.default_config) () engine ~output =
-    Nfp_infra.System.make ?stats ?links ~config ~plan ~nfs:(lookup_of north_south ())
+    Nfp_infra.System.make ?stats ?links ~config ~plan
+      ~nfs:(Nfp_nf.Registry.instances north_south)
       engine ~output
   in
   let mx = knee ~gen:(gen_of_size 64) (make ()) in
@@ -1252,7 +1250,7 @@ let run_scale () =
       let make engine ~output =
         Nfp_infra.System.make
           ~config:{ Nfp_infra.System.default_config with replicas }
-          ~replication ~plan ~nfs:(lookup_of kinds ()) engine ~output
+          ~replication ~plan ~nfs:(Nfp_nf.Registry.instances kinds) engine ~output
       in
       let m =
         measure ~hi:30.0
@@ -1357,7 +1355,7 @@ let run_vm () =
     let make engine ~output =
       Nfp_infra.System.make
         ~config:{ Nfp_infra.System.default_config with cost }
-        ~plan ~nfs:(lookup_of north_south ()) engine ~output
+        ~plan ~nfs:(Nfp_nf.Registry.instances north_south) engine ~output
     in
     let m = measure ~prov:(prov ("vm:nfp:" ^ String.lowercase_ascii label)) ~gen make in
     note "  %-12s %.1f us, %.2f Mpps" label m.latency_us m.mpps
@@ -1387,7 +1385,7 @@ let run_classify () =
       let graphs () =
         List.init tenants (fun t ->
             let kinds = [ (Printf.sprintf "fwd%d" t, "Forwarder") ] in
-            (tenant_rule t, seq_plan kinds, lookup_of kinds ()))
+            (tenant_rule t, seq_plan kinds, Nfp_nf.Registry.instances kinds))
       in
       let shapes =
         Nfp_packet.Classifier.group_count
@@ -1475,7 +1473,7 @@ let run_batch () =
           ~config:
             (let c = Nfp_infra.System.default_config in
              { c with cost = { c.cost with batch } })
-          ~plan ~nfs:(lookup_of kinds ()) engine ~output
+          ~plan ~nfs:(Nfp_nf.Registry.instances kinds) engine ~output
       in
       let t0 = Unix.gettimeofday () in
       let m =
@@ -1699,7 +1697,7 @@ let run_links () =
     let make engine ~output =
       Nfp_infra.System.make ~links
         ~config:{ Nfp_infra.System.default_config with ring_capacity = 8192 }
-        ~plan ~nfs:(lookup_of kinds ()) engine ~output
+        ~plan ~nfs:(Nfp_nf.Registry.instances kinds) engine ~output
     in
     let r =
       Nfp_sim.Harness.run ~make ~gen:(gen_of_size 128)

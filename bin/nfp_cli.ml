@@ -28,17 +28,11 @@ let compile_policy ?field_sensitive_write_read policy =
 let instances_of_policy (policy : Nfp_policy.Rule.policy) graph =
   (* Instantiate each NF named in the graph from its binding (or its
      own name when it is itself a registered type). *)
-  let table = Hashtbl.create 16 in
-  List.iter
-    (fun name ->
-      let kind =
-        match List.assoc_opt name policy.bindings with Some k -> k | None -> name
-      in
-      match Nfp_nf.Registry.instantiate kind ~name with
-      | Some nf -> Hashtbl.replace table name nf
-      | None -> failwith (Printf.sprintf "NF type %S has no implementation" kind))
-    (Graph.nfs graph);
-  fun name -> Hashtbl.find table name
+  Nfp_nf.Registry.instances
+    (List.map
+       (fun name ->
+         (name, Option.value (List.assoc_opt name policy.bindings) ~default:name))
+       (Graph.nfs graph))
 
 let or_die = function
   | Ok v -> v

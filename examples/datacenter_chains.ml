@@ -33,16 +33,6 @@ let west_east =
     order = [ "ids"; "mon"; "lb" ];
   }
 
-let instances spec () =
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun (name, kind) ->
-      match Nfp_nf.Registry.instantiate kind ~name with
-      | Some nf -> Hashtbl.replace table name nf
-      | None -> assert false)
-    spec.bindings;
-  fun name -> Hashtbl.find table name
-
 let run spec =
   let policy =
     { Nfp_policy.Rule.bindings = spec.bindings; rules = Nfp_policy.Rule.of_chain spec.order }
@@ -77,23 +67,24 @@ let run spec =
   let uniform nf = { nf with Nfp_nf.Nf.cost_cycles = (fun _ -> 1200) } in
   let l_seq =
     measure (fun engine ~output ->
-        let lookup = instances spec () in
+        let lookup = Nfp_nf.Registry.instances spec.bindings in
         Nfp_baseline.Opennetvm.make ~nfs:(List.map lookup spec.order) engine ~output)
   in
   let l_nfp =
     measure (fun engine ~output ->
-        Nfp_infra.System.make ~plan ~nfs:(instances spec ()) engine ~output)
+        Nfp_infra.System.make ~plan ~nfs:(Nfp_nf.Registry.instances spec.bindings) engine
+          ~output)
   in
   let lu_seq =
     measure (fun engine ~output ->
-        let lookup = instances spec () in
+        let lookup = Nfp_nf.Registry.instances spec.bindings in
         Nfp_baseline.Opennetvm.make
           ~nfs:(List.map (fun n -> uniform (lookup n)) spec.order)
           engine ~output)
   in
   let lu_nfp =
     measure (fun engine ~output ->
-        let lookup = instances spec () in
+        let lookup = Nfp_nf.Registry.instances spec.bindings in
         Nfp_infra.System.make ~plan ~nfs:(fun n -> uniform (lookup n)) engine ~output)
   in
   let mean_size = Nfp_traffic.Size_dist.mean Nfp_traffic.Size_dist.datacenter in

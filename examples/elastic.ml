@@ -46,15 +46,7 @@ let surge =
     [ Nfp_sim.Fault.Spike { at_ns = 200_000.0; duration_ns = 800_000.0; factor = 4.0 } ]
 
 let run ?elastic label =
-  let nfs =
-    let table = Hashtbl.create 4 in
-    List.iter
-      (fun (name, kind) ->
-        Hashtbl.replace table name
-          (Option.get (Nfp_nf.Registry.instantiate kind ~name)))
-      kinds;
-    Hashtbl.find table
-  in
+  let nfs = Nfp_nf.Registry.instances kinds in
   let make engine ~output =
     Nfp_infra.System.make ?elastic ~plan:(plan ()) ~nfs engine ~output
   in

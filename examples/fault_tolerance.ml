@@ -29,16 +29,6 @@ let plan =
   | Ok out -> (
       match Tables.of_output out with Ok p -> p | Error e -> failwith e)
 
-let nfs () =
-  let table = Hashtbl.create 4 in
-  List.iter
-    (fun (name, kind) ->
-      match Nfp_nf.Registry.instantiate kind ~name with
-      | Some nf -> Hashtbl.replace table name nf
-      | None -> failwith ("no implementation for " ^ kind))
-    bindings;
-  Hashtbl.find table
-
 let gen i =
   Nfp_packet.Packet.create
     ~flow:
@@ -62,7 +52,8 @@ let run ?(checkpoint_interval_ns = 0.0) label recovery =
     }
   in
   let make engine ~output =
-    Nfp_infra.System.make ~fault ~plan ~nfs:(nfs ()) engine ~output
+    Nfp_infra.System.make ~fault ~plan ~nfs:(Nfp_nf.Registry.instances bindings) engine
+      ~output
   in
   let r =
     Nfp_sim.Harness.run ~make ~gen ~arrivals:(Nfp_sim.Harness.Uniform 0.5)

@@ -52,15 +52,7 @@ let specs =
   ]
 
 let run ?links label =
-  let nfs =
-    let table = Hashtbl.create 4 in
-    List.iter
-      (fun (name, kind) ->
-        Hashtbl.replace table name
-          (Option.get (Nfp_nf.Registry.instantiate kind ~name)))
-      kinds;
-    Hashtbl.find table
-  in
+  let nfs = Nfp_nf.Registry.instances kinds in
   let config =
     { Nfp_infra.System.default_config with ring_capacity = 8192 }
   in

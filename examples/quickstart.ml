@@ -20,14 +20,7 @@ Order(mon, before, lb)
 
 (* One NF instance per name; both executions below get fresh state. *)
 let instances () =
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun (name, kind) ->
-      match Nfp_nf.Registry.instantiate kind ~name with
-      | Some nf -> Hashtbl.replace table name nf
-      | None -> assert false)
-    [ ("fw", "Firewall"); ("mon", "Monitor"); ("lb", "LoadBalancer") ];
-  fun name -> Hashtbl.find table name
+  Nfp_nf.Registry.instances [ ("fw", "Firewall"); ("mon", "Monitor"); ("lb", "LoadBalancer") ]
 
 let () =
   (* 1. Compile the policy. *)

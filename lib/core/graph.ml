@@ -71,9 +71,9 @@ let to_string t = Format.asprintf "%a" pp t
 (* Graphviz export: each Par introduces a fork point (the preceding
    node or the ingress) and a merger diamond; Seq chains link tails to
    heads. Returns the DOT text; node ids are stable across calls. *)
-let to_dot ?(name = "nfp") t =
+let to_dot t =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "digraph %s {\n  rankdir=LR;\n" name);
+  Buffer.add_string buf "digraph nfp {\n  rankdir=LR;\n";
   Buffer.add_string buf "  node [shape=box, style=rounded];\n";
   Buffer.add_string buf "  ingress [shape=circle, label=\"in\"];\n";
   Buffer.add_string buf "  egress [shape=circle, label=\"out\"];\n";

@@ -37,7 +37,7 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val to_dot : ?name:string -> t -> string
+val to_dot : t -> string
 (** Graphviz rendering of the service graph: NFs as boxes, parallel
     blocks fanning out of a fork point and back into a merger node
     (diamond), matching the paper's service-graph drawings. *)

@@ -8,9 +8,8 @@
    - Raw: the fabric's fault processes ([Nfp_sim.Fault.transit]) apply
      to every send and nothing protects the payload — drops vanish into
      the run ledger's in-flight residual, duplicates deliver twice,
-     reordered transits arrive late. With no matching link spec a raw
-     channel is a transparent function call, byte-identical to no
-     channel at all.
+     reordered transits arrive late. A link that no spec matches gets
+     no channel at all: its port offers to the ring directly.
 
    - Reliable: an opt-in ARQ layer over the same lossy fabric.
      Per-link sequence numbers; a bounded sender window (a full window
@@ -85,7 +84,7 @@ let probe_timeout_k = 3
    with before. *)
 type 'a t = {
   engine : Nfp_sim.Engine.t;
-  state : Nfp_sim.Fault.link_state option;
+  state : Nfp_sim.Fault.link_state;
   rel : reliability option;
   deliver : 'a -> bool;  (* the destination ring; [false] = full *)
   reroute : 'a -> unit;  (* detour around a Down link *)
@@ -114,10 +113,7 @@ let is_down ch = ch.down
 
 let now ch = Nfp_sim.Engine.now ch.engine
 
-let partitioned ch =
-  match ch.state with
-  | Some st -> Nfp_sim.Fault.link_partitioned st ~now_ns:(now ch)
-  | None -> false
+let partitioned ch = Nfp_sim.Fault.link_partitioned ch.state ~now_ns:(now ch)
 
 (* Run a refused delivery to completion off-core, at the same
    stall-poll cadence as a server's flush loop: used where the channel
@@ -214,20 +210,15 @@ let rec arrive ch seq payload =
    pass arrives synchronously — a lossless reliable channel adds no
    latency to the payload path. *)
 and transmit ch seq payload =
-  match ch.state with
-  | None -> arrive ch seq payload
-  | Some st -> (
-      match Nfp_sim.Fault.transit st ~now_ns:(now ch) with
-      | Nfp_sim.Fault.T_drop -> ch.stats.link_drops <- ch.stats.link_drops + 1
-      | Nfp_sim.Fault.T_pass -> arrive ch seq payload
-      | Nfp_sim.Fault.T_pass_dup gap ->
-          arrive ch seq payload;
-          Nfp_sim.Engine.schedule ch.engine ~delay:gap (fun () ->
-              arrive ch seq payload)
-      | Nfp_sim.Fault.T_delay d ->
-          ch.stats.reordered <- ch.stats.reordered + 1;
-          Nfp_sim.Engine.schedule ch.engine ~delay:d (fun () ->
-              arrive ch seq payload))
+  match Nfp_sim.Fault.transit ch.state ~now_ns:(now ch) with
+  | Nfp_sim.Fault.T_drop -> ch.stats.link_drops <- ch.stats.link_drops + 1
+  | Nfp_sim.Fault.T_pass -> arrive ch seq payload
+  | Nfp_sim.Fault.T_pass_dup gap ->
+      arrive ch seq payload;
+      Nfp_sim.Engine.schedule ch.engine ~delay:gap (fun () -> arrive ch seq payload)
+  | Nfp_sim.Fault.T_delay d ->
+      ch.stats.reordered <- ch.stats.reordered + 1;
+      Nfp_sim.Engine.schedule ch.engine ~delay:d (fun () -> arrive ch seq payload)
 
 (* A retransmission pays [retransmit_ns] on top of whatever the fabric
    does to it — and the fabric may well lose it again. The payload is
@@ -241,18 +232,15 @@ and retransmit ch seq rel =
     Nfp_sim.Engine.schedule ch.engine ~delay:(rel.retransmit_ns +. extra) (fun () ->
         arrive ch seq payload)
   in
-  match ch.state with
-  | None -> deliver_later 0.0
-  | Some st -> (
-      match Nfp_sim.Fault.transit st ~now_ns:(now ch) with
-      | Nfp_sim.Fault.T_drop -> ch.stats.link_drops <- ch.stats.link_drops + 1
-      | Nfp_sim.Fault.T_pass -> deliver_later 0.0
-      | Nfp_sim.Fault.T_pass_dup gap ->
-          deliver_later 0.0;
-          deliver_later gap
-      | Nfp_sim.Fault.T_delay d ->
-          ch.stats.reordered <- ch.stats.reordered + 1;
-          deliver_later d)
+  match Nfp_sim.Fault.transit ch.state ~now_ns:(now ch) with
+  | Nfp_sim.Fault.T_drop -> ch.stats.link_drops <- ch.stats.link_drops + 1
+  | Nfp_sim.Fault.T_pass -> deliver_later 0.0
+  | Nfp_sim.Fault.T_pass_dup gap ->
+      deliver_later 0.0;
+      deliver_later gap
+  | Nfp_sim.Fault.T_delay d ->
+      ch.stats.reordered <- ch.stats.reordered + 1;
+      deliver_later d
 
 (* NACK: an out-of-order arrival at [upto] exposes every missing seq
    below it; retransmit the ones still unacked and not merely buffered,
@@ -371,7 +359,7 @@ let probe ch =
 
 (* The three timers are built on first arming: a raw channel never
    needs them. *)
-let create ~engine ~name ?state ?reliability ~deliver ~reroute ~stats () =
+let create ~engine ~name ~state ?reliability ~deliver ~reroute ~stats () =
   let timer what f = Nfp_sim.Engine.timer engine ~name:(name ^ ":" ^ what) f in
   (* A raw channel keeps no send or reorder buffer. *)
   let tx_slots, rx_slots =
@@ -410,26 +398,22 @@ let create ~engine ~name ?state ?reliability ~deliver ~reroute ~stats () =
 (* ------------------------------------------------------------------ *)
 
 let send_raw ch x =
-  match ch.state with
-  | None -> ch.deliver x
-  | Some st -> (
-      match Nfp_sim.Fault.transit st ~now_ns:(now ch) with
-      | Nfp_sim.Fault.T_drop ->
-          (* Vanished on the wire: accepted by the fabric, never seen
-             again — the ledger's in-flight residual absorbs it. *)
-          ch.stats.link_drops <- ch.stats.link_drops + 1;
-          true
-      | Nfp_sim.Fault.T_pass -> ch.deliver x
-      | Nfp_sim.Fault.T_pass_dup gap ->
-          let ok = ch.deliver x in
-          if ok then
-            Nfp_sim.Engine.schedule ch.engine ~delay:gap (fun () ->
-                drive_deliver ch x);
-          ok
-      | Nfp_sim.Fault.T_delay d ->
-          ch.stats.reordered <- ch.stats.reordered + 1;
-          Nfp_sim.Engine.schedule ch.engine ~delay:d (fun () -> drive_deliver ch x);
-          true)
+  match Nfp_sim.Fault.transit ch.state ~now_ns:(now ch) with
+  | Nfp_sim.Fault.T_drop ->
+      (* Vanished on the wire: accepted by the fabric, never seen
+         again — the ledger's in-flight residual absorbs it. *)
+      ch.stats.link_drops <- ch.stats.link_drops + 1;
+      true
+  | Nfp_sim.Fault.T_pass -> ch.deliver x
+  | Nfp_sim.Fault.T_pass_dup gap ->
+      let ok = ch.deliver x in
+      if ok then
+        Nfp_sim.Engine.schedule ch.engine ~delay:gap (fun () -> drive_deliver ch x);
+      ok
+  | Nfp_sim.Fault.T_delay d ->
+      ch.stats.reordered <- ch.stats.reordered + 1;
+      Nfp_sim.Engine.schedule ch.engine ~delay:d (fun () -> drive_deliver ch x);
+      true
 
 let rec send ch x =
   match ch.rel with

@@ -5,9 +5,9 @@
     branch->merger, merger->delivery, migration transfers) share its
     channel, the way they share the physical ingress port; the
     channel's fault processes come from a {!Nfp_sim.Fault.link_plan}
-    resolved by link name. A {e raw} channel applies the fabric's
-    faults and nothing else — with no matching link spec it is a
-    transparent function call, byte-identical to no channel at all. A
+    resolved by link name; a link that no spec matches gets no channel
+    at all. A {e raw} channel applies the fabric's faults and nothing
+    else. A
     {e reliable} channel layers an ARQ protocol on the same lossy
     fabric: per-link sequence numbers, a bounded sender window (a full
     window refuses the send, preserving upstream cursor-retry
@@ -40,14 +40,15 @@ type 'a t
 val create :
   engine:Nfp_sim.Engine.t ->
   name:string ->
-  ?state:Nfp_sim.Fault.link_state ->
+  state:Nfp_sim.Fault.link_state ->
   ?reliability:reliability ->
   deliver:('a -> bool) ->
   reroute:('a -> unit) ->
   stats:Nfp_sim.Harness.link_stats ->
   unit ->
   'a t
-(** [deliver] offers to the destination ring ([false] = full: a raw
+(** [state] is the link's fault state, as {!Nfp_sim.Fault.link_for}
+    resolves it. [deliver] offers to the destination ring ([false] = full: a raw
     channel propagates the refusal to the sender, a reliable channel
     buffers and retries at the stall-poll cadence). [reroute] detours a
     packet around a Down link (reliable mode only) and must always

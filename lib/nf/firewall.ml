@@ -78,30 +78,9 @@ let default_acl n =
 
 type stats = { passed : unit -> int; dropped : unit -> int }
 
-type Nf.state += State of int * int
-
 let profile =
   Action.
     [ Read Field.Sip; Read Field.Dip; Read Field.Sport; Read Field.Dport; Drop ]
-
-let state_access =
-  State_access.
-    [
-      global Read_only "acl";
-      global Commutative "passed-counter";
-      global Commutative "dropped-counter";
-    ]
-
-let merge states =
-  let passed = ref 0 and dropped = ref 0 in
-  List.iter
-    (function
-      | State (p, d) ->
-          passed := !passed + p;
-          dropped := !dropped + d
-      | _ -> invalid_arg "Firewall.merge: foreign state")
-    states;
-  State (!passed, !dropped)
 
 (* The default ACL is compiled once per process and shared by every
    instance and its [fresh] replicas: it is immutable (the "acl" state
@@ -115,31 +94,21 @@ let default_compiled =
 
 let rec create ?(name = "fw") ?(extra_cycles = 0) ?acl () =
   let compiled = match acl with Some a -> compile a | None -> default_compiled () in
-  let passed = ref 0 and dropped = ref 0 in
+  let counters = Nf.counters [ ("passed-counter", 1); ("dropped-counter", 1) ] in
+  let c = Nf.cells counters and passed = 0 and dropped = 1 in
   let process pkt =
     if denies compiled pkt then begin
-      incr dropped;
+      c.(dropped) <- c.(dropped) + 1;
       Nf.Dropped
     end
     else begin
-      incr passed;
+      c.(passed) <- c.(passed) + 1;
       Nf.Forward
     end
   in
   let cost_cycles _ = 190 + extra_cycles in
-  let snapshot () = State (!passed, !dropped) in
-  let restore = function
-    | State (p, d) ->
-        passed := p;
-        dropped := d
-    | _ -> invalid_arg "Firewall.restore: foreign state"
-  in
   ( Nf.make ~name ~kind:"Firewall" ~profile ~cost_cycles
-      ~state_digest:(fun () -> Nfp_algo.Hashing.combine !passed !dropped)
-      ~snapshot ~restore ~state_access
+      ~state_access:State_access.[ global Read_only "acl" ]
       ~fresh:(fun () -> fst (create ~name ~extra_cycles ?acl ()))
-      ~merge
-        (* Only commutative counters: migration moves the zero state. *)
-      ~extract:(fun _ -> State (0, 0))
-      process,
-    { passed = (fun () -> !passed); dropped = (fun () -> !dropped) } )
+      ~counters process,
+    { passed = (fun () -> c.(passed)); dropped = (fun () -> c.(dropped)) } )

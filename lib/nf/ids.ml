@@ -4,8 +4,6 @@ type mode = [ `Detect | `Prevent ]
 
 type stats = { alerts : unit -> int; scanned : unit -> int }
 
-type Nf.state += State of int * int
-
 let default_signatures n =
   List.init n (fun i ->
       (* Snort-style payload tokens; deterministic, length 6-14. *)
@@ -22,28 +20,6 @@ let base_profile =
       Read Field.Payload;
     ]
 
-(* The Prevent verdict depends only on the packet's own payload and the
-   immutable automaton, never on the counters, so IDS and IPS are both
-   shardable: replicas reach identical per-packet verdicts. *)
-let state_access =
-  State_access.
-    [
-      global Read_only "signature-automaton";
-      global Commutative "alerts-counter";
-      global Commutative "scanned-counter";
-    ]
-
-let merge states =
-  let alerts = ref 0 and scanned = ref 0 in
-  List.iter
-    (function
-      | State (a, s) ->
-          alerts := !alerts + a;
-          scanned := !scanned + s
-      | _ -> invalid_arg "Ids.merge: foreign state")
-    states;
-  State (!alerts, !scanned)
-
 (* One automaton per process, shared by every instance and its [fresh]
    replicas: it is immutable after build (the "signature-automaton"
    state is [Read_only]), and building one per instance would cost a
@@ -59,11 +35,12 @@ let rec create ?(name = "ids") ?(mode = `Detect) () =
   let automaton = automaton () in
   (* Scans the payload where it lies in the packet buffer: no copy. *)
   let scan buf pos len = Nfp_algo.Aho_corasick.matches_bytes automaton buf ~pos ~len in
-  let alerts = ref 0 and scanned = ref 0 in
+  let counters = Nf.counters [ ("alerts-counter", 1); ("scanned-counter", 1) ] in
+  let c = Nf.cells counters and alerts = 0 and scanned = 1 in
   let process pkt =
-    incr scanned;
+    c.(scanned) <- c.(scanned) + 1;
     if Packet.payload_exists pkt scan then begin
-      incr alerts;
+      c.(alerts) <- c.(alerts) + 1;
       match mode with `Detect -> Nf.Forward | `Prevent -> Nf.Dropped
     end
     else Nf.Forward
@@ -87,21 +64,12 @@ let rec create ?(name = "ids") ?(mode = `Detect) () =
           else Nf.Forward);
     }
   in
-  (* The automaton is immutable after build; only the counters move. *)
-  let snapshot () = State (!alerts, !scanned) in
-  let restore = function
-    | State (a, s) ->
-        alerts := a;
-        scanned := s
-    | _ -> invalid_arg "Ids.restore: foreign state"
-  in
+  (* The Prevent verdict depends only on the packet's own payload and
+     the immutable automaton, never on the counters, so IDS and IPS are
+     both shardable: replicas reach identical per-packet verdicts. *)
   ( Nf.make ~name ~kind:(match mode with `Detect -> "IDS" | `Prevent -> "IPS") ~profile
       ~cost_cycles
-      ~state_digest:(fun () -> Nfp_algo.Hashing.combine !alerts !scanned)
-      ~snapshot ~restore ~state_access
+      ~state_access:State_access.[ global Read_only "signature-automaton" ]
       ~fresh:(fun () -> fst (create ~name ~mode ()))
-      ~merge ~degrade
-        (* Only commutative counters: migration moves the zero state. *)
-      ~extract:(fun _ -> State (0, 0))
-      process,
-    { alerts = (fun () -> !alerts); scanned = (fun () -> !scanned) } )
+      ~degrade ~counters process,
+    { alerts = (fun () -> c.(alerts)); scanned = (fun () -> c.(scanned)) } )

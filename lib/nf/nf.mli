@@ -78,6 +78,20 @@ type t = {
           machinery) for an NF to be migrated at runtime. *)
 }
 
+type counters
+(** Commutative counter components: an NF whose only mutable state is
+    int counters that its packet path never reads (tallies, byte
+    counts) declares them once and increments {!cells} in place. *)
+
+val counters : (string * int) list -> counters
+(** [counters [(label, width); ...]]: one component per pair, [width]
+    int cells wide (a load balancer's per-backend tally is one
+    component of one cell per backend), laid out in {!cells} in
+    declaration order, all zero. *)
+
+val cells : counters -> int array
+(** The live cells, shared with the NF built from them. *)
+
 val make :
   name:string ->
   kind:string ->
@@ -91,6 +105,7 @@ val make :
   ?merge:(state list -> state) ->
   ?degrade:degrade ->
   ?extract:((Flow.t -> bool) -> state) ->
+  ?counters:counters ->
   (Packet.t -> verdict) ->
   t
 (** Profile is normalized. [state_digest] defaults to a constant.
@@ -99,7 +114,17 @@ val make :
     [fresh] and [merge] default to [None]: the replication analysis only
     shards NFs that declare their state and provide the machinery.
     [extract] defaults to [None]: such NFs replicate but never migrate
-    at runtime. *)
+    at runtime.
+
+    [counters] derives the state machinery of a counter-only NF from
+    its declared counters: [snapshot] copies the cells, [restore] blits
+    them back, [merge] sums them cell by cell, [extract] returns the
+    zero shard (a count stays where it was counted), [state_digest]
+    folds the cells, and one [State_access.global Commutative label]
+    entry per component is appended to [state_access] (the NF's own
+    entries, such as a read-only ruleset).
+    @raise Invalid_argument when [counters] comes with [state_digest],
+    [snapshot], [restore], [merge] or [extract]. *)
 
 val absorb : t -> state -> unit
 (** [absorb t shard] merges a state shard (typically the result of

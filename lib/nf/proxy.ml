@@ -2,8 +2,6 @@ open Nfp_packet
 
 type stats = { redirected : unit -> int }
 
-type Nf.state += State of int
-
 let profile =
   Action.
     [
@@ -13,37 +11,17 @@ let profile =
 
 let default_origin = Int32.of_int ((198 lsl 24) lor (51 lsl 16) lor (100 lsl 8) lor 10)
 
-let state_access = State_access.[ global Commutative "redirected-counter" ]
-
-let merge states =
-  let redirected = ref 0 in
-  List.iter
-    (function
-      | State r -> redirected := !redirected + r
-      | _ -> invalid_arg "Proxy.merge: foreign state")
-    states;
-  State !redirected
-
 let rec create ?(name = "proxy") ?(origin = default_origin) ?(via = "Via:nfp-proxy ") () =
-  let redirected = ref 0 in
+  let counters = Nf.counters [ ("redirected-counter", 1) ] in
+  let c = Nf.cells counters in
   let process pkt =
     Packet.set_dip pkt origin;
     Packet.set_payload pkt (via ^ Packet.payload pkt);
-    incr redirected;
+    c.(0) <- c.(0) + 1;
     Nf.Forward
-  in
-  let snapshot () = State !redirected in
-  let restore = function
-    | State r -> redirected := r
-    | _ -> invalid_arg "Proxy.restore: foreign state"
   in
   ( Nf.make ~name ~kind:"Proxy" ~profile
       ~cost_cycles:(fun _ -> 380)
-      ~state_digest:(fun () -> !redirected)
-      ~snapshot ~restore ~state_access
       ~fresh:(fun () -> fst (create ~name ~origin ~via ()))
-      ~merge
-        (* Only a commutative counter: migration moves the zero state. *)
-      ~extract:(fun _ -> State 0)
-      process,
-    { redirected = (fun () -> !redirected) } )
+      ~counters process,
+    { redirected = (fun () -> c.(0)) } )

@@ -121,3 +121,15 @@ let instantiate kind ~name =
   | "monitor" -> Some (fst (Monitor.create ~name ()))
   | "forwarder" -> Some (fst (L3_forwarder.create ~name ()))
   | _ -> None
+
+let instances bindings =
+  let table = Hashtbl.create 8 in
+  List.iter
+    (fun (name, kind) ->
+      match instantiate kind ~name with
+      | Some nf -> Hashtbl.replace table name nf
+      | None ->
+          invalid_arg
+            (Printf.sprintf "Registry.instances: NF type %S has no implementation" kind))
+    bindings;
+  Hashtbl.find table

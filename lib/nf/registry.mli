@@ -33,3 +33,10 @@ val weighted_kinds : unit -> (string * float) list
 val instantiate : string -> name:string -> Nf.t option
 (** Build a fresh default-configured instance of a built-in NF type
     ([None] for types without an implementation, e.g. custom rows). *)
+
+val instances : (string * string) list -> string -> Nf.t
+(** [instances bindings] builds one fresh instance per (name, kind)
+    binding, now, and returns the lookup by name ([Not_found] for a
+    name it does not bind). Apply it once per deployment: two
+    deployments never share an instance.
+    @raise Invalid_argument for a kind {!instantiate} cannot build. *)

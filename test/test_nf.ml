@@ -845,6 +845,64 @@ let registry_tests =
           [ "Firewall"; "IDS"; "IPS"; "LoadBalancer"; "VPN"; "Monitor"; "Forwarder" ]);
     Alcotest.test_case "instantiate unknown type" `Quick (fun () ->
         check Alcotest.bool "none" true (Registry.instantiate "Nope" ~name:"x" = None));
+    Alcotest.test_case "instances builds fresh instances per call" `Quick (fun () ->
+        let bindings = [ ("a", "Firewall"); ("b", "monitor") ] in
+        let one = Registry.instances bindings and two = Registry.instances bindings in
+        check Alcotest.string "kind by binding" "Monitor" (one "b").Nf.kind;
+        check Alcotest.string "named by binding" "a" (one "a").Nf.name;
+        check Alcotest.bool "fresh per call" false (one "a" == two "a");
+        Alcotest.check_raises "unbound name" Not_found (fun () -> ignore (one "c")));
+    Alcotest.test_case "instances refuses a kind with no implementation" `Quick (fun () ->
+        Alcotest.check_raises "unknown kind"
+          (Invalid_argument "Registry.instances: NF type \"Nope\" has no implementation")
+          (fun () -> ignore (Registry.instances [ ("x", "Nope") ] "x")));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Declared counters                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let counter_nf ?merge counters =
+  Nf.make ~name:"c" ~kind:"Counting" ~profile:[] ~cost_cycles:(fun _ -> 1)
+    ~state_access:State_access.[ global Read_only "table" ]
+    ?merge ~counters
+    (fun _ -> Nf.Forward)
+
+let counters_tests =
+  [
+    Alcotest.test_case "one commutative entry per component, after the NF's own" `Quick
+      (fun () ->
+        let counters = Nf.counters [ ("hits", 1); ("per-port", 4) ] in
+        check Alcotest.int "cells" 5 (Array.length (Nf.cells counters));
+        let nf = counter_nf counters in
+        check Alcotest.bool "declared" true
+          (nf.Nf.state_access
+          = Some
+              State_access.
+                [ global Read_only "table"; global Commutative "hits";
+                  global Commutative "per-port" ]));
+    Alcotest.test_case "merge sums cells and restore blits them" `Quick (fun () ->
+        let counters = Nf.counters [ ("hits", 1); ("per-port", 2) ] in
+        let nf = counter_nf counters in
+        let cells = Nf.cells counters in
+        Array.blit [| 1; 2; 3 |] 0 cells 0 3;
+        let a = (Option.get nf.Nf.snapshot) () in
+        Array.blit [| 10; 20; 30 |] 0 cells 0 3;
+        let b = (Option.get nf.snapshot) () in
+        (Option.get nf.restore) ((Option.get nf.merge) [ b; a ]);
+        check Alcotest.(array int) "summed" [| 11; 22; 33 |] cells;
+        (Option.get nf.restore) ((Option.get nf.extract) (fun _ -> true));
+        check Alcotest.(array int) "zero shard" [| 0; 0; 0 |] cells);
+    Alcotest.test_case "a checkpoint of another width is foreign" `Quick (fun () ->
+        let nf = counter_nf (Nf.counters [ ("hits", 2) ]) in
+        let other = counter_nf (Nf.counters [ ("hits", 3) ]) in
+        Alcotest.check_raises "restore" (Invalid_argument "Nf.restore: foreign state")
+          (fun () -> (Option.get nf.Nf.restore) ((Option.get other.Nf.snapshot) ())));
+    Alcotest.test_case "counters refuse a hand-written merge" `Quick (fun () ->
+        Alcotest.check_raises "merge"
+          (Invalid_argument
+             "Nf.make: counters derive state_digest, snapshot, restore, merge and extract")
+          (fun () -> ignore (counter_nf ~merge:List.hd (Nf.counters [ ("hits", 1) ]))));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -891,4 +949,5 @@ let () =
       ("traffic_shaper", shaper_tests);
       ("gateway", gateway_tests);
       ("registry", registry_tests);
+      ("counters", counters_tests);
     ]

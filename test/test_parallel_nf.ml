@@ -204,14 +204,32 @@ let merge_round_trip kind =
       check Alcotest.int "merged digest" (lone.state_digest ())
         (merged_digest lone shards))
 
+(* A counter-only NF migrates the zero shard: its counters stay where
+   they were counted and sum under [merge]. On an instance fed 600
+   packets, [extract] must leave the live digest alone, hand back a
+   shard that changes nothing when absorbed, and a fresh replica that
+   absorbs it must merge with the source to the lone instance's digest. *)
+let counter_shard kind =
+  Alcotest.test_case (Printf.sprintf "%s migrates the zero shard" kind) `Quick (fun () ->
+      let inst () = Option.get (Nfp_nf.Registry.instantiate kind ~name:"m") in
+      let nf = inst () in
+      let gen = traffic () in
+      for i = 0 to 599 do
+        ignore (nf.process (gen i))
+      done;
+      let lone = nf.state_digest () in
+      let shard = (Option.get nf.extract) (fun _ -> true) in
+      check Alcotest.int "extract leaves the live digest" lone (nf.state_digest ());
+      Nfp_nf.Nf.absorb nf shard;
+      check Alcotest.int "absorbing the shard changes nothing" lone (nf.state_digest ());
+      let replica = inst () in
+      Nfp_nf.Nf.absorb replica shard;
+      check Alcotest.int "merged digest" lone (merged_digest nf [ nf; replica ]))
+
 let merge_tests =
-  [
-    merge_round_trip "Monitor";
-    merge_round_trip "Gateway";
-    merge_round_trip "LoadBalancer";
-    merge_round_trip "Firewall";
-    merge_round_trip "Compression";
-  ]
+  List.map merge_round_trip
+    [ "Monitor"; "Gateway"; "LoadBalancer"; "Firewall"; "Compression"; "IDS"; "IPS"; "Proxy" ]
+  @ List.map counter_shard [ "Firewall"; "IDS"; "IPS"; "Compression"; "Proxy"; "LoadBalancer" ]
 
 (* ------------------------------------------------------------------ *)
 (* Differential: replicated deployments match unreplicated runs        *)
