@@ -226,10 +226,52 @@ let counter_shard kind =
       Nfp_nf.Nf.absorb replica shard;
       check Alcotest.int "merged digest" lone (merged_digest nf [ nf; replica ]))
 
+(* Per-flow general state (NAT's bindings) shards only by flow: deal
+   the packets by flow hash, so each flow's binding lives in one shard,
+   and the union of the shards is the lone instance's table. *)
+let hashed_nat_round_trip =
+  Alcotest.test_case "hashed NAT shards merge to the lone-instance digest" `Quick
+    (fun () ->
+      let inst () = fst (Nfp_nf.Nat.create ~alloc:`Hashed ()) in
+      let lone = inst () and shards = Array.init 3 (fun _ -> inst ()) in
+      let gen = traffic () and again = traffic () in
+      for i = 0 to 599 do
+        ignore (lone.process (gen i));
+        let p = again i in
+        ignore (shards.(Packet.flow_hash p mod 3).process p)
+      done;
+      check Alcotest.int "merged digest" (lone.state_digest ())
+        (merged_digest lone (Array.to_list shards)))
+
+(* A partial migration of Monitor's per-flow counters: the carved flows
+   leave the source, a fresh replica absorbs them, and the two merge
+   back to the lone instance; absorbing the shard into the source
+   restores it exactly. *)
+let monitor_partial_shard =
+  Alcotest.test_case "Monitor migrates a partial shard" `Quick (fun () ->
+      let nf, stats = Nfp_nf.Monitor.create () in
+      let gen = traffic () in
+      for i = 0 to 599 do
+        ignore (nf.process (gen i))
+      done;
+      let lone = nf.state_digest () and flows = stats.flows () in
+      let shard = (Option.get nf.extract) (fun f -> Flow.hash f mod 2 = 0) in
+      let replica, replica_stats = Nfp_nf.Monitor.create () in
+      Nfp_nf.Nf.absorb replica shard;
+      check Alcotest.bool "some flows moved" true (replica_stats.flows () > 0);
+      check Alcotest.bool "some flows stayed" true (stats.flows () > 0);
+      check Alcotest.int "every flow in one place" flows
+        (stats.flows () + replica_stats.flows ());
+      check Alcotest.int "merged digest" lone (merged_digest nf [ nf; replica ]);
+      Nfp_nf.Nf.absorb nf shard;
+      check Alcotest.int "absorbed back" lone (nf.state_digest ()))
+
 let merge_tests =
   List.map merge_round_trip
     [ "Monitor"; "Gateway"; "LoadBalancer"; "Firewall"; "Compression"; "IDS"; "IPS"; "Proxy" ]
-  @ List.map counter_shard [ "Firewall"; "IDS"; "IPS"; "Compression"; "Proxy"; "LoadBalancer" ]
+  @ List.map counter_shard
+      [ "Firewall"; "IDS"; "IPS"; "Compression"; "Proxy"; "LoadBalancer"; "Gateway" ]
+  @ [ hashed_nat_round_trip; monitor_partial_shard ]
 
 (* ------------------------------------------------------------------ *)
 (* Differential: replicated deployments match unreplicated runs        *)
