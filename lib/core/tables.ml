@@ -281,8 +281,8 @@ let plan_with_pairs ?(copy_mode = `Auto) ~priority_pairs ?(priority = 0) ~profil
 let plan ?copy_mode ?priority ~profile_of graph =
   plan_with_pairs ?copy_mode ~priority_pairs:[] ?priority ~profile_of graph
 
-let of_output ?copy_mode (output : Compiler.output) =
-  plan_with_pairs ?copy_mode ~priority_pairs:output.priority_pairs
+let of_output (output : Compiler.output) =
+  plan_with_pairs ~priority_pairs:output.priority_pairs
     ~priority:output.admit_class ~profile_of:output.ir.Ir.profile_of output.graph
 
 let find_merge plan id = List.find_opt (fun m -> m.id = id) plan.merges

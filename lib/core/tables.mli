@@ -86,8 +86,7 @@ val plan :
     Errors: malformed graph, unknown NF profile, more than 15 versions
     (the 4-bit metadata limit, paper Fig. 5). *)
 
-val of_output :
-  ?copy_mode:[ `Auto | `Copy_all | `Share_all ] -> Compiler.output -> (plan, string) result
+val of_output : Compiler.output -> (plan, string) result
 (** Plan for a compiler result, carrying its priority pairs and
     admission class. *)
 

@@ -58,8 +58,7 @@ let make ?config ?fault ?overload ?elastic ?links ?(link_latency_ns = 2000.0)
           (Nfp_sim.Harness.fresh_health ()) !health_fns);
   }
 
-let of_partition ?config ?fault ?overload ?elastic ?links ~assignments
-    ~profile_of ~nfs engine ~output =
+let of_partition ~assignments ~profile_of ~nfs engine ~output =
   let rec plans acc = function
     | [] -> Ok (List.rev acc)
     | (a : Nfp_core.Partition.assignment) :: rest -> (
@@ -69,6 +68,4 @@ let of_partition ?config ?fault ?overload ?elastic ?links ~assignments
   in
   match plans [] assignments with
   | Error e -> Error e
-  | Ok segments ->
-      Ok
-        (make ?config ?fault ?overload ?elastic ?links ~segments engine ~output)
+  | Ok segments -> Ok (make ~segments engine ~output)

@@ -41,11 +41,6 @@ val make :
     programs go through {!of_partition}. *)
 
 val of_partition :
-  ?config:System.config ->
-  ?fault:System.fault_config ->
-  ?overload:System.overload_config ->
-  ?elastic:System.elastic_config ->
-  ?links:System.links_config ->
   assignments:Nfp_core.Partition.assignment list ->
   profile_of:(string -> Nfp_nf.Action.t list) ->
   nfs:(string -> Nfp_nf.Nf.t) ->

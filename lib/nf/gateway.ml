@@ -2,72 +2,25 @@ open Nfp_packet
 
 type stats = { sessions : unit -> int; packets : unit -> int }
 
-type Nf.state += State of (int32 * int32, int) Hashtbl.t * int
-
 let profile = Action.[ Read Field.Sip; Read Field.Dip ]
 
 (* The (sip, dip) session key is coarser than a 5-tuple, so flows from
    different shards can touch the same entry — but the only write is a
    commutative increment the NF never reads back, so partial counts sum
    across replicas. Hence Global/Commutative, not Per_flow. *)
-let state_access =
-  State_access.
-    [
-      global Commutative "session-counters"; global Commutative "packet-counter";
-    ]
-
-let merge states =
-  let sessions = Hashtbl.create 256 and packets = ref 0 in
-  List.iter
-    (function
-      | State (s, n) ->
-          packets := !packets + n;
-          Hashtbl.iter
-            (fun key c ->
-              let prev =
-                match Hashtbl.find_opt sessions key with Some p -> p | None -> 0
-              in
-              Hashtbl.replace sessions key (prev + c))
-            s
-      | _ -> invalid_arg "Gateway.merge: foreign state")
-    states;
-  State (sessions, !packets)
-
 let rec create ?(name = "gw") () =
-  let sessions : (int32 * int32, int) Hashtbl.t ref = ref (Hashtbl.create 256) in
-  let packets = ref 0 in
+  let sessions =
+    Nf.table ~label:"session-counters" ~scope:Global ~mode:Commutative ~width:1
+  in
+  let counters = Nf.counters [ ("packet-counter", 1) ] in
+  let packets = Nf.cells counters in
   let process pkt =
-    let key = (Packet.sip pkt, Packet.dip pkt) in
-    let n = match Hashtbl.find_opt !sessions key with Some n -> n | None -> 0 in
-    Hashtbl.replace !sessions key (n + 1);
-    incr packets;
+    let r = Nf.row sessions ~a:(Packet.sip_int pkt) ~b:(Packet.dip_int pkt) in
+    r.(0) <- r.(0) + 1;
+    packets.(0) <- packets.(0) + 1;
     Nf.Forward
   in
-  (* Commutative fold (sum of per-entry hashes) so the digest survives
-     shard merging, which permutes iteration order. *)
-  let state_digest () =
-    Hashtbl.fold
-      (fun (sip, dip) n acc ->
-        (acc
-        + Nfp_algo.Hashing.combine (Int32.to_int sip)
-            (Nfp_algo.Hashing.combine (Int32.to_int dip) n))
-        land max_int)
-      !sessions !packets
-  in
-  let snapshot () = State (Hashtbl.copy !sessions, !packets) in
-  let restore = function
-    | State (s, n) ->
-        sessions := Hashtbl.copy s;
-        packets := n
-    | _ -> invalid_arg "Gateway.restore: foreign state"
-  in
-  (* Migration source half: nothing is per-flow here — the (sip, dip)
-     session key is coarser than a 5-tuple and both components are
-     commutative — so the zero state moves and the counts stay where
-     they were made; [merge] sums them back together. *)
-  let extract _pred = State (Hashtbl.create 1, 0) in
-  ( Nf.make ~name ~kind:"Gateway" ~profile ~cost_cycles:(fun _ -> 150) ~state_digest
-      ~snapshot ~restore ~state_access
+  ( Nf.make ~name ~kind:"Gateway" ~profile ~cost_cycles:(fun _ -> 150)
       ~fresh:(fun () -> fst (create ~name ()))
-      ~merge ~extract process,
-    { sessions = (fun () -> Hashtbl.length !sessions); packets = (fun () -> !packets) } )
+      ~counters ~tables:[ sessions ] process,
+    { sessions = (fun () -> Nf.rows sessions); packets = (fun () -> packets.(0)) } )

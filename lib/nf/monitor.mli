@@ -2,7 +2,10 @@
     The counter table uses the hash value of the 5-tuple as the key").
 
     Read-only on the 5-tuple fields (Table 2's NetFlow row), the
-    canonical parallelizable NF of the paper's running example. *)
+    canonical parallelizable NF of the paper's running example. Its
+    per-flow counters are a [Per_flow Commutative] {!Nf.table} and its
+    packet total a counter, so {!Nf.make} derives its checkpoint, merge,
+    migration shard and digest. *)
 
 type counter = { packets : int; bytes : int }
 
@@ -11,11 +14,5 @@ type stats = {
   lookup : Nfp_packet.Flow.t -> counter option;
   total_packets : unit -> int;
 }
-
-type Nf.state += State of (Nfp_packet.Flow.t, counter) Hashtbl.t * int
-(** The checkpoint, merge and migration format: per-flow counters and
-    the global packet total. The live table is keyed by the packet's
-    5-tuple limbs ({!Nfp_packet.Packet.key_a}/[key_b]) and converts to
-    and from this form only at those boundaries. *)
 
 val create : ?name:string -> unit -> Nf.t * stats

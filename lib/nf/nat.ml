@@ -2,8 +2,6 @@ open Nfp_packet
 
 type stats = { active_bindings : unit -> int; exhausted : unit -> int }
 
-type Nf.state += State of (Flow.t, int) Hashtbl.t * int * int
-
 let profile =
   Action.
     [
@@ -20,116 +18,46 @@ let profile =
 
 let default_public = Int32.of_int ((203 lsl 24) lor (113 lsl 8) lor 7)
 
-(* The binding table is per-flow, but the default port allocator is a
-   global cursor: which port a flow gets depends on the cross-flow
-   arrival order, so a sharded run could hand out different ports than
-   a sequential one. `Hashed derives the port from the flow itself
+(* The binding table is per-flow, one port per flow. The sequential
+   allocator hands out [port_base] plus the number of bindings, a global
+   cursor: which port a flow gets depends on the cross-flow arrival
+   order, so a sharded run could hand out different ports than a
+   sequential one. `Hashed derives the port from the flow itself
    (collisions between flows are acceptable in this one-way simulator —
    two flows sharing a public port still translate deterministically),
-   which removes the global write and makes the NAT shardable. *)
-let state_access_of = function
-  | `Sequential ->
-      State_access.
-        [
-          per_flow General "binding-table";
-          global General "port-allocator";
-          global Commutative "exhausted-counter";
-        ]
-  | `Hashed ->
-      State_access.
-        [
-          per_flow General "binding-table"; global Commutative "exhausted-counter";
-        ]
-
-(* Under `Hashed the same flow maps to the same port in every replica,
-   so a duplicate binding (e.g. one left behind by a Degrade twin
-   chain) carries an equal value and the union is conflict-free. *)
-let merge states =
-  let bindings = Hashtbl.create 1024 in
-  let next_port = ref 0 and exhausted = ref 0 in
-  List.iter
-    (function
-      | State (b, np, ex) ->
-          next_port := !next_port + np;
-          exhausted := !exhausted + ex;
-          Hashtbl.iter (fun flow port -> Hashtbl.replace bindings flow port) b
-      | _ -> invalid_arg "Nat.merge: foreign state")
-    states;
-  State (bindings, !next_port, !exhausted)
-
+   which removes the global write and makes the NAT shardable; a
+   binding held by two shards then carries the same port, which the
+   derived merge accepts. *)
 let rec create ?(name = "nat") ?(public_ip = default_public) ?(port_base = 20000)
     ?(port_count = 10000) ?(alloc = `Sequential) () =
-  (* State sits behind a ref so restore can swap in a [Hashtbl.copy] of
-     the checkpoint. *)
-  let bindings : (Flow.t, int) Hashtbl.t ref = ref (Hashtbl.create 1024) in
-  let next_port = ref 0 in
-  let exhausted = ref 0 in
-  let alloc_port flow =
-    match alloc with
-    | `Sequential ->
-        if !next_port >= port_count then None
-        else begin
-          let p = port_base + !next_port in
-          incr next_port;
-          Some p
-        end
-    | `Hashed -> Some (port_base + (Flow.hash flow mod port_count))
+  let bindings = Nf.table ~label:"binding-table" ~scope:Per_flow ~mode:General ~width:1 in
+  let counters = Nf.counters [ ("exhausted-counter", 1) ] in
+  let exhausted = Nf.cells counters in
+  let sequential = alloc = `Sequential in
+  let translate pkt port =
+    Packet.set_sip pkt public_ip;
+    Packet.set_sport pkt port;
+    Nf.Forward
   in
   let process pkt =
-    let flow = Packet.flow pkt in
-    let port =
-      match Hashtbl.find_opt !bindings flow with
-      | Some p -> Some p
-      | None -> (
-          match alloc_port flow with
-          | Some p ->
-              Hashtbl.add !bindings flow p;
-              Some p
-          | None -> None)
-    in
-    match port with
-    | None ->
-        incr exhausted;
+    let a = Packet.key_a pkt and b = Packet.key_b pkt in
+    match Nf.find_row bindings ~a ~b with
+    | [||] when sequential && Nf.rows bindings >= port_count ->
+        exhausted.(0) <- exhausted.(0) + 1;
         Nf.Dropped
-    | Some p ->
-        Packet.set_sip pkt public_ip;
-        Packet.set_sport pkt p;
-        Nf.Forward
+    | [||] ->
+        let port =
+          port_base
+          + if sequential then Nf.rows bindings else Packet.flow_hash pkt mod port_count
+        in
+        (Nf.row bindings ~a ~b).(0) <- port;
+        translate pkt port
+    | r -> translate pkt r.(0)
   in
-  (* Commutative fold (sum of per-entry hashes) so the digest is
-     insensitive to iteration order — both the snapshot/restore/replay
-     cycle and shard merging permute Hashtbl internals. *)
-  let state_digest () =
-    Hashtbl.fold
-      (fun flow port acc ->
-        (acc + Nfp_algo.Hashing.combine (Flow.hash flow) port) land max_int)
-      !bindings
-      (Nfp_algo.Hashing.combine !next_port !exhausted)
-  in
-  let snapshot () = State (Hashtbl.copy !bindings, !next_port, !exhausted) in
-  let restore = function
-    | State (b, np, ex) ->
-        bindings := Hashtbl.copy b;
-        next_port := np;
-        exhausted := ex
-    | _ -> invalid_arg "Nat.restore: foreign state"
-  in
-  (* Migration source half: the matching flows' bindings move with the
-     flows (the per-flow General component); the exhausted counter is
-     commutative and stays put; the port cursor only exists under
-     `Sequential, which is never shardable, so 0 is carried. *)
-  let extract pred =
-    let moved = Hashtbl.create 64 in
-    Hashtbl.iter (fun flow p -> if pred flow then Hashtbl.replace moved flow p) !bindings;
-    Hashtbl.iter (fun flow _ -> Hashtbl.remove !bindings flow) moved;
-    State (moved, 0, 0)
-  in
-  ( Nf.make ~name ~kind:"NAT" ~profile ~cost_cycles:(fun _ -> 240) ~state_digest
-      ~snapshot ~restore ~state_access:(state_access_of alloc)
-      ~fresh:(fun () ->
-        fst (create ~name ~public_ip ~port_base ~port_count ~alloc ()))
-      ~merge ~extract process,
-    {
-      active_bindings = (fun () -> Hashtbl.length !bindings);
-      exhausted = (fun () -> !exhausted);
-    } )
+  ( Nf.make ~name ~kind:"NAT" ~profile ~cost_cycles:(fun _ -> 240)
+      ?state_access:
+        (if sequential then Some [ State_access.global General "port-allocator" ] else None)
+      ~fresh:(fun () -> fst (create ~name ~public_ip ~port_base ~port_count ~alloc ()))
+      ~counters ~tables:[ bindings ] process,
+    { active_bindings = (fun () -> Nf.rows bindings); exhausted = (fun () -> exhausted.(0)) }
+  )

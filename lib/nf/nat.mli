@@ -20,8 +20,12 @@ val create :
 
     [alloc] picks the port allocator (default [`Sequential], a global
     cursor — bit-identical to the historical behaviour). The cursor is
-    a global general write, so a sequential-alloc NAT derives the
-    [Sequential] replication strategy; [`Hashed] computes each flow's
+    the number of bindings: a binding is added exactly when the cursor
+    would advance, and removed only by a migration shard, which never
+    runs on a sequential NAT, so a checkpoint of the [Per_flow General]
+    binding table restores the cursor with it. The cursor is a global
+    general write, so a sequential-alloc NAT derives the [Sequential]
+    replication strategy; [`Hashed] computes each flow's
     port from the flow hash instead (distinct flows may share a port),
     which removes the global write and makes the NAT RSS-shardable
     ([Shared_nothing]). Kept for tests: [public_ip], [port_base],

@@ -13,9 +13,11 @@ type verdict =
   | Dropped  (** NF decided to drop; the runtime emits a nil packet *)
 
 type state = ..
-(** Opaque checkpoint payload. Each NF module extends this with its own
-    constructor; the recovery subsystem only moves values of this type
-    between {!t.snapshot} and {!t.restore}. *)
+(** Opaque checkpoint payload. An NF whose state machinery {!make}
+    derives from declared counters and tables uses this module's own
+    constructors; an NF that writes its own extends this type. The
+    recovery subsystem only moves values of this type between
+    {!t.snapshot} and {!t.restore}. *)
 
 type degrade = {
   d_label : string;  (** e.g. ["sampled-1/8"], ["passthrough"] *)
@@ -79,9 +81,9 @@ type t = {
 }
 
 type counters
-(** Commutative counter components: an NF whose only mutable state is
-    int counters that its packet path never reads (tallies, byte
-    counts) declares them once and increments {!cells} in place. *)
+(** Commutative counter components: int counters that the NF's packet
+    path never reads (tallies, byte counts), declared once and
+    incremented in {!cells} in place. *)
 
 val counters : (string * int) list -> counters
 (** [counters [(label, width); ...]]: one component per pair, [width]
@@ -91,6 +93,31 @@ val counters : (string * int) list -> counters
 
 val cells : counters -> int array
 (** The live cells, shared with the NF built from them. *)
+
+type table
+(** Keyed state: a row of int cells per key, held in one
+    {!Nfp_algo.Pair_table}. A [Per_flow] table is keyed by the
+    packet's 5-tuple limbs ({!Nfp_packet.Packet.key_a},
+    {!Nfp_packet.Packet.key_b}), so that a migration shard can rebuild
+    each row's flow; a [Global] table takes any two non-negative ints
+    (a gateway's address pair). *)
+
+val table :
+  label:string -> scope:State_access.scope -> mode:State_access.mode -> width:int -> table
+(** An empty table whose rows are [width] cells wide.
+    @raise Invalid_argument when [width < 1]. *)
+
+val row : table -> a:int -> b:int -> int array
+(** The live row of key [(a, b)], inserted as zeros when the key is
+    new; the packet path updates it in place. Allocates only a new
+    row. @raise Invalid_argument when [a < 0]. *)
+
+val find_row : table -> a:int -> b:int -> int array
+(** The live row of key [(a, b)], or [[||]] when the key is absent;
+    never inserts and never allocates. *)
+
+val rows : table -> int
+(** The number of keys. *)
 
 val make :
   name:string ->
@@ -106,6 +133,7 @@ val make :
   ?degrade:degrade ->
   ?extract:((Flow.t -> bool) -> state) ->
   ?counters:counters ->
+  ?tables:table list ->
   (Packet.t -> verdict) ->
   t
 (** Profile is normalized. [state_digest] defaults to a constant.
@@ -116,15 +144,33 @@ val make :
     [extract] defaults to [None]: such NFs replicate but never migrate
     at runtime.
 
-    [counters] derives the state machinery of a counter-only NF from
-    its declared counters: [snapshot] copies the cells, [restore] blits
-    them back, [merge] sums them cell by cell, [extract] returns the
-    zero shard (a count stays where it was counted), [state_digest]
-    folds the cells, and one [State_access.global Commutative label]
-    entry per component is appended to [state_access] (the NF's own
-    entries, such as a read-only ruleset).
-    @raise Invalid_argument when [counters] comes with [state_digest],
-    [snapshot], [restore], [merge] or [extract]. *)
+    [counters] and [tables] derive the state machinery of an NF whose
+    mutable state is declared counters and tables, from each part's
+    scope and mode alone:
+    - [snapshot] copies every cell, and [restore] copies them back;
+    - [merge] sums the counters cell by cell and a [Commutative]
+      table's rows key by key, and takes the union of any other
+      table's rows, where a key held by two snapshots must have equal
+      cells (@raise Invalid_argument ["Nf.merge: ..."] otherwise);
+    - [extract pred] removes and returns the rows of a [Per_flow]
+      table whose flow satisfies [pred], and the zero shard of
+      everything else (a count stays where it was counted);
+    - [state_digest ()] is [fold_left (fun d s -> combine d s) c ts],
+      where [c] folds [Hashing.combine] over the counter cells from
+      17, and each [s] in [ts], one per table in declaration order, is
+      the sum over its rows [(a, b, r)] of
+      [combine (mix2_int a b land max_int) (fold_left combine 17 r)],
+      taken [land max_int];
+    - [state_access] lists one entry per table, then the NF's own
+      [state_access] entries (a read-only ruleset, an allocator), then
+      one [State_access.global Commutative label] per counter
+      component.
+    @raise Invalid_argument when [counters] or [tables] comes with
+    [state_digest], [snapshot], [restore], [merge] or [extract].
+
+    Kept for tests: [merge] and [extract], which every built-in NF
+    derives; the elastic and links suites pass them for a hand-written
+    per-flow NF, and the nf suite checks their refusal. *)
 
 val absorb : t -> state -> unit
 (** [absorb t shard] merges a state shard (typically the result of

@@ -62,6 +62,10 @@ val set_version : t -> int -> unit
 val flow : t -> Flow.t
 
 val sip : t -> int32
+(** Kept for tests: programs read the source address through
+    {!sip_int} or {!flow}; the tests check rewritten addresses with
+    this. *)
+
 val set_sip : t -> int32 -> unit
 
 val dip : t -> int32

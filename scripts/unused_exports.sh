@@ -14,8 +14,11 @@
 # the `val`.
 #
 # The same holds for each optional argument `?label` of a `val` that
-# programs do use: some file that uses the `val` must pass `~label` or
+# programs do use: some call of the `val` must pass `~label` or
 # `?label`, or the `val`'s doc must name `label` and carry the marker.
+# A call runs from the name to the end of its application: the first
+# bracket it does not open, or, outside brackets, strings and
+# comments, the first infix operator, separator or keyword.
 #
 #   scripts/unused_exports.sh          list them, marked or not
 #   scripts/unused_exports.sh --check  also exit 1 if one lacks the marker
@@ -80,6 +83,52 @@ vals_of() {
   ' "$1"
 }
 
+# Prints the text of every call in file $2 that matches the regex $1
+# (a name, qualified or bare, with what may precede it); the name must
+# end at a non-identifier character.
+calls_of() {
+  awk -v pat="$1" -v q="'" '
+    BEGIN {
+      ident = "^[A-Za-z0-9_" q "]"
+      word = "^[A-Za-z_][A-Za-z0-9_" q "]*"
+      label = "^[~?][a-z_][A-Za-z0-9_" q "]*:?"
+      stop = "^(in|then|else|do|done|with|let|and|begin|end|match|if|fun|function|when|try|of|to|downto|val|module|type|open)$"
+    }
+    { text = text $0 "\n" }
+    END {
+      while (match(text, pat)) {
+        start = RSTART; i = RSTART + RLENGTH; n = length(text)
+        if (substr(text, i, 1) ~ ident) { text = substr(text, i); continue }
+        depth = 0
+        while (i <= n) {
+          c = substr(text, i, 1)
+          if (c == "\"") {
+            for (i++; i <= n && substr(text, i, 1) != "\""; i++)
+              if (substr(text, i, 1) == "\\") i++
+          } else if (substr(text, i, 2) == "(*") {
+            d = 1
+            for (i += 2; i <= n && d > 0; i++) {
+              if (substr(text, i, 2) == "(*") { d++; i++ }
+              else if (substr(text, i, 2) == "*)") { d--; i++ }
+            }
+            continue
+          } else if (c ~ /[([{]/) depth++
+          else if (c ~ /[])}]/) { if (depth == 0) break; depth-- }
+          else if (c ~ /[~?]/ && match(substr(text, i), label)) { i += RLENGTH; continue }
+          else if (depth == 0 && c ~ /[-;,|=<>@^+*\/&$%!:]/) break
+          else if (c ~ /[A-Za-z_]/) {
+            match(substr(text, i), word)
+            if (depth == 0 && substr(text, i, RLENGTH) ~ stop) break
+            i += RLENGTH; continue
+          }
+          i++
+        }
+        print substr(text, start, i - start)
+        text = substr(text, i)
+      }
+    }' "$2"
+}
+
 for mli in lib/*/*.mli; do
   base=$(basename "$mli" .mli)
   top="$(printf '%s' "${base:0:1}" | tr '[:lower:]' '[:upper:]')${base:1}"
@@ -105,10 +154,17 @@ for mli in lib/*/*.mli; do
       if [ "$marked" = unmarked ]; then unmarked=$((unmarked + 1)); fi
       continue
     fi
+    [ -z "$labels" ] && continue
+    calls=$(for f in $callers; do
+      if printf '%s\n' $openers | grep -q -x -F -- "$f" && [ "$qual" = "$top" ]; then
+        calls_of "(^|[^A-Za-z0-9_'])$name" "$f"
+      else
+        calls_of "(^|[^A-Za-z0-9_'])($quals)\\.$name" "$f"
+      fi
+    done)
     for lm in $labels; do
       label=${lm%=*}
-      # shellcheck disable=SC2086
-      if grep -q -E "[~?]$label\\b" $callers; then continue; fi
+      if grep -q -E "[~?]$label\\b" <<<"$calls"; then continue; fi
       printf '%s:%s: %s.%s ?%s %s\n' "$mli" "$line" "$qual" "$name" "$label" "${lm#*=}"
       if [ "${lm#*=}" = unmarked ]; then unmarked=$((unmarked + 1)); fi
     done
