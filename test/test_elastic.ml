@@ -361,25 +361,25 @@ let differential_tests =
                 (Sys.make ~elastic:ec ~plan ~nfs:lookup engine
                    ~output:(fun ~pid:_ _ -> ())))
         in
-        rejects "System.make_multi: elastic replica bounds must satisfy 1 <= min <= max"
+        rejects "System.make: elastic replica bounds must satisfy 1 <= min <= max"
           { eager with min_replicas = 0 };
-        rejects "System.make_multi: elastic buckets must be >= max_replicas"
+        rejects "System.make: elastic buckets must be >= max_replicas"
           { eager with buckets = 2 };
-        rejects "System.make_multi: elastic occupancy thresholds must satisfy in < out"
+        rejects "System.make: elastic occupancy thresholds must satisfy in < out"
           { eager with scale_in_occupancy = 0.9 };
-        rejects "System.make_multi: elastic migration_batch must be >= 1"
+        rejects "System.make: elastic migration_batch must be >= 1"
           { eager with migration_batch = 0 };
-        rejects "System.make_multi: elastic periods must be positive"
+        rejects "System.make: elastic periods must be positive"
           { eager with control_interval_ns = 0.0 };
-        rejects "System.make_multi: elastic periods must be positive"
+        rejects "System.make: elastic periods must be positive"
           { eager with control_interval_ns = Float.nan };
-        rejects "System.make_multi: elastic periods must be positive"
+        rejects "System.make: elastic periods must be positive"
           { eager with transfer_ns = Float.nan };
-        rejects "System.make_multi: elastic periods must be positive"
+        rejects "System.make: elastic periods must be positive"
           { eager with cooldown_ns = -1.0 };
-        rejects "System.make_multi: elastic periods must be finite"
+        rejects "System.make: elastic periods must be finite"
           { eager with control_interval_ns = Float.infinity };
-        rejects "System.make_multi: elastic periods must be finite"
+        rejects "System.make: elastic periods must be finite"
           { eager with migration_deadline_ns = Float.infinity });
     Alcotest.test_case "health shows standby and migrating cores; ledger balances"
       `Quick (fun () ->

@@ -1269,7 +1269,7 @@ let fault_tests =
         let o = compile_ok ns_text in
         let plan = plan_of_output o in
         let rejects ?config msg fault =
-          Alcotest.check_raises msg (Invalid_argument ("System.make_multi: " ^ msg))
+          Alcotest.check_raises msg (Invalid_argument ("System.make: " ^ msg))
             (fun () ->
               let engine = Nfp_sim.Engine.create () in
               ignore
@@ -1315,7 +1315,7 @@ let fault_tests =
         let dc = Nfp_infra.System.default_config in
         let builders =
           [
-            ( "make_multi",
+            ( "make",
               fun config ->
                 Nfp_infra.System.make ~config ~plan ~nfs:(instances ns_bindings)
                   (Nfp_sim.Engine.create ()) ~output:(fun ~pid:_ _ -> ()) );

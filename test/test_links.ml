@@ -275,15 +275,15 @@ let unit_tests =
                    ~output:(fun ~pid:_ _ -> ())))
         in
         let lossy = links [ F.loss ~probability:0.01 "*" ] in
-        rejects "System.make_multi: links periods must be positive"
+        rejects "System.make: links periods must be positive"
           { lossy with ack_interval_ns = 0.0 };
-        rejects "System.make_multi: links periods must be positive"
+        rejects "System.make: links periods must be positive"
           { lossy with rto_ns = 0.0 };
-        rejects "System.make_multi: links periods must be positive"
+        rejects "System.make: links periods must be positive"
           { lossy with ack_interval_ns = Float.nan };
-        rejects "System.make_multi: links periods must be positive"
+        rejects "System.make: links periods must be positive"
           { lossy with rto_ns = Float.nan };
-        rejects "System.make_multi: links periods must be finite"
+        rejects "System.make: links periods must be finite"
           { lossy with rto_ns = Float.infinity });
     Alcotest.test_case "stacked link faults draw their pinned verdicts" `Quick
       (fun () ->
