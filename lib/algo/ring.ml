@@ -1,9 +1,17 @@
 (* Slots are a raw ['a array] (allocated at first enqueue, using that
    element as the initializer) rather than ['a option array]: boxing
    every slot in [Some] costs an allocation per enqueue on the
-   simulator's hottest path. Dequeued slots keep a stale reference
-   until overwritten, which retains at most [capacity] elements —
-   rings are small and short-lived, so that is cheaper than nulling. *)
+   simulator's hottest path. A dequeued slot keeps its stale reference
+   until overwritten, but a dequeue that empties the ring rewinds
+   [head] to slot 0, so the next enqueues reuse the front slots. A ring
+   therefore keeps alive at most its occupancy high-water mark plus the
+   fill element (2 of 1,000 elements pushed one at a time through a
+   128-slot ring, where never rewinding kept 128), and a lightly used
+   ring's packets die in the minor heap: an enqueue that overwrites a
+   still-young occupant needs no remembered-set entry. Storing a fill
+   value into each popped slot would bound retention too, but then
+   every enqueue stores a young value over an old one, one
+   remembered-set entry per packet. *)
 type 'a t = {
   mutable data : 'a array;
   capacity : int;
@@ -83,16 +91,16 @@ let dequeue_exn t =
   if t.size = 0 then invalid_arg "Ring.dequeue_exn: empty ring";
   let x = t.data.(t.head) in
   let head = t.head + 1 in
-  t.head <- (if head = t.capacity then 0 else head);
   t.size <- t.size - 1;
+  t.head <- (if head = t.capacity || t.size = 0 then 0 else head);
   update_pressure t;
   x
 
 (* Burst dequeue for the breath loop: drain up to [max] elements into
    [dst.(0) .. dst.(n-1)] without options or per-element dispatch.
-   Wrap-around is handled the same way single dequeues handle it (the
-   head index wraps modulo capacity); dequeued slots keep their stale
-   reference, as above. *)
+   Wrap-around and the rewind of an emptied ring are handled as single
+   dequeues handle them; dequeued slots keep their stale reference, as
+   above. *)
 let dequeue_into t dst pos max =
   if pos < 0 || pos > Array.length dst then
     invalid_arg "Ring.dequeue_into: destination position out of range";
@@ -104,8 +112,8 @@ let dequeue_into t dst pos max =
     let h = !head + 1 in
     head := if h = t.capacity then 0 else h
   done;
-  t.head <- !head;
   t.size <- t.size - n;
+  t.head <- (if t.size = 0 then 0 else !head);
   update_pressure t;
   n
 

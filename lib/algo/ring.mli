@@ -2,7 +2,10 @@
 
     Models the single-producer single-consumer receive/transmit rings that
     NFP allocates in shared huge pages: fixed capacity, reference-passing
-    (no element copies), drop-on-full semantics decided by the caller. *)
+    (no element copies), drop-on-full semantics decided by the caller.
+    A dequeue that empties the ring rewinds it to its first slot, so a
+    ring keeps alive at most its occupancy high-water mark plus one
+    element, not its capacity. *)
 
 type 'a t
 

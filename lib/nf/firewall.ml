@@ -84,13 +84,8 @@ let profile =
 
 (* The default ACL is compiled once per process and shared by every
    instance and its [fresh] replicas: it is immutable (the "acl" state
-   is [Read_only]). Built on first use under a mutex, because
-   [Harness.parallel_runs] creates instances from several domains and a
-   lazy value must not be forced from two at once. *)
-let default_compiled =
-  let lock = Mutex.create () in
-  let built = lazy (compile (default_acl 100)) in
-  fun () -> Mutex.protect lock (fun () -> Lazy.force built)
+   is [Read_only]). *)
+let default_compiled = Nf.shared (fun () -> compile (default_acl 100))
 
 let rec create ?(name = "fw") ?(extra_cycles = 0) ?acl () =
   let compiled = match acl with Some a -> compile a | None -> default_compiled () in

@@ -23,13 +23,8 @@ let base_profile =
 (* One automaton per process, shared by every instance and its [fresh]
    replicas: it is immutable after build (the "signature-automaton"
    state is [Read_only]), and building one per instance would cost a
-   64 KB shift table each. Built on first use under a mutex, because
-   [Harness.parallel_runs] creates instances from several domains and a
-   lazy value must not be forced from two at once. *)
-let automaton =
-  let lock = Mutex.create () in
-  let built = lazy (Nfp_algo.Aho_corasick.build (default_signatures 100)) in
-  fun () -> Mutex.protect lock (fun () -> Lazy.force built)
+   64 KB shift table each. *)
+let automaton = Nf.shared (fun () -> Nfp_algo.Aho_corasick.build (default_signatures 100))
 
 let rec create ?(name = "ids") ?(mode = `Detect) () =
   let automaton = automaton () in

@@ -16,6 +16,12 @@ let build_table n =
          let prefix = Int32.of_int ((10 lsl 24) lor ((i * 2654435761) land 0x00ffff00)) in
          (prefix, len, i mod 16)))
 
+(* One FIB per route count, shared by every Forwarder built with that
+   count: an [Lpm.t] is immutable and the "fib" state is [Read_only],
+   so 256 tenant Forwarders need one table, not 256, and a deployment
+   rebuilt per probe of a lossless search builds none. *)
+let fib = Nf.shared build_table
+
 (* [last] is a last-writer-wins cell read back by telemetry and folded
    into the digest: its final value depends on which packet the NF saw
    last across all flows, a global general write. That one cell pins
@@ -32,7 +38,7 @@ let state_access =
     ]
 
 let create ?(name = "fwd") ?(routes = 1000) () =
-  let table = build_table routes in
+  let table = fib routes in
   let forwarded = ref 0 and no_route = ref 0 in
   (* The last next hop, -1 before the first packet: an immediate int,
      so recording it allocates nothing. *)

@@ -16,6 +16,7 @@ let profile =
       Write Field.Dip;
       Read Field.Sport;
       Read Field.Dport;
+      Read Field.Proto;
     ]
 
 (* The backend pick is a pure function of the flow hash, not of the

@@ -10,7 +10,14 @@ type stats = {
 
 let profile =
   Action.
-    [ Read Field.Sip; Read Field.Dip; Read Field.Sport; Read Field.Dport; Read Field.Len ]
+    [
+      Read Field.Sip;
+      Read Field.Dip;
+      Read Field.Sport;
+      Read Field.Dport;
+      Read Field.Proto;
+      Read Field.Len;
+    ]
 
 (* One row per flow, keyed by the packet's 5-tuple limbs: its packet
    count, then its byte count. A packet of a known flow updates the row

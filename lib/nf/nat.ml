@@ -13,6 +13,7 @@ let profile =
       Write Field.Sport;
       Read Field.Dport;
       Write Field.Dport;
+      Read Field.Proto;
       Drop;
     ]
 

@@ -34,6 +34,17 @@ type t = {
   extract : ((Flow.t -> bool) -> state) option;
 }
 
+let shared build =
+  let lock = Mutex.create () and built = Hashtbl.create 4 in
+  fun key ->
+    Mutex.protect lock (fun () ->
+        match Hashtbl.find_opt built key with
+        | Some v -> v
+        | None ->
+            let v = build key in
+            Hashtbl.add built key v;
+            v)
+
 (* Commutative counter components, each a label and a width in int
    cells, laid out one after another in [cells] in declaration order. *)
 type counters = { components : (string * int) list; cells : int array }

@@ -80,6 +80,14 @@ type t = {
           machinery) for an NF to be migrated at runtime. *)
 }
 
+val shared : ('k -> 'v) -> 'k -> 'v
+(** [shared build] is [build] memoized for the whole process: the first
+    call with a key builds its value and every later call returns that
+    same value. For immutable [Read_only] state that every instance
+    can share, such as a FIB or a signature automaton. Builds run under
+    a mutex, because [Harness.parallel_runs] creates instances from
+    several domains. *)
+
 type counters
 (** Commutative counter components: int counters that the NF's packet
     path never reads (tallies, byte counts), declared once and

@@ -4,7 +4,10 @@ type entry = { kind : string; profile : Action.t list; deployment_pct : float op
 
 (* Paper Table 2, row by row. "R/W" cells expand to [Read; Write]. The
    NIDS row has no Drop (detection only); the separately registered IPS
-   type is the dropping variant used in §3's Priority example. *)
+   type is the dropping variant used in §3's Priority example. The
+   table has no protocol column; LoadBalancer, NAT and Monitor key on
+   the whole 5-tuple, protocol byte included, so their rows add
+   [Read Proto]. *)
 let paper_rows =
   let open Action in
   let r f = Read f and w f = Write f in
@@ -23,7 +26,10 @@ let paper_rows =
     {
       kind = "LoadBalancer";
       profile =
-        [ r Field.Sip; w Field.Sip; r Field.Dip; w Field.Dip; r Field.Sport; r Field.Dport ];
+        [
+          r Field.Sip; w Field.Sip; r Field.Dip; w Field.Dip;
+          r Field.Sport; r Field.Dport; r Field.Proto;
+        ];
       deployment_pct = Some 10.0;
     };
     {
@@ -41,7 +47,7 @@ let paper_rows =
       profile =
         [
           r Field.Sip; w Field.Sip; r Field.Dip; w Field.Dip;
-          r Field.Sport; w Field.Sport; r Field.Dport; w Field.Dport; Drop;
+          r Field.Sport; w Field.Sport; r Field.Dport; w Field.Dport; r Field.Proto; Drop;
         ];
       deployment_pct = None;
     };
@@ -60,7 +66,7 @@ let paper_rows =
     {
       kind = "Monitor";
       profile =
-        [ r Field.Sip; r Field.Dip; r Field.Sport; r Field.Dport; r Field.Len ];
+        [ r Field.Sip; r Field.Dip; r Field.Sport; r Field.Dport; r Field.Proto; r Field.Len ];
       deployment_pct = None;
     };
     (* Implemented variants beyond the paper table. *)

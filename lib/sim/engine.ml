@@ -169,10 +169,14 @@ let timer_armed tm = tm.armed
 (* A line's pending sends, oldest first, in parallel arrays of
    power-of-two capacity: each send's payload and the (time, seq) it
    fires at. As in [Nfp_algo.Ring], a popped slot keeps its stale
-   payload until a later send overwrites it, so a line keeps at most its
-   capacity (the most sends ever in flight at once) alive. Clearing the
-   slot instead would make every send store a young value over an old
-   one, one more remembered-set entry per send.
+   payload until a later send overwrites it, and a pop that empties the
+   line rewinds [l_head] to slot 0. A line therefore keeps alive at most
+   its in-flight high-water mark plus the fill element (2 of 1,000
+   payloads sent and fired one at a time, where never rewinding kept
+   16), and its next sends overwrite slots whose occupants are usually
+   still young. Clearing each popped slot instead would make every send
+   store a young value over an old one, one more remembered-set entry
+   per send.
 
    The delay is constant and time never goes back, so a line's sends
    fire in the order they were made, and only the oldest needs a place
@@ -199,12 +203,13 @@ let line_pop l deliver =
   let i = l.l_head in
   let a = l.l_firsts.(i) and b = l.l_seconds.(i) and tag = l.l_tags.(i) in
   let next = (i + 1) land (Array.length l.l_tags - 1) in
-  l.l_head <- next;
   l.l_len <- l.l_len - 1;
   if l.l_len > 0 then begin
+    l.l_head <- next;
     l.l_engine.clock.key <- l.l_times.(next);
     insert l.l_engine l.l_seqs.(next) l.l_fire
-  end;
+  end
+  else l.l_head <- 0;
   deliver a b tag
 
 let line t ~delay deliver =

@@ -73,8 +73,11 @@ type ('job, 'send) t = {
      After execution, job [i]'s sends are [sends.(i)]; the flush owes
      downstream sends [send_cursor ..] of job [emit_cursor], then all
      of jobs [emit_cursor + 1 .. n_emits - 1]. Consumed slots keep a
-     stale reference until the next breath overwrites them — bounded by
-     [batch], same retention policy as the flat [Ring]. *)
+     stale reference until a later breath overwrites them, but every
+     breath fills from slot 0, so [jobs] and [sends] keep alive at most
+     the largest burst so far plus [jobs]' fill element, as a rewound
+     [Ring] does. test_batch's "a deployment keeps no packet it has
+     delivered" holds a whole deployment to a few packets per core. *)
   mutable jobs : 'job array;
   mutable n_inflight : int;
   sends : 'send array array;

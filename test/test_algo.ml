@@ -10,6 +10,22 @@ let qtest ?(count = 200) name gen prop =
 (* Ring                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* How many of [n] boxed jobs [ref i], each handed to [step] and then
+   dropped by the caller, are still reachable after a full major GC. *)
+let retained n step =
+  let w = Weak.create n in
+  for i = 0 to n - 1 do
+    let job = ref i in
+    Weak.set w i (Some job);
+    step job
+  done;
+  Gc.full_major ();
+  let alive = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check w i then incr alive
+  done;
+  !alive
+
 let ring_tests =
   [
     Alcotest.test_case "rejects zero capacity" `Quick (fun () ->
@@ -39,23 +55,50 @@ let ring_tests =
           (List.map (fun () -> Ring.dequeue_exn r) [ (); (); () ]);
         check Alcotest.bool "empty" true (Ring.is_empty r));
     qtest "ring behaves like a bounded queue"
-      QCheck.(pair (int_range 1 8) (list (option small_int)))
+      QCheck.(pair (int_range 1 8) (list (pair (int_range 0 2) small_int)))
       (fun (capacity, ops) ->
-        (* Some x = enqueue x, None = dequeue; compare with a model. *)
+        (* (0, x) = enqueue x, (1, _) = dequeue, (2, n) = dequeue_into
+           of up to [n mod 10]; compare with a model. Both dequeues
+           rewind an emptied ring, so both paths are held to it. *)
         let r = Ring.create ~capacity in
         let model = Queue.create () in
+        let dst = Array.make 9 0 in
         List.for_all
           (function
-            | Some x ->
+            | 0, x ->
                 let accepted = Ring.enqueue r x in
                 let model_accepts = Queue.length model < capacity in
                 if model_accepts then Queue.add x model;
                 accepted = model_accepts
-            | None ->
+            | 1, _ ->
                 let got = if Ring.is_empty r then None else Some (Ring.dequeue_exn r) in
                 let expected = Queue.take_opt model in
-                got = expected)
+                got = expected
+            | _, n ->
+                let got = Array.sub dst 0 (Ring.dequeue_into r dst 0 (n mod 10)) in
+                let expected =
+                  Array.init (min (n mod 10) (Queue.length model)) (fun _ -> Queue.pop model)
+                in
+                got = expected && Ring.length r = Queue.length model)
           ops);
+    Alcotest.test_case "a ring keeps no element it has handed out" `Quick (fun () ->
+        (* 1,000 boxed jobs, each enqueued and dequeued at once: the
+           ring's occupancy never passes 1, so at most that one slot
+           and the fill element may keep a job alive. *)
+        let r = Ring.create ~capacity:128 in
+        let dst = Array.make 1 (ref 0) in
+        let alive dequeue =
+          retained 1_000 (fun job ->
+              ignore (Ring.enqueue r job);
+              dequeue ())
+        in
+        let by_exn = alive (fun () -> ignore (Ring.dequeue_exn r)) in
+        let by_into = alive (fun () -> ignore (Ring.dequeue_into r dst 0 1)) in
+        ignore (Sys.opaque_identity (r, dst));
+        if by_exn > 2 || by_into > 2 then
+          Alcotest.failf
+            "of 1000 jobs, %d (dequeue_exn) and %d (dequeue_into) still reachable (at most 2)"
+            by_exn by_into);
     (* The breath loop's burst dequeue across the wrap-around seam and
        the full/empty boundaries. *)
     Alcotest.test_case "dequeue_into drains across the wrap seam" `Quick (fun () ->

@@ -472,6 +472,61 @@ let par_text = "NF(mon, Monitor)\nNF(lb, LoadBalancer)\nChain(mon, lb)"
 
 let par_bindings = [ ("mon", "Monitor"); ("lb", "LoadBalancer") ]
 
+(* tenants_miss's shape, smaller: [tenants] single-Forwarder graphs
+   behind one classifier, each owning 10.t.0.0/24. Runs [packets] fresh
+   packets spread over the tenants and returns how many of them are
+   still reachable after a full major GC, with the deployment still
+   reachable, and the deployment's core count. *)
+let retained_packets ~tenants ~packets =
+  let profile_of _ = Nfp_nf.Registry.profile_of "Forwarder" in
+  let graphs =
+    List.init tenants (fun t ->
+        let name = Printf.sprintf "fwd%d" t in
+        let nf = fst (Nfp_nf.L3_forwarder.create ~name ~routes:64 ()) in
+        let plan =
+          match Tables.plan ~profile_of (Nfp_core.Graph.nf name) with
+          | Ok p -> p
+          | Error e -> Alcotest.failf "plan: %s" e
+        in
+        ( Flow_match.make ~dip_prefix:(Int32.of_int ((10 lsl 24) lor (t lsl 8)), 24) (),
+          plan,
+          fun _ -> nf ))
+  in
+  let stats = ref (fun () -> []) and deployment = ref None in
+  let make engine ~output =
+    let system =
+      Nfp_infra.System.make_multi ~stats
+        ~config:{ Nfp_infra.System.default_config with cost = Nfp_sim.Cost.classified }
+        ~graphs engine ~output
+    in
+    deployment := Some system;
+    system
+  in
+  let sent = Weak.create packets and payload = String.make 46 'x' in
+  let gen i =
+    let t = i mod tenants in
+    let flow =
+      Flow.make
+        ~sip:(Int32.of_int ((10 lsl 24) lor (200 lsl 16) lor i))
+        ~dip:(Int32.of_int ((10 lsl 24) lor (t lsl 8) lor 1))
+        ~sport:(1024 + (i / tenants)) ~dport:80 ~proto:6
+    in
+    let pkt = Packet.create ~flow ~payload () in
+    Weak.set sent i (Some pkt);
+    pkt
+  in
+  let r =
+    Nfp_sim.Harness.run ~make ~gen ~arrivals:(Nfp_sim.Harness.Uniform 4.0) ~packets ()
+  in
+  check Alcotest.int "every packet delivered" packets r.completed;
+  Gc.full_major ();
+  let alive = ref 0 in
+  for i = 0 to packets - 1 do
+    if Weak.check sent i then incr alive
+  done;
+  ignore (Sys.opaque_identity !deployment);
+  (!alive, List.length (!stats ()))
+
 let allocation_tests =
   [
     Alcotest.test_case "engine hot path stays under budget (forwarder chain)"
@@ -581,6 +636,14 @@ let allocation_tests =
         check Alcotest.bool "both verdicts drawn" true (!passed > 0 && !dropped > 0);
         if words > 0.0 then
           Alcotest.failf "allocation regression: 10000 transits allocated %.0f words" words);
+    Alcotest.test_case "a deployment keeps no packet it has delivered" `Quick (fun () ->
+        (* Each core's ring, lines and breath scratch may keep their
+           occupancy high-water mark plus a fill element; every other
+           delivered packet must be garbage. *)
+        let alive, cores = retained_packets ~tenants:64 ~packets:4_000 in
+        if alive > 4 * cores then
+          Alcotest.failf
+            "%d of 4000 packets still reachable over %d cores (budget 4 per core)" alive cores);
   ]
 
 let () =

@@ -90,6 +90,17 @@ let inspector_tests =
                  (fun a -> match a with Action.Write _ -> false | _ -> true)
                  comparison.undeclared)
         | None -> Alcotest.fail "LoadBalancer should be inspectable");
+    Alcotest.test_case "5-tuple keyed kinds declare every read they make" `Quick (fun () ->
+        (* Their flow key packs the protocol byte, so they read it. *)
+        List.iter
+          (fun kind ->
+            match Nfp_inspector.Inspector.inspect_registered kind with
+            | Some (_, comparison) ->
+                if comparison.undeclared <> [] then
+                  Alcotest.failf "%s: undeclared %s" kind
+                    (Format.asprintf "%a" Nfp_inspector.Inspector.pp_comparison comparison)
+            | None -> Alcotest.failf "%s should be inspectable" kind)
+          [ "Monitor"; "NAT"; "LoadBalancer" ]);
     Alcotest.test_case "inspect_registered on unknown type" `Quick (fun () ->
         check Alcotest.bool "none" true
           (Nfp_inspector.Inspector.inspect_registered "Imaginary" = None));

@@ -236,6 +236,15 @@ let firewall_tests =
 (* L3 forwarder / Load balancer                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The next hop a fresh [routes]-route Forwarder picks for each of 256
+   addresses spread over 10.0.0.0/8. *)
+let next_hops ~routes =
+  let fwd, stats = L3_forwarder.create ~routes () in
+  List.init 256 (fun k ->
+      let dip = Printf.sprintf "10.%d.%d.%d" (k * 37 mod 256) (k * 91 mod 256) k in
+      ignore (fwd.process (pkt ~flow:(flow ~dip ()) ()));
+      stats.last_next_hop ())
+
 let forwarder_tests =
   [
     Alcotest.test_case "forwards everything" `Quick (fun () ->
@@ -254,6 +263,20 @@ let forwarder_tests =
     Alcotest.test_case "reads only dip" `Quick (fun () ->
         let fwd, _ = L3_forwarder.create () in
         check Alcotest.bool "profile" true (fwd.profile = [ Action.Read Field.Dip ]));
+    (* Forwarders with one route count share one FIB, built by whichever
+       domain asks first. 777 routes is a count no other test builds,
+       so the two worker domains race to build it. *)
+    Alcotest.test_case "forwarders built on two domains route as one built here" `Quick
+      (fun () ->
+        let on_workers =
+          Nfp_sim.Harness.parallel_runs ~domains:2
+            (List.init 4 (fun _ () -> next_hops ~routes:777))
+        in
+        let here = next_hops ~routes:777 in
+        List.iter (check Alcotest.(list (option int)) "next hops" here) on_workers);
+    Alcotest.test_case "each route count gets its own FIB" `Quick (fun () ->
+        check Alcotest.bool "some address routes differently" true
+          (next_hops ~routes:64 <> next_hops ~routes:1000));
   ]
 
 let lb_tests =

@@ -379,6 +379,23 @@ let line_words n =
   done;
   Gc.minor_words () -. before
 
+(* How many of [n] boxed payloads [ref i], each handed to [step] and
+   then dropped by the caller, are still reachable after a full major
+   GC. *)
+let retained n step =
+  let w = Weak.create n in
+  for i = 0 to n - 1 do
+    let payload = ref i in
+    Weak.set w i (Some payload);
+    step payload
+  done;
+  Gc.full_major ();
+  let alive = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check w i then incr alive
+  done;
+  !alive
+
 let line_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -413,6 +430,20 @@ let line_tests =
             Alcotest.check_raises "delay" (Invalid_argument "Engine.line: negative delay")
               (fun () -> ignore (Engine.line e ~delay (fun () () _ -> ()))))
           [ -1.0; Float.nan ]);
+    Alcotest.test_case "a line keeps no payload it has fired" `Quick (fun () ->
+        (* 1,000 payloads, each sent and fired before the next: one in
+           flight at most, so at most that slot and the fill element
+           may keep a payload alive. *)
+        let e = Engine.create () in
+        let l = Engine.line e ~delay:5.0 (fun _ () _ -> ()) in
+        let alive =
+          retained 1_000 (fun payload ->
+              Engine.send l payload () 0;
+              Engine.run e)
+        in
+        if alive > 2 then
+          Alcotest.failf "%d of 1000 payloads still reachable (at most 2)" alive;
+        ignore (Sys.opaque_identity l));
     (* Holds for the release build the repository selects in
        dune-workspace, like test_batch's budgets. *)
     Alcotest.test_case "sending on and firing a line allocates nothing" `Quick (fun () ->
