@@ -195,7 +195,7 @@ let digest d =
   Array.fold_left table_hash (Array.fold_left Nfp_algo.Hashing.combine 17 d.live) d.tables
 
 let make ~name ~kind ~profile ~cost_cycles ?state_digest ?snapshot:snap ?restore:rest
-    ?state_access ?fresh ?merge:mrg ?degrade ?extract:ext ?counters ?tables process =
+    ?state_access ?fresh ?degrade ?counters ?tables process =
   let t =
     {
       name;
@@ -208,16 +208,14 @@ let make ~name ~kind ~profile ~cost_cycles ?state_digest ?snapshot:snap ?restore
       restore = rest;
       state_access;
       fresh;
-      merge = mrg;
+      merge = None;
       degrade;
-      extract = ext;
+      extract = None;
     }
   in
   match (counters, tables) with
   | None, None -> t
-  | _
-    when Option.is_some state_digest || Option.is_some snap || Option.is_some rest
-         || Option.is_some mrg || Option.is_some ext ->
+  | _ when Option.is_some state_digest || Option.is_some snap || Option.is_some rest ->
       if Option.is_some counters then
         invalid_arg "Nf.make: counters derive state_digest, snapshot, restore, merge and extract"
       else invalid_arg "Nf.make: tables derive state_digest, snapshot, restore, merge and extract"

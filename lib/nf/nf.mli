@@ -61,8 +61,9 @@ type t = {
   merge : (state list -> state) option;
       (** combine the snapshots of all replicas into the state a single
           unreplicated instance would hold: per-flow entries are
-          disjoint-unioned, commutative components summed. Must be
-          insensitive to the order of the snapshot list. Required (with
+          disjoint-unioned, commutative components summed, insensitive
+          to the order of the snapshot list. {!make} derives it from
+          declared counters and tables. Required (with
           [snapshot]/[restore]) for the [Shared_nothing] strategy. *)
   degrade : degrade option;
       (** optional pressure-degrade mode; [None] means the NF always
@@ -76,8 +77,9 @@ type t = {
           since they sum under {!t.merge}). The elastic controller uses
           this as the source half of a live migration; {!absorb} is the
           destination half. NFs with no per-flow state return their
-          zero state. Required (on top of the [Shared_nothing]
-          machinery) for an NF to be migrated at runtime. *)
+          zero state. {!make} derives it from declared counters and
+          tables. Required (on top of the [Shared_nothing] machinery)
+          for an NF to be migrated at runtime. *)
 }
 
 val shared : ('k -> 'v) -> 'k -> 'v
@@ -137,20 +139,19 @@ val make :
   ?restore:(state -> unit) ->
   ?state_access:State_access.t ->
   ?fresh:(unit -> t) ->
-  ?merge:(state list -> state) ->
   ?degrade:degrade ->
-  ?extract:((Flow.t -> bool) -> state) ->
   ?counters:counters ->
   ?tables:table list ->
   (Packet.t -> verdict) ->
   t
 (** Profile is normalized. [state_digest] defaults to a constant.
     [snapshot]/[restore] default to [None]: the recovery subsystem only
-    arms checkpoint/replay for NFs that provide both. [state_access],
-    [fresh] and [merge] default to [None]: the replication analysis only
-    shards NFs that declare their state and provide the machinery.
-    [extract] defaults to [None]: such NFs replicate but never migrate
-    at runtime.
+    arms checkpoint/replay for NFs that provide both. [state_access]
+    and [fresh] default to [None]: the replication analysis only
+    replicates NFs that declare their state and can be built again.
+    [merge] and [extract] come only from [counters] and [tables]: an NF
+    built without either has neither, so it is never sharded and never
+    migrates.
 
     [counters] and [tables] derive the state machinery of an NF whose
     mutable state is declared counters and tables, from each part's
@@ -174,11 +175,7 @@ val make :
       one [State_access.global Commutative label] per counter
       component.
     @raise Invalid_argument when [counters] or [tables] comes with
-    [state_digest], [snapshot], [restore], [merge] or [extract].
-
-    Kept for tests: [merge] and [extract], which every built-in NF
-    derives; the elastic and links suites pass them for a hand-written
-    per-flow NF, and the nf suite checks their refusal. *)
+    [state_digest], [snapshot] or [restore]. *)
 
 val absorb : t -> state -> unit
 (** [absorb t shard] merges a state shard (typically the result of

@@ -34,9 +34,9 @@ type t = component list
 val component : label:string -> scope:scope -> mode:mode -> component
 
 val per_flow : mode -> string -> component
-(** [per_flow mode label] — scope {!Per_flow}. Kept for tests: the
-    built-in NFs declare per-flow state through [Nf.table], and the
-    tests' hand-written per-flow NFs and expected profiles use this. *)
+(** [per_flow mode label] — scope {!Per_flow}. Kept for tests: NFs
+    declare per-flow state through [Nf.table], and the nf suite builds
+    an expected profile with this. *)
 
 val global : mode -> string -> component
 (** [global mode label] — scope {!Global}. *)

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Run one test suite at every QCheck seed of a range and print one line
 # per failing seed: the seed, the case QCheck reports and the outcome
-# (the failing tests, or the timeout). Passing seeds print nothing; a
-# summary with the elapsed time goes to stderr. Each run gets 120 s.
+# (the failing tests, or the timeout, then the report lines of the
+# differential suites' equivalence oracle, test/oracle.ml, each starting
+# "oracle:"). Passing seeds print nothing; a summary with the elapsed
+# time goes to stderr. Each run gets 120 s.
 #
 #   dune build && scripts/deep_sweep.sh recovery 360 700
 #
@@ -32,18 +34,23 @@ for seed in $(seq "$from" "$to"); do
   [ "$rc" -eq 0 ] && continue
   failed=$((failed + 1))
   # QCheck names the case after "failed on ≥ 1 cases:", on the same
-  # line or, when long, on the lines up to the next blank one; for an
-  # exception, on a line "on `...`". Alcotest lists each failing test
-  # once with a leading "> [FAIL]".
+  # line or, when long, on the lines up to the next blank one, where the
+  # oracle's report follows it; for an exception, on a line "on `...`".
+  # Alcotest lists each failing test once with a leading "> [FAIL]".
+  # Each oracle line is kept once, in the order it first appears.
   case_=$(awk '
     /failed on .* cases:/ { sub(/.*cases: ?/, ""); if ($0 == "") grab = 1; else print; next }
     grab && /^[[:space:]]*$/ { grab = 0; next }
+    grab && /^[[:space:]]*oracle: / { next }
     grab { print; next }
     /^on `/ { sub(/^on `/, ""); sub(/`$/, ""); print }' "$log" | sort -u | paste -sd '|' -)
   tests=$(grep -E '^> \[FAIL\]' "$log" | sed -E 's/^> \[FAIL\] +//; s/ +/ /g' |
     paste -sd '|' -)
+  report=$(sed -nE 's/^[[:space:]]*(oracle: )/\1/p' "$log" | awk '!seen[$0]++' |
+    paste -sd '|' -)
   if [ "$rc" -eq 124 ]; then outcome="timeout after 120 s"
   else outcome="exit $rc: ${tests:-no failing test listed}"; fi
+  [ -n "$report" ] && outcome="$outcome|$report"
   printf 'seed=%s case=%s outcome=%s\n' "$seed" "${case_:-?}" "$outcome"
 done
 awk -v s="$start" -v e="$EPOCHREALTIME" -v n="$runs" -v f="$failed" \

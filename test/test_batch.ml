@@ -18,139 +18,34 @@ let check = Alcotest.check
 
 let sizes = [ 2; 8; 32; 256 ]
 
-let plan_of text =
-  match Compiler.compile_text text with
-  | Error es -> Alcotest.failf "compile: %s" (String.concat "; " es)
-  | Ok o -> (
-      match Tables.of_output o with Ok p -> p | Error e -> Alcotest.failf "plan: %s" e)
+(* [Oracle.roomy] at breath size [batch]. *)
+let roomy_at batch = { Oracle.roomy with cost = { Oracle.roomy.cost with batch } }
 
-let instances bindings =
-  let table = Hashtbl.create 8 in
-  let nfs =
-    List.map
-      (fun (name, kind) ->
-        match Nfp_nf.Registry.instantiate kind ~name with
-        | Some nf ->
-            Hashtbl.replace table name nf;
-            (name, nf)
-        | None -> Alcotest.failf "no implementation for %s" kind)
-      bindings
-  in
-  (Hashtbl.find table, nfs)
-
-let traffic () =
-  let g =
-    Nfp_traffic.Pktgen.create
-      { Nfp_traffic.Pktgen.default with sizes = Nfp_traffic.Size_dist.fixed 128; flows = 64 }
-  in
-  Nfp_traffic.Pktgen.packet g
-
-(* Deep rings: every offered packet is admitted, so the ledger is not
-   perturbed by admission refusals that depend on queue timing. *)
-let roomy = { Nfp_infra.System.default_config with ring_capacity = 8192 }
-
-(* [roomy] at breath size [batch]. *)
-let roomy_at batch = { roomy with cost = { roomy.cost with batch } }
-
-let lossless_fault plan =
-  {
-    Nfp_infra.System.default_fault_config with
-    plan;
-    merge_timeout_ns = 0.0;
-    checkpoint_interval_ns = 100_000.0;
-    log_capacity = 4096;
-  }
-
-(* Everything the batch-size equivalence quantifies over: deliveries as
-   a sorted multiset, final NF state digests, and the ledger buckets of
-   the run's accounting invariant. *)
-type observation = {
-  outs : (int64 * string) list;
-  completed : int;
-  nf_drops : int;
-  unmatched : int;
-  ring_drops : int;
-  crashes : int;
-  digests : (string * int) list;
-}
-
-(* [dataplane] builds the deployment: by default the compiled one, with
-   [fault] armed; the interpretive reference takes no fault config. *)
-let observe ?fault
-    ?(dataplane =
-      fun ~config ~graphs engine ~output ->
-        Nfp_infra.System.make_multi ?fault ~config ~graphs engine ~output)
-    ~batch_size ~plan ~bindings ~arrivals ~packets () =
-  let lookup, nfs = instances bindings in
-  let outs = ref [] in
-  let make engine ~output =
-    dataplane ~config:(roomy_at batch_size)
-      ~graphs:[ (Flow_match.any, plan, lookup) ]
-      engine
-      ~output:(fun ~pid pkt ->
-        outs := (pid, Bytes.to_string (Packet.to_bytes pkt)) :: !outs;
-        output ~pid pkt)
-  in
-  let r = Nfp_sim.Harness.run ~make ~gen:(traffic ()) ~arrivals ~packets () in
-  {
-    outs = List.sort compare !outs;
-    completed = r.completed;
-    nf_drops = r.nf_drops;
-    unmatched = r.unmatched;
-    ring_drops = r.ring_drops;
-    crashes = r.health.crashes;
-    digests =
-      List.map (fun (name, (nf : Nfp_nf.Nf.t)) -> (name, nf.state_digest ())) nfs;
-  }
-
-let check_equivalent ~batch reference batched =
-  let ctx fmt = Printf.ksprintf (fun s -> Printf.sprintf "batch %d: %s" batch s) fmt in
-  check Alcotest.int (ctx "completed") reference.completed batched.completed;
-  check Alcotest.int (ctx "nf drops") reference.nf_drops batched.nf_drops;
-  check Alcotest.int (ctx "unmatched") reference.unmatched batched.unmatched;
-  check Alcotest.int (ctx "ring drops") reference.ring_drops batched.ring_drops;
-  check Alcotest.int (ctx "crashes") reference.crashes batched.crashes;
-  check Alcotest.int (ctx "delivery count") (List.length reference.outs)
-    (List.length batched.outs);
-  List.iter2
-    (fun (pid_a, bytes_a) (pid_b, bytes_b) ->
-      check Alcotest.int64 (ctx "delivered pid") pid_a pid_b;
-      check Alcotest.string (ctx "delivered bytes") bytes_a bytes_b)
-    reference.outs batched.outs;
-  List.iter2
-    (fun (name_a, d_a) (name_b, d_b) ->
-      check Alcotest.string (ctx "digest NF") name_a name_b;
-      check Alcotest.int (ctx "state digest of %s" name_a) d_a d_b)
-    reference.digests batched.digests
+(* Both sides of a batch comparison run the same fault plan, so beyond
+   the oracle they agree on unmatched packets, ring drops and crashes. *)
+let same_ledger ctx (a : Nfp_sim.Harness.result) (b : Nfp_sim.Harness.result) =
+  check Alcotest.int (ctx "unmatched") a.unmatched b.unmatched;
+  check Alcotest.int (ctx "ring drops") a.ring_drops b.ring_drops;
+  check Alcotest.int (ctx "crashes") a.health.crashes b.health.crashes
 
 (* Run batch = 1 (bitwise-legacy per-packet semantics) as the
-   reference, then every swept size against it. *)
+   reference, then hold every swept size to it. [dataplane] builds the
+   deployment: by default the compiled one, with [fault] armed; the
+   interpretive reference takes no fault config. *)
 let sweep ?fault ?dataplane ~text ~bindings ~arrivals ?(packets = 2000) () =
-  let plan = plan_of text in
-  let reference =
-    observe ?fault ?dataplane ~batch_size:1 ~plan ~bindings ~arrivals ~packets ()
+  let plan = Oracle.plan_of text in
+  let run batch =
+    Oracle.observe ?fault ?dataplane ~config:(roomy_at batch) ~plan ~bindings ~arrivals ~packets ()
   in
+  let reference, rr = run 1 in
   List.iter
     (fun batch ->
-      let batched =
-        observe ?fault ?dataplane ~batch_size:batch ~plan ~bindings ~arrivals ~packets ()
-      in
-      check_equivalent ~batch reference batched)
+      let batched, rb = run batch in
+      let ctx = Printf.sprintf "batch %d: %s" batch in
+      Oracle.check_equivalent (ctx "batched run") reference batched;
+      same_ledger ctx rr rb)
     sizes;
   reference
-
-let ns_text =
-  "NF(vpn, VPN)\nNF(mon, Monitor)\nNF(fw, Firewall)\nNF(lb, LoadBalancer)\n\
-   Chain(vpn, mon, fw, lb)"
-
-let ns_bindings =
-  [ ("vpn", "VPN"); ("mon", "Monitor"); ("fw", "Firewall"); ("lb", "LoadBalancer") ]
-
-let we_text = "NF(ids, IPS)\nNF(mon, Monitor)\nNF(lb, LoadBalancer)\nChain(ids, mon, lb)"
-let we_bindings = [ ("ids", "IPS"); ("mon", "Monitor"); ("lb", "LoadBalancer") ]
-
-let par_text = "NF(mon, Monitor)\nNF(fw, Firewall)\nOrder(mon, before, fw)"
-let par_bindings = [ ("mon", "Monitor"); ("fw", "Firewall") ]
 
 (* Bursty arrivals queue several jobs per ring, so breaths genuinely
    run multi-job — a uniform trickle would leave every breath at one
@@ -160,22 +55,22 @@ let bursty = Nfp_sim.Harness.Burst (1.0, 32)
 let fault_free_tests =
   [
     Alcotest.test_case "stateful chain, bursty arrivals" `Quick (fun () ->
-        let r = sweep ~text:ns_text ~bindings:ns_bindings ~arrivals:bursty () in
+        let r = sweep ~text:Oracle.ns_text ~bindings:Oracle.ns_bindings ~arrivals:bursty () in
         check Alcotest.int "no losses anywhere" 0 (r.nf_drops + r.ring_drops));
     Alcotest.test_case "stateful chain, uniform overload" `Quick (fun () ->
         ignore
-          (sweep ~text:ns_text ~bindings:ns_bindings
+          (sweep ~text:Oracle.ns_text ~bindings:Oracle.ns_bindings
              ~arrivals:(Nfp_sim.Harness.Uniform 20.0) ~packets:2000 ()));
     Alcotest.test_case "parallel branches with merges" `Quick (fun () ->
-        ignore (sweep ~text:par_text ~bindings:par_bindings ~arrivals:bursty ()));
+        ignore (sweep ~text:Oracle.par_text ~bindings:Oracle.par_bindings ~arrivals:bursty ()));
     Alcotest.test_case "chain into merge (write-effect graph)" `Quick (fun () ->
-        ignore (sweep ~text:we_text ~bindings:we_bindings ~arrivals:bursty ()));
+        ignore (sweep ~text:Oracle.we_text ~bindings:Oracle.we_bindings ~arrivals:bursty ()));
     Alcotest.test_case "interpretive path agrees across batch sizes" `Quick
       (fun () ->
         ignore
           (sweep
-             ~dataplane:(fun ~config ~graphs -> Nfp_infra.System.interpretive ~config ~graphs)
-             ~text:ns_text ~bindings:ns_bindings
+             ~dataplane:Oracle.interpretive
+             ~text:Oracle.ns_text ~bindings:Oracle.ns_bindings
              ~arrivals:bursty ~packets:1200 ()));
   ]
 
@@ -183,16 +78,16 @@ let fault_tests =
   [
     Alcotest.test_case "single crash with lossless recovery" `Quick (fun () ->
         let fault =
-          lossless_fault
+          Oracle.lossless_fault
             (Nfp_sim.Fault.plan [ Nfp_sim.Fault.crash ~at_ns:500_000.0 "mid1:vpn" ])
         in
         let r =
-          sweep ~fault ~text:ns_text ~bindings:ns_bindings ~arrivals:bursty ()
+          sweep ~fault ~text:Oracle.ns_text ~bindings:Oracle.ns_bindings ~arrivals:bursty ()
         in
         check Alcotest.int "crash took effect" 1 r.crashes);
     Alcotest.test_case "two crashes on distinct cores" `Quick (fun () ->
         let fault =
-          lossless_fault
+          Oracle.lossless_fault
             (Nfp_sim.Fault.plan
                [
                  Nfp_sim.Fault.crash ~at_ns:500_000.0 "mid1:vpn";
@@ -200,7 +95,7 @@ let fault_tests =
                ])
         in
         let r =
-          sweep ~fault ~text:ns_text ~bindings:ns_bindings ~arrivals:bursty ()
+          sweep ~fault ~text:Oracle.ns_text ~bindings:Oracle.ns_bindings ~arrivals:bursty ()
         in
         check Alcotest.int "both crashes took effect" 2 r.crashes);
     Alcotest.test_case "crash storm, chain" `Quick (fun () ->
@@ -208,23 +103,24 @@ let fault_tests =
            mid-breath and the unexecuted tail of the interrupted batch
            must be salvaged — the partial-batch path. *)
         let fault =
-          lossless_fault
+          Oracle.lossless_fault
             (Nfp_sim.Fault.storm ~seed:11L
                ~cores:[ "mid1:vpn"; "mid1:mon"; "mid1:fw"; "mid1:lb" ]
                ~mtbf_ns:2_000_000.0 ~horizon_ns:3_000_000.0 ())
         in
         let r =
-          sweep ~fault ~text:ns_text ~bindings:ns_bindings ~arrivals:bursty ()
+          sweep ~fault ~text:Oracle.ns_text ~bindings:Oracle.ns_bindings ~arrivals:bursty ()
         in
         check Alcotest.bool "storm produced crashes" true (r.crashes > 0));
     Alcotest.test_case "crash storm, parallel branches" `Quick (fun () ->
         let fault =
-          lossless_fault
+          Oracle.lossless_fault
             (Nfp_sim.Fault.storm ~seed:7L
                ~cores:[ "mid1:mon"; "mid1:fw" ]
                ~mtbf_ns:1_500_000.0 ~horizon_ns:3_000_000.0 ())
         in
-        ignore (sweep ~fault ~text:par_text ~bindings:par_bindings ~arrivals:bursty ()));
+        ignore
+          (sweep ~fault ~text:Oracle.par_text ~bindings:Oracle.par_bindings ~arrivals:bursty ()));
   ]
 
 (* Property form: any batch size, arrival shape, and load agrees with
@@ -248,17 +144,14 @@ let property_tests =
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:12 ~name:"random batch size matches per-packet run" arb
          (fun (batch, burst, rate, packets) ->
-           let plan = plan_of ns_text in
-           let arrivals = Nfp_sim.Harness.Burst (rate, burst) in
-           let reference =
-             observe ~batch_size:1 ~plan ~bindings:ns_bindings ~arrivals ~packets ()
+           let run batch =
+             Oracle.observe ~config:(roomy_at batch) ~plan:(Oracle.plan_of Oracle.ns_text)
+               ~bindings:Oracle.ns_bindings ~arrivals:(Nfp_sim.Harness.Burst (rate, burst))
+               ~packets ()
            in
-           let batched =
-             observe ~batch_size:batch ~plan ~bindings:ns_bindings ~arrivals ~packets
-               ()
-           in
-           check_equivalent ~batch reference batched;
-           true));
+           let (reference, rr), (batched, rb) = (run 1, run batch) in
+           same_ledger (Printf.sprintf "batch %d: %s" batch) rr rb;
+           Oracle.converges reference batched));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -310,7 +203,7 @@ let fwd_bindings = List.init 5 (fun i -> (Printf.sprintf "f%d" i, "Forwarder"))
    deployment; the first warms module state, memo tables and
    first-breath scratch. *)
 let words_of_plan ?fault ?links ~plan ~nfs ~batch_size ~packets () =
-  let gen = traffic () in
+  let gen = Oracle.traffic () in
   let make engine ~output =
     Nfp_infra.System.make ?fault ?links ~config:(roomy_at batch_size) ~plan ~nfs engine
       ~output
@@ -326,7 +219,8 @@ let words_of_plan ?fault ?links ~plan ~nfs ~batch_size ~packets () =
   (Gc.minor_words () -. before) /. float_of_int packets
 
 let words_per_packet ~text ~bindings ~batch_size ~packets =
-  words_of_plan ~plan:(plan_of text) ~nfs:(fst (instances bindings)) ~batch_size ~packets ()
+  words_of_plan ~plan:(Oracle.plan_of text) ~nfs:(Nfp_nf.Registry.instances bindings) ~batch_size
+    ~packets ()
 
 type Nfp_nf.Nf.state += Nop_state
 
@@ -350,7 +244,7 @@ let chain_words ?fault ?links n ~packets =
   in
   let nfs = List.map (fun name -> (name, nop name)) names in
   words_of_plan ?fault ?links ~plan ~nfs:(fun n -> List.assoc n nfs)
-    ~batch_size:roomy.cost.batch ~packets ()
+    ~batch_size:Oracle.roomy.cost.batch ~packets ()
 
 let per_hop ?fault ?links () =
   let one = chain_words ?fault ?links 1 ~packets:4000
@@ -371,7 +265,7 @@ let lossless_links ~reliable =
    many times over a run, so nearly every append refills a slot. *)
 let logged_fault =
   {
-    (lossless_fault (Nfp_sim.Fault.plan [ Nfp_sim.Fault.crash ~at_ns:1.0 "no-such-core" ]))
+    (Oracle.lossless_fault (Nfp_sim.Fault.plan [ Nfp_sim.Fault.crash ~at_ns:1.0 "no-such-core" ]))
     with
     log_capacity = 64;
   }
@@ -540,7 +434,7 @@ let allocation_tests =
             "allocation regression: %.1f minor words/packet (budget 127)" w);
     Alcotest.test_case "a parallel graph with one header copy stays under budget" `Quick
       (fun () ->
-        let plan = plan_of par_text in
+        let plan = Oracle.plan_of par_text in
         check Alcotest.int "one header copy" 1 plan.header_copies;
         check Alcotest.int "one merger" 1 (List.length plan.merges);
         let w =
@@ -568,7 +462,7 @@ let allocation_tests =
           (Packet.ip_checksum_valid frames.(0) && Packet.l4_checksum_valid frames.(0)));
     Alcotest.test_case "stateful chain stays under budget" `Quick (fun () ->
         let w =
-          words_per_packet ~text:ns_text ~bindings:ns_bindings ~batch_size:32
+          words_per_packet ~text:Oracle.ns_text ~bindings:Oracle.ns_bindings ~batch_size:32
             ~packets:4000
         in
         if w > 1293.0 then
@@ -577,11 +471,11 @@ let allocation_tests =
     Alcotest.test_case "batching does not allocate more than per-packet" `Quick
       (fun () ->
         let batched =
-          words_per_packet ~text:ns_text ~bindings:ns_bindings ~batch_size:32
+          words_per_packet ~text:Oracle.ns_text ~bindings:Oracle.ns_bindings ~batch_size:32
             ~packets:4000
         in
         let legacy =
-          words_per_packet ~text:ns_text ~bindings:ns_bindings ~batch_size:1
+          words_per_packet ~text:Oracle.ns_text ~bindings:Oracle.ns_bindings ~batch_size:1
             ~packets:4000
         in
         if batched > legacy +. 16.0 then

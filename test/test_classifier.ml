@@ -8,6 +8,7 @@
 
 open Nfp_packet
 module Prng = Nfp_algo.Prng
+module Registry = Nfp_nf.Registry
 
 let check = Alcotest.check
 
@@ -310,24 +311,6 @@ let alloc_tests =
 (* identical (costs default to zero, so even timestamps must agree).   *)
 (* ------------------------------------------------------------------ *)
 
-let instances bindings =
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun (name, kind) ->
-      match Nfp_nf.Registry.instantiate kind ~name with
-      | Some nf -> Hashtbl.replace table name nf
-      | None -> Alcotest.failf "no implementation for %s" kind)
-    bindings;
-  Hashtbl.find table
-
-let plan_of text =
-  match Nfp_core.Compiler.compile_text text with
-  | Error es -> Alcotest.failf "compile: %s" (String.concat "; " es)
-  | Ok o -> (
-      match Nfp_core.Tables.of_output o with
-      | Ok p -> p
-      | Error e -> Alcotest.failf "plan: %s" e)
-
 type trace = {
   outs : (int64 * string) list;
   delivered : int;
@@ -360,16 +343,16 @@ let trace ~classify ~graphs ~packets =
 let system_tests =
   [
     Alcotest.test_case "`Cached and `Scan front ends trace identically" `Quick (fun () ->
-        let p1 = plan_of "NF(m1, Monitor)\nPosition(m1, first)" in
+        let p1 = Oracle.plan_of "NF(m1, Monitor)\nPosition(m1, first)" in
         let p2 =
-          plan_of "NF(fw, Firewall)\nNF(lb, LoadBalancer)\nChain(fw, lb)"
+          Oracle.plan_of "NF(fw, Firewall)\nNF(lb, LoadBalancer)\nChain(fw, lb)"
         in
         let graphs =
           [
-            (Flow_match.make ~proto:17 (), p1, instances [ ("m1", "Monitor") ]);
+            (Flow_match.make ~proto:17 (), p1, Registry.instances [ ("m1", "Monitor") ]);
             ( Flow_match.make ~proto:6 ~dport_range:(0, 32767) (),
               p2,
-              instances [ ("fw", "Firewall"); ("lb", "LoadBalancer") ] );
+              Registry.instances [ ("fw", "Firewall"); ("lb", "LoadBalancer") ] );
           ]
         in
         let a = trace ~classify:`Cached ~graphs ~packets:800 in

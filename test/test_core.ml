@@ -481,22 +481,16 @@ let micrograph_tests =
 (* Tables                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let plan_of text =
-  let o = compile_ok text in
-  match Tables.of_output o with
-  | Ok p -> p
-  | Error e -> Alcotest.failf "plan failed: %s" e
-
 let tables_tests =
   [
     Alcotest.test_case "north-south plan needs no copies" `Quick (fun () ->
-        let p = plan_of north_south in
+        let p = Oracle.plan_of north_south in
         check Alcotest.int "header copies" 0 p.header_copies;
         check Alcotest.int "full copies" 0 p.full_copies;
         check Alcotest.int "one merge point" 1 (List.length p.merges);
         check Alcotest.int "one version" 1 p.version_count);
     Alcotest.test_case "north-south merger expects mon and fw" `Quick (fun () ->
-        let p = plan_of north_south in
+        let p = Oracle.plan_of north_south in
         match p.merges with
         | [ m ] ->
             check Alcotest.int "two branches" 2 (List.length m.expected);
@@ -504,7 +498,7 @@ let tables_tests =
             check Alcotest.bool "any-drop" true (m.drop_policy = `Any)
         | _ -> Alcotest.fail "expected one merge spec");
     Alcotest.test_case "west-east plan copies headers for the LB" `Quick (fun () ->
-        let p = plan_of west_east in
+        let p = Oracle.plan_of west_east in
         check Alcotest.int "one header copy" 1 p.header_copies;
         check Alcotest.int "no full copies" 0 p.full_copies;
         match p.merges with
@@ -513,11 +507,11 @@ let tables_tests =
             check Alcotest.int "two ops" 2 (List.length m.ops)
         | _ -> Alcotest.fail "expected one merge spec");
     Alcotest.test_case "payload writers get full copies" `Quick (fun () ->
-        let p = plan_of "Chain(Caching, VPN)" in
+        let p = Oracle.plan_of "Chain(Caching, VPN)" in
         check Alcotest.int "full" 1 p.full_copies;
         check Alcotest.int "header" 0 p.header_copies);
     Alcotest.test_case "nil targets point at the innermost merger" `Quick (fun () ->
-        let p = plan_of north_south in
+        let p = Oracle.plan_of north_south in
         let entry name = List.find (fun e -> e.Tables.nf = name) p.Tables.nf_entries in
         check Alcotest.(option int) "fw" (Some 0) (entry "fw").Tables.nil_target;
         check Alcotest.(option int) "mon" (Some 0) (entry "mon").Tables.nil_target;
@@ -601,16 +595,16 @@ let tables_tests =
             | _ -> Alcotest.fail "expected one merge spec")
         | Error e -> Alcotest.fail e);
     Alcotest.test_case "sequential plans have no merges" `Quick (fun () ->
-        let p = plan_of "Chain(NAT, LoadBalancer)" in
+        let p = Oracle.plan_of "Chain(NAT, LoadBalancer)" in
         check Alcotest.int "no merges" 0 (List.length p.merges);
         check Alcotest.int "no copies" 0 (p.header_copies + p.full_copies));
     Alcotest.test_case "classifier action reaches the first NF" `Quick (fun () ->
-        let p = plan_of north_south in
+        let p = Oracle.plan_of north_south in
         match p.classifier_actions with
         | [ Tables.Distribute { version = 1; targets = [ Tables.To_nf "vpn" ] } ] -> ()
         | _ -> Alcotest.fail "unexpected classifier actions");
     Alcotest.test_case "copies_bytes accounts header and full copies" `Quick (fun () ->
-        let p = plan_of west_east in
+        let p = Oracle.plan_of west_east in
         check Alcotest.int "64 bytes"
           64
           (Tables.copies_bytes_per_packet p ~packet_bytes:1500 ~header_bytes:64));
@@ -620,7 +614,7 @@ let tables_tests =
         | Ok _ -> Alcotest.fail "accepted unknown NF"
         | Error _ -> ());
     Alcotest.test_case "plan pp renders, including the serialization" `Quick (fun () ->
-        let p = plan_of north_south in
+        let p = Oracle.plan_of north_south in
         let text = Format.asprintf "%a" Tables.pp p in
         check Alcotest.bool "non-empty" true (String.length text > 100);
         let has needle =
@@ -633,10 +627,10 @@ let tables_tests =
     Alcotest.test_case "serialization puts droppers after readers" `Quick (fun () ->
         (* mon || fw: monitor (reader) serializes before the dropping
            firewall, matching nil-packet semantics. *)
-        let p = plan_of "NF(mon, Monitor)\nNF(fw, Firewall)\nOrder(mon, before, fw)" in
+        let p = Oracle.plan_of "NF(mon, Monitor)\nNF(fw, Firewall)\nOrder(mon, before, fw)" in
         check Alcotest.(list string) "order" [ "mon"; "fw" ] p.serial_order);
     Alcotest.test_case "serialization puts copy branches last" `Quick (fun () ->
-        let p = plan_of west_east in
+        let p = Oracle.plan_of west_east in
         (* lb carries the copy, so it serializes after mon. *)
         check Alcotest.(list string) "order" [ "ids"; "mon"; "lb" ] p.serial_order);
   ]
@@ -717,7 +711,7 @@ let overhead_tests =
         if abs_float (ro -. 0.088) > 0.01 then
           Alcotest.failf "ro %.3f too far from the paper's 0.088" ro);
     Alcotest.test_case "plan overhead for west-east" `Quick (fun () ->
-        let p = plan_of west_east in
+        let p = Oracle.plan_of west_east in
         check (Alcotest.float 1e-9) "8.8%" (64.0 /. 724.0)
           (Overhead.plan_overhead p ~packet_bytes:724));
     Alcotest.test_case "invalid arguments" `Quick (fun () ->

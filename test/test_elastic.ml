@@ -15,170 +15,6 @@ module Sys = Nfp_infra.System
 
 let check = Alcotest.check
 
-let plan_of text =
-  match Compiler.compile_text text with
-  | Error es -> Alcotest.failf "compile: %s" (String.concat "; " es)
-  | Ok o -> (
-      match Tables.of_output o with Ok p -> p | Error e -> Alcotest.failf "plan: %s" e)
-
-let default_nf kind ~name = Nfp_nf.Registry.instantiate kind ~name
-
-let instances ~make_nf bindings =
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun (name, kind) ->
-      match make_nf kind ~name with
-      | Some nf -> Hashtbl.replace table name nf
-      | None -> Alcotest.failf "no implementation for %s" kind)
-    bindings;
-  Hashtbl.find table
-
-let traffic () =
-  let g =
-    Nfp_traffic.Pktgen.create
-      { Nfp_traffic.Pktgen.default with sizes = Nfp_traffic.Size_dist.fixed 128; flows = 64 }
-  in
-  Nfp_traffic.Pktgen.packet g
-
-(* Rings deep enough that nothing is refused at entry: the equivalence
-   claims cover every offered packet. *)
-let roomy = { Sys.default_config with ring_capacity = 8192 }
-
-let lossless_fault plan =
-  { Sys.default_fault_config with plan; merge_timeout_ns = 0.0 }
-
-(* ------------------------------------------------------------------ *)
-(* FlowTag: a test-local NF whose per-flow state is output-critical    *)
-(* ------------------------------------------------------------------ *)
-
-(* Stamps each packet's ToS with the flow's 1-based sequence number.
-   Unlike Monitor (whose counters only show up in digests) a lost or
-   duplicated migration is visible in the delivered bytes themselves:
-   state left behind restarts the sequence at the destination, state
-   applied twice skips ahead. Declared per-flow General — the exact
-   class the migration protocol exists for. *)
-type Nfp_nf.Nf.state += Tag of (Flow.t, int) Hashtbl.t
-
-let tag_profile =
-  Nfp_nf.Action.
-    [
-      Read Field.Sip; Read Field.Dip; Read Field.Sport; Read Field.Dport;
-      Write Field.Tos;
-    ]
-
-let tag_access = Nfp_nf.State_access.[ per_flow General "flow-seq" ]
-
-let tag_merge states =
-  let table = Hashtbl.create 256 in
-  List.iter
-    (function
-      | Tag t ->
-          Hashtbl.iter
-            (fun flow n ->
-              let prev = Option.value (Hashtbl.find_opt table flow) ~default:0 in
-              Hashtbl.replace table flow (prev + n))
-            t
-      | _ -> invalid_arg "FlowTag.merge: foreign state")
-    states;
-  Tag table
-
-let rec flow_tag ?(name = "tag") () =
-  let table : (Flow.t, int) Hashtbl.t ref = ref (Hashtbl.create 256) in
-  let process pkt =
-    let flow = Packet.flow pkt in
-    let seq = Option.value (Hashtbl.find_opt !table flow) ~default:0 + 1 in
-    Hashtbl.replace !table flow seq;
-    Packet.set_tos pkt (seq land 0xff);
-    Nfp_nf.Nf.Forward
-  in
-  let state_digest () =
-    Hashtbl.fold
-      (fun flow n acc -> (acc + Nfp_algo.Hashing.combine (Flow.hash flow) n) land max_int)
-      !table 0
-  in
-  let extract pred =
-    let moved = Hashtbl.create 64 in
-    Hashtbl.iter (fun flow n -> if pred flow then Hashtbl.replace moved flow n) !table;
-    Hashtbl.iter (fun flow _ -> Hashtbl.remove !table flow) moved;
-    Tag moved
-  in
-  Nfp_nf.Nf.make ~name ~kind:"NAT" ~profile:tag_profile
-    ~cost_cycles:(fun _ -> 260)
-    ~state_digest
-    ~snapshot:(fun () -> Tag (Hashtbl.copy !table))
-    ~restore:(function
-      | Tag t -> table := Hashtbl.copy t
-      | _ -> invalid_arg "FlowTag.restore: foreign state")
-    ~state_access:tag_access
-    ~fresh:(fun () -> flow_tag ~name ())
-    ~merge:tag_merge ~extract process
-
-(* Bound as kind NAT: the compiler's conflict analysis then orders the
-   tag strictly before its consumers (NAT writes fields Monitor reads),
-   so the chain stays sequential and the ToS write needs no merge rule.
-   The replication/migration analysis reads the instance's own declared
-   state-access profile, not the policy kind. *)
-let tag_text = "NF(tag, NAT)\nNF(mon, Monitor)\nChain(tag, mon)"
-let tag_bindings = [ ("tag", "NAT"); ("mon", "Monitor") ]
-
-let tag_make_nf kind ~name =
-  if name = "tag" then Some (flow_tag ~name ()) else default_nf kind ~name
-
-(* ------------------------------------------------------------------ *)
-(* Harness                                                             *)
-(* ------------------------------------------------------------------ *)
-
-type observation = {
-  outs : (int64 * string) list;
-  completed : int;
-  nf_drops : int;
-  digests : (string * int) list;  (** per NF, merged across replicas *)
-}
-
-let observe ?fault ?elastic ?(config = roomy) ?(make_nf = default_nf) ?stop ~plan
-    ~bindings ~arrivals ~packets () =
-  let lookup = instances ~make_nf bindings in
-  let outs = ref [] in
-  let replication = ref (fun () -> []) in
-  let make engine ~output =
-    Sys.make ?fault ?elastic ~replication ~config ~plan ~nfs:lookup engine
-      ~output:(fun ~pid pkt ->
-        outs := (pid, Bytes.to_string (Packet.to_bytes pkt)) :: !outs;
-        output ~pid pkt)
-  in
-  let r =
-    Nfp_sim.Harness.run ~make ~gen:(traffic ()) ~arrivals ~packets ?stop ()
-  in
-  let obs =
-    {
-      outs = List.sort compare !outs;
-      completed = r.completed;
-      nf_drops = r.nf_drops;
-      digests =
-        List.sort compare
-          (List.map
-             (fun (rr : Sys.replica_report) -> (rr.rr_nf, rr.rr_merged_digest))
-             (!replication ()));
-    }
-  in
-  (obs, r)
-
-let check_equivalent baseline elastic =
-  check Alcotest.int "completed" baseline.completed elastic.completed;
-  check Alcotest.int "nf drops" baseline.nf_drops elastic.nf_drops;
-  check Alcotest.int "delivery count" (List.length baseline.outs)
-    (List.length elastic.outs);
-  List.iter2
-    (fun (pid_a, bytes_a) (pid_b, bytes_b) ->
-      check Alcotest.int64 "delivered pid" pid_a pid_b;
-      check Alcotest.string "delivered bytes" bytes_a bytes_b)
-    baseline.outs elastic.outs;
-  List.iter2
-    (fun (name_a, d_a) (name_b, d_b) ->
-      check Alcotest.string "digest NF" name_a name_b;
-      check Alcotest.int (Printf.sprintf "merged digest of %s" name_a) d_a d_b)
-    baseline.digests elastic.digests
-
 (* An elastic policy eager enough that a surge trips it within a run of
    a few thousand packets: ~16 queued packets of the roomy ring cross
    the scale-out line, a near-empty queue crosses the scale-in line. *)
@@ -205,20 +41,17 @@ let spiky =
        [ Nfp_sim.Fault.Spike { at_ns = 0.0; duration_ns = 120_000.0; factor = 50.0 } ])
 
 (* Run the elastic deployment (optionally faulted) against the static
-   fault-free baseline and hand back the elastic run's ledger. *)
-let equivalence ?fault ?(elastic = eager) ?(text = tag_text)
-    ?(bindings = tag_bindings) ?(make_nf = tag_make_nf) ?(arrivals = spiky)
+   fault-free baseline, hold it to the oracle, and hand back the elastic
+   run's ledger. *)
+let equivalence ?fault ?(elastic = eager) ?(text = Oracle.tag_text)
+    ?(bindings = Oracle.tag_bindings) ?(nfs = Oracle.tag_nfs) ?(arrivals = spiky)
     ?(packets = 3000) () =
-  let plan = plan_of text in
-  let baseline, rb = observe ~make_nf ~plan ~bindings ~arrivals ~packets () in
-  let scaled, rr =
-    observe ?fault ~elastic ~make_nf ~plan ~bindings ~arrivals ~packets ()
+  let plan = Oracle.plan_of text in
+  let run ?fault ?elastic () =
+    Oracle.observe ?fault ?elastic ~nfs ~plan ~bindings ~arrivals ~packets ()
   in
-  check Alcotest.int "baseline admits everything" 0 rb.ring_drops;
-  check Alcotest.int "elastic admits everything" 0 rr.ring_drops;
-  check Alcotest.int "nothing left in flight" 0 rr.in_flight;
-  check Alcotest.int "nothing flushed" 0 rr.health.drops.flush_lost;
-  check_equivalent baseline scaled;
+  let baseline, _ = run () and scaled, rr = run ?fault ~elastic () in
+  Oracle.check_equivalent "elastic run" baseline scaled;
   rr
 
 (* ------------------------------------------------------------------ *)
@@ -226,7 +59,7 @@ let equivalence ?fault ?(elastic = eager) ?(text = tag_text)
 (* ------------------------------------------------------------------ *)
 
 let feed nf n =
-  let gen = traffic () in
+  let gen = Oracle.traffic () in
   for i = 0 to n - 1 do
     ignore (nf.Nfp_nf.Nf.process (gen i))
   done
@@ -272,7 +105,7 @@ let unit_tests =
         fst (Nfp_nf.Monitor.create ~name:"m" ()));
     extract_round_trip "NAT (hashed)" (fun () ->
         fst (Nfp_nf.Nat.create ~name:"n" ~alloc:`Hashed ()));
-    extract_round_trip "FlowTag" (fun () -> flow_tag ~name:"t" ());
+    extract_round_trip "FlowTag" (fun () -> Oracle.flow_tag ~name:"t" ());
     Alcotest.test_case "migratability verdicts across the registry" `Quick (fun () ->
         let verdict kind want =
           match Nfp_nf.Registry.instantiate kind ~name:"x" with
@@ -287,7 +120,7 @@ let unit_tests =
         List.iter (fun k -> verdict k false) [ "Caching"; "VPN"; "NAT"; "Forwarder" ];
         check migratable "NAT+hashed" true
           (Replication.migratable (fst (Nfp_nf.Nat.create ~alloc:`Hashed ())));
-        check migratable "FlowTag" true (Replication.migratable (flow_tag ())));
+        check migratable "FlowTag" true (Replication.migratable (Oracle.flow_tag ())));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -312,48 +145,38 @@ let differential_tests =
         check Alcotest.bool "controller scaled back in" true
           (rr.health.scale_ins >= 1));
     Alcotest.test_case "hashed NAT migrates its port mappings live" `Quick (fun () ->
-        let make_nf kind ~name =
-          if name = "nat" then Some (fst (Nfp_nf.Nat.create ~name ~alloc:`Hashed ()))
-          else default_nf kind ~name
-        in
         let rr =
           equivalence ~text:"NF(nat, NAT)\nNF(mon, Monitor)\nChain(nat, mon)"
             ~bindings:[ ("nat", "NAT"); ("mon", "Monitor") ]
-            ~make_nf ()
+            ~nfs:
+              (Oracle.instances_with "nat" (fun () ->
+                   fst (Nfp_nf.Nat.create ~name:"nat" ~alloc:`Hashed ())))
+            ()
         in
         check Alcotest.bool "migrations happened" true (rr.health.migrations >= 1));
     Alcotest.test_case "elastic=None and a never-triggering policy are bit-identical"
       `Quick (fun () ->
-        let plan = plan_of tag_text in
-        let arrivals = Nfp_sim.Harness.Uniform 0.5 in
-        let plain, _ =
-          observe ~make_nf:tag_make_nf ~plan ~bindings:tag_bindings ~arrivals
-            ~packets:2000 ()
+        let run ?elastic () =
+          Oracle.observe ?elastic ~nfs:Oracle.tag_nfs ~plan:(Oracle.plan_of Oracle.tag_text)
+            ~bindings:Oracle.tag_bindings ~arrivals:(Nfp_sim.Harness.Uniform 0.5) ~packets:2000 ()
         in
+        let plain, _ = run () in
         (* (a) thresholds no queue of this run ever reaches *)
-        let lazy_policy =
-          { eager with scale_out_occupancy = 0.9; scale_in_occupancy = -1.0 }
-        in
         let a, ra =
-          observe ~elastic:lazy_policy ~make_nf:tag_make_nf ~plan
-            ~bindings:tag_bindings ~arrivals ~packets:2000 ()
+          run ~elastic:{ eager with scale_out_occupancy = 0.9; scale_in_occupancy = -1.0 } ()
         in
         (* (b) a ceiling of one replica: nothing is ever scalable *)
-        let pinned = { eager with min_replicas = 1; max_replicas = 1; buckets = 8 } in
         let b, rb =
-          observe ~elastic:pinned ~make_nf:tag_make_nf ~plan ~bindings:tag_bindings
-            ~arrivals ~packets:2000 ()
+          run ~elastic:{ eager with min_replicas = 1; max_replicas = 1; buckets = 8 } ()
         in
-        check Alcotest.bool "never-triggering thresholds: identical observation" true
-          (plain = a);
-        check Alcotest.bool "single-replica ceiling: identical observation" true
-          (plain = b);
+        Oracle.check_equivalent "never-triggering thresholds: identical observation" plain a;
+        Oracle.check_equivalent "single-replica ceiling: identical observation" plain b;
         check Alcotest.int "no scale-outs" 0 ra.health.scale_outs;
         check Alcotest.int "no migrations" 0
           (ra.health.migrations + rb.health.migrations));
     Alcotest.test_case "invalid elastic policies are rejected" `Quick (fun () ->
-        let plan = plan_of tag_text in
-        let lookup = instances ~make_nf:tag_make_nf tag_bindings in
+        let plan = Oracle.plan_of Oracle.tag_text in
+        let lookup = Oracle.tag_nfs Oracle.tag_bindings in
         let rejects msg ec =
           Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
               let engine = Nfp_sim.Engine.create () in
@@ -383,7 +206,7 @@ let differential_tests =
           { eager with migration_deadline_ns = Float.infinity });
     Alcotest.test_case "health shows standby and migrating cores; ledger balances"
       `Quick (fun () ->
-        let plan = plan_of tag_text in
+        let plan = Oracle.plan_of Oracle.tag_text in
         let saw_standby = ref false and saw_migrating = ref false in
         let saw_in_flight = ref false in
         let stop (sys : Nfp_sim.Harness.system) =
@@ -397,8 +220,8 @@ let differential_tests =
           false
         in
         let _, rr =
-          observe ~elastic:eager ~make_nf:tag_make_nf ~stop ~plan
-            ~bindings:tag_bindings ~arrivals:spiky ~packets:3000 ()
+          Oracle.observe ~elastic:eager ~nfs:Oracle.tag_nfs ~stop ~plan
+            ~bindings:Oracle.tag_bindings ~arrivals:spiky ~packets:3000 ()
         in
         check Alcotest.bool "a standby core was visible" true !saw_standby;
         check Alcotest.bool "a quiesced source reported migrating" true !saw_migrating;
@@ -422,7 +245,7 @@ let fault_tests =
     Alcotest.test_case "source crash mid-migration: aborted, recovered, trace intact"
       `Quick (fun () ->
         let fault =
-          lossless_fault
+          Oracle.lossless_fault
             (Nfp_sim.Fault.plan [ Nfp_sim.Fault.crash ~at_ns:300_000.0 "mid1:tag" ])
         in
         let rr = equivalence ~fault ~elastic:churny () in
@@ -431,7 +254,7 @@ let fault_tests =
     Alcotest.test_case "destination crash mid-migration: aborted, trace intact" `Quick
       (fun () ->
         let fault =
-          lossless_fault
+          Oracle.lossless_fault
             (Nfp_sim.Fault.plan [ Nfp_sim.Fault.crash ~at_ns:280_000.0 "mid1:tag@1" ])
         in
         let rr = equivalence ~fault ~elastic:churny () in
@@ -439,7 +262,7 @@ let fault_tests =
     Alcotest.test_case "controller crash mid-migration: commits abort, trace intact"
       `Quick (fun () ->
         let fault =
-          lossless_fault
+          Oracle.lossless_fault
             (Nfp_sim.Fault.plan [ Nfp_sim.Fault.crash ~at_ns:260_000.0 "elastic" ])
         in
         let rr = equivalence ~fault ~elastic:churny () in
@@ -450,14 +273,14 @@ let fault_tests =
     Alcotest.test_case "controller hang: scale decisions stop, trace intact" `Quick
       (fun () ->
         let fault =
-          lossless_fault
+          Oracle.lossless_fault
             (Nfp_sim.Fault.plan
                [ Nfp_sim.Fault.hang ~at_ns:250_000.0 ~duration_ns:400_000.0 "elastic" ])
         in
         ignore (equivalence ~fault ~elastic:churny ()));
     Alcotest.test_case "crashes on every party at once still converge" `Quick (fun () ->
         let fault =
-          lossless_fault
+          Oracle.lossless_fault
             (Nfp_sim.Fault.plan
                [
                  Nfp_sim.Fault.crash ~at_ns:220_000.0 "mid1:tag";
@@ -489,10 +312,10 @@ let fault_tests =
             commit_retry_ns = 3_000.0;
           }
         in
-        let plan = plan_of tag_text in
+        let plan = Oracle.plan_of Oracle.tag_text in
         let _, rr =
-          observe ~elastic:jammed ~config:tight ~make_nf:tag_make_nf ~plan
-            ~bindings:tag_bindings
+          Oracle.observe ~elastic:jammed ~config:tight ~nfs:Oracle.tag_nfs ~plan
+            ~bindings:Oracle.tag_bindings
             ~arrivals:(Nfp_sim.Harness.Uniform 16.0) ~packets:2500 ()
         in
         check Alcotest.bool "at least one migration aborted" true
@@ -507,7 +330,7 @@ let fault_tests =
         let slow = { eager with transfer_ns = 300_000.0; cooldown_ns = 5_000.0 } in
         let fault =
           {
-            (lossless_fault Nfp_sim.Fault.empty) with
+            (Oracle.lossless_fault Nfp_sim.Fault.empty) with
             breaker_threshold = 1;
             watchdog_deadline_ns = 60_000.0;
           }
@@ -551,9 +374,10 @@ let random_case_arbitrary =
               faults)))
     random_case_gen
 
-(* One generated case: the elastic run under its crash plan must deliver
-   exactly what the static fault-free run delivers, and drain. *)
-let converges (max_replicas, buckets, batch, transfer, out_occ, spike, faults) =
+(* One generated case: the static fault-free run and the elastic run
+   under its crash plan, which must deliver exactly what the static run
+   delivers, and drain. *)
+let runs (max_replicas, buckets, batch, transfer, out_occ, spike, faults) =
   let elastic =
     {
       eager with
@@ -578,32 +402,32 @@ let converges (max_replicas, buckets, batch, transfer, out_occ, spike, faults) =
         else Nfp_sim.Fault.crash ~at_ns (site s))
       faults
   in
-  let fault = lossless_fault (Nfp_sim.Fault.plan plan_events) in
+  let fault = Oracle.lossless_fault (Nfp_sim.Fault.plan plan_events) in
   let arrivals =
     Nfp_sim.Harness.Surge
       (Nfp_sim.Fault.surge ~base_mpps:0.4
          [ Nfp_sim.Fault.Spike { at_ns = 0.0; duration_ns = 120_000.0; factor = spike } ])
   in
-  let plan = plan_of tag_text in
-  let baseline, rb =
-    observe ~make_nf:tag_make_nf ~plan ~bindings:tag_bindings ~arrivals ~packets:2500 ()
+  let run ?fault ?elastic () =
+    fst
+      (Oracle.observe ?fault ?elastic ~nfs:Oracle.tag_nfs ~plan:(Oracle.plan_of Oracle.tag_text)
+         ~bindings:Oracle.tag_bindings ~arrivals ~packets:2500 ())
   in
-  let scaled, rr =
-    observe ~fault ~elastic ~make_nf:tag_make_nf ~plan ~bindings:tag_bindings ~arrivals
-      ~packets:2500 ()
-  in
-  rb.ring_drops = 0 && rr.ring_drops = 0
-  && rr.health.drops.flush_lost = 0
-  && rr.in_flight = 0
-  && baseline = scaled
+  (run (), run ~fault ~elastic ())
 
 let property_tests =
   [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:8
          ~name:"elastic + crashed runs converge with the static fault-free run"
-         random_case_arbitrary converges);
+         random_case_arbitrary (fun case ->
+           let baseline, scaled = runs case in
+           Oracle.converges baseline scaled));
   ]
+
+let converges_and_drains case =
+  let baseline, scaled = runs case in
+  Oracle.check_equivalent "converges and drains" baseline scaled
 
 let regression_tests =
   [
@@ -613,15 +437,9 @@ let regression_tests =
        with an empty queue, and a controller that kept counting the
        stalled drain as pending ticked forever after the last packet. *)
     Alcotest.test_case "a crashed draining replica lets the run end" `Quick (fun () ->
-        check Alcotest.bool "converges and drains" true
-          (converges
-             ( 3,
-               18,
-               5,
-               39847.041807889538,
-               0.001032024507556426,
-               53.91063208504103,
-               [ (2, false, 286845.19587366818); (1, true, 498324.51393255126) ] )));
+        converges_and_drains
+          ( 3, 18, 5, 39847.041807889538, 0.001032024507556426, 53.91063208504103,
+            [ (2, false, 286845.19587366818); (1, true, 498324.51393255126) ] ));
     (* The fourth case QCHECK_SEED=79 generates. Replica mid1:tag (0)
        crashes with an empty queue after the surge, while replica 1
        drains toward it: the drain's only possible destination is dead,
@@ -629,28 +447,16 @@ let regression_tests =
        forever. *)
     Alcotest.test_case "a drain whose only destination is dead lets the run end" `Quick
       (fun () ->
-        check Alcotest.bool "converges and drains" true
-          (converges
-             ( 3,
-               19,
-               2,
-               41733.540332376717,
-               0.0075622762603990284,
-               55.642156446066224,
-               [ (0, false, 596794.38000890496) ] )));
+        converges_and_drains
+          ( 3, 19, 2, 41733.540332376717, 0.0075622762603990284, 55.642156446066224,
+            [ (0, false, 596794.38000890496) ] ));
     (* The seventh case QCHECK_SEED=64 generates: two replicas, the
        receiving one crashed, the same stalled drain. *)
     Alcotest.test_case "a two-replica drain onto a crashed replica lets the run end"
       `Quick (fun () ->
-        check Alcotest.bool "converges and drains" true
-          (converges
-             ( 2,
-               8,
-               1,
-               22547.849378158622,
-               0.0099261107393808327,
-               57.656274505049623,
-               [ (0, false, 241612.19803434663); (3, false, 461802.89177056536) ] )));
+        converges_and_drains
+          ( 2, 8, 1, 22547.849378158622, 0.0099261107393808327, 57.656274505049623,
+            [ (0, false, 241612.19803434663); (3, false, 461802.89177056536) ] ));
   ]
 
 let () =

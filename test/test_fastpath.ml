@@ -7,28 +7,13 @@
 
 open Nfp_packet
 open Nfp_core
+module Registry = Nfp_nf.Registry
 
 let check = Alcotest.check
 
 (* Exact float equality: the two paths share every arithmetic
    expression, so even the simulated timestamps must match bitwise. *)
 let exact_float = Alcotest.float 0.0
-
-let instances bindings =
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun (name, kind) ->
-      match Nfp_nf.Registry.instantiate kind ~name with
-      | Some nf -> Hashtbl.replace table name nf
-      | None -> Alcotest.failf "no implementation for %s" kind)
-    bindings;
-  Hashtbl.find table
-
-let plan_of text =
-  match Compiler.compile_text text with
-  | Error es -> Alcotest.failf "compile: %s" (String.concat "; " es)
-  | Ok o -> (
-      match Tables.of_output o with Ok p -> p | Error e -> Alcotest.failf "plan: %s" e)
 
 (* Everything observable about one harness run, outputs included. *)
 type trace = {
@@ -93,40 +78,22 @@ let differential ~make ~gen ~arrivals ~packets =
     (trace ~make:(make interpretive) ~gen ~arrivals ~packets)
     (trace ~make:(make compiled) ~gen ~arrivals ~packets)
 
-let traffic ?(sizes = Nfp_traffic.Size_dist.fixed 128) () =
-  let g =
-    Nfp_traffic.Pktgen.create
-      { Nfp_traffic.Pktgen.default with sizes; flows = 64 }
-  in
-  Nfp_traffic.Pktgen.packet g
-
 let single_make ?(config = Nfp_infra.System.default_config) text bindings =
-  let plan = plan_of text in
+  let plan = Oracle.plan_of text in
   fun dataplane engine ~output ->
-    dataplane ~config ~graphs:[ (Flow_match.any, plan, instances bindings) ] engine ~output
-
-let ns_text =
-  "NF(vpn, VPN)\nNF(mon, Monitor)\nNF(fw, Firewall)\nNF(lb, LoadBalancer)\n\
-   Chain(vpn, mon, fw, lb)"
-
-let ns_bindings =
-  [ ("vpn", "VPN"); ("mon", "Monitor"); ("fw", "Firewall"); ("lb", "LoadBalancer") ]
-
-let we_text = "NF(ids, IPS)\nNF(mon, Monitor)\nNF(lb, LoadBalancer)\nChain(ids, mon, lb)"
-
-let we_bindings = [ ("ids", "IPS"); ("mon", "Monitor"); ("lb", "LoadBalancer") ]
+    dataplane ~config ~graphs:[ (Flow_match.any, plan, Registry.instances bindings) ] engine ~output
 
 let differential_tests =
   [
     Alcotest.test_case "north-south chain at moderate load" `Quick (fun () ->
         differential
-          ~make:(single_make ns_text ns_bindings)
-          ~gen:(traffic ())
+          ~make:(single_make Oracle.ns_text Oracle.ns_bindings)
+          ~gen:(Oracle.traffic ())
           ~arrivals:(Nfp_sim.Harness.Uniform 0.5) ~packets:800);
     Alcotest.test_case "west-east graph with packet copies" `Quick (fun () ->
         differential
-          ~make:(single_make we_text we_bindings)
-          ~gen:(traffic ())
+          ~make:(single_make Oracle.we_text Oracle.we_bindings)
+          ~gen:(Oracle.traffic ())
           ~arrivals:(Nfp_sim.Harness.Burst (1.0, 32))
           ~packets:800);
     Alcotest.test_case "drop-merging parallel graph" `Quick (fun () ->
@@ -134,46 +101,48 @@ let differential_tests =
           ~make:
             (single_make "NF(mon, Monitor)\nNF(fw, Firewall)\nOrder(mon, before, fw)"
                [ ("mon", "Monitor"); ("fw", "Firewall") ])
-          ~gen:(traffic ())
+          ~gen:(Oracle.traffic ())
           ~arrivals:(Nfp_sim.Harness.Uniform 1.0) ~packets:800);
     Alcotest.test_case "overload: backpressure and ring drops agree" `Quick (fun () ->
         differential
-          ~make:(single_make ns_text ns_bindings)
-          ~gen:(traffic ())
+          ~make:(single_make Oracle.ns_text Oracle.ns_bindings)
+          ~gen:(Oracle.traffic ())
           ~arrivals:(Nfp_sim.Harness.Uniform 20.0) ~packets:2000);
     Alcotest.test_case "large frames (dynamic copy cost) agree" `Quick (fun () ->
         differential
-          ~make:(single_make we_text we_bindings)
-          ~gen:(traffic ~sizes:(Nfp_traffic.Size_dist.fixed 1500) ())
+          ~make:(single_make Oracle.we_text Oracle.we_bindings)
+          ~gen:(Oracle.traffic ~sizes:(Nfp_traffic.Size_dist.fixed 1500) ())
           ~arrivals:(Nfp_sim.Harness.Uniform 0.4) ~packets:400);
     Alcotest.test_case "multiple merger instances agree" `Quick (fun () ->
         let make =
           single_make
             ~config:{ Nfp_infra.System.default_config with mergers = 3 }
-            we_text we_bindings
+            Oracle.we_text Oracle.we_bindings
         in
-        differential ~make ~gen:(traffic ())
+        differential ~make ~gen:(Oracle.traffic ())
           ~arrivals:(Nfp_sim.Harness.Uniform 0.8) ~packets:800);
     Alcotest.test_case "multi-graph classifier with unmatched traffic" `Quick (fun () ->
         (* Graph 1 takes UDP, graph 2 takes TCP dport 61080; other TCP
            traffic is unmatched and must count identically. *)
-        let p1 = plan_of "NF(m1, Monitor)\nPosition(m1, first)" in
-        let p2 = plan_of ns_text in
+        let p1 = Oracle.plan_of "NF(m1, Monitor)\nPosition(m1, first)" in
+        let p2 = Oracle.plan_of Oracle.ns_text in
         let make dataplane engine ~output =
           dataplane ~config:Nfp_infra.System.default_config
             ~graphs:
               [
-                (Flow_match.make ~proto:17 (), p1, instances [ ("m1", "Monitor") ]);
-                (Flow_match.make ~dport_range:(61080, 61080) (), p2, instances ns_bindings);
+                (Flow_match.make ~proto:17 (), p1, Registry.instances [ ("m1", "Monitor") ]);
+                ( Flow_match.make ~dport_range:(61080, 61080) (),
+                  p2,
+                  Registry.instances Oracle.ns_bindings );
               ]
             engine ~output
         in
         let tr =
-          trace ~make:(make compiled) ~gen:(traffic ())
+          trace ~make:(make compiled) ~gen:(Oracle.traffic ())
             ~arrivals:(Nfp_sim.Harness.Uniform 0.5) ~packets:600
         in
         check Alcotest.bool "some packets unmatched" true (tr.unmatched > 0);
-        differential ~make ~gen:(traffic ())
+        differential ~make ~gen:(Oracle.traffic ())
           ~arrivals:(Nfp_sim.Harness.Uniform 0.5) ~packets:600);
   ]
 
@@ -242,9 +211,9 @@ let property_tests =
                      trace
                        ~make:(fun engine ~output ->
                          dataplane ~config
-                           ~graphs:[ (Flow_match.any, plan, instances policy.bindings) ]
+                           ~graphs:[ (Flow_match.any, plan, Registry.instances policy.bindings) ]
                            engine ~output)
-                       ~gen:(traffic ())
+                       ~gen:(Oracle.traffic ())
                        ~arrivals:(Nfp_sim.Harness.Uniform 1.5) ~packets:300
                    in
                    t interpretive = t compiled)));
@@ -267,9 +236,9 @@ let fault_differential ~plan ~bindings ~arrivals ~packets =
   (* Fresh NF instances per run: stateful NFs (VPN sequence numbers,
      monitor counters) must not leak state from one run to the next. *)
   let make ?fault () engine ~output =
-    Nfp_infra.System.make ?fault ~plan ~nfs:(instances bindings) engine ~output
+    Nfp_infra.System.make ?fault ~plan ~nfs:(Registry.instances bindings) engine ~output
   in
-  let t mk = trace ~make:mk ~gen:(traffic ()) ~arrivals ~packets in
+  let t mk = trace ~make:mk ~gen:(Oracle.traffic ()) ~arrivals ~packets in
   check_traces ~duration:false
     (t (make ()))
     (t (make ~fault:disarmed_fault ()))
@@ -277,16 +246,16 @@ let fault_differential ~plan ~bindings ~arrivals ~packets =
 let fault_differential_tests =
   [
     Alcotest.test_case "disarmed faults: north-south chain identical" `Quick (fun () ->
-        fault_differential ~plan:(plan_of ns_text) ~bindings:ns_bindings
+        fault_differential ~plan:(Oracle.plan_of Oracle.ns_text) ~bindings:Oracle.ns_bindings
           ~arrivals:(Nfp_sim.Harness.Uniform 0.5) ~packets:800);
     Alcotest.test_case "disarmed faults: parallel graph with merges identical" `Quick
       (fun () ->
-        fault_differential ~plan:(plan_of we_text) ~bindings:we_bindings
+        fault_differential ~plan:(Oracle.plan_of Oracle.we_text) ~bindings:Oracle.we_bindings
           ~arrivals:(Nfp_sim.Harness.Burst (1.0, 32))
           ~packets:800);
     Alcotest.test_case "disarmed faults: overload backpressure identical" `Quick
       (fun () ->
-        fault_differential ~plan:(plan_of ns_text) ~bindings:ns_bindings
+        fault_differential ~plan:(Oracle.plan_of Oracle.ns_text) ~bindings:Oracle.ns_bindings
           ~arrivals:(Nfp_sim.Harness.Uniform 20.0) ~packets:2000);
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:25
@@ -302,10 +271,10 @@ let fault_differential_tests =
                | Ok plan ->
                    let make ?fault () engine ~output =
                      Nfp_infra.System.make ?fault ~plan
-                       ~nfs:(instances policy.bindings) engine ~output
+                       ~nfs:(Registry.instances policy.bindings) engine ~output
                    in
                    let t mk =
-                     trace ~make:mk ~gen:(traffic ())
+                     trace ~make:mk ~gen:(Oracle.traffic ())
                        ~arrivals:(Nfp_sim.Harness.Uniform 1.5) ~packets:300
                    in
                    let a = t (make ()) and b = t (make ~fault:disarmed_fault ()) in
@@ -317,8 +286,8 @@ let fault_differential_tests =
 (* ------------------------------------------------------------------ *)
 
 let bench_make engine ~output =
-  Nfp_infra.System.make ~plan:(plan_of ns_text) ~nfs:(instances ns_bindings) engine
-    ~output
+  Nfp_infra.System.make ~plan:(Oracle.plan_of Oracle.ns_text)
+    ~nfs:(Registry.instances Oracle.ns_bindings) engine ~output
 
 let determinism_tests =
   [
@@ -327,7 +296,7 @@ let determinism_tests =
         let thunks () =
           List.init 6 (fun i () ->
               let r =
-                Nfp_sim.Harness.run ~make:bench_make ~gen:(traffic ())
+                Nfp_sim.Harness.run ~make:bench_make ~gen:(Oracle.traffic ())
                   ~arrivals:(Nfp_sim.Harness.Uniform (0.3 +. (0.2 *. float_of_int i)))
                   ~packets:400 ()
               in
@@ -346,7 +315,7 @@ let determinism_tests =
     Alcotest.test_case "speculative bisection matches sequential search" `Quick
       (fun () ->
         let search domains =
-          Nfp_sim.Harness.max_lossless_mpps ~make:bench_make ~gen:(traffic ())
+          Nfp_sim.Harness.max_lossless_mpps ~make:bench_make ~gen:(Oracle.traffic ())
             ~packets:2000 ~hi:14.88 ~iterations:6 ~domains ()
         in
         let s1 = search 1 in

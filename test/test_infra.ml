@@ -3,6 +3,7 @@
 
 open Nfp_packet
 open Nfp_core
+module Registry = Nfp_nf.Registry
 
 let check = Alcotest.check
 
@@ -102,23 +103,13 @@ let compile_ok text =
 let plan_of_output o =
   match Tables.of_output o with Ok p -> p | Error e -> Alcotest.failf "plan: %s" e
 
-let instances bindings =
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun (name, kind) ->
-      match Nfp_nf.Registry.instantiate kind ~name with
-      | Some nf -> Hashtbl.replace table name nf
-      | None -> Alcotest.failf "no implementation for %s" kind)
-    bindings;
-  fun name -> Hashtbl.find table name
-
 let run_both ~text ~bindings ~chain_order packets_list =
   (* Run each packet through a fresh sequential chain and a fresh
      deployment of the compiled plan; compare outcomes pairwise. *)
   let o = compile_ok text in
   let plan = plan_of_output o in
-  let seq_lookup = instances bindings in
-  let par_lookup = instances bindings in
+  let seq_lookup = Registry.instances bindings in
+  let par_lookup = Registry.instances bindings in
   List.map
     (fun p ->
       let seq =
@@ -139,17 +130,6 @@ let outcomes_agree (seq, par) =
 (* Reference execution / result correctness                            *)
 (* ------------------------------------------------------------------ *)
 
-let ns_text =
-  "NF(vpn, VPN)\nNF(mon, Monitor)\nNF(fw, Firewall)\nNF(lb, LoadBalancer)\n\
-   Chain(vpn, mon, fw, lb)"
-
-let ns_bindings =
-  [ ("vpn", "VPN"); ("mon", "Monitor"); ("fw", "Firewall"); ("lb", "LoadBalancer") ]
-
-let we_text = "NF(ids, IPS)\nNF(mon, Monitor)\nNF(lb, LoadBalancer)\nChain(ids, mon, lb)"
-
-let we_bindings = [ ("ids", "IPS"); ("mon", "Monitor"); ("lb", "LoadBalancer") ]
-
 let reference_tests =
   [
     Alcotest.test_case "run_sequential stops at a drop" `Quick (fun () ->
@@ -161,7 +141,7 @@ let reference_tests =
         check Alcotest.int "monitor never saw it" 0 (stats.total_packets ()));
     Alcotest.test_case "north-south graph matches sequential execution" `Quick (fun () ->
         let packets = List.init 30 (fun i -> pkt ~flow:(flow ~sport:(10000 + i) ()) ()) in
-        let results = run_both ~text:ns_text ~bindings:ns_bindings
+        let results = run_both ~text:Oracle.ns_text ~bindings:Oracle.ns_bindings
             ~chain_order:[ "vpn"; "mon"; "fw"; "lb" ] packets
         in
         check Alcotest.bool "all agree" true (List.for_all outcomes_agree results);
@@ -169,7 +149,7 @@ let reference_tests =
           (List.exists (fun (s, _) -> s <> None) results));
     Alcotest.test_case "west-east graph matches despite the copy" `Quick (fun () ->
         let packets = List.init 30 (fun i -> pkt ~flow:(flow ~dport:(61000 + i) ()) ()) in
-        let results = run_both ~text:we_text ~bindings:we_bindings
+        let results = run_both ~text:Oracle.we_text ~bindings:Oracle.we_bindings
             ~chain_order:[ "ids"; "mon"; "lb" ] packets
         in
         check Alcotest.bool "all agree" true (List.for_all outcomes_agree results));
@@ -179,7 +159,7 @@ let reference_tests =
         let denied =
           pkt ~flow:(flow ~sip:"10.0.0.5" ~dport:25 ()) ()
         in
-        let results = run_both ~text:ns_text ~bindings:ns_bindings
+        let results = run_both ~text:Oracle.ns_text ~bindings:Oracle.ns_bindings
             ~chain_order:[ "vpn"; "mon"; "fw"; "lb" ] [ denied ]
         in
         List.iter
@@ -191,10 +171,10 @@ let reference_tests =
       (fun () ->
         (* The result-correctness principle covers NF state too: run the
            same traffic through both and compare monitor digests. *)
-        let o = compile_ok ns_text in
+        let o = compile_ok Oracle.ns_text in
         let plan = plan_of_output o in
-        let seq_lookup = instances ns_bindings in
-        let par_lookup = instances ns_bindings in
+        let seq_lookup = Registry.instances Oracle.ns_bindings in
+        let par_lookup = Registry.instances Oracle.ns_bindings in
         let packets = List.init 20 (fun i -> pkt ~flow:(flow ~sport:(15000 + i) ()) ()) in
         List.iter
           (fun p ->
@@ -269,9 +249,9 @@ let reference_tests =
     Alcotest.test_case "flow affinity survives parallel execution" `Quick (fun () ->
         (* The west-east LB works on a header-only copy; the same flow
            must still hash to the same backend after merging. *)
-        let o = compile_ok we_text in
+        let o = compile_ok Oracle.we_text in
         let plan = plan_of_output o in
-        let lookup = instances we_bindings in
+        let lookup = Registry.instances Oracle.we_bindings in
         let backend_of p =
           match Nfp_infra.Reference.run_plan ~plan ~nfs:lookup (Packet.full_copy p) with
           | Some out -> Packet.dip out
@@ -283,9 +263,10 @@ let reference_tests =
           check Alcotest.int32 "sticky" first (backend_of p)
         done);
     Alcotest.test_case "multiple merger instances give the same results" `Quick (fun () ->
-        let o = compile_ok we_text in
+        let o = compile_ok Oracle.we_text in
         let plan = plan_of_output o in
-        let lookup1 = instances we_bindings and lookup2 = instances we_bindings in
+        let lookup1 = Registry.instances Oracle.we_bindings
+        and lookup2 = Registry.instances Oracle.we_bindings in
         let p = pkt () in
         let r1 = Nfp_infra.Reference.run_plan ~mergers:1 ~plan ~nfs:lookup1 (Packet.full_copy p) in
         let r2 = Nfp_infra.Reference.run_plan ~mergers:3 ~plan ~nfs:lookup2 (Packet.full_copy p) in
@@ -303,10 +284,10 @@ let gen_pkt i = pkt ~flow:(flow ~sport:(10000 + (i mod 500)) ()) ()
 let system_tests =
   [
     Alcotest.test_case "deployment delivers all packets below capacity" `Quick (fun () ->
-        let o = compile_ok ns_text in
+        let o = compile_ok Oracle.ns_text in
         let plan = plan_of_output o in
         let make engine ~output =
-          Nfp_infra.System.make ~plan ~nfs:(instances ns_bindings) engine ~output
+          Nfp_infra.System.make ~plan ~nfs:(Registry.instances Oracle.ns_bindings) engine ~output
         in
         let r =
           Nfp_sim.Harness.run ~make ~gen:gen_pkt ~arrivals:(Nfp_sim.Harness.Uniform 0.2)
@@ -345,10 +326,10 @@ let system_tests =
     Alcotest.test_case "overload never deadlocks or leaks packets" `Quick (fun () ->
         (* Offer 20 Mpps into a chain that handles ~1.4: backpressure
            cascades, the entry drops, and every packet is accounted. *)
-        let o = compile_ok ns_text in
+        let o = compile_ok Oracle.ns_text in
         let plan = plan_of_output o in
         let make engine ~output =
-          Nfp_infra.System.make ~plan ~nfs:(instances ns_bindings) engine ~output
+          Nfp_infra.System.make ~plan ~nfs:(Registry.instances Oracle.ns_bindings) engine ~output
         in
         let r =
           Nfp_sim.Harness.run ~make ~gen:gen_pkt ~arrivals:(Nfp_sim.Harness.Uniform 20.0)
@@ -424,13 +405,13 @@ let system_tests =
         Nfp_sim.Engine.run engine;
         check Alcotest.int "dropped" 1 (system.health ()).drops.nf_dropped);
     Alcotest.test_case "core stats sampler reports every core" `Quick (fun () ->
-        let o = compile_ok ns_text in
+        let o = compile_ok Oracle.ns_text in
         let plan = plan_of_output o in
         let cell = ref (fun () -> []) in
         let engine = Nfp_sim.Engine.create () in
         let system =
-          Nfp_infra.System.make ~stats:cell ~plan ~nfs:(instances ns_bindings) engine
-            ~output:(fun ~pid:_ _ -> ())
+          Nfp_infra.System.make ~stats:cell ~plan ~nfs:(Registry.instances Oracle.ns_bindings)
+            engine ~output:(fun ~pid:_ _ -> ())
         in
         for i = 0 to 9 do
           Nfp_sim.Engine.schedule engine
@@ -447,13 +428,14 @@ let system_tests =
         check Alcotest.bool "vpn busiest" true
           ((find "mid1:vpn").busy_ns > (find "mid1:mon").busy_ns));
     Alcotest.test_case "core_count matches the paper's accounting" `Quick (fun () ->
-        let o = compile_ok ns_text in
+        let o = compile_ok Oracle.ns_text in
         let plan = plan_of_output o in
         let cores config =
           let cell = ref (fun () -> []) in
           ignore
-            (Nfp_infra.System.make ~config ~stats:cell ~plan ~nfs:(instances ns_bindings)
-               (Nfp_sim.Engine.create ()) ~output:(fun ~pid:_ _ -> ()));
+            (Nfp_infra.System.make ~config ~stats:cell ~plan
+               ~nfs:(Registry.instances Oracle.ns_bindings) (Nfp_sim.Engine.create ())
+               ~output:(fun ~pid:_ _ -> ()));
           List.length (!cell ())
         in
         (* 4 NFs + classifier + 1 merger. *)
@@ -462,7 +444,7 @@ let system_tests =
         check Alcotest.int "eight cores" 8
           (cores { Nfp_infra.System.default_config with mergers = 2 }));
     Alcotest.test_case "unknown NF name rejected at deployment" `Quick (fun () ->
-        let o = compile_ok ns_text in
+        let o = compile_ok Oracle.ns_text in
         let plan = plan_of_output o in
         let engine = Nfp_sim.Engine.create () in
         try
@@ -478,47 +460,12 @@ let system_tests =
 (* traffic — the compiled graph must match sequential execution        *)
 (* ------------------------------------------------------------------ *)
 
-(* NF types whose behaviour is deterministic per instance; enough to
-   cover reads, header/payload writes, header addition and drops. *)
-let kind_pool =
-  [| "Monitor"; "Gateway"; "Caching"; "Firewall"; "IDS"; "IPS"; "LoadBalancer";
-     "VPN"; "NAT"; "Proxy"; "Compression"; "Forwarder" |]
-
-let random_policy_gen =
-  (* A policy = 2-5 NFs with random types and a random acyclic subset
-     of forward Order edges over their listing. *)
-  QCheck.Gen.(
-    let* n = int_range 2 5 in
-    let* kinds = array_size (return n) (int_range 0 (Array.length kind_pool - 1)) in
-    let* edge_bits = array_size (return (n * n)) bool in
-    return (kinds, edge_bits))
-
+(* A policy is 2-5 NFs of random kinds and a random acyclic subset of
+   forward Order edges over their listing; the kinds' behaviour is
+   deterministic per instance and covers reads, header and payload
+   writes, header addition and drops. *)
 let random_policy_arbitrary =
-  QCheck.make
-    ~print:(fun (kinds, _) ->
-      String.concat ","
-        (Array.to_list (Array.map (fun i -> kind_pool.(i)) kinds)))
-    random_policy_gen
-
-let build_policy (kinds, edge_bits) =
-  let n = Array.length kinds in
-  let name i = Printf.sprintf "n%d" i in
-  let bindings = List.init n (fun i -> (name i, kind_pool.(kinds.(i)))) in
-  let rules =
-    List.concat
-      (List.init n (fun i ->
-           List.filter_map
-             (fun j ->
-               if j > i && edge_bits.((i * n) + j) then
-                 Some (Nfp_policy.Rule.Order (name i, name j))
-               else None)
-             (List.init n Fun.id)))
-  in
-  (* Keep every NF mentioned so the sequential order is well defined. *)
-  let rules =
-    if rules = [] then Nfp_policy.Rule.of_chain (List.init n name) else rules
-  in
-  { Nfp_policy.Rule.bindings; rules }
+  QCheck.make ~print:Oracle.print_policy (Oracle.policy_gen ~max_nfs:5)
 
 (* Mixed traffic: benign flows, ACL-deny hitters, signature hitters. *)
 let traffic_packet i =
@@ -535,66 +482,58 @@ let property_tests =
       (QCheck.Test.make ~count:60
          ~name:"compiled graphs match sequential execution on any policy"
          random_policy_arbitrary
-         (fun spec ->
-           let policy = build_policy spec in
-           match Compiler.compile policy with
-           | Error _ -> QCheck.assume_fail () (* rejected policies are vacuous *)
-           | Ok out -> (
-               match Tables.of_output out with
-               | Ok plan ->
-                   let seq_lookup = instances policy.bindings in
-                   let par_lookup = instances policy.bindings in
-                   let order = plan.Tables.serial_order in
-                   List.for_all
-                     (fun i ->
-                       let p = traffic_packet i in
-                       let a =
-                         Nfp_infra.Reference.run_sequential
-                           ~nfs:(List.map seq_lookup order) (Packet.full_copy p)
-                       in
-                       let b =
-                         Nfp_infra.Reference.run_plan ~plan ~nfs:par_lookup
-                           (Packet.full_copy p)
-                       in
-                       match (a, b) with
-                       | None, None -> true
-                       | Some x, Some y ->
-                           Packet.equal_wire x y
-                           && Packet.ip_checksum_valid y
-                           && Packet.l4_checksum_valid y
-                       | _ -> false)
-                     (List.init 12 Fun.id)
-               | Error _ -> false)));
+         (fun case ->
+           match Oracle.plan_of_case case with
+           | None -> QCheck.assume_fail () (* rejected policies are vacuous *)
+           | Some plan ->
+               let seq_lookup = Registry.instances (Oracle.bindings_of case) in
+               let par_lookup = Registry.instances (Oracle.bindings_of case) in
+               let order = plan.Tables.serial_order in
+               List.for_all
+                 (fun i ->
+                   let p = traffic_packet i in
+                   let a =
+                     Nfp_infra.Reference.run_sequential
+                       ~nfs:(List.map seq_lookup order) (Packet.full_copy p)
+                   in
+                   let b =
+                     Nfp_infra.Reference.run_plan ~plan ~nfs:par_lookup
+                       (Packet.full_copy p)
+                   in
+                   match (a, b) with
+                   | None, None -> true
+                   | Some x, Some y ->
+                       Packet.equal_wire x y
+                       && Packet.ip_checksum_valid y
+                       && Packet.l4_checksum_valid y
+                   | _ -> false)
+                 (List.init 12 Fun.id)));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:40
          ~name:"compiled graphs preserve every NF's internal state"
          random_policy_arbitrary
-         (fun spec ->
-           let policy = build_policy spec in
-           match Compiler.compile policy with
-           | Error _ -> QCheck.assume_fail ()
-           | Ok out -> (
-               match Tables.of_output out with
-               | Ok plan ->
-                   let seq_lookup = instances policy.bindings in
-                   let par_lookup = instances policy.bindings in
-                   let order = plan.Tables.serial_order in
-                   List.iter
-                     (fun i ->
-                       let p = traffic_packet i in
-                       ignore
-                         (Nfp_infra.Reference.run_sequential
-                            ~nfs:(List.map seq_lookup order) (Packet.full_copy p));
-                       ignore
-                         (Nfp_infra.Reference.run_plan ~plan ~nfs:par_lookup
-                            (Packet.full_copy p)))
-                     (List.init 10 Fun.id);
-                   List.for_all
-                     (fun name ->
-                       (seq_lookup name).Nfp_nf.Nf.state_digest ()
-                       = (par_lookup name).Nfp_nf.Nf.state_digest ())
-                     order
-               | Error _ -> false)));
+         (fun case ->
+           match Oracle.plan_of_case case with
+           | None -> QCheck.assume_fail ()
+           | Some plan ->
+               let seq_lookup = Registry.instances (Oracle.bindings_of case) in
+               let par_lookup = Registry.instances (Oracle.bindings_of case) in
+               let order = plan.Tables.serial_order in
+               List.iter
+                 (fun i ->
+                   let p = traffic_packet i in
+                   ignore
+                     (Nfp_infra.Reference.run_sequential
+                        ~nfs:(List.map seq_lookup order) (Packet.full_copy p));
+                   ignore
+                     (Nfp_infra.Reference.run_plan ~plan ~nfs:par_lookup
+                        (Packet.full_copy p)))
+                 (List.init 10 Fun.id);
+               List.for_all
+                 (fun name ->
+                   (seq_lookup name).Nfp_nf.Nf.state_digest ()
+                   = (par_lookup name).Nfp_nf.Nf.state_digest ())
+                 order));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -606,13 +545,8 @@ let multi_tests =
     Alcotest.test_case "flows are steered into their own service graphs" `Quick (fun () ->
         (* Graph 1 (web traffic, dport 61080): monitor only.
            Graph 2 (everything else): firewall that denies everything. *)
-        let plan_of text =
-          match Compiler.compile_text text with
-          | Error es -> Alcotest.failf "compile: %s" (String.concat ";" es)
-          | Ok o -> plan_of_output o
-        in
-        let mon_plan = plan_of "NF(mon, Monitor)\nPosition(mon, first)" in
-        let fw_plan = plan_of "NF(fw, Firewall)\nPosition(fw, first)" in
+        let mon_plan = Oracle.plan_of "NF(mon, Monitor)\nPosition(mon, first)" in
+        let fw_plan = Oracle.plan_of "NF(fw, Firewall)\nPosition(fw, first)" in
         let mon, mon_stats = Nfp_nf.Monitor.create ~name:"mon" () in
         let fw, fw_stats =
           Nfp_nf.Firewall.create ~name:"fw" ~acl:[ Nfp_nf.Firewall.any_rule ~permit:false ] ()
@@ -645,13 +579,8 @@ let multi_tests =
         check Alcotest.int "firewall dropped the rest" 5 (fw_stats.dropped ());
         check Alcotest.int "counted as nf drops" 5 (system.health ()).drops.nf_dropped);
     Alcotest.test_case "first matching CT entry wins" `Quick (fun () ->
-        let plan_of text =
-          match Compiler.compile_text text with
-          | Error es -> Alcotest.failf "compile: %s" (String.concat ";" es)
-          | Ok o -> plan_of_output o
-        in
-        let p1 = plan_of "NF(m1, Monitor)\nPosition(m1, first)" in
-        let p2 = plan_of "NF(m2, Monitor)\nPosition(m2, first)" in
+        let p1 = Oracle.plan_of "NF(m1, Monitor)\nPosition(m1, first)" in
+        let p2 = Oracle.plan_of "NF(m2, Monitor)\nPosition(m2, first)" in
         let m1, s1 = Nfp_nf.Monitor.create ~name:"m1" () in
         let m2, s2 = Nfp_nf.Monitor.create ~name:"m2" () in
         let graphs =
@@ -666,12 +595,7 @@ let multi_tests =
         check Alcotest.int "first graph" 1 (s1.total_packets ());
         check Alcotest.int "second graph untouched" 0 (s2.total_packets ()));
     Alcotest.test_case "unmatched packets are discarded" `Quick (fun () ->
-        let plan_of text =
-          match Compiler.compile_text text with
-          | Error es -> Alcotest.failf "compile: %s" (String.concat ";" es)
-          | Ok o -> plan_of_output o
-        in
-        let p = plan_of "NF(m, Monitor)\nPosition(m, first)" in
+        let p = Oracle.plan_of "NF(m, Monitor)\nPosition(m, first)" in
         let m, _ = Nfp_nf.Monitor.create ~name:"m" () in
         let engine = Nfp_sim.Engine.create () in
         let system =
@@ -692,18 +616,15 @@ let multi_tests =
               (Nfp_infra.System.make_multi ~graphs:[] engine ~output:(fun ~pid:_ _ -> ()))));
     Alcotest.test_case "parallel graphs coexist behind shared mergers" `Quick (fun () ->
         (* Two west-east-style graphs with copies, one merger instance. *)
-        let plan_of text =
-          match Compiler.compile_text text with
-          | Error es -> Alcotest.failf "compile: %s" (String.concat ";" es)
-          | Ok o -> plan_of_output o
-        in
         let text name =
           Printf.sprintf "NF(mon%s, Monitor)\nNF(lb%s, LoadBalancer)\nChain(mon%s, lb%s)"
             name name name name
         in
         let mk name =
-          let plan = plan_of (text name) in
-          let lookup = instances [ ("mon" ^ name, "Monitor"); ("lb" ^ name, "LoadBalancer") ] in
+          let plan = Oracle.plan_of (text name) in
+          let lookup =
+            Registry.instances [ ("mon" ^ name, "Monitor"); ("lb" ^ name, "LoadBalancer") ]
+          in
           (plan, lookup)
         in
         let p1, l1 = mk "A" and p2, l2 = mk "B" in
@@ -852,11 +773,11 @@ let cluster_tests =
    instances. The compiled deployment runs a lossy raw fabric, so its
    link taxonomy moves too. *)
 let ledger_systems =
-  let plan = plan_of_output (compile_ok ns_text) in
+  let plan = plan_of_output (compile_ok Oracle.ns_text) in
   [
     ( "compiled",
       fun engine ~output ->
-        Nfp_infra.System.make ~plan ~nfs:(instances ns_bindings)
+        Nfp_infra.System.make ~plan ~nfs:(Registry.instances Oracle.ns_bindings)
           ~links:
             {
               Nfp_infra.System.default_links_config with
@@ -867,12 +788,12 @@ let ledger_systems =
     ( "interpretive",
       fun engine ~output ->
         Nfp_infra.System.interpretive
-          ~graphs:[ (Flow_match.any, plan, instances ns_bindings) ]
+          ~graphs:[ (Flow_match.any, plan, Registry.instances Oracle.ns_bindings) ]
           engine ~output );
     ( "OpenNetVM",
       fun engine ~output ->
         Nfp_baseline.Opennetvm.make
-          ~nfs:(List.map (instances ns_bindings) [ "vpn"; "mon"; "fw"; "lb" ])
+          ~nfs:(List.map (Registry.instances Oracle.ns_bindings) [ "vpn"; "mon"; "fw"; "lb" ])
           engine ~output );
   ]
 
@@ -923,7 +844,7 @@ let ledger_tests =
     Alcotest.test_case "cluster segments share no counter" `Quick (fun () ->
         (* Only the second segment drops: a ledger both segments shared
            would report every drop twice in the sum. *)
-        let plan_of kind =
+        let plan_for kind =
           let profile_of _ = Nfp_nf.Registry.profile_of kind in
           match Tables.plan ~profile_of (Graph.nf "x") with Ok p -> p | Error e -> Alcotest.fail e
         in
@@ -932,8 +853,8 @@ let ledger_tests =
           Nfp_infra.Cluster.make
             ~segments:
               [
-                (plan_of "Monitor", fun _ -> fst (Nfp_nf.Monitor.create ~name:"x" ()));
-                ( plan_of "Firewall",
+                (plan_for "Monitor", fun _ -> fst (Nfp_nf.Monitor.create ~name:"x" ()));
+                ( plan_for "Firewall",
                   fun _ ->
                     fst
                       (Nfp_nf.Firewall.create ~name:"x"
@@ -957,19 +878,15 @@ let ledger_tests =
 
 (* A parallelizable pair: Monitor | Firewall behind one merger — the
    shape where a dead branch can wedge merges. *)
-let par_text = "NF(mon, Monitor)\nNF(fw, Firewall)\nOrder(mon, before, fw)"
-
-let par_bindings = [ ("mon", "Monitor"); ("fw", "Firewall") ]
-
 (* Run [text] under [fault] at a steady 0.5 Mpps, recording delivered
    pids so tests can see whether forwarding resumed after a failure. *)
-let fault_run ?(text = ns_text) ?(bindings = ns_bindings) ?config ~fault
+let fault_run ?(text = Oracle.ns_text) ?(bindings = Oracle.ns_bindings) ?config ~fault
     ?(rate = 0.5) ?(packets = 2000) () =
   let o = compile_ok text in
   let plan = plan_of_output o in
   let out_pids = ref [] in
   let make engine ~output =
-    Nfp_infra.System.make ?config ~fault ~plan ~nfs:(instances bindings) engine
+    Nfp_infra.System.make ?config ~fault ~plan ~nfs:(Registry.instances bindings) engine
       ~output:(fun ~pid pkt ->
         out_pids := pid :: !out_pids;
         output ~pid pkt)
@@ -1083,7 +1000,7 @@ let fault_tests =
             recovery_of = (fun nf -> if nf = "mon" then Bypass else Restart);
           }
         in
-        let r, pids = fault_run ~text:par_text ~bindings:par_bindings ~fault () in
+        let r, pids = fault_run ~text:Oracle.par_text ~bindings:Oracle.par_bindings ~fault () in
         let h = r.health in
         check Alcotest.int "bypassed once" 1 h.bypasses;
         check Alcotest.int "never restarted" 0 h.restarts;
@@ -1112,7 +1029,7 @@ let fault_tests =
             plan = Nfp_sim.Fault.plan [ Nfp_sim.Fault.crash ~at_ns:500_000.0 "mid1:mon" ];
           }
         in
-        let r, _ = fault_run ~text:par_text ~bindings:par_bindings ~fault () in
+        let r, _ = fault_run ~text:Oracle.par_text ~bindings:Oracle.par_bindings ~fault () in
         let h = r.health in
         check Alcotest.bool "timeouts fired" true (h.drops.merge_timed_out > 0);
         check Alcotest.bool "rescued merges bound the tail" true
@@ -1129,7 +1046,7 @@ let fault_tests =
             recovery_of = (fun nf -> if nf = "mon" then Degrade else Restart);
           }
         in
-        let r, pids = fault_run ~text:par_text ~bindings:par_bindings ~fault () in
+        let r, pids = fault_run ~text:Oracle.par_text ~bindings:Oracle.par_bindings ~fault () in
         let h = r.health in
         check Alcotest.int "degraded once" 1 h.degrades;
         check Alcotest.int "recovered to parallel" 1 h.recoveries;
@@ -1164,11 +1081,11 @@ let fault_tests =
           }
         in
         let config = { Nfp_infra.System.default_config with replicas = 2; mergers = 2 } in
-        let plan = plan_of_output (compile_ok par_text) in
+        let plan = plan_of_output (compile_ok Oracle.par_text) in
         let sampler = ref (fun () -> []) in
         let make engine ~output =
           Nfp_infra.System.make ~config ~fault ~stats:sampler ~plan
-            ~nfs:(instances par_bindings) engine ~output
+            ~nfs:(Registry.instances Oracle.par_bindings) engine ~output
         in
         let r =
           Nfp_sim.Harness.run ~make ~gen:gen_pkt ~arrivals:(Nfp_sim.Harness.Uniform 0.5)
@@ -1247,10 +1164,10 @@ let fault_tests =
           (r.offered - r.completed);
         accounting_closes r);
     Alcotest.test_case "health is observable without any faults armed" `Quick (fun () ->
-        let o = compile_ok ns_text in
+        let o = compile_ok Oracle.ns_text in
         let plan = plan_of_output o in
         let make engine ~output =
-          Nfp_infra.System.make ~plan ~nfs:(instances ns_bindings) engine ~output
+          Nfp_infra.System.make ~plan ~nfs:(Registry.instances Oracle.ns_bindings) engine ~output
         in
         let r =
           Nfp_sim.Harness.run ~make ~gen:gen_pkt ~arrivals:(Nfp_sim.Harness.Uniform 0.2)
@@ -1266,7 +1183,7 @@ let fault_tests =
           (h.detections + h.crashes + h.restarts + h.bypasses + h.drops.flush_lost));
     Alcotest.test_case "bad fault and deployment configs are rejected" `Quick
       (fun () ->
-        let o = compile_ok ns_text in
+        let o = compile_ok Oracle.ns_text in
         let plan = plan_of_output o in
         let rejects ?config msg fault =
           Alcotest.check_raises msg (Invalid_argument ("System.make: " ^ msg))
@@ -1274,7 +1191,8 @@ let fault_tests =
               let engine = Nfp_sim.Engine.create () in
               ignore
                 (Nfp_infra.System.make ?config ~fault ~plan
-                   ~nfs:(instances ns_bindings) engine ~output:(fun ~pid:_ _ -> ())))
+                   ~nfs:(Registry.instances Oracle.ns_bindings)
+                   engine ~output:(fun ~pid:_ _ -> ())))
         in
         let fc = Nfp_infra.System.default_fault_config in
         rejects "fault watchdog interval and deadline must be positive"
@@ -1311,18 +1229,18 @@ let fault_tests =
         (* Each of these used to build, then fail mid-run (or at build
            time, from the engine) naming neither the field nor the
            builder; a NaN copy_per_byte ran to completion. *)
-        let plan = plan_of_output (compile_ok ns_text) in
+        let plan = plan_of_output (compile_ok Oracle.ns_text) in
         let dc = Nfp_infra.System.default_config in
         let builders =
           [
             ( "make",
               fun config ->
-                Nfp_infra.System.make ~config ~plan ~nfs:(instances ns_bindings)
+                Nfp_infra.System.make ~config ~plan ~nfs:(Registry.instances Oracle.ns_bindings)
                   (Nfp_sim.Engine.create ()) ~output:(fun ~pid:_ _ -> ()) );
             ( "interpretive",
               fun config ->
                 Nfp_infra.System.interpretive ~config
-                  ~graphs:[ (Flow_match.any, plan, instances ns_bindings) ]
+                  ~graphs:[ (Flow_match.any, plan, Registry.instances Oracle.ns_bindings) ]
                   (Nfp_sim.Engine.create ()) ~output:(fun ~pid:_ _ -> ()) );
           ]
         in

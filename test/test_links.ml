@@ -16,191 +16,25 @@ module F = Nfp_sim.Fault
 
 let check = Alcotest.check
 
-let plan_of text =
-  match Compiler.compile_text text with
-  | Error es -> Alcotest.failf "compile: %s" (String.concat "; " es)
-  | Ok o -> (
-      match Tables.of_output o with Ok p -> p | Error e -> Alcotest.failf "plan: %s" e)
-
-let default_nf kind ~name = Nfp_nf.Registry.instantiate kind ~name
-
-let instances ~make_nf bindings =
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun (name, kind) ->
-      match make_nf kind ~name with
-      | Some nf -> Hashtbl.replace table name nf
-      | None -> Alcotest.failf "no implementation for %s" kind)
-    bindings;
-  Hashtbl.find table
-
-let traffic () =
-  let g =
-    Nfp_traffic.Pktgen.create
-      { Nfp_traffic.Pktgen.default with sizes = Nfp_traffic.Size_dist.fixed 128; flows = 64 }
-  in
-  Nfp_traffic.Pktgen.packet g
-
-(* Rings deep enough that nothing is refused at entry: the equivalence
-   claims cover every offered packet. *)
-let roomy = { Sys.default_config with ring_capacity = 8192 }
-
-let lossless_fault plan =
-  { Sys.default_fault_config with plan; merge_timeout_ns = 0.0 }
-
 let links specs = { Sys.default_links_config with link_plan = F.link_plan specs }
-
-(* ------------------------------------------------------------------ *)
-(* FlowTag: a test-local NF whose per-flow state is output-critical    *)
-(* ------------------------------------------------------------------ *)
-
-(* Stamps each packet's ToS with the flow's 1-based sequence number, so
-   a link fault the channel failed to mask is visible in the delivered
-   bytes themselves: a dropped packet leaves a hole in the sequence, a
-   duplicate repeats one, a reordered pair swaps two stamps. *)
-type Nfp_nf.Nf.state += Tag of (Flow.t, int) Hashtbl.t
-
-let tag_profile =
-  Nfp_nf.Action.
-    [
-      Read Field.Sip; Read Field.Dip; Read Field.Sport; Read Field.Dport;
-      Write Field.Tos;
-    ]
-
-let tag_access = Nfp_nf.State_access.[ per_flow General "flow-seq" ]
-
-let tag_merge states =
-  let table = Hashtbl.create 256 in
-  List.iter
-    (function
-      | Tag t ->
-          Hashtbl.iter
-            (fun flow n ->
-              let prev = Option.value (Hashtbl.find_opt table flow) ~default:0 in
-              Hashtbl.replace table flow (prev + n))
-            t
-      | _ -> invalid_arg "FlowTag.merge: foreign state")
-    states;
-  Tag table
-
-let rec flow_tag ?(name = "tag") () =
-  let table : (Flow.t, int) Hashtbl.t ref = ref (Hashtbl.create 256) in
-  let process pkt =
-    let flow = Packet.flow pkt in
-    let seq = Option.value (Hashtbl.find_opt !table flow) ~default:0 + 1 in
-    Hashtbl.replace !table flow seq;
-    Packet.set_tos pkt (seq land 0xff);
-    Nfp_nf.Nf.Forward
-  in
-  let state_digest () =
-    Hashtbl.fold
-      (fun flow n acc -> (acc + Nfp_algo.Hashing.combine (Flow.hash flow) n) land max_int)
-      !table 0
-  in
-  let extract pred =
-    let moved = Hashtbl.create 64 in
-    Hashtbl.iter (fun flow n -> if pred flow then Hashtbl.replace moved flow n) !table;
-    Hashtbl.iter (fun flow _ -> Hashtbl.remove !table flow) moved;
-    Tag moved
-  in
-  Nfp_nf.Nf.make ~name ~kind:"NAT" ~profile:tag_profile
-    ~cost_cycles:(fun _ -> 260)
-    ~state_digest
-    ~snapshot:(fun () -> Tag (Hashtbl.copy !table))
-    ~restore:(function
-      | Tag t -> table := Hashtbl.copy t
-      | _ -> invalid_arg "FlowTag.restore: foreign state")
-    ~state_access:tag_access
-    ~fresh:(fun () -> flow_tag ~name ())
-    ~merge:tag_merge ~extract process
-
-let tag_text = "NF(tag, NAT)\nNF(mon, Monitor)\nChain(tag, mon)"
-let tag_bindings = [ ("tag", "NAT"); ("mon", "Monitor") ]
-
-let tag_make_nf kind ~name =
-  if name = "tag" then Some (flow_tag ~name ()) else default_nf kind ~name
-
-(* A parallel plan whose branches meet at merger#0 — the merger links
-   and the (pid, version) dedup layer are only exercised with a merge
-   in the graph. *)
-let par_text = "NF(mon, Monitor)\nNF(fw, Firewall)\nOrder(mon, before, fw)"
-let par_bindings = [ ("mon", "Monitor"); ("fw", "Firewall") ]
 
 (* ------------------------------------------------------------------ *)
 (* Harness                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type observation = {
-  outs : (int64 * string) list;
-  completed : int;
-  nf_drops : int;
-  digests : (string * int) list;  (** per NF, merged across replicas *)
-}
-
-let observe ?fault ?overload ?elastic ?links ?replicas ?(config = roomy)
-    ?(make_nf = default_nf) ?stop ~plan ~bindings ~arrivals ~packets () =
-  let lookup = instances ~make_nf bindings in
-  let outs = ref [] in
-  let replication = ref (fun () -> []) in
-  let make engine ~output =
-    Sys.make ?fault ?overload ?elastic ?links ~replication
-      ~config:(Option.fold ~none:config ~some:(fun replicas -> { config with replicas }) replicas)
-      ~plan
-      ~nfs:lookup engine
-      ~output:(fun ~pid pkt ->
-        outs := (pid, Bytes.to_string (Packet.to_bytes pkt)) :: !outs;
-        output ~pid pkt)
-  in
-  let r =
-    Nfp_sim.Harness.run ~make ~gen:(traffic ()) ~arrivals ~packets ?stop ()
-  in
-  let obs =
-    {
-      outs = List.sort compare !outs;
-      completed = r.completed;
-      nf_drops = r.nf_drops;
-      digests =
-        List.sort compare
-          (List.map
-             (fun (rr : Sys.replica_report) -> (rr.rr_nf, rr.rr_merged_digest))
-             (!replication ()));
-    }
-  in
-  (obs, r)
-
-let check_equivalent baseline lossy =
-  check Alcotest.int "completed" baseline.completed lossy.completed;
-  check Alcotest.int "nf drops" baseline.nf_drops lossy.nf_drops;
-  check Alcotest.int "delivery count" (List.length baseline.outs)
-    (List.length lossy.outs);
-  List.iter2
-    (fun (pid_a, bytes_a) (pid_b, bytes_b) ->
-      check Alcotest.int64 "delivered pid" pid_a pid_b;
-      check Alcotest.string "delivered bytes" bytes_a bytes_b)
-    baseline.outs lossy.outs;
-  List.iter2
-    (fun (name_a, d_a) (name_b, d_b) ->
-      check Alcotest.string "digest NF" name_a name_b;
-      check Alcotest.int (Printf.sprintf "merged digest of %s" name_a) d_a d_b)
-    baseline.digests lossy.digests
-
 let steady = Nfp_sim.Harness.Uniform 0.5
 
-(* Run the linked deployment against the link-free baseline and hand
-   back the linked run's ledger. Both runs must admit everything — the
-   equivalence claims cover every offered packet. *)
-let equivalence ?fault ?replicas ~links:lc ?(text = tag_text)
-    ?(bindings = tag_bindings) ?(make_nf = tag_make_nf) ?(arrivals = steady)
+(* Run the linked deployment against the link-free baseline, hold it to
+   the oracle, and hand back the linked run's ledger. *)
+let equivalence ?fault ?replicas ~links:lc ?(text = Oracle.tag_text)
+    ?(bindings = Oracle.tag_bindings) ?(nfs = Oracle.tag_nfs) ?(arrivals = steady)
     ?(packets = 2000) () =
-  let plan = plan_of text in
-  let baseline, rb = observe ?replicas ~make_nf ~plan ~bindings ~arrivals ~packets () in
-  let lossy, rr =
-    observe ?fault ?replicas ~links:lc ~make_nf ~plan ~bindings ~arrivals ~packets ()
+  let plan = Oracle.plan_of text in
+  let run ?fault ?links () =
+    Oracle.observe ?fault ?links ?replicas ~nfs ~plan ~bindings ~arrivals ~packets ()
   in
-  check Alcotest.int "baseline admits everything" 0 rb.ring_drops;
-  check Alcotest.int "lossy run admits everything" 0 rr.ring_drops;
-  check Alcotest.int "nothing left in flight" 0 rr.in_flight;
-  check_equivalent baseline lossy;
+  let baseline, _ = run () and lossy, rr = run ?fault ~links:lc () in
+  Oracle.check_equivalent "lossy run" baseline lossy;
   rr
 
 let link_taxonomy (r : Nfp_sim.Harness.result) = r.health.links
@@ -265,8 +99,8 @@ let unit_tests =
         check Alcotest.bool "a partition transit drops" true
           (F.transit st ~now_ns:120.0 = F.T_drop));
     Alcotest.test_case "invalid links configs are rejected" `Quick (fun () ->
-        let plan = plan_of tag_text in
-        let lookup = instances ~make_nf:tag_make_nf tag_bindings in
+        let plan = Oracle.plan_of Oracle.tag_text in
+        let lookup = Oracle.tag_nfs Oracle.tag_bindings in
         let rejects msg lc =
           Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
               let engine = Nfp_sim.Engine.create () in
@@ -350,28 +184,17 @@ let differential_tests =
   [
     Alcotest.test_case "links=None and a normalized empty config are bit-identical"
       `Quick (fun () ->
-        let plan = plan_of tag_text in
-        let plain, _ =
-          observe ~make_nf:tag_make_nf ~plan ~bindings:tag_bindings ~arrivals:steady
-            ~packets:1500 ()
+        let run ?links () =
+          Oracle.observe ?links ~nfs:Oracle.tag_nfs ~plan:(Oracle.plan_of Oracle.tag_text)
+            ~bindings:Oracle.tag_bindings ~arrivals:steady ~packets:1500 ()
         in
+        let plain, _ = run () in
         (* an empty plan with reliable=false normalizes away entirely *)
-        let a, ra =
-          observe
-            ~links:{ Sys.default_links_config with reliable = false }
-            ~make_nf:tag_make_nf ~plan ~bindings:tag_bindings ~arrivals:steady
-            ~packets:1500 ()
-        in
+        let a, ra = run ~links:{ Sys.default_links_config with reliable = false } () in
         (* a plan matching no port of this deployment builds no channel *)
-        let b, _ =
-          observe
-            ~links:(links [ F.loss ~probability:0.9 "nosuch:*" ])
-            ~make_nf:tag_make_nf ~plan ~bindings:tag_bindings ~arrivals:steady
-            ~packets:1500 ()
-        in
-        check Alcotest.bool "normalized empty config: identical observation" true
-          (plain = a);
-        check Alcotest.bool "unmatched plan: identical observation" true (plain = b);
+        let b, _ = run ~links:(links [ F.loss ~probability:0.9 "nosuch:*" ]) () in
+        Oracle.check_equivalent "normalized empty config: identical observation" plain a;
+        Oracle.check_equivalent "unmatched plan: identical observation" plain b;
         check Alcotest.int "no taxonomy events"
           0
           (let l = link_taxonomy ra in
@@ -420,8 +243,8 @@ let differential_tests =
             ]
         in
         let rr =
-          equivalence ~links:lc ~text:par_text ~bindings:par_bindings
-            ~make_nf:default_nf ()
+          equivalence ~links:lc ~text:Oracle.par_text ~bindings:Oracle.par_bindings
+            ~nfs:Nfp_nf.Registry.instances ()
         in
         let l = link_taxonomy rr in
         check Alcotest.bool "drops happened" true (l.link_drops >= 1);
@@ -448,13 +271,13 @@ let differential_tests =
            NF, and when the window closes a later send re-opens the
            link. No byte/digest claim — the detour skips the NF — but
            not one offered packet may be lost. *)
-        let plan = plan_of tag_text in
+        let plan = Oracle.plan_of Oracle.tag_text in
         let _, rr =
-          observe
+          Oracle.observe
             ~links:
               (links
                  [ F.partition ~at_ns:1_000_000.0 ~duration_ns:300_000.0 "mid1:tag" ])
-            ~make_nf:tag_make_nf ~plan ~bindings:tag_bindings ~arrivals:steady
+            ~nfs:Oracle.tag_nfs ~plan ~bindings:Oracle.tag_bindings ~arrivals:steady
             ~packets:3000 ()
         in
         let l = link_taxonomy rr in
@@ -468,13 +291,13 @@ let differential_tests =
         (* A partition at +inf never starts; one of infinite length is
            a permanent outage that every later send detours around.
            Both runs end at a finite time with every packet delivered. *)
-        let plan = plan_of tag_text in
+        let plan = Oracle.plan_of Oracle.tag_text in
         List.iter
           (fun (what, at_ns, duration_ns) ->
             let _, rr =
-              observe
+              Oracle.observe
                 ~links:(links [ F.partition ~at_ns ~duration_ns "*" ])
-                ~make_nf:tag_make_nf ~plan ~bindings:tag_bindings ~arrivals:steady
+                ~nfs:Oracle.tag_nfs ~plan ~bindings:Oracle.tag_bindings ~arrivals:steady
                 ~packets:400 ()
             in
             check Alcotest.bool (what ^ ": finite duration") true (Float.is_finite rr.duration_ns);
@@ -490,28 +313,28 @@ let differential_tests =
            declare the links Down. A pending ack is no engine event; the
            duration (the last event's time) is the one the run had when
            every ack was a timer. *)
-        let plan = plan_of par_text in
+        let plan = Oracle.plan_of Oracle.par_text in
         let _, rr =
-          observe
+          Oracle.observe
             ~links:
               (links
                  [
                    F.partition ~at_ns:396_000.0 ~duration_ns:100_000.0 "*";
                    F.jumble ~probability:0.6 ~span_ns:20_000.0 "*";
                  ])
-            ~plan ~bindings:par_bindings ~arrivals:steady ~packets:200 ()
+            ~plan ~bindings:Oracle.par_bindings ~arrivals:steady ~packets:200 ()
         in
         check Alcotest.bool "links went Down" true ((link_taxonomy rr).partitions >= 1);
         check Alcotest.int "every packet delivered" rr.offered rr.completed;
         check (Alcotest.float 0.0) "duration_ns" 454200.13023382408 rr.duration_ns);
     Alcotest.test_case "raw fabric: drops are real losses, in the ledger residual"
       `Quick (fun () ->
-        let plan = plan_of tag_text in
+        let plan = Oracle.plan_of Oracle.tag_text in
         let lc =
           { (links [ F.loss ~probability:0.05 "*" ]) with reliable = false }
         in
         let _, rr =
-          observe ~links:lc ~make_nf:tag_make_nf ~plan ~bindings:tag_bindings
+          Oracle.observe ~links:lc ~nfs:Oracle.tag_nfs ~plan ~bindings:Oracle.tag_bindings
             ~arrivals:steady ~packets:2000 ()
         in
         let l = link_taxonomy rr in
@@ -557,10 +380,10 @@ let differential_tests =
               F.partition ~at_ns:20_000.0 ~duration_ns:400_000.0 "migrate:mid1:tag@1";
             ]
         in
-        let plan = plan_of tag_text in
+        let plan = Oracle.plan_of Oracle.tag_text in
         let _, rr =
-          observe ~links:lc ~elastic:eager ~make_nf:tag_make_nf ~plan
-            ~bindings:tag_bindings ~arrivals:spiky ~packets:3000 ()
+          Oracle.observe ~links:lc ~elastic:eager ~nfs:Oracle.tag_nfs ~plan
+            ~bindings:Oracle.tag_bindings ~arrivals:spiky ~packets:3000 ()
         in
         check Alcotest.int "zero delivered-packet loss" rr.offered rr.completed;
         check Alcotest.int "nothing left in flight" 0 rr.in_flight;
@@ -588,8 +411,8 @@ let regression_tests =
             [ F.loss ~probability:0.02 "*"; F.duplicate ~probability:0.02 "*" ]
         in
         let rr =
-          equivalence ~fault ~links:lc ~text:par_text ~bindings:par_bindings
-            ~make_nf:default_nf ~packets:3000 ()
+          equivalence ~fault ~links:lc ~text:Oracle.par_text ~bindings:Oracle.par_bindings
+            ~nfs:Nfp_nf.Registry.instances ~packets:3000 ()
         in
         check Alcotest.bool "dedup gauge pinned by the bound" true
           (rr.health.dedup_entries <= 2 * 64);
@@ -667,9 +490,9 @@ let regression_tests =
           }
         in
         let fault = { Sys.default_fault_config with merge_timeout_ns = 10_000.0 } in
-        let plan = plan_of par_text in
+        let plan = Oracle.plan_of Oracle.par_text in
         let obs, rr =
-          observe ~links:lc ~fault ~plan ~bindings:par_bindings ~arrivals:steady
+          Oracle.observe ~links:lc ~fault ~plan ~bindings:Oracle.par_bindings ~arrivals:steady
             ~packets:1500 ()
         in
         check Alcotest.bool "merges timed out" true (rr.health.drops.merge_timed_out >= 1);
@@ -730,21 +553,15 @@ let property_tests =
              match crash with
              | None -> None
              | Some at_ns ->
-                 Some (lossless_fault (F.plan [ F.crash ~at_ns "mid1:tag" ]))
+                 Some (Oracle.lossless_fault (F.plan [ F.crash ~at_ns "mid1:tag" ]))
            in
-           let plan = plan_of tag_text in
-           let baseline, rb =
-             observe ~replicas ~make_nf:tag_make_nf ~plan ~bindings:tag_bindings
-               ~arrivals:steady ~packets:2000 ()
+           let run ?fault ?links () =
+             fst
+               (Oracle.observe ?fault ?links ~replicas ~nfs:Oracle.tag_nfs
+                  ~plan:(Oracle.plan_of Oracle.tag_text) ~bindings:Oracle.tag_bindings
+                  ~arrivals:steady ~packets:2000 ())
            in
-           let lossy, rr =
-             observe ?fault ~replicas ~links:(links specs) ~make_nf:tag_make_nf
-               ~plan ~bindings:tag_bindings ~arrivals:steady ~packets:2000 ()
-           in
-           rb.ring_drops = 0 && rr.ring_drops = 0
-           && rr.health.drops.flush_lost = 0
-           && rr.in_flight = 0
-           && baseline = lossy));
+           Oracle.converges (run ()) (run ?fault ~links:(links specs) ())));
   ]
 
 let () =

@@ -875,10 +875,10 @@ let registry_tests =
 (* Declared counters                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let counter_nf ?merge counters =
+let counter_nf counters =
   Nf.make ~name:"c" ~kind:"Counting" ~profile:[] ~cost_cycles:(fun _ -> 1)
     ~state_access:State_access.[ global Read_only "table" ]
-    ?merge ~counters
+    ~counters
     (fun _ -> Nf.Forward)
 
 let counters_tests =
@@ -911,21 +911,16 @@ let counters_tests =
         let other = counter_nf (Nf.counters [ ("hits", 3) ]) in
         Alcotest.check_raises "restore" (Invalid_argument "Nf.restore: foreign state")
           (fun () -> (Option.get nf.Nf.restore) ((Option.get other.Nf.snapshot) ())));
-    Alcotest.test_case "counters refuse a hand-written merge" `Quick (fun () ->
-        Alcotest.check_raises "merge"
-          (Invalid_argument
-             "Nf.make: counters derive state_digest, snapshot, restore, merge and extract")
-          (fun () -> ignore (counter_nf ~merge:List.hd (Nf.counters [ ("hits", 1) ]))));
   ]
 
 (* ------------------------------------------------------------------ *)
 (* Declared tables                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let keyed_nf ?counters ?state_digest ?snapshot ?restore ?merge ?extract tables =
+let keyed_nf ?counters ?state_digest ?snapshot ?restore tables =
   Nf.make ~name:"k" ~kind:"Keyed" ~profile:[] ~cost_cycles:(fun _ -> 1)
     ~state_access:State_access.[ global General "allocator" ]
-    ?counters ?state_digest ?snapshot ?restore ?merge ?extract ~tables
+    ?counters ?state_digest ?snapshot ?restore ~tables
     (fun _ -> Nf.Forward)
 
 let flow_key f =
@@ -1024,9 +1019,7 @@ let tables_tests =
         let state = (Option.get (keyed_nf []).Nf.snapshot) () in
         refused "state_digest" (keyed_nf ~state_digest:(fun () -> 0));
         refused "snapshot" (keyed_nf ~snapshot:(fun () -> state));
-        refused "restore" (keyed_nf ~restore:ignore);
-        refused "merge" (keyed_nf ~merge:List.hd);
-        refused "extract" (keyed_nf ~extract:(fun _ -> state)));
+        refused "restore" (keyed_nf ~restore:ignore));
   ]
 
 (* ------------------------------------------------------------------ *)

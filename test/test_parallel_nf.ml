@@ -14,106 +14,19 @@ module Sys = Nfp_infra.System
 
 let check = Alcotest.check
 
-let plan_of text =
-  match Compiler.compile_text text with
-  | Error es -> Alcotest.failf "compile: %s" (String.concat "; " es)
-  | Ok o -> (
-      match Tables.of_output o with Ok p -> p | Error e -> Alcotest.failf "plan: %s" e)
-
-let default_nf kind ~name = Nfp_nf.Registry.instantiate kind ~name
-
-let instances ~make_nf bindings =
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun (name, kind) ->
-      match make_nf kind ~name with
-      | Some nf -> Hashtbl.replace table name nf
-      | None -> Alcotest.failf "no implementation for %s" kind)
-    bindings;
-  Hashtbl.find table
-
-let traffic () =
-  let g =
-    Nfp_traffic.Pktgen.create
-      { Nfp_traffic.Pktgen.default with sizes = Nfp_traffic.Size_dist.fixed 128; flows = 64 }
-  in
-  Nfp_traffic.Pktgen.packet g
-
-(* Rings deep enough that nothing is refused at entry: the equivalence
-   claim covers every offered packet. *)
-let roomy = { Sys.default_config with ring_capacity = 8192 }
-
-let lossless_fault plan =
-  { Sys.default_fault_config with plan; merge_timeout_ns = 0.0 }
-
-type observation = {
-  outs : (int64 * string) list;
-  completed : int;
-  nf_drops : int;
-  digests : (string * int) list;  (** per NF, merged across replicas *)
-}
-
-let observe ?fault ?replicas ?(make_nf = default_nf) ~plan ~bindings ~rate ~packets () =
-  let lookup = instances ~make_nf bindings in
-  let outs = ref [] in
+(* Run unreplicated and replicated (optionally also faulted), hold the
+   replicated run to the oracle, and hand back its ledger and
+   replication report. *)
+let equivalence ?fault ?nfs ~text ~bindings ~replicas ?(rate = 0.5) ?(packets = 2000) () =
+  let plan = Oracle.plan_of text in
+  let arrivals = Nfp_sim.Harness.Uniform rate in
+  let baseline, _ = Oracle.observe ?nfs ~plan ~bindings ~arrivals ~packets () in
   let replication = ref (fun () -> []) in
-  let make engine ~output =
-    Sys.make ?fault ~replication
-      ~config:(Option.fold ~none:roomy ~some:(fun replicas -> { roomy with replicas }) replicas)
-      ~plan ~nfs:lookup engine
-      ~output:(fun ~pid pkt ->
-        outs := (pid, Bytes.to_string (Packet.to_bytes pkt)) :: !outs;
-        output ~pid pkt)
+  let sharded, rr =
+    Oracle.observe ?fault ?nfs ~replicas ~replication ~plan ~bindings ~arrivals ~packets ()
   in
-  let r =
-    Nfp_sim.Harness.run ~make ~gen:(traffic ())
-      ~arrivals:(Nfp_sim.Harness.Uniform rate) ~packets ()
-  in
-  let report = !replication () in
-  let obs =
-    {
-      outs = List.sort compare !outs;
-      completed = r.completed;
-      nf_drops = r.nf_drops;
-      digests =
-        List.sort compare
-          (List.map
-             (fun (rr : Sys.replica_report) -> (rr.rr_nf, rr.rr_merged_digest))
-             report);
-    }
-  in
-  (obs, r, report)
-
-let check_equivalent baseline sharded =
-  check Alcotest.int "completed" baseline.completed sharded.completed;
-  check Alcotest.int "nf drops" baseline.nf_drops sharded.nf_drops;
-  check Alcotest.int "delivery count" (List.length baseline.outs)
-    (List.length sharded.outs);
-  List.iter2
-    (fun (pid_a, bytes_a) (pid_b, bytes_b) ->
-      check Alcotest.int64 "delivered pid" pid_a pid_b;
-      check Alcotest.string "delivered bytes" bytes_a bytes_b)
-    baseline.outs sharded.outs;
-  List.iter2
-    (fun (name_a, d_a) (name_b, d_b) ->
-      check Alcotest.string "digest NF" name_a name_b;
-      check Alcotest.int (Printf.sprintf "merged digest of %s" name_a) d_a d_b)
-    baseline.digests sharded.digests
-
-(* Run unreplicated and replicated (optionally also faulted), compare,
-   and hand back the replicated run's ledger and report. *)
-let equivalence ?fault ?make_nf ~text ~bindings ~replicas ?(rate = 0.5)
-    ?(packets = 2000) () =
-  let plan = plan_of text in
-  let baseline, rb, _ = observe ?make_nf ~plan ~bindings ~rate ~packets () in
-  let sharded, rr, report =
-    observe ?fault ?make_nf ~replicas ~plan ~bindings ~rate ~packets ()
-  in
-  check Alcotest.int "baseline admits everything" 0 rb.ring_drops;
-  check Alcotest.int "sharded admits everything" 0 rr.ring_drops;
-  check Alcotest.int "nothing left in flight" 0 rr.in_flight;
-  check_equivalent baseline sharded;
-  (rr, report)
+  Oracle.check_equivalent "sharded run" baseline sharded;
+  (rr, !replication ())
 
 let find_rr report name =
   List.find (fun (rr : Sys.replica_report) -> rr.rr_nf = name) report
@@ -199,8 +112,8 @@ let merge_round_trip kind =
           ignore (nfs.(i mod Array.length nfs).process (gen i))
         done
       in
-      feed (traffic ()) [| lone |] 600;
-      feed (traffic ()) (Array.of_list shards) 600;
+      feed (Oracle.traffic ()) [| lone |] 600;
+      feed (Oracle.traffic ()) (Array.of_list shards) 600;
       check Alcotest.int "merged digest" (lone.state_digest ())
         (merged_digest lone shards))
 
@@ -213,7 +126,7 @@ let counter_shard kind =
   Alcotest.test_case (Printf.sprintf "%s migrates the zero shard" kind) `Quick (fun () ->
       let inst () = Option.get (Nfp_nf.Registry.instantiate kind ~name:"m") in
       let nf = inst () in
-      let gen = traffic () in
+      let gen = Oracle.traffic () in
       for i = 0 to 599 do
         ignore (nf.process (gen i))
       done;
@@ -234,7 +147,7 @@ let hashed_nat_round_trip =
     (fun () ->
       let inst () = fst (Nfp_nf.Nat.create ~alloc:`Hashed ()) in
       let lone = inst () and shards = Array.init 3 (fun _ -> inst ()) in
-      let gen = traffic () and again = traffic () in
+      let gen = Oracle.traffic () and again = Oracle.traffic () in
       for i = 0 to 599 do
         ignore (lone.process (gen i));
         let p = again i in
@@ -250,7 +163,7 @@ let hashed_nat_round_trip =
 let monitor_partial_shard =
   Alcotest.test_case "Monitor migrates a partial shard" `Quick (fun () ->
       let nf, stats = Nfp_nf.Monitor.create () in
-      let gen = traffic () in
+      let gen = Oracle.traffic () in
       for i = 0 to 599 do
         ignore (nf.process (gen i))
       done;
@@ -277,17 +190,6 @@ let merge_tests =
 (* Differential: replicated deployments match unreplicated runs        *)
 (* ------------------------------------------------------------------ *)
 
-let we_text = "NF(ids, IPS)\nNF(mon, Monitor)\nNF(lb, LoadBalancer)\nChain(ids, mon, lb)"
-
-let we_bindings = [ ("ids", "IPS"); ("mon", "Monitor"); ("lb", "LoadBalancer") ]
-
-let ns_text =
-  "NF(vpn, VPN)\nNF(mon, Monitor)\nNF(fw, Firewall)\nNF(lb, LoadBalancer)\n\
-   Chain(vpn, mon, fw, lb)"
-
-let ns_bindings =
-  [ ("vpn", "VPN"); ("mon", "Monitor"); ("fw", "Firewall"); ("lb", "LoadBalancer") ]
-
 let seq_text = "NF(vpn, VPN)\nNF(cache, Caching)\nNF(nat, NAT)\nChain(vpn, cache, nat)"
 
 let seq_bindings = [ ("vpn", "VPN"); ("cache", "Caching"); ("nat", "NAT") ]
@@ -297,7 +199,7 @@ let differential_tests =
     Alcotest.test_case "four-way sharding preserves trace and merged digests" `Quick
       (fun () ->
         let _, report =
-          equivalence ~text:we_text ~bindings:we_bindings ~replicas:4 ()
+          equivalence ~text:Oracle.we_text ~bindings:Oracle.we_bindings ~replicas:4 ()
         in
         let mon = find_rr report "mon" in
         check Alcotest.int "mon deployed 4 replicas" 4 mon.rr_replicas;
@@ -309,7 +211,7 @@ let differential_tests =
     Alcotest.test_case "a mixed chain replicates only the eligible NFs" `Quick
       (fun () ->
         let _, report =
-          equivalence ~text:ns_text ~bindings:ns_bindings ~replicas:3 ()
+          equivalence ~text:Oracle.ns_text ~bindings:Oracle.ns_bindings ~replicas:3 ()
         in
         check Alcotest.int "vpn stays single" 1 (find_rr report "vpn").rr_replicas;
         List.iter
@@ -344,27 +246,28 @@ let differential_tests =
           lb.rr_strategy;
         check Alcotest.int "lb pinned by the downstream cache" 1 lb.rr_replicas);
     Alcotest.test_case "hashed NAT shards and keeps the trace" `Quick (fun () ->
-        let make_nf kind ~name =
-          if name = "nat" then Some (fst (Nfp_nf.Nat.create ~name ~alloc:`Hashed ()))
-          else default_nf kind ~name
+        let nfs =
+          Oracle.instances_with "nat" (fun () ->
+              fst (Nfp_nf.Nat.create ~name:"nat" ~alloc:`Hashed ()))
         in
         let text = "NF(nat, NAT)\nNF(mon, Monitor)\nChain(nat, mon)" in
         let bindings = [ ("nat", "NAT"); ("mon", "Monitor") ] in
-        let _, report = equivalence ~make_nf ~text ~bindings ~replicas:3 () in
+        let _, report = equivalence ~nfs ~text ~bindings ~replicas:3 () in
         let nat = find_rr report "nat" in
         check strategy "nat strategy" Replication.Shared_nothing nat.rr_strategy;
         check Alcotest.int "nat deployed 3 replicas" 3 nat.rr_replicas);
     Alcotest.test_case "replicas=1 is bit-identical to the default build" `Quick
       (fun () ->
-        let plan = plan_of we_text in
-        let a, _, _ = observe ~plan ~bindings:we_bindings ~rate:0.5 ~packets:1500 () in
-        let b, _, _ =
-          observe ~replicas:1 ~plan ~bindings:we_bindings ~rate:0.5 ~packets:1500 ()
+        let run ?replicas () =
+          fst
+            (Oracle.observe ?replicas ~plan:(Oracle.plan_of Oracle.we_text)
+               ~bindings:Oracle.we_bindings ~arrivals:(Nfp_sim.Harness.Uniform 0.5)
+               ~packets:1500 ())
         in
-        check Alcotest.bool "identical observation" true (a = b));
+        Oracle.check_equivalent "identical observation" (run ()) (run ~replicas:1 ()));
     Alcotest.test_case "interpretive path refuses the replicas knob" `Quick (fun () ->
-        let plan = plan_of we_text in
-        let lookup = instances ~make_nf:default_nf we_bindings in
+        let plan = Oracle.plan_of Oracle.we_text in
+        let lookup = Nfp_nf.Registry.instances Oracle.we_bindings in
         Alcotest.check_raises "invalid_arg"
           (Invalid_argument "System.interpretive: replicas must be 1")
           (fun () ->
@@ -375,7 +278,7 @@ let differential_tests =
                      ~config:{ Sys.default_config with replicas = 4 }
                      ~graphs:[ (Nfp_packet.Flow_match.any, plan, lookup) ]
                      engine ~output)
-                 ~gen:(traffic ())
+                 ~gen:(Oracle.traffic ())
                  ~arrivals:(Nfp_sim.Harness.Uniform 0.5) ~packets:10 ())));
   ]
 
@@ -390,18 +293,18 @@ let fault_tests =
         (* mid1:mon@2 is the third RSS shard of the monitor — a core
            that only exists because of replication. *)
         let fault =
-          lossless_fault
+          Oracle.lossless_fault
             (Nfp_sim.Fault.plan [ Nfp_sim.Fault.crash ~at_ns:500_000.0 "mid1:mon@2" ])
         in
         let rr, _ =
-          equivalence ~fault ~text:we_text ~bindings:we_bindings ~replicas:4 ()
+          equivalence ~fault ~text:Oracle.we_text ~bindings:Oracle.we_bindings ~replicas:4 ()
         in
         check Alcotest.int "crash took effect" 1 rr.health.crashes;
         check Alcotest.bool "replay happened" true (rr.health.replayed > 0);
         check Alcotest.int "nothing flushed" 0 rr.health.drops.flush_lost);
     Alcotest.test_case "replica 0 and a shard crash together" `Quick (fun () ->
         let fault =
-          lossless_fault
+          Oracle.lossless_fault
             (Nfp_sim.Fault.plan
                [
                  Nfp_sim.Fault.crash ~at_ns:500_000.0 "mid1:mon";
@@ -409,7 +312,7 @@ let fault_tests =
                ])
         in
         let rr, _ =
-          equivalence ~fault ~text:we_text ~bindings:we_bindings ~replicas:2 ()
+          equivalence ~fault ~text:Oracle.we_text ~bindings:Oracle.we_bindings ~replicas:2 ()
         in
         check Alcotest.int "both crashes took effect" 2 rr.health.crashes);
     Alcotest.test_case "ledger invariant holds under a storm across replicas" `Quick
@@ -426,17 +329,18 @@ let fault_tests =
           Nfp_sim.Fault.storm ~seed:11L ~cores ~mtbf_ns:3_000_000.0
             ~horizon_ns:3_000_000.0 ()
         in
-        let plan = plan_of we_text in
-        let _, r, report =
-          observe ~fault:(lossless_fault storm) ~replicas:4 ~plan
-            ~bindings:we_bindings ~rate:1.0 ~packets:3000 ()
+        let replication = ref (fun () -> []) in
+        let _, r =
+          Oracle.observe ~fault:(Oracle.lossless_fault storm) ~replicas:4 ~replication
+            ~plan:(Oracle.plan_of Oracle.we_text) ~bindings:Oracle.we_bindings
+            ~arrivals:(Nfp_sim.Harness.Uniform 1.0) ~packets:3000 ()
         in
         check Alcotest.bool "storm produced crashes" true (r.health.crashes > 0);
         check Alcotest.int "no packet wedged in flight" 0 r.in_flight;
         check Alcotest.int "nothing flushed" 0 r.health.drops.flush_lost;
         check Alcotest.int "every packet in exactly one bucket" r.offered
           (r.completed + r.ring_drops + r.nf_drops + r.unmatched);
-        let mon = find_rr report "mon" in
+        let mon = find_rr (!replication ()) "mon" in
         check Alcotest.int "per-replica counts cover all shards" 4
           (List.length mon.rr_processed));
   ]
@@ -445,55 +349,25 @@ let fault_tests =
 (* Property: random policy x replica count x crash plan converge       *)
 (* ------------------------------------------------------------------ *)
 
-let kind_pool =
-  [| "Monitor"; "Gateway"; "Caching"; "Firewall"; "IDS"; "IPS"; "LoadBalancer";
-     "VPN"; "NAT"; "Proxy"; "Compression"; "Forwarder" |]
-
-let random_case_gen =
-  QCheck.Gen.(
-    let* n = int_range 2 4 in
-    let* kinds = array_size (return n) (int_range 0 (Array.length kind_pool - 1)) in
-    let* edge_bits = array_size (return (n * n)) bool in
-    let* replicas = int_range 2 4 in
-    (* 0-2 crashes on random (NF, replica) cores; naming a replica the
-       strategy never deployed is legal and simply never fires. *)
-    let* crashes =
-      list_size (int_range 0 2)
-        (triple (int_range 0 (n - 1)) (int_range 0 3)
-           (float_range 300_000.0 2_000_000.0))
-    in
-    return (kinds, edge_bits, replicas, crashes))
-
+(* A policy case of 2-4 NFs, a replica count, and 0-2 crashes on random
+   (NF, replica) cores; naming a replica the strategy never deployed is
+   legal and simply never fires. *)
 let random_case_arbitrary =
   QCheck.make
-    ~print:(fun (kinds, _, replicas, crashes) ->
-      Printf.sprintf "%s; replicas %d; crashes %s"
-        (String.concat "," (Array.to_list (Array.map (fun i -> kind_pool.(i)) kinds)))
-        replicas
+    ~print:(fun (case, replicas, crashes) ->
+      Printf.sprintf "%s; replicas %d; crashes %s" (Oracle.print_policy case) replicas
         (String.concat ","
-           (List.map
-              (fun (i, r, t) -> Printf.sprintf "n%d@%d@%.0f" i r t)
-              crashes)))
-    random_case_gen
-
-let build_policy (kinds, edge_bits) =
-  let n = Array.length kinds in
-  let name i = Printf.sprintf "n%d" i in
-  let bindings = List.init n (fun i -> (name i, kind_pool.(kinds.(i)))) in
-  let rules =
-    List.concat
-      (List.init n (fun i ->
-           List.filter_map
-             (fun j ->
-               if j > i && edge_bits.((i * n) + j) then
-                 Some (Nfp_policy.Rule.Order (name i, name j))
-               else None)
-             (List.init n Fun.id)))
-  in
-  let rules =
-    if rules = [] then Nfp_policy.Rule.of_chain (List.init n name) else rules
-  in
-  { Nfp_policy.Rule.bindings; rules }
+           (List.map (fun (i, r, t) -> Printf.sprintf "n%d@%d@%.0f" i r t) crashes)))
+    QCheck.Gen.(
+      let* case = Oracle.policy_gen ~max_nfs:4 in
+      let* replicas = int_range 2 4 in
+      let* crashes =
+        list_size (int_range 0 2)
+          (triple
+             (int_range 0 (List.length (fst case) - 1))
+             (int_range 0 3) (float_range 300_000.0 2_000_000.0))
+      in
+      return (case, replicas, crashes))
 
 let property_tests =
   [
@@ -501,38 +375,28 @@ let property_tests =
       (QCheck.Test.make ~count:10
          ~name:"sharded + crashed runs converge with the unreplicated fault-free run"
          random_case_arbitrary
-         (fun (kinds, edge_bits, replicas, crashes) ->
-           let policy = build_policy (kinds, edge_bits) in
-           match Compiler.compile policy with
-           | Error _ -> QCheck.assume_fail ()
-           | Ok out -> (
-               match Tables.of_output out with
-               | Error _ -> false
-               | Ok plan ->
-                   let crash_plan =
-                     Nfp_sim.Fault.plan
-                       (List.map
-                          (fun (i, r, at_ns) ->
-                            let core =
-                              if r = 0 then Printf.sprintf "mid1:n%d" i
-                              else Printf.sprintf "mid1:n%d@%d" i r
-                            in
-                            Nfp_sim.Fault.crash ~at_ns core)
-                          crashes)
-                   in
-                   let bindings = policy.bindings in
-                   let baseline, rb, _ =
-                     observe ~plan ~bindings ~rate:1.0 ~packets:1200 ()
-                   in
-                   let sharded, rr, _ =
-                     observe
-                       ~fault:(lossless_fault crash_plan)
-                       ~replicas ~plan ~bindings ~rate:1.0 ~packets:1200 ()
-                   in
-                   rb.ring_drops = 0 && rr.ring_drops = 0
-                   && rr.health.drops.flush_lost = 0
-                   && rr.in_flight = 0
-                   && baseline = sharded)));
+         (fun (case, replicas, crashes) ->
+           match Oracle.plan_of_case case with
+           | None -> QCheck.assume_fail ()
+           | Some plan ->
+               let crash_plan =
+                 Nfp_sim.Fault.plan
+                   (List.map
+                      (fun (i, r, at_ns) ->
+                        let core =
+                          if r = 0 then Printf.sprintf "mid1:n%d" i
+                          else Printf.sprintf "mid1:n%d@%d" i r
+                        in
+                        Nfp_sim.Fault.crash ~at_ns core)
+                      crashes)
+               in
+               let run ?fault ?replicas () =
+                 fst
+                   (Oracle.observe ?fault ?replicas ~plan ~bindings:(Oracle.bindings_of case)
+                      ~arrivals:(Nfp_sim.Harness.Uniform 1.0) ~packets:1200 ())
+               in
+               Oracle.converges (run ())
+                 (run ~fault:(Oracle.lossless_fault crash_plan) ~replicas ())));
   ]
 
 let () =

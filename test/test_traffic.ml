@@ -119,28 +119,8 @@ let pktgen_tests =
 (* Replay                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let deployment_of text bindings =
-  match Nfp_core.Compiler.compile_text text with
-  | Error es -> Alcotest.failf "compile: %s" (String.concat ";" es)
-  | Ok o -> (
-      match Nfp_core.Tables.of_output o with
-      | Error e -> Alcotest.failf "plan: %s" e
-      | Ok plan ->
-          let table = Hashtbl.create 8 in
-          List.iter
-            (fun (name, kind) ->
-              Hashtbl.replace table name
-                (Option.get (Nfp_nf.Registry.instantiate kind ~name)))
-            bindings;
-          (plan, Hashtbl.find table))
-
-let chain_of bindings order () =
-  let table = Hashtbl.create 8 in
-  List.iter
-    (fun (name, kind) ->
-      Hashtbl.replace table name (Option.get (Nfp_nf.Registry.instantiate kind ~name)))
-    bindings;
-  List.map (Hashtbl.find table) order
+let deployment_of text bindings = (Oracle.plan_of text, Nfp_nf.Registry.instances bindings)
+let chain_of bindings order () = List.map (Nfp_nf.Registry.instances bindings) order
 
 let replay_tests =
   [
