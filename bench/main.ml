@@ -866,21 +866,21 @@ let run_micro () =
   in
   (* A delivery-sized memory fed fresh PIDs: every op inserts one key
      and looks it up, rotating generations every 32768 ops. *)
-  let dedup = Nfp_infra.System.Dedup.create 65_536 in
+  let dedup = Nfp_infra.Dedup.create 65_536 in
   let dedup_pid = ref 0 in
   let dedup_op () =
     incr dedup_pid;
-    Nfp_infra.System.Dedup.add dedup ~a:!dedup_pid ~b:1;
-    Nfp_infra.System.Dedup.mem dedup ~a:!dedup_pid ~b:1
+    Nfp_infra.Dedup.add dedup ~a:!dedup_pid ~b:1;
+    Nfp_infra.Dedup.mem dedup ~a:!dedup_pid ~b:1
   in
   (* The same on PIDs strided by 2^16: every key starts its probe at the
      same slot pair, so all but the first few spill. *)
-  let strided = Nfp_infra.System.Dedup.create 65_536 in
+  let strided = Nfp_infra.Dedup.create 65_536 in
   let strided_pid = ref 0 in
   let strided_op () =
     strided_pid := !strided_pid + (1 lsl 16);
-    Nfp_infra.System.Dedup.add strided ~a:!strided_pid ~b:1;
-    Nfp_infra.System.Dedup.mem strided ~a:!strided_pid ~b:1
+    Nfp_infra.Dedup.add strided ~a:!strided_pid ~b:1;
+    Nfp_infra.Dedup.mem strided ~a:!strided_pid ~b:1
   in
   (* The classifier on a 256-tenant table like tenants_miss's, each op
      classifying the next of 4096 frames in turn. The hit kernel's
@@ -1152,7 +1152,7 @@ let run_loadsweep () =
   note "";
   let oc = Nfp_infra.System.default_overload_config in
   note "  overload control plane armed (3 admission classes, watermarks %d/%d):"
-    oc.Nfp_infra.System.high_watermark oc.Nfp_infra.System.low_watermark;
+    oc.Nfp_infra.Overload.high_watermark oc.Nfp_infra.Overload.low_watermark;
   let mx3 = overload_knee () in
   note "  rig knee: %.2f Mpps; per class: delivered (shed)" mx3;
   note "  %-10s %-18s %-18s %-18s %s" "load" "bronze" "silver" "gold" "p99 (us)";
@@ -1520,7 +1520,7 @@ let storm_sweep ?(ring_capacity = Nfp_infra.System.default_config.ring_capacity)
     let make engine ~output =
       Nfp_infra.System.make
         ~config:{ Nfp_infra.System.default_config with mergers = 2; ring_capacity }
-        ~fault:{ fault with Nfp_infra.System.plan }
+        ~fault:{ fault with Nfp_infra.Watchdog.plan }
         ~plan:dplan ~nfs:(nfs ()) engine ~output
     in
     let r =
@@ -1571,9 +1571,9 @@ let run_faults () =
          let fault = Nfp_infra.System.default_fault_config in
          (label, { fault with recovery_of = (fun _ -> policy) }))
        [
-         ("Restart", Nfp_infra.System.Restart);
-         ("Bypass", Nfp_infra.System.Bypass);
-         ("Degrade", Nfp_infra.System.Degrade);
+         ("Restart", Nfp_infra.Watchdog.Restart);
+         ("Bypass", Nfp_infra.Watchdog.Bypass);
+         ("Degrade", Nfp_infra.Watchdog.Degrade);
        ])
     [ None; Some 2.0e6; Some 1.0e6; Some 0.5e6 ]
 

@@ -80,10 +80,10 @@ let run ?(checkpoint_interval_ns = 0.0) label recovery =
 
 let () =
   Format.printf "crashing mid1:mon at t=0.5ms under each recovery policy:@.@.";
-  run "Restart" Nfp_infra.System.Restart;
-  run "Lossless" Nfp_infra.System.Restart ~checkpoint_interval_ns:100_000.0;
-  run "Bypass" Nfp_infra.System.Bypass;
-  run "Degrade" Nfp_infra.System.Degrade;
+  run "Restart" Nfp_infra.Watchdog.Restart;
+  run "Lossless" Nfp_infra.Watchdog.Restart ~checkpoint_interval_ns:100_000.0;
+  run "Bypass" Nfp_infra.Watchdog.Bypass;
+  run "Degrade" Nfp_infra.Watchdog.Degrade;
   Format.printf
     "@.Plain Restart flushes the outage window's backlog; Lossless restores the@.";
   Format.printf

@@ -87,8 +87,8 @@ let () =
   let oc = Nfp_infra.System.default_overload_config in
   Format.printf
     "overload config  : off by default; ~overload arms watermarks %d/%d  degrade=%b@."
-    oc.Nfp_infra.System.high_watermark oc.Nfp_infra.System.low_watermark
-    oc.Nfp_infra.System.degrade_enabled;
+    oc.Nfp_infra.Overload.high_watermark oc.Nfp_infra.Overload.low_watermark
+    oc.Nfp_infra.Overload.degrade_enabled;
   let pkt i = Nfp_traffic.Pktgen.packet gen i in
   let measure label make =
     let mx =

@@ -20,6 +20,12 @@ let mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
+let slot_of_pid pid instances =
+  Int64.to_int
+    (Int64.rem
+       (Int64.logand (mix64 pid) Int64.max_int)
+       (Int64.of_int (max 1 instances)))
+
 let combine a b = ((a * 31) + b) land max_int
 
 (* The 104-bit 5-tuple packs exactly into two limbs; both fit a 63-bit

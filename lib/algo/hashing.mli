@@ -12,6 +12,12 @@ val fnv1a32_bytes : bytes -> pos:int -> len:int -> int
 val mix64 : int64 -> int64
 (** SplitMix64 finaliser: avalanching 64-bit mix, used for PID hashing. *)
 
+val slot_of_pid : int64 -> int -> int
+(** [slot_of_pid pid n] is the instance in [0, n) a PID hashes to
+    ({!mix64}, sign bit cleared, mod [n]; [n < 1] counts as 1): the
+    merger agent's choice of merger instance, and the BESS baseline's
+    NIC RSS choice of run-to-completion core. *)
+
 val combine : int -> int -> int
 (** Order-dependent combination of two hash values. *)
 

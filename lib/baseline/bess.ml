@@ -49,12 +49,7 @@ let make ~cores ~chain engine ~output =
       (fun ~pid pkt ->
         Nfp_sim.Engine.schedule engine ~delay:wire_delay (fun () ->
             (* NIC RSS: hash steers the packet to a replica. *)
-            let i =
-              Int64.to_int
-                (Int64.rem
-                   (Int64.logand (Nfp_algo.Hashing.mix64 pid) Int64.max_int)
-                   (Int64.of_int cores))
-            in
+            let i = Nfp_algo.Hashing.slot_of_pid pid cores in
             if not (Nfp_sim.Server.offer replicas.(i) { pid; pkt }) then
               drops.ingress_rejected <- drops.ingress_rejected + 1));
     classifier = (fun () -> Nfp_sim.Harness.no_classifier_counters);

@@ -1,21 +1,37 @@
 (** The elastic scale-out controller of a {!System} deployment: runtime
     replica activation and retirement over an RSS-bucket steering map,
-    with crash-safe two-phase live migration of per-flow NF state. The
-    fields of {!config} are documented where {!System} re-exports it, as
-    [System.elastic_config]. *)
+    with crash-safe two-phase live migration of per-flow NF state.
+    {!System} re-exports {!config} as [System.elastic_config]. *)
 
 type config = {
   min_replicas : int;
+      (** scale-in floor; also the initially-active replica count *)
   max_replicas : int;
+      (** scale-out ceiling; standby replicas up to this count are
+          built at deployment and activated at runtime *)
   buckets : int;
-  control_interval_ns : float;
+      (** steering granularity: flows hash into this many RSS buckets,
+          each owned by one replica; migrations re-home whole buckets.
+          Must be [>= max_replicas]. *)
+  control_interval_ns : float;  (** controller tick period *)
   scale_out_occupancy : float;
+      (** scale out when any active replica's queue occupancy (fraction
+          of ring capacity) reaches this *)
   scale_in_occupancy : float;
-  migration_batch : int;
+      (** scale in when every active replica sits at or below this;
+          must be [< scale_out_occupancy] (hysteresis) *)
+  migration_batch : int;  (** max buckets re-homed per migration *)
   transfer_ns : float;
+      (** modeled state-transfer window: the source replica stays
+          frozen this long between freeze and commit *)
   migration_deadline_ns : float;
+      (** a migration that cannot commit by freeze + deadline
+          (destination full, a party down) aborts, rolling back to the
+          old steering map with nothing observable changed *)
   commit_retry_ns : float;
+      (** retry period of a commit blocked on destination ring space *)
   cooldown_ns : float;
+      (** minimum time between scale decisions per NF slot *)
 }
 
 val default : config

@@ -1,11 +1,20 @@
 (** The overload control plane of a {!System} deployment: the ring
     watermarks its cores arm, the priority-aware admission controller
     at the classifier front end (the shed ladder with its poll and
-    trickle) and the per-replica pressure-degrade switch. The fields of
-    {!config} are documented where {!System} re-exports it, as
-    [System.overload_config]. *)
+    trickle) and the per-replica pressure-degrade switch. {!System}
+    re-exports {!config} as [System.overload_config]. *)
 
-type config = { high_watermark : int; low_watermark : int; degrade_enabled : bool }
+type config = {
+  high_watermark : int;
+      (** ring occupancy at which a core's pressure latch raises; must
+          satisfy [0 <= low < high <= ring_capacity] *)
+  low_watermark : int;
+      (** occupancy at which the latch releases — the hysteresis band
+          [low..high] keeps a sawtooth queue from flapping the signal *)
+  degrade_enabled : bool;
+      (** let NFs that declare an [Nf.degrade] mode coarsen while their
+          own ring sits above the watermark *)
+}
 
 val default : config
 

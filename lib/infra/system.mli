@@ -9,93 +9,19 @@
 
 open Nfp_packet
 
-type config = {
-  cost : Nfp_sim.Cost.t;
-      (** its [batch] is the breath size of every core's poll loop
-          (jobs inhaled per burst), [>= 1]; 1 restores per-packet (legacy)
-          execution bit-for-bit. Output is batch-size invariant — only
-          timing moves (test_batch proves it differentially). *)
-  ring_capacity : int;  (** slots per core's input ring; [>= 1] *)
-  mergers : int;  (** merger instances, [>= 1]; > 1 adds the agent core *)
-  jitter : float;  (** ± fractional service jitter per core; in [\[0, 1)] *)
-  seed : int64;
-  replicas : int;
-      (** target replica count for NFs the replication analysis clears
-          ({!Nfp_core.Replication.shardable}: a safe state-access
-          profile and no order-sensitive NF downstream); all other NFs
-          keep a single instance. Must be [>= 1]. Default 1 —
-          bit-identical to the pre-replication deployment. *)
-}
+type config = Runtime.config
+(** The deployment config: cost model, ring capacity, merger count,
+    jitter, seed and replica target; see {!Runtime.config}. *)
 
 val default_config : config
 
 (** {2 Fault tolerance} *)
 
-type recovery = Watchdog.recovery =
-  | Restart
-      (** bring the core back after [restart_ns]; its backlog is
-          dropped (accounted in [health.drops.flush_lost]) *)
-  | Bypass
-      (** remove the core from the graph: packets skip its processing
-          but still execute its action program, so mergers never wait
-          on its branch — for optional NFs (monitors, taps) *)
-  | Degrade
-      (** run the whole service graph in the sequential order of the
-          same plan on a twin chain until the core has restarted *)
+type recovery = Watchdog.recovery
+(** Restart, Bypass or Degrade; see {!Watchdog.recovery}. *)
 
-type fault_config = Watchdog.config = {
-  plan : Nfp_sim.Fault.plan;  (** which cores fail, how, and when *)
-  watchdog_interval_ns : float;  (** heartbeat sampling period; positive *)
-  watchdog_deadline_ns : float;
-      (** a core with queued work but no progress — neither a processed
-          packet nor a backpressure retry — for this long is declared
-          failed; backpressure alone never trips the watchdog. Positive. *)
-  merge_timeout_ns : float;
-      (** mergers force-complete an accumulation this old with the
-          versions that did arrive; 0.0 disables the timeout. [>= 0]. *)
-  restart_ns : float;
-      (** downtime of a Restart / Degrade recovery; [>= 0]. The n-th
-          consecutive restart of a core waits
-          [restart_ns * 2^(n-1)], capped at 2 ms, while the breaker is
-          armed. *)
-  recovery_of : string -> recovery;
-      (** policy per NF instance name. Also read when the system is
-          built: a graph gets its sequential twin chain only if some
-          NF of it maps to [Degrade]. *)
-  checkpoint_interval_ns : float;
-      (** period of the per-core NF state checkpoints that arm lossless
-          Restart recovery: a restarting core restores its last
-          snapshot, replays its input log (extending the outage by the
-          replayed packets' service time, output suppressed) and
-          re-admits the work the crash reclaimed instead of flushing
-          it. 0.0 disables checkpointing — Restart falls back to the
-          lossy flush semantics. [>= 0]. Only NFs providing both
-          [Nf.snapshot] and [Nf.restore] participate; cores whose NF
-          lacks them recover lossily either way. *)
-  log_capacity : int;
-      (** bound on each core's input log (packets retained since its
-          last checkpoint), [>= 1]. A full log forces an early
-          checkpoint — counted in [health.forced_checkpoints] — never
-          silent truncation. *)
-  breaker_threshold : int;
-      (** circuit breaker: after this many consecutive watchdog
-          detections of the same NF core with no processed-packet
-          progress in between, stop restarting it and bypass it
-          (counted in [health.breaker_trips]). It also arms the
-          exponential restart backoff: each delayed restart is counted
-          in [health.backoffs]. Infrastructure cores never trip (they
-          only back off). 0 (the default) disables the breaker and the
-          backoff — the recover-forever behavior, bit for bit. [>= 0]. *)
-  dedup_capacity : int;
-      (** bound on each (pid, version) dedup table — the delivery
-          filter and every merger's completed-merge memory. The tables
-          prune generationally (two half-capacity generations; a
-          rotation retires the older), so an entry survives at least
-          [dedup_capacity / 2] further insertions — the window a
-          replayed branch or late retransmission must land inside —
-          while live entries never exceed the bound
-          ([health.dedup_entries] is the gauge). Must be [>= 2]. *)
-}
+type fault_config = Watchdog.config
+(** Arms fault tolerance; see {!Watchdog.config}. *)
 
 val default_fault_config : fault_config
 (** An empty plan, Restart everywhere, 30/120 us watchdog
@@ -104,53 +30,9 @@ val default_fault_config : fault_config
     interval, a 4096-packet input log, the circuit breaker disabled
     ([breaker_threshold = 0]), and 65536-entry dedup tables. *)
 
-(** {2 Dedup memories} *)
-
-(** The bounded packet-identity memory behind [dedup_capacity]: the
-    delivery filter keys it by (PID, version), each merger's
-    completed-merge memory by (PID, MID, merge point). Two generations
-    of at most [capacity / 2] entries each; when the newer fills, the
-    older is dropped and the generations rotate. Keys are two native
-    int limbs, the first the 40-bit PID itself, so lookups and inserts
-    allocate nothing. *)
-module Dedup : sig
-  type t
-
-  val create : int -> t
-  (** [create capacity] is a memory bounded by [capacity] entries (at
-      least one per generation). *)
-
-  val merge_limb : mid:int -> merge_id:int -> int
-  (** The merger's second key limb: MID and merge point packed into
-      one int ([merge_id] below 2{^32}). The delivery filter's second
-      limb is the version itself. Kept for tests: the dedup tests key
-      a merger memory with it. *)
-
-  val mem : t -> a:int -> b:int -> bool
-  (** Whether either generation holds the key. *)
-
-  val add : t -> a:int -> b:int -> unit
-  (** Insert a key not yet held, rotating first when the newer
-      generation is full; a no-op for a key already held. *)
-
-  val length : t -> int
-  (** Entries across both generations — the [health.dedup_entries]
-      gauge. Kept for tests: the dedup tests read a memory's size. *)
-end
-
 (** {2 Overload control} *)
 
-type overload_config = Overload.config = {
-  high_watermark : int;
-      (** ring occupancy at which a core's pressure latch raises; must
-          satisfy [0 <= low < high <= ring_capacity] *)
-  low_watermark : int;
-      (** occupancy at which the latch releases — the hysteresis band
-          [low..high] keeps a sawtooth queue from flapping the signal *)
-  degrade_enabled : bool;
-      (** let NFs that declare an [Nf.degrade] mode coarsen while their
-          own ring sits above the watermark *)
-}
+type overload_config = Overload.config
 (** Arms the overload control plane: every ring
     gets the high/low watermark latch, the classifier front end gains
     the priority-aware admission controller (chains with a lower
@@ -167,36 +49,7 @@ val default_overload_config : overload_config
 
 (** {2 Elastic scale-out} *)
 
-type elastic_config = Elastic.config = {
-  min_replicas : int;
-      (** scale-in floor; also the initially-active replica count *)
-  max_replicas : int;
-      (** scale-out ceiling; standby replicas up to this count are
-          built at deployment and activated at runtime *)
-  buckets : int;
-      (** steering granularity: flows hash into this many RSS buckets,
-          each owned by one replica; migrations re-home whole buckets.
-          Must be [>= max_replicas]. *)
-  control_interval_ns : float;  (** controller tick period *)
-  scale_out_occupancy : float;
-      (** scale out when any active replica's queue occupancy (fraction
-          of ring capacity) reaches this *)
-  scale_in_occupancy : float;
-      (** scale in when every active replica sits at or below this;
-          must be [< scale_out_occupancy] (hysteresis) *)
-  migration_batch : int;  (** max buckets re-homed per migration *)
-  transfer_ns : float;
-      (** modeled state-transfer window: the source replica stays
-          frozen this long between freeze and commit *)
-  migration_deadline_ns : float;
-      (** a migration that cannot commit by freeze + deadline
-          (destination full, a party down) aborts, rolling back to the
-          old steering map with nothing observable changed *)
-  commit_retry_ns : float;
-      (** retry period of a commit blocked on destination ring space *)
-  cooldown_ns : float;
-      (** minimum time between scale decisions per NF slot *)
-}
+type elastic_config = Elastic.config
 (** Arms elastic scale-out with live migration.
     Per NF the plan clears for sharding ({!Replication.shardable}) and
     whose state supports runtime extraction
@@ -280,20 +133,7 @@ type core_stats = {
 
 (** {2 Intra-NF replication} *)
 
-type replica_report = {
-  rr_mid : int;
-  rr_nf : string;  (** plan instance name *)
-  rr_kind : string;
-  rr_strategy : Nfp_core.Replication.strategy;  (** derived, not configured *)
-  rr_replicas : int;  (** instances actually deployed for this NF *)
-  rr_processed : int list;  (** per-replica processed counts, shard order *)
-  rr_merged_digest : int;
-      (** the state digest a single unreplicated instance would hold:
-          replica snapshots combined by [Nf.merge] and restored into a
-          fresh scratch instance (Shared_nothing), or the instance
-          digest directly (single replica / read-only state). Read it
-          after the run drains — it reflects live NF state. *)
-}
+type replica_report = Slot.report
 (** One entry per NF of the deployment, from the [?replication] report
     of {!make}/{!make_multi}. *)
 

@@ -20,7 +20,7 @@ let check = Alcotest.check
    the scale-out line, a near-empty queue crosses the scale-in line. *)
 let eager =
   {
-    Sys.min_replicas = 1;
+    Nfp_infra.Elastic.min_replicas = 1;
     max_replicas = 3;
     buckets = 24;
     control_interval_ns = 5_000.0;

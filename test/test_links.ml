@@ -458,7 +458,7 @@ let regression_tests =
           { (links [ F.loss ~probability:0.04 "*" ]) with reliable = false }
         in
         let tight =
-          { Sys.high_watermark = 32; low_watermark = 8; degrade_enabled = false }
+          { Nfp_infra.Overload.high_watermark = 32; low_watermark = 8; degrade_enabled = false }
         in
         let make engine ~output =
           Sys.make_multi ~links:lc ~overload:tight ~graphs engine ~output

@@ -228,7 +228,7 @@ let rig_run ?overload ?fault ~arrivals ~packets () =
 (* Tight watermarks, degrade off: admission behaviour in isolation. *)
 let tight =
   {
-    Nfp_infra.System.high_watermark = 32;
+    Nfp_infra.Overload.high_watermark = 32;
     low_watermark = 8;
     degrade_enabled = false;
   }
@@ -304,7 +304,7 @@ let admission_tests =
     Alcotest.test_case "unreachable watermarks are bit-identical to unarmed"
       `Quick (fun () ->
         let cap =
-          Nfp_infra.System.default_config.Nfp_infra.System.ring_capacity
+          Nfp_infra.System.default_config.ring_capacity
         in
         let unreachable =
           {
@@ -429,7 +429,7 @@ let ids_make ~degrade_enabled engine ~output =
   in
   let nf, _ = Nfp_nf.Ids.create ~name:"ids" () in
   let overload =
-    { Nfp_infra.System.high_watermark = 32; low_watermark = 8; degrade_enabled }
+    { Nfp_infra.Overload.high_watermark = 32; low_watermark = 8; degrade_enabled }
   in
   Nfp_infra.System.make ~overload ~plan ~nfs:(fun _ -> nf) engine ~output
 

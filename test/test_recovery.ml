@@ -242,7 +242,7 @@ let switch_fault policy =
     (Oracle.lossless_fault
        (Nfp_sim.Fault.plan [ Nfp_sim.Fault.crash ~at_ns:500_000.0 "mid1:mon" ]))
     with
-    recovery_of = (fun nf -> if nf = "mon" then policy else Nfp_infra.System.Restart);
+    recovery_of = (fun nf -> if nf = "mon" then policy else Nfp_infra.Watchdog.Restart);
   }
 
 let switchover_tests =
